@@ -40,8 +40,6 @@ from .panel import (
     ClusterPanel,
     PanelDataset,
     binarize_treatment,
-    cum_confounder,
-    cum_treatment,
     read_panel_csv,
     write_panel_csv,
 )
@@ -82,8 +80,6 @@ __all__ = [
     "adjusted_poisson",
     "ate_iptw_binary",
     "binarize_treatment",
-    "cum_confounder",
-    "cum_treatment",
     "fit_glm",
     "fit_treatment_models",
     "generate_dataset",

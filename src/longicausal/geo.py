@@ -25,7 +25,7 @@ from typing import Iterable, Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import DomainError, SchemaError
-from .panel import ClusterPanel, PanelDataset
+from .panel import PanelDataset, _check_header, _parse_float
 
 logger = logging.getLogger(__name__)
 
@@ -386,35 +386,9 @@ def build_panel(
             quake_flags[cluster, period] = 1
             outcomes[cluster] += count
 
-    panels = [
-        ClusterPanel(
-            unit_id=f"c{c:02d}",
-            treatments=tuple(volumes[c]),
-            confounders=tuple(int(v) for v in quake_flags[c]),
-            outcome=int(outcomes[c]),
-        )
-        for c in range(n)
-    ]
-    return PanelDataset(panels)
-
-
-def _parse_float_field(raw: str, row: int, column: str) -> float:
-    try:
-        v = float(raw)
-    except ValueError:
-        raise SchemaError(f"expected a number, got {raw!r}", row=row, column=column) from None
-    if not math.isfinite(v):
-        raise SchemaError(f"expected a finite number, got {raw!r}", row=row, column=column)
-    return v
-
-
-def _check_header(actual, expected, path) -> None:
-    if actual is None or [c.strip() for c in actual] != expected:
-        raise SchemaError(
-            f"{path}: expected header {','.join(expected)}, got "
-            f"{','.join(actual) if actual else '<empty file>'}",
-            row=1,
-        )
+    return PanelDataset.from_arrays(
+        volumes, quake_flags, outcomes, unit_ids=[f"c{c:02d}" for c in range(n)]
+    )
 
 
 def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[WellRecord]:
@@ -431,8 +405,8 @@ def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[We
             if len(rec) != 5:
                 raise SchemaError(f"expected 5 fields, got {len(rec)}", row=i)
             wid = rec[0]
-            lon = _parse_float_field(rec[1], i, "longitude")
-            lat = _parse_float_field(rec[2], i, "latitude")
+            lon = _parse_float(rec[1], i, "longitude")
+            lat = _parse_float(rec[2], i, "latitude")
             if not (-180.0 <= lon <= 180.0):
                 raise SchemaError(f"longitude out of range: {lon}", row=i, column="longitude")
             if not (-90.0 <= lat <= 90.0):
@@ -441,7 +415,7 @@ def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[We
                 ym = month_key(*parse_month(rec[3]))
             except DomainError as exc:
                 raise SchemaError(str(exc), row=i, column="year_month") from None
-            vol = _parse_float_field(rec[4], i, "volume_bbl")
+            vol = _parse_float(rec[4], i, "volume_bbl")
             if vol < 0:
                 raise SchemaError(f"volume_bbl must be >= 0, got {vol}", row=i, column="volume_bbl")
             if wid not in coords:
@@ -493,14 +467,14 @@ def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[
             if eid in seen:
                 raise SchemaError(f"duplicate event id {eid!r}", row=i, column="event_id")
             seen.add(eid)
-            lon = _parse_float_field(rec[1], i, "longitude")
-            lat = _parse_float_field(rec[2], i, "latitude")
+            lon = _parse_float(rec[1], i, "longitude")
+            lat = _parse_float(rec[2], i, "latitude")
             if not (-180.0 <= lon <= 180.0):
                 raise SchemaError(f"longitude out of range: {lon}", row=i, column="longitude")
             if not (-90.0 <= lat <= 90.0):
                 raise SchemaError(f"latitude out of range: {lat}", row=i, column="latitude")
             when = _parse_timestamp(rec[3], i)
-            mag = _parse_float_field(rec[4], i, "magnitude")
+            mag = _parse_float(rec[4], i, "magnitude")
             quakes.append(
                 QuakeRecord(event_id=eid, longitude=lon, latitude=lat, origin_time=when, magnitude=mag)
             )

@@ -182,14 +182,14 @@ def stabilized_weights(
     if np.any(bad):
         i, j = np.argwhere(bad)[0]
         raise WeightError(
-            f"non-finite weight factor for unit {data.panels[i].unit_id!r} at t={periods[j]}"
+            f"non-finite weight factor for unit {data.unit_ids[i]!r} at t={periods[j]}"
         )
 
     per_time = np.exp(log_factors)
     per_unit = np.exp(log_factors.sum(axis=1))
     if not np.all(np.isfinite(per_unit)):
         i = int(np.flatnonzero(~np.isfinite(per_unit))[0])
-        raise WeightError(f"non-finite stabilized weight for unit {data.panels[i].unit_id!r}")
+        raise WeightError(f"non-finite stabilized weight for unit {data.unit_ids[i]!r}")
 
     truncation = None
     if truncate_percentile is not None:
@@ -213,12 +213,12 @@ def stabilized_weights(
 
 def iter_weight_rows(data: PanelDataset, weights: WeightSet) -> Iterator[tuple[str | int, int, float, float]]:
     """Diagnostic rows (unit_id, t, factor, cumulative_weight) for CSV export."""
-    for i, panel in enumerate(data):
+    for i, unit_id in enumerate(data.unit_ids):
         cum = 1.0
         for j, t in enumerate(weights.periods):
             factor = float(weights.per_time_factors[i, j])
             cum *= factor
-            yield panel.unit_id, t, factor, cum
+            yield unit_id, t, factor, cum
 
 
 def ate_iptw_binary(
@@ -265,7 +265,7 @@ def ate_iptw_binary(
         # which is a positivity failure in finite samples
         i = int(np.argmax(np.abs(e_hat - 0.5)))
         raise PositivityError(
-            f"estimated propensity for unit {data.panels[i].unit_id!r} is numerically "
+            f"estimated propensity for unit {data.unit_ids[i]!r} is numerically "
             f"{0 if e_hat[i] <= 0.5 else 1}"
         )
 

@@ -1,16 +1,16 @@
 """Longitudinal panel data model and elementary treatment summaries.
 
-A ClusterPanel holds one observational unit's treatment history A(1..K) in
-bbl, binary confounder history L(1..K), end-of-study count outcome Y, and
-optional baseline values A(0)/L(0). A PanelDataset is a uniform-horizon
-collection of panels and is the unit all estimators operate on.
+A PanelDataset holds N units' treatment histories A(1..K) in bbl as an (N, K)
+array, binary confounder histories L(1..K) as an (N, K) array, end-of-study
+count outcomes Y as an (N,) array, and optional baseline values A(0)/L(0) for
+every unit. It is the unit all estimators operate on. A ClusterPanel is a
+read-only view of one unit, built when a dataset is iterated.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-import numbers
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -25,29 +25,59 @@ PANEL_CSV_HEADER = ["unit_id", "period", "volume_bbl", "quake_indicator"]
 OUTCOME_CSV_HEADER = ["unit_id", "cumulative_quakes"]
 
 
-def _as_float_tuple(values: Sequence[float], what: str) -> tuple[float, ...]:
-    out = []
-    for v in values:
-        f = float(v)
-        if not math.isfinite(f):
-            raise PanelError(f"{what} must be finite, got {v!r}")
-        out.append(f)
-    return tuple(out)
+def _reject(bad: np.ndarray, message: str, values: np.ndarray) -> None:
+    if bad.any():
+        raise PanelError(f"{message}, got {values[bad].tolist()[0]!r}")
 
 
-def _as_binary_tuple(values: Sequence[int], what: str) -> tuple[int, ...]:
-    out = []
-    for v in values:
-        i = int(v)
-        if i != v or i not in (0, 1):
-            raise PanelError(f"{what} must be 0/1, got {v!r}")
-        out.append(i)
-    return tuple(out)
+def _validate(a, l, y, a0=None, l0=None) -> tuple[np.ndarray | None, ...]:
+    """Check (N, K) A and L, (N,) Y and the optional (N,) A0/L0 pair.
+
+    Returns read-only float64 copies, so a dataset cannot be changed in place.
+    """
+    a = np.array(a, dtype=float, order="C")
+    l = np.array(l, dtype=float, order="C")
+    y = np.array(y)
+    if a.ndim != 2 or a.shape[0] < 1:
+        raise PanelError(f"a PanelDataset requires an (N>=1, K) treatment array, got shape {a.shape}")
+    n, k = a.shape
+    if k < 1:
+        raise PanelError("at least one period is required")
+    if l.shape != a.shape:
+        raise PanelError(f"treatments and confounders must have equal length (got {a.shape} vs {l.shape})")
+    if (a0 is None) != (l0 is None):
+        raise PanelError("baseline_treatment and baseline_confounder must be given together")
+    if a0 is not None:
+        a0, l0 = np.array(a0, dtype=float), np.array(l0, dtype=float)
+    if any(v is not None and v.shape != (n,) for v in (y, a0, l0)):
+        raise PanelError(f"outcomes and baselines need one entry for each of the {n} units")
+    _reject(~np.isfinite(a), "treatments must be finite", a)
+    _reject((l != 0.0) & (l != 1.0), "confounders must be 0/1", l)
+    # a non-numeric outcome becomes NaN here, so it fails the integer check
+    y_float = y.astype(float) if y.dtype.kind in "biuf" else np.full(n, np.nan)
+    _reject(~np.isfinite(y_float) | (y_float != np.round(y_float)), "outcome must be an integer count", y)
+    _reject(y_float < 0, "outcome must be >= 0", y)
+    if a0 is not None:
+        _reject(~np.isfinite(a0), "baseline_treatment must be finite", a0)
+        _reject((l0 != 0.0) & (l0 != 1.0), "baseline_confounder must be 0/1", l0)
+    out = (a, l, y_float, a0, l0)
+    for arr in out:
+        if arr is not None:
+            arr.flags.writeable = False
+    return out
+
+
+def _check_horizons(unit_ids: Sequence, horizons: Sequence[int]) -> None:
+    for uid, k in zip(unit_ids, horizons):
+        if k != horizons[0]:
+            raise PanelError(
+                f"all panels must share the same horizon: unit {uid!r} has K={k}, expected K={horizons[0]}"
+            )
 
 
 @dataclass(frozen=True)
 class ClusterPanel:
-    """One unit's trajectory. Immutable after construction."""
+    """One unit's trajectory: an immutable view of one row of a PanelDataset."""
 
     unit_id: str | int
     treatments: tuple[float, ...]
@@ -55,35 +85,16 @@ class ClusterPanel:
     outcome: int
     baseline_treatment: float | None = None
     baseline_confounder: int | None = None
-    covariates: tuple[float, ...] | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "treatments", _as_float_tuple(self.treatments, "treatments"))
-        object.__setattr__(self, "confounders", _as_binary_tuple(self.confounders, "confounders"))
-        if len(self.treatments) < 1:
-            raise PanelError("at least one period is required")
-        if len(self.treatments) != len(self.confounders):
-            raise PanelError(
-                f"treatments and confounders must have equal length "
-                f"(got {len(self.treatments)} vs {len(self.confounders)})"
-            )
-        if not isinstance(self.outcome, numbers.Integral):
-            raise PanelError(f"outcome must be an integer count, got {self.outcome!r}")
-        if self.outcome < 0:
-            raise PanelError(f"outcome must be >= 0, got {self.outcome}")
-        object.__setattr__(self, "outcome", int(self.outcome))
-        if self.baseline_treatment is not None:
-            bt = float(self.baseline_treatment)
-            if not math.isfinite(bt):
-                raise PanelError("baseline_treatment must be finite")
-            object.__setattr__(self, "baseline_treatment", bt)
-        if self.baseline_confounder is not None:
-            bc = int(self.baseline_confounder)
-            if bc not in (0, 1):
-                raise PanelError(f"baseline_confounder must be 0/1, got {self.baseline_confounder!r}")
-            object.__setattr__(self, "baseline_confounder", bc)
-        if self.covariates is not None:
-            object.__setattr__(self, "covariates", _as_float_tuple(self.covariates, "covariates"))
+        base = [None if v is None else [v] for v in (self.baseline_treatment, self.baseline_confounder)]
+        a, l, y, a0, l0 = _validate([self.treatments], [self.confounders], [self.outcome], *base)
+        object.__setattr__(self, "treatments", tuple(a[0].tolist()))
+        object.__setattr__(self, "confounders", tuple(l[0].astype(int).tolist()))
+        object.__setattr__(self, "outcome", int(y[0]))
+        if a0 is not None:
+            object.__setattr__(self, "baseline_treatment", float(a0[0]))
+            object.__setattr__(self, "baseline_confounder", int(l0[0]))
 
     @property
     def n_periods(self) -> int:
@@ -91,69 +102,100 @@ class ClusterPanel:
 
     @property
     def has_baseline(self) -> bool:
-        return self.baseline_treatment is not None and self.baseline_confounder is not None
+        return self.baseline_treatment is not None
 
 
 class PanelDataset:
-    """Uniform-length collection of ClusterPanel with unique unit ids."""
+    """Uniform-horizon panel stored as read-only arrays, with unique unit ids.
+
+    `from_arrays` builds one from arrays; `PanelDataset(panels)` stacks
+    ClusterPanel rows. Baselines A(0)/L(0) are given for every unit or none.
+    """
 
     def __init__(self, panels: Iterable[ClusterPanel]):
         panels = tuple(panels)
         if not panels:
             raise PanelError("a PanelDataset requires at least one panel")
-        k = panels[0].n_periods
-        for p in panels:
-            if p.n_periods != k:
-                raise PanelError(
-                    f"all panels must share the same horizon: unit {p.unit_id!r} "
-                    f"has K={p.n_periods}, expected K={k}"
-                )
         ids = [p.unit_id for p in panels]
-        if len(set(ids)) != len(ids):
+        _check_horizons(ids, [p.n_periods for p in panels])
+        if len({p.has_baseline for p in panels}) > 1:
+            raise PanelError("baselines A(0)/L(0) must be given for every unit or for none")
+        base = panels[0].has_baseline
+        self._set(
+            [p.treatments for p in panels],
+            [p.confounders for p in panels],
+            [p.outcome for p in panels],
+            ids,
+            [p.baseline_treatment for p in panels] if base else None,
+            [p.baseline_confounder for p in panels] if base else None,
+        )
+
+    @classmethod
+    def from_arrays(cls, A, L, Y, *, unit_ids=None, A0=None, L0=None) -> PanelDataset:
+        """Dataset from (N, K) treatments, (N, K) 0/1 confounders and (N,) counts.
+
+        `unit_ids` defaults to 0..N-1. The inputs are copied, not frozen.
+        """
+        data = cls.__new__(cls)
+        data._set(A, L, Y, unit_ids, A0, L0)
+        return data
+
+    def _set(self, a, l, y, unit_ids, a0, l0) -> None:
+        self._a, self._l, self._y, self._a0, self._l0 = _validate(a, l, y, a0, l0)
+        n, self.n_periods = self._a.shape
+        ids = tuple(range(n)) if unit_ids is None else tuple(unit_ids)
+        if len(ids) != n:
+            raise PanelError(f"unit_ids has {len(ids)} entries for {n} units")
+        if len(set(ids)) != n:
             dupes = sorted({u for u in ids if ids.count(u) > 1}, key=str)
             raise PanelError(f"unit_ids must be unique, duplicated: {dupes}")
-        self.panels = panels
-        self.n_periods = k
+        self.unit_ids = ids
 
     @property
     def n_units(self) -> int:
-        return len(self.panels)
-
-    @property
-    def unit_ids(self) -> list[str | int]:
-        return [p.unit_id for p in self.panels]
+        return len(self.unit_ids)
 
     @property
     def has_baseline(self) -> bool:
-        return all(p.has_baseline for p in self.panels)
+        return self._a0 is not None
+
+    @property
+    def panels(self) -> tuple[ClusterPanel, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.panels)
+        return self.n_units
 
     def __iter__(self) -> Iterator[ClusterPanel]:
-        return iter(self.panels)
+        for i, uid in enumerate(self.unit_ids):
+            base = () if self._a0 is None else (self._a0[i], self._l0[i])
+            yield ClusterPanel(uid, self._a[i], self._l[i], int(self._y[i]), *base)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, PanelDataset) and self.panels == other.panels
+        if not isinstance(other, PanelDataset) or self.unit_ids != other.unit_ids:
+            return False
+        mine = (self._a, self._l, self._y, self._a0, self._l0)
+        theirs = (other._a, other._l, other._y, other._a0, other._l0)
+        return all(np.array_equal(x, y) for x, y in zip(mine, theirs))
 
     def treatment_matrix(self) -> np.ndarray:
-        return np.array([p.treatments for p in self.panels], dtype=float)
+        return self._a
 
     def confounder_matrix(self) -> np.ndarray:
-        return np.array([p.confounders for p in self.panels], dtype=float)
+        return self._l
 
     def outcome_vector(self) -> np.ndarray:
-        return np.array([p.outcome for p in self.panels], dtype=float)
+        return self._y
 
     def baseline_treatment_vector(self) -> np.ndarray:
         if not self.has_baseline:
             raise PanelError("dataset has no baseline period")
-        return np.array([p.baseline_treatment for p in self.panels], dtype=float)
+        return self._a0
 
     def baseline_confounder_vector(self) -> np.ndarray:
         if not self.has_baseline:
             raise PanelError("dataset has no baseline period")
-        return np.array([p.baseline_confounder for p in self.panels], dtype=float)
+        return self._l0
 
     def cum_treatment_vector(self) -> np.ndarray:
         return self.treatment_matrix().sum(axis=1)
@@ -162,21 +204,11 @@ class PanelDataset:
         return self.confounder_matrix().sum(axis=1)
 
 
-def cum_treatment(panel: ClusterPanel) -> float:
-    """Total injected volume over t=1..K, in bbl."""
-    return float(sum(panel.treatments))
-
-
-def cum_confounder(panel: ClusterPanel) -> float:
-    """Number of periods with the confounder present, over t=1..K."""
-    return float(sum(panel.confounders))
-
-
 def binarize_treatment(panel: ClusterPanel, threshold: float = DEFAULT_BINARIZE_THRESHOLD_BBL) -> int:
     """1 if cumulative volume reaches `threshold` bbl (boundary inclusive), else 0."""
     if not (threshold > 0):
         raise DomainError(f"threshold must be positive, got {threshold!r}")
-    return 1 if cum_treatment(panel) >= threshold else 0
+    return 1 if sum(panel.treatments) >= threshold else 0
 
 
 def _fmt(x: float) -> str:
@@ -186,20 +218,23 @@ def _fmt(x: float) -> str:
 def write_panel_csv(dataset: PanelDataset, panel_path: str | Path, outcome_path: str | Path) -> None:
     """Write the long-format panel file and the per-unit outcome file.
 
-    Baselines and covariates are not part of the exchange schema; panels read
-    back from CSV carry observed periods only.
+    Baselines are not part of the exchange schema; panels read back from CSV
+    carry observed periods only.
     """
+    ids = dataset.unit_ids
+    treatments = dataset.treatment_matrix().tolist()
+    confounders = dataset.confounder_matrix().astype(int).tolist()
     with open(panel_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(PANEL_CSV_HEADER)
-        for p in dataset:
-            for t, (a, l) in enumerate(zip(p.treatments, p.confounders), start=1):
-                w.writerow([p.unit_id, t, _fmt(a), l])
+        for uid, a_row, l_row in zip(ids, treatments, confounders):
+            for t, (a, l) in enumerate(zip(a_row, l_row), start=1):
+                w.writerow([uid, t, _fmt(a), l])
     with open(outcome_path, "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(OUTCOME_CSV_HEADER)
-        for p in dataset:
-            w.writerow([p.unit_id, p.outcome])
+        for uid, y in zip(ids, dataset.outcome_vector().astype(int).tolist()):
+            w.writerow([uid, y])
 
 
 def _parse_float(raw: str, row: int, column: str) -> float:
@@ -284,7 +319,7 @@ def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDat
     if extra:
         raise SchemaError(f"{outcome_path}: outcomes for unknown units {extra}", column="unit_id")
 
-    panels = []
+    rows = []
     for uid in order:
         periods = per_unit[uid]
         k = max(periods)
@@ -292,12 +327,12 @@ def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDat
         if set(periods) != expected:
             absent = sorted(expected - set(periods))
             raise SchemaError(f"unit {uid!r} is missing periods {absent}", column="period")
-        treatments = [periods[t][0] for t in range(1, k + 1)]
-        confounders = [periods[t][1] for t in range(1, k + 1)]
-        panels.append(
-            ClusterPanel(unit_id=uid, treatments=treatments, confounders=confounders, outcome=outcomes[uid])
-        )
+        rows.append([periods[t] for t in range(1, k + 1)])
     try:
-        return PanelDataset(panels)
+        _check_horizons(order, [len(r) for r in rows])
+        cells = np.array(rows, dtype=float)
+        return PanelDataset.from_arrays(
+            cells[:, :, 0], cells[:, :, 1], [outcomes[u] for u in order], unit_ids=order
+        )
     except PanelError as exc:
         raise SchemaError(str(exc)) from exc

@@ -29,7 +29,7 @@ import numpy as np
 from .estimators import CI_MULTIPLIER, ESTIMATOR_NAMES, adjusted_poisson, msm_iptw, naive_poisson
 from .exceptions import DomainError, LongicausalError, SimulationError
 from .iptw import stabilized_weights
-from .panel import ClusterPanel, PanelDataset
+from .panel import PanelDataset
 
 _MAX_LOG_MEAN = 700.0
 _SEED_LIMIT = 2**64
@@ -120,18 +120,7 @@ def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelData
         )
     y = rng.poisson(np.exp(log_mean))
 
-    panels = [
-        ClusterPanel(
-            unit_id=i,
-            treatments=tuple(a[i]),
-            confounders=tuple(int(v) for v in l[i]),
-            outcome=int(y[i]),
-            baseline_treatment=float(a0[i]),
-            baseline_confounder=int(l0[i]),
-        )
-        for i in range(n)
-    ]
-    return PanelDataset(panels)
+    return PanelDataset.from_arrays(a, l, y, A0=a0, L0=l0)
 
 
 @dataclass

@@ -28,15 +28,9 @@ def make_panel(unit_id, treatments, confounders=None, outcome=0, **kwargs) -> Cl
     )
 
 
-def single_period_dataset(volumes, outcomes, covariates=None) -> PanelDataset:
+def single_period_dataset(volumes, outcomes) -> PanelDataset:
     """K=1 panels; handy for binary-ATE tests."""
-    panels = []
-    for i, (v, y) in enumerate(zip(volumes, outcomes)):
-        kwargs = {}
-        if covariates is not None:
-            kwargs["covariates"] = (float(covariates[i]),)
-        panels.append(make_panel(i, [v], outcome=int(y), **kwargs))
-    return PanelDataset(panels)
+    return PanelDataset([make_panel(i, [v], outcome=int(y)) for i, (v, y) in enumerate(zip(volumes, outcomes))])
 
 
 @dataclass

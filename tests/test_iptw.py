@@ -255,8 +255,8 @@ class TestBinaryAte:
     def test_identical_outcomes_give_zero(self):
         rng = np.random.default_rng(2)
         vols = [6e6, 7e6, 1e6, 2e6, 8e6, 3e6]
-        data = single_period_dataset(vols, [5] * 6, covariates=rng.normal(size=6))
-        covs = np.array([p.covariates[0] for p in data])
+        covs = rng.normal(size=6)
+        data = single_period_dataset(vols, [5] * 6)
         res = ate_iptw_binary(data, threshold=5e6, covariates=covs)
         assert res.ate == pytest.approx(0.0, abs=1e-10)
 

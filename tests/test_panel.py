@@ -10,13 +10,15 @@ from longicausal.panel import (
     ClusterPanel,
     PanelDataset,
     binarize_treatment,
-    cum_confounder,
-    cum_treatment,
     read_panel_csv,
     write_panel_csv,
 )
 
 from conftest import make_panel
+
+
+def cum_treatment(panel: ClusterPanel) -> float:
+    return float(PanelDataset([panel]).cum_treatment_vector()[0])
 
 
 class TestCumTreatment:
@@ -31,7 +33,8 @@ class TestCumTreatment:
         assert cum_treatment(make_panel("a", [c] * k)) == pytest.approx(k * c)
 
     def test_cum_confounder(self):
-        assert cum_confounder(make_panel("a", [1, 1, 1], [1, 0, 1])) == 2.0
+        ds = PanelDataset([make_panel("a", [1, 1, 1], [1, 0, 1])])
+        assert ds.cum_confounder_vector()[0] == 2.0
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=10), st.randoms())
     def test_permutation_invariant(self, values, rnd):
@@ -76,37 +79,74 @@ class TestPanelValidation:
     def test_length_mismatch(self):
         with pytest.raises(PanelError, match="equal length"):
             ClusterPanel("a", (1.0, 2.0), (0,), 0)
+        with pytest.raises(PanelError, match="equal length"):
+            PanelDataset.from_arrays([[1.0, 2.0]], [[0]], [0])
 
     def test_empty_sequences(self):
         with pytest.raises(PanelError):
             ClusterPanel("a", (), (), 0)
+        with pytest.raises(PanelError):
+            PanelDataset.from_arrays(np.empty((1, 0)), np.empty((1, 0)), [0])
 
     def test_confounder_not_binary(self):
         with pytest.raises(PanelError, match="0/1"):
             make_panel("a", [1.0], [2])
+        with pytest.raises(PanelError, match="0/1"):
+            PanelDataset.from_arrays([[1.0]], [[2]], [0])
 
     def test_negative_outcome(self):
         with pytest.raises(PanelError, match=">= 0"):
             make_panel("a", [1.0], outcome=-1)
+        with pytest.raises(PanelError, match=">= 0"):
+            PanelDataset.from_arrays([[1.0]], [[0]], [-1])
 
     def test_non_integer_outcome(self):
         with pytest.raises(PanelError, match="integer"):
             make_panel("a", [1.0], outcome=2.5)
+        with pytest.raises(PanelError, match="integer"):
+            PanelDataset.from_arrays([[1.0]], [[0]], [2.5])
 
     def test_non_finite_treatment(self):
         with pytest.raises(PanelError, match="finite"):
             make_panel("a", [float("nan")])
+        with pytest.raises(PanelError, match="finite"):
+            PanelDataset.from_arrays([[float("nan")]], [[0]], [0])
 
     def test_baseline_validation(self):
         with pytest.raises(PanelError):
             make_panel("a", [1.0], baseline_confounder=3)
+        with pytest.raises(PanelError):
+            PanelDataset.from_arrays([[1.0]], [[0]], [0], L0=[3])
+        with pytest.raises(PanelError):
+            PanelDataset.from_arrays([[1.0]], [[0]], [0], A0=[2.0], L0=[3])
         p = make_panel("a", [1.0], baseline_treatment=2.0, baseline_confounder=1)
         assert p.has_baseline
+        assert PanelDataset.from_arrays([[1.0]], [[0]], [0], A0=[2.0], L0=[1]).has_baseline
+
+    def test_mixed_baselines_rejected(self):
+        with_base = make_panel("a", [1.0], baseline_treatment=2.0, baseline_confounder=1)
+        with pytest.raises(PanelError, match="every unit or for none"):
+            PanelDataset([with_base, make_panel("b", [1.0])])
+        with pytest.raises(PanelError, match="together"):
+            make_panel("a", [1.0], baseline_treatment=2.0)
+        with pytest.raises(PanelError, match="together"):
+            PanelDataset.from_arrays([[1.0]], [[0]], [0], A0=[2.0])
 
     def test_immutable(self):
         p = make_panel("a", [1.0])
         with pytest.raises(AttributeError):
             p.outcome = 5
+
+    def test_dataset_arrays_read_only(self):
+        a = np.array([[1.0, 2.0], [4.0, 5.0]])
+        ds = PanelDataset.from_arrays(a, [[0, 1], [1, 1]], [3, 7], A0=[0.5, 0.5], L0=[0, 1])
+        for accessor in (ds.treatment_matrix, ds.confounder_matrix, ds.outcome_vector,
+                         ds.baseline_treatment_vector, ds.baseline_confounder_vector):
+            with pytest.raises(ValueError):
+                accessor()[0] = 9.0
+        a[0, 0] = 100.0  # the caller's array is copied, not shared or frozen
+        np.testing.assert_array_equal(ds.treatment_matrix(), [[1, 2], [4, 5]])
+        np.testing.assert_array_equal(ds.outcome_vector(), [3, 7])
 
 
 class TestPanelDataset:
@@ -121,6 +161,19 @@ class TestPanelDataset:
     def test_empty_fails(self):
         with pytest.raises(PanelError):
             PanelDataset([])
+        with pytest.raises(PanelError):
+            PanelDataset.from_arrays(np.empty((0, 2)), np.empty((0, 2)), [])
+
+    def test_from_arrays_matches_panels(self):
+        by_panels = PanelDataset([make_panel("a", [1, 2], [0, 1], outcome=3),
+                                  make_panel("b", [4, 5], [1, 1], outcome=7)])
+        by_arrays = PanelDataset.from_arrays([[1, 2], [4, 5]], [[0, 1], [1, 1]], [3, 7], unit_ids=["a", "b"])
+        assert by_arrays == by_panels
+        assert by_arrays.panels == by_panels.panels
+        assert by_arrays.panels[1].confounders == (1, 1)
+        assert PanelDataset.from_arrays([[1.0]], [[0]], [0]).unit_ids == (0,)
+        with pytest.raises(PanelError, match="unique"):
+            PanelDataset.from_arrays([[1.0], [2.0]], [[0], [0]], [0, 0], unit_ids=["a", "a"])
 
     def test_matrices(self):
         ds = PanelDataset(
