@@ -212,6 +212,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         adjusted_poisson(data),
         msm_iptw(data, weights=weights, hc1=(args.robust == "HC1")),
     ]
+    failed = [rep.estimator for rep in reports if not rep.converged]
+    if failed:
+        raise LongicausalError(f"fit did not converge for: {', '.join(failed)}")
 
     with open(out_dir / "estimates.csv", "w", newline="") as fh:
         w = csv.writer(fh)

@@ -183,19 +183,15 @@ def haversine_km(p1: tuple[float, float], p2):
     return d
 
 
-def _ward_cost(size_a, centroid_a, size_b, centroid_b) -> float:
-    diff = centroid_a - centroid_b
-    return float(size_a * size_b / (size_a + size_b) * np.dot(diff, diff))
-
-
 def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.ndarray:
     """Bottom-up clustering of projected (x, y) km points; returns dense labels.
 
-    Ward merges the pair with the smallest within-variance increase (squared
-    Euclidean on centroids); single/complete/average operate on Euclidean
-    distances with the usual Lance-Williams updates. Ties always go to the
-    lexicographically smallest active cluster-index pair, so the result is
-    deterministic.
+    Uses `scipy.cluster.hierarchy` on Euclidean distances: Ward merges the
+    pair with the smallest within-variance increase, single/complete/average
+    use the usual Lance-Williams updates. Ties between equal merge heights are
+    broken by scipy's algorithms, so the result is deterministic for a given
+    input. Labels follow each cluster's smallest member index: point 0 is
+    always in cluster 0, and a new label first appears in increasing order.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -205,57 +201,15 @@ def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.
         raise DomainError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     if linkage not in LINKAGES:
         raise DomainError(f"unknown linkage {linkage!r}, expected one of {LINKAGES}")
+    if n == 1:
+        return np.zeros(1, dtype=int)
 
-    members: dict[int, list[int]] = {i: [i] for i in range(n)}
-    sizes = {i: 1 for i in range(n)}
-    centroids = {i: pts[i].copy() for i in range(n)}
+    # Imported here: scipy.cluster pulls in scipy.spatial, which `simulate` never needs.
+    from scipy.cluster import hierarchy
+    from scipy.spatial.distance import pdist
 
-    dist: np.ndarray | None = None
-    if linkage != "ward":
-        diff = pts[:, None, :] - pts[None, :, :]
-        dist = np.sqrt((diff**2).sum(axis=2))
-
-    active = list(range(n))
-    while len(active) > n_clusters:
-        best = None
-        best_pair = None
-        for ai in range(len(active)):
-            i = active[ai]
-            for aj in range(ai + 1, len(active)):
-                j = active[aj]
-                if linkage == "ward":
-                    c = _ward_cost(sizes[i], centroids[i], sizes[j], centroids[j])
-                else:
-                    c = float(dist[i, j])
-                if best is None or c < best:
-                    best = c
-                    best_pair = (i, j)
-        i, j = best_pair
-        if linkage == "ward":
-            total = sizes[i] + sizes[j]
-            centroids[i] = (sizes[i] * centroids[i] + sizes[j] * centroids[j]) / total
-            sizes[i] = total
-        else:
-            for k in active:
-                if k in (i, j):
-                    continue
-                if linkage == "single":
-                    d = min(dist[i, k], dist[j, k])
-                elif linkage == "complete":
-                    d = max(dist[i, k], dist[j, k])
-                else:  # average
-                    d = (sizes[i] * dist[i, k] + sizes[j] * dist[j, k]) / (sizes[i] + sizes[j])
-                dist[i, k] = dist[k, i] = d
-            sizes[i] = sizes[i] + sizes[j]
-        members[i].extend(members[j])
-        del members[j], sizes[j], centroids[j]
-        active.remove(j)
-
-    labels = np.empty(n, dtype=int)
-    for rank, i in enumerate(sorted(active)):
-        for m in members[i]:
-            labels[m] = rank
-    return labels
+    tree = hierarchy.linkage(pdist(pts), linkage)
+    return hierarchy.cut_tree(tree, n_clusters=n_clusters).ravel()
 
 
 def cluster_wells(

@@ -1,11 +1,13 @@
 """CLI contracts: exit codes, file outputs, manifests, reproducibility."""
 
 import csv
+import dataclasses
 import hashlib
 import json
 
 import pytest
 
+import longicausal.cli
 from longicausal.cli import main
 from longicausal.panel import PanelDataset, write_panel_csv
 
@@ -137,6 +139,30 @@ class TestAnalyzeCommand:
         assert code == 0
         assert len(read_csv(out / "estimates.csv")) == 4
         assert len(read_csv(out / "panel.csv")) == 1 + 50 * 7
+
+    @pytest.mark.parametrize("linkage", ["single", "complete", "average"])
+    def test_linkage_flag(self, tmp_path, corpus_csvs, linkage):
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / linkage
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--linkage", linkage, "--out-dir", str(out)])
+        assert code == 0
+        assert len(read_csv(out / "panel_outcomes.csv")) == 1 + 30
+
+    def test_nonconverged_fit_exit_1(self, tmp_path, corpus_csvs, capsys, monkeypatch):
+        naive = longicausal.cli.naive_poisson
+        monkeypatch.setattr(
+            longicausal.cli, "naive_poisson",
+            lambda data: dataclasses.replace(naive(data), converged=False),
+        )
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / "run"
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert "naive" in capsys.readouterr().err
+        assert not (out / "estimates.csv").exists()
+        assert not (out / "weights.csv").exists()
 
     def test_prebuilt_panel_inputs(self, tmp_path):
         import numpy as np

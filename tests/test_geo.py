@@ -90,9 +90,9 @@ def brute_force_two_partition(points):
 
 class TestClustering:
     def test_singletons_when_k_equals_n(self):
-        pts = np.array([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]])
-        labels = agglomerative_cluster(pts, 3)
-        assert sorted(labels) == [0, 1, 2]
+        for pts in ([[0.0, 0.0], [1.0, 0.0], [5.0, 5.0]], [[3.0, 4.0]]):
+            labels = agglomerative_cluster(np.array(pts), len(pts))
+            assert sorted(labels) == list(range(len(pts)))
 
     def test_one_cluster(self):
         pts = np.random.default_rng(0).normal(size=(8, 2))
@@ -125,6 +125,24 @@ class TestClustering:
         labels = agglomerative_cluster(pts, 2, linkage=linkage)
         assert len(set(labels[:6])) == 1 and len(set(labels[6:])) == 1
         assert labels[0] != labels[6]
+
+    @pytest.mark.parametrize("linkage", ["ward", "single", "complete", "average"])
+    @pytest.mark.parametrize("kind", ["continuous", "tied_grid"])
+    def test_labels_numbered_by_smallest_member(self, linkage, kind):
+        # unit ids c00..c29 in panel.csv rely on this numbering
+        rng = np.random.default_rng(5)
+        for _ in range(25):
+            n = int(rng.integers(2, 30))
+            if kind == "continuous":
+                pts = rng.normal(size=(n, 2))
+            else:  # many tied distances and duplicate points
+                pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+            k = int(rng.integers(1, n + 1))
+            labels = agglomerative_cluster(pts, k, linkage=linkage)
+            values, first = np.unique(labels, return_index=True)
+            assert list(values) == list(range(k))
+            assert labels[0] == 0
+            assert np.all(np.diff(first) > 0)
 
     def test_deterministic(self):
         pts = np.random.default_rng(3).normal(size=(20, 2))
