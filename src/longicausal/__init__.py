@@ -37,7 +37,6 @@ from .iptw import (
     stabilized_weights,
 )
 from .panel import (
-    ClusterPanel,
     PanelDataset,
     binarize_treatment,
     read_panel_csv,
@@ -57,7 +56,6 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryAteResult",
     "CI_MULTIPLIER",
-    "ClusterPanel",
     "DegenerateVarianceError",
     "DgpParams",
     "DomainError",

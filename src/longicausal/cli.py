@@ -199,8 +199,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             study_end=args.end,
             period_months=args.period_months,
         )
-        write_panel_csv(data, out_dir / "panel.csv", out_dir / "panel_outcomes.csv")
-        outputs += ["panel.csv", "panel_outcomes.csv"]
 
     if data.n_units < 2:
         raise DomainError("ATE/MSM estimation requires at least 2 units")
@@ -216,6 +214,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if failed:
         raise LongicausalError(f"fit did not converge for: {', '.join(failed)}")
 
+    if not args.panel:
+        write_panel_csv(data, out_dir / "panel.csv", out_dir / "panel_outcomes.csv")
+        outputs += ["panel.csv", "panel_outcomes.csv"]
     with open(out_dir / "estimates.csv", "w", newline="") as fh:
         w = csv.writer(fh)
         w.writerow(REPORT_CSV_HEADER)

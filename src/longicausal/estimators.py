@@ -114,17 +114,16 @@ def _check_units(data: PanelDataset) -> None:
         raise DomainError("outcome regressions require at least 2 units")
 
 
-def naive_poisson(data: PanelDataset, *, robust: bool = False, hc1: bool = False) -> EstimatorReport:
+def naive_poisson(data: PanelDataset) -> EstimatorReport:
     """Unadjusted Poisson regression of Y on cumulative volume."""
     _check_units(data)
     x = data.cum_treatment_vector()
     design = np.column_stack([np.ones(data.n_units), x])
-    fit = fit_glm(design, data.outcome_vector(), "poisson", compute_robust=robust, hc1=hc1)
-    se = fit.robust_se[1] if robust else fit.se[1]
-    return _report("naive", fit, se)
+    fit = fit_glm(design, data.outcome_vector(), "poisson")
+    return _report("naive", fit, fit.se[1])
 
 
-def adjusted_poisson(data: PanelDataset, *, robust: bool = False, hc1: bool = False) -> EstimatorReport:
+def adjusted_poisson(data: PanelDataset) -> EstimatorReport:
     """Poisson regression of Y on cumulative volume plus cumulative confounder.
 
     A confounder column that is constant across units is absorbed by the
@@ -137,18 +136,11 @@ def adjusted_poisson(data: PanelDataset, *, robust: bool = False, hc1: bool = Fa
     if np.ptp(cum_l) > 0.0:
         cols.append(cum_l)
     design = np.column_stack(cols)
-    fit = fit_glm(design, data.outcome_vector(), "poisson", compute_robust=robust, hc1=hc1)
-    se = fit.robust_se[1] if robust else fit.se[1]
-    return _report("adjusted", fit, se)
+    fit = fit_glm(design, data.outcome_vector(), "poisson")
+    return _report("adjusted", fit, fit.se[1])
 
 
-def msm_iptw(
-    data: PanelDataset,
-    *,
-    weights: WeightSet | None = None,
-    hc1: bool = False,
-    truncate_percentile: float | None = None,
-) -> EstimatorReport:
+def msm_iptw(data: PanelDataset, *, weights: WeightSet | None = None, hc1: bool = False) -> EstimatorReport:
     """Marginal structural model: SW-weighted Poisson of Y on cumulative volume.
 
     The standard error is always the robust sandwich SE; the weighted-likelihood
@@ -156,12 +148,11 @@ def msm_iptw(
     """
     _check_units(data)
     if weights is None:
-        weights = stabilized_weights(data, truncate_percentile=truncate_percentile)
+        weights = stabilized_weights(data)
     sw = weights.per_unit_weights
     x = data.cum_treatment_vector()
     y = data.outcome_vector()
     design = np.column_stack([np.ones(data.n_units), x])
     fit = fit_glm(design, y, "poisson", weights=sw)
-    fit.robust_cov = sandwich_cov(fit, design, y, sw, hc1=hc1)
-    se = fit.robust_se[1]
+    se = np.sqrt(sandwich_cov(fit, design, y, sw, hc1=hc1)[1, 1])
     return _report("msm", fit, se)

@@ -340,9 +340,7 @@ def build_panel(
             quake_flags[cluster, period] = 1
             outcomes[cluster] += count
 
-    return PanelDataset.from_arrays(
-        volumes, quake_flags, outcomes, unit_ids=[f"c{c:02d}" for c in range(n)]
-    )
+    return PanelDataset(volumes, quake_flags, outcomes, unit_ids=[f"c{c:02d}" for c in range(n)])
 
 
 def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[WellRecord]:

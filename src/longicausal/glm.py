@@ -44,18 +44,11 @@ class FitResult:
     iterations: int
     log_likelihood: float
     residual_sd: float | None = None
-    robust_cov: np.ndarray | None = None
 
     @property
     def se(self) -> np.ndarray:
         """Model-based standard errors."""
         return np.sqrt(np.diag(self.model_cov))
-
-    @property
-    def robust_se(self) -> np.ndarray:
-        if self.robust_cov is None:
-            raise DomainError("robust covariance was not computed for this fit")
-        return np.sqrt(np.diag(self.robust_cov))
 
 
 def _validate_inputs(design, response, family, weights):
@@ -162,8 +155,6 @@ def fit_glm(
     family: str,
     weights=None,
     *,
-    compute_robust: bool = False,
-    hc1: bool = False,
     max_iter: int = 100,
     tol: float = 1e-8,
     df_corrected_sd: bool = False,
@@ -190,7 +181,7 @@ def fit_glm(
                 raise DomainError("df-corrected sd requires n > p")
             resid_sd *= math.sqrt(n / (n - p))
         cov = np.linalg.inv(X.T @ (X * w[:, None])) * max(resid_sd, 0.0) ** 2
-        fit = FitResult(
+        return FitResult(
             coefficients=beta,
             model_cov=cov,
             family=family,
@@ -199,9 +190,6 @@ def fit_glm(
             log_likelihood=_log_likelihood(family, y, mu, w, resid_sd),
             residual_sd=resid_sd,
         )
-        if compute_robust:
-            fit.robust_cov = sandwich_cov(fit, X, y, w, hc1=hc1)
-        return fit
 
     # starting values: shrink the response toward the family mean
     if family == "poisson":
@@ -240,7 +228,7 @@ def fit_glm(
     except np.linalg.LinAlgError as exc:
         raise SingularDesignError("information matrix is singular at the estimate") from exc
 
-    fit = FitResult(
+    return FitResult(
         coefficients=beta,
         model_cov=cov,
         family=family,
@@ -248,9 +236,6 @@ def fit_glm(
         iterations=iterations,
         log_likelihood=_log_likelihood(family, y, mu, w),
     )
-    if compute_robust:
-        fit.robust_cov = sandwich_cov(fit, X, y, w, hc1=hc1)
-    return fit
 
 
 def sandwich_cov(fit: FitResult, design, response, weights=None, *, hc1: bool = False) -> np.ndarray:

@@ -238,7 +238,7 @@ def ate_iptw_binary(
     """
     if data.n_units < 2:
         raise DomainError("ATE estimation requires at least 2 units")
-    a_star = np.array([binarize_treatment(p, threshold) for p in data], dtype=float)
+    a_star = binarize_treatment(data, threshold)
     y = data.outcome_vector()
     n = data.n_units
     if a_star.sum() == 0 or a_star.sum() == n:

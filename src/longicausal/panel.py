@@ -3,17 +3,15 @@
 A PanelDataset holds N units' treatment histories A(1..K) in bbl as an (N, K)
 array, binary confounder histories L(1..K) as an (N, K) array, end-of-study
 count outcomes Y as an (N,) array, and optional baseline values A(0)/L(0) for
-every unit. It is the unit all estimators operate on. A ClusterPanel is a
-read-only view of one unit, built when a dataset is iterated.
+every unit. It is the one panel representation: every estimator, the
+simulator, the geospatial assembly and the CSV reader use it.
 """
 
 from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -67,81 +65,16 @@ def _validate(a, l, y, a0=None, l0=None) -> tuple[np.ndarray | None, ...]:
     return out
 
 
-def _check_horizons(unit_ids: Sequence, horizons: Sequence[int]) -> None:
-    for uid, k in zip(unit_ids, horizons):
-        if k != horizons[0]:
-            raise PanelError(
-                f"all panels must share the same horizon: unit {uid!r} has K={k}, expected K={horizons[0]}"
-            )
-
-
-@dataclass(frozen=True)
-class ClusterPanel:
-    """One unit's trajectory: an immutable view of one row of a PanelDataset."""
-
-    unit_id: str | int
-    treatments: tuple[float, ...]
-    confounders: tuple[int, ...]
-    outcome: int
-    baseline_treatment: float | None = None
-    baseline_confounder: int | None = None
-
-    def __post_init__(self):
-        base = [None if v is None else [v] for v in (self.baseline_treatment, self.baseline_confounder)]
-        a, l, y, a0, l0 = _validate([self.treatments], [self.confounders], [self.outcome], *base)
-        object.__setattr__(self, "treatments", tuple(a[0].tolist()))
-        object.__setattr__(self, "confounders", tuple(l[0].astype(int).tolist()))
-        object.__setattr__(self, "outcome", int(y[0]))
-        if a0 is not None:
-            object.__setattr__(self, "baseline_treatment", float(a0[0]))
-            object.__setattr__(self, "baseline_confounder", int(l0[0]))
-
-    @property
-    def n_periods(self) -> int:
-        return len(self.treatments)
-
-    @property
-    def has_baseline(self) -> bool:
-        return self.baseline_treatment is not None
-
-
 class PanelDataset:
     """Uniform-horizon panel stored as read-only arrays, with unique unit ids.
 
-    `from_arrays` builds one from arrays; `PanelDataset(panels)` stacks
-    ClusterPanel rows. Baselines A(0)/L(0) are given for every unit or none.
+    Built from (N, K) treatments A, (N, K) 0/1 confounders L and (N,) counts
+    Y; `unit_ids` defaults to 0..N-1. The baselines A0/L0 are given together,
+    one entry per unit, or not at all. The inputs are copied, not frozen.
     """
 
-    def __init__(self, panels: Iterable[ClusterPanel]):
-        panels = tuple(panels)
-        if not panels:
-            raise PanelError("a PanelDataset requires at least one panel")
-        ids = [p.unit_id for p in panels]
-        _check_horizons(ids, [p.n_periods for p in panels])
-        if len({p.has_baseline for p in panels}) > 1:
-            raise PanelError("baselines A(0)/L(0) must be given for every unit or for none")
-        base = panels[0].has_baseline
-        self._set(
-            [p.treatments for p in panels],
-            [p.confounders for p in panels],
-            [p.outcome for p in panels],
-            ids,
-            [p.baseline_treatment for p in panels] if base else None,
-            [p.baseline_confounder for p in panels] if base else None,
-        )
-
-    @classmethod
-    def from_arrays(cls, A, L, Y, *, unit_ids=None, A0=None, L0=None) -> PanelDataset:
-        """Dataset from (N, K) treatments, (N, K) 0/1 confounders and (N,) counts.
-
-        `unit_ids` defaults to 0..N-1. The inputs are copied, not frozen.
-        """
-        data = cls.__new__(cls)
-        data._set(A, L, Y, unit_ids, A0, L0)
-        return data
-
-    def _set(self, a, l, y, unit_ids, a0, l0) -> None:
-        self._a, self._l, self._y, self._a0, self._l0 = _validate(a, l, y, a0, l0)
+    def __init__(self, A, L, Y, *, unit_ids=None, A0=None, L0=None):
+        self._a, self._l, self._y, self._a0, self._l0 = _validate(A, L, Y, A0, L0)
         n, self.n_periods = self._a.shape
         ids = tuple(range(n)) if unit_ids is None else tuple(unit_ids)
         if len(ids) != n:
@@ -159,17 +92,8 @@ class PanelDataset:
     def has_baseline(self) -> bool:
         return self._a0 is not None
 
-    @property
-    def panels(self) -> tuple[ClusterPanel, ...]:
-        return tuple(self)
-
     def __len__(self) -> int:
         return self.n_units
-
-    def __iter__(self) -> Iterator[ClusterPanel]:
-        for i, uid in enumerate(self.unit_ids):
-            base = () if self._a0 is None else (self._a0[i], self._l0[i])
-            yield ClusterPanel(uid, self._a[i], self._l[i], int(self._y[i]), *base)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, PanelDataset) or self.unit_ids != other.unit_ids:
@@ -204,11 +128,11 @@ class PanelDataset:
         return self.confounder_matrix().sum(axis=1)
 
 
-def binarize_treatment(panel: ClusterPanel, threshold: float = DEFAULT_BINARIZE_THRESHOLD_BBL) -> int:
-    """1 if cumulative volume reaches `threshold` bbl (boundary inclusive), else 0."""
+def binarize_treatment(data: PanelDataset, threshold: float = DEFAULT_BINARIZE_THRESHOLD_BBL) -> np.ndarray:
+    """Per unit, 1 if cumulative volume reaches `threshold` bbl (boundary inclusive), else 0."""
     if not (threshold > 0):
         raise DomainError(f"threshold must be positive, got {threshold!r}")
-    return 1 if sum(panel.treatments) >= threshold else 0
+    return (data.cum_treatment_vector() >= threshold).astype(int)
 
 
 def _fmt(x: float) -> str:
@@ -328,11 +252,14 @@ def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDat
             absent = sorted(expected - set(periods))
             raise SchemaError(f"unit {uid!r} is missing periods {absent}", column="period")
         rows.append([periods[t] for t in range(1, k + 1)])
+    horizon = len(rows[0])
+    for uid, row in zip(order, rows):
+        if len(row) != horizon:
+            raise SchemaError(
+                f"all panels must share the same horizon: unit {uid!r} has K={len(row)}, expected K={horizon}"
+            )
+    cells = np.array(rows, dtype=float)
     try:
-        _check_horizons(order, [len(r) for r in rows])
-        cells = np.array(rows, dtype=float)
-        return PanelDataset.from_arrays(
-            cells[:, :, 0], cells[:, :, 1], [outcomes[u] for u in order], unit_ids=order
-        )
+        return PanelDataset(cells[:, :, 0], cells[:, :, 1], [outcomes[u] for u in order], unit_ids=order)
     except PanelError as exc:
         raise SchemaError(str(exc)) from exc

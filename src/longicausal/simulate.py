@@ -120,7 +120,7 @@ def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelData
         )
     y = rng.poisson(np.exp(log_mean))
 
-    return PanelDataset.from_arrays(a, l, y, A0=a0, L0=l0)
+    return PanelDataset(a, l, y, A0=a0, L0=l0)
 
 
 @dataclass

@@ -9,28 +9,30 @@ import numpy as np
 import pytest
 
 from longicausal.geo import QuakeRecord, WellRecord, haversine_km, month_range
-from longicausal.panel import ClusterPanel, PanelDataset
+from longicausal.panel import PanelDataset
 
 CORPUS_SEED = 20131201
 CORPUS_START = "2013-12"
 CORPUS_END = "2016-03"
 
 
-def make_panel(unit_id, treatments, confounders=None, outcome=0, **kwargs) -> ClusterPanel:
-    if confounders is None:
-        confounders = [0] * len(treatments)
-    return ClusterPanel(
-        unit_id=unit_id,
-        treatments=tuple(treatments),
-        confounders=tuple(confounders),
-        outcome=outcome,
+def make_dataset(treatments, confounders=None, outcomes=None, **kwargs) -> PanelDataset:
+    """Stack per-unit rows into a dataset; confounders and outcomes default to 0.
+
+    `kwargs` go to the constructor (`unit_ids`, `A0`, `L0`).
+    """
+    a = np.asarray(treatments, dtype=float)
+    return PanelDataset(
+        a,
+        np.zeros_like(a) if confounders is None else confounders,
+        np.zeros(len(a), dtype=int) if outcomes is None else outcomes,
         **kwargs,
     )
 
 
 def single_period_dataset(volumes, outcomes) -> PanelDataset:
     """K=1 panels; handy for binary-ATE tests."""
-    return PanelDataset([make_panel(i, [v], outcome=int(y)) for i, (v, y) in enumerate(zip(volumes, outcomes))])
+    return make_dataset(np.asarray(volumes, dtype=float)[:, None], outcomes=outcomes)
 
 
 @dataclass

@@ -4,14 +4,18 @@ import csv
 import dataclasses
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 import longicausal.cli
 from longicausal.cli import main
-from longicausal.panel import PanelDataset, write_panel_csv
+from longicausal.panel import write_panel_csv
 
-from conftest import make_panel
+from conftest import make_dataset
 
 
 def read_csv(path):
@@ -121,6 +125,7 @@ class TestAnalyzeCommand:
         manifest = json.loads((out / "manifest.json").read_text())
         digest = "sha256:" + hashlib.sha256(wells_path.read_bytes()).hexdigest()
         assert manifest["input_digests"][str(wells_path)] == digest
+        assert manifest["outputs"] == ["panel.csv", "panel_outcomes.csv", "estimates.csv", "weights.csv"]
 
     def test_rerun_is_bit_identical(self, tmp_path, corpus_csvs):
         wells_path, catalog_path = corpus_csvs
@@ -163,17 +168,28 @@ class TestAnalyzeCommand:
         assert "naive" in capsys.readouterr().err
         assert not (out / "estimates.csv").exists()
         assert not (out / "weights.csv").exists()
+        assert not (out / "panel.csv").exists()
+        assert list(out.iterdir()) == []
+
+    def test_single_cluster_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / "run"
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--clusters", "1", "--out-dir", str(out)])
+        assert code == 1
+        assert "2 units" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
 
     def test_prebuilt_panel_inputs(self, tmp_path):
         import numpy as np
 
         rng = np.random.default_rng(31)
-        panels = []
+        vols, quakes, outcomes = [], [], []
         for i in range(12):
-            vols = rng.uniform(1e5, 9e5, 7)
-            quakes = (rng.random(7) < 0.4).astype(int)
-            panels.append(make_panel(f"u{i}", vols, quakes, outcome=int(rng.poisson(3.0)) ))
-        ds = PanelDataset(panels)
+            vols.append(rng.uniform(1e5, 9e5, 7))
+            quakes.append((rng.random(7) < 0.4).astype(int))
+            outcomes.append(int(rng.poisson(3.0)))
+        ds = make_dataset(vols, quakes, outcomes, unit_ids=[f"u{i}" for i in range(12)])
         write_panel_csv(ds, tmp_path / "p.csv", tmp_path / "y.csv")
         out = tmp_path / "out"
         code = main(["analyze", "--panel", str(tmp_path / "p.csv"), "--outcomes", str(tmp_path / "y.csv"),
@@ -200,7 +216,7 @@ class TestAnalyzeCommand:
         assert "row 2" in err and "volume_bbl" in err
 
     def test_single_unit_panel_exit_1(self, tmp_path, capsys):
-        ds = PanelDataset([make_panel("only", [1e5, 2e5, 3e5], [0, 1, 0], outcome=3)])
+        ds = make_dataset([[1e5, 2e5, 3e5]], [[0, 1, 0]], [3], unit_ids=["only"])
         write_panel_csv(ds, tmp_path / "p.csv", tmp_path / "y.csv")
         code = main(["analyze", "--panel", str(tmp_path / "p.csv"), "--outcomes", str(tmp_path / "y.csv"),
                      "--out-dir", str(tmp_path)])
@@ -231,6 +247,14 @@ class TestAnalyzeCommand:
 class TestTopLevel:
     def test_no_command_exit_2(self):
         assert main([]) == 2
+
+    def test_import_does_not_load_clustering(self):
+        # simulate never clusters, so importing the CLI must not pay for scipy.cluster
+        code = "import sys, longicausal.cli; print(sorted(m for m in sys.modules if m.startswith(('scipy.cluster', 'scipy.spatial'))))"
+        src = str(Path(longicausal.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
+        assert result.stdout.strip() == "[]"
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

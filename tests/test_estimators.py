@@ -15,10 +15,10 @@ from longicausal.estimators import (
 )
 from longicausal.exceptions import DomainError
 from longicausal.iptw import TreatmentModels, fit_treatment_models, stabilized_weights
-from longicausal.panel import ClusterPanel, PanelDataset
+from longicausal.panel import PanelDataset
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
-from conftest import make_panel
+from conftest import make_dataset
 
 
 def feedback_dgp_data(rep=0, seed=44):
@@ -28,45 +28,31 @@ def feedback_dgp_data(rep=0, seed=44):
 
 def rescaled(data: PanelDataset, c: float) -> PanelDataset:
     return PanelDataset(
-        [
-            ClusterPanel(
-                unit_id=p.unit_id,
-                treatments=tuple(c * a for a in p.treatments),
-                confounders=p.confounders,
-                outcome=p.outcome,
-                baseline_treatment=None if p.baseline_treatment is None else c * p.baseline_treatment,
-                baseline_confounder=p.baseline_confounder,
-            )
-            for p in data
-        ]
+        c * data.treatment_matrix(),
+        data.confounder_matrix(),
+        data.outcome_vector(),
+        unit_ids=data.unit_ids,
+        A0=c * data.baseline_treatment_vector(),
+        L0=data.baseline_confounder_vector(),
     )
 
 
 class TestNaive:
     def test_saturated_two_units(self):
-        data = PanelDataset([make_panel(0, [0.0], outcome=1), make_panel(1, [1000.0], outcome=3)])
+        data = make_dataset([[0.0], [1000.0]], outcomes=[1, 3])
         rep = naive_poisson(data)
         assert rep.beta1_hat == pytest.approx(math.log(3.0) / 1000.0, rel=1e-8)
         assert rep.intercept == pytest.approx(0.0, abs=1e-8)
 
     def test_constant_outcome_zero_slope(self):
-        data = PanelDataset([make_panel(i, [float(100 * i)], outcome=4) for i in range(6)])
+        data = make_dataset([[float(100 * i)] for i in range(6)], outcomes=[4] * 6)
         rep = naive_poisson(data)
         assert rep.beta1_hat == pytest.approx(0.0, abs=1e-8)
-
-    def test_robust_flag_switches_se(self):
-        data = feedback_dgp_data()
-        plain = naive_poisson(data)
-        robust = naive_poisson(data, robust=True)
-        assert plain.beta1_hat == pytest.approx(robust.beta1_hat, rel=1e-12)
-        assert robust.se != pytest.approx(plain.se, rel=1e-3)
 
 
 class TestAdjusted:
     def test_constant_confounder_equals_naive(self):
-        data = PanelDataset(
-            [make_panel(i, [float(50 * i + 10)], [1], outcome=i + 1) for i in range(5)]
-        )
+        data = make_dataset([[float(50 * i + 10)] for i in range(5)], [[1]] * 5, [i + 1 for i in range(5)])
         assert np.ptp(data.cum_confounder_vector()) == 0.0
         a = adjusted_poisson(data)
         n = naive_poisson(data)
@@ -111,7 +97,7 @@ class TestMsm:
     def test_truncation_passthrough(self):
         data = feedback_dgp_data()
         plain = msm_iptw(data)
-        trunc = msm_iptw(data, truncate_percentile=5.0)
+        trunc = msm_iptw(data, weights=stabilized_weights(data, truncate_percentile=5.0))
         assert trunc.beta1_hat != pytest.approx(plain.beta1_hat, rel=1e-12)
 
 
@@ -134,7 +120,7 @@ class TestSharedContracts:
 
     @pytest.mark.parametrize("estimator", [naive_poisson, adjusted_poisson, msm_iptw])
     def test_single_unit_rejected(self, estimator):
-        data = PanelDataset([make_panel(0, [1.0, 2.0], baseline_treatment=1.0, baseline_confounder=0)])
+        data = make_dataset([[1.0, 2.0]], A0=[1.0], L0=[0])
         with pytest.raises(DomainError, match="2 units"):
             estimator(data)
 

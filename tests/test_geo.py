@@ -250,7 +250,7 @@ class TestBuildPanel:
         data = build_panel(wells, assignment, QuakeAttribution(),
                            study_start="2013-12", study_end="2014-03", period_months=4)
         assert data.n_periods == 1
-        assert data.panels[0].treatments[0] == pytest.approx(350.0)
+        assert data.treatment_matrix()[0, 0] == pytest.approx(350.0)
 
     def test_missing_month_warns_and_counts_zero(self, caplog):
         from longicausal.geo import WellRecord, ClusterAssignment
@@ -261,7 +261,7 @@ class TestBuildPanel:
             data = build_panel(wells, assignment, QuakeAttribution(),
                                study_start="2013-12", study_end="2014-03", period_months=2)
         assert any("no reported volume" in rec.message for rec in caplog.records)
-        assert data.panels[0].treatments == (100.0, 0.0)
+        assert data.treatment_matrix()[0].tolist() == [100.0, 0.0]
 
     def test_confounder_flags_and_outcomes(self):
         from longicausal.geo import WellRecord, ClusterAssignment
@@ -273,9 +273,8 @@ class TestBuildPanel:
         )
         data = build_panel(wells, assignment, attribution,
                            study_start="2013-12", study_end="2014-07", period_months=4)
-        p = data.panels[0]
-        assert p.confounders == (1, 1)
-        assert p.outcome == 3  # the 2020 count is outside the window
+        assert data.confounder_matrix()[0].tolist() == [1, 1]
+        assert data.outcome_vector()[0] == 3  # the 2020 count is outside the window
 
     def test_month_range(self):
         months = month_range("2013-12", "2016-03")

@@ -19,10 +19,10 @@ from longicausal.iptw import (
     iter_weight_rows,
     stabilized_weights,
 )
-from longicausal.panel import ClusterPanel, PanelDataset
+from longicausal.panel import PanelDataset
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
-from conftest import make_panel, single_period_dataset
+from conftest import make_dataset, single_period_dataset
 
 
 def lfree_dataset(rng, n_units=500, k=4):
@@ -36,19 +36,7 @@ def lfree_dataset(rng, n_units=500, k=4):
         prev = rng.normal(prev + 5.0, 50.0)
         a[:, t] = prev
         l[:, t] = rng.random(n_units) < 0.3
-    return PanelDataset(
-        [
-            ClusterPanel(
-                unit_id=i,
-                treatments=tuple(a[i]),
-                confounders=tuple(int(v) for v in l[i]),
-                outcome=0,
-                baseline_treatment=float(a0[i]),
-                baseline_confounder=int(l0[i]),
-            )
-            for i in range(n_units)
-        ]
-    )
+    return make_dataset(a, l, A0=a0, L0=l0)
 
 
 def intercept_only_model(mean, sd):
@@ -79,12 +67,11 @@ class TestTreatmentModels:
         assert hits >= 0.95 * n_reps
 
     def test_deterministic_treatment_rejected_downstream(self):
-        panels = [
-            make_panel(i, [10.0 + i + 3.0 * t for t in range(1, 4)],
-                       baseline_treatment=10.0 + i, baseline_confounder=0)
-            for i in range(6)
-        ]
-        data = PanelDataset(panels)
+        data = make_dataset(
+            [[10.0 + i + 3.0 * t for t in range(1, 4)] for i in range(6)],
+            A0=[10.0 + i for i in range(6)],
+            L0=[0] * 6,
+        )
         models = fit_treatment_models(data)
         assert models.numerator.residual_sd == pytest.approx(0.0, abs=1e-9)
         with pytest.raises(DegenerateVarianceError):
@@ -92,12 +79,12 @@ class TestTreatmentModels:
 
     def test_constant_confounder_column_dropped(self):
         rng = np.random.default_rng(8)
-        panels = []
+        rows, a0s = [], []
         for i in range(40):
             a0 = rng.normal(50.0, 5.0)
-            a = rng.normal(a0, 4.0, 3)
-            panels.append(make_panel(i, a, [0, 0, 0], baseline_treatment=a0, baseline_confounder=0))
-        data = PanelDataset(panels)
+            rows.append(rng.normal(a0, 4.0, 3))
+            a0s.append(a0)
+        data = make_dataset(rows, A0=a0s, L0=[0] * 40)
         models = fit_treatment_models(data)
         assert "lag_confounder" not in models.denominator_terms
         idx = models.numerator_terms.index("lag_treatment")
@@ -112,10 +99,10 @@ class TestTreatmentModels:
         models = fit_treatment_models(with_base)
         assert models.periods == (1, 2, 3)
         no_base = PanelDataset(
-            [
-                ClusterPanel(p.unit_id, p.treatments, p.confounders, p.outcome)
-                for p in with_base
-            ]
+            with_base.treatment_matrix(),
+            with_base.confounder_matrix(),
+            with_base.outcome_vector(),
+            unit_ids=with_base.unit_ids,
         )
         models2 = fit_treatment_models(no_base)
         assert models2.periods == (2, 3)
@@ -144,8 +131,7 @@ class TestStabilizedWeights:
         # numerator density 0.2 and denominator density 0.4 at the observed point
         sd_num = 1.0 / (0.2 * math.sqrt(2 * math.pi))
         sd_den = 1.0 / (0.4 * math.sqrt(2 * math.pi))
-        data = PanelDataset([make_panel(0, [7.5], baseline_treatment=7.5, baseline_confounder=0),
-                             make_panel(1, [7.5], baseline_treatment=7.5, baseline_confounder=0)])
+        data = make_dataset([[7.5], [7.5]], A0=[7.5, 7.5], L0=[0, 0])
         models = TreatmentModels(
             numerator=intercept_only_model(7.5, sd_num),
             denominator=intercept_only_model(7.5, sd_den),
@@ -179,7 +165,14 @@ class TestStabilizedWeights:
     def test_permutation_equivariance(self):
         data = self.feedback_dgp_data()
         ws = stabilized_weights(data)
-        reversed_data = PanelDataset(list(reversed(list(data))))
+        reversed_data = PanelDataset(
+            data.treatment_matrix()[::-1],
+            data.confounder_matrix()[::-1],
+            data.outcome_vector()[::-1],
+            unit_ids=data.unit_ids[::-1],
+            A0=data.baseline_treatment_vector()[::-1],
+            L0=data.baseline_confounder_vector()[::-1],
+        )
         ws_rev = stabilized_weights(reversed_data)
         np.testing.assert_allclose(ws_rev.per_unit_weights, ws.per_unit_weights[::-1], rtol=1e-9)
 
@@ -202,8 +195,7 @@ class TestStabilizedWeights:
     def test_nonfinite_factor_names_unit_and_period(self):
         # the squared z-score under the numerator model overflows -> -inf logpdf
         far = 1e200
-        data = PanelDataset([make_panel("u7", [far], baseline_treatment=far, baseline_confounder=0),
-                             make_panel("u8", [far], baseline_treatment=far, baseline_confounder=0)])
+        data = make_dataset([[far], [far]], unit_ids=["u7", "u8"], A0=[far, far], L0=[0, 0])
         models = TreatmentModels(
             numerator=intercept_only_model(0.0, 1.0),
             denominator=intercept_only_model(far, 1.0),
@@ -215,8 +207,7 @@ class TestStabilizedWeights:
             stabilized_weights(data, models)
 
     def test_degenerate_handcrafted_sd_rejected(self):
-        data = PanelDataset([make_panel("u1", [5.0], baseline_treatment=5.0, baseline_confounder=0),
-                             make_panel("u2", [6.0], baseline_treatment=6.0, baseline_confounder=0)])
+        data = make_dataset([[5.0], [6.0]], unit_ids=["u1", "u2"], A0=[5.0, 6.0], L0=[0, 0])
         models = TreatmentModels(
             numerator=intercept_only_model(5.5, 1e-300),
             denominator=intercept_only_model(5.5, 1.0),
@@ -233,9 +224,9 @@ class TestStabilizedWeights:
         rows = list(iter_weight_rows(data, ws))
         assert len(rows) == data.n_units * len(ws.periods)
         unit_id, t, factor, cum = rows[0]
-        assert unit_id == data.panels[0].unit_id and t == ws.periods[0]
+        assert unit_id == data.unit_ids[0] and t == ws.periods[0]
         assert factor == pytest.approx(ws.per_time_factors[0, 0])
-        last_unit_rows = [r for r in rows if r[0] == data.panels[0].unit_id]
+        last_unit_rows = [r for r in rows if r[0] == data.unit_ids[0]]
         assert last_unit_rows[-1][3] == pytest.approx(ws.per_unit_weights[0], rel=1e-10)
 
 
@@ -294,6 +285,6 @@ class TestBinaryAte:
             ate_iptw_binary(data, threshold=5e6, covariates=covs)
 
     def test_single_unit_rejected(self):
-        data = PanelDataset([make_panel(0, [1e6], outcome=2)])
+        data = make_dataset([[1e6]], outcomes=[2])
         with pytest.raises(DomainError, match="2 units"):
             ate_iptw_binary(data)

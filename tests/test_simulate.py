@@ -40,11 +40,11 @@ class TestGenerateDataset:
         assert data.n_units == 23
         assert data.n_periods == 5
         assert data.has_baseline
-        for p in data:
-            assert len(p.treatments) == 5
-            assert all(c in (0, 1) for c in p.confounders)
-            assert p.outcome >= 0 and isinstance(p.outcome, int)
-            assert p.baseline_confounder in (0, 1)
+        assert data.treatment_matrix().shape == (23, 5)
+        assert np.isin(data.confounder_matrix(), (0, 1)).all()
+        y = data.outcome_vector()
+        assert y.shape == (23,) and np.all(y >= 0) and np.array_equal(y, np.round(y))
+        assert np.isin(data.baseline_confounder_vector(), (0, 1)).all()
 
     def test_poisson_mean_overflow_rejected(self):
         cfg = SimulationConfig(causal_effect=1.0, master_seed=1)
