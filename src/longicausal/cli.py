@@ -17,6 +17,7 @@ import argparse
 import csv
 import hashlib
 import json
+import math
 import sys
 import time
 from datetime import datetime, timezone
@@ -53,14 +54,21 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected a number, got {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_bbox(text: str) -> BoundingBox:
     parts = text.split(",")
     if len(parts) != 4:
         raise argparse.ArgumentTypeError("bbox must be lat_min,lat_max,lon_min,lon_max")
-    try:
-        lat_min, lat_max, lon_min, lon_max = (float(p) for p in parts)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bbox values must be numbers, got {text!r}") from None
+    lat_min, lat_max, lon_min, lon_max = (_finite_float(p) for p in parts)
     if lat_min >= lat_max or lon_min >= lon_max:
         raise argparse.ArgumentTypeError("bbox must have lat_min < lat_max and lon_min < lon_max")
     return BoundingBox(lat_min=lat_min, lat_max=lat_max, lon_min=lon_min, lon_max=lon_max)
@@ -297,9 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     src.add_argument("--panel", help="panel CSV: unit_id,period,volume_bbl,quake_indicator")
     src.add_argument("--outcomes", help="outcome CSV: unit_id,cumulative_quakes")
     ana.add_argument("--clusters", type=int, default=DEFAULT_N_CLUSTERS)
-    ana.add_argument("--radius-km", type=float, default=DEFAULT_RADIUS_KM)
+    ana.add_argument("--radius-km", type=_finite_float, default=DEFAULT_RADIUS_KM)
     ana.add_argument("--period-months", type=int, default=DEFAULT_PERIOD_MONTHS)
-    ana.add_argument("--mag-cut", type=float, default=DEFAULT_MAGNITUDE_CUT)
+    ana.add_argument("--mag-cut", type=_finite_float, default=DEFAULT_MAGNITUDE_CUT)
     ana.add_argument(
         "--bbox",
         type=_parse_bbox,

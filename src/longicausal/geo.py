@@ -1,10 +1,11 @@
 """Geospatial panel assembly: wells and quakes in, PanelDataset out.
 
-The pipeline is: load well and catalog CSVs (optionally bounding-box
-filtered), cluster wells into observational units (agglomerative, Ward by
-default, in locally projected km), attribute each catalog event to the
-nearest cluster centroid within a radius, then aggregate volumes and event
-counts over fixed-length periods.
+The pipeline is: load the well and catalog CSVs into column tables
+(optionally bounding-box filtered), cluster wells into observational units
+(agglomerative, Ward by default, in locally projected km), attribute each
+catalog event to the nearest cluster centroid within a radius, then
+aggregate volumes and event counts over fixed-length periods. Every stage
+works on column arrays; months are integer indices (`month_index`).
 
 Clustering distances live in the local equirectangular projection; the
 radius rule uses great-circle (haversine) distance on raw coordinates, so it
@@ -17,10 +18,10 @@ import csv
 import logging
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +44,8 @@ LINKAGES = ("ward", "single", "complete", "average")
 WELLS_CSV_HEADER = ["well_id", "longitude", "latitude", "year_month", "volume_bbl"]
 CATALOG_CSV_HEADER = ["event_id", "longitude", "latitude", "origin_time_iso8601", "magnitude"]
 
+ASSIGN_CHUNK_EVENTS = 1024  # rows per events x centroids distance block in assign_quakes
+
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})(?:-\d{2})?$")
 
 
@@ -52,14 +55,12 @@ class BoundingBox(NamedTuple):
     lon_min: float
     lon_max: float
 
-    def contains(self, longitude: float, latitude: float) -> bool:
-        return (
-            self.lat_min <= latitude <= self.lat_max
-            and self.lon_min <= longitude <= self.lon_max
-        )
-
 
 DFW_BBOX = BoundingBox(lat_min=32.07, lat_max=33.68, lon_min=-98.38, lon_max=-96.74)
+
+
+def _inside(bbox: BoundingBox, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
+    return (bbox.lat_min <= lat) & (lat <= bbox.lat_max) & (bbox.lon_min <= lon) & (lon <= bbox.lon_max)
 
 
 def _check_coords(longitude: float, latitude: float, what: str = "point") -> None:
@@ -81,63 +82,56 @@ def month_key(year: int, month: int) -> str:
     return f"{year:04d}-{month:02d}"
 
 
+def month_index(year: int, month: int) -> int:
+    """Months since January of year 0; consecutive months differ by 1."""
+    return 12 * year + month - 1
+
+
 def month_range(start: str, end: str) -> list[str]:
     """Calendar months from `start` to `end`, both inclusive."""
-    y0, m0 = parse_month(start)
-    y1, m1 = parse_month(end)
-    n = 12 * (y1 - y0) + (m1 - m0) + 1
+    first = month_index(*parse_month(start))
+    n = month_index(*parse_month(end)) - first + 1
     if n < 1:
         raise DomainError(f"study window {start!r}..{end!r} is empty")
-    out = []
-    y, m = y0, m0
-    for _ in range(n):
-        out.append(month_key(y, m))
-        m += 1
-        if m == 13:
-            y, m = y + 1, 1
-    return out
+    return [month_key(i // 12, i % 12 + 1) for i in range(first, first + n)]
 
 
-@dataclass(frozen=True)
-class WellRecord:
-    well_id: str
-    longitude: float
-    latitude: float
-    monthly_volumes: Mapping[str, float]
+@dataclass(frozen=True, eq=False)
+class WellTable:
+    """The wells of one CSV as columns; `len()` is the number of wells.
 
-    def __post_init__(self):
-        _check_coords(self.longitude, self.latitude, f"well {self.well_id!r}")
-        for month, vol in self.monthly_volumes.items():
-            parse_month(month)
-            if not math.isfinite(vol) or vol < 0:
-                raise DomainError(
-                    f"well {self.well_id!r} month {month}: volume must be >= 0, got {vol!r}"
-                )
+    `ids`/`longitude`/`latitude` are per well, in order of first appearance;
+    `well` (index into `ids`), `month` and `volume` are per well-month report.
+    """
 
+    ids: np.ndarray
+    longitude: np.ndarray
+    latitude: np.ndarray
+    well: np.ndarray
+    month: np.ndarray
+    volume: np.ndarray
 
-@dataclass(frozen=True)
-class QuakeRecord:
-    event_id: str
-    longitude: float
-    latitude: float
-    origin_time: datetime
-    magnitude: float
-
-    def __post_init__(self):
-        _check_coords(self.longitude, self.latitude, f"event {self.event_id!r}")
-        if not math.isfinite(self.magnitude):
-            raise DomainError(f"event {self.event_id!r}: magnitude must be finite")
-
-    @property
-    def month(self) -> str:
-        return month_key(self.origin_time.year, self.origin_time.month)
+    def __len__(self) -> int:
+        return len(self.ids)
 
 
-@dataclass(frozen=True)
-class ClusterAssignment:
-    n_clusters: int
-    well_to_cluster: Mapping[str, int]
-    centroids: tuple[tuple[float, float], ...]  # (longitude, latitude) per cluster
+@dataclass(frozen=True, eq=False)
+class Catalog:
+    """The events of one catalog CSV as columns; `len()` is the number of events."""
+
+    ids: np.ndarray
+    longitude: np.ndarray
+    latitude: np.ndarray
+    month: np.ndarray
+    magnitude: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+
+class ClusterAssignment(NamedTuple):
+    labels: np.ndarray  # cluster of each well, in table order
+    centroids: np.ndarray  # (n_clusters, 2): longitude, latitude
 
 
 def project_coords(longitude, latitude, origin: tuple[float, float]):
@@ -167,20 +161,21 @@ def inverse_project(x, y, origin: tuple[float, float]):
     return lon, lat
 
 
+def _haversine(lon1, lat1, lon2, lat2):
+    """Great-circle km between (lon1, lat1) and (lon2, lat2); arguments broadcast."""
+    phi1, phi2 = np.radians(lat1), np.radians(lat2)
+    dphi = phi2 - phi1
+    dlam = np.radians(lon2 - lon1)
+    a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
+    return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
+
+
 def haversine_km(p1: tuple[float, float], p2):
     """Great-circle distance between (lon, lat) points; p2 may be arrays."""
-    lon1, lat1 = p1
-    lon2, lat2 = p2
-    _check_coords(float(lon1), float(lat1))
-    phi1 = math.radians(lat1)
-    phi2 = np.radians(np.asarray(lat2, dtype=float))
-    dphi = phi2 - phi1
-    dlam = np.radians(np.asarray(lon2, dtype=float) - lon1)
-    a = np.sin(dphi / 2.0) ** 2 + math.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
-    d = 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-    if d.ndim == 0:
-        return float(d)
-    return d
+    lon1, lat1 = float(p1[0]), float(p1[1])
+    _check_coords(lon1, lat1)
+    d = _haversine(lon1, lat1, np.asarray(p2[0], dtype=float), np.asarray(p2[1], dtype=float))
+    return float(d) if d.ndim == 0 else d
 
 
 def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.ndarray:
@@ -213,82 +208,80 @@ def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.
 
 
 def cluster_wells(
-    wells: Sequence[WellRecord],
+    wells: WellTable,
     n_clusters: int = DEFAULT_N_CLUSTERS,
     linkage: str = "ward",
 ) -> ClusterAssignment:
-    """Cluster well locations and return the assignment with degree centroids."""
-    if not wells:
+    """Cluster well locations and return the labels with degree centroids."""
+    if len(wells) == 0:
         raise DomainError("no wells to cluster")
-    ids = [w.well_id for w in wells]
-    if len(set(ids)) != len(ids):
-        raise DomainError("well ids must be unique")
-    lons = np.array([w.longitude for w in wells])
-    lats = np.array([w.latitude for w in wells])
-    origin = (float(lons.mean()), float(lats.mean()))
-    x, y = project_coords(lons, lats, origin)
+    origin = (float(wells.longitude.mean()), float(wells.latitude.mean()))
+    x, y = project_coords(wells.longitude, wells.latitude, origin)
     labels = agglomerative_cluster(np.column_stack([x, y]), n_clusters, linkage)
-
-    centroids = []
-    for c in range(n_clusters):
-        mask = labels == c
-        lon_c, lat_c = inverse_project(float(x[mask].mean()), float(y[mask].mean()), origin)
-        centroids.append((lon_c, lat_c))
-    return ClusterAssignment(
-        n_clusters=n_clusters,
-        well_to_cluster={w.well_id: int(lab) for w, lab in zip(wells, labels)},
-        centroids=tuple(centroids),
-    )
+    cx = np.array([x[labels == c].mean() for c in range(n_clusters)])
+    cy = np.array([y[labels == c].mean() for c in range(n_clusters)])
+    return ClusterAssignment(labels=labels, centroids=np.column_stack(inverse_project(cx, cy, origin)))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class QuakeAttribution:
-    """Per-cluster, per-month event counts plus the unassigned tally."""
+    """The events at or above the magnitude cut, in catalog order.
 
-    counts: dict[tuple[int, str], int] = field(default_factory=dict)
-    unassigned: int = 0
-    n_after_cut: int = 0
+    `labels` is each event's nearest in-radius cluster (-1 if none) and
+    `months` its `month_index`.
+    """
+
+    labels: np.ndarray
+    months: np.ndarray
+
+    @property
+    def n_after_cut(self) -> int:
+        return len(self.labels)
+
+    @property
+    def unassigned(self) -> int:
+        return int(np.count_nonzero(self.labels < 0))
 
     @property
     def total_assigned(self) -> int:
-        return sum(self.counts.values())
+        return self.n_after_cut - self.unassigned
 
 
 def assign_quakes(
-    centroids: Sequence[tuple[float, float]],
-    catalog: Iterable[QuakeRecord],
+    centroids,
+    catalog: Catalog,
     radius_km: float = DEFAULT_RADIUS_KM,
     magnitude_cut: float = DEFAULT_MAGNITUDE_CUT,
 ) -> QuakeAttribution:
-    """Count each qualifying event once, at its nearest in-radius centroid.
+    """Attribute each qualifying event to its nearest centroid within the radius.
 
-    Events below the magnitude cut are ignored; events farther than
-    `radius_km` from every centroid go to the unassigned tally.
+    Events below the magnitude cut are dropped. Distances are worked in
+    blocks of ASSIGN_CHUNK_EVENTS events against every centroid; an event at
+    exactly `radius_km` is assigned, and of equidistant centroids the lowest
+    index wins.
     """
     if not (radius_km > 0):
         raise DomainError(f"radius_km must be positive, got {radius_km!r}")
+    if math.isnan(magnitude_cut):
+        raise DomainError("magnitude_cut must be a number, got nan")
     cent = np.asarray(centroids, dtype=float)
     if cent.ndim != 2 or cent.shape[1] != 2:
         raise DomainError(f"centroids must be (k, 2) lon/lat pairs, got shape {cent.shape}")
-    lons, lats = cent[:, 0], cent[:, 1]
 
-    out = QuakeAttribution()
-    for quake in catalog:
-        if quake.magnitude < magnitude_cut:
-            continue
-        out.n_after_cut += 1
-        d = haversine_km((quake.longitude, quake.latitude), (lons, lats))
-        nearest = int(np.argmin(d))
-        if d[nearest] <= radius_km:
-            key = (nearest, quake.month)
-            out.counts[key] = out.counts.get(key, 0) + 1
-        else:
-            out.unassigned += 1
-    return out
+    keep = catalog.magnitude >= magnitude_cut
+    lons, lats = catalog.longitude[keep, None], catalog.latitude[keep, None]
+    labels = np.empty(len(lons), dtype=np.intp)
+    for start in range(0, len(lons), ASSIGN_CHUNK_EVENTS):
+        block = slice(start, start + ASSIGN_CHUNK_EVENTS)
+        d = _haversine(lons[block], lats[block], cent[:, 0], cent[:, 1])
+        nearest = d.argmin(axis=1)
+        within = d[np.arange(len(d)), nearest] <= radius_km
+        labels[block] = np.where(within, nearest, -1)
+    return QuakeAttribution(labels=labels, months=catalog.month[keep])
 
 
 def build_panel(
-    wells: Sequence[WellRecord],
+    wells: WellTable,
     assignment: ClusterAssignment,
     quake_counts: QuakeAttribution,
     study_start: str = DEFAULT_STUDY_START,
@@ -299,55 +292,63 @@ def build_panel(
 
     Period t covers `period_months` consecutive study months; A(t) sums member
     wells' reported volumes, L(t) flags any attributed event in the period, and
-    Y totals attributed events over the whole window. A missing well-month
-    report contributes 0 bbl and is logged.
+    Y totals attributed events over the whole window. Reports and events
+    outside the window are ignored. A missing well-month report contributes
+    0 bbl; one warning gives the number of wells with a missing month.
     """
     if period_months < 1:
         raise DomainError("period_months must be >= 1")
-    months = month_range(study_start, study_end)
-    if len(months) % period_months != 0:
+    n_months = len(month_range(study_start, study_end))
+    if n_months % period_months != 0:
         raise DomainError(
-            f"study window of {len(months)} months is not divisible by "
+            f"study window of {n_months} months is not divisible by "
             f"period_months={period_months}; adjust the period or the window"
         )
-    k = len(months) // period_months
-    month_to_period = {m: idx // period_months for idx, m in enumerate(months)}
+    if len(assignment.labels) != len(wells):
+        raise DomainError(f"{len(assignment.labels)} cluster labels for {len(wells)} wells")
+    first = month_index(*parse_month(study_start))
+    shape = (len(assignment.centroids), n_months // period_months)
 
-    n = assignment.n_clusters
-    volumes = np.zeros((n, k))
-    for well in wells:
-        cluster = assignment.well_to_cluster.get(well.well_id)
-        if cluster is None:
-            raise DomainError(f"well {well.well_id!r} has no cluster assignment")
-        missing = [m for m in months if m not in well.monthly_volumes]
-        if missing:
-            logger.warning(
-                "well %s: no reported volume for %d of %d study months; treating as 0 bbl",
-                well.well_id,
-                len(missing),
-                len(months),
-            )
-        for m in months:
-            volumes[cluster, month_to_period[m]] += well.monthly_volumes.get(m, 0.0)
+    # Well-major, month-minor: each cell sums its reports in the same order
+    # whatever the row order of the CSV.
+    rows = np.lexsort((wells.month, wells.well))
+    rows = rows[(wells.month[rows] >= first) & (wells.month[rows] < first + n_months)]
+    well, offset = wells.well[rows], wells.month[rows] - first
+    volumes = np.zeros(shape)
+    np.add.at(volumes, (assignment.labels[well], offset // period_months), wells.volume[rows])
+    n_short = int(np.count_nonzero(np.bincount(well, minlength=len(wells)) < n_months))
+    if n_short:
+        msg = "%d of %d wells have no reported volume for some study months; treating those as 0 bbl"
+        logger.warning(msg, n_short, len(wells))
 
-    quake_flags = np.zeros((n, k), dtype=int)
-    outcomes = np.zeros(n, dtype=int)
-    for (cluster, month), count in quake_counts.counts.items():
-        period = month_to_period.get(month)
-        if period is None:
-            continue  # attributed event outside the study window
-        if count > 0:
-            quake_flags[cluster, period] = 1
-            outcomes[cluster] += count
+    offset = quake_counts.months - first
+    hit = (quake_counts.labels >= 0) & (offset >= 0) & (offset < n_months)
+    counts = np.zeros(shape, dtype=int)
+    np.add.at(counts, (quake_counts.labels[hit], offset[hit] // period_months), 1)
 
-    return PanelDataset(volumes, quake_flags, outcomes, unit_ids=[f"c{c:02d}" for c in range(n)])
+    unit_ids = [f"c{c:02d}" for c in range(shape[0])]
+    return PanelDataset(volumes, counts > 0, counts.sum(axis=1), unit_ids=unit_ids)
 
 
-def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[WellRecord]:
-    """Read long-format well reports; one record per well, bbox-filtered."""
-    coords: dict[str, tuple[float, float]] = {}
-    volumes: dict[str, dict[str, float]] = {}
-    order: list[str] = []
+def _parse_lon_lat(rec: list[str], row: int) -> tuple[float, float]:
+    lon = _parse_float(rec[1], row, "longitude")
+    lat = _parse_float(rec[2], row, "latitude")
+    if not (-180.0 <= lon <= 180.0):
+        raise SchemaError(f"longitude out of range: {lon}", row=row, column="longitude")
+    if not (-90.0 <= lat <= 90.0):
+        raise SchemaError(f"latitude out of range: {lat}", row=row, column="latitude")
+    return lon, lat
+
+
+def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> WellTable:
+    """Read long-format well reports into a WellTable, optionally bbox-filtered.
+
+    Rows are validated one by one, those outside the box too, so a
+    SchemaError names the file row and column whatever the box.
+    """
+    index: dict[str, int] = {}
+    coords: list[tuple[float, float]] = []
+    volumes: dict[tuple[int, int], float] = {}  # (well, month) -> bbl
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         _check_header(next(r, None), WELLS_CSV_HEADER, path)
@@ -357,38 +358,38 @@ def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[We
             if len(rec) != 5:
                 raise SchemaError(f"expected 5 fields, got {len(rec)}", row=i)
             wid = rec[0]
-            lon = _parse_float(rec[1], i, "longitude")
-            lat = _parse_float(rec[2], i, "latitude")
-            if not (-180.0 <= lon <= 180.0):
-                raise SchemaError(f"longitude out of range: {lon}", row=i, column="longitude")
-            if not (-90.0 <= lat <= 90.0):
-                raise SchemaError(f"latitude out of range: {lat}", row=i, column="latitude")
+            lon, lat = _parse_lon_lat(rec, i)
             try:
-                ym = month_key(*parse_month(rec[3]))
+                year, mon = parse_month(rec[3])
             except DomainError as exc:
                 raise SchemaError(str(exc), row=i, column="year_month") from None
             vol = _parse_float(rec[4], i, "volume_bbl")
             if vol < 0:
                 raise SchemaError(f"volume_bbl must be >= 0, got {vol}", row=i, column="volume_bbl")
-            if wid not in coords:
-                coords[wid] = (lon, lat)
-                volumes[wid] = {}
-                order.append(wid)
-            elif coords[wid] != (lon, lat):
+            w = index.setdefault(wid, len(index))
+            if w == len(coords):
+                coords.append((lon, lat))
+            elif coords[w] != (lon, lat):
                 raise SchemaError(
                     f"well {wid!r} reported with inconsistent coordinates", row=i, column="longitude"
                 )
-            if ym in volumes[wid]:
-                raise SchemaError(f"duplicate month {ym} for well {wid!r}", row=i, column="year_month")
-            volumes[wid][ym] = vol
+            key = (w, month_index(year, mon))
+            if key in volumes:
+                raise SchemaError(
+                    f"duplicate month {month_key(year, mon)} for well {wid!r}", row=i, column="year_month"
+                )
+            volumes[key] = vol
 
-    wells = [
-        WellRecord(well_id=w, longitude=coords[w][0], latitude=coords[w][1], monthly_volumes=volumes[w])
-        for w in order
-    ]
+    ids = np.array(list(index), dtype=str)
+    lons, lats = np.array(coords, dtype=float).reshape(-1, 2).T
+    well, month = np.array(list(volumes), dtype=np.intp).reshape(-1, 2).T
+    volume = np.array(list(volumes.values()), dtype=float)
     if bbox is not None:
-        wells = [w for w in wells if bbox.contains(w.longitude, w.latitude)]
-    return wells
+        keep = _inside(bbox, lons, lats)
+        rows = keep[well]
+        ids, lons, lats = ids[keep], lons[keep], lats[keep]
+        well, month, volume = (np.cumsum(keep) - 1)[well[rows]], month[rows], volume[rows]
+    return WellTable(ids, lons, lats, well, month, volume)
 
 
 def _parse_timestamp(raw: str, row: int) -> datetime:
@@ -403,10 +404,13 @@ def _parse_timestamp(raw: str, row: int) -> datetime:
         ) from None
 
 
-def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[QuakeRecord]:
-    """Read the event catalog, optionally bbox-filtered."""
-    quakes: list[QuakeRecord] = []
-    seen: set[str] = set()
+def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> Catalog:
+    """Read the event catalog into a Catalog, optionally bbox-filtered.
+
+    Rows are validated one by one, those outside the box too. An event's
+    month is the calendar month of its timestamp as written.
+    """
+    events: dict[str, tuple[float, float, int, float]] = {}  # id -> lon, lat, month, magnitude
     with open(path, newline="") as fh:
         r = csv.reader(fh)
         _check_header(next(r, None), CATALOG_CSV_HEADER, path)
@@ -416,20 +420,13 @@ def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> list[
             if len(rec) != 5:
                 raise SchemaError(f"expected 5 fields, got {len(rec)}", row=i)
             eid = rec[0]
-            if eid in seen:
+            if eid in events:
                 raise SchemaError(f"duplicate event id {eid!r}", row=i, column="event_id")
-            seen.add(eid)
-            lon = _parse_float(rec[1], i, "longitude")
-            lat = _parse_float(rec[2], i, "latitude")
-            if not (-180.0 <= lon <= 180.0):
-                raise SchemaError(f"longitude out of range: {lon}", row=i, column="longitude")
-            if not (-90.0 <= lat <= 90.0):
-                raise SchemaError(f"latitude out of range: {lat}", row=i, column="latitude")
+            lon, lat = _parse_lon_lat(rec, i)
             when = _parse_timestamp(rec[3], i)
-            mag = _parse_float(rec[4], i, "magnitude")
-            quakes.append(
-                QuakeRecord(event_id=eid, longitude=lon, latitude=lat, origin_time=when, magnitude=mag)
-            )
-    if bbox is not None:
-        quakes = [q for q in quakes if bbox.contains(q.longitude, q.latitude)]
-    return quakes
+            events[eid] = (lon, lat, month_index(when.year, when.month), _parse_float(rec[4], i, "magnitude"))
+
+    lons, lats, months, mags = np.array(list(events.values()), dtype=float).reshape(-1, 4).T
+    keep = slice(None) if bbox is None else _inside(bbox, lons, lats)
+    ids = np.array(list(events), dtype=str)
+    return Catalog(ids[keep], lons[keep], lats[keep], months[keep].astype(np.intp), mags[keep])

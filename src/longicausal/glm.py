@@ -157,29 +157,21 @@ def fit_glm(
     *,
     max_iter: int = 100,
     tol: float = 1e-8,
-    df_corrected_sd: bool = False,
 ) -> FitResult:
     """Fit a weighted GLM by IRLS.
 
     Convergence is declared when the relative deviance change drops below
     `tol` (default 1e-8); after `max_iter` iterations the result is returned
     with converged=False and the caller decides (logistic separation shows up
-    this way rather than as an error). `df_corrected_sd` switches the linear
-    family's residual sd from the MLE (default) to the n/(n-p)-rescaled
-    estimate; the MLE is what density evaluation downstream expects.
+    this way rather than as an error).
     """
     X, y, w = _validate_inputs(design, response, family, weights)
     _check_rank(X, w)
-    n, p = X.shape
 
     if family == "linear":
         beta = _solve_wls(X, w, y)
         mu = X @ beta
         resid_sd = math.sqrt(float(np.sum(w * (y - mu) ** 2) / np.sum(w)))
-        if df_corrected_sd:
-            if n <= p:
-                raise DomainError("df-corrected sd requires n > p")
-            resid_sd *= math.sqrt(n / (n - p))
         cov = np.linalg.inv(X.T @ (X * w[:, None])) * max(resid_sd, 0.0) ** 2
         return FitResult(
             coefficients=beta,
@@ -199,7 +191,7 @@ def fit_glm(
         mu = (y + 0.5) / 2.0
         eta = np.log(mu / (1.0 - mu))
 
-    beta = np.zeros(p)
+    beta = np.zeros(X.shape[1])
     dev = _deviance(family, y, _mu_eta(family, eta), w)
     converged = False
     iterations = 0

@@ -92,9 +92,6 @@ class PanelDataset:
     def has_baseline(self) -> bool:
         return self._a0 is not None
 
-    def __len__(self) -> int:
-        return self.n_units
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PanelDataset) or self.unit_ids != other.unit_ids:
             return False

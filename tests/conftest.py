@@ -4,11 +4,13 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from datetime import datetime
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from longicausal.geo import QuakeRecord, WellRecord, haversine_km, month_range
+from longicausal.geo import Catalog, WellTable, haversine_km, load_catalog_csv, load_wells_csv, month_range
 from longicausal.panel import PanelDataset
 
 CORPUS_SEED = 20131201
@@ -37,21 +39,24 @@ def single_period_dataset(volumes, outcomes) -> PanelDataset:
 
 @dataclass
 class SyntheticCorpus:
-    wells: list
-    quakes: list
+    wells: WellTable
+    quakes: Catalog
     n_below_cut: int
     n_far: int
     expected_in_window_volume: float
     months: list
+    wells_path: Path
+    catalog_path: Path
 
 
-def build_synthetic_corpus(seed: int = CORPUS_SEED) -> SyntheticCorpus:
+def build_synthetic_corpus(directory, seed: int = CORPUS_SEED) -> SyntheticCorpus:
     """Deterministic 65-well / 71-quake corpus inside the default study box.
 
-    8 events sit below the 2.5 magnitude cut, 5 qualifying events lie farther
-    than 15 km from every well site (they must end up unassigned), and the
-    rest are placed within ~6 km of a site. A handful of out-of-window
-    well-months exercise the window filter.
+    Writes `wells.csv` and `catalog.csv` into `directory` and loads them back
+    with the package loaders. 8 events sit below the 2.5 magnitude cut, 5
+    qualifying events lie farther than 15 km from every well site (they must
+    end up unassigned), and the rest are placed within ~6 km of a site. A
+    handful of out-of-window well-months exercise the window filter.
     """
     rng = np.random.default_rng(seed)
     months = month_range(CORPUS_START, CORPUS_END)
@@ -63,7 +68,7 @@ def build_synthetic_corpus(seed: int = CORPUS_SEED) -> SyntheticCorpus:
     well_lon = site_lon[well_site] + rng.normal(0.0, 0.01, n_wells)
     well_lat = site_lat[well_site] + rng.normal(0.0, 0.01, n_wells)
 
-    wells = []
+    well_volumes = []
     in_window_total = 0.0
     for i in range(n_wells):
         base = rng.uniform(2e4, 2.5e5)
@@ -77,18 +82,11 @@ def build_synthetic_corpus(seed: int = CORPUS_SEED) -> SyntheticCorpus:
         if i % 13 == 0:  # out-of-window months must be ignored by the panel
             volumes["2013-10"] = 5e4
             volumes["2016-05"] = 5e4
-        wells.append(
-            WellRecord(
-                well_id=f"w{i:03d}",
-                longitude=float(well_lon[i]),
-                latitude=float(well_lat[i]),
-                monthly_volumes=volumes,
-            )
-        )
+        well_volumes.append(volumes)
 
     site_volume = np.zeros(n_sites)
-    for i, w in enumerate(wells):
-        site_volume[well_site[i]] += sum(v for m, v in w.monthly_volumes.items() if m in set(months))
+    for i, volumes in enumerate(well_volumes):
+        site_volume[well_site[i]] += sum(v for m, v in volumes.items() if m in set(months))
     site_p = site_volume / site_volume.sum()
 
     quakes = []
@@ -109,56 +107,46 @@ def build_synthetic_corpus(seed: int = CORPUS_SEED) -> SyntheticCorpus:
         lat = float(site_lat[s] + rng.normal(0.0, 0.03))
         quakes.append(_quake(f"small{j}", lon, lat, rng.choice(months), rng.uniform(1.5, 2.45), rng))
 
-    assert len(wells) == 65 and len(quakes) == 71
+    wells_path = Path(directory) / "wells.csv"
+    catalog_path = Path(directory) / "catalog.csv"
+    with open(wells_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["well_id", "longitude", "latitude", "year_month", "volume_bbl"])
+        for i, volumes in enumerate(well_volumes):
+            lon, lat = repr(float(well_lon[i])), repr(float(well_lat[i]))
+            w.writerows([f"w{i:03d}", lon, lat, month, repr(volumes[month])] for month in sorted(volumes))
+    with open(catalog_path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(["event_id", "longitude", "latitude", "origin_time_iso8601", "magnitude"])
+        w.writerows(quakes)
+
+    wells, catalog = load_wells_csv(wells_path), load_catalog_csv(catalog_path)
+    assert len(wells) == 65 and len(catalog) == 71
     return SyntheticCorpus(
         wells=wells,
-        quakes=quakes,
+        quakes=catalog,
         n_below_cut=n_below_cut,
         n_far=n_far,
         expected_in_window_volume=in_window_total,
         months=months,
+        wells_path=wells_path,
+        catalog_path=catalog_path,
     )
 
 
-def _quake(event_id, lon, lat, month, magnitude, rng) -> QuakeRecord:
-    from datetime import datetime
-
+def _quake(event_id, lon, lat, month, magnitude, rng) -> list:
+    """One catalog CSV row."""
     year, mon = (int(p) for p in month.split("-"))
     day = int(rng.integers(1, 28))
-    return QuakeRecord(
-        event_id=event_id,
-        longitude=lon,
-        latitude=lat,
-        origin_time=datetime(year, mon, day, int(rng.integers(0, 24)), 30),
-        magnitude=float(magnitude),
-    )
-
-
-def write_corpus_csvs(corpus: SyntheticCorpus, wells_path, catalog_path) -> None:
-    with open(wells_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["well_id", "longitude", "latitude", "year_month", "volume_bbl"])
-        for well in corpus.wells:
-            for month in sorted(well.monthly_volumes):
-                w.writerow(
-                    [well.well_id, repr(well.longitude), repr(well.latitude), month, repr(well.monthly_volumes[month])]
-                )
-    with open(catalog_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["event_id", "longitude", "latitude", "origin_time_iso8601", "magnitude"])
-        for q in corpus.quakes:
-            w.writerow([q.event_id, repr(q.longitude), repr(q.latitude), q.origin_time.isoformat(), repr(q.magnitude)])
+    when = datetime(year, mon, day, int(rng.integers(0, 24)), 30)
+    return [event_id, repr(lon), repr(lat), when.isoformat(), repr(float(magnitude))]
 
 
 @pytest.fixture(scope="session")
-def corpus() -> SyntheticCorpus:
-    return build_synthetic_corpus()
+def corpus(tmp_path_factory) -> SyntheticCorpus:
+    return build_synthetic_corpus(tmp_path_factory.mktemp("corpus"))
 
 
 @pytest.fixture(scope="session")
-def corpus_csvs(corpus, tmp_path_factory):
-    d = tmp_path_factory.mktemp("corpus")
-    wells_path = d / "wells.csv"
-    catalog_path = d / "catalog.csv"
-    write_corpus_csvs(corpus, wells_path, catalog_path)
-    return wells_path, catalog_path
+def corpus_csvs(corpus):
+    return corpus.wells_path, corpus.catalog_path

@@ -228,10 +228,24 @@ class TestAnalyzeCommand:
                      "--out-dir", str(tmp_path)])
         assert code == 2
 
-    def test_bad_bbox_exit_2(self, corpus_csvs):
+    def test_bad_bbox_exit_2(self, corpus_csvs, capsys):
         wells_path, catalog_path = corpus_csvs
-        assert main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
-                     "--bbox", "33,32,-98,-96"]) == 2
+        for bbox in ("33,32,-98,-96", "nan,33.68,-98.38,-96.74", "32.07,inf,-98.38,-96.74",
+                     "32.07,33.68,-inf,-96.74", "32.07,33.68,-98.38,NaN"):
+            assert main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                         "--bbox", bbox]) == 2
+            assert "--bbox" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag", ["--mag-cut", "--radius-km"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_exit_2_writes_nothing(self, tmp_path, corpus_csvs, capsys, flag, value):
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / "run"
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     f"{flag}={value}", "--out-dir", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_truncate_and_robust_flags(self, tmp_path, corpus_csvs):
         wells_path, catalog_path = corpus_csvs

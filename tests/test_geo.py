@@ -1,6 +1,6 @@
 """Projection, distances, clustering, attribution, and panel assembly."""
 
-import itertools
+import csv
 import logging
 import math
 
@@ -9,8 +9,12 @@ import pytest
 
 from longicausal.exceptions import DomainError, SchemaError
 from longicausal.geo import (
+    ASSIGN_CHUNK_EVENTS,
+    CATALOG_CSV_HEADER,
     DFW_BBOX,
     EARTH_RADIUS_KM,
+    WELLS_CSV_HEADER,
+    ClusterAssignment,
     QuakeAttribution,
     agglomerative_cluster,
     assign_quakes,
@@ -20,13 +24,40 @@ from longicausal.geo import (
     inverse_project,
     load_catalog_csv,
     load_wells_csv,
+    month_index,
     month_range,
     project_coords,
 )
 
-from conftest import build_synthetic_corpus
-
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0  # 111.1949266...
+WELLS_HEADER = ",".join(WELLS_CSV_HEADER) + "\n"
+CATALOG_HEADER = ",".join(CATALOG_CSV_HEADER) + "\n"
+
+
+def load_wells(tmp_path, rows):
+    """Load (well_id, lon, lat, year_month, volume) rows through a wells CSV."""
+    p = tmp_path / "wells.csv"
+    p.write_text(WELLS_HEADER + "".join(",".join(map(str, r)) + "\n" for r in rows))
+    return load_wells_csv(p)
+
+
+def load_events(tmp_path, events):
+    """Load (lon, lat, magnitude, year_month) events through a catalog CSV."""
+    p = tmp_path / "catalog.csv"
+    p.write_text(CATALOG_HEADER + "".join(
+        f"e{i},{float(lon)!r},{float(lat)!r},{month}-15T12:00:00,{float(mag)!r}\n"
+        for i, (lon, lat, mag, month) in enumerate(events)
+    ))
+    return load_catalog_csv(p)
+
+
+def read_rows(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))[1:]
+
+
+def in_box(lon, lat, box=DFW_BBOX):
+    return (box.lon_min <= lon) & (lon <= box.lon_max) & (box.lat_min <= lat) & (lat <= box.lat_max)
 
 
 class TestProjection:
@@ -156,11 +187,24 @@ class TestClustering:
 
     def test_cluster_wells_assignment(self, corpus):
         assignment = cluster_wells(corpus.wells, n_clusters=30)
-        assert assignment.n_clusters == 30
-        assert len(assignment.well_to_cluster) == 65
-        assert set(assignment.well_to_cluster.values()) == set(range(30))
-        for lon, lat in assignment.centroids:
-            assert DFW_BBOX.contains(lon, lat)
+        assert assignment.labels.shape == (65,)
+        assert set(assignment.labels.tolist()) == set(range(30))
+        assert assignment.centroids.shape == (30, 2)
+        assert np.all(in_box(*assignment.centroids.T))
+
+
+def reference_assign(centroids, catalog, radius_km=15.0, magnitude_cut=2.5):
+    """The per-event rule: nearest centroid by haversine_km, assigned if within the radius."""
+    cent = np.asarray(centroids, dtype=float)
+    labels, months = [], []
+    for lon, lat, mag, month in zip(catalog.longitude, catalog.latitude, catalog.magnitude, catalog.month):
+        if mag < magnitude_cut:
+            continue
+        d = haversine_km((lon, lat), (cent[:, 0], cent[:, 1]))
+        nearest = int(np.argmin(d))
+        labels.append(nearest if d[nearest] <= radius_km else -1)
+        months.append(int(month))
+    return labels, months
 
 
 class TestAssignQuakes:
@@ -168,52 +212,86 @@ class TestAssignQuakes:
         # two centroids ~30 km apart on a meridian
         return [(-97.0, 33.0), (-97.0, 33.0 + 30.0 / KM_PER_DEG)]
 
-    def quake(self, lon, lat, mag=3.0, month="2014-05"):
-        from datetime import datetime
+    def test_within_radius_of_one_centroid(self, tmp_path):
+        cat = load_events(tmp_path, [(-97.0, 33.0 + 10.0 / KM_PER_DEG, 3.0, "2014-05")])  # 10 km from A
+        out = assign_quakes(self.centroid_pair(), cat, radius_km=15.0)
+        assert out.labels.tolist() == [0] and out.months.tolist() == [month_index(2014, 5)]
+        assert out.unassigned == 0 and out.n_after_cut == 1 and out.total_assigned == 1
 
-        from longicausal.geo import QuakeRecord
-
-        y, m = (int(p) for p in month.split("-"))
-        return QuakeRecord(
-            event_id=f"e{lon:.3f}{lat:.3f}{mag}", longitude=lon, latitude=lat,
-            origin_time=datetime(y, m, 15), magnitude=mag,
-        )
-
-    def test_within_radius_of_one_centroid(self):
-        cents = self.centroid_pair()
-        q = self.quake(-97.0, 33.0 + 10.0 / KM_PER_DEG)  # 10 km from A, 20 from B
-        out = assign_quakes(cents, [q], radius_km=15.0)
-        assert out.counts == {(0, "2014-05"): 1}
-        assert out.unassigned == 0 and out.n_after_cut == 1
-
-    def test_nearest_centroid_wins_inside_both_radii(self):
-        cents = self.centroid_pair()
+    def test_nearest_centroid_wins_inside_both_radii(self, tmp_path):
         # 10 km from B, 20 km from A: only B counts
-        q = self.quake(-97.0, 33.0 + 20.0 / KM_PER_DEG)
-        out = assign_quakes(cents, [q], radius_km=25.0)
-        assert out.counts == {(1, "2014-05"): 1}
+        cat = load_events(tmp_path, [(-97.0, 33.0 + 20.0 / KM_PER_DEG, 3.0, "2014-05")])
+        out = assign_quakes(self.centroid_pair(), cat, radius_km=25.0)
+        assert out.labels.tolist() == [1]
 
-    def test_beyond_radius_goes_unassigned(self):
-        cents = self.centroid_pair()
-        q = self.quake(-97.0 + 20.0 / KM_PER_DEG / math.cos(math.radians(33.0)), 33.0)
-        out = assign_quakes(cents, [q], radius_km=15.0)
-        assert out.counts == {} and out.unassigned == 1
+    def test_beyond_radius_goes_unassigned(self, tmp_path):
+        lon = -97.0 + 20.0 / KM_PER_DEG / math.cos(math.radians(33.0))
+        cat = load_events(tmp_path, [(lon, 33.0, 3.0, "2014-05")])  # 20 km east of A
+        out = assign_quakes(self.centroid_pair(), cat, radius_km=15.0)
+        assert out.labels.tolist() == [-1] and out.unassigned == 1 and out.total_assigned == 0
 
-    def test_magnitude_cut_applies(self):
-        cents = self.centroid_pair()
-        q = self.quake(-97.0, 33.0, mag=2.0)
-        out = assign_quakes(cents, [q], magnitude_cut=2.5)
-        assert out.n_after_cut == 0 and out.counts == {} and out.unassigned == 0
+    def test_magnitude_cut_applies(self, tmp_path):
+        cat = load_events(tmp_path, [(-97.0, 33.0, 2.0, "2014-05"), (-97.0, 33.0, 2.5, "2014-06")])
+        out = assign_quakes(self.centroid_pair(), cat, magnitude_cut=2.5)
+        assert out.n_after_cut == 1 and out.months.tolist() == [month_index(2014, 6)]
 
-    def test_row_order_invariance(self, corpus):
+    def test_row_order_invariance(self, corpus, tmp_path):
+        rows = read_rows(corpus.catalog_path)
+        p = tmp_path / "reversed.csv"
+        p.write_text(CATALOG_HEADER + "".join(",".join(r) + "\n" for r in reversed(rows)))
         assignment = cluster_wells(corpus.wells, n_clusters=30)
         fwd = assign_quakes(assignment.centroids, corpus.quakes)
-        rev = assign_quakes(assignment.centroids, list(reversed(corpus.quakes)))
-        assert fwd.counts == rev.counts and fwd.unassigned == rev.unassigned
+        rev = assign_quakes(assignment.centroids, load_catalog_csv(p))
+        np.testing.assert_array_equal(fwd.labels, rev.labels[::-1])
+        np.testing.assert_array_equal(fwd.months, rev.months[::-1])
 
-    def test_bad_radius(self):
+    def test_bad_radius(self, corpus):
         with pytest.raises(DomainError):
-            assign_quakes([(-97.0, 33.0)], [], radius_km=0.0)
+            assign_quakes([(-97.0, 33.0)], corpus.quakes, radius_km=0.0)
+        with pytest.raises(DomainError, match="magnitude_cut"):
+            assign_quakes([(-97.0, 33.0)], corpus.quakes, magnitude_cut=float("nan"))
+
+
+class TestAssignMatchesReferenceLoop:
+    def check(self, centroids, catalog, **kwargs):
+        out = assign_quakes(centroids, catalog, **kwargs)
+        labels, months = reference_assign(centroids, catalog, **kwargs)
+        assert out.labels.tolist() == labels
+        assert out.months.tolist() == months
+        return out
+
+    def test_corpus(self, corpus):
+        centroids = cluster_wells(corpus.wells, n_clusters=30).centroids
+        out = self.check(centroids, corpus.quakes)
+        assert out.n_after_cut == 71 - corpus.n_below_cut and out.unassigned >= corpus.n_far
+
+    def test_across_chunk_boundaries(self, tmp_path):
+        rng = np.random.default_rng(11)
+        n = 2 * ASSIGN_CHUNK_EVENTS + 37
+        centroids = np.column_stack([rng.uniform(-98.0, -97.0, 12), rng.uniform(32.5, 33.3, 12)])
+        events = zip(rng.uniform(-98.2, -96.8, n), rng.uniform(32.3, 33.5, n), rng.uniform(1.5, 4.0, n),
+                     rng.choice(["2014-01", "2015-07"], n))
+        out = self.check(centroids, load_events(tmp_path, events), radius_km=8.0)
+        assert 0 < out.unassigned < out.n_after_cut
+
+    def test_equidistant_event_goes_to_lowest_index(self, tmp_path):
+        # +-0.5 degrees of longitude are exact, so both distances are bit-equal
+        centroids = [(-96.5, 33.0), (-97.5, 33.0)]
+        d = haversine_km((-97.0, 33.0), (np.array([-96.5, -97.5]), np.array([33.0, 33.0])))
+        assert d[0] == d[1]
+        out = self.check(centroids, load_events(tmp_path, [(-97.0, 33.0, 3.0, "2014-05")]), radius_km=50.0)
+        assert out.labels.tolist() == [0]
+
+    def test_event_exactly_at_radius_is_assigned(self, tmp_path):
+        centroids = [(-97.0, 33.0), (-97.6, 33.2)]
+        cat = load_events(tmp_path, [(-97.05, 33.07, 3.0, "2014-05")])
+        radius = haversine_km((-97.05, 33.07), (-97.0, 33.0))
+        assert self.check(centroids, cat, radius_km=radius).labels.tolist() == [0]
+        assert self.check(centroids, cat, radius_km=np.nextafter(radius, 0.0)).labels.tolist() == [-1]
+
+
+def no_events():
+    return QuakeAttribution(labels=np.zeros(0, dtype=int), months=np.zeros(0, dtype=int))
 
 
 class TestBuildPanel:
@@ -226,9 +304,13 @@ class TestBuildPanel:
 
     def test_indivisible_window_rejected(self, corpus):
         assignment = cluster_wells(corpus.wells, n_clusters=30)
-        attribution = QuakeAttribution()
         with pytest.raises(DomainError, match="divisible"):
-            build_panel(corpus.wells, assignment, attribution, period_months=5)
+            build_panel(corpus.wells, assignment, no_events(), period_months=5)
+
+    def test_labels_must_cover_every_well(self, corpus):
+        assignment = ClusterAssignment(np.zeros(64, dtype=int), np.array([[-97.5, 33.0]]))
+        with pytest.raises(DomainError, match="64 cluster labels for 65 wells"):
+            build_panel(corpus.wells, assignment, no_events())
 
     def test_three_month_period_supported(self, corpus):
         assignment = cluster_wells(corpus.wells, n_clusters=30)
@@ -239,47 +321,61 @@ class TestBuildPanel:
         )
         assert data.n_periods == 9  # 27 months / 3
 
-    def test_volumes_sum_within_cluster(self):
-        from longicausal.geo import WellRecord, ClusterAssignment
-
-        wells = [
-            WellRecord("w1", -97.0, 33.0, {"2013-12": 100.0, "2014-01": 50.0}),
-            WellRecord("w2", -97.001, 33.0, {"2013-12": 200.0}),
-        ]
-        assignment = ClusterAssignment(1, {"w1": 0, "w2": 0}, ((-97.0005, 33.0),))
-        data = build_panel(wells, assignment, QuakeAttribution(),
+    def test_volumes_sum_within_cluster(self, tmp_path):
+        wells = load_wells(tmp_path, [
+            ("w1", -97.0, 33.0, "2013-12", 100.0), ("w1", -97.0, 33.0, "2014-01", 50.0),
+            ("w2", -97.001, 33.0, "2013-12", 200.0),
+        ])
+        assignment = ClusterAssignment(np.array([0, 0]), np.array([[-97.0005, 33.0]]))
+        data = build_panel(wells, assignment, no_events(),
                            study_start="2013-12", study_end="2014-03", period_months=4)
         assert data.n_periods == 1
         assert data.treatment_matrix()[0, 0] == pytest.approx(350.0)
 
-    def test_missing_month_warns_and_counts_zero(self, caplog):
-        from longicausal.geo import WellRecord, ClusterAssignment
+    def test_sum_order_does_not_depend_on_row_order(self, tmp_path):
+        # 1e16 + 1 rounds back to 1e16, so the order of the sums shows in the result:
+        # well-major, month-minor order gives exactly 1e16 whatever the file order
+        rows = [("w1", -97.0, 33.0, "2013-12", 1e16), ("w1", -97.0, 33.0, "2014-01", 1.0),
+                ("w2", -97.1, 33.0, "2013-12", 1.0), ("w2", -97.1, 33.0, "2014-01", 1.0)]
+        assignment = ClusterAssignment(np.array([0, 0]), np.array([[-97.05, 33.0]]))
+        for order in ([0, 1, 2, 3], [1, 3, 2, 0]):
+            wells = load_wells(tmp_path, [rows[i] for i in order])
+            data = build_panel(wells, assignment, no_events(),
+                               study_start="2013-12", study_end="2014-01", period_months=2)
+            assert data.treatment_matrix()[0, 0] == 1e16
 
-        wells = [WellRecord("w1", -97.0, 33.0, {"2013-12": 100.0})]
-        assignment = ClusterAssignment(1, {"w1": 0}, ((-97.0, 33.0),))
+    def test_missing_month_warns_and_counts_zero(self, tmp_path, caplog):
+        wells = load_wells(tmp_path, [
+            ("w1", -97.0, 33.0, "2013-12", 100.0), ("w2", -97.1, 33.0, "2014-02", 7.0),
+            ("w3", -97.2, 33.0, "2013-12", 1.0), ("w3", -97.2, 33.0, "2014-01", 1.0),
+            ("w3", -97.2, 33.0, "2014-02", 1.0), ("w3", -97.2, 33.0, "2014-03", 1.0),
+        ])
+        assignment = ClusterAssignment(np.array([0, 0, 0]), np.array([[-97.1, 33.0]]))
         with caplog.at_level(logging.WARNING, logger="longicausal.geo"):
-            data = build_panel(wells, assignment, QuakeAttribution(),
+            data = build_panel(wells, assignment, no_events(),
                                study_start="2013-12", study_end="2014-03", period_months=2)
-        assert any("no reported volume" in rec.message for rec in caplog.records)
-        assert data.treatment_matrix()[0].tolist() == [100.0, 0.0]
+        messages = [rec.getMessage() for rec in caplog.records]
+        assert len(messages) == 1
+        assert "no reported volume" in messages[0] and messages[0].startswith("2 of 3 wells")
+        assert data.treatment_matrix()[0].tolist() == [102.0, 9.0]
 
-    def test_confounder_flags_and_outcomes(self):
-        from longicausal.geo import WellRecord, ClusterAssignment
-
-        wells = [WellRecord("w1", -97.0, 33.0, {m: 10.0 for m in month_range("2013-12", "2014-07")})]
-        assignment = ClusterAssignment(1, {"w1": 0}, ((-97.0, 33.0),))
+    def test_confounder_flags_and_outcomes(self, tmp_path):
+        wells = load_wells(tmp_path, [("w1", -97.0, 33.0, m, 10.0) for m in month_range("2013-12", "2014-07")])
+        assignment = ClusterAssignment(np.array([0]), np.array([[-97.0, 33.0]]))
+        months = [month_index(2013, 12)] * 2 + [month_index(2014, 5)] + [month_index(2020, 1)] * 9
         attribution = QuakeAttribution(
-            counts={(0, "2013-12"): 2, (0, "2014-05"): 1, (0, "2020-01"): 9}, unassigned=0, n_after_cut=3
+            labels=np.array([0] * 12 + [-1]), months=np.array(months + [month_index(2014, 1)])
         )
         data = build_panel(wells, assignment, attribution,
                            study_start="2013-12", study_end="2014-07", period_months=4)
         assert data.confounder_matrix()[0].tolist() == [1, 1]
-        assert data.outcome_vector()[0] == 3  # the 2020 count is outside the window
+        assert data.outcome_vector()[0] == 3  # the 2020 events are outside the window
 
     def test_month_range(self):
         months = month_range("2013-12", "2016-03")
         assert len(months) == 28
         assert months[0] == "2013-12" and months[-1] == "2016-03"
+        assert months[1] == "2014-01" and months[12] == "2014-12"
         with pytest.raises(DomainError):
             month_range("2016-03", "2013-12")
 
@@ -295,79 +391,111 @@ class TestConservation:
         data = build_panel(corpus.wells, assignment, attribution)
         total_panel = float(data.treatment_matrix().sum())
         assert total_panel == pytest.approx(corpus.expected_in_window_volume, rel=1e-6)
-        assert int(data.outcome_vector().sum()) == sum(
-            c for (cl, m), c in attribution.counts.items() if m in set(corpus.months)
-        )
+        offset = attribution.months - month_index(2013, 12)
+        in_window = (attribution.labels >= 0) & (offset >= 0) & (offset < len(corpus.months))
+        assert int(data.outcome_vector().sum()) == int(np.count_nonzero(in_window))
+
+
+WELL_ERRORS = [
+    pytest.param("w1,-97.0,33.0,2014-01\n", 2, None, "expected 5 fields", id="field-count"),
+    pytest.param("w1,abc,33.0,2014-01,5\n", 2, "longitude", "expected a number", id="non-numeric"),
+    pytest.param("w1,-97.0,nan,2014-01,5\n", 2, "latitude", "finite", id="non-finite-latitude"),
+    pytest.param("w1,-97.0,33.0,2014-01,inf\n", 2, "volume_bbl", "finite", id="non-finite-volume"),
+    pytest.param("w1,-197.0,33.0,2014-01,5\n", 2, "longitude", "longitude out of range", id="longitude-range"),
+    pytest.param("w1,-97.0,93.0,2014-01,5\n", 2, "latitude", "latitude out of range", id="latitude-range"),
+    pytest.param("w1,-97.0,33.0,January,5\n", 2, "year_month", "expected YYYY-MM", id="bad-month"),
+    pytest.param("w1,-97.0,33.0,2014-13,5\n", 2, "year_month", "month out of range", id="month-13"),
+    pytest.param("w1,-97.0,33.0,2014-01,-5\n", 2, "volume_bbl", "must be >= 0", id="negative-volume"),
+    pytest.param("w1,-97.0,33.0,2014-01,5\nw1,-97.0,33.0,2014-01-20,6\n", 3, "year_month",
+                 "duplicate month 2014-01 for well 'w1'", id="duplicate-well-month"),
+    pytest.param("w1,-97.0,33.0,2014-01,5\nw1,-97.5,33.0,2014-02,5\n", 3, "longitude",
+                 "inconsistent coordinates", id="inconsistent-coordinates"),
+    pytest.param("w1,-97.0,33.0,2014-01,5\n\nw2,-97.0,33.0,2014-01,oops\n", 4, "volume_bbl",
+                 "expected a number", id="after-blank-line"),
+    pytest.param("w1,-97.0,33.0,2014-01,5\nw9,-105.0,40.0,2014-01,-1\n", 3, "volume_bbl",
+                 "must be >= 0", id="outside-bbox"),
+]
+
+CATALOG_ERRORS = [
+    pytest.param("e1,-97.0,33.0,2014-05-12T03:27:00\n", 2, None, "expected 5 fields", id="field-count"),
+    pytest.param("e1,-97.0,33.0,2014-05-12T03:27:00,3.0\ne1,-97.1,33.0,2014-05-13T03:27:00,3.1\n", 3,
+                 "event_id", "duplicate event id 'e1'", id="duplicate-event-id"),
+    pytest.param("e1,x,33.0,2014-05-12T03:27:00,3.0\n", 2, "longitude", "expected a number", id="non-numeric"),
+    pytest.param("e1,-97.0,inf,2014-05-12T03:27:00,3.0\n", 2, "latitude", "finite", id="non-finite-latitude"),
+    pytest.param("e1,-97.0,33.0,2014-05-12T03:27:00,nan\n", 2, "magnitude", "finite", id="non-finite-magnitude"),
+    pytest.param("e1,181.0,33.0,2014-05-12T03:27:00,3.0\n", 2, "longitude", "longitude out of range",
+                 id="longitude-range"),
+    pytest.param("e1,-97.0,-91.0,2014-05-12T03:27:00,3.0\n", 2, "latitude", "latitude out of range",
+                 id="latitude-range"),
+    pytest.param("e1,-97.0,33.0,not-a-time,3.0\n", 2, "origin_time_iso8601", "ISO-8601", id="bad-timestamp"),
+    pytest.param("e1,-97.0,33.0,2014-05-12T03:27:00,3.0\n\ne2,-97.0,33.0,2014-05-12T03:27:00,big\n", 4,
+                 "magnitude", "expected a number", id="after-blank-line"),
+    pytest.param("e1,-97.0,33.0,2014-05-12T03:27:00,3.0\ne9,-105.0,40.0,2014-13-01T00:00:00,3.0\n", 3,
+                 "origin_time_iso8601", "ISO-8601", id="outside-bbox"),
+]
+
+
+def check_schema_error(loader, path, bbox, row, column, match):
+    with pytest.raises(SchemaError, match=match) as exc:
+        loader(path, bbox=bbox)
+    assert (exc.value.row, exc.value.column) == (row, column)
+    assert f"row {row}" in str(exc.value)
+    if column is not None:
+        assert f"column '{column}'" in str(exc.value)
 
 
 class TestLoaders:
-    def test_wells_round_trip(self, corpus, corpus_csvs):
-        wells_path, _ = corpus_csvs
-        wells = load_wells_csv(wells_path)
-        assert len(wells) == 65
-        by_id = {w.well_id: w for w in wells}
-        orig = corpus.wells[3]
-        assert by_id[orig.well_id].monthly_volumes == dict(orig.monthly_volumes)
+    def test_wells_round_trip(self, corpus):
+        wells = corpus.wells
+        rows = read_rows(corpus.wells_path)
+        assert list(wells.ids) == list(dict.fromkeys(r[0] for r in rows))
+        assert len(wells) == 65 and len(wells.well) == len(rows)
+        for k, (wid, lon, lat, month, vol) in enumerate(rows):
+            w = wells.well[k]
+            assert wells.ids[w] == wid and (wells.longitude[w], wells.latitude[w]) == (float(lon), float(lat))
+            assert wells.month[k] == month_index(*map(int, month.split("-"))) and wells.volume[k] == float(vol)
 
-    def test_catalog_round_trip(self, corpus, corpus_csvs):
-        _, catalog_path = corpus_csvs
-        quakes = load_catalog_csv(catalog_path)
+    def test_catalog_round_trip(self, corpus):
+        quakes = corpus.quakes
+        rows = read_rows(corpus.catalog_path)
         assert len(quakes) == 71
-        assert {q.event_id for q in quakes} == {q.event_id for q in corpus.quakes}
+        assert list(quakes.ids) == [r[0] for r in rows]
+        assert quakes.magnitude.tolist() == [float(r[4]) for r in rows]
+        assert quakes.month.tolist() == [month_index(int(r[3][:4]), int(r[3][5:7])) for r in rows]
 
-    def test_bbox_filter(self, corpus_csvs):
-        wells_path, catalog_path = corpus_csvs
+    def test_bbox_filter(self, corpus):
         tight = DFW_BBOX._replace(lat_max=33.0)
-        assert len(load_wells_csv(wells_path, bbox=tight)) < 65
-        assert len(load_catalog_csv(catalog_path, bbox=tight)) < 71
+        wells = load_wells_csv(corpus.wells_path, bbox=tight)
+        quakes = load_catalog_csv(corpus.catalog_path, bbox=tight)
+        assert 0 < len(wells) < 65 and 0 < len(quakes) < 71
+        assert np.all(in_box(wells.longitude, wells.latitude, tight))
+        assert np.all(in_box(quakes.longitude, quakes.latitude, tight))
+        full = corpus.wells
+        kept = in_box(full.longitude, full.latitude, tight)
+        want = [(full.ids[w], m, v) for w, m, v in zip(full.well, full.month, full.volume) if kept[w]]
+        assert [(wells.ids[w], m, v) for w, m, v in zip(wells.well, wells.month, wells.volume)] == want
 
-    def test_wells_schema_errors(self, tmp_path):
+    @pytest.mark.parametrize("bbox", [None, DFW_BBOX], ids=["all", "bbox"])
+    @pytest.mark.parametrize("body, row, column, match", WELL_ERRORS)
+    def test_wells_schema_errors(self, tmp_path, bbox, body, row, column, match):
         p = tmp_path / "w.csv"
-        p.write_text("well_id,longitude,latitude,year_month,volume_bbl\nw1,-97.0,33.0,2014-01,-5\n")
-        with pytest.raises(SchemaError, match=r"row 2.*volume_bbl"):
-            load_wells_csv(p)
-        p.write_text("well_id,longitude,latitude,year_month,volume_bbl\nw1,-197.0,33.0,2014-01,5\n")
-        with pytest.raises(SchemaError, match="longitude"):
-            load_wells_csv(p)
-        p.write_text("well_id,longitude,latitude,year_month,volume_bbl\nw1,-97.0,33.0,January,5\n")
-        with pytest.raises(SchemaError, match="year_month"):
-            load_wells_csv(p)
-        p.write_text(
-            "well_id,longitude,latitude,year_month,volume_bbl\n"
-            "w1,-97.0,33.0,2014-01,5\nw1,-97.5,33.0,2014-02,5\n"
-        )
-        with pytest.raises(SchemaError, match="inconsistent"):
-            load_wells_csv(p)
-        p.write_text(
-            "well_id,longitude,latitude,year_month,volume_bbl\n"
-            "w1,-97.0,33.0,2014-01,5\nw1,-97.0,33.0,2014-01,6\n"
-        )
-        with pytest.raises(SchemaError, match="duplicate month"):
-            load_wells_csv(p)
-        p.write_text("well,lon,lat,month,vol\n")
-        with pytest.raises(SchemaError, match="header"):
-            load_wells_csv(p)
+        p.write_text(WELLS_HEADER + body)
+        check_schema_error(load_wells_csv, p, bbox, row, column, match)
 
-    def test_catalog_schema_errors(self, tmp_path):
+    @pytest.mark.parametrize("bbox", [None, DFW_BBOX], ids=["all", "bbox"])
+    @pytest.mark.parametrize("body, row, column, match", CATALOG_ERRORS)
+    def test_catalog_schema_errors(self, tmp_path, bbox, body, row, column, match):
         p = tmp_path / "c.csv"
-        p.write_text(
-            "event_id,longitude,latitude,origin_time_iso8601,magnitude\n"
-            "e1,-97.0,33.0,not-a-time,3.0\n"
-        )
-        with pytest.raises(SchemaError, match="ISO-8601"):
-            load_catalog_csv(p)
-        p.write_text(
-            "event_id,longitude,latitude,origin_time_iso8601,magnitude\n"
-            "e1,-97.0,33.0,2014-05-12T03:27:00,3.0\ne1,-97.0,33.0,2014-05-13T03:27:00,3.1\n"
-        )
-        with pytest.raises(SchemaError, match="duplicate event"):
-            load_catalog_csv(p)
+        p.write_text(CATALOG_HEADER + body)
+        check_schema_error(load_catalog_csv, p, bbox, row, column, match)
+
+    @pytest.mark.parametrize("loader", [load_wells_csv, load_catalog_csv])
+    def test_bad_header(self, tmp_path, loader):
+        p = tmp_path / "x.csv"
+        p.write_text("well,lon,lat,month,vol\n")
+        check_schema_error(loader, p, None, 1, None, "header")
 
     def test_catalog_z_suffix_timestamp(self, tmp_path):
         p = tmp_path / "c.csv"
-        p.write_text(
-            "event_id,longitude,latitude,origin_time_iso8601,magnitude\n"
-            "e1,-97.0,33.0,2014-05-12T03:27:00Z,3.0\n"
-        )
-        quakes = load_catalog_csv(p)
-        assert quakes[0].month == "2014-05"
+        p.write_text(CATALOG_HEADER + "e1,-97.0,33.0,2014-05-12T03:27:00Z,3.0\n")
+        assert load_catalog_csv(p).month.tolist() == [month_index(2014, 5)]

@@ -104,15 +104,6 @@ class TestExactFits:
         fit = fit_glm(np.ones((2, 1)), np.array([0.0, 1.0]), "logistic")
         assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-8)
 
-    def test_linear_sd_df_correction(self):
-        rng = np.random.default_rng(13)
-        X = np.column_stack([np.ones(10), rng.normal(size=10)])
-        y = rng.normal(size=10)
-        mle = fit_glm(X, y, "linear")
-        corrected = fit_glm(X, y, "linear", df_corrected_sd=True)
-        assert corrected.residual_sd == pytest.approx(mle.residual_sd * math.sqrt(10 / 8), rel=1e-12)
-        np.testing.assert_allclose(corrected.coefficients, mle.coefficients, atol=1e-14)
-
     def test_loglik_matches_oracle(self):
         rng = np.random.default_rng(5)
         X = np.column_stack([np.ones(40), rng.normal(size=40)])
