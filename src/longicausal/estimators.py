@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .exceptions import DomainError
-from .glm import FitResult, fit_glm, sandwich_cov, wald_test
+from .glm import FitResult, fit_glm, fit_glm_stack, sandwich_cov, sandwich_cov_stack, wald_test
 from .iptw import WeightSet, stabilized_weights
 from .panel import PanelDataset
 
@@ -109,6 +109,11 @@ def _report(name: str, fit: FitResult, se: float) -> EstimatorReport:
     )
 
 
+def _outcome_design(cum_a: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
+    """Rows [1, cumA, covariates...]; a leading block axis of replicates passes through."""
+    return np.stack([np.ones_like(cum_a), cum_a, *covariates], axis=-1)
+
+
 def _check_units(data: PanelDataset) -> None:
     if data.n_units < 2:
         raise DomainError("outcome regressions require at least 2 units")
@@ -117,8 +122,7 @@ def _check_units(data: PanelDataset) -> None:
 def naive_poisson(data: PanelDataset) -> EstimatorReport:
     """Unadjusted Poisson regression of Y on cumulative volume."""
     _check_units(data)
-    x = data.cum_treatment_vector()
-    design = np.column_stack([np.ones(data.n_units), x])
+    design = _outcome_design(data.cum_treatment_vector())
     fit = fit_glm(design, data.outcome_vector(), "poisson")
     return _report("naive", fit, fit.se[1])
 
@@ -132,10 +136,7 @@ def adjusted_poisson(data: PanelDataset) -> EstimatorReport:
     _check_units(data)
     x = data.cum_treatment_vector()
     cum_l = data.cum_confounder_vector()
-    cols = [np.ones(data.n_units), x]
-    if np.ptp(cum_l) > 0.0:
-        cols.append(cum_l)
-    design = np.column_stack(cols)
+    design = _outcome_design(x, cum_l) if np.ptp(cum_l) > 0.0 else _outcome_design(x)
     fit = fit_glm(design, data.outcome_vector(), "poisson")
     return _report("adjusted", fit, fit.se[1])
 
@@ -150,9 +151,42 @@ def msm_iptw(data: PanelDataset, *, weights: WeightSet | None = None, hc1: bool 
     if weights is None:
         weights = stabilized_weights(data)
     sw = weights.per_unit_weights
-    x = data.cum_treatment_vector()
     y = data.outcome_vector()
-    design = np.column_stack([np.ones(data.n_units), x])
+    design = _outcome_design(data.cum_treatment_vector())
     fit = fit_glm(design, y, "poisson", weights=sw)
     se = np.sqrt(sandwich_cov(fit, design, y, sw, hc1=hc1)[1, 1])
     return _report("msm", fit, se)
+
+
+def estimate_stack(cum_a, cum_l, y, sw) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """beta1_hat and SE of the three estimators for R replicates at once.
+
+    Takes (R, N) cumulative treatment, cumulative confounder, outcome and
+    stabilized weights. Returns {name: (beta1_hat, se)} with (R,) arrays in
+    ESTIMATOR_NAMES order, and an (R,) mask: where it is True, the numbers
+    are bit-identical to the per-dataset estimators' and all three fits
+    converged. Where it is False, one of those calls raises, a fit does not
+    converge, or the constant cumL column would be dropped, and the replicate
+    needs the per-dataset path.
+    """
+    design = _outcome_design(cum_a)
+    naive = fit_glm_stack(design, y, "poisson")
+    adjusted = fit_glm_stack(_outcome_design(cum_a, cum_l), y, "poisson")
+    msm = fit_glm_stack(design, y, "poisson", sw)
+    fits = (naive, adjusted, msm)
+    ok = np.ptp(cum_l, axis=-1) > 0.0
+    for fit in fits:
+        ok &= fit.ok & fit.converged
+    keep = np.flatnonzero(ok)
+    cov, singular = sandwich_cov_stack("poisson", msm.coefficients[keep], design[keep], y[keep], sw[keep])
+    ok[keep[singular]] = False
+    msm_var = np.full(len(ok), np.nan)
+    msm_var[keep] = cov[:, 1, 1]
+    variances = (naive.model_cov[:, 1, 1], adjusted.model_cov[:, 1, 1], msm_var)
+    out = {}
+    for name, fit, var in zip(ESTIMATOR_NAMES, fits, variances):
+        with np.errstate(invalid="ignore"):  # a negative variance fails the check below
+            se = np.sqrt(var)
+        ok &= (se > 0.0) & np.isfinite(se)  # what wald_test requires
+        out[name] = (fit.coefficients[:, 1], se)
+    return out, ok

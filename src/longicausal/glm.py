@@ -4,6 +4,16 @@ Supports the linear (identity link), logistic (logit link), and poisson
 (log link) families with optional non-negative observation weights, plus the
 heteroskedasticity-robust sandwich covariance and the Wald test.
 
+One kernel does the fitting: `fit_glm_stack` takes a stack of R independent
+problems, designs of shape (R, n, p) with (R, n) responses and weights, and
+runs IRLS on all of them at once. Each problem keeps its own convergence
+flag and iteration count and leaves the loop when it converges, so every
+problem gets exactly the numbers it would get alone. A problem that fails a
+check (a non-finite value, a rank-deficient design, singular normal
+equations or information) is flagged with the error it would raise and does
+not stop the others. `fit_glm` is the R = 1 call of that kernel and raises
+the flagged error; `sandwich_cov` is the R = 1 call of `sandwich_cov_stack`.
+
 Conventions used throughout:
   * weights multiply each observation's log-likelihood contribution, so the
     score of observation i is w_i * (y_i - mu_i) * x_i for every family
@@ -12,24 +22,25 @@ Conventions used throughout:
     (weighted mean squared residual, no degrees-of-freedom correction) --
     downstream Gaussian density evaluation relies on this;
   * model_cov is dispersion * inverse Fisher information at the estimate,
-    with dispersion 1 for poisson/logistic and the MLE variance for linear.
+    with dispersion 1 for poisson/logistic and the MLE variance for linear;
+  * a design is rank deficient when the ratio of its smallest to largest
+    singular value (of sqrt(w) * X) is below 1e-12.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
-import scipy.linalg
-from scipy.special import gammaln
 
-from .exceptions import DomainError, SingularDesignError
+from .exceptions import DomainError, LongicausalError, SingularDesignError
 
 FAMILIES = ("linear", "logistic", "poisson")
 
 _MAX_EXP = 700.0  # exp() overflow guard for float64
-_PIVOT_RTOL = 1e-12
+_RANK_RTOL = 1e-12
 _MU_EPS = 1e-10
 
 
@@ -42,7 +53,6 @@ class FitResult:
     family: str
     converged: bool
     iterations: int
-    log_likelihood: float
     residual_sd: float | None = None
 
     @property
@@ -51,48 +61,98 @@ class FitResult:
         return np.sqrt(np.diag(self.model_cov))
 
 
-def _validate_inputs(design, response, family, weights):
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
-    if X.ndim != 2:
-        raise DomainError(f"design must be 2-d, got shape {X.shape}")
-    n, p = X.shape
-    if y.shape != (n,):
-        raise DomainError(f"response shape {y.shape} does not match design ({n} rows)")
+class StackFit(NamedTuple):
+    """R fits of one family; row r holds problem r's results.
+
+    `errors[r]` is the error `fit_glm` would raise for problem r, or None;
+    the other fields of a failed problem are NaN or zero and mean nothing.
+    """
+
+    coefficients: np.ndarray  # (R, p)
+    model_cov: np.ndarray  # (R, p, p)
+    converged: np.ndarray  # (R,) bool
+    iterations: np.ndarray  # (R,) int
+    residual_sd: np.ndarray | None  # (R,), linear family only
+    errors: list[LongicausalError | None]
+
+    @property
+    def ok(self) -> np.ndarray:
+        return np.array([e is None for e in self.errors], dtype=bool)
+
+
+def _check_shapes(X: np.ndarray, y: np.ndarray, w: np.ndarray, family: str) -> None:
+    if X.ndim != 3:
+        raise DomainError(f"a design stack must be 3-d (R, n, p), got shape {X.shape}")
+    r, n, p = X.shape
+    if y.shape != (r, n):
+        raise DomainError(f"response shape {y.shape[1:]} does not match design ({n} rows)")
     if n < p:
         raise DomainError(f"need at least as many observations as parameters (n={n}, p={p})")
-    if not np.all(np.isfinite(X)):
-        raise DomainError("design contains non-finite values")
-    if not np.all(np.isfinite(y)):
-        raise DomainError("response contains non-finite values")
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if family == "poisson" and np.any(y < 0):
-        raise DomainError("poisson responses must be non-negative")
-    if family == "logistic" and not np.all(np.isin(y, (0.0, 1.0))):
-        raise DomainError("logistic responses must be 0 or 1")
-    if weights is None:
-        w = np.ones(n)
-    else:
-        w = np.asarray(weights, dtype=float)
-        if w.shape != (n,):
-            raise DomainError(f"weights shape {w.shape} does not match design ({n} rows)")
-        if not np.all(np.isfinite(w)) or np.any(w < 0):
-            raise DomainError("weights must be finite and non-negative")
-        if not np.any(w > 0):
-            raise DomainError("at least one weight must be positive")
-    return X, y, w
+    if w.shape != (r, n):
+        raise DomainError(f"weights shape {w.shape[1:]} does not match design ({n} rows)")
 
 
-def _check_rank(X: np.ndarray, w: np.ndarray) -> None:
-    # pivoted QR on the effectively fitted matrix sqrt(w)*X
-    wx = X * np.sqrt(w)[:, None]
-    _, r, _ = scipy.linalg.qr(wx, mode="economic", pivoting=True)
-    diag = np.abs(np.diag(r))
-    if diag.size == 0 or diag[0] == 0.0 or diag[-1] < _PIVOT_RTOL * diag[0]:
-        raise SingularDesignError(
-            "design matrix is rank deficient (relative pivot below 1e-12)"
-        )
+def _value_checks(X, y, w, family):
+    """(failed, message) for each value check, `failed` an (R,) mask, in check order."""
+    checks = [
+        (~np.isfinite(X).all(axis=(1, 2)), "design contains non-finite values"),
+        (~np.isfinite(y).all(axis=1), "response contains non-finite values"),
+    ]
+    if family == "poisson":
+        checks.append(((y < 0).any(axis=1), "poisson responses must be non-negative"))
+    if family == "logistic":
+        checks.append((~np.isin(y, (0.0, 1.0)).all(axis=1), "logistic responses must be 0 or 1"))
+    checks.append((~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1), "weights must be finite and non-negative"))
+    checks.append((~(w > 0).any(axis=1), "at least one weight must be positive"))
+    return checks
+
+
+def _rank_deficient(X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+    """(R,) mask: singular-value ratio of the effectively fitted sqrt(w)*X below 1e-12.
+
+    Never looser than the pivoted-QR rule |r_pp| < 1e-12 |r_11|: pivoting
+    makes |r_11| the largest diagonal entry, sigma_max >= |r_11| and
+    sigma_min <= min |r_ii|, so sigma_min/sigma_max <= |r_pp|/|r_11|.
+    """
+    if X.shape[2] == 0:
+        return np.ones(len(X), dtype=bool)
+    wx = X if w is None else X * np.sqrt(w)[..., None]  # unit weights leave X as it is
+    s = np.linalg.svd(wx, compute_uv=False)
+    return (s[:, 0] == 0.0) | (s[:, -1] < _RANK_RTOL * s[:, 0])
+
+
+def _per_problem(fn, *args) -> tuple[np.ndarray, np.ndarray]:
+    """`fn` (np.linalg.solve or inv) over a stack; a singular problem gives NaNs and a True flag."""
+    try:
+        return fn(*args), np.zeros(len(args[0]), dtype=bool)
+    except np.linalg.LinAlgError:
+        pass
+    out = np.full(args[-1].shape, np.nan)
+    singular = np.zeros(len(args[0]), dtype=bool)
+    for i, one in enumerate(zip(*args)):
+        try:
+            out[i] = fn(*one)
+        except np.linalg.LinAlgError:
+            singular[i] = True
+    return out, singular
+
+
+def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """X @ beta for each problem (a matrix-vector product, as in the 2-d case)."""
+    return (X @ beta[..., None])[..., 0]
+
+
+def _information(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X' diag(v) X for each problem, in the order X.T @ (X * v)."""
+    return np.swapaxes(X, 1, 2) @ (X * v[..., None])
+
+
+def _solve_wls(X, wk, z) -> tuple[np.ndarray, np.ndarray]:
+    xtw = np.swapaxes(X, 1, 2) * wk[:, None, :]
+    beta, singular = _per_problem(np.linalg.solve, xtw @ X, xtw @ z[..., None])
+    return beta[..., 0], singular
 
 
 def _mu_eta(family: str, eta: np.ndarray) -> np.ndarray:
@@ -111,42 +171,129 @@ def _variance(family: str, mu: np.ndarray) -> np.ndarray:
     return np.maximum(mu * (1.0 - mu), _MU_EPS)
 
 
-def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> float:
-    if family == "linear":
-        return float(np.sum(w * (y - mu) ** 2))
+def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(R,) deviances of the poisson and logistic families; each row is summed on its own."""
     if family == "poisson":
         mu = np.maximum(mu, _MU_EPS)
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.where(y > 0, y * np.log(y / mu), 0.0)
-        return float(2.0 * np.sum(w * (term - (y - mu))))
+        return 2.0 * np.sum(w * (term - (y - mu)), axis=-1)
     mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-    return float(-2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))))
-
-
-def _log_likelihood(family: str, y, mu, w, residual_sd=None) -> float:
-    if family == "poisson":
-        mu = np.maximum(mu, _MU_EPS)
-        return float(np.sum(w * (y * np.log(mu) - mu - gammaln(y + 1.0))))
-    if family == "logistic":
-        mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-        return float(np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))))
-    sd = max(float(residual_sd), 1e-150)  # keep sd*sd a normal float
-    log_norm = -0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(sd))
-    return float(np.sum(w * (log_norm - (y - mu) ** 2 / (2.0 * sd * sd))))
-
-
-def _solve_wls(X, wk, z):
-    xtw = X.T * wk
-    try:
-        return np.linalg.solve(xtw @ X, xtw @ z)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("weighted normal equations are singular") from exc
+    return -2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)), axis=-1)
 
 
 def predict_mean(fit: FitResult, design) -> np.ndarray:
     """Fitted means for new rows, on the response scale."""
     X = np.asarray(design, dtype=float)
     return _mu_eta(fit.family, X @ fit.coefficients)
+
+
+def _flag(errors: list, problems: np.ndarray, error_type: type, message: str) -> None:
+    for i in problems:
+        if errors[i] is None:
+            errors[i] = error_type(message)
+
+
+def fit_glm_stack(
+    design,
+    response,
+    family: str,
+    weights=None,
+    *,
+    max_iter: int = 100,
+    tol: float = 1e-8,
+) -> StackFit:
+    """Fit R independent weighted GLMs by IRLS: designs (R, n, p), responses and weights (R, n).
+
+    Problem r gets the result `fit_glm(design[r], response[r], family,
+    weights[r])` would give, bit for bit, or the error it would raise in
+    `errors[r]`. Convergence, `max_iter` and `tol` are as in `fit_glm`.
+    """
+    X = np.asarray(design, dtype=float)
+    y = np.asarray(response, dtype=float)
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    _check_shapes(X, y, w, family)
+    r, _, p = X.shape
+    errors: list[LongicausalError | None] = [None] * r
+    for failed, message in _value_checks(X, y, w, family):
+        _flag(errors, np.flatnonzero(failed), DomainError, message)
+    live = np.flatnonzero([e is None for e in errors])
+    rank_bad = live[_rank_deficient(X[live], None if weights is None else w[live])]
+    _flag(errors, rank_bad, SingularDesignError, "design matrix is rank deficient (singular value ratio below 1e-12)")
+
+    # from here on only the problems that passed the checks are computed
+    live = np.flatnonzero([e is None for e in errors])
+    if len(live) < r:
+        X, y, w = X[live], y[live], w[live]
+    coefficients = np.full((r, p), np.nan)
+    model_cov = np.full((r, p, p), np.nan)
+    converged = np.zeros(r, dtype=bool)
+    iterations = np.zeros(r, dtype=int)
+    residual_sd = None
+
+    if family == "linear":
+        beta, singular = _solve_wls(X, w, y)
+        _flag(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
+        mu = _matvec(X, beta)
+        with np.errstate(invalid="ignore"):  # NaN rows of singular problems
+            sd = np.sqrt(np.sum(w * (y - mu) ** 2, axis=1) / np.sum(w, axis=1))
+        inv, singular = _per_problem(np.linalg.inv, _information(X, w))
+        _flag(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
+        coefficients[live] = beta
+        model_cov[live] = inv * (sd**2)[:, None, None]
+        converged[live] = True
+        iterations[live] = 1
+        residual_sd = np.full(r, np.nan)
+        residual_sd[live] = sd
+        return StackFit(coefficients, model_cov, converged, iterations, residual_sd, errors)
+
+    # starting values: shrink the response toward the family mean
+    if family == "poisson":
+        mu = y + 0.5
+        eta = np.log(mu)
+    else:
+        mu = (y + 0.5) / 2.0
+        eta = np.log(mu / (1.0 - mu))
+
+    beta = np.zeros((len(live), p))
+    dev = _deviance(family, y, _mu_eta(family, eta), w)
+    done = np.zeros(len(live), dtype=bool)
+    its = np.zeros(len(live), dtype=int)
+    active = np.arange(len(live))  # positions in `live` still iterating
+    for it in range(1, max_iter + 1):
+        if not active.size:
+            break
+        sel = slice(None) if active.size == len(live) else active  # views while all iterate
+        Xa, ya, wa, mua = X[sel], y[sel], w[sel], mu[sel]
+        var = _variance(family, mua)
+        wk = wa * var
+        z = eta[sel] + (ya - mua) / var
+        beta_a, singular = _solve_wls(Xa, wk, z)
+        _flag(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
+        eta_a = _matvec(Xa, beta_a)
+        mu_a = _mu_eta(family, eta_a)
+        if family == "logistic":
+            mu_a = np.clip(mu_a, _MU_EPS, 1.0 - _MU_EPS)
+        with np.errstate(invalid="ignore"):  # NaN rows of singular problems
+            new_dev = _deviance(family, ya, mu_a, wa)
+            now_done = np.abs(new_dev - dev[sel]) / (np.abs(dev[sel]) + 0.1) < tol
+        beta[sel], eta[sel], mu[sel], dev[sel] = beta_a, eta_a, mu_a, new_dev
+        its[sel] = it
+        done[active[now_done]] = True
+        active = active[~now_done & ~singular]
+
+    if family == "logistic":
+        done &= ~np.any((mu < 1e-8) | (mu > 1.0 - 1e-8), axis=1)  # separation: fitted probabilities pinned at 0/1
+
+    with np.errstate(invalid="ignore"):  # NaN rows of singular problems
+        info = _information(X, w * _variance(family, mu))
+    inv, singular = _per_problem(np.linalg.inv, info)
+    _flag(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
+    coefficients[live] = beta
+    model_cov[live] = inv
+    converged[live] = done
+    iterations[live] = its
+    return StackFit(coefficients, model_cov, converged, iterations, residual_sd, errors)
 
 
 def fit_glm(
@@ -165,69 +312,38 @@ def fit_glm(
     with converged=False and the caller decides (logistic separation shows up
     this way rather than as an error).
     """
-    X, y, w = _validate_inputs(design, response, family, weights)
-    _check_rank(X, w)
-
-    if family == "linear":
-        beta = _solve_wls(X, w, y)
-        mu = X @ beta
-        resid_sd = math.sqrt(float(np.sum(w * (y - mu) ** 2) / np.sum(w)))
-        cov = np.linalg.inv(X.T @ (X * w[:, None])) * max(resid_sd, 0.0) ** 2
-        return FitResult(
-            coefficients=beta,
-            model_cov=cov,
-            family=family,
-            converged=True,
-            iterations=1,
-            log_likelihood=_log_likelihood(family, y, mu, w, resid_sd),
-            residual_sd=resid_sd,
-        )
-
-    # starting values: shrink the response toward the family mean
-    if family == "poisson":
-        mu = y + 0.5
-        eta = np.log(mu)
-    else:
-        mu = (y + 0.5) / 2.0
-        eta = np.log(mu / (1.0 - mu))
-
-    beta = np.zeros(X.shape[1])
-    dev = _deviance(family, y, _mu_eta(family, eta), w)
-    converged = False
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        var = _variance(family, mu)
-        wk = w * var
-        z = eta + (y - mu) / var
-        beta = _solve_wls(X, wk, z)
-        eta = X @ beta
-        mu = _mu_eta(family, eta)
-        if family == "logistic":
-            mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-        new_dev = _deviance(family, y, mu, w)
-        if abs(new_dev - dev) / (abs(dev) + 0.1) < tol:
-            dev = new_dev
-            converged = True
-            break
-        dev = new_dev
-
-    if family == "logistic" and np.any((mu < 1e-8) | (mu > 1.0 - 1e-8)):
-        converged = False  # separation: fitted probabilities pinned at 0/1
-
-    info = X.T @ (X * (w * _variance(family, mu))[:, None])
-    try:
-        cov = np.linalg.inv(info)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("information matrix is singular at the estimate") from exc
-
+    X = np.asarray(design, dtype=float)
+    if X.ndim != 2:
+        raise DomainError(f"design must be 2-d, got shape {X.shape}")
+    y = np.asarray(response, dtype=float)
+    w = None if weights is None else np.asarray(weights, dtype=float)[None]
+    fit = fit_glm_stack(X[None], y[None], family, w, max_iter=max_iter, tol=tol)
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
     return FitResult(
-        coefficients=beta,
-        model_cov=cov,
+        coefficients=fit.coefficients[0],
+        model_cov=fit.model_cov[0],
         family=family,
-        converged=converged,
-        iterations=iterations,
-        log_likelihood=_log_likelihood(family, y, mu, w),
+        converged=bool(fit.converged[0]),
+        iterations=int(fit.iterations[0]),
+        residual_sd=None if fit.residual_sd is None else float(fit.residual_sd[0]),
     )
+
+
+def sandwich_cov_stack(family: str, coefficients, design, response, weights=None) -> tuple[np.ndarray, np.ndarray]:
+    """HC0 sandwich covariance of R fits at their (R, p) coefficients.
+
+    Returns the (R, p, p) covariances and an (R,) mask of problems whose
+    bread matrix is singular (their covariance is NaN).
+    """
+    X = np.asarray(design, dtype=float)
+    y = np.asarray(response, dtype=float)
+    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    mu = _mu_eta(family, _matvec(X, np.asarray(coefficients, dtype=float)))
+    bread_inv, singular = _per_problem(np.linalg.inv, _information(X, w * _variance(family, mu)))
+    score_resid = w * (y - mu)
+    meat = _information(X, score_resid**2)
+    return bread_inv @ meat @ bread_inv, singular
 
 
 def sandwich_cov(fit: FitResult, design, response, weights=None, *, hc1: bool = False) -> np.ndarray:
@@ -237,20 +353,12 @@ def sandwich_cov(fit: FitResult, design, response, weights=None, *, hc1: bool = 
     weighted score contributions w_i*(y_i - mu_i)*x_i.
     """
     X = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
     n, p = X.shape
-    w = np.ones(n) if weights is None else np.asarray(weights, dtype=float)
-    mu = predict_mean(fit, X)
-
-    bread = X.T @ (X * (w * _variance(fit.family, mu))[:, None])
-    try:
-        bread_inv = np.linalg.inv(bread)
-    except np.linalg.LinAlgError as exc:
-        raise SingularDesignError("bread matrix is singular") from exc
-
-    score_resid = w * (y - mu)
-    meat = X.T @ (X * (score_resid**2)[:, None])
-    cov = bread_inv @ meat @ bread_inv
+    w = None if weights is None else np.asarray(weights, dtype=float)[None]
+    cov, singular = sandwich_cov_stack(fit.family, fit.coefficients[None], X[None], np.asarray(response)[None], w)
+    if singular[0]:
+        raise SingularDesignError("bread matrix is singular")
+    cov = cov[0]
     if hc1:
         if n <= p:
             raise DomainError("HC1 scaling requires n > p")

@@ -25,7 +25,7 @@ from .exceptions import (
     PositivityError,
     WeightError,
 )
-from .glm import FitResult, fit_glm
+from .glm import FitResult, fit_glm, fit_glm_stack
 from .panel import DEFAULT_BINARIZE_THRESHOLD_BBL, PanelDataset, binarize_treatment
 
 _POSITIVITY_EPS = 1e-8
@@ -64,27 +64,34 @@ class BinaryAteResult(NamedTuple):
     control_mean: float
 
 
-def _lagged_rows(data: PanelDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+def _lagged_rows(a, l, a0=None, l0=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Pooled (response, lag treatment, lag confounder) rows, unit-major.
 
-    Returns flattened arrays of shape (N*T,) where T is the number of modeled
-    periods, plus the modeled period indices (1-based).
+    Takes (..., N, K) histories and, when there is a baseline period, the
+    (..., N) baselines A0/L0; a leading block axis of replicates passes
+    through. Returns arrays of shape (..., N*T), where T is the number of
+    modeled periods, plus the modeled period indices (1-based).
     """
-    a = data.treatment_matrix()
-    l = data.confounder_matrix()
-    if data.has_baseline:
-        lag_a = np.column_stack([data.baseline_treatment_vector(), a[:, :-1]])
-        lag_l = np.column_stack([data.baseline_confounder_vector(), l[:, :-1]])
+    k = a.shape[-1]
+    if a0 is not None:
+        lag_a = np.concatenate([a0[..., None], a[..., :-1]], axis=-1)
+        lag_l = np.concatenate([l0[..., None], l[..., :-1]], axis=-1)
         resp = a
-        periods = tuple(range(1, data.n_periods + 1))
+        periods = tuple(range(1, k + 1))
     else:
-        if data.n_periods < 2:
+        if k < 2:
             raise DomainError("weight models need a baseline period or K >= 2")
-        lag_a = a[:, :-1]
-        lag_l = l[:, :-1]
-        resp = a[:, 1:]
-        periods = tuple(range(2, data.n_periods + 1))
-    return resp.ravel(), lag_a.ravel(), lag_l.ravel(), periods
+        lag_a = a[..., :-1]
+        lag_l = l[..., :-1]
+        resp = a[..., 1:]
+        periods = tuple(range(2, k + 1))
+    resp, lag_a, lag_l = (x.reshape(x.shape[:-2] + (-1,)) for x in (resp, lag_a, lag_l))
+    return resp, lag_a, lag_l, periods
+
+
+def _dataset_rows(data: PanelDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    baselines = (data.baseline_treatment_vector(), data.baseline_confounder_vector()) if data.has_baseline else ()
+    return _lagged_rows(data.treatment_matrix(), data.confounder_matrix(), *baselines)
 
 
 def _build_design(terms: Sequence[str], lag_a: np.ndarray, lag_l: np.ndarray) -> np.ndarray:
@@ -98,7 +105,7 @@ def _build_design(terms: Sequence[str], lag_a: np.ndarray, lag_l: np.ndarray) ->
             cols.append(lag_l)
         else:
             raise DomainError(f"unknown design term {term!r}")
-    return np.column_stack(cols)
+    return np.stack(cols, axis=-1)
 
 
 def _drop_constant(terms: tuple[str, ...], lag_a: np.ndarray, lag_l: np.ndarray) -> tuple[str, ...]:
@@ -119,7 +126,7 @@ def fit_treatment_models(data: PanelDataset) -> TreatmentModels:
     Both are pooled across units and modeled periods and fitted as Gaussian
     linear models whose MLE residual sd feeds the density ratio.
     """
-    resp, lag_a, lag_l, periods = _lagged_rows(data)
+    resp, lag_a, lag_l, periods = _dataset_rows(data)
     num_terms = _drop_constant(NUMERATOR_TERMS, lag_a, lag_l)
     den_terms = _drop_constant(DENOMINATOR_TERMS, lag_a, lag_l)
     if len(resp) < len(den_terms) + 2:
@@ -137,9 +144,35 @@ def fit_treatment_models(data: PanelDataset) -> TreatmentModels:
     )
 
 
-def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, sd: float) -> np.ndarray:
-    log_norm = -0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(sd))
+def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, sd) -> np.ndarray:
+    """log N(x; mean, sd^2) with `sd` a float, or one sd per replicate of a leading block axis.
+
+    log(sd) is the scalar libm log of each sd, so a replicate's densities do
+    not depend on the block it is evaluated in.
+    """
+    sd = np.asarray(sd, dtype=float)[..., None]
+    log_norm = np.reshape([-0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(s)) for s in sd.ravel()], sd.shape)
     return log_norm - (x - mean) ** 2 / (2.0 * sd * sd)
+
+
+def _sd_floor(resp: np.ndarray):
+    # a residual sd at rounding-error scale means the model fit the treatment
+    # path exactly; the density ratio is undefined there
+    return 1e-10 * np.maximum(1.0, np.std(resp, axis=-1))
+
+
+def _log_factors(resp, numerator, denominator) -> np.ndarray:
+    """log phi_num/phi_den for each row of `_lagged_rows`.
+
+    Each model is (design, coefficients, residual_sd); with a leading block
+    axis, coefficients are (R, p) and residual_sd is (R,).
+    """
+
+    def logpdf(design, coefficients, sd):
+        return _gaussian_logpdf(resp, (design @ coefficients[..., None])[..., 0], sd)
+
+    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked by the callers
+        return logpdf(*numerator) - logpdf(*denominator)
 
 
 def stabilized_weights(
@@ -157,10 +190,8 @@ def stabilized_weights(
     if models is None:
         models = fit_treatment_models(data)
 
-    resp, lag_a, lag_l, periods = _lagged_rows(data)
-    # a residual sd at rounding-error scale means the model fit the treatment
-    # path exactly; the density ratio is undefined there
-    sd_floor = 1e-10 * max(1.0, float(np.std(resp)))
+    resp, lag_a, lag_l, periods = _dataset_rows(data)
+    sd_floor = _sd_floor(resp)
     for label, fit in (("numerator", models.numerator), ("denominator", models.denominator)):
         if fit.residual_sd is None or fit.residual_sd <= sd_floor:
             raise DegenerateVarianceError(
@@ -170,13 +201,12 @@ def stabilized_weights(
     n_units = data.n_units
     n_t = len(periods)
 
-    num_mean = _build_design(models.numerator_terms, lag_a, lag_l) @ models.numerator.coefficients
-    den_mean = _build_design(models.denominator_terms, lag_a, lag_l) @ models.denominator.coefficients
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-        log_factors = _gaussian_logpdf(resp, num_mean, models.numerator.residual_sd) - _gaussian_logpdf(
-            resp, den_mean, models.denominator.residual_sd
-        )
-    log_factors = log_factors.reshape(n_units, n_t)
+    num, den = models.numerator, models.denominator
+    log_factors = _log_factors(
+        resp,
+        (_build_design(models.numerator_terms, lag_a, lag_l), num.coefficients, num.residual_sd),
+        (_build_design(models.denominator_terms, lag_a, lag_l), den.coefficients, den.residual_sd),
+    ).reshape(n_units, n_t)
 
     bad = ~np.isfinite(log_factors)
     if np.any(bad):
@@ -209,6 +239,48 @@ def stabilized_weights(
         truncation=truncation,
         truncation_percentile=truncate_percentile,
     )
+
+
+def stabilized_weights_stack(a, l, a0, l0) -> tuple[np.ndarray, np.ndarray]:
+    """Stabilized weights of R replicates at once, without truncation.
+
+    Takes (R, N, K) histories and (R, N) baselines. Returns (R, N) weights
+    and an (R,) mask: where it is True, the row is bit-identical to
+    `stabilized_weights` of that replicate's dataset. Where it is False
+    (row NaN), that call raises or drops a constant lag column, and the
+    replicate needs the per-dataset path.
+    """
+    resp, lag_a, lag_l, periods = _lagged_rows(a, l, a0, l0)
+    r, n_units = a.shape[:2]
+    weights = np.full((r, n_units), np.nan)
+    if resp.shape[-1] < len(DENOMINATOR_TERMS) + 2:
+        return weights, np.zeros(r, dtype=bool)
+    num_design = _build_design(NUMERATOR_TERMS, lag_a, lag_l)
+    den_design = _build_design(DENOMINATOR_TERMS, lag_a, lag_l)
+    numerator = fit_glm_stack(num_design, resp, "linear")
+    denominator = fit_glm_stack(den_design, resp, "linear")
+    floor = _sd_floor(resp)
+    ok = (
+        numerator.ok
+        & denominator.ok
+        & (np.ptp(lag_a, axis=-1) > 0.0)
+        & (np.ptp(lag_l, axis=-1) > 0.0)
+        & (numerator.residual_sd > floor)
+        & (denominator.residual_sd > floor)
+    )
+    keep = np.flatnonzero(ok)
+    rows = slice(None) if keep.size == r else keep  # a view, not a copy, when all are kept
+    log_factors = _log_factors(
+        resp[rows],
+        (num_design[rows], numerator.coefficients[rows], numerator.residual_sd[rows]),
+        (den_design[rows], denominator.coefficients[rows], denominator.residual_sd[rows]),
+    ).reshape(len(keep), n_units, len(periods))
+    with np.errstate(over="ignore"):  # finiteness checked below
+        per_unit = np.exp(log_factors.sum(axis=-1))
+    finite = np.isfinite(log_factors).all(axis=(1, 2)) & np.isfinite(per_unit).all(axis=1)
+    weights[keep[finite]] = per_unit[finite]
+    ok[keep[~finite]] = False
+    return weights, ok
 
 
 def iter_weight_rows(data: PanelDataset, weights: WeightSet) -> Iterator[tuple[str | int, int, float, float]]:

@@ -15,6 +15,14 @@ Negative A(t) draws are kept as-is (the process has no floor). The Monte
 Carlo harness derives one counter-based Philox stream per replicate from
 (master_seed, replicate index), so results are independent of execution
 order and of the degree of parallelism.
+
+Replicates are fitted in fixed blocks of consecutive indices, about
+BLOCK_ROWS pooled treatment-model rows each. Each replicate is generated on
+its own stream; then the block's weight models and outcome fits run as
+stacks through the GLM kernel. A replicate the stacks cannot carry (an
+error, a non-converged fit, a dropped constant column) is re-run on its own
+by `_run_replicate`, which gives the same numbers or the same audited error
+as before, so results do not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -26,14 +34,18 @@ from typing import Iterator
 
 import numpy as np
 
-from .estimators import CI_MULTIPLIER, ESTIMATOR_NAMES, adjusted_poisson, msm_iptw, naive_poisson
+from .estimators import CI_MULTIPLIER, ESTIMATOR_NAMES, adjusted_poisson, estimate_stack, msm_iptw, naive_poisson
 from .exceptions import DomainError, LongicausalError, SimulationError
-from .iptw import stabilized_weights
+from .iptw import stabilized_weights, stabilized_weights_stack
 from .panel import PanelDataset
 
 _MAX_LOG_MEAN = 700.0
 _SEED_LIMIT = 2**64
 FAILURE_BUDGET = 0.01
+# pooled treatment-model rows (N*K per replicate) fitted together: a block is
+# BLOCK_ROWS // (N*K) consecutive replicates, at least one, so its memory is
+# bounded and its boundaries depend only on the configuration
+BLOCK_ROWS = 25_000
 
 
 @dataclass(frozen=True)
@@ -183,6 +195,38 @@ def _run_replicate(config: SimulationConfig, replicate: int):
         return replicate, f"{type(exc).__name__}: {exc}"
 
 
+def _run_block(config: SimulationConfig, replicates: range) -> list[tuple[int, dict | str]]:
+    """`_run_replicate` of each replicate in `replicates`, with the fits done as stacks."""
+    generated = []
+    for rep in replicates:
+        try:
+            generated.append((rep, generate_dataset(config, replicate_seed(config.master_seed, rep))))
+        except LongicausalError:
+            pass  # re-run below, which reports the error
+    payloads: dict[int, dict] = {}
+    if generated:
+        reps, datasets = zip(*generated)
+
+        def stack(accessor):
+            return np.stack([accessor(d) for d in datasets])
+
+        weights, ok = stabilized_weights_stack(
+            stack(PanelDataset.treatment_matrix),
+            stack(PanelDataset.confounder_matrix),
+            stack(PanelDataset.baseline_treatment_vector),
+            stack(PanelDataset.baseline_confounder_vector),
+        )
+        estimates, fitted = estimate_stack(
+            stack(PanelDataset.cum_treatment_vector),
+            stack(PanelDataset.cum_confounder_vector),
+            stack(PanelDataset.outcome_vector),
+            weights,
+        )
+        for j in np.flatnonzero(ok & fitted):
+            payloads[reps[j]] = {name: (float(b[j]), float(se[j])) for name, (b, se) in estimates.items()}
+    return [(rep, payloads[rep]) if rep in payloads else _run_replicate(config, rep) for rep in replicates]
+
+
 def _resolve_threads(threads: int | None) -> int:
     if threads is None:
         threads = int(os.environ.get("LONGICAUSAL_THREADS", "1"))
@@ -197,14 +241,15 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
     performed in replicate-index order regardless of `threads`.
     """
     m = config.n_replicates
-    threads = min(_resolve_threads(threads), m)
+    size = max(1, BLOCK_ROWS // (config.n_units * config.n_periods))
+    blocks = [range(i, min(i + size, m)) for i in range(0, m, size)]
+    threads = min(_resolve_threads(threads), len(blocks))
 
     if threads == 1:
-        results = [_run_replicate(config, i) for i in range(m)]
+        results = [r for block in blocks for r in _run_block(config, block)]
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            chunk = max(1, m // (threads * 8))
-            results = list(pool.map(_run_replicate, [config] * m, range(m), chunksize=chunk))
+            results = [r for out in pool.map(_run_block, [config] * len(blocks), blocks) for r in out]
 
     failed: list[tuple[int, str]] = []
     kept: list[tuple[int, dict]] = []

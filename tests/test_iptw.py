@@ -46,7 +46,6 @@ def intercept_only_model(mean, sd):
         family="linear",
         converged=True,
         iterations=1,
-        log_likelihood=0.0,
         residual_sd=sd,
     )
 

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+import longicausal.simulate as sim
 from longicausal.exceptions import DomainError, SimulationError
+from longicausal.panel import PanelDataset
 from longicausal.simulate import (
     DgpParams,
     SimulationConfig,
@@ -104,20 +106,18 @@ class TestMonteCarlo:
             run_monte_carlo(cfg)
 
     def test_rare_failures_excluded_with_audit_trail(self, monkeypatch):
-        import longicausal.simulate as sim
+        original = sim.generate_dataset
 
-        original = sim._run_replicate
+        def flaky(config, seed):
+            if seed == replicate_seed(config.master_seed, 3):
+                raise DomainError("injected for test")
+            return original(config, seed)
 
-        def flaky(config, replicate):
-            if replicate == 3:
-                return replicate, "DomainError: injected for test"
-            return original(config, replicate)
-
-        monkeypatch.setattr(sim, "_run_replicate", flaky)
+        monkeypatch.setattr(sim, "generate_dataset", flaky)
         cfg = SimulationConfig(n_replicates=200, master_seed=77)
         s = sim.run_monte_carlo(cfg)  # 1/200 = 0.5% stays under the 1% budget
         assert s.n_failed == 1
-        assert s.failed_replicates[0][0] == 3
+        assert s.failed_replicates[0] == (3, "DomainError: injected for test")
         assert 3 not in s.replicate_indices
         for est in s.estimators.values():
             assert est.estimates.shape == (199,)
@@ -140,6 +140,118 @@ class TestMonteCarlo:
         msm = s.estimators["msm"]
         mc_se = msm.estimates.std() / np.sqrt(len(msm.estimates))
         assert abs(msm.avg_point_estimate - cfg.causal_effect) < 3 * mc_se
+
+
+def summary_arrays(s):
+    """Everything a summary reports per replicate, for exact comparison."""
+    arrays = [s.replicate_indices]
+    for e in s.estimators.values():
+        arrays += [e.estimates, e.ses, e.ci_lo, e.ci_hi]
+    return arrays
+
+
+def count_single_replicate_runs(monkeypatch):
+    """Patch `_run_replicate` to record which replicates the block engine hands to it."""
+    calls = []
+    original = sim._run_replicate
+
+    def spy(config, replicate):
+        calls.append(replicate)
+        return original(config, replicate)
+
+    monkeypatch.setattr(sim, "_run_replicate", spy)
+    return calls
+
+
+class TestBlockEngine:
+    """Stacked fits of replicate blocks against the one-replicate path."""
+
+    @pytest.mark.parametrize("n_units, n_replicates", [(50, 100), (600, 10)])
+    def test_bit_equal_to_single_replicate_path(self, monkeypatch, n_units, n_replicates):
+        cfg = SimulationConfig(n_units=n_units, n_replicates=n_replicates, master_seed=41)
+        calls = count_single_replicate_runs(monkeypatch)
+        s = sim.run_monte_carlo(cfg)
+        assert calls == []  # every replicate was carried by the stacks
+        assert s.n_failed == 0
+        for pos, rep in enumerate(s.replicate_indices):
+            _, single = sim._run_replicate(cfg, int(rep))
+            for name, (beta1, se) in single.items():
+                assert s.estimators[name].estimates[pos] == beta1
+                assert s.estimators[name].ses[pos] == se
+
+    @pytest.mark.parametrize(
+        "block, threads",
+        [(None, 1), (8, 1), (8, 2), (32, 1)],
+        ids=["default-block", "block-8", "block-8-threads-2", "block-32"],
+    )
+    def test_identical_at_any_block_size_and_thread_count(self, monkeypatch, block, threads):
+        cfg = SimulationConfig(n_units=50, n_periods=8, n_replicates=70, master_seed=5)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 1)  # one replicate per block
+        reference = summary_arrays(sim.run_monte_carlo(cfg))
+        monkeypatch.undo()
+        if block is not None:
+            monkeypatch.setattr(sim, "BLOCK_ROWS", block * cfg.n_units * cfg.n_periods)
+        s = sim.run_monte_carlo(cfg, threads=threads)
+        for got, want in zip(summary_arrays(s), reference, strict=True):
+            assert got.tobytes() == want.tobytes()
+
+    def test_failed_replicate_in_a_block_is_audited_alone(self, monkeypatch):
+        # replicate 5 gets a cumulative volume that is the same for every unit,
+        # so the naive design [1, cumA] is rank deficient; its lags still vary
+        cfg = SimulationConfig(n_units=20, n_replicates=120, master_seed=8)
+        healthy = sim.run_monte_carlo(cfg)
+        original = sim.generate_dataset
+
+        def degenerate(config, seed):
+            data = original(config, seed)
+            if seed != replicate_seed(config.master_seed, 5):
+                return data
+            a = data.treatment_matrix().copy()
+            a[:, -1] = 8000.0 - a[:, :-1].sum(axis=1)
+            return PanelDataset(
+                a, data.confounder_matrix(), data.outcome_vector(),
+                A0=data.baseline_treatment_vector(), L0=data.baseline_confounder_vector(),
+            )
+
+        monkeypatch.setattr(sim, "generate_dataset", degenerate)
+        expected = sim._run_replicate(cfg, 5)
+        assert "rank deficient" in expected[1]
+        calls = count_single_replicate_runs(monkeypatch)
+        s = sim.run_monte_carlo(cfg)  # one block of 120 replicates
+        assert calls == [5]
+        assert s.failed_replicates == (expected,)
+        keep = healthy.replicate_indices != 5
+        assert np.array_equal(s.replicate_indices, healthy.replicate_indices[keep])
+        for name, e in s.estimators.items():
+            assert e.estimates.tobytes() == healthy.estimators[name].estimates[keep].tobytes()
+            assert e.ses.tobytes() == healthy.estimators[name].ses[keep].tobytes()
+
+
+    def test_replicate_with_dropped_columns_takes_the_single_path(self, monkeypatch):
+        # replicate 2 never has L = 1: its weight models and the adjusted fit
+        # drop their constant L columns, which the stacks do not do
+        cfg = SimulationConfig(n_units=20, n_replicates=30, master_seed=8)
+        original = sim.generate_dataset
+
+        def no_confounder(config, seed):
+            data = original(config, seed)
+            if seed != replicate_seed(config.master_seed, 2):
+                return data
+            zeros = np.zeros(data.n_units)
+            return PanelDataset(
+                data.treatment_matrix(), np.zeros_like(data.confounder_matrix()), data.outcome_vector(),
+                A0=data.baseline_treatment_vector(), L0=zeros,
+            )
+
+        monkeypatch.setattr(sim, "generate_dataset", no_confounder)
+        _, single = sim._run_replicate(cfg, 2)
+        calls = count_single_replicate_runs(monkeypatch)
+        s = sim.run_monte_carlo(cfg)
+        assert calls == [2]
+        assert s.n_failed == 0
+        pos = list(s.replicate_indices).index(2)
+        for name, (beta1, se) in single.items():
+            assert (s.estimators[name].estimates[pos], s.estimators[name].ses[pos]) == (beta1, se)
 
 
 class TestOverrides:
