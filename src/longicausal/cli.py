@@ -14,7 +14,6 @@ input digests, and the tool version.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import math
@@ -44,14 +43,14 @@ from .geo import (
     load_wells_csv,
 )
 from .iptw import iter_weight_rows, stabilized_weights
-from .panel import read_panel_csv, write_panel_csv
+from .panel import read_panel_csv, write_csv, write_panel_csv
 from .simulate import DgpParams, SimulationConfig, run_monte_carlo
 
 TRUNCATION_PERCENTILE = 1.0  # --truncate-weights clips to [1st, 99th]
-
-
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+# DgpParams fields exposed as `simulate --u-levels`, `--a-threshold`, ...
+DGP_FLAGS = ("u_levels", "a_threshold", "a0_mean", "a0_sd", "a_drift", "a_l_penalty", "a_sd")
+# namespace entries that are not run parameters (--out-dir is where, not what)
+_NOT_PARAMETERS = ("command", "func", "out_dir")
 
 
 def _finite_float(text: str) -> float:
@@ -83,24 +82,25 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(
-    out_dir: Path,
-    command: str,
-    parameters: dict,
+    args: argparse.Namespace,
     inputs: list[Path],
     outputs: list[str],
     started: datetime,
     t0: float,
+    **extra,
 ) -> None:
+    """Write manifest.json: every parsed flag but --out-dir, plus `extra`."""
+    parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     manifest = {
-        "command": command,
+        "command": args.command,
         "tool_version": __version__,
-        "parameters": parameters,
+        "parameters": {**parameters, **extra},
         "input_digests": {str(p): _sha256(p) for p in inputs},
         "outputs": outputs,
         "started_utc": started.isoformat(),
         "duration_seconds": time.monotonic() - t0,
     }
-    with open(out_dir / "manifest.json", "w") as fh:
+    with open(Path(args.out_dir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -115,64 +115,26 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         n_periods=args.k,
         n_replicates=args.m,
         master_seed=args.seed,
-        dgp=DgpParams(
-            u_levels=args.u_levels,
-            a_threshold=args.a_threshold,
-            a0_mean=args.a0_mean,
-            a0_sd=args.a0_sd,
-            a_drift=args.a_drift,
-            a_l_penalty=args.a_l_penalty,
-            a_sd=args.a_sd,
-        ),
+        dgp=DgpParams(**{name: getattr(args, name) for name in DGP_FLAGS}),
     )
     summary = run_monte_carlo(config)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    with open(out_dir / "mc_summary.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["estimator", "avg_point_estimate", "avg_se", "coverage95", "n_replicates", "n_failed"])
-        for name, est in summary.estimators.items():
-            w.writerow(
-                [
-                    name,
-                    _fmt(est.avg_point_estimate),
-                    _fmt(est.avg_se),
-                    _fmt(est.coverage95),
-                    summary.n_replicates,
-                    summary.n_failed,
-                ]
-            )
-    with open(out_dir / "estimate_samples.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["replicate", "estimator", "beta1_hat", "se", "ci_lo", "ci_hi"])
-        for rep, name, beta1, se, lo, hi in summary.iter_sample_rows():
-            w.writerow([rep, name, _fmt(beta1), _fmt(se), _fmt(lo), _fmt(hi)])
-
-    _write_manifest(
-        out_dir,
-        "simulate",
-        {
-            "n": args.n,
-            "k": args.k,
-            "m": args.m,
-            "seed": args.seed,
-            "causal_effect": args.causal_effect,
-            "confounding": args.confounding,
-            "u_levels": args.u_levels,
-            "a_threshold": args.a_threshold,
-            "a0_mean": args.a0_mean,
-            "a0_sd": args.a0_sd,
-            "a_drift": args.a_drift,
-            "a_l_penalty": args.a_l_penalty,
-            "a_sd": args.a_sd,
-            "n_failed": summary.n_failed,
-        },
-        inputs=[],
-        outputs=["mc_summary.csv", "estimate_samples.csv"],
-        started=started,
-        t0=t0,
+    write_csv(
+        out_dir / "mc_summary.csv",
+        ["estimator", "avg_point_estimate", "avg_se", "coverage95", "n_replicates", "n_failed"],
+        (
+            [name, est.avg_point_estimate, est.avg_se, est.coverage95, summary.n_replicates, summary.n_failed]
+            for name, est in summary.estimators.items()
+        ),
     )
+    write_csv(
+        out_dir / "estimate_samples.csv",
+        ["replicate", "estimator", "beta1_hat", "se", "ci_lo", "ci_hi"],
+        summary.iter_sample_rows(),
+    )
+    _write_manifest(args, [], ["mc_summary.csv", "estimate_samples.csv"], started, t0, n_failed=summary.n_failed)
     return 0
 
 
@@ -225,45 +187,16 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.panel:
         write_panel_csv(data, out_dir / "panel.csv", out_dir / "panel_outcomes.csv")
         outputs += ["panel.csv", "panel_outcomes.csv"]
-    with open(out_dir / "estimates.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(REPORT_CSV_HEADER)
-        for rep in reports:
-            w.writerow(rep.to_csv_row())
-    with open(out_dir / "weights.csv", "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["unit_id", "t", "factor", "cumulative_weight"])
-        for unit_id, t, factor, cum in iter_weight_rows(data, weights):
-            w.writerow([unit_id, t, _fmt(factor), _fmt(cum)])
+    write_csv(out_dir / "estimates.csv", REPORT_CSV_HEADER, (rep.to_csv_row() for rep in reports))
+    write_csv(
+        out_dir / "weights.csv", ["unit_id", "t", "factor", "cumulative_weight"], iter_weight_rows(data, weights)
+    )
     outputs += ["estimates.csv", "weights.csv"]
 
     print("\n\n".join(rep.to_text() for rep in reports))
-
-    _write_manifest(
-        out_dir,
-        "analyze",
-        {
-            "panel": args.panel,
-            "outcomes": args.outcomes,
-            "wells": args.wells,
-            "catalog": args.catalog,
-            "clusters": args.clusters,
-            "radius_km": args.radius_km,
-            "period_months": args.period_months,
-            "mag_cut": args.mag_cut,
-            "bbox": list(args.bbox),
-            "linkage": args.linkage,
-            "truncate_weights": bool(args.truncate_weights),
-            "robust": args.robust,
-            "start": args.start,
-            "end": args.end,
-        },
-        inputs=inputs,
-        outputs=outputs,
-        started=started,
-        t0=t0,
-    )
+    _write_manifest(args, inputs, outputs, started, t0)
     return 0
+
 
 
 def cmd_baseline_gr(args: argparse.Namespace) -> int:
@@ -282,19 +215,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     sim = sub.add_parser("simulate", help="run the seeded Monte Carlo study")
-    sim.add_argument("--n", type=int, default=50, help="units per replicate")
-    sim.add_argument("--k", type=int, default=8, help="periods per unit")
-    sim.add_argument("--m", type=int, default=2000, help="replicates")
-    sim.add_argument("--seed", type=int, default=0, help="master seed")
-    sim.add_argument("--causal-effect", type=float, default=0.001)
-    sim.add_argument("--confounding", type=float, default=0.1)
-    sim.add_argument("--u-levels", type=int, default=10)
-    sim.add_argument("--a-threshold", type=float, default=1000.0)
-    sim.add_argument("--a0-mean", type=float, default=1000.0)
-    sim.add_argument("--a0-sd", type=float, default=60.0)
-    sim.add_argument("--a-drift", type=float, default=15.0)
-    sim.add_argument("--a-l-penalty", type=float, default=-55.0)
-    sim.add_argument("--a-sd", type=float, default=60.0)
+    defaults = SimulationConfig()
+    sim.add_argument("--n", type=int, default=defaults.n_units, help="units per replicate")
+    sim.add_argument("--k", type=int, default=defaults.n_periods, help="periods per unit")
+    sim.add_argument("--m", type=int, default=defaults.n_replicates, help="replicates")
+    sim.add_argument("--seed", type=int, default=defaults.master_seed, help="master seed")
+    sim.add_argument("--causal-effect", type=_finite_float, default=defaults.causal_effect)
+    sim.add_argument("--confounding", type=_finite_float, default=defaults.confounding)
+    for name in DGP_FLAGS:
+        default = getattr(defaults.dgp, name)
+        kind = int if isinstance(default, int) else _finite_float
+        sim.add_argument("--" + name.replace("_", "-"), type=kind, default=default)
     sim.add_argument("--out-dir", default=".", help="directory for output files")
     sim.set_defaults(func=cmd_simulate)
 
@@ -325,11 +256,11 @@ def build_parser() -> argparse.ArgumentParser:
     base = sub.add_parser("baseline", help="reference-model quantities")
     base_sub = base.add_subparsers(dest="baseline_command", required=True)
     gr = base_sub.add_parser("gr", help="Gutenberg-Richter rate factor")
-    gr.add_argument("--sigma", type=float, required=True, help="seismogenic index")
-    gr.add_argument("--b", type=float, required=True, help="GR slope")
-    gr.add_argument("--m", type=float, required=True, help="magnitude of completeness")
-    gr.add_argument("--a-tec", type=float, default=None, help="tectonic background term")
-    gr.add_argument("--volume", type=float, default=None, help="also print the expected count at this volume")
+    gr.add_argument("--sigma", type=_finite_float, required=True, help="seismogenic index")
+    gr.add_argument("--b", type=_finite_float, required=True, help="GR slope")
+    gr.add_argument("--m", type=_finite_float, required=True, help="magnitude of completeness")
+    gr.add_argument("--a-tec", type=_finite_float, default=None, help="tectonic background term")
+    gr.add_argument("--volume", type=_finite_float, default=None, help="also print the expected count at this volume")
     gr.set_defaults(func=cmd_baseline_gr)
 
     return parser

@@ -14,7 +14,6 @@ does not depend on the projection.
 
 from __future__ import annotations
 
-import csv
 import logging
 import math
 import re
@@ -26,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, SchemaError
-from .panel import PanelDataset, _check_header, _parse_float
+from .panel import PanelDataset, _csv_records, _parse_float
 
 logger = logging.getLogger(__name__)
 
@@ -349,36 +348,25 @@ def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> WellTab
     index: dict[str, int] = {}
     coords: list[tuple[float, float]] = []
     volumes: dict[tuple[int, int], float] = {}  # (well, month) -> bbl
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        _check_header(next(r, None), WELLS_CSV_HEADER, path)
-        for i, rec in enumerate(r, start=2):
-            if not rec:
-                continue
-            if len(rec) != 5:
-                raise SchemaError(f"expected 5 fields, got {len(rec)}", row=i)
-            wid = rec[0]
-            lon, lat = _parse_lon_lat(rec, i)
-            try:
-                year, mon = parse_month(rec[3])
-            except DomainError as exc:
-                raise SchemaError(str(exc), row=i, column="year_month") from None
-            vol = _parse_float(rec[4], i, "volume_bbl")
-            if vol < 0:
-                raise SchemaError(f"volume_bbl must be >= 0, got {vol}", row=i, column="volume_bbl")
-            w = index.setdefault(wid, len(index))
-            if w == len(coords):
-                coords.append((lon, lat))
-            elif coords[w] != (lon, lat):
-                raise SchemaError(
-                    f"well {wid!r} reported with inconsistent coordinates", row=i, column="longitude"
-                )
-            key = (w, month_index(year, mon))
-            if key in volumes:
-                raise SchemaError(
-                    f"duplicate month {month_key(year, mon)} for well {wid!r}", row=i, column="year_month"
-                )
-            volumes[key] = vol
+    for i, rec in _csv_records(path, WELLS_CSV_HEADER):
+        wid = rec[0]
+        lon, lat = _parse_lon_lat(rec, i)
+        try:
+            year, mon = parse_month(rec[3])
+        except DomainError as exc:
+            raise SchemaError(str(exc), row=i, column="year_month") from None
+        vol = _parse_float(rec[4], i, "volume_bbl")
+        if vol < 0:
+            raise SchemaError(f"volume_bbl must be >= 0, got {vol}", row=i, column="volume_bbl")
+        w = index.setdefault(wid, len(index))
+        if w == len(coords):
+            coords.append((lon, lat))
+        elif coords[w] != (lon, lat):
+            raise SchemaError(f"well {wid!r} reported with inconsistent coordinates", row=i, column="longitude")
+        key = (w, month_index(year, mon))
+        if key in volumes:
+            raise SchemaError(f"duplicate month {month_key(year, mon)} for well {wid!r}", row=i, column="year_month")
+        volumes[key] = vol
 
     ids = np.array(list(index), dtype=str)
     lons, lats = np.array(coords, dtype=float).reshape(-1, 2).T
@@ -411,20 +399,13 @@ def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> Catal
     month is the calendar month of its timestamp as written.
     """
     events: dict[str, tuple[float, float, int, float]] = {}  # id -> lon, lat, month, magnitude
-    with open(path, newline="") as fh:
-        r = csv.reader(fh)
-        _check_header(next(r, None), CATALOG_CSV_HEADER, path)
-        for i, rec in enumerate(r, start=2):
-            if not rec:
-                continue
-            if len(rec) != 5:
-                raise SchemaError(f"expected 5 fields, got {len(rec)}", row=i)
-            eid = rec[0]
-            if eid in events:
-                raise SchemaError(f"duplicate event id {eid!r}", row=i, column="event_id")
-            lon, lat = _parse_lon_lat(rec, i)
-            when = _parse_timestamp(rec[3], i)
-            events[eid] = (lon, lat, month_index(when.year, when.month), _parse_float(rec[4], i, "magnitude"))
+    for i, rec in _csv_records(path, CATALOG_CSV_HEADER):
+        eid = rec[0]
+        if eid in events:
+            raise SchemaError(f"duplicate event id {eid!r}", row=i, column="event_id")
+        lon, lat = _parse_lon_lat(rec, i)
+        when = _parse_timestamp(rec[3], i)
+        events[eid] = (lon, lat, month_index(when.year, when.month), _parse_float(rec[4], i, "magnitude"))
 
     lons, lats, months, mags = np.array(list(events.values()), dtype=float).reshape(-1, 4).T
     keep = slice(None) if bbox is None else _inside(bbox, lons, lats)

@@ -182,12 +182,6 @@ def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.n
     return -2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)), axis=-1)
 
 
-def predict_mean(fit: FitResult, design) -> np.ndarray:
-    """Fitted means for new rows, on the response scale."""
-    X = np.asarray(design, dtype=float)
-    return _mu_eta(fit.family, X @ fit.coefficients)
-
-
 def _flag(errors: list, problems: np.ndarray, error_type: type, message: str) -> None:
     for i in problems:
         if errors[i] is None:

@@ -52,10 +52,7 @@ class WeightSet:
     per_unit_weights: np.ndarray
     per_time_factors: np.ndarray
     periods: tuple[int, ...]
-    numerator_model: FitResult
-    denominator_model: FitResult
     truncation: tuple[float, float] | None = None
-    truncation_percentile: float | None = None
 
 
 class BinaryAteResult(NamedTuple):
@@ -234,10 +231,7 @@ def stabilized_weights(
         per_unit_weights=per_unit,
         per_time_factors=per_time,
         periods=periods,
-        numerator_model=models.numerator,
-        denominator_model=models.denominator,
         truncation=truncation,
-        truncation_percentile=truncate_percentile,
     )
 
 

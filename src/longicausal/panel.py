@@ -132,8 +132,12 @@ def binarize_treatment(data: PanelDataset, threshold: float = DEFAULT_BINARIZE_T
     return (data.cum_treatment_vector() >= threshold).astype(int)
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.17g}"
+def write_csv(path: str | Path, header: list[str], rows) -> None:
+    """Write `header` then `rows`; every float (np.float64 too) as 17 significant digits."""
+    with open(path, "w", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
 
 
 def write_panel_csv(dataset: PanelDataset, panel_path: str | Path, outcome_path: str | Path) -> None:
@@ -145,17 +149,16 @@ def write_panel_csv(dataset: PanelDataset, panel_path: str | Path, outcome_path:
     ids = dataset.unit_ids
     treatments = dataset.treatment_matrix().tolist()
     confounders = dataset.confounder_matrix().astype(int).tolist()
-    with open(panel_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(PANEL_CSV_HEADER)
-        for uid, a_row, l_row in zip(ids, treatments, confounders):
-            for t, (a, l) in enumerate(zip(a_row, l_row), start=1):
-                w.writerow([uid, t, _fmt(a), l])
-    with open(outcome_path, "w", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(OUTCOME_CSV_HEADER)
-        for uid, y in zip(ids, dataset.outcome_vector().astype(int).tolist()):
-            w.writerow([uid, y])
+    write_csv(
+        panel_path,
+        PANEL_CSV_HEADER,
+        (
+            (uid, t, a, l)
+            for uid, a_row, l_row in zip(ids, treatments, confounders)
+            for t, (a, l) in enumerate(zip(a_row, l_row), start=1)
+        ),
+    )
+    write_csv(outcome_path, OUTCOME_CSV_HEADER, zip(ids, dataset.outcome_vector().astype(int).tolist()))
 
 
 def _parse_float(raw: str, row: int, column: str) -> float:
@@ -175,63 +178,60 @@ def _parse_int(raw: str, row: int, column: str) -> int:
         raise SchemaError(f"expected an integer, got {raw!r}", row=row, column=column) from None
 
 
-def _check_header(actual: list[str] | None, expected: list[str], path: str | Path) -> None:
-    if actual is None or [c.strip() for c in actual] != expected:
-        raise SchemaError(
-            f"{path}: expected header {','.join(expected)}, got "
-            f"{','.join(actual) if actual else '<empty file>'}",
-            row=1,
-        )
+def _csv_records(path: str | Path, header: list[str]):
+    """Yield (file row, fields) for each non-blank data row of a CSV with `header`.
+
+    A wrong or missing header, or a row without one field per column, is a
+    SchemaError naming the file row.
+    """
+    n_fields = len(header)
+    with open(path, newline="") as fh:
+        r = csv.reader(fh)
+        actual = next(r, None)
+        if actual is None or [c.strip() for c in actual] != header:
+            raise SchemaError(
+                f"{path}: expected header {','.join(header)}, got "
+                f"{','.join(actual) if actual else '<empty file>'}",
+                row=1,
+            )
+        for i, rec in enumerate(r, start=2):
+            if not rec:
+                continue
+            if len(rec) != n_fields:
+                raise SchemaError(f"expected {n_fields} fields, got {len(rec)}", row=i)
+            yield i, rec
 
 
 def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDataset:
     """Read a dataset from the panel/outcome CSV pair, validating the schema."""
     per_unit: dict[str, dict[int, tuple[float, int]]] = {}
     order: list[str] = []
-    with open(panel_path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        _check_header(header, PANEL_CSV_HEADER, panel_path)
-        for i, rec in enumerate(r, start=2):
-            if not rec:
-                continue
-            if len(rec) != 4:
-                raise SchemaError(f"expected 4 fields, got {len(rec)}", row=i)
-            uid = rec[0]
-            period = _parse_int(rec[1], i, "period")
-            vol = _parse_float(rec[2], i, "volume_bbl")
-            quake = _parse_int(rec[3], i, "quake_indicator")
-            if period < 1:
-                raise SchemaError(f"period must be >= 1, got {period}", row=i, column="period")
-            if quake not in (0, 1):
-                raise SchemaError(f"quake_indicator must be 0 or 1, got {quake}", row=i, column="quake_indicator")
-            if uid not in per_unit:
-                per_unit[uid] = {}
-                order.append(uid)
-            if period in per_unit[uid]:
-                raise SchemaError(f"duplicate period {period} for unit {uid!r}", row=i, column="period")
-            per_unit[uid][period] = (vol, quake)
+    for i, (uid, period, vol, quake) in _csv_records(panel_path, PANEL_CSV_HEADER):
+        period = _parse_int(period, i, "period")
+        vol = _parse_float(vol, i, "volume_bbl")
+        quake = _parse_int(quake, i, "quake_indicator")
+        if period < 1:
+            raise SchemaError(f"period must be >= 1, got {period}", row=i, column="period")
+        if quake not in (0, 1):
+            raise SchemaError(f"quake_indicator must be 0 or 1, got {quake}", row=i, column="quake_indicator")
+        if uid not in per_unit:
+            per_unit[uid] = {}
+            order.append(uid)
+        if period in per_unit[uid]:
+            raise SchemaError(f"duplicate period {period} for unit {uid!r}", row=i, column="period")
+        per_unit[uid][period] = (vol, quake)
 
     if not per_unit:
         raise SchemaError(f"{panel_path}: no data rows", row=2)
 
     outcomes: dict[str, int] = {}
-    with open(outcome_path, newline="") as fh:
-        r = csv.reader(fh)
-        header = next(r, None)
-        _check_header(header, OUTCOME_CSV_HEADER, outcome_path)
-        for i, rec in enumerate(r, start=2):
-            if not rec:
-                continue
-            if len(rec) != 2:
-                raise SchemaError(f"expected 2 fields, got {len(rec)}", row=i)
-            uid = rec[0]
-            if uid in outcomes:
-                raise SchemaError(f"duplicate outcome for unit {uid!r}", row=i, column="unit_id")
-            y = _parse_int(rec[1], i, "cumulative_quakes")
-            if y < 0:
-                raise SchemaError(f"cumulative_quakes must be >= 0, got {y}", row=i, column="cumulative_quakes")
-            outcomes[uid] = y
+    for i, (uid, y) in _csv_records(outcome_path, OUTCOME_CSV_HEADER):
+        if uid in outcomes:
+            raise SchemaError(f"duplicate outcome for unit {uid!r}", row=i, column="unit_id")
+        y = _parse_int(y, i, "cumulative_quakes")
+        if y < 0:
+            raise SchemaError(f"cumulative_quakes must be >= 0, got {y}", row=i, column="cumulative_quakes")
+        outcomes[uid] = y
 
     missing = [u for u in order if u not in outcomes]
     if missing:

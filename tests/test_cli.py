@@ -13,9 +13,33 @@ import pytest
 
 import longicausal.cli
 from longicausal.cli import main
+from longicausal.exceptions import SimulationError
 from longicausal.panel import write_panel_csv
+from longicausal.simulate import DgpParams, SimulationConfig
 
 from conftest import make_dataset
+
+SIMULATE_FLOAT_FLAGS = [
+    "--causal-effect", "--confounding", "--a-threshold", "--a0-mean", "--a0-sd", "--a-drift", "--a-l-penalty",
+    "--a-sd",
+]
+GR_ARGV = ["baseline", "gr", "--sigma", "-0.47", "--b", "1.41", "--m", "3", "--a-tec", "0", "--volume", "1e6"]
+DEFAULT_ANALYZE_PARAMETERS = {
+    "panel": None,
+    "outcomes": None,
+    "wells": None,
+    "catalog": None,
+    "clusters": 30,
+    "radius_km": 15.0,
+    "period_months": 4,
+    "mag_cut": 2.5,
+    "bbox": [32.07, 33.68, -98.38, -96.74],
+    "linkage": "ward",
+    "truncate_weights": False,
+    "robust": "HC0",
+    "start": "2013-12",
+    "end": "2016-03",
+}
 
 
 def read_csv(path):
@@ -51,6 +75,14 @@ class TestBaselineGr:
         code = main(["baseline", "gr", "--sigma", "-0.47", "--b", "1.41", "--m", "3", "--volume", "1e6"])
         assert code == 1
 
+    @pytest.mark.parametrize("flag", ["--sigma", "--b", "--m", "--a-tec", "--volume"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_exit_2(self, capsys, flag, value):
+        assert main(GR_ARGV + [f"{flag}={value}"]) == 2
+        captured = capsys.readouterr()
+        assert flag in captured.err
+        assert captured.out == ""
+
 
 class TestSimulateCommand:
     def run_small(self, out_dir, seed="7"):
@@ -69,8 +101,57 @@ class TestSimulateCommand:
         assert len(samples) == 1 + 3 * 3
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert manifest["command"] == "simulate"
-        assert manifest["parameters"]["m"] == 3
+        assert manifest["parameters"] == {
+            "n": 12,
+            "k": 4,
+            "m": 3,
+            "seed": 7,
+            "causal_effect": 0.001,
+            "confounding": 0.1,
+            "u_levels": 10,
+            "a_threshold": 1000.0,
+            "a0_mean": 1000.0,
+            "a0_sd": 60.0,
+            "a_drift": 15.0,
+            "a_l_penalty": -55.0,
+            "a_sd": 60.0,
+            "n_failed": 0,
+        }
         assert manifest["tool_version"]
+
+    def test_every_flag_reaches_the_config(self, tmp_path, monkeypatch):
+        seen = []
+
+        def capture(config):
+            seen.append(config)
+            raise SimulationError("captured")
+
+        monkeypatch.setattr(longicausal.cli, "run_monte_carlo", capture)
+        argv = ["simulate", "--n", "17", "--k", "5", "--m", "9", "--seed", "42", "--causal-effect", "0.002",
+                "--confounding", "0.3", "--u-levels", "7", "--a-threshold", "900.5", "--a0-mean", "950.25",
+                "--a0-sd", "40.5", "--a-drift", "12.5", "--a-l-penalty", "-30.5", "--a-sd", "45.5",
+                "--out-dir", str(tmp_path / "run")]
+        assert main(argv) == 1
+        dgp = DgpParams(u_levels=7, a_threshold=900.5, a0_mean=950.25, a0_sd=40.5, a_drift=12.5,
+                        a_l_penalty=-30.5, a_sd=45.5)
+        want = SimulationConfig(causal_effect=0.002, confounding=0.3, n_units=17, n_periods=5, n_replicates=9,
+                                master_seed=42, dgp=dgp)
+        assert seen == [want]
+        # every value differs from its default, so a dropped flag would show
+        default = SimulationConfig()
+        for name in ("causal_effect", "confounding", "n_units", "n_periods", "n_replicates", "master_seed"):
+            assert getattr(want, name) != getattr(default, name), name
+        for name in longicausal.cli.DGP_FLAGS:
+            assert getattr(dgp, name) != getattr(default.dgp, name), name
+
+    @pytest.mark.parametrize("flag", SIMULATE_FLOAT_FLAGS)
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_float_flag_exit_2_writes_nothing(self, tmp_path, capsys, flag, value):
+        out = tmp_path / "run"
+        code = main(["simulate", "--n", "12", "--k", "4", "--m", "2", f"{flag}={value}", "--out-dir", str(out)])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not out.exists()
 
     def test_seeded_reproducibility(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
@@ -126,6 +207,9 @@ class TestAnalyzeCommand:
         digest = "sha256:" + hashlib.sha256(wells_path.read_bytes()).hexdigest()
         assert manifest["input_digests"][str(wells_path)] == digest
         assert manifest["outputs"] == ["panel.csv", "panel_outcomes.csv", "estimates.csv", "weights.csv"]
+        assert manifest["parameters"] == {
+            **DEFAULT_ANALYZE_PARAMETERS, "wells": str(wells_path), "catalog": str(catalog_path)
+        }
 
     def test_rerun_is_bit_identical(self, tmp_path, corpus_csvs):
         wells_path, catalog_path = corpus_csvs
@@ -197,6 +281,34 @@ class TestAnalyzeCommand:
         assert code == 0
         assert len(read_csv(out / "estimates.csv")) == 4
         assert not (out / "panel.csv").exists()
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"] == {
+            **DEFAULT_ANALYZE_PARAMETERS, "panel": str(tmp_path / "p.csv"), "outcomes": str(tmp_path / "y.csv")
+        }
+
+        flags = ["--robust", "HC1", "--truncate-weights", "--bbox", "32,34,-99,-96", "--clusters", "5",
+                 "--radius-km", "9.5", "--period-months", "2", "--mag-cut", "3", "--linkage", "single",
+                 "--start", "2014-01", "--end", "2015-12"]
+        code = main(["analyze", "--panel", str(tmp_path / "p.csv"), "--outcomes", str(tmp_path / "y.csv"),
+                     *flags, "--out-dir", str(out)])
+        assert code == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert manifest["parameters"] == {
+            "panel": str(tmp_path / "p.csv"),
+            "outcomes": str(tmp_path / "y.csv"),
+            "wells": None,
+            "catalog": None,
+            "clusters": 5,
+            "radius_km": 9.5,
+            "period_months": 2,
+            "mag_cut": 3.0,
+            "bbox": [32.0, 34.0, -99.0, -96.0],
+            "linkage": "single",
+            "truncate_weights": True,
+            "robust": "HC1",
+            "start": "2014-01",
+            "end": "2015-12",
+        }
 
     def test_requires_exactly_one_input_mode(self, tmp_path, corpus_csvs, capsys):
         wells_path, catalog_path = corpus_csvs

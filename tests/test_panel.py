@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from longicausal.exceptions import DomainError, PanelError, SchemaError
 from longicausal.panel import (
+    OUTCOME_CSV_HEADER,
+    PANEL_CSV_HEADER,
     PanelDataset,
     binarize_treatment,
     read_panel_csv,
@@ -14,6 +16,40 @@ from longicausal.panel import (
 )
 
 from conftest import make_dataset
+
+PANEL_HEADER = ",".join(PANEL_CSV_HEADER) + "\n"
+OUTCOME_HEADER = ",".join(OUTCOME_CSV_HEADER) + "\n"
+GOOD_PANEL = PANEL_HEADER + "a,1,5,0\nb,1,6,1\n"
+GOOD_OUTCOMES = OUTCOME_HEADER + "a,1\nb,0\n"
+
+# (panel file, outcome file, row, column, message); None is the valid file
+PANEL_CSV_ERRORS = [
+    pytest.param(PANEL_HEADER + "a,1,5\n", None, 2, None, "expected 4 fields, got 3", id="panel-field-count"),
+    pytest.param("unit,period,volume,quake\na,1,5,0\n", None, 1, None, "expected header", id="panel-header"),
+    pytest.param("", None, 1, None, "<empty file>", id="panel-empty-file"),
+    pytest.param(PANEL_HEADER + "a,1,5,0\n\nb,1,x,0\n", None, 4, "volume_bbl", "expected a number",
+                 id="panel-after-blank-line"),
+    pytest.param(PANEL_HEADER + "a,1,5,0\na,1,6,0\n", None, 3, "period", "duplicate period 1 for unit 'a'",
+                 id="duplicate-period"),
+    pytest.param(PANEL_HEADER + "a,0,5,0\n", None, 2, "period", "period must be >= 1", id="period-below-1"),
+    pytest.param(PANEL_HEADER + "a,1,5,2\n", None, 2, "quake_indicator", "must be 0 or 1",
+                 id="quake-not-binary"),
+    pytest.param(PANEL_HEADER, None, 2, None, "no data rows", id="no-data-rows"),
+    pytest.param(PANEL_HEADER + "\n\n", None, 2, None, "no data rows", id="blank-rows-only"),
+    pytest.param(None, OUTCOME_HEADER + "a,1,2\n", 2, None, "expected 2 fields, got 3", id="outcome-field-count"),
+    pytest.param(None, "unit_id,quakes\na,1\n", 1, None, "expected header", id="outcome-header"),
+    pytest.param(None, "", 1, None, "<empty file>", id="outcome-empty-file"),
+    pytest.param(None, OUTCOME_HEADER + "a,1\n\nb,x\n", 4, "cumulative_quakes", "expected an integer",
+                 id="outcome-after-blank-line"),
+    pytest.param(None, OUTCOME_HEADER + "a,1\na,2\nb,0\n", 3, "unit_id", "duplicate outcome for unit 'a'",
+                 id="duplicate-outcome"),
+    pytest.param(None, OUTCOME_HEADER + "a,-1\nb,0\n", 2, "cumulative_quakes", "must be >= 0",
+                 id="negative-outcome"),
+    pytest.param(None, OUTCOME_HEADER + "a,1\n", None, "unit_id", r"missing outcome for units \['b'\]",
+                 id="missing-unit"),
+    pytest.param(None, GOOD_OUTCOMES + "c,3\n", None, "unit_id", r"outcomes for unknown units \['c'\]",
+                 id="unknown-unit"),
+]
 
 
 def cum_treatment(treatments) -> float:
@@ -200,6 +236,14 @@ class TestPanelCsv:
         (tmp_path / "y.csv").write_text("unit_id,cumulative_quakes\nb,1\n")
         with pytest.raises(SchemaError):
             read_panel_csv(tmp_path / "p.csv", tmp_path / "y.csv")
+
+    @pytest.mark.parametrize("panel, outcomes, row, column, match", PANEL_CSV_ERRORS)
+    def test_schema_errors(self, tmp_path, panel, outcomes, row, column, match):
+        (tmp_path / "p.csv").write_text(GOOD_PANEL if panel is None else panel)
+        (tmp_path / "y.csv").write_text(GOOD_OUTCOMES if outcomes is None else outcomes)
+        with pytest.raises(SchemaError, match=match) as exc:
+            read_panel_csv(tmp_path / "p.csv", tmp_path / "y.csv")
+        assert (exc.value.row, exc.value.column) == (row, column)
 
     def test_unequal_horizons_fail(self, tmp_path):
         (tmp_path / "p.csv").write_text(
