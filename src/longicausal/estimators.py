@@ -52,17 +52,17 @@ class EstimatorReport:
     intercept: float
     converged: bool
 
-    def to_csv_row(self) -> list[str]:
-        fmt = "{:.17g}".format
+    def to_csv_row(self) -> list:
+        """The REPORT_CSV_HEADER fields; `panel.write_csv` formats the floats."""
         return [
             self.estimator,
-            fmt(self.beta1_hat),
-            fmt(self.se),
-            fmt(self.ci95[0]),
-            fmt(self.ci95[1]),
-            fmt(self.relative_risk_per_MMbbl),
-            fmt(self.z),
-            fmt(self.p),
+            self.beta1_hat,
+            self.se,
+            self.ci95[0],
+            self.ci95[1],
+            self.relative_risk_per_MMbbl,
+            self.z,
+            self.p,
         ]
 
     def to_text(self) -> str:
@@ -170,8 +170,13 @@ def estimate_stack(cum_a, cum_l, y, sw) -> tuple[dict[str, tuple[np.ndarray, np.
     needs the per-dataset path.
     """
     design = _outcome_design(cum_a)
+    adjusted_design = _outcome_design(cum_a, cum_l)
+    r, n, p = adjusted_design.shape
+    if n < p:  # fit_glm_stack would reject the whole block; the per-dataset path drops or reports
+        nan = np.full(r, np.nan)
+        return dict.fromkeys(ESTIMATOR_NAMES, (nan, nan)), np.zeros(r, dtype=bool)
     naive = fit_glm_stack(design, y, "poisson")
-    adjusted = fit_glm_stack(_outcome_design(cum_a, cum_l), y, "poisson")
+    adjusted = fit_glm_stack(adjusted_design, y, "poisson")
     msm = fit_glm_stack(design, y, "poisson", sw)
     fits = (naive, adjusted, msm)
     ok = np.ptp(cum_l, axis=-1) > 0.0

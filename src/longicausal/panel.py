@@ -179,7 +179,7 @@ def _parse_int(raw: str, row: int, column: str) -> int:
 
 
 def _csv_records(path: str | Path, header: list[str]):
-    """Yield (file row, fields) for each non-blank data row of a CSV with `header`.
+    """Yield (first file line, fields) for each non-blank data record of a CSV with `header`.
 
     A wrong or missing header, or a row without one field per column, is a
     SchemaError naming the file row.
@@ -194,12 +194,13 @@ def _csv_records(path: str | Path, header: list[str]):
                 f"{','.join(actual) if actual else '<empty file>'}",
                 row=1,
             )
-        for i, rec in enumerate(r, start=2):
-            if not rec:
-                continue
-            if len(rec) != n_fields:
-                raise SchemaError(f"expected {n_fields} fields, got {len(rec)}", row=i)
-            yield i, rec
+        row = r.line_num + 1  # a quoted field can span lines, so count lines, not records
+        for rec in r:
+            if rec:
+                if len(rec) != n_fields:
+                    raise SchemaError(f"expected {n_fields} fields, got {len(rec)}", row=row)
+                yield row, rec
+            row = r.line_num + 1
 
 
 def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDataset:

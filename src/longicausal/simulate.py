@@ -16,13 +16,16 @@ Carlo harness derives one counter-based Philox stream per replicate from
 (master_seed, replicate index), so results are independent of execution
 order and of the degree of parallelism.
 
-Replicates are fitted in fixed blocks of consecutive indices, about
-BLOCK_ROWS pooled treatment-model rows each. Each replicate is generated on
-its own stream; then the block's weight models and outcome fits run as
-stacks through the GLM kernel. A replicate the stacks cannot carry (an
-error, a non-converged fit, a dropped constant column) is re-run on its own
-by `_run_replicate`, which gives the same numbers or the same audited error
-as before, so results do not depend on the block size either.
+Replicates run in fixed blocks of consecutive indices, about BLOCK_ROWS
+pooled treatment-model rows each. A block is generated as one stack
+(`_generate_stack`): each replicate keeps its own stream and draw order,
+and the recursion runs over the whole block, so every replicate is
+bit-identical to `generate_dataset` of it alone, which is the one-replicate
+call of the same generator. The block's weight models and outcome fits then
+run as stacks through the GLM kernel. A replicate the stacks cannot carry
+(an error, a non-converged fit, a dropped constant column) is re-run on its
+own by `_run_replicate`, which gives the same numbers or the same audited
+error, so results do not depend on the block size either.
 """
 
 from __future__ import annotations
@@ -39,7 +42,8 @@ from .exceptions import DomainError, LongicausalError, SimulationError
 from .iptw import stabilized_weights, stabilized_weights_stack
 from .panel import PanelDataset
 
-_MAX_LOG_MEAN = 700.0
+# the largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX)
+_MAX_POISSON_MEAN = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 _SEED_LIMIT = 2**64
 FAILURE_BUDGET = 0.01
 # pooled treatment-model rows (N*K per replicate) fitted together: a block is
@@ -101,38 +105,58 @@ def _expit(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-x))
 
 
-def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelDataset:
-    """One replicate's panel. Same (config, seed) gives bit-identical output."""
+def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
+    """The replicates of `seeds` at once: (A, L, Y, A0, L0, log_mean).
+
+    A and L are (R, N, K); Y, A0, L0 and the Poisson log means are (R, N).
+    Each seed draws from its own Philox stream in the one-replicate order
+    (U, then a normal and a uniform vector per period 0..K, then Y), and the
+    recursion runs elementwise over all R rows with the same operations as
+    `Generator.normal` (loc + scale*z), so row j is bit-identical whatever
+    the other seeds are. Y is drawn only for rows whose means
+    `Generator.poisson` accepts; the others are NaN.
+    """
     g = config.dgp
     n, k = config.n_units, config.n_periods
-    rng = np.random.Generator(np.random.Philox(key=replicate_seed))
+    rngs = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
+    u = np.array([rng.integers(1, g.u_levels + 1, size=n) for rng in rngs], dtype=float)
+    z = np.empty((k + 1, len(rngs), n))
+    v = np.empty_like(z)
+    for j, rng in enumerate(rngs):
+        for t in range(k + 1):
+            rng.standard_normal(out=z[t, j])
+            rng.random(out=v[t, j])
 
-    u = rng.integers(1, g.u_levels + 1, size=n).astype(float)
-    a_prev = rng.normal(g.a0_mean, g.a0_sd, size=n)
-    a0 = a_prev
-    p_l = _expit(g.l_logit_u_coef * u + g.l_logit_a_coef * (a_prev > g.a_threshold))
-    l_prev = (rng.random(n) < p_l).astype(float)
-    l0 = l_prev
+    a = np.empty_like(z)
+    l = np.empty_like(z)
+    for t in range(k + 1):
+        if t == 0:
+            loc, scale = g.a0_mean, g.a0_sd
+        else:
+            loc, scale = a[t - 1] + g.a_l_penalty * l[t - 1] + g.a_drift, g.a_sd
+        a[t] = loc + scale * z[t]
+        l[t] = v[t] < _expit(g.l_logit_u_coef * u + g.l_logit_a_coef * (a[t] > g.a_threshold))
+    a0, l0 = a[0], l[0]
+    a, l = (np.ascontiguousarray(x[1:].transpose(1, 2, 0)) for x in (a, l))
 
-    a = np.empty((n, k))
-    l = np.empty((n, k))
-    for t in range(k):
-        a_t = rng.normal(a_prev + g.a_l_penalty * l_prev + g.a_drift, g.a_sd)
-        p_l = _expit(g.l_logit_u_coef * u + g.l_logit_a_coef * (a_t > g.a_threshold))
-        l_t = (rng.random(n) < p_l).astype(float)
-        a[:, t] = a_t
-        l[:, t] = l_t
-        a_prev, l_prev = a_t, l_t
+    log_mean = config.causal_effect * a.sum(axis=2) + config.confounding * u
+    with np.errstate(over="ignore"):  # an overflowing mean fails the check below
+        mean = np.exp(log_mean)
+    y = np.full_like(mean, np.nan)
+    for j in np.flatnonzero((mean <= _MAX_POISSON_MEAN).all(axis=1)):  # NaN fails too
+        y[j] = rngs[j].poisson(mean[j])
+    return a, l, y, a0, l0, log_mean
 
-    log_mean = config.causal_effect * a.sum(axis=1) + config.confounding * u
-    if np.max(log_mean) > _MAX_LOG_MEAN:
+
+def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelDataset:
+    """One replicate's panel. Same (config, seed) gives bit-identical output."""
+    a, l, y, a0, l0, log_mean = _generate_stack(config, [replicate_seed])
+    if np.isnan(y).any():
         raise SimulationError(
-            f"Poisson mean overflow: exp argument {np.max(log_mean):.1f} > {_MAX_LOG_MEAN:g}; "
+            f"Poisson mean overflow: exp argument {np.max(log_mean):.1f} > {np.log(_MAX_POISSON_MEAN):.2f}; "
             "review causal_effect/confounding/volume parameters"
         )
-    y = rng.poisson(np.exp(log_mean))
-
-    return PanelDataset(a, l, y, A0=a0, L0=l0)
+    return PanelDataset(a[0], l[0], y[0], A0=a0[0], L0=l0[0])
 
 
 @dataclass
@@ -196,34 +220,18 @@ def _run_replicate(config: SimulationConfig, replicate: int):
 
 
 def _run_block(config: SimulationConfig, replicates: range) -> list[tuple[int, dict | str]]:
-    """`_run_replicate` of each replicate in `replicates`, with the fits done as stacks."""
-    generated = []
-    for rep in replicates:
-        try:
-            generated.append((rep, generate_dataset(config, replicate_seed(config.master_seed, rep))))
-        except LongicausalError:
-            pass  # re-run below, which reports the error
+    """`_run_replicate` of each replicate in `replicates`, generated and fitted as stacks."""
+    a, l, y, a0, l0, _ = _generate_stack(config, [replicate_seed(config.master_seed, rep) for rep in replicates])
+    # rows `generate_dataset` would reject (mean guard, PanelDataset checks) are re-run below
+    keep = np.flatnonzero(~np.isnan(y).any(axis=1) & np.isfinite(a).all(axis=(1, 2)) & np.isfinite(a0).all(axis=1))
     payloads: dict[int, dict] = {}
-    if generated:
-        reps, datasets = zip(*generated)
-
-        def stack(accessor):
-            return np.stack([accessor(d) for d in datasets])
-
-        weights, ok = stabilized_weights_stack(
-            stack(PanelDataset.treatment_matrix),
-            stack(PanelDataset.confounder_matrix),
-            stack(PanelDataset.baseline_treatment_vector),
-            stack(PanelDataset.baseline_confounder_vector),
-        )
-        estimates, fitted = estimate_stack(
-            stack(PanelDataset.cum_treatment_vector),
-            stack(PanelDataset.cum_confounder_vector),
-            stack(PanelDataset.outcome_vector),
-            weights,
-        )
+    if keep.size:
+        rows = slice(None) if keep.size == len(replicates) else keep  # a view, not a copy, when all are kept
+        a, l, y, a0, l0 = a[rows], l[rows], y[rows], a0[rows], l0[rows]
+        weights, ok = stabilized_weights_stack(a, l, a0, l0)
+        estimates, fitted = estimate_stack(a.sum(axis=2), l.sum(axis=2), y, weights)
         for j in np.flatnonzero(ok & fitted):
-            payloads[reps[j]] = {name: (float(b[j]), float(se[j])) for name, (b, se) in estimates.items()}
+            payloads[replicates[keep[j]]] = {name: (float(b[j]), float(se[j])) for name, (b, se) in estimates.items()}
     return [(rep, payloads[rep]) if rep in payloads else _run_replicate(config, rep) for rep in replicates]
 
 

@@ -176,6 +176,15 @@ class TestSimulateCommand:
         code = main(["simulate", "--m", "2", "--causal-effect", "1.0", "--out-dir", str(tmp_path)])
         assert code == 1
 
+    def test_mean_above_numpy_poisson_limit_exit_1(self, tmp_path, capsys):
+        # exp arguments of about 450: finite means that Generator.poisson rejects
+        code = main(["simulate", "--causal-effect", "0.05", "--m", "5", "--out-dir", str(tmp_path / "run")])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 5 of 5 replicates failed (budget 1%): replicate 0: SimulationError: "
+                              "Poisson mean overflow")
+        assert "Traceback" not in err
+
     def test_unknown_flag_exit_2(self):
         assert main(["simulate", "--frobnicate", "1"]) == 2
 

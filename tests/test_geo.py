@@ -412,6 +412,8 @@ WELL_ERRORS = [
                  "inconsistent coordinates", id="inconsistent-coordinates"),
     pytest.param("w1,-97.0,33.0,2014-01,5\n\nw2,-97.0,33.0,2014-01,oops\n", 4, "volume_bbl",
                  "expected a number", id="after-blank-line"),
+    pytest.param('"w\n1",-97.0,33.0,2014-01,5\nw2,-97.0,33.0,2014-01,oops\n', 4, "volume_bbl",
+                 "expected a number", id="after-multiline-field"),
     pytest.param("w1,-97.0,33.0,2014-01,5\nw9,-105.0,40.0,2014-01,-1\n", 3, "volume_bbl",
                  "must be >= 0", id="outside-bbox"),
 ]
@@ -430,6 +432,8 @@ CATALOG_ERRORS = [
     pytest.param("e1,-97.0,33.0,not-a-time,3.0\n", 2, "origin_time_iso8601", "ISO-8601", id="bad-timestamp"),
     pytest.param("e1,-97.0,33.0,2014-05-12T03:27:00,3.0\n\ne2,-97.0,33.0,2014-05-12T03:27:00,big\n", 4,
                  "magnitude", "expected a number", id="after-blank-line"),
+    pytest.param('"e\n\n1",-97.0,33.0,2014-05-12T03:27:00,3.0\ne2,x,33.0,2014-05-12T03:27:00,3.0\n', 5,
+                 "longitude", "expected a number", id="after-multiline-field"),
     pytest.param("e1,-97.0,33.0,2014-05-12T03:27:00,3.0\ne9,-105.0,40.0,2014-13-01T00:00:00,3.0\n", 3,
                  "origin_time_iso8601", "ISO-8601", id="outside-bbox"),
 ]

@@ -29,6 +29,10 @@ PANEL_CSV_ERRORS = [
     pytest.param("", None, 1, None, "<empty file>", id="panel-empty-file"),
     pytest.param(PANEL_HEADER + "a,1,5,0\n\nb,1,x,0\n", None, 4, "volume_bbl", "expected a number",
                  id="panel-after-blank-line"),
+    pytest.param(PANEL_HEADER + '"a\nb",1,5,0\nc,1,5,0\nd,1,x,0\n', None, 5, "volume_bbl", "expected a number",
+                 id="panel-after-multiline-field"),
+    pytest.param(PANEL_HEADER + '"a\nb",1,5,0\nc,1\n', None, 4, None, "expected 4 fields, got 2",
+                 id="field-count-after-multiline-field"),
     pytest.param(PANEL_HEADER + "a,1,5,0\na,1,6,0\n", None, 3, "period", "duplicate period 1 for unit 'a'",
                  id="duplicate-period"),
     pytest.param(PANEL_HEADER + "a,0,5,0\n", None, 2, "period", "period must be >= 1", id="period-below-1"),
@@ -41,6 +45,8 @@ PANEL_CSV_ERRORS = [
     pytest.param(None, "", 1, None, "<empty file>", id="outcome-empty-file"),
     pytest.param(None, OUTCOME_HEADER + "a,1\n\nb,x\n", 4, "cumulative_quakes", "expected an integer",
                  id="outcome-after-blank-line"),
+    pytest.param(None, OUTCOME_HEADER + '"a\n",1\nb,x\n', 4, "cumulative_quakes", "expected an integer",
+                 id="outcome-after-multiline-field"),
     pytest.param(None, OUTCOME_HEADER + "a,1\na,2\nb,0\n", 3, "unit_id", "duplicate outcome for unit 'a'",
                  id="duplicate-outcome"),
     pytest.param(None, OUTCOME_HEADER + "a,-1\nb,0\n", 2, "cumulative_quakes", "must be >= 0",

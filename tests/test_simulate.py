@@ -1,11 +1,13 @@
 """Data generation determinism, Monte Carlo harness, seeding scheme."""
 
+import hashlib
+import math
+
 import numpy as np
 import pytest
 
 import longicausal.simulate as sim
 from longicausal.exceptions import DomainError, SimulationError
-from longicausal.panel import PanelDataset
 from longicausal.simulate import (
     DgpParams,
     SimulationConfig,
@@ -52,6 +54,56 @@ class TestGenerateDataset:
         cfg = SimulationConfig(causal_effect=1.0, master_seed=1)
         with pytest.raises(SimulationError, match="overflow"):
             generate_dataset(cfg, replicate_seed(1, 0))
+
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            # exp arguments of about 450: finite means that Generator.poisson rejects
+            SimulationConfig(causal_effect=0.05, master_seed=1),
+            SimulationConfig(confounding=math.nan, master_seed=1),
+        ],
+        ids=["above-numpy-limit", "nan"],
+    )
+    def test_mean_numpy_cannot_draw_rejected(self, cfg):
+        with pytest.raises(SimulationError, match="Poisson mean overflow"):
+            generate_dataset(cfg, replicate_seed(1, 0))
+
+    @pytest.mark.parametrize(
+        "cfg, seed, digest",
+        [
+            (SimulationConfig(master_seed=0), replicate_seed(0, 0),
+             "b4e07ab3854ed69f4876c029e234030e61d5f43cefaed215d260a9699846bf4b"),
+            (SimulationConfig(n_units=600, n_periods=3, master_seed=7), replicate_seed(7, 5),
+             "e7b6a6daf4db1300fc2d7c12007df7fcddfcb2b570c14f872827ed7ae4898676"),
+            (with_overrides(SimulationConfig(n_units=7, n_periods=1, master_seed=3), u_levels=1, a_sd=1e-3),
+             replicate_seed(3, 123), "861e2b20213bcc2af7f6d9ba70275834c4fbfa97d4146573ec83e0d12e30b19c"),
+        ],
+        ids=["n50-k8", "n600-k3", "n7-k1"],
+    )
+    def test_pinned_output(self, cfg, seed, digest):
+        # SHA-256 of A, L, Y, A0, L0 as float64 bytes, as generated before the
+        # generator was stacked; a changed stream or operation order moves it
+        data = generate_dataset(cfg, seed)
+        h = hashlib.sha256()
+        for arr in (data.treatment_matrix(), data.confounder_matrix(), data.outcome_vector(),
+                    data.baseline_treatment_vector(), data.baseline_confounder_vector()):
+            h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
+        assert h.hexdigest() == digest
+
+    @pytest.mark.parametrize("n_units, n_periods", [(50, 8), (600, 3)])
+    @pytest.mark.parametrize("r", [1, 7, 62])
+    def test_stack_rows_equal_generate_dataset(self, n_units, n_periods, r):
+        cfg = SimulationConfig(n_units=n_units, n_periods=n_periods, master_seed=13)
+        seeds = [replicate_seed(13, 3 * j + 1) for j in range(r)]
+        a, l, y, a0, l0, log_mean = sim._generate_stack(cfg, seeds)
+        assert a.shape == l.shape == (r, n_units, n_periods)
+        assert all(x.shape == (r, n_units) for x in (y, a0, l0, log_mean))
+        for j, seed in enumerate(seeds):
+            data = generate_dataset(cfg, seed)
+            want = (data.treatment_matrix(), data.confounder_matrix(), data.outcome_vector(),
+                    data.baseline_treatment_vector(), data.baseline_confounder_vector())
+            for got, expected in zip((a[j], l[j], y[j], a0[j], l0[j]), want, strict=True):
+                assert got.tobytes() == expected.tobytes()
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -100,20 +152,32 @@ class TestMonteCarlo:
             )
             np.testing.assert_array_equal(serial.estimators[name].ses, parallel.estimators[name].ses)
 
+    def test_too_few_units_for_the_adjusted_fit_are_audited(self):
+        # with N = 2 the three-column adjusted design cannot be fitted, so every
+        # replicate takes the single path, which drops a constant cumL column
+        # or reports the error
+        cfg = SimulationConfig(n_units=2, n_replicates=20)
+        with pytest.raises(SimulationError, match=r"^16 of 20 replicates failed \(budget 1%\): replicate 0: "
+                           r"DomainError: need at least as many observations as parameters \(n=2, p=3\);"):
+            run_monte_carlo(cfg)
+
     def test_failure_budget_aborts(self):
         cfg = SimulationConfig(causal_effect=1.0, n_replicates=5, master_seed=2)
         with pytest.raises(SimulationError, match="failed"):
             run_monte_carlo(cfg)
 
     def test_rare_failures_excluded_with_audit_trail(self, monkeypatch):
-        original = sim.generate_dataset
+        original = sim._generate_stack
 
-        def flaky(config, seed):
-            if seed == replicate_seed(config.master_seed, 3):
+        def flaky(config, seeds):
+            bad = replicate_seed(config.master_seed, 3)
+            if list(seeds) == [bad]:  # replicate 3 generated on its own
                 raise DomainError("injected for test")
-            return original(config, seed)
+            a, l, y, a0, l0, log_mean = original(config, seeds)
+            y[[j for j, seed in enumerate(seeds) if seed == bad]] = np.nan  # a block re-runs it alone
+            return a, l, y, a0, l0, log_mean
 
-        monkeypatch.setattr(sim, "generate_dataset", flaky)
+        monkeypatch.setattr(sim, "_generate_stack", flaky)
         cfg = SimulationConfig(n_replicates=200, master_seed=77)
         s = sim.run_monte_carlo(cfg)  # 1/200 = 0.5% stays under the 1% budget
         assert s.n_failed == 1
@@ -163,6 +227,21 @@ def count_single_replicate_runs(monkeypatch):
     return calls
 
 
+def edit_generated_replicate(monkeypatch, replicate, edit):
+    """Patch `_generate_stack` so that `edit(a, l, a0, l0)` changes that replicate's rows in place."""
+    original = sim._generate_stack
+
+    def patched(config, seeds):
+        arrays = original(config, seeds)
+        a, l, _, a0, l0, _ = arrays
+        for j, seed in enumerate(seeds):
+            if seed == replicate_seed(config.master_seed, replicate):
+                edit(a[j], l[j], a0[j], l0[j])
+        return arrays
+
+    monkeypatch.setattr(sim, "_generate_stack", patched)
+
+
 class TestBlockEngine:
     """Stacked fits of replicate blocks against the one-replicate path."""
 
@@ -200,20 +279,11 @@ class TestBlockEngine:
         # so the naive design [1, cumA] is rank deficient; its lags still vary
         cfg = SimulationConfig(n_units=20, n_replicates=120, master_seed=8)
         healthy = sim.run_monte_carlo(cfg)
-        original = sim.generate_dataset
 
-        def degenerate(config, seed):
-            data = original(config, seed)
-            if seed != replicate_seed(config.master_seed, 5):
-                return data
-            a = data.treatment_matrix().copy()
+        def degenerate(a, l, a0, l0):
             a[:, -1] = 8000.0 - a[:, :-1].sum(axis=1)
-            return PanelDataset(
-                a, data.confounder_matrix(), data.outcome_vector(),
-                A0=data.baseline_treatment_vector(), L0=data.baseline_confounder_vector(),
-            )
 
-        monkeypatch.setattr(sim, "generate_dataset", degenerate)
+        edit_generated_replicate(monkeypatch, 5, degenerate)
         expected = sim._run_replicate(cfg, 5)
         assert "rank deficient" in expected[1]
         calls = count_single_replicate_runs(monkeypatch)
@@ -227,23 +297,28 @@ class TestBlockEngine:
             assert e.ses.tobytes() == healthy.estimators[name].ses[keep].tobytes()
 
 
+    def test_non_finite_replicate_in_a_block_is_audited_alone(self, monkeypatch):
+        cfg = SimulationConfig(n_units=20, n_replicates=120, master_seed=8)
+
+        def infinite(a, l, a0, l0):
+            a[3, 2] = np.inf
+
+        edit_generated_replicate(monkeypatch, 4, infinite)
+        calls = count_single_replicate_runs(monkeypatch)
+        s = sim.run_monte_carlo(cfg)
+        assert calls == [4]
+        assert s.failed_replicates == ((4, "PanelError: treatments must be finite, got inf"),)
+
     def test_replicate_with_dropped_columns_takes_the_single_path(self, monkeypatch):
         # replicate 2 never has L = 1: its weight models and the adjusted fit
         # drop their constant L columns, which the stacks do not do
         cfg = SimulationConfig(n_units=20, n_replicates=30, master_seed=8)
-        original = sim.generate_dataset
 
-        def no_confounder(config, seed):
-            data = original(config, seed)
-            if seed != replicate_seed(config.master_seed, 2):
-                return data
-            zeros = np.zeros(data.n_units)
-            return PanelDataset(
-                data.treatment_matrix(), np.zeros_like(data.confounder_matrix()), data.outcome_vector(),
-                A0=data.baseline_treatment_vector(), L0=zeros,
-            )
+        def no_confounder(a, l, a0, l0):
+            l[:] = 0.0
+            l0[:] = 0.0
 
-        monkeypatch.setattr(sim, "generate_dataset", no_confounder)
+        edit_generated_replicate(monkeypatch, 2, no_confounder)
         _, single = sim._run_replicate(cfg, 2)
         calls = count_single_replicate_runs(monkeypatch)
         s = sim.run_monte_carlo(cfg)
