@@ -44,7 +44,7 @@ from .geo import (
 )
 from .iptw import iter_weight_rows, stabilized_weights
 from .panel import read_panel_csv, write_csv, write_panel_csv
-from .simulate import DgpParams, SimulationConfig, run_monte_carlo
+from .simulate import DgpParams, SimulationConfig, run_monte_carlo, threads_from_env
 
 TRUNCATION_PERCENTILE = 1.0  # --truncate-weights clips to [1st, 99th]
 # DgpParams fields exposed as `simulate --u-levels`, `--a-threshold`, ...
@@ -108,6 +108,11 @@ def _write_manifest(
 def cmd_simulate(args: argparse.Namespace) -> int:
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
+    try:
+        threads = threads_from_env()
+    except DomainError as exc:  # a usage error, like a bad flag
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     config = SimulationConfig(
         causal_effect=args.causal_effect,
         confounding=args.confounding,
@@ -117,7 +122,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         master_seed=args.seed,
         dgp=DgpParams(**{name: getattr(args, name) for name in DGP_FLAGS}),
     )
-    summary = run_monte_carlo(config)
+    summary = run_monte_carlo(config, threads=threads)
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -8,18 +8,21 @@ All three regress the end-of-study count on the cumulative injected volume
   msm       Y ~ 1 + cumA, weights SW_i        (sandwich SE, always)
 
 Reports carry the per-bbl coefficient together with the relative risk per
-1 MMbbl, exp(beta1 * 1e6).
+1 MMbbl, exp(beta1 * 1e6). `estimate_stack` fits R replicates at once and
+gives each the numbers or the error of the per-dataset estimators, which are
+its one-replicate calls.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError
-from .glm import FitResult, fit_glm, fit_glm_stack, sandwich_cov, sandwich_cov_stack, wald_test
+from .exceptions import DomainError, LongicausalError, SingularDesignError
+from .glm import first_errors, fit_glm_stack, sandwich_cov_stack, stack_groups, wald_test
 from .iptw import WeightSet, stabilized_weights
 from .panel import PanelDataset
 
@@ -92,8 +95,14 @@ def relative_risk(beta1: float, scale: float = MMBBL) -> float:
     return math.exp(arg)
 
 
-def _report(name: str, fit: FitResult, se: float) -> EstimatorReport:
-    beta1 = float(fit.coefficients[1])
+def _report(name: str, data: PanelDataset, **options) -> EstimatorReport:
+    """The one-replicate call of `_poisson_stack` on `data` as a report, or its error raised."""
+    _check_units(data)
+    stack = _poisson_stack(data.cum_treatment_vector()[None], data.outcome_vector()[None], **options)
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    beta1 = float(stack.beta1_hat[0])
+    se = stack.se[0]
     z, p = wald_test(beta1, se)
     half = CI_MULTIPLIER * se
     return EstimatorReport(
@@ -104,8 +113,8 @@ def _report(name: str, fit: FitResult, se: float) -> EstimatorReport:
         relative_risk_per_MMbbl=relative_risk(beta1),
         z=z,
         p=p,
-        intercept=float(fit.coefficients[0]),
-        converged=fit.converged,
+        intercept=float(stack.intercept[0]),
+        converged=bool(stack.converged[0]),
     )
 
 
@@ -121,10 +130,7 @@ def _check_units(data: PanelDataset) -> None:
 
 def naive_poisson(data: PanelDataset) -> EstimatorReport:
     """Unadjusted Poisson regression of Y on cumulative volume."""
-    _check_units(data)
-    design = _outcome_design(data.cum_treatment_vector())
-    fit = fit_glm(design, data.outcome_vector(), "poisson")
-    return _report("naive", fit, fit.se[1])
+    return _report("naive", data)
 
 
 def adjusted_poisson(data: PanelDataset) -> EstimatorReport:
@@ -133,12 +139,7 @@ def adjusted_poisson(data: PanelDataset) -> EstimatorReport:
     A confounder column that is constant across units is absorbed by the
     intercept and dropped, which reduces the fit to the naive design.
     """
-    _check_units(data)
-    x = data.cum_treatment_vector()
-    cum_l = data.cum_confounder_vector()
-    design = _outcome_design(x, cum_l) if np.ptp(cum_l) > 0.0 else _outcome_design(x)
-    fit = fit_glm(design, data.outcome_vector(), "poisson")
-    return _report("adjusted", fit, fit.se[1])
+    return _report("adjusted", data, cum_l=data.cum_confounder_vector()[None])
 
 
 def msm_iptw(data: PanelDataset, *, weights: WeightSet | None = None, hc1: bool = False) -> EstimatorReport:
@@ -150,48 +151,72 @@ def msm_iptw(data: PanelDataset, *, weights: WeightSet | None = None, hc1: bool 
     _check_units(data)
     if weights is None:
         weights = stabilized_weights(data)
-    sw = weights.per_unit_weights
-    y = data.outcome_vector()
-    design = _outcome_design(data.cum_treatment_vector())
-    fit = fit_glm(design, y, "poisson", weights=sw)
-    se = np.sqrt(sandwich_cov(fit, design, y, sw, hc1=hc1)[1, 1])
-    return _report("msm", fit, se)
+    return _report("msm", data, sw=weights.per_unit_weights[None], hc1=hc1)
 
 
-def estimate_stack(cum_a, cum_l, y, sw) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """beta1_hat and SE of the three estimators for R replicates at once.
+class EstimateStack(NamedTuple):
+    """One estimator's results for R replicates, row r for replicate r.
+
+    `errors[r]` is the error the per-dataset call raises for replicate r, or None.
+    """
+
+    beta1_hat: np.ndarray  # (R,)
+    se: np.ndarray  # (R,)
+    intercept: np.ndarray  # (R,)
+    converged: np.ndarray  # (R,) bool
+    errors: list[LongicausalError | None]
+
+
+def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> EstimateStack:
+    """Poisson regressions of (R, N) outcomes on [1, cumA], one per replicate.
+
+    With `cum_l`, the adjusted model: cumL joins the design where it varies
+    across units (elsewhere the intercept absorbs it). With `sw`, the MSM:
+    weighted, with the sandwich SE (HC1 when `hc1`). Otherwise the naive
+    model. A row's error is its fit error, then (MSM) a singular bread
+    matrix or HC1 without spare units, then the Wald test's.
+    """
+    r = len(y)
+    out = EstimateStack(*np.full((3, r), np.nan), np.zeros(r, dtype=bool), [None] * r)
+    varies = np.zeros((r, 1), dtype=bool) if cum_l is None else (np.ptp(cum_l, axis=-1) > 0.0)[:, None]
+    for rows, (with_l,) in stack_groups(varies):
+        idx = np.arange(r)[rows]
+        design = _outcome_design(cum_a[rows], *([cum_l[rows]] if with_l else []))
+        w = None if sw is None else sw[rows]
+        fit = fit_glm_stack(design, y[rows], "poisson", w)
+        errors, var = list(fit.errors), fit.model_cov[:, 1, 1]
+        if sw is not None:  # a failed fit's NaN coefficients give a NaN covariance, and its error stays first
+            cov, singular = sandwich_cov_stack("poisson", fit.coefficients, design, y[rows], w)
+            first_errors(errors, singular, SingularDesignError("bread matrix is singular"))
+            n, p = design.shape[1:]
+            if hc1 and n <= p:
+                first_errors(errors, slice(None), DomainError("HC1 scaling requires n > p"))
+            elif hc1:
+                cov = cov * (n / (n - p))
+            var = cov[:, 1, 1]
+        with np.errstate(invalid="ignore"):  # a negative variance fails the Wald test
+            se = np.sqrt(var)
+        for j in np.flatnonzero(~(se > 0.0) | ~np.isfinite(se)):
+            try:
+                wald_test(float(fit.coefficients[j, 1]), se[j])
+            except DomainError as exc:
+                first_errors(errors, [j], exc)
+        out.beta1_hat[idx], out.se[idx], out.intercept[idx] = fit.coefficients[:, 1], se, fit.coefficients[:, 0]
+        out.converged[idx] = fit.converged
+        first_errors(out.errors, idx, errors)
+    return out
+
+
+def estimate_stack(cum_a, cum_l, y, sw) -> dict[str, EstimateStack]:
+    """The three estimators of R replicates at once, in ESTIMATOR_NAMES order.
 
     Takes (R, N) cumulative treatment, cumulative confounder, outcome and
-    stabilized weights. Returns {name: (beta1_hat, se)} with (R,) arrays in
-    ESTIMATOR_NAMES order, and an (R,) mask: where it is True, the numbers
-    are bit-identical to the per-dataset estimators' and all three fits
-    converged. Where it is False, one of those calls raises, a fit does not
-    converge, or the constant cumL column would be dropped, and the replicate
-    needs the per-dataset path.
+    stabilized weights. Row r of each EstimateStack is bit-identical to the
+    per-dataset estimator of replicate r's dataset, or holds the error it
+    raises.
     """
-    design = _outcome_design(cum_a)
-    adjusted_design = _outcome_design(cum_a, cum_l)
-    r, n, p = adjusted_design.shape
-    if n < p:  # fit_glm_stack would reject the whole block; the per-dataset path drops or reports
-        nan = np.full(r, np.nan)
-        return dict.fromkeys(ESTIMATOR_NAMES, (nan, nan)), np.zeros(r, dtype=bool)
-    naive = fit_glm_stack(design, y, "poisson")
-    adjusted = fit_glm_stack(adjusted_design, y, "poisson")
-    msm = fit_glm_stack(design, y, "poisson", sw)
-    fits = (naive, adjusted, msm)
-    ok = np.ptp(cum_l, axis=-1) > 0.0
-    for fit in fits:
-        ok &= fit.ok & fit.converged
-    keep = np.flatnonzero(ok)
-    cov, singular = sandwich_cov_stack("poisson", msm.coefficients[keep], design[keep], y[keep], sw[keep])
-    ok[keep[singular]] = False
-    msm_var = np.full(len(ok), np.nan)
-    msm_var[keep] = cov[:, 1, 1]
-    variances = (naive.model_cov[:, 1, 1], adjusted.model_cov[:, 1, 1], msm_var)
-    out = {}
-    for name, fit, var in zip(ESTIMATOR_NAMES, fits, variances):
-        with np.errstate(invalid="ignore"):  # a negative variance fails the check below
-            se = np.sqrt(var)
-        ok &= (se > 0.0) & np.isfinite(se)  # what wald_test requires
-        out[name] = (fit.coefficients[:, 1], se)
-    return out, ok
+    return {
+        "naive": _poisson_stack(cum_a, y),
+        "adjusted": _poisson_stack(cum_a, y, cum_l),
+        "msm": _poisson_stack(cum_a, y, sw=sw),
+    }

@@ -9,10 +9,11 @@ problems, designs of shape (R, n, p) with (R, n) responses and weights, and
 runs IRLS on all of them at once. Each problem keeps its own convergence
 flag and iteration count and leaves the loop when it converges, so every
 problem gets exactly the numbers it would get alone. A problem that fails a
-check (a non-finite value, a rank-deficient design, singular normal
-equations or information) is flagged with the error it would raise and does
-not stop the others. `fit_glm` is the R = 1 call of that kernel and raises
-the flagged error; `sandwich_cov` is the R = 1 call of `sandwich_cov_stack`.
+check (fewer observations than parameters, a non-finite value, a
+rank-deficient design, singular normal equations or information) is
+flagged with the error it would raise and does not stop the others.
+`fit_glm` is the R = 1 call of that kernel and raises the flagged error;
+`sandwich_cov` is the R = 1 call of `sandwich_cov_stack`.
 
 Conventions used throughout:
   * weights multiply each observation's log-likelihood contribution, so the
@@ -29,6 +30,7 @@ Conventions used throughout:
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -75,19 +77,53 @@ class StackFit(NamedTuple):
     residual_sd: np.ndarray | None  # (R,), linear family only
     errors: list[LongicausalError | None]
 
-    @property
-    def ok(self) -> np.ndarray:
-        return np.array([e is None for e in self.errors], dtype=bool)
+    def result(self, r: int, family: str) -> FitResult:
+        """Problem r as a FitResult; raises its error instead when it has one."""
+        if self.errors[r] is not None:
+            raise self.errors[r]
+        return FitResult(
+            coefficients=self.coefficients[r],
+            model_cov=self.model_cov[r],
+            family=family,
+            converged=bool(self.converged[r]),
+            iterations=int(self.iterations[r]),
+            residual_sd=None if self.residual_sd is None else float(self.residual_sd[r]),
+        )
+
+
+def stack_groups(flags: np.ndarray) -> list[tuple[slice | np.ndarray, tuple[bool, ...]]]:
+    """The problems of a stack grouped by their row of the (R, F) bool `flags`.
+
+    Returns (rows, flags of those rows) per group; `rows` is a slice, a view
+    rather than a copy, when one group holds every problem.
+    """
+    if len(flags) and (flags == flags[0]).all():
+        return [(slice(None), tuple(flags[0]))]
+    keys = flags @ (1 << np.arange(flags.shape[1]))
+    groups = [np.flatnonzero(keys == key) for key in np.unique(keys)]
+    return [(rows, tuple(flags[rows[0]])) for rows in groups]
+
+
+def first_errors(errors: list, problems, new) -> None:
+    """Give each of `problems` (an index of `errors`) the error `new`, or its own from a sequence `new`.
+
+    A problem that has an error already keeps it.
+    """
+    if isinstance(new, LongicausalError):
+        new = itertools.repeat(new)
+    elif not any(new):  # no error to record, as in every healthy stack
+        return
+    for i, error in zip(np.arange(len(errors))[problems].tolist(), new):
+        if errors[i] is None:
+            errors[i] = error
 
 
 def _check_shapes(X: np.ndarray, y: np.ndarray, w: np.ndarray, family: str) -> None:
     if X.ndim != 3:
         raise DomainError(f"a design stack must be 3-d (R, n, p), got shape {X.shape}")
-    r, n, p = X.shape
+    r, n, _ = X.shape
     if y.shape != (r, n):
         raise DomainError(f"response shape {y.shape[1:]} does not match design ({n} rows)")
-    if n < p:
-        raise DomainError(f"need at least as many observations as parameters (n={n}, p={p})")
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}, expected one of {FAMILIES}")
     if w.shape != (r, n):
@@ -95,8 +131,10 @@ def _check_shapes(X: np.ndarray, y: np.ndarray, w: np.ndarray, family: str) -> N
 
 
 def _value_checks(X, y, w, family):
-    """(failed, message) for each value check, `failed` an (R,) mask, in check order."""
+    """(failed, message) for each check of a problem, `failed` an (R,) mask, in check order."""
+    r, n, p = X.shape
     checks = [
+        (np.full(r, n < p), f"need at least as many observations as parameters (n={n}, p={p})"),
         (~np.isfinite(X).all(axis=(1, 2)), "design contains non-finite values"),
         (~np.isfinite(y).all(axis=1), "response contains non-finite values"),
     ]
@@ -311,17 +349,7 @@ def fit_glm(
         raise DomainError(f"design must be 2-d, got shape {X.shape}")
     y = np.asarray(response, dtype=float)
     w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    fit = fit_glm_stack(X[None], y[None], family, w, max_iter=max_iter, tol=tol)
-    if fit.errors[0] is not None:
-        raise fit.errors[0]
-    return FitResult(
-        coefficients=fit.coefficients[0],
-        model_cov=fit.model_cov[0],
-        family=family,
-        converged=bool(fit.converged[0]),
-        iterations=int(fit.iterations[0]),
-        residual_sd=None if fit.residual_sd is None else float(fit.residual_sd[0]),
-    )
+    return fit_glm_stack(X[None], y[None], family, w, max_iter=max_iter, tol=tol).result(0, family)
 
 
 def sandwich_cov_stack(family: str, coefficients, design, response, weights=None) -> tuple[np.ndarray, np.ndarray]:

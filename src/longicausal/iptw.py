@@ -9,6 +9,10 @@ built from pooled Gaussian treatment-density models that condition on the
 immediately preceding period. Datasets with a baseline period contribute
 factors for t = 1..K; datasets without one start at t = 2 and the first
 observed period acts as the baseline covariate.
+
+`stabilized_weights_stack` computes the weights of R replicates at once,
+fitting them in groups by which lag columns vary; `stabilized_weights` and
+`fit_treatment_models` are its one-replicate calls.
 """
 
 from __future__ import annotations
@@ -25,7 +29,7 @@ from .exceptions import (
     PositivityError,
     WeightError,
 )
-from .glm import FitResult, fit_glm, fit_glm_stack
+from .glm import FitResult, fit_glm, fit_glm_stack, first_errors, stack_groups
 from .panel import DEFAULT_BINARIZE_THRESHOLD_BBL, PanelDataset, binarize_treatment
 
 _POSITIVITY_EPS = 1e-8
@@ -82,13 +86,15 @@ def _lagged_rows(a, l, a0=None, l0=None) -> tuple[np.ndarray, np.ndarray, np.nda
         lag_l = l[..., :-1]
         resp = a[..., 1:]
         periods = tuple(range(2, k + 1))
-    resp, lag_a, lag_l = (x.reshape(x.shape[:-2] + (-1,)) for x in (resp, lag_a, lag_l))
+    # an explicit length rather than -1, so that a stack of no replicates reshapes too
+    resp, lag_a, lag_l = (x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)) for x in (resp, lag_a, lag_l))
     return resp, lag_a, lag_l, periods
 
 
 def _dataset_rows(data: PanelDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+    """`_lagged_rows` of one dataset, as a stack of one replicate."""
     baselines = (data.baseline_treatment_vector(), data.baseline_confounder_vector()) if data.has_baseline else ()
-    return _lagged_rows(data.treatment_matrix(), data.confounder_matrix(), *baselines)
+    return _lagged_rows(*(x[None] for x in (data.treatment_matrix(), data.confounder_matrix(), *baselines)))
 
 
 def _build_design(terms: Sequence[str], lag_a: np.ndarray, lag_l: np.ndarray) -> np.ndarray:
@@ -105,15 +111,30 @@ def _build_design(terms: Sequence[str], lag_a: np.ndarray, lag_l: np.ndarray) ->
     return np.stack(cols, axis=-1)
 
 
-def _drop_constant(terms: tuple[str, ...], lag_a: np.ndarray, lag_l: np.ndarray) -> tuple[str, ...]:
-    # constant non-intercept columns carry no information and would make the
-    # design singular next to the intercept; drop them instead of failing
-    kept = ["intercept"]
-    if "lag_treatment" in terms and np.ptp(lag_a) > 0.0:
-        kept.append("lag_treatment")
-    if "lag_confounder" in terms and np.ptp(lag_l) > 0.0:
-        kept.append("lag_confounder")
-    return tuple(kept)
+def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
+    """Both treatment models of R problems, fitted in groups by which lag columns vary.
+
+    Returns (rows, terms, designs, fits) per fitted group, all but `rows`
+    (numerator, denominator) pairs. Records each problem's first error in
+    `errors`: too few pooled rows, the numerator's, the denominator's fit.
+    """
+    groups, n_rows = [], resp.shape[-1]
+    varies = np.stack([np.ptp(lag_a, axis=-1) > 0.0, np.ptp(lag_l, axis=-1) > 0.0], axis=-1)
+    for rows, vary in stack_groups(varies):
+        # constant lag columns carry no information and would make the design
+        # singular next to the intercept; they are dropped instead of failing
+        den_terms = tuple(term for term, keep in zip(DENOMINATOR_TERMS, (True, *vary)) if keep)
+        terms = (tuple(term for term in den_terms if term in NUMERATOR_TERMS), den_terms)
+        if n_rows < len(terms[1]) + 2:
+            error = DomainError(f"not enough pooled observations ({n_rows}) for the treatment models")
+            first_errors(errors, rows, error)
+            continue
+        designs = [_build_design(t, lag_a[rows], lag_l[rows]) for t in terms]
+        fits = [fit_glm_stack(design, resp[rows], "linear") for design in designs]
+        for fit in fits:
+            first_errors(errors, rows, fit.errors)
+        groups.append((rows, terms, designs, fits))
+    return groups
 
 
 def fit_treatment_models(data: PanelDataset) -> TreatmentModels:
@@ -124,21 +145,12 @@ def fit_treatment_models(data: PanelDataset) -> TreatmentModels:
     linear models whose MLE residual sd feeds the density ratio.
     """
     resp, lag_a, lag_l, periods = _dataset_rows(data)
-    num_terms = _drop_constant(NUMERATOR_TERMS, lag_a, lag_l)
-    den_terms = _drop_constant(DENOMINATOR_TERMS, lag_a, lag_l)
-    if len(resp) < len(den_terms) + 2:
-        raise DomainError(
-            f"not enough pooled observations ({len(resp)}) for the treatment models"
-        )
-    numerator = fit_glm(_build_design(num_terms, lag_a, lag_l), resp, "linear")
-    denominator = fit_glm(_build_design(den_terms, lag_a, lag_l), resp, "linear")
-    return TreatmentModels(
-        numerator=numerator,
-        denominator=denominator,
-        numerator_terms=num_terms,
-        denominator_terms=den_terms,
-        periods=periods,
-    )
+    errors = [None]
+    groups = _fit_models(resp, lag_a, lag_l, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    [(_, terms, _, fits)] = groups
+    return TreatmentModels(*(fit.result(0, "linear") for fit in fits), *terms, periods)
 
 
 def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, sd) -> np.ndarray:
@@ -172,6 +184,72 @@ def _log_factors(resp, numerator, denominator) -> np.ndarray:
         return logpdf(*numerator) - logpdf(*denominator)
 
 
+class WeightStack(NamedTuple):
+    """Stabilized weights of R replicates, row r for replicate r.
+
+    `errors[r]` is the error `stabilized_weights` raises for replicate r, or None.
+    """
+
+    per_unit_weights: np.ndarray  # (R, N)
+    log_factors: np.ndarray  # (R, N, T), the logs of the per-period factors
+    periods: tuple[int, ...]
+    errors: list[LongicausalError | None]
+
+
+def _weight_stack(resp, lag_a, lag_l, periods, unit_ids, models: TreatmentModels | None = None) -> WeightStack:
+    """Weights from the rows of `_lagged_rows`, with fitted treatment models or, for R = 1, `models`.
+
+    A replicate's error is its first of: the `_fit_models` errors, the
+    numerator's, then the denominator's sd floor, the first non-finite factor
+    by (unit, period), then the first non-finite per-unit weight.
+    """
+    r, n_t = len(resp), len(periods)
+    n_units = resp.shape[-1] // n_t
+    errors = [None] * r
+    if models is None:
+        groups = [(rows, designs, [(f.coefficients, f.residual_sd) for f in fits])
+                  for rows, _, designs, fits in _fit_models(resp, lag_a, lag_l, errors)]
+    else:  # a missing residual sd fails the floor check, as a zero one does
+        fits = (models.numerator, models.denominator)
+        designs = [_build_design(t, lag_a, lag_l) for t in (models.numerator_terms, models.denominator_terms)]
+        groups = [(slice(None), designs, [(f.coefficients[None], np.array([f.residual_sd or 0.0])) for f in fits])]
+    weights, log_factors = np.full((r, n_units), np.nan), np.full((r, n_units, n_t), np.nan)
+    floor = _sd_floor(resp)
+    for rows, designs, params in groups:
+        idx = np.arange(r)[rows]
+        for label, (_, sd) in zip(("numerator", "denominator"), params):
+            message = f"{label} treatment model has (numerically) zero residual variance; density ratio is undefined"
+            first_errors(errors, idx[sd <= floor[rows]], DegenerateVarianceError(message))
+        live = np.flatnonzero([errors[i] is None for i in idx])
+        sel = slice(None) if live.size == idx.size else live  # a view, not a copy, when all are live
+        live_models = [(design[sel], coef[sel], sd[sel]) for design, (coef, sd) in zip(designs, params)]
+        factors = _log_factors(resp[rows][sel], *live_models).reshape(-1, n_units, n_t)
+        with np.errstate(over="ignore"):  # finiteness checked below
+            per_unit = np.exp(factors.sum(axis=-1))
+        for j in np.flatnonzero(~np.isfinite(factors).all(axis=(1, 2)) | ~np.isfinite(per_unit).all(axis=1)):
+            i, bad = idx[live[j]], np.argwhere(~np.isfinite(factors[j]))
+            if len(bad):
+                u, t = bad[0]
+                errors[i] = WeightError(f"non-finite weight factor for unit {unit_ids[u]!r} at t={periods[t]}")
+            else:
+                u = np.flatnonzero(~np.isfinite(per_unit[j]))[0]
+                errors[i] = WeightError(f"non-finite stabilized weight for unit {unit_ids[u]!r}")
+        weights[idx[live]], log_factors[idx[live]] = per_unit, factors
+    return WeightStack(weights, log_factors, periods, errors)
+
+
+def stabilized_weights_stack(a, l, a0=None, l0=None, unit_ids=None) -> WeightStack:
+    """Stabilized weights of R replicates at once, without truncation.
+
+    Takes (R, N, K) histories and, with a baseline period, (R, N) baselines.
+    Replicates are fitted in groups by which lag columns vary, so row r is
+    bit-identical to `stabilized_weights` of replicate r's dataset or holds
+    the error it raises. `unit_ids` name the units in WeightError messages
+    (default 0..N-1).
+    """
+    return _weight_stack(*_lagged_rows(a, l, a0, l0), range(a.shape[1]) if unit_ids is None else unit_ids)
+
+
 def stabilized_weights(
     data: PanelDataset,
     models: TreatmentModels | None = None,
@@ -180,43 +258,16 @@ def stabilized_weights(
 ) -> WeightSet:
     """Compute SW_i as the product of per-period Gaussian density ratios.
 
-    Products are accumulated in log space in fixed period order, so results do
-    not depend on evaluation order. `truncate_percentile=p` clips the finished
-    per-unit weights to their [p, 100-p] percentile range (off by default).
+    The one-replicate call of `stabilized_weights_stack`, or of the same
+    weights from given `models`. Products are accumulated in log space in
+    fixed period order, so results do not depend on evaluation order.
+    `truncate_percentile=p` clips the finished per-unit weights to their
+    [p, 100-p] percentile range (off by default).
     """
-    if models is None:
-        models = fit_treatment_models(data)
-
-    resp, lag_a, lag_l, periods = _dataset_rows(data)
-    sd_floor = _sd_floor(resp)
-    for label, fit in (("numerator", models.numerator), ("denominator", models.denominator)):
-        if fit.residual_sd is None or fit.residual_sd <= sd_floor:
-            raise DegenerateVarianceError(
-                f"{label} treatment model has (numerically) zero residual variance; "
-                "density ratio is undefined"
-            )
-    n_units = data.n_units
-    n_t = len(periods)
-
-    num, den = models.numerator, models.denominator
-    log_factors = _log_factors(
-        resp,
-        (_build_design(models.numerator_terms, lag_a, lag_l), num.coefficients, num.residual_sd),
-        (_build_design(models.denominator_terms, lag_a, lag_l), den.coefficients, den.residual_sd),
-    ).reshape(n_units, n_t)
-
-    bad = ~np.isfinite(log_factors)
-    if np.any(bad):
-        i, j = np.argwhere(bad)[0]
-        raise WeightError(
-            f"non-finite weight factor for unit {data.unit_ids[i]!r} at t={periods[j]}"
-        )
-
-    per_time = np.exp(log_factors)
-    per_unit = np.exp(log_factors.sum(axis=1))
-    if not np.all(np.isfinite(per_unit)):
-        i = int(np.flatnonzero(~np.isfinite(per_unit))[0])
-        raise WeightError(f"non-finite stabilized weight for unit {data.unit_ids[i]!r}")
+    stack = _weight_stack(*_dataset_rows(data), data.unit_ids, models)
+    if stack.errors[0] is not None:
+        raise stack.errors[0]
+    per_unit = stack.per_unit_weights[0]
 
     truncation = None
     if truncate_percentile is not None:
@@ -229,52 +280,10 @@ def stabilized_weights(
 
     return WeightSet(
         per_unit_weights=per_unit,
-        per_time_factors=per_time,
-        periods=periods,
+        per_time_factors=np.exp(stack.log_factors[0]),
+        periods=stack.periods,
         truncation=truncation,
     )
-
-
-def stabilized_weights_stack(a, l, a0, l0) -> tuple[np.ndarray, np.ndarray]:
-    """Stabilized weights of R replicates at once, without truncation.
-
-    Takes (R, N, K) histories and (R, N) baselines. Returns (R, N) weights
-    and an (R,) mask: where it is True, the row is bit-identical to
-    `stabilized_weights` of that replicate's dataset. Where it is False
-    (row NaN), that call raises or drops a constant lag column, and the
-    replicate needs the per-dataset path.
-    """
-    resp, lag_a, lag_l, periods = _lagged_rows(a, l, a0, l0)
-    r, n_units = a.shape[:2]
-    weights = np.full((r, n_units), np.nan)
-    if resp.shape[-1] < len(DENOMINATOR_TERMS) + 2:
-        return weights, np.zeros(r, dtype=bool)
-    num_design = _build_design(NUMERATOR_TERMS, lag_a, lag_l)
-    den_design = _build_design(DENOMINATOR_TERMS, lag_a, lag_l)
-    numerator = fit_glm_stack(num_design, resp, "linear")
-    denominator = fit_glm_stack(den_design, resp, "linear")
-    floor = _sd_floor(resp)
-    ok = (
-        numerator.ok
-        & denominator.ok
-        & (np.ptp(lag_a, axis=-1) > 0.0)
-        & (np.ptp(lag_l, axis=-1) > 0.0)
-        & (numerator.residual_sd > floor)
-        & (denominator.residual_sd > floor)
-    )
-    keep = np.flatnonzero(ok)
-    rows = slice(None) if keep.size == r else keep  # a view, not a copy, when all are kept
-    log_factors = _log_factors(
-        resp[rows],
-        (num_design[rows], numerator.coefficients[rows], numerator.residual_sd[rows]),
-        (den_design[rows], denominator.coefficients[rows], denominator.residual_sd[rows]),
-    ).reshape(len(keep), n_units, len(periods))
-    with np.errstate(over="ignore"):  # finiteness checked below
-        per_unit = np.exp(log_factors.sum(axis=-1))
-    finite = np.isfinite(log_factors).all(axis=(1, 2)) & np.isfinite(per_unit).all(axis=1)
-    weights[keep[finite]] = per_unit[finite]
-    ok[keep[~finite]] = False
-    return weights, ok
 
 
 def iter_weight_rows(data: PanelDataset, weights: WeightSet) -> Iterator[tuple[str | int, int, float, float]]:

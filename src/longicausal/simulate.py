@@ -21,25 +21,28 @@ pooled treatment-model rows each. A block is generated as one stack
 (`_generate_stack`): each replicate keeps its own stream and draw order,
 and the recursion runs over the whole block, so every replicate is
 bit-identical to `generate_dataset` of it alone, which is the one-replicate
-call of the same generator. The block's weight models and outcome fits then
-run as stacks through the GLM kernel. A replicate the stacks cannot carry
-(an error, a non-converged fit, a dropped constant column) is re-run on its
-own by `_run_replicate`, which gives the same numbers or the same audited
-error, so results do not depend on the block size either.
+call of the same generator. The block's weights and outcome fits then run
+as stacks (`stabilized_weights_stack`, `estimate_stack`), whose
+one-replicate calls are the per-dataset functions. Each stack gives every
+replicate the numbers or the error of that call, so a replicate is audited
+with the error the per-dataset path raises first, and results do not
+depend on the block size either.
 """
 
 from __future__ import annotations
 
+import math
 import os
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
 
-from .estimators import CI_MULTIPLIER, ESTIMATOR_NAMES, adjusted_poisson, estimate_stack, msm_iptw, naive_poisson
+from .estimators import CI_MULTIPLIER, ESTIMATOR_NAMES, estimate_stack
 from .exceptions import DomainError, LongicausalError, SimulationError
-from .iptw import stabilized_weights, stabilized_weights_stack
+from .glm import first_errors
+from .iptw import stabilized_weights_stack
 from .panel import PanelDataset
 
 # the largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX)
@@ -50,6 +53,13 @@ FAILURE_BUDGET = 0.01
 # BLOCK_ROWS // (N*K) consecutive replicates, at least one, so its memory is
 # bounded and its boundaries depend only on the configuration
 BLOCK_ROWS = 25_000
+
+
+def _require_finite(params) -> None:
+    for f in fields(params):
+        value = getattr(params, f.name)
+        if f.type == "float" and not math.isfinite(value):
+            raise DomainError(f"{f.name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -69,6 +79,7 @@ class DgpParams:
     def __post_init__(self):
         if self.u_levels < 1:
             raise DomainError("u_levels must be >= 1")
+        _require_finite(self)
         if not (self.a0_sd > 0) or not (self.a_sd > 0):
             raise DomainError("sd parameters must be > 0")
 
@@ -84,6 +95,7 @@ class SimulationConfig:
     dgp: DgpParams = field(default_factory=DgpParams)
 
     def __post_init__(self):
+        _require_finite(self)
         if self.n_units < 2:
             raise DomainError("n_units must be >= 2")
         if self.n_periods < 1:
@@ -148,15 +160,19 @@ def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
     return a, l, y, a0, l0, log_mean
 
 
-def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelDataset:
-    """One replicate's panel. Same (config, seed) gives bit-identical output."""
-    a, l, y, a0, l0, log_mean = _generate_stack(config, [replicate_seed])
+def _checked_panel(a, l, y, a0, l0, log_mean) -> PanelDataset:
+    """One generated replicate's rows of `_generate_stack` as a panel, after the Poisson mean check."""
     if np.isnan(y).any():
         raise SimulationError(
             f"Poisson mean overflow: exp argument {np.max(log_mean):.1f} > {np.log(_MAX_POISSON_MEAN):.2f}; "
             "review causal_effect/confounding/volume parameters"
         )
-    return PanelDataset(a[0], l[0], y[0], A0=a0[0], L0=l0[0])
+    return PanelDataset(a, l, y, A0=a0, L0=l0)
+
+
+def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelDataset:
+    """One replicate's panel. Same (config, seed) gives bit-identical output."""
+    return _checked_panel(*(x[0] for x in _generate_stack(config, [replicate_seed])))
 
 
 @dataclass
@@ -197,61 +213,65 @@ class MonteCarloSummary:
                 )
 
 
-def _run_replicate(config: SimulationConfig, replicate: int):
-    """One replicate: generate, estimate all three ways.
-
-    Returns (replicate, {name: (beta1, se)}) or (replicate, error message).
-    """
-    seed = replicate_seed(config.master_seed, replicate)
-    try:
-        data = generate_dataset(config, seed)
-        weights = stabilized_weights(data)
-        reports = (
-            naive_poisson(data),
-            adjusted_poisson(data),
-            msm_iptw(data, weights=weights),
-        )
-        if not all(r.converged for r in reports):
-            bad = ", ".join(r.estimator for r in reports if not r.converged)
-            return replicate, f"non-convergence: {bad}"
-        return replicate, {r.estimator: (r.beta1_hat, r.se) for r in reports}
-    except LongicausalError as exc:
-        return replicate, f"{type(exc).__name__}: {exc}"
-
-
 def _run_block(config: SimulationConfig, replicates: range) -> list[tuple[int, dict | str]]:
-    """`_run_replicate` of each replicate in `replicates`, generated and fitted as stacks."""
-    a, l, y, a0, l0, _ = _generate_stack(config, [replicate_seed(config.master_seed, rep) for rep in replicates])
-    # rows `generate_dataset` would reject (mean guard, PanelDataset checks) are re-run below
-    keep = np.flatnonzero(~np.isnan(y).any(axis=1) & np.isfinite(a).all(axis=(1, 2)) & np.isfinite(a0).all(axis=1))
-    payloads: dict[int, dict] = {}
-    if keep.size:
-        rows = slice(None) if keep.size == len(replicates) else keep  # a view, not a copy, when all are kept
-        a, l, y, a0, l0 = a[rows], l[rows], y[rows], a0[rows], l0[rows]
-        weights, ok = stabilized_weights_stack(a, l, a0, l0)
-        estimates, fitted = estimate_stack(a.sum(axis=2), l.sum(axis=2), y, weights)
-        for j in np.flatnonzero(ok & fitted):
-            payloads[replicates[keep[j]]] = {name: (float(b[j]), float(se[j])) for name, (b, se) in estimates.items()}
-    return [(rep, payloads[rep]) if rep in payloads else _run_replicate(config, rep) for rep in replicates]
+    """(replicate, {name: (beta1, se)}) or (replicate, audit message) for each of `replicates`.
+
+    The block is generated, weighted and fitted as stacks. A replicate is
+    audited with its first error, from generation, the weights, then the
+    naive, adjusted and MSM fits, or else with its non-converged fits.
+    """
+    generated = _generate_stack(config, [replicate_seed(config.master_seed, rep) for rep in replicates])
+    a, l, y, a0, l0, _ = generated
+    errors: list[LongicausalError | None] = [None] * len(replicates)
+    # only an undrawable mean (NaN Y) or a non-finite A can fail the checks of
+    # `generate_dataset`: L and Y are 0/1 and counts by construction
+    suspect = np.isnan(y).any(axis=1) | ~np.isfinite(a).all(axis=(1, 2)) | ~np.isfinite(a0).all(axis=1)
+    for j in np.flatnonzero(suspect):
+        try:
+            _checked_panel(*(x[j] for x in generated))
+        except LongicausalError as exc:
+            errors[j] = exc
+    live = np.flatnonzero([e is None for e in errors])
+    rows = slice(None) if live.size == len(replicates) else live  # a view, not a copy, when all are live
+    a, l, y, a0, l0 = a[rows], l[rows], y[rows], a0[rows], l0[rows]
+    weights = stabilized_weights_stack(a, l, a0, l0)
+    estimates = estimate_stack(a.sum(axis=2), l.sum(axis=2), y, weights.per_unit_weights)
+    for stage in (weights.errors, *(e.errors for e in estimates.values())):
+        first_errors(errors, live, stage)
+
+    converged = np.all([e.converged for e in estimates.values()], axis=0)
+    results: list = [None if e is None else f"{type(e).__name__}: {e}" for e in errors]
+    for k, j in enumerate(live):
+        if errors[j] is None and converged[k]:
+            results[j] = {name: (float(e.beta1_hat[k]), float(e.se[k])) for name, e in estimates.items()}
+        elif errors[j] is None:
+            results[j] = "non-convergence: " + ", ".join(name for name, e in estimates.items() if not e.converged[k])
+    return list(zip(replicates, results))
 
 
-def _resolve_threads(threads: int | None) -> int:
-    if threads is None:
-        threads = int(os.environ.get("LONGICAUSAL_THREADS", "1"))
-    return max(1, threads)
+def threads_from_env() -> int:
+    """Worker processes from LONGICAUSAL_THREADS (default 1); DomainError unless an integer >= 1."""
+    text = os.environ.get("LONGICAUSAL_THREADS", "1")
+    if not text.isdecimal() or int(text) < 1:
+        raise DomainError(f"LONGICAUSAL_THREADS must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> MonteCarloSummary:
     """Run M replicates and aggregate per-estimator averages and coverage.
 
     Replicates that raise a package error (or fail to converge) are excluded
-    with an audit trail; more than 1% of them aborts the run. Aggregation is
-    performed in replicate-index order regardless of `threads`.
+    with an audit trail; more than 1% of them aborts the run. Blocks run on
+    `threads` worker processes (default: `threads_from_env`), at most one
+    per block and per CPU this process may use. Aggregation is performed in
+    replicate-index order regardless of `threads`.
     """
     m = config.n_replicates
     size = max(1, BLOCK_ROWS // (config.n_units * config.n_periods))
     blocks = [range(i, min(i + size, m)) for i in range(0, m, size)]
-    threads = min(_resolve_threads(threads), len(blocks))
+    # more processes than blocks or usable CPUs would only wait
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+    threads = min(threads_from_env() if threads is None else max(1, threads), len(blocks), cpus)
 
     if threads == 1:
         results = [r for block in blocks for r in _run_block(config, block)]
@@ -300,13 +320,3 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
         replicate_indices=reps,
         estimators=summaries,
     )
-
-
-def with_overrides(config: SimulationConfig, **kwargs) -> SimulationConfig:
-    """Convenience: replace top-level or dgp fields by keyword."""
-    dgp_fields = {f for f in DgpParams.__dataclass_fields__}
-    dgp_kwargs = {k: v for k, v in kwargs.items() if k in dgp_fields}
-    top_kwargs = {k: v for k, v in kwargs.items() if k not in dgp_fields}
-    if dgp_kwargs:
-        top_kwargs["dgp"] = replace(config.dgp, **dgp_kwargs)
-    return replace(config, **top_kwargs)

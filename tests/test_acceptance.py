@@ -24,11 +24,11 @@ from longicausal.estimators import adjusted_poisson, msm_iptw, naive_poisson
 from longicausal.geo import assign_quakes, build_panel, cluster_wells, load_catalog_csv, load_wells_csv
 from longicausal.iptw import TreatmentModels, fit_treatment_models, stabilized_weights
 from longicausal.simulate import (
+    DgpParams,
     SimulationConfig,
     generate_dataset,
     replicate_seed,
     run_monte_carlo,
-    with_overrides,
 )
 
 from test_glm import draw_small_instance, oracle_maximizer
@@ -83,9 +83,7 @@ class TestCriterion1ReferenceReplication:
 
 class TestCriterion2LargeNReplication:
     def test_n600_replication(self):
-        cfg = with_overrides(
-            SimulationConfig(master_seed=ACCEPTANCE_SEED + 1), n_units=600, n_replicates=2000
-        )
+        cfg = SimulationConfig(master_seed=ACCEPTANCE_SEED + 1, n_units=600, n_replicates=2000)
         summary = run_monte_carlo(cfg)
         checks = mc_checks(
             summary,
@@ -99,11 +97,11 @@ class TestCriterion2LargeNReplication:
 
 class TestCriterion3UnconfoundedOracle:
     def test_unconfounded_oracle(self):
-        cfg = with_overrides(
-            SimulationConfig(master_seed=ACCEPTANCE_SEED + 2),
+        cfg = SimulationConfig(
+            master_seed=ACCEPTANCE_SEED + 2,
             confounding=0.0,
-            a_l_penalty=0.0,
             n_replicates=500,
+            dgp=DgpParams(a_l_penalty=0.0),
         )
         summary = run_monte_carlo(cfg)
         checks = []

@@ -122,8 +122,8 @@ class TestSimulateCommand:
     def test_every_flag_reaches_the_config(self, tmp_path, monkeypatch):
         seen = []
 
-        def capture(config):
-            seen.append(config)
+        def capture(config, threads):
+            seen.append((config, threads))
             raise SimulationError("captured")
 
         monkeypatch.setattr(longicausal.cli, "run_monte_carlo", capture)
@@ -136,7 +136,7 @@ class TestSimulateCommand:
                         a_l_penalty=-30.5, a_sd=45.5)
         want = SimulationConfig(causal_effect=0.002, confounding=0.3, n_units=17, n_periods=5, n_replicates=9,
                                 master_seed=42, dgp=dgp)
-        assert seen == [want]
+        assert seen == [(want, 1)]
         # every value differs from its default, so a dropped flag would show
         default = SimulationConfig()
         for name in ("causal_effect", "confounding", "n_units", "n_periods", "n_replicates", "master_seed"):
@@ -187,6 +187,14 @@ class TestSimulateCommand:
 
     def test_unknown_flag_exit_2(self):
         assert main(["simulate", "--frobnicate", "1"]) == 2
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_bad_threads_variable_exit_2_writes_nothing(self, tmp_path, capsys, monkeypatch, value):
+        monkeypatch.setenv("LONGICAUSAL_THREADS", value)
+        out = tmp_path / "run"
+        assert main(["simulate", "--m", "2", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == f"error: LONGICAUSAL_THREADS must be an integer >= 1, got {value!r}\n"
+        assert not out.exists()
 
 
 class TestAnalyzeCommand:

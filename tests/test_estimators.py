@@ -1,5 +1,6 @@
 """Naive / adjusted / MSM outcome regressions and the reporting transforms."""
 
+import hashlib
 import math
 
 import numpy as np
@@ -14,6 +15,7 @@ from longicausal.estimators import (
     relative_risk,
 )
 from longicausal.exceptions import DomainError
+from longicausal.geo import assign_quakes, build_panel, cluster_wells
 from longicausal.iptw import TreatmentModels, fit_treatment_models, stabilized_weights
 from longicausal.panel import PanelDataset
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
@@ -133,13 +135,9 @@ class TestSharedContracts:
 
 class TestUnconfoundedAgreement:
     def test_all_three_agree_without_confounding(self):
-        from longicausal.simulate import run_monte_carlo, with_overrides
+        from longicausal.simulate import DgpParams, run_monte_carlo
 
-        cfg = with_overrides(
-            SimulationConfig(master_seed=2024, n_replicates=200),
-            confounding=0.0,
-            a_l_penalty=0.0,
-        )
+        cfg = SimulationConfig(master_seed=2024, n_replicates=200, confounding=0.0, dgp=DgpParams(a_l_penalty=0.0))
         s = run_monte_carlo(cfg)
         stats = {
             name: (est.avg_point_estimate, est.estimates.std() / math.sqrt(len(est.estimates)))
@@ -188,3 +186,41 @@ class TestReportSerialization:
         text = rep.to_text()
         for key in ("estimator:", "beta1_hat:", "se:", "ci95:", "relative_risk_per_MMbbl:", "z:", "p:"):
             assert key in text
+
+
+def pin_digest(weights, reports):
+    """SHA-256 of the per-unit and per-period weights and of every report field, floats as exact hex."""
+    h = hashlib.sha256()
+    h.update(np.ascontiguousarray(weights.per_unit_weights).tobytes())
+    h.update(np.ascontiguousarray(weights.per_time_factors).tobytes())
+    fields = [f for r in reports for f in (r.estimator, r.beta1_hat, r.se, *r.ci95, r.relative_risk_per_MMbbl,
+                                           r.z, r.p, r.intercept, r.converged)]
+    h.update(repr([f if isinstance(f, (str, bool)) else float(f).hex() for f in fields]).encode())
+    return h.hexdigest()
+
+
+class TestPinnedOutput:
+    """Weights and reports recorded before the per-dataset functions became the stacks' one-replicate calls."""
+
+    @pytest.mark.parametrize(
+        "case, truncate, hc1, digest",
+        [
+            ("corpus", None, False, "1e02c79cb62c2c45a44645cdf5c6a08297f4bac50fa12afafa7313116f162363"),
+            ("corpus", 1.0, False, "7d940b32f493ce3407c14a15f097bc71f31df0f5befa9f61807496d8dc502950"),
+            ("corpus", None, True, "d447c69802b4546044652c16374ed7c4eb484e603a8d954674e4640b89ea7189"),
+            ("no-confounder", None, False, "d4a080f9509ed6033f8b828c2785c5ac8b88bf225046b476036b88760ac41a65"),
+        ],
+        ids=["corpus", "truncated", "hc1", "no-confounder"],
+    )
+    def test_weights_and_reports(self, corpus, case, truncate, hc1, digest):
+        if case == "corpus":  # the assembled test corpus: 30 units, no baseline period
+            assignment = cluster_wells(corpus.wells, n_clusters=30)
+            data = build_panel(corpus.wells, assignment, assign_quakes(assignment.centroids, corpus.quakes))
+            assert not data.has_baseline
+        else:  # L = 0 throughout: the weight models and the adjusted fit drop their L columns
+            gen = generate_dataset(SimulationConfig(master_seed=12), replicate_seed(12, 3))
+            data = PanelDataset(gen.treatment_matrix(), np.zeros((50, 8)), gen.outcome_vector(),
+                                A0=gen.baseline_treatment_vector(), L0=np.zeros(50))
+        weights = stabilized_weights(data, truncate_percentile=truncate)
+        reports = [naive_poisson(data), adjusted_poisson(data), msm_iptw(data, weights=weights, hc1=hc1)]
+        assert pin_digest(weights, reports) == digest

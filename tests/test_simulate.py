@@ -2,19 +2,25 @@
 
 import hashlib
 import math
+import os
+from dataclasses import replace
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 
+import longicausal.estimators as est
 import longicausal.simulate as sim
-from longicausal.exceptions import DomainError, SimulationError
+from longicausal.estimators import adjusted_poisson, msm_iptw, naive_poisson
+from longicausal.exceptions import DomainError, LongicausalError, SimulationError
+from longicausal.glm import fit_glm_stack
+from longicausal.iptw import stabilized_weights
 from longicausal.simulate import (
     DgpParams,
     SimulationConfig,
     generate_dataset,
     replicate_seed,
     run_monte_carlo,
-    with_overrides,
 )
 
 
@@ -60,9 +66,8 @@ class TestGenerateDataset:
         [
             # exp arguments of about 450: finite means that Generator.poisson rejects
             SimulationConfig(causal_effect=0.05, master_seed=1),
-            SimulationConfig(confounding=math.nan, master_seed=1),
         ],
-        ids=["above-numpy-limit", "nan"],
+        ids=["above-numpy-limit"],
     )
     def test_mean_numpy_cannot_draw_rejected(self, cfg):
         with pytest.raises(SimulationError, match="Poisson mean overflow"):
@@ -75,7 +80,7 @@ class TestGenerateDataset:
              "b4e07ab3854ed69f4876c029e234030e61d5f43cefaed215d260a9699846bf4b"),
             (SimulationConfig(n_units=600, n_periods=3, master_seed=7), replicate_seed(7, 5),
              "e7b6a6daf4db1300fc2d7c12007df7fcddfcb2b570c14f872827ed7ae4898676"),
-            (with_overrides(SimulationConfig(n_units=7, n_periods=1, master_seed=3), u_levels=1, a_sd=1e-3),
+            (SimulationConfig(n_units=7, n_periods=1, master_seed=3, dgp=DgpParams(u_levels=1, a_sd=1e-3)),
              replicate_seed(3, 123), "861e2b20213bcc2af7f6d9ba70275834c4fbfa97d4146573ec83e0d12e30b19c"),
         ],
         ids=["n50-k8", "n600-k3", "n7-k1"],
@@ -114,6 +119,13 @@ class TestGenerateDataset:
             SimulationConfig(master_seed=-1)
         with pytest.raises(DomainError):
             DgpParams(a_sd=0.0)
+        # non-finite parameters are named instead of failing every replicate downstream
+        with pytest.raises(DomainError, match="^confounding must be finite, got nan$"):
+            SimulationConfig(confounding=math.nan)
+        with pytest.raises(DomainError, match="^causal_effect must be finite, got inf$"):
+            SimulationConfig(causal_effect=math.inf)
+        with pytest.raises(DomainError, match="^a_drift must be finite, got -inf$"):
+            DgpParams(a_drift=-math.inf)
 
     def test_replicate_seed_packs_pair(self):
         assert replicate_seed(3, 5) == (3 << 64) | 5
@@ -167,21 +179,11 @@ class TestMonteCarlo:
             run_monte_carlo(cfg)
 
     def test_rare_failures_excluded_with_audit_trail(self, monkeypatch):
-        original = sim._generate_stack
-
-        def flaky(config, seeds):
-            bad = replicate_seed(config.master_seed, 3)
-            if list(seeds) == [bad]:  # replicate 3 generated on its own
-                raise DomainError("injected for test")
-            a, l, y, a0, l0, log_mean = original(config, seeds)
-            y[[j for j, seed in enumerate(seeds) if seed == bad]] = np.nan  # a block re-runs it alone
-            return a, l, y, a0, l0, log_mean
-
-        monkeypatch.setattr(sim, "_generate_stack", flaky)
+        edit_generated(monkeypatch, {3: non_finite_a})
         cfg = SimulationConfig(n_replicates=200, master_seed=77)
         s = sim.run_monte_carlo(cfg)  # 1/200 = 0.5% stays under the 1% budget
         assert s.n_failed == 1
-        assert s.failed_replicates[0] == (3, "DomainError: injected for test")
+        assert s.failed_replicates[0] == (3, "PanelError: treatments must be finite, got inf")
         assert 3 not in s.replicate_indices
         for est in s.estimators.values():
             assert est.estimates.shape == (199,)
@@ -214,46 +216,191 @@ def summary_arrays(s):
     return arrays
 
 
-def count_single_replicate_runs(monkeypatch):
-    """Patch `_run_replicate` to record which replicates the block engine hands to it."""
-    calls = []
-    original = sim._run_replicate
-
-    def spy(config, replicate):
-        calls.append(replicate)
-        return original(config, replicate)
-
-    monkeypatch.setattr(sim, "_run_replicate", spy)
-    return calls
+def summary_digest(s):
+    """SHA-256 of a summary's replicate indices, beta1/SE arrays and audit trail."""
+    h = hashlib.sha256(s.replicate_indices.astype(np.int64).tobytes())
+    for e in s.estimators.values():
+        h.update(e.estimates.tobytes())
+        h.update(e.ses.tobytes())
+    h.update(repr(s.failed_replicates).encode())
+    return h.hexdigest()
 
 
-def edit_generated_replicate(monkeypatch, replicate, edit):
-    """Patch `_generate_stack` so that `edit(a, l, a0, l0)` changes that replicate's rows in place."""
-    original = sim._generate_stack
+def run_replicate(config, replicate):
+    """The reference composition of one replicate through the per-dataset API.
+
+    generate_dataset, stabilized_weights, then the three estimators; the first
+    error wins, then non-convergence. Returns (replicate, {name: (beta1, se)})
+    or (replicate, audit message), as the block engine must.
+    """
+    try:
+        data = generate_dataset(config, replicate_seed(config.master_seed, replicate))
+        weights = stabilized_weights(data)
+        reports = (naive_poisson(data), adjusted_poisson(data), msm_iptw(data, weights=weights))
+    except LongicausalError as exc:
+        return replicate, f"{type(exc).__name__}: {exc}"
+    if not all(r.converged for r in reports):
+        return replicate, "non-convergence: " + ", ".join(r.estimator for r in reports if not r.converged)
+    return replicate, {r.estimator: (r.beta1_hat, r.se) for r in reports}
+
+
+def assert_matches_reference(config, results):
+    """`results` (replicate, payload or message) pairs equal the reference composition's, bit for bit."""
+    for rep, payload in results:
+        assert (rep, payload) == run_replicate(config, rep)
+
+
+GENERATE = sim._generate_stack  # the generator itself, whatever a test patches in
+
+
+class Row(NamedTuple):
+    """One replicate's rows of a generated block (views), with its config and seed."""
+
+    config: SimulationConfig
+    seed: int
+    a: np.ndarray
+    l: np.ndarray
+    y: np.ndarray
+    a0: np.ndarray
+    l0: np.ndarray
+    log_mean: np.ndarray
+
+
+def edit_generated(monkeypatch, edits):
+    """Patch `_generate_stack` so that `edits[replicate](row)` changes that replicate's rows in place."""
 
     def patched(config, seeds):
-        arrays = original(config, seeds)
-        a, l, _, a0, l0, _ = arrays
+        arrays = GENERATE(config, seeds)
         for j, seed in enumerate(seeds):
-            if seed == replicate_seed(config.master_seed, replicate):
-                edit(a[j], l[j], a0[j], l0[j])
+            edit = edits.get(seed - (config.master_seed << 64))
+            if edit is not None:
+                edit(Row(config, seed, *(x[j] for x in arrays)))
         return arrays
 
     monkeypatch.setattr(sim, "_generate_stack", patched)
 
 
-class TestBlockEngine:
-    """Stacked fits of replicate blocks against the one-replicate path."""
+def overflowing(r):
+    # the replicate as drawn with causal_effect 1.0, whose Poisson means overflow
+    for dst, src in zip(r[2:], GENERATE(replace(r.config, causal_effect=1.0), [r.seed])):
+        dst[...] = src[0]
 
-    @pytest.mark.parametrize("n_units, n_replicates", [(50, 100), (600, 10)])
-    def test_bit_equal_to_single_replicate_path(self, monkeypatch, n_units, n_replicates):
+
+def non_finite_a(r):
+    r.a[3, 2] = np.inf
+
+
+def naive_rank(r):
+    # the same cumulative volume for every unit: [1, cumA] is rank deficient
+    r.a[:, -1] = 1000.0 * r.a.shape[1] - r.a[:, :-1].sum(axis=1)
+
+
+def no_confounder(r):
+    # the weight models drop L(t-1) and the adjusted fit drops cumL
+    r.l[:] = 0.0
+    r.l0[:] = 0.0
+
+
+def constant_cum_l(r):
+    # one L = 1 per unit, in different periods: cumL is dropped, L(t-1) is not
+    n, k = r.l.shape
+    r.l[:] = 0.0
+    r.l[np.arange(n), np.arange(n) % k] = 1.0
+
+
+def follow(r, penalty, noise):
+    """A(t) = A(t-1) + penalty*L(t-1) + 15 + noise(t) for every unit."""
+    prev_a, prev_l = r.a0, r.l0
+    for t in range(r.a.shape[1]):
+        r.a[:, t] = prev_a + penalty * prev_l + 15.0 + noise[:, t]
+        prev_a, prev_l = r.a[:, t], r.l[:, t]
+
+
+def inflated_weight(r):
+    # the denominator model fits every unit but unit 0 almost exactly; unit 0
+    # ignores L(t-1) = 1, so its density ratio overflows
+    r.l0[0] = 1.0
+    r.l[0] = 1.0
+    follow(r, -55.0, 1e-3 * np.sin(np.arange(r.a.size)).reshape(r.a.shape))
+    r.a[0] = r.a0[0] + 15.0 * np.arange(1, r.a.shape[1] + 1)
+
+
+def numerator_rank(r):
+    # A(t-1) varies by a few ulps only: [1, A(t-1)] is rank deficient
+    r.a0[:] = 1000.0 + 1e-10 * (np.arange(len(r.a0)) % 2)
+    r.a[:, :-1] = r.a0[:, None]
+
+
+def denominator_rank(r):
+    # A(t-1) = 1000 + 100 L(t-1): [1, A(t-1), L(t-1)] is rank deficient
+    r.a0[:] = 1000.0 + 100.0 * r.l0
+    r.a[:, :-1] = 1000.0 + 100.0 * r.l[:, :-1]
+
+
+def numerator_exact(r):
+    follow(r, 0.0, np.zeros(r.a.shape))
+
+
+def denominator_exact(r):
+    follow(r, -55.0, np.zeros(r.a.shape))
+
+
+def vanishing_weights(r):
+    # over 50 periods the almost exact denominator model drives every weight to 0.0
+    follow(r, -55.0, 1e-6 * np.sin(np.arange(r.a.size)).reshape(r.a.shape))
+
+
+def one_iteration(*args, **kwargs):
+    return fit_glm_stack(*args, **kwargs, max_iter=1)
+
+
+def without_model_cov(*args, **kwargs):
+    fit = fit_glm_stack(*args, **kwargs)
+    return fit._replace(model_cov=np.full_like(fit.model_cov, np.nan))
+
+
+RANK_DEFICIENT = "SingularDesignError: design matrix is rank deficient (singular value ratio below 1e-12)"
+# replicate: (edit, audit message or None when the replicate is kept), for
+# N=600, K=3, seed 8; the messages were recorded before the per-dataset
+# functions became the one-replicate calls of the stacks
+MIXED_BLOCK = {
+    1: (overflowing, "SimulationError: Poisson mean overflow: exp argument 3883.0 > 43.67; "
+                     "review causal_effect/confounding/volume parameters"),
+    2: (non_finite_a, "PanelError: treatments must be finite, got inf"),
+    3: (naive_rank, RANK_DEFICIENT),
+    4: (no_confounder, None),
+    5: (constant_cum_l, None),
+    6: (inflated_weight, "WeightError: non-finite stabilized weight for unit 0"),
+    7: (numerator_rank, RANK_DEFICIENT),
+    8: (denominator_rank, RANK_DEFICIENT),
+    9: (numerator_exact, "DegenerateVarianceError: numerator treatment model has (numerically) zero residual "
+                         "variance; density ratio is undefined"),
+    10: (denominator_exact, "DegenerateVarianceError: denominator treatment model has (numerically) zero residual "
+                            "variance; density ratio is undefined"),
+}
+FEW_ROWS = "DomainError: not enough pooled observations (4) for the treatment models"
+TOO_FEW_UNITS = "DomainError: need at least as many observations as parameters (n=2, p=3)"
+
+
+class TestBlockEngine:
+    """Stacked fits of replicate blocks against the reference composition and the pins."""
+
+    @pytest.mark.parametrize(
+        "n_units, n_replicates, digest",
+        [
+            (50, 100, "b40a8ce727e8879241085f94924f220564926a5c3b93a44ecc5c93770af7b009"),
+            (600, 10, "2f939d07485f384c37ccbc1d214a8eaf4fbf9cf569716e7d95ff4e7fd22b2059"),
+        ],
+        ids=["50-100", "600-10"],
+    )
+    def test_bit_equal_to_single_replicate_path(self, n_units, n_replicates, digest):
         cfg = SimulationConfig(n_units=n_units, n_replicates=n_replicates, master_seed=41)
-        calls = count_single_replicate_runs(monkeypatch)
         s = sim.run_monte_carlo(cfg)
-        assert calls == []  # every replicate was carried by the stacks
+        # recorded before the per-dataset functions became the stacks' one-replicate calls
+        assert summary_digest(s) == digest
         assert s.n_failed == 0
         for pos, rep in enumerate(s.replicate_indices):
-            _, single = sim._run_replicate(cfg, int(rep))
+            _, single = run_replicate(cfg, int(rep))
             for name, (beta1, se) in single.items():
                 assert s.estimators[name].estimates[pos] == beta1
                 assert s.estimators[name].ses[pos] == se
@@ -279,16 +426,10 @@ class TestBlockEngine:
         # so the naive design [1, cumA] is rank deficient; its lags still vary
         cfg = SimulationConfig(n_units=20, n_replicates=120, master_seed=8)
         healthy = sim.run_monte_carlo(cfg)
-
-        def degenerate(a, l, a0, l0):
-            a[:, -1] = 8000.0 - a[:, :-1].sum(axis=1)
-
-        edit_generated_replicate(monkeypatch, 5, degenerate)
-        expected = sim._run_replicate(cfg, 5)
-        assert "rank deficient" in expected[1]
-        calls = count_single_replicate_runs(monkeypatch)
+        edit_generated(monkeypatch, {5: naive_rank})
+        expected = run_replicate(cfg, 5)
+        assert expected == (5, RANK_DEFICIENT)
         s = sim.run_monte_carlo(cfg)  # one block of 120 replicates
-        assert calls == [5]
         assert s.failed_replicates == (expected,)
         keep = healthy.replicate_indices != 5
         assert np.array_equal(s.replicate_indices, healthy.replicate_indices[keep])
@@ -296,44 +437,118 @@ class TestBlockEngine:
             assert e.estimates.tobytes() == healthy.estimators[name].estimates[keep].tobytes()
             assert e.ses.tobytes() == healthy.estimators[name].ses[keep].tobytes()
 
-
     def test_non_finite_replicate_in_a_block_is_audited_alone(self, monkeypatch):
         cfg = SimulationConfig(n_units=20, n_replicates=120, master_seed=8)
-
-        def infinite(a, l, a0, l0):
-            a[3, 2] = np.inf
-
-        edit_generated_replicate(monkeypatch, 4, infinite)
-        calls = count_single_replicate_runs(monkeypatch)
+        edit_generated(monkeypatch, {4: non_finite_a})
         s = sim.run_monte_carlo(cfg)
-        assert calls == [4]
         assert s.failed_replicates == ((4, "PanelError: treatments must be finite, got inf"),)
+        assert s.failed_replicates == (run_replicate(cfg, 4),)
 
-    def test_replicate_with_dropped_columns_takes_the_single_path(self, monkeypatch):
+    def test_replicate_with_dropped_columns_matches_the_reference(self, monkeypatch):
         # replicate 2 never has L = 1: its weight models and the adjusted fit
-        # drop their constant L columns, which the stacks do not do
+        # drop their constant L columns, in a sub-stack of their own
         cfg = SimulationConfig(n_units=20, n_replicates=30, master_seed=8)
-
-        def no_confounder(a, l, a0, l0):
-            l[:] = 0.0
-            l0[:] = 0.0
-
-        edit_generated_replicate(monkeypatch, 2, no_confounder)
-        _, single = sim._run_replicate(cfg, 2)
-        calls = count_single_replicate_runs(monkeypatch)
+        edit_generated(monkeypatch, {2: no_confounder})
+        _, single = run_replicate(cfg, 2)
         s = sim.run_monte_carlo(cfg)
-        assert calls == [2]
         assert s.n_failed == 0
         pos = list(s.replicate_indices).index(2)
         for name, (beta1, se) in single.items():
             assert (s.estimators[name].estimates[pos], s.estimators[name].ses[pos]) == (beta1, se)
 
+    @pytest.mark.parametrize(
+        "block, threads",
+        [(1, 1), (8, 1), (None, 1), (8, 2)],
+        ids=["block-1", "block-8", "default-block", "block-8-threads-2"],
+    )
+    def test_every_failure_kind_in_one_block(self, monkeypatch, block, threads):
+        cfg = SimulationConfig(n_units=600, n_periods=3, n_replicates=13, master_seed=8)
+        assert sim.BLOCK_ROWS // (cfg.n_units * cfg.n_periods) == cfg.n_replicates  # one default block
+        edit_generated(monkeypatch, {rep: edit for rep, (edit, _) in MIXED_BLOCK.items()})
+        monkeypatch.setattr(sim, "FAILURE_BUDGET", 1.0)  # 8 of the 13 replicates fail by design
+        if block is not None:
+            monkeypatch.setattr(sim, "BLOCK_ROWS", block * cfg.n_units * cfg.n_periods)
+        s = sim.run_monte_carlo(cfg, threads=threads)
+        assert s.failed_replicates == tuple((rep, msg) for rep, (_, msg) in MIXED_BLOCK.items() if msg)
+        # recorded before the per-dataset functions became the stacks' one-replicate calls
+        assert summary_digest(s) == "924f89b5bea5a8351dcc1bb5f706b234f340fdfe9bf5af4246b7247ac7e281ef"
+        assert list(s.replicate_indices) == [0, 4, 5, 11, 12]
+        results = [*s.failed_replicates]
+        for pos, rep in enumerate(s.replicate_indices):
+            results.append((int(rep), {name: (e.estimates[pos], e.ses[pos]) for name, e in s.estimators.items()}))
+        assert_matches_reference(cfg, results)
 
-class TestOverrides:
-    def test_top_level_and_dgp_fields(self):
-        cfg = SimulationConfig()
-        out = with_overrides(cfg, n_units=600, a_l_penalty=0.0, confounding=0.0)
-        assert out.n_units == 600
-        assert out.dgp.a_l_penalty == 0.0
-        assert out.confounding == 0.0
-        assert out.dgp.a_sd == cfg.dgp.a_sd
+    @pytest.mark.parametrize(
+        "cfg, edits, messages",
+        [
+            (SimulationConfig(n_units=2, n_periods=2, n_replicates=8), {},
+             [FEW_ROWS] * 3 + [TOO_FEW_UNITS] + [FEW_ROWS] * 2 + [None, FEW_ROWS]),
+            (SimulationConfig(n_units=2, n_replicates=4), {}, [TOO_FEW_UNITS, None, TOO_FEW_UNITS, TOO_FEW_UNITS]),
+            (SimulationConfig(causal_effect=1e-4, n_units=50, n_periods=50, n_replicates=3, master_seed=8),
+             {1: vanishing_weights}, [None, "DomainError: at least one weight must be positive", None]),
+        ],
+        ids=["too-few-pooled-rows", "too-few-units", "msm-fit"],
+    )
+    def test_audit_messages(self, monkeypatch, cfg, edits, messages):
+        # messages recorded before the per-dataset functions became the stacks' one-replicate calls
+        edit_generated(monkeypatch, edits)
+        results = sim._run_block(cfg, range(cfg.n_replicates))
+        assert [None if isinstance(out, dict) else out for _, out in results] == messages
+        assert_matches_reference(cfg, results)
+
+    @pytest.mark.parametrize(
+        "patched, message",
+        [
+            (one_iteration, "non-convergence: naive, adjusted, msm"),
+            (without_model_cov, "DomainError: standard error must be positive and finite, got np.float64(nan)"),
+        ],
+        ids=["non-convergence", "wald-test"],
+    )
+    def test_estimator_failures_are_audited(self, monkeypatch, patched, message):
+        # the outcome fits are patched for the block engine and the reference alike
+        cfg = SimulationConfig(n_replicates=3, master_seed=8)
+        monkeypatch.setattr(est, "fit_glm_stack", patched)
+        results = sim._run_block(cfg, range(cfg.n_replicates))
+        assert [out for _, out in results] == [message] * cfg.n_replicates
+        assert_matches_reference(cfg, results)
+
+
+class TestThreads:
+    def test_workers_capped_at_blocks_and_usable_cpus(self, monkeypatch):
+        # a recording stand-in for the process pool: no process is started
+        workers = []
+
+        class Pool:
+            def __init__(self, max_workers):
+                workers.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        cfg = SimulationConfig(n_units=50, n_periods=8, n_replicates=6, master_seed=3)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 1)  # six blocks
+        serial = summary_arrays(sim.run_monte_carlo(cfg, threads=1))
+        monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        monkeypatch.setenv("LONGICAUSAL_THREADS", "64")
+        for got, want in zip(summary_arrays(sim.run_monte_carlo(cfg)), serial, strict=True):
+            assert got.tobytes() == want.tobytes()
+        sim.run_monte_carlo(cfg, threads=5)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        sim.run_monte_carlo(cfg, threads=64)
+        monkeypatch.setattr(sim, "BLOCK_ROWS", 3 * cfg.n_units * cfg.n_periods)  # two blocks
+        sim.run_monte_carlo(cfg, threads=64)
+        assert workers == [3, 3, 4, 2]
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+    def test_bad_environment_value_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("LONGICAUSAL_THREADS", value)
+        with pytest.raises(DomainError, match=rf"^LONGICAUSAL_THREADS must be an integer >= 1, got {value!r}$"):
+            run_monte_carlo(SimulationConfig(n_replicates=2))
