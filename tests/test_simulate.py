@@ -24,6 +24,13 @@ from longicausal.simulate import (
 )
 
 
+def _past_validation(config, **changes):
+    """`config` with `changes` set without `__post_init__`, to reach the checks behind it."""
+    for name, value in changes.items():
+        object.__setattr__(config, name, value)
+    return config
+
+
 class TestGenerateDataset:
     def test_bit_identical_for_same_seed(self):
         cfg = SimulationConfig(master_seed=11)
@@ -66,8 +73,12 @@ class TestGenerateDataset:
         [
             # exp arguments of about 450: finite means that Generator.poisson rejects
             SimulationConfig(causal_effect=0.05, master_seed=1),
+            # the config rejects a NaN parameter up front; a NaN mean can still
+            # come from an overflowing treatment path, and the generator's own
+            # check has to reject it as well
+            _past_validation(SimulationConfig(master_seed=1), confounding=math.nan),
         ],
-        ids=["above-numpy-limit"],
+        ids=["above-numpy-limit", "nan"],
     )
     def test_mean_numpy_cannot_draw_rejected(self, cfg):
         with pytest.raises(SimulationError, match="Poisson mean overflow"):
