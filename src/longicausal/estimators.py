@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError, LongicausalError, SingularDesignError
+from .exceptions import DomainError, LongicausalError
 from .glm import first_errors, fit_glm_stack, sandwich_cov_stack, stack_groups, wald_test
 from .iptw import WeightSet, stabilized_weights
 from .panel import PanelDataset
@@ -184,15 +184,10 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> Estim
         design = _outcome_design(cum_a[rows], *([cum_l[rows]] if with_l else []))
         w = None if sw is None else sw[rows]
         fit = fit_glm_stack(design, y[rows], "poisson", w)
-        errors, var = list(fit.errors), fit.model_cov[:, 1, 1]
+        errors, var = fit.errors, fit.model_cov[:, 1, 1]
         if sw is not None:  # a failed fit's NaN coefficients give a NaN covariance, and its error stays first
-            cov, singular = sandwich_cov_stack("poisson", fit.coefficients, design, y[rows], w)
-            first_errors(errors, singular, SingularDesignError("bread matrix is singular"))
-            n, p = design.shape[1:]
-            if hc1 and n <= p:
-                first_errors(errors, slice(None), DomainError("HC1 scaling requires n > p"))
-            elif hc1:
-                cov = cov * (n / (n - p))
+            cov, cov_errors = sandwich_cov_stack("poisson", fit.coefficients, design, y[rows], w, hc1=hc1)
+            first_errors(errors, slice(None), cov_errors)
             var = cov[:, 1, 1]
         with np.errstate(invalid="ignore"):  # a negative variance fails the Wald test
             se = np.sqrt(var)
@@ -200,7 +195,7 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> Estim
             try:
                 wald_test(float(fit.coefficients[j, 1]), se[j])
             except DomainError as exc:
-                first_errors(errors, [j], exc)
+                errors[j] = errors[j] or exc
         out.beta1_hat[idx], out.se[idx], out.intercept[idx] = fit.coefficients[:, 1], se, fit.coefficients[:, 0]
         out.converged[idx] = fit.converged
         first_errors(out.errors, idx, errors)

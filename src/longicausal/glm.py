@@ -30,7 +30,6 @@ Conventions used throughout:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -104,18 +103,19 @@ def stack_groups(flags: np.ndarray) -> list[tuple[slice | np.ndarray, tuple[bool
     return [(rows, tuple(flags[rows[0]])) for rows in groups]
 
 
-def first_errors(errors: list, problems, new) -> None:
-    """Give each of `problems` (an index of `errors`) the error `new`, or its own from a sequence `new`.
+def first_errors(errors: list, problems, new: list) -> None:
+    """Give each of `problems` (an index of `errors`) its error from `new`, unless it has one already."""
+    if any(new):  # a healthy stack has none to record
+        for i, error in zip(np.arange(len(errors))[problems].tolist(), new):
+            if errors[i] is None:
+                errors[i] = error
 
-    A problem that has an error already keeps it.
-    """
-    if isinstance(new, LongicausalError):
-        new = itertools.repeat(new)
-    elif not any(new):  # no error to record, as in every healthy stack
-        return
-    for i, error in zip(np.arange(len(errors))[problems].tolist(), new):
+
+def flag_errors(errors: list, problems, error_type: type, message: str) -> None:
+    """Give each of `problems` (integer indices of `errors`) the error `error_type(message)`, unless it has one."""
+    for i in problems:
         if errors[i] is None:
-            errors[i] = error
+            errors[i] = error_type(message)
 
 
 def _check_shapes(X: np.ndarray, y: np.ndarray, w: np.ndarray, family: str) -> None:
@@ -220,12 +220,6 @@ def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.n
     return -2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)), axis=-1)
 
 
-def _flag(errors: list, problems: np.ndarray, error_type: type, message: str) -> None:
-    for i in problems:
-        if errors[i] is None:
-            errors[i] = error_type(message)
-
-
 def fit_glm_stack(
     design,
     response,
@@ -248,10 +242,11 @@ def fit_glm_stack(
     r, _, p = X.shape
     errors: list[LongicausalError | None] = [None] * r
     for failed, message in _value_checks(X, y, w, family):
-        _flag(errors, np.flatnonzero(failed), DomainError, message)
+        flag_errors(errors, np.flatnonzero(failed), DomainError, message)
     live = np.flatnonzero([e is None for e in errors])
     rank_bad = live[_rank_deficient(X[live], None if weights is None else w[live])]
-    _flag(errors, rank_bad, SingularDesignError, "design matrix is rank deficient (singular value ratio below 1e-12)")
+    message = "design matrix is rank deficient (singular value ratio below 1e-12)"
+    flag_errors(errors, rank_bad, SingularDesignError, message)
 
     # from here on only the problems that passed the checks are computed
     live = np.flatnonzero([e is None for e in errors])
@@ -265,12 +260,12 @@ def fit_glm_stack(
 
     if family == "linear":
         beta, singular = _solve_wls(X, w, y)
-        _flag(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
+        flag_errors(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
         mu = _matvec(X, beta)
         with np.errstate(invalid="ignore"):  # NaN rows of singular problems
             sd = np.sqrt(np.sum(w * (y - mu) ** 2, axis=1) / np.sum(w, axis=1))
         inv, singular = _per_problem(np.linalg.inv, _information(X, w))
-        _flag(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
+        flag_errors(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
         coefficients[live] = beta
         model_cov[live] = inv * (sd**2)[:, None, None]
         converged[live] = True
@@ -301,7 +296,7 @@ def fit_glm_stack(
         wk = wa * var
         z = eta[sel] + (ya - mua) / var
         beta_a, singular = _solve_wls(Xa, wk, z)
-        _flag(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
+        flag_errors(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
         eta_a = _matvec(Xa, beta_a)
         mu_a = _mu_eta(family, eta_a)
         if family == "logistic":
@@ -320,7 +315,7 @@ def fit_glm_stack(
     with np.errstate(invalid="ignore"):  # NaN rows of singular problems
         info = _information(X, w * _variance(family, mu))
     inv, singular = _per_problem(np.linalg.inv, info)
-    _flag(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
+    flag_errors(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
     coefficients[live] = beta
     model_cov[live] = inv
     converged[live] = done
@@ -352,20 +347,31 @@ def fit_glm(
     return fit_glm_stack(X[None], y[None], family, w, max_iter=max_iter, tol=tol).result(0, family)
 
 
-def sandwich_cov_stack(family: str, coefficients, design, response, weights=None) -> tuple[np.ndarray, np.ndarray]:
-    """HC0 sandwich covariance of R fits at their (R, p) coefficients.
+def sandwich_cov_stack(
+    family: str, coefficients, design, response, weights=None, *, hc1: bool = False
+) -> tuple[np.ndarray, list[LongicausalError | None]]:
+    """Sandwich covariance of R fits at their (R, p) coefficients (HC0; HC1 applies n/(n-p)).
 
-    Returns the (R, p, p) covariances and an (R,) mask of problems whose
-    bread matrix is singular (their covariance is NaN).
+    Returns the (R, p, p) covariances and, per problem, the error
+    `sandwich_cov` would raise (a singular bread matrix, then HC1 with
+    n <= p) or None; a failed problem's covariance means nothing.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    r, n, p = X.shape
     mu = _mu_eta(family, _matvec(X, np.asarray(coefficients, dtype=float)))
     bread_inv, singular = _per_problem(np.linalg.inv, _information(X, w * _variance(family, mu)))
     score_resid = w * (y - mu)
     meat = _information(X, score_resid**2)
-    return bread_inv @ meat @ bread_inv, singular
+    cov = bread_inv @ meat @ bread_inv
+    errors: list[LongicausalError | None] = [None] * r
+    flag_errors(errors, np.flatnonzero(singular), SingularDesignError, "bread matrix is singular")
+    if hc1 and n <= p:
+        flag_errors(errors, range(r), DomainError, "HC1 scaling requires n > p")
+    elif hc1:
+        cov = cov * (n / (n - p))
+    return cov, errors
 
 
 def sandwich_cov(fit: FitResult, design, response, weights=None, *, hc1: bool = False) -> np.ndarray:
@@ -374,18 +380,12 @@ def sandwich_cov(fit: FitResult, design, response, weights=None, *, hc1: bool = 
     Bread is the weighted Fisher information, meat the outer product of the
     weighted score contributions w_i*(y_i - mu_i)*x_i.
     """
-    X = np.asarray(design, dtype=float)
-    n, p = X.shape
+    X, y = np.asarray(design, dtype=float)[None], np.asarray(response)[None]
     w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    cov, singular = sandwich_cov_stack(fit.family, fit.coefficients[None], X[None], np.asarray(response)[None], w)
-    if singular[0]:
-        raise SingularDesignError("bread matrix is singular")
-    cov = cov[0]
-    if hc1:
-        if n <= p:
-            raise DomainError("HC1 scaling requires n > p")
-        cov = cov * (n / (n - p))
-    return cov
+    cov, errors = sandwich_cov_stack(fit.family, fit.coefficients[None], X, y, w, hc1=hc1)
+    if errors[0] is not None:
+        raise errors[0]
+    return cov[0]
 
 
 def wald_test(beta: float, se: float) -> tuple[float, float]:

@@ -29,7 +29,7 @@ from .exceptions import (
     PositivityError,
     WeightError,
 )
-from .glm import FitResult, fit_glm, fit_glm_stack, first_errors, stack_groups
+from .glm import FitResult, fit_glm, fit_glm_stack, first_errors, flag_errors, stack_groups
 from .panel import DEFAULT_BINARIZE_THRESHOLD_BBL, PanelDataset, binarize_treatment
 
 _POSITIVITY_EPS = 1e-8
@@ -126,8 +126,8 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
         den_terms = tuple(term for term, keep in zip(DENOMINATOR_TERMS, (True, *vary)) if keep)
         terms = (tuple(term for term in den_terms if term in NUMERATOR_TERMS), den_terms)
         if n_rows < len(terms[1]) + 2:
-            error = DomainError(f"not enough pooled observations ({n_rows}) for the treatment models")
-            first_errors(errors, rows, error)
+            message = f"not enough pooled observations ({n_rows}) for the treatment models"
+            flag_errors(errors, np.arange(len(errors))[rows], DomainError, message)
             continue
         designs = [_build_design(t, lag_a[rows], lag_l[rows]) for t in terms]
         fits = [fit_glm_stack(design, resp[rows], "linear") for design in designs]
@@ -219,7 +219,7 @@ def _weight_stack(resp, lag_a, lag_l, periods, unit_ids, models: TreatmentModels
         idx = np.arange(r)[rows]
         for label, (_, sd) in zip(("numerator", "denominator"), params):
             message = f"{label} treatment model has (numerically) zero residual variance; density ratio is undefined"
-            first_errors(errors, idx[sd <= floor[rows]], DegenerateVarianceError(message))
+            flag_errors(errors, idx[sd <= floor[rows]], DegenerateVarianceError, message)
         live = np.flatnonzero([errors[i] is None for i in idx])
         sel = slice(None) if live.size == idx.size else live  # a view, not a copy, when all are live
         live_models = [(design[sel], coef[sel], sd[sel]) for design, (coef, sd) in zip(designs, params)]
@@ -238,16 +238,15 @@ def _weight_stack(resp, lag_a, lag_l, periods, unit_ids, models: TreatmentModels
     return WeightStack(weights, log_factors, periods, errors)
 
 
-def stabilized_weights_stack(a, l, a0=None, l0=None, unit_ids=None) -> WeightStack:
+def stabilized_weights_stack(a, l, a0, l0) -> WeightStack:
     """Stabilized weights of R replicates at once, without truncation.
 
-    Takes (R, N, K) histories and, with a baseline period, (R, N) baselines.
-    Replicates are fitted in groups by which lag columns vary, so row r is
-    bit-identical to `stabilized_weights` of replicate r's dataset or holds
-    the error it raises. `unit_ids` name the units in WeightError messages
-    (default 0..N-1).
+    Takes (R, N, K) histories and (R, N) baselines. Replicates are fitted in
+    groups by which lag columns vary, so row r is bit-identical to
+    `stabilized_weights` of replicate r's dataset or holds the error it
+    raises, with the units named 0..N-1.
     """
-    return _weight_stack(*_lagged_rows(a, l, a0, l0), range(a.shape[1]) if unit_ids is None else unit_ids)
+    return _weight_stack(*_lagged_rows(a, l, a0, l0), range(a.shape[1]))
 
 
 def stabilized_weights(

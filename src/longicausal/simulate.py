@@ -262,16 +262,21 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
 
     Replicates that raise a package error (or fail to converge) are excluded
     with an audit trail; more than 1% of them aborts the run. Blocks run on
-    `threads` worker processes (default: `threads_from_env`), at most one
-    per block and per CPU this process may use. Aggregation is performed in
-    replicate-index order regardless of `threads`.
+    `threads` worker processes (default: `threads_from_env`; DomainError
+    unless an integer >= 1), at most one per block and per CPU this process
+    may use. Aggregation is performed in replicate-index order regardless of
+    `threads`.
     """
+    if threads is None:
+        threads = threads_from_env()
+    elif not (isinstance(threads, int) and threads >= 1):
+        raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
     m = config.n_replicates
     size = max(1, BLOCK_ROWS // (config.n_units * config.n_periods))
     blocks = [range(i, min(i + size, m)) for i in range(0, m, size)]
     # more processes than blocks or usable CPUs would only wait
     cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
-    threads = min(threads_from_env() if threads is None else max(1, threads), len(blocks), cpus)
+    threads = min(threads, len(blocks), cpus)
 
     if threads == 1:
         results = [r for block in blocks for r in _run_block(config, block)]

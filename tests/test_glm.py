@@ -226,6 +226,17 @@ class TestSandwich:
         hc1 = sandwich_cov(fit, X, y, hc1=True)
         np.testing.assert_allclose(hc1, hc0 * n / (n - p), rtol=1e-12)
 
+    def test_errors_in_check_order(self):
+        X = np.array([[1.0, 0.0], [1.0, 1.0]])
+        y = np.array([1.0, 3.0])
+        fit = fit_glm(X, y, "poisson")
+        with pytest.raises(DomainError, match=r"^HC1 scaling requires n > p$"):
+            sandwich_cov(fit, X, y, hc1=True)
+        collinear = np.array([[1.0, 1.0], [1.0, 1.0]])  # the bread is singular, which is reported first
+        for hc1 in (False, True):
+            with pytest.raises(SingularDesignError, match=r"^bread matrix is singular$"):
+                sandwich_cov(fit, collinear, y, hc1=hc1)
+
     def test_matches_statsmodels_convention(self):
         sm = pytest.importorskip("statsmodels.api")
         rng = np.random.default_rng(21)

@@ -563,3 +563,9 @@ class TestThreads:
         monkeypatch.setenv("LONGICAUSAL_THREADS", value)
         with pytest.raises(DomainError, match=rf"^LONGICAUSAL_THREADS must be an integer >= 1, got {value!r}$"):
             run_monte_carlo(SimulationConfig(n_replicates=2))
+
+    @pytest.mark.parametrize("value", [0, -3, 1.5, "2"])
+    def test_bad_argument_rejected(self, monkeypatch, value):
+        monkeypatch.setenv("LONGICAUSAL_THREADS", "1")
+        with pytest.raises(DomainError, match=rf"^threads must be an integer >= 1, got {value!r}$"):
+            run_monte_carlo(SimulationConfig(n_replicates=2), threads=value)
