@@ -21,27 +21,14 @@ from .exceptions import (
     DomainError,
     LongicausalError,
     PanelError,
-    PositivityError,
     SchemaError,
     SimulationError,
     SingularDesignError,
     WeightError,
 )
-from .glm import FitResult, fit_glm, sandwich_cov, wald_test
-from .iptw import (
-    BinaryAteResult,
-    TreatmentModels,
-    WeightSet,
-    ate_iptw_binary,
-    fit_treatment_models,
-    stabilized_weights,
-)
-from .panel import (
-    PanelDataset,
-    binarize_treatment,
-    read_panel_csv,
-    write_panel_csv,
-)
+from .glm import FitResult, fit_glm, wald_test
+from .iptw import TreatmentModels, WeightSet, fit_treatment_models, stabilized_weights
+from .panel import PanelDataset, read_panel_csv, write_panel_csv
 from .simulate import (
     DgpParams,
     MonteCarloSummary,
@@ -54,7 +41,6 @@ from .simulate import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinaryAteResult",
     "CI_MULTIPLIER",
     "DegenerateVarianceError",
     "DgpParams",
@@ -67,7 +53,6 @@ __all__ = [
     "MonteCarloSummary",
     "PanelDataset",
     "PanelError",
-    "PositivityError",
     "SchemaError",
     "SimulationConfig",
     "SimulationError",
@@ -76,8 +61,6 @@ __all__ = [
     "WeightError",
     "WeightSet",
     "adjusted_poisson",
-    "ate_iptw_binary",
-    "binarize_treatment",
     "fit_glm",
     "fit_treatment_models",
     "generate_dataset",
@@ -89,7 +72,6 @@ __all__ = [
     "relative_risk",
     "replicate_seed",
     "run_monte_carlo",
-    "sandwich_cov",
     "stabilized_weights",
     "wald_test",
     "write_panel_csv",

@@ -22,8 +22,10 @@ class GRParams:
     a_tec: float | None = None  # tectonic background term
 
     def __post_init__(self):
-        if not math.isfinite(self.b) or not math.isfinite(self.mag_complete):
-            raise DomainError("b and mag_complete must be finite")
+        for name in ("sigma", "b", "mag_complete", "a_tec"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _pow10(exponent: float) -> float:
@@ -41,4 +43,6 @@ def gr_expected_count(p: GRParams, volume: float) -> float:
     """Background plus volume-driven events: 10^(a_tec - b*M) + V * 10^(sigma - b*M)."""
     if p.a_tec is None:
         raise DomainError("a_tec is required for the expected count")
+    if not math.isfinite(volume):
+        raise DomainError(f"volume must be finite, got {volume!r}")
     return _pow10(p.a_tec - p.b * p.mag_complete) + volume * gr_rate_factor(p)

@@ -176,7 +176,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         )
 
     if data.n_units < 2:
-        raise DomainError("ATE/MSM estimation requires at least 2 units")
+        raise DomainError("outcome regressions require at least 2 units")
 
     truncate = TRUNCATION_PERCENTILE if args.truncate_weights else None
     weights = stabilized_weights(data, truncate_percentile=truncate)

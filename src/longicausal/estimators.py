@@ -81,15 +81,13 @@ class EstimatorReport:
         return "\n".join(lines)
 
 
-def relative_risk(beta1: float, scale: float = MMBBL) -> float:
-    """exp(beta1 * scale); the per-MMbbl relative risk uses scale 1e6.
+def relative_risk(beta1: float) -> float:
+    """The relative risk per 1 MMbbl of a per-bbl coefficient: exp(beta1 * 1e6).
 
     Arguments beyond the float64 exp range saturate to inf instead of raising,
     so coefficient scales far from the per-bbl field scale stay reportable.
     """
-    if not (scale > 0):
-        raise DomainError(f"scale must be positive, got {scale!r}")
-    arg = beta1 * scale
+    arg = beta1 * MMBBL
     if arg > 709.0:
         return math.inf
     return math.exp(arg)

@@ -25,10 +25,6 @@ class DegenerateVarianceError(LongicausalError):
     """A fitted treatment model has zero residual variance; densities undefined."""
 
 
-class PositivityError(LongicausalError):
-    """An estimated propensity is numerically 0 or 1 for some unit."""
-
-
 class WeightError(LongicausalError):
     """A stabilized-weight factor is non-finite for some unit/period."""
 

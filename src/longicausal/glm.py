@@ -12,8 +12,8 @@ problem gets exactly the numbers it would get alone. A problem that fails a
 check (fewer observations than parameters, a non-finite value, a
 rank-deficient design, singular normal equations or information) is
 flagged with the error it would raise and does not stop the others.
-`fit_glm` is the R = 1 call of that kernel and raises the flagged error;
-`sandwich_cov` is the R = 1 call of `sandwich_cov_stack`.
+`fit_glm` is the R = 1 call of that kernel and raises the flagged error.
+`sandwich_cov_stack` gives the robust covariances of such a stack.
 
 Conventions used throughout:
   * weights multiply each observation's log-likelihood contribution, so the
@@ -43,6 +43,7 @@ FAMILIES = ("linear", "logistic", "poisson")
 _MAX_EXP = 700.0  # exp() overflow guard for float64
 _RANK_RTOL = 1e-12
 _MU_EPS = 1e-10
+_TOL = 1e-8  # IRLS stops when the relative deviance change falls below this
 
 
 @dataclass
@@ -55,11 +56,6 @@ class FitResult:
     converged: bool
     iterations: int
     residual_sd: float | None = None
-
-    @property
-    def se(self) -> np.ndarray:
-        """Model-based standard errors."""
-        return np.sqrt(np.diag(self.model_cov))
 
 
 class StackFit(NamedTuple):
@@ -227,13 +223,12 @@ def fit_glm_stack(
     weights=None,
     *,
     max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> StackFit:
     """Fit R independent weighted GLMs by IRLS: designs (R, n, p), responses and weights (R, n).
 
     Problem r gets the result `fit_glm(design[r], response[r], family,
     weights[r])` would give, bit for bit, or the error it would raise in
-    `errors[r]`. Convergence, `max_iter` and `tol` are as in `fit_glm`.
+    `errors[r]`. Convergence and `max_iter` are as in `fit_glm`.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -303,7 +298,7 @@ def fit_glm_stack(
             mu_a = np.clip(mu_a, _MU_EPS, 1.0 - _MU_EPS)
         with np.errstate(invalid="ignore"):  # NaN rows of singular problems
             new_dev = _deviance(family, ya, mu_a, wa)
-            now_done = np.abs(new_dev - dev[sel]) / (np.abs(dev[sel]) + 0.1) < tol
+            now_done = np.abs(new_dev - dev[sel]) / (np.abs(dev[sel]) + 0.1) < _TOL
         beta[sel], eta[sel], mu[sel], dev[sel] = beta_a, eta_a, mu_a, new_dev
         its[sel] = it
         done[active[now_done]] = True
@@ -330,31 +325,32 @@ def fit_glm(
     weights=None,
     *,
     max_iter: int = 100,
-    tol: float = 1e-8,
 ) -> FitResult:
     """Fit a weighted GLM by IRLS.
 
     Convergence is declared when the relative deviance change drops below
-    `tol` (default 1e-8); after `max_iter` iterations the result is returned
-    with converged=False and the caller decides (logistic separation shows up
-    this way rather than as an error).
+    1e-8 (`_TOL`); after `max_iter` iterations the result is returned with
+    converged=False and the caller decides (logistic separation shows up this
+    way rather than as an error).
     """
     X = np.asarray(design, dtype=float)
     if X.ndim != 2:
         raise DomainError(f"design must be 2-d, got shape {X.shape}")
     y = np.asarray(response, dtype=float)
     w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    return fit_glm_stack(X[None], y[None], family, w, max_iter=max_iter, tol=tol).result(0, family)
+    return fit_glm_stack(X[None], y[None], family, w, max_iter=max_iter).result(0, family)
 
 
 def sandwich_cov_stack(
     family: str, coefficients, design, response, weights=None, *, hc1: bool = False
 ) -> tuple[np.ndarray, list[LongicausalError | None]]:
-    """Sandwich covariance of R fits at their (R, p) coefficients (HC0; HC1 applies n/(n-p)).
+    """Robust bread-meat-bread covariance of R fits at their (R, p) coefficients.
 
-    Returns the (R, p, p) covariances and, per problem, the error
-    `sandwich_cov` would raise (a singular bread matrix, then HC1 with
-    n <= p) or None; a failed problem's covariance means nothing.
+    HC0; HC1 applies n/(n-p). Bread is the weighted Fisher information, meat
+    the outer product of the weighted score contributions w_i*(y_i - mu_i)*x_i.
+    Returns the (R, p, p) covariances and, per problem, its error (a singular
+    bread matrix, then HC1 with n <= p) or None; a failed problem's covariance
+    means nothing.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -372,20 +368,6 @@ def sandwich_cov_stack(
     elif hc1:
         cov = cov * (n / (n - p))
     return cov, errors
-
-
-def sandwich_cov(fit: FitResult, design, response, weights=None, *, hc1: bool = False) -> np.ndarray:
-    """Robust bread-meat-bread covariance (HC0; HC1 applies n/(n-p)).
-
-    Bread is the weighted Fisher information, meat the outer product of the
-    weighted score contributions w_i*(y_i - mu_i)*x_i.
-    """
-    X, y = np.asarray(design, dtype=float)[None], np.asarray(response)[None]
-    w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    cov, errors = sandwich_cov_stack(fit.family, fit.coefficients[None], X, y, w, hc1=hc1)
-    if errors[0] is not None:
-        raise errors[0]
-    return cov[0]
 
 
 def wald_test(beta: float, se: float) -> tuple[float, float]:

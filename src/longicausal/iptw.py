@@ -1,11 +1,10 @@
 """Inverse-probability-of-treatment weights.
 
-Two weighting schemes live here: the time-fixed binary-treatment weights
-behind the Hajek ATE estimator, and the time-varying stabilized weights
+The time-varying stabilized weights
 
     SW_i = prod_t  phi(A_i(t) | A_i(t-1)) / phi(A_i(t) | A_i(t-1), L_i(t-1))
 
-built from pooled Gaussian treatment-density models that condition on the
+are built from pooled Gaussian treatment-density models that condition on the
 immediately preceding period. Datasets with a baseline period contribute
 factors for t = 1..K; datasets without one start at t = 2 and the first
 observed period acts as the baseline covariate.
@@ -23,16 +22,9 @@ from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
-from .exceptions import (
-    DegenerateVarianceError,
-    DomainError,
-    PositivityError,
-    WeightError,
-)
-from .glm import FitResult, fit_glm, fit_glm_stack, first_errors, flag_errors, stack_groups
-from .panel import DEFAULT_BINARIZE_THRESHOLD_BBL, PanelDataset, binarize_treatment
-
-_POSITIVITY_EPS = 1e-8
+from .exceptions import DegenerateVarianceError, DomainError, LongicausalError, WeightError
+from .glm import FitResult, fit_glm_stack, first_errors, flag_errors, stack_groups
+from .panel import PanelDataset
 
 NUMERATOR_TERMS = ("intercept", "lag_treatment")
 DENOMINATOR_TERMS = ("intercept", "lag_treatment", "lag_confounder")
@@ -57,12 +49,6 @@ class WeightSet:
     per_time_factors: np.ndarray
     periods: tuple[int, ...]
     truncation: tuple[float, float] | None = None
-
-
-class BinaryAteResult(NamedTuple):
-    ate: float
-    treated_mean: float
-    control_mean: float
 
 
 def _lagged_rows(a, l, a0=None, l0=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -166,8 +152,10 @@ def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, sd) -> np.ndarray:
 
 def _sd_floor(resp: np.ndarray):
     # a residual sd at rounding-error scale means the model fit the treatment
-    # path exactly; the density ratio is undefined there
-    return 1e-10 * np.maximum(1.0, np.std(resp, axis=-1))
+    # path exactly; the density ratio is undefined there. A std that overflows
+    # gives an infinite floor, which fails the sd check instead of warning.
+    with np.errstate(over="ignore"):
+        return 1e-10 * np.maximum(1.0, np.std(resp, axis=-1))
 
 
 def _log_factors(resp, numerator, denominator) -> np.ndarray:
@@ -294,62 +282,3 @@ def iter_weight_rows(data: PanelDataset, weights: WeightSet) -> Iterator[tuple[s
             cum *= factor
             yield unit_id, t, factor, cum
 
-
-def ate_iptw_binary(
-    data: PanelDataset,
-    threshold: float = DEFAULT_BINARIZE_THRESHOLD_BBL,
-    covariates: np.ndarray | None = None,
-    *,
-    self_normalized: bool = True,
-) -> BinaryAteResult:
-    """IPTW estimate of the ATE of the binarized cumulative treatment.
-
-    The propensity comes from a logistic regression of the high/low indicator
-    on an intercept plus `covariates` (an (n_units, q) array aligned with the
-    dataset; omit for intercept-only). The default estimator is the Hajek
-    (self-normalized) form; `self_normalized=False` gives the arm-size
-    normalization that divides by N_a on top of the inverse weighting.
-    """
-    if data.n_units < 2:
-        raise DomainError("ATE estimation requires at least 2 units")
-    a_star = binarize_treatment(data, threshold)
-    y = data.outcome_vector()
-    n = data.n_units
-    if a_star.sum() == 0 or a_star.sum() == n:
-        raise DomainError(
-            "both treatment arms must be non-empty at this threshold "
-            f"(got {int(a_star.sum())} of {n} units above it)"
-        )
-
-    if covariates is None:
-        design = np.ones((n, 1))
-    else:
-        cov = np.asarray(covariates, dtype=float)
-        if cov.ndim == 1:
-            cov = cov[:, None]
-        if cov.shape[0] != n:
-            raise DomainError(f"covariates have {cov.shape[0]} rows for {n} units")
-        design = np.column_stack([np.ones(n), cov])
-
-    propensity_fit = fit_glm(design, a_star, "logistic")
-    e_hat = 1.0 / (1.0 + np.exp(-(design @ propensity_fit.coefficients)))
-    out_of_range = (e_hat <= _POSITIVITY_EPS) | (e_hat >= 1.0 - _POSITIVITY_EPS)
-    if np.any(out_of_range) or not propensity_fit.converged:
-        # a non-converged logistic fit means the arms are (nearly) separated,
-        # which is a positivity failure in finite samples
-        i = int(np.argmax(np.abs(e_hat - 0.5)))
-        raise PositivityError(
-            f"estimated propensity for unit {data.unit_ids[i]!r} is numerically "
-            f"{0 if e_hat[i] <= 0.5 else 1}"
-        )
-
-    treated = a_star == 1.0
-    w_treated = 1.0 / e_hat[treated]
-    w_control = 1.0 / (1.0 - e_hat[~treated])
-    if self_normalized:
-        treated_mean = float(np.sum(w_treated * y[treated]) / np.sum(w_treated))
-        control_mean = float(np.sum(w_control * y[~treated]) / np.sum(w_control))
-    else:
-        treated_mean = float(np.sum(w_treated * y[treated]) / treated.sum())
-        control_mean = float(np.sum(w_control * y[~treated]) / (~treated).sum())
-    return BinaryAteResult(treated_mean - control_mean, treated_mean, control_mean)

@@ -1,4 +1,4 @@
-"""Longitudinal panel data model and elementary treatment summaries.
+"""Longitudinal panel data model and its CSV exchange files.
 
 A PanelDataset holds N units' treatment histories A(1..K) in bbl as an (N, K)
 array, binary confounder histories L(1..K) as an (N, K) array, end-of-study
@@ -15,9 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .exceptions import DomainError, PanelError, SchemaError
-
-DEFAULT_BINARIZE_THRESHOLD_BBL = 5_000_000.0
+from .exceptions import PanelError, SchemaError
 
 PANEL_CSV_HEADER = ["unit_id", "period", "volume_bbl", "quake_indicator"]
 OUTCOME_CSV_HEADER = ["unit_id", "cumulative_quakes"]
@@ -123,13 +121,6 @@ class PanelDataset:
 
     def cum_confounder_vector(self) -> np.ndarray:
         return self.confounder_matrix().sum(axis=1)
-
-
-def binarize_treatment(data: PanelDataset, threshold: float = DEFAULT_BINARIZE_THRESHOLD_BBL) -> np.ndarray:
-    """Per unit, 1 if cumulative volume reaches `threshold` bbl (boundary inclusive), else 0."""
-    if not (threshold > 0):
-        raise DomainError(f"threshold must be positive, got {threshold!r}")
-    return (data.cum_treatment_vector() >= threshold).astype(int)
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:

@@ -32,11 +32,6 @@ def make_dataset(treatments, confounders=None, outcomes=None, **kwargs) -> Panel
     )
 
 
-def single_period_dataset(volumes, outcomes) -> PanelDataset:
-    """K=1 panels; handy for binary-ATE tests."""
-    return make_dataset(np.asarray(volumes, dtype=float)[:, None], outcomes=outcomes)
-
-
 @dataclass
 class SyntheticCorpus:
     wells: WellTable

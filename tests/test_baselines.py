@@ -71,3 +71,17 @@ class TestExpectedCount:
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             GRParams(sigma=0.0, b=float("nan"), mag_complete=0.0)
+
+    @pytest.mark.parametrize(
+        "name, call",
+        [
+            ("sigma", lambda: GRParams(sigma=math.nan, b=1.41, mag_complete=3.0)),
+            ("b", lambda: GRParams(sigma=-0.47, b=math.inf, mag_complete=3.0)),
+            ("mag_complete", lambda: GRParams(sigma=-0.47, b=1.41, mag_complete=-math.inf)),
+            ("a_tec", lambda: GRParams(sigma=-0.47, b=1.41, mag_complete=3.0, a_tec=math.nan)),
+            ("volume", lambda: gr_expected_count(GRParams(sigma=-0.47, b=1.41, mag_complete=3.0, a_tec=0.0), math.nan)),
+        ],
+    )
+    def test_non_finite_input_named(self, name, call):
+        with pytest.raises(DomainError, match=f"^{name} must be finite, got "):
+            call()

@@ -17,7 +17,7 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 
 from longicausal.exceptions import DomainError, LongicausalError, SingularDesignError
-from longicausal.glm import FAMILIES, _rank_deficient, fit_glm, fit_glm_stack, sandwich_cov, wald_test
+from longicausal.glm import FAMILIES, _rank_deficient, fit_glm, fit_glm_stack, sandwich_cov_stack, wald_test
 
 
 def oracle_loglik(family, X, y, beta, w=None, sigma=None):
@@ -193,18 +193,20 @@ class TestSandwich:
         X = np.ones((2, 1))
         y = np.array([1.0, 3.0])
         fit = fit_glm(X, y, "poisson")
-        cov = sandwich_cov(fit, X, y, np.ones(2))
-        assert cov[0, 0] == pytest.approx(0.125, abs=1e-9)
+        cov, errors = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None], np.ones((1, 2)))
+        assert errors == [None]
+        assert cov[0, 0, 0] == pytest.approx(0.125, abs=1e-9)
         # exact bread-meat-bread evaluation at the fitted mean
         mu = np.exp(X @ fit.coefficients)
         direct = float(np.sum((y - mu) ** 2) / np.sum(mu) ** 2)
-        assert cov[0, 0] == pytest.approx(direct, abs=1e-14)
+        assert cov[0, 0, 0] == pytest.approx(direct, abs=1e-14)
 
     def test_saturated_fit_zero_matrix(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, 3.0])
         fit = fit_glm(X, y, "poisson")
-        cov = sandwich_cov(fit, X, y)
+        cov, errors = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None])
+        assert errors == [None]
         assert np.max(np.abs(cov)) < 1e-12
 
     def test_homoskedastic_linear_matches_model_cov(self):
@@ -213,7 +215,9 @@ class TestSandwich:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = 1.0 + 2.0 * X[:, 1] + rng.normal(size=n)
         fit = fit_glm(X, y, "linear")
-        ratio = np.diag(sandwich_cov(fit, X, y)) / np.diag(fit.model_cov)
+        cov, errors = sandwich_cov_stack("linear", fit.coefficients[None], X[None], y[None])
+        assert errors == [None]
+        ratio = np.diag(cov[0]) / np.diag(fit.model_cov)
         assert np.all(np.abs(ratio - 1.0) < 0.10)
 
     def test_hc1_scaling(self):
@@ -222,20 +226,23 @@ class TestSandwich:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.poisson(2.0, n).astype(float)
         fit = fit_glm(X, y, "poisson")
-        hc0 = sandwich_cov(fit, X, y)
-        hc1 = sandwich_cov(fit, X, y, hc1=True)
+        hc0, errors0 = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None])
+        hc1, errors1 = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None], hc1=True)
+        assert errors0 == errors1 == [None]
         np.testing.assert_allclose(hc1, hc0 * n / (n - p), rtol=1e-12)
 
     def test_errors_in_check_order(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, 3.0])
         fit = fit_glm(X, y, "poisson")
-        with pytest.raises(DomainError, match=r"^HC1 scaling requires n > p$"):
-            sandwich_cov(fit, X, y, hc1=True)
+        _, errors = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None], hc1=True)
+        [error] = errors
+        assert isinstance(error, DomainError) and str(error) == "HC1 scaling requires n > p"
         collinear = np.array([[1.0, 1.0], [1.0, 1.0]])  # the bread is singular, which is reported first
         for hc1 in (False, True):
-            with pytest.raises(SingularDesignError, match=r"^bread matrix is singular$"):
-                sandwich_cov(fit, collinear, y, hc1=hc1)
+            _, errors = sandwich_cov_stack("poisson", fit.coefficients[None], collinear[None], y[None], hc1=hc1)
+            [error] = errors
+            assert isinstance(error, SingularDesignError) and str(error) == "bread matrix is singular"
 
     def test_matches_statsmodels_convention(self):
         sm = pytest.importorskip("statsmodels.api")
@@ -244,9 +251,10 @@ class TestSandwich:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.poisson(np.exp(0.4 + 0.3 * X[:, 1])).astype(float)
         fit = fit_glm(X, y, "poisson")
-        mine = sandwich_cov(fit, X, y)
+        mine, errors = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None])
+        assert errors == [None]
         theirs = sm.GLM(y, X, family=sm.families.Poisson()).fit(cov_type="HC0")
-        np.testing.assert_allclose(np.sqrt(np.diag(mine)), theirs.bse, rtol=1e-6)
+        np.testing.assert_allclose(np.sqrt(np.diag(mine[0])), theirs.bse, rtol=1e-6)
 
 
 class TestWald:

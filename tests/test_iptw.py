@@ -1,20 +1,14 @@
-"""Stabilized weights and the binary-treatment IPTW estimator."""
+"""Stabilized weights."""
 
 import math
 
 import numpy as np
 import pytest
 
-from longicausal.exceptions import (
-    DegenerateVarianceError,
-    DomainError,
-    PositivityError,
-    WeightError,
-)
+from longicausal.exceptions import DegenerateVarianceError, DomainError, SingularDesignError, WeightError
 from longicausal.glm import FitResult
 from longicausal.iptw import (
     TreatmentModels,
-    ate_iptw_binary,
     fit_treatment_models,
     iter_weight_rows,
     stabilized_weights,
@@ -22,7 +16,7 @@ from longicausal.iptw import (
 from longicausal.panel import PanelDataset
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
-from conftest import make_dataset, single_period_dataset
+from conftest import make_dataset
 
 
 def lfree_dataset(rng, n_units=500, k=4):
@@ -217,6 +211,15 @@ class TestStabilizedWeights:
         with pytest.raises(DegenerateVarianceError):
             stabilized_weights(data, models)
 
+    def test_overflowing_treatment_raises_without_warning(self):
+        # the pooled treatments' std overflows; the suite turns numpy's warning into an error
+        rng = np.random.default_rng(0)
+        a = rng.uniform(1e5, 1e6, (20, 4))
+        a[3, 2] = 1e155
+        data = make_dataset(a, confounders=rng.integers(0, 2, (20, 4)))
+        with pytest.raises(SingularDesignError, match=r"^design matrix is rank deficient"):
+            stabilized_weights(data)
+
     def test_weight_rows_export(self):
         data = self.feedback_dgp_data()
         ws = stabilized_weights(data)
@@ -227,63 +230,3 @@ class TestStabilizedWeights:
         assert factor == pytest.approx(ws.per_time_factors[0, 0])
         last_unit_rows = [r for r in rows if r[0] == data.unit_ids[0]]
         assert last_unit_rows[-1][3] == pytest.approx(ws.per_unit_weights[0], rel=1e-10)
-
-
-class TestBinaryAte:
-    def test_equal_propensity_two_units(self):
-        data = single_period_dataset([6e6, 1e6], [10, 4])
-        res = ate_iptw_binary(data, threshold=5e6)
-        assert res.ate == pytest.approx(6.0, abs=1e-12)
-        assert res.treated_mean == pytest.approx(10.0)
-        assert res.control_mean == pytest.approx(4.0)
-
-    def test_literal_formula_double_normalizes(self):
-        data = single_period_dataset([6e6, 1e6], [10, 4])
-        res = ate_iptw_binary(data, threshold=5e6, self_normalized=False)
-        assert res.ate == pytest.approx(12.0, abs=1e-10)
-
-    def test_identical_outcomes_give_zero(self):
-        rng = np.random.default_rng(2)
-        vols = [6e6, 7e6, 1e6, 2e6, 8e6, 3e6]
-        covs = rng.normal(size=6)
-        data = single_period_dataset(vols, [5] * 6)
-        res = ate_iptw_binary(data, threshold=5e6, covariates=covs)
-        assert res.ate == pytest.approx(0.0, abs=1e-10)
-
-    def test_outcome_shift_cancels(self):
-        rng = np.random.default_rng(6)
-        vols = rng.uniform(0, 1e7, 30)
-        ys = rng.poisson(6.0, 30)
-        base = ate_iptw_binary(single_period_dataset(vols, ys), threshold=5e6)
-        shifted = ate_iptw_binary(single_period_dataset(vols, ys + 11), threshold=5e6)
-        assert shifted.ate == pytest.approx(base.ate, abs=1e-10)
-
-    def test_randomized_constant_effect_recovered(self):
-        rng = np.random.default_rng(77)
-        n, delta = 2000, 7.0
-        treated = rng.random(n) < 0.5
-        vols = np.where(treated, 6e6, 1e6)
-        y = rng.poisson(10.0, n) + delta * treated
-        data = single_period_dataset(vols, y.astype(int))
-        res = ate_iptw_binary(data, threshold=5e6)
-        n1, n0 = treated.sum(), (~treated).sum()
-        mc_se = math.sqrt(y[treated].var() / n1 + y[~treated].var() / n0)
-        assert abs(res.ate - delta) < 3.0 * mc_se
-
-    def test_empty_arm_rejected(self):
-        data = single_period_dataset([1e6, 2e6], [1, 2])
-        with pytest.raises(DomainError, match="arm"):
-            ate_iptw_binary(data, threshold=5e6)
-
-    def test_positivity_violation_named(self):
-        # covariate perfectly separates the arms -> propensities pinned at 0/1
-        vols = [6e6, 6e6, 1e6, 1e6]
-        covs = np.array([10.0, 11.0, -10.0, -11.0])
-        data = single_period_dataset(vols, [3, 4, 1, 2])
-        with pytest.raises(PositivityError, match="unit"):
-            ate_iptw_binary(data, threshold=5e6, covariates=covs)
-
-    def test_single_unit_rejected(self):
-        data = make_dataset([[1e6]], outcomes=[2])
-        with pytest.raises(DomainError, match="2 units"):
-            ate_iptw_binary(data)

@@ -5,12 +5,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from longicausal.exceptions import DomainError, PanelError, SchemaError
+from longicausal.exceptions import PanelError, SchemaError
 from longicausal.panel import (
     OUTCOME_CSV_HEADER,
     PANEL_CSV_HEADER,
     PanelDataset,
-    binarize_treatment,
     read_panel_csv,
     write_panel_csv,
 )
@@ -62,10 +61,6 @@ def cum_treatment(treatments) -> float:
     return float(make_dataset([treatments]).cum_treatment_vector()[0])
 
 
-def binarize(volume: float, threshold: float = 5e6) -> int:
-    return int(binarize_treatment(make_dataset([[volume]]), threshold)[0])
-
-
 class TestCumTreatment:
     def test_simple_sum(self):
         assert cum_treatment([1, 2, 3]) == 6.0
@@ -88,34 +83,6 @@ class TestCumTreatment:
         a = cum_treatment(values)
         b = cum_treatment(shuffled)
         assert a == pytest.approx(b, rel=1e-12, abs=1e-9)
-
-
-class TestBinarize:
-    def test_boundary_is_inclusive(self):
-        ds = make_dataset([[2_500_000, 2_500_000], [2_500_000, 2_499_999]])
-        np.testing.assert_array_equal(binarize_treatment(ds, 5_000_000), [1, 0])
-
-    def test_below_threshold(self):
-        assert binarize(4_999_999, 5_000_000) == 0
-
-    def test_zero_volume(self):
-        assert binarize(0.0, 5_000_000) == 0
-
-    def test_default_threshold(self):
-        ds = make_dataset([[6e6], [4e6]])
-        np.testing.assert_array_equal(binarize_treatment(ds), [1, 0])
-
-    def test_nonpositive_threshold_rejected(self):
-        ds = make_dataset([[1.0]])
-        with pytest.raises(DomainError):
-            binarize_treatment(ds, 0.0)
-        with pytest.raises(DomainError):
-            binarize_treatment(ds, -5.0)
-
-    @given(st.floats(min_value=0, max_value=1e7), st.floats(min_value=0, max_value=1e7))
-    def test_monotone_in_cumulative(self, v1, v2):
-        lo, hi = sorted([v1, v2])
-        assert binarize(lo) <= binarize(hi)
 
 
 class TestPanelValidation:
