@@ -279,11 +279,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code) if exc.code is not None else 0
 
     if args.command == "analyze":
-        raw = args.wells is not None or args.catalog is not None
-        prebuilt = args.panel is not None or args.outcomes is not None
-        if raw == prebuilt or (raw and (args.wells is None or args.catalog is None)) or (
-            prebuilt and (args.panel is None or args.outcomes is None)
-        ):
+        given = tuple(path is not None for path in (args.wells, args.catalog, args.panel, args.outcomes))
+        if given not in ((True, True, False, False), (False, False, True, True)):
             print(
                 "error: analyze needs either --wells and --catalog, or --panel and --outcomes",
                 file=sys.stderr,

@@ -87,10 +87,10 @@ def relative_risk(beta1: float) -> float:
     Arguments beyond the float64 exp range saturate to inf instead of raising,
     so coefficient scales far from the per-bbl field scale stay reportable.
     """
-    arg = beta1 * MMBBL
-    if arg > 709.0:
+    try:
+        return math.exp(beta1 * MMBBL)
+    except OverflowError:
         return math.inf
-    return math.exp(arg)
 
 
 def _report(name: str, data: PanelDataset, **options) -> EstimatorReport:

@@ -275,10 +275,8 @@ def stabilized_weights(
 
 def iter_weight_rows(data: PanelDataset, weights: WeightSet) -> Iterator[tuple[str | int, int, float, float]]:
     """Diagnostic rows (unit_id, t, factor, cumulative_weight) for CSV export."""
+    cumulative = np.cumprod(weights.per_time_factors, axis=1)
     for i, unit_id in enumerate(data.unit_ids):
-        cum = 1.0
         for j, t in enumerate(weights.periods):
-            factor = float(weights.per_time_factors[i, j])
-            cum *= factor
-            yield unit_id, t, factor, cum
+            yield unit_id, t, float(weights.per_time_factors[i, j]), float(cumulative[i, j])
 

@@ -125,7 +125,7 @@ class PanelDataset:
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
     """Write `header` then `rows`; every float (np.float64 too) as 17 significant digits."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         w = csv.writer(fh)
         w.writerow(header)
         w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
@@ -173,25 +173,29 @@ def _csv_records(path: str | Path, header: list[str]):
     """Yield (first file line, fields) for each non-blank data record of a CSV with `header`.
 
     A wrong or missing header, or a row without one field per column, is a
-    SchemaError naming the file row.
+    SchemaError naming the file row; bytes that are not UTF-8 are one naming
+    the file.
     """
     n_fields = len(header)
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
-        actual = next(r, None)
-        if actual is None or [c.strip() for c in actual] != header:
-            raise SchemaError(
-                f"{path}: expected header {','.join(header)}, got "
-                f"{','.join(actual) if actual else '<empty file>'}",
-                row=1,
-            )
-        row = r.line_num + 1  # a quoted field can span lines, so count lines, not records
-        for rec in r:
-            if rec:
-                if len(rec) != n_fields:
-                    raise SchemaError(f"expected {n_fields} fields, got {len(rec)}", row=row)
-                yield row, rec
-            row = r.line_num + 1
+        try:
+            actual = next(r, None)
+            if actual is None or [c.strip() for c in actual] != header:
+                raise SchemaError(
+                    f"{path}: expected header {','.join(header)}, got "
+                    f"{','.join(actual) if actual else '<empty file>'}",
+                    row=1,
+                )
+            row = r.line_num + 1  # a quoted field can span lines, so count lines, not records
+            for rec in r:
+                if rec:
+                    if len(rec) != n_fields:
+                        raise SchemaError(f"expected {n_fields} fields, got {len(rec)}", row=row)
+                    yield row, rec
+                row = r.line_num + 1
+        except UnicodeDecodeError as exc:  # raised while reading ahead, so no row can be named
+            raise SchemaError(f"{path}: not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})") from None
 
 
 def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDataset:

@@ -26,7 +26,8 @@ as stacks (`stabilized_weights_stack`, `estimate_stack`), whose
 one-replicate calls are the per-dataset functions. Each stack gives every
 replicate the numbers or the error of that call, so a replicate is audited
 with the error the per-dataset path raises first, and results do not
-depend on the block size either.
+depend on the block size either. A block returns (E, R) beta1 and SE
+columns and R audit messages, which `run_monte_carlo` concatenates.
 """
 
 from __future__ import annotations
@@ -213,12 +214,13 @@ class MonteCarloSummary:
                 )
 
 
-def _run_block(config: SimulationConfig, replicates: range) -> list[tuple[int, dict | str]]:
-    """(replicate, {name: (beta1, se)}) or (replicate, audit message) for each of `replicates`.
+def _run_block(config: SimulationConfig, replicates: range) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
+    """(beta1, se, audit) for `replicates`: (E, R) columns in ESTIMATOR_NAMES order and R messages.
 
     The block is generated, weighted and fitted as stacks. A replicate is
     audited with its first error, from generation, the weights, then the
-    naive, adjusted and MSM fits, or else with its non-converged fits.
+    naive, adjusted and MSM fits, or else with its non-converged fits; its
+    columns are NaN. A kept replicate's message is None.
     """
     generated = _generate_stack(config, [replicate_seed(config.master_seed, rep) for rep in replicates])
     a, l, y, a0, l0, _ = generated
@@ -239,14 +241,17 @@ def _run_block(config: SimulationConfig, replicates: range) -> list[tuple[int, d
     for stage in (weights.errors, *(e.errors for e in estimates.values())):
         first_errors(errors, live, stage)
 
-    converged = np.all([e.converged for e in estimates.values()], axis=0)
-    results: list = [None if e is None else f"{type(e).__name__}: {e}" for e in errors]
-    for k, j in enumerate(live):
-        if errors[j] is None and converged[k]:
-            results[j] = {name: (float(e.beta1_hat[k]), float(e.se[k])) for name, e in estimates.items()}
-        elif errors[j] is None:
-            results[j] = "non-convergence: " + ", ".join(name for name, e in estimates.items() if not e.converged[k])
-    return list(zip(replicates, results))
+    audit = [None if e is None else f"{type(e).__name__}: {e}" for e in errors]
+    converged = np.array([e.converged for e in estimates.values()])
+    for k in np.flatnonzero(~converged.all(axis=0)):
+        failing = ", ".join(name for name, ok in zip(estimates, converged[:, k]) if not ok)
+        audit[live[k]] = audit[live[k]] or f"non-convergence: {failing}"
+    beta1, se = np.full((2, len(estimates), len(replicates)), np.nan)
+    beta1[:, live] = [e.beta1_hat for e in estimates.values()]
+    se[:, live] = [e.se for e in estimates.values()]
+    failed = np.array([msg is not None for msg in audit])
+    beta1[:, failed] = se[:, failed] = np.nan
+    return beta1, se, audit
 
 
 def threads_from_env() -> int:
@@ -279,18 +284,12 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
     threads = min(threads, len(blocks), cpus)
 
     if threads == 1:
-        results = [r for block in blocks for r in _run_block(config, block)]
+        beta1_blocks, se_blocks, audit_blocks = zip(*map(_run_block, [config] * len(blocks), blocks))
     else:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = [r for out in pool.map(_run_block, [config] * len(blocks), blocks) for r in out]
-
-    failed: list[tuple[int, str]] = []
-    kept: list[tuple[int, dict]] = []
-    for rep, payload in results:
-        if isinstance(payload, dict):
-            kept.append((rep, payload))
-        else:
-            failed.append((rep, payload))
+            beta1_blocks, se_blocks, audit_blocks = zip(*pool.map(_run_block, [config] * len(blocks), blocks))
+    audit = [msg for block in audit_blocks for msg in block]
+    failed = tuple((rep, msg) for rep, msg in enumerate(audit) if msg is not None)
 
     if len(failed) >= FAILURE_BUDGET * m:
         preview = "; ".join(f"replicate {r}: {msg}" for r, msg in failed[:5])
@@ -298,11 +297,10 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
             f"{len(failed)} of {m} replicates failed (budget {FAILURE_BUDGET:.0%}): {preview}"
         )
 
-    reps = np.array([r for r, _ in kept], dtype=int)
+    kept = np.array([msg is None for msg in audit])
+    estimates, ses = (np.concatenate(columns, axis=1)[:, kept] for columns in (beta1_blocks, se_blocks))
     summaries: dict[str, EstimatorMonteCarlo] = {}
-    for name in ESTIMATOR_NAMES:
-        est = np.array([payload[name][0] for _, payload in kept])
-        se = np.array([payload[name][1] for _, payload in kept])
+    for name, est, se in zip(ESTIMATOR_NAMES, estimates, ses):
         lo = est - CI_MULTIPLIER * se
         hi = est + CI_MULTIPLIER * se
         covered = (lo <= config.causal_effect) & (config.causal_effect <= hi)
@@ -321,7 +319,7 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
         causal_effect=config.causal_effect,
         n_replicates=m,
         n_failed=len(failed),
-        failed_replicates=tuple(failed),
-        replicate_indices=reps,
+        failed_replicates=failed,
+        replicate_indices=np.flatnonzero(kept),
         estimators=summaries,
     )

@@ -333,6 +333,12 @@ class TestAnalyzeCommand:
         assert main(["analyze", "--wells", str(wells_path)]) == 2
         assert main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
                      "--panel", "x.csv", "--outcomes", "y.csv"]) == 2
+        for argv in (["--panel", "x.csv"], ["--outcomes", "y.csv"], ["--wells", str(wells_path), "--outcomes", "y.csv"],
+                     ["--catalog", str(catalog_path), "--panel", "x.csv"]):
+            assert main(["analyze", *argv, "--out-dir", str(tmp_path / "run")]) == 2
+        message = "error: analyze needs either --wells and --catalog, or --panel and --outcomes\n"
+        assert capsys.readouterr().err == message * 7
+        assert not (tmp_path / "run").exists()
 
     def test_schema_violation_exit_2(self, tmp_path, capsys):
         bad = tmp_path / "wells.csv"
@@ -343,6 +349,22 @@ class TestAnalyzeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert "row 2" in err and "volume_bbl" in err
+
+    @pytest.mark.parametrize("bad", ["wells", "catalog", "panel"])
+    def test_non_utf8_input_exit_2_writes_nothing(self, tmp_path, corpus_csvs, capsys, bad):
+        ds = make_dataset([[1e5, 2e5], [3e5, 4e5]], [[0, 1], [1, 0]], [1, 2], unit_ids=["u0", "u1"])
+        write_panel_csv(ds, tmp_path / "p.csv", tmp_path / "y.csv")
+        paths = dict(zip(["wells", "catalog"], corpus_csvs), panel=tmp_path / "p.csv", outcomes=tmp_path / "y.csv")
+        data = paths[bad].read_bytes()
+        paths[bad] = tmp_path / f"latin1-{bad}.csv"
+        paths[bad].write_bytes(data[:-4] + b"\xe9" + data[-4:])  # one latin-1 byte in the last row
+        modes = ["panel", "outcomes"] if bad == "panel" else ["wells", "catalog"]
+        out = tmp_path / "run"
+        code = main(["analyze", *(arg for m in modes for arg in (f"--{m}", str(paths[m]))), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {paths[bad]}: not UTF-8 text") and "Traceback" not in err
+        assert list(out.iterdir()) == []
 
     def test_single_unit_panel_exit_1(self, tmp_path, capsys):
         ds = make_dataset([[1e5, 2e5, 3e5]], [[0, 1, 0]], [3], unit_ids=["only"])

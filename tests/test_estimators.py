@@ -167,6 +167,9 @@ class TestRelativeRisk:
     def test_overflow_saturates(self):
         assert relative_risk(1.0) == math.inf
 
+    def test_finite_up_to_the_float64_exp_limit(self):
+        assert relative_risk(709.5e-6) == math.exp(709.5)
+
 
 class TestReportSerialization:
     def test_csv_row_matches_header(self):

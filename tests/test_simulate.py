@@ -261,6 +261,15 @@ def assert_matches_reference(config, results):
         assert (rep, payload) == run_replicate(config, rep)
 
 
+def block_results(config):
+    """`_run_block` over `config`'s replicates as `run_replicate`'s (replicate, payload or message) pairs."""
+    beta1, se, audit = sim._run_block(config, range(config.n_replicates))
+    return [
+        (rep, msg or {name: (beta1[i, rep], se[i, rep]) for i, name in enumerate(est.ESTIMATOR_NAMES)})
+        for rep, msg in enumerate(audit)
+    ]
+
+
 GENERATE = sim._generate_stack  # the generator itself, whatever a test patches in
 
 
@@ -503,9 +512,14 @@ class TestBlockEngine:
     def test_audit_messages(self, monkeypatch, cfg, edits, messages):
         # messages recorded before the per-dataset functions became the stacks' one-replicate calls
         edit_generated(monkeypatch, edits)
-        results = sim._run_block(cfg, range(cfg.n_replicates))
+        results = block_results(cfg)
         assert [None if isinstance(out, dict) else out for _, out in results] == messages
         assert_matches_reference(cfg, results)
+        beta1, se, _ = sim._run_block(cfg, range(cfg.n_replicates))
+        audited = np.array([msg is not None for msg in messages])
+        for columns in (beta1, se):
+            assert columns.shape == (3, cfg.n_replicates)
+            assert np.array_equal(np.isnan(columns), np.broadcast_to(audited, columns.shape))
 
     @pytest.mark.parametrize(
         "patched, message",
@@ -519,7 +533,7 @@ class TestBlockEngine:
         # the outcome fits are patched for the block engine and the reference alike
         cfg = SimulationConfig(n_replicates=3, master_seed=8)
         monkeypatch.setattr(est, "fit_glm_stack", patched)
-        results = sim._run_block(cfg, range(cfg.n_replicates))
+        results = block_results(cfg)
         assert [out for _, out in results] == [message] * cfg.n_replicates
         assert_matches_reference(cfg, results)
 
