@@ -146,8 +146,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 def cmd_analyze(args: argparse.Namespace) -> int:
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     inputs: list[Path] = []
     outputs: list[str] = []
 
@@ -189,6 +187,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if failed:
         raise LongicausalError(f"fit did not converge for: {', '.join(failed)}")
 
+    out_dir = Path(args.out_dir)  # made only now, so a failed run leaves nothing behind
+    out_dir.mkdir(parents=True, exist_ok=True)
     if not args.panel:
         write_panel_csv(data, out_dir / "panel.csv", out_dir / "panel_outcomes.csv")
         outputs += ["panel.csv", "panel_outcomes.csv"]

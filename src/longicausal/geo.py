@@ -19,13 +19,14 @@ import math
 import re
 from dataclasses import dataclass
 from datetime import datetime
+from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DomainError, SchemaError
-from .panel import PanelDataset, _csv_records, _parse_float
+from .panel import PanelDataset, _csv_columns, _csv_records, _parse_float
 
 logger = logging.getLogger(__name__)
 
@@ -339,12 +340,61 @@ def _parse_lon_lat(rec: list[str], row: int) -> tuple[float, float]:
     return lon, lat
 
 
+def _floats(column: list[str]) -> np.ndarray:
+    """`float` of every text, as `_parse_float` converts one; ValueError if any is not a number."""
+    return np.fromiter(map(float, column), dtype=float, count=len(column))
+
+
+def _coords_in_range(lon: np.ndarray, lat: np.ndarray) -> bool:
+    """True iff every coordinate is finite and in range (NaN fails `<=`)."""
+    return bool(np.all(np.abs(lon) <= 180.0) and np.all(np.abs(lat) <= 90.0))
+
+
+def _well_table(ids, lons, lats, well, month, volume, bbox: BoundingBox | None) -> WellTable:
+    if bbox is not None:
+        keep = _inside(bbox, lons, lats)
+        rows = keep[well]
+        ids, lons, lats = ids[keep], lons[keep], lats[keep]
+        well, month, volume = (np.cumsum(keep) - 1)[well[rows]], month[rows], volume[rows]
+    return WellTable(ids, lons, lats, well, month, volume)
+
+
 def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> WellTable:
     """Read long-format well reports into a WellTable, optionally bbox-filtered.
 
-    Rows are validated one by one, those outside the box too, so a
-    SchemaError names the file row and column whatever the box.
+    Columns are parsed and checked whole, rows outside the box too. A file
+    that fails any check is read again row by row, so a SchemaError names the
+    file row and column whatever the box.
     """
+    columns = _csv_columns(path, WELLS_CSV_HEADER)
+    table = None if columns is None else _wells_from_columns(*columns, bbox)
+    return _load_wells_rows(path, bbox) if table is None else table
+
+
+def _wells_from_columns(wids, lon, lat, year_month, volume, bbox: BoundingBox | None) -> WellTable | None:
+    """The WellTable `_load_wells_rows` reads from these columns, or None if it would raise."""
+    try:
+        lon, lat, volume = _floats(lon), _floats(lat), _floats(volume)
+        months = {text: month_index(*parse_month(text)) for text in set(year_month)}
+    except ValueError:  # DomainError is one too
+        return None
+    if not (_coords_in_range(lon, lat) and np.all((volume >= 0.0) & (volume < math.inf))):
+        return None
+    index = {wid: w for w, wid in enumerate(dict.fromkeys(wids))}  # order of first appearance
+    well = np.fromiter(map(index.__getitem__, wids), dtype=np.intp, count=len(wids))
+    month = np.fromiter(map(months.__getitem__, year_month), dtype=np.intp, count=len(wids))
+    first = np.unique(well, return_index=True)[1]
+    lons, lats = lon[first], lat[first]
+    if not (np.all(lon == lons[well]) and np.all(lat == lats[well])):
+        return None
+    # a 4-digit year keeps every month index below 12 * 10_000
+    if len(np.unique(well * (12 * 10_000) + month)) != len(well):
+        return None
+    return _well_table(np.array(list(index), dtype=str), lons, lats, well, month, volume, bbox)
+
+
+def _load_wells_rows(path: str | Path, bbox: BoundingBox | None) -> WellTable:
+    """`load_wells_csv` one row at a time: raises the SchemaError of the first bad row."""
     index: dict[str, int] = {}
     coords: list[tuple[float, float]] = []
     volumes: dict[tuple[int, int], float] = {}  # (well, month) -> bbl
@@ -372,12 +422,7 @@ def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> WellTab
     lons, lats = np.array(coords, dtype=float).reshape(-1, 2).T
     well, month = np.array(list(volumes), dtype=np.intp).reshape(-1, 2).T
     volume = np.array(list(volumes.values()), dtype=float)
-    if bbox is not None:
-        keep = _inside(bbox, lons, lats)
-        rows = keep[well]
-        ids, lons, lats = ids[keep], lons[keep], lats[keep]
-        well, month, volume = (np.cumsum(keep) - 1)[well[rows]], month[rows], volume[rows]
-    return WellTable(ids, lons, lats, well, month, volume)
+    return _well_table(ids, lons, lats, well, month, volume, bbox)
 
 
 def _parse_timestamp(raw: str, row: int) -> datetime:
@@ -392,12 +437,46 @@ def _parse_timestamp(raw: str, row: int) -> datetime:
         ) from None
 
 
+def _catalog(ids, lons, lats, months, mags, bbox: BoundingBox | None) -> Catalog:
+    keep = slice(None) if bbox is None else _inside(bbox, lons, lats)
+    return Catalog(ids[keep], lons[keep], lats[keep], months[keep], mags[keep])
+
+
 def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> Catalog:
     """Read the event catalog into a Catalog, optionally bbox-filtered.
 
-    Rows are validated one by one, those outside the box too. An event's
-    month is the calendar month of its timestamp as written.
+    Columns are parsed and checked whole, rows outside the box too; a file
+    that fails any check is read again row by row for its SchemaError. An
+    event's month is the calendar month of its timestamp as written.
     """
+    columns = _csv_columns(path, CATALOG_CSV_HEADER)
+    catalog = None if columns is None else _catalog_from_columns(*columns, bbox)
+    return _load_catalog_rows(path, bbox) if catalog is None else catalog
+
+
+def _catalog_from_columns(eids, lon, lat, when, magnitude, bbox: BoundingBox | None) -> Catalog | None:
+    """The Catalog `_load_catalog_rows` reads from these columns, or None if it would raise.
+
+    Timestamps go to `fromisoformat` as written: it accepts no surrounding
+    whitespace and reads a `Z` suffix as `+00:00`, so any text it accepts
+    here `_parse_timestamp` accepts with the same month.
+    """
+    if len(set(eids)) != len(eids):
+        return None
+    try:
+        lon, lat, mags = _floats(lon), _floats(lat), _floats(magnitude)
+        times = list(map(datetime.fromisoformat, when))
+    except ValueError:
+        return None
+    if not (_coords_in_range(lon, lat) and np.all(np.isfinite(mags))):
+        return None
+    year = np.fromiter(map(attrgetter("year"), times), dtype=np.intp, count=len(times))
+    month = np.fromiter(map(attrgetter("month"), times), dtype=np.intp, count=len(times))
+    return _catalog(np.array(eids, dtype=str), lon, lat, 12 * year + month - 1, mags, bbox)
+
+
+def _load_catalog_rows(path: str | Path, bbox: BoundingBox | None) -> Catalog:
+    """`load_catalog_csv` one row at a time: raises the SchemaError of the first bad row."""
     events: dict[str, tuple[float, float, int, float]] = {}  # id -> lon, lat, month, magnitude
     for i, rec in _csv_records(path, CATALOG_CSV_HEADER):
         eid = rec[0]
@@ -408,6 +487,5 @@ def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> Catal
         events[eid] = (lon, lat, month_index(when.year, when.month), _parse_float(rec[4], i, "magnitude"))
 
     lons, lats, months, mags = np.array(list(events.values()), dtype=float).reshape(-1, 4).T
-    keep = slice(None) if bbox is None else _inside(bbox, lons, lats)
     ids = np.array(list(events), dtype=str)
-    return Catalog(ids[keep], lons[keep], lats[keep], months[keep].astype(np.intp), mags[keep])
+    return _catalog(ids, lons, lats, months.astype(np.intp), mags, bbox)

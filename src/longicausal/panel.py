@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+from itertools import repeat
 from pathlib import Path
 
 import numpy as np
@@ -172,11 +173,13 @@ def _parse_int(raw: str, row: int, column: str) -> int:
 def _csv_records(path: str | Path, header: list[str]):
     """Yield (first file line, fields) for each non-blank data record of a CSV with `header`.
 
-    A wrong or missing header, or a row without one field per column, is a
+    A wrong or missing header, a row without one field per column, or a
+    record csv.reader rejects (a field over `csv.field_size_limit()`) is a
     SchemaError naming the file row; bytes that are not UTF-8 are one naming
     the file.
     """
     n_fields = len(header)
+    row = 1
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
         try:
@@ -196,6 +199,38 @@ def _csv_records(path: str | Path, header: list[str]):
                 row = r.line_num + 1
         except UnicodeDecodeError as exc:  # raised while reading ahead, so no row can be named
             raise SchemaError(f"{path}: not UTF-8 text ({exc.reason}: {exc.object[exc.start:exc.end]!r})") from None
+        except csv.Error as exc:  # e.g. a field over csv.field_size_limit()
+            raise SchemaError(f"{path}: {exc}", row=row) from None
+
+
+def _csv_columns(path: str | Path, header: list[str]) -> list[list[str]] | None:
+    """The columns of a plain CSV with `header`, or None if `_csv_records` must read it.
+
+    A plain file is UTF-8 text with no quote, NUL or carriage return (but in
+    CRLF line ends) whose first line is exactly the header, with at least one
+    data line, one field per column on every non-blank line and no line
+    longer than `csv.field_size_limit()`. csv.reader splits such a file into
+    its non-blank lines cut at every comma, so one `str.split` of the whole
+    text gives the same fields.
+    """
+    try:
+        text = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
+    except UnicodeDecodeError:
+        return None
+    if '"' in text or "\r" in text or "\0" in text:
+        return None
+    first, _, body = text.partition("\n")
+    lines = list(filter(None, body.split("\n")))
+    n_fields = len(header)
+    if (
+        first != ",".join(header)
+        or not lines
+        or max(map(len, lines)) > csv.field_size_limit()
+        or set(map(str.count, lines, repeat(","))) != {n_fields - 1}
+    ):
+        return None
+    fields = ",".join(lines).split(",")
+    return [fields[j::n_fields] for j in range(n_fields)]
 
 
 def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDataset:

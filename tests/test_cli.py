@@ -267,10 +267,7 @@ class TestAnalyzeCommand:
                      "--out-dir", str(out)])
         assert code == 1
         assert "naive" in capsys.readouterr().err
-        assert not (out / "estimates.csv").exists()
-        assert not (out / "weights.csv").exists()
-        assert not (out / "panel.csv").exists()
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_single_cluster_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):
         wells_path, catalog_path = corpus_csvs
@@ -279,7 +276,7 @@ class TestAnalyzeCommand:
                      "--clusters", "1", "--out-dir", str(out)])
         assert code == 1
         assert "2 units" in capsys.readouterr().err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
 
     def test_prebuilt_panel_inputs(self, tmp_path):
         import numpy as np
@@ -364,7 +361,29 @@ class TestAnalyzeCommand:
         assert code == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {paths[bad]}: not UTF-8 text") and "Traceback" not in err
-        assert list(out.iterdir()) == []
+        assert not out.exists()
+
+    @pytest.mark.parametrize("bad, rest", [
+        ("wells", ",-97.0,33.0,2014-01,5"),
+        ("catalog", ",-97.0,33.0,2014-05-12T03:27:00,3.0"),
+        ("panel", ",1,5,0"),
+    ])
+    def test_oversize_field_exit_2_writes_nothing(self, tmp_path, corpus_csvs, capsys, bad, rest):
+        # csv.reader refuses a field over csv.field_size_limit() (131,072 characters)
+        ds = make_dataset([[1e5, 2e5], [3e5, 4e5]], [[0, 1], [1, 0]], [1, 2], unit_ids=["u0", "u1"])
+        write_panel_csv(ds, tmp_path / "p.csv", tmp_path / "y.csv")
+        paths = dict(zip(["wells", "catalog"], corpus_csvs), panel=tmp_path / "p.csv", outcomes=tmp_path / "y.csv")
+        data = paths[bad].read_bytes()
+        paths[bad] = tmp_path / f"oversize-{bad}.csv"
+        paths[bad].write_bytes(data + ("x" * 200_000 + rest + "\r\n").encode())
+        modes = ["panel", "outcomes"] if bad == "panel" else ["wells", "catalog"]
+        out = tmp_path / "run"
+        code = main(["analyze", *(arg for m in modes for arg in (f"--{m}", str(paths[m]))), "--out-dir", str(out)])
+        assert code == 2
+        row = data.count(b"\n") + 1
+        err = capsys.readouterr().err
+        assert err == f"error: {paths[bad]}: field larger than field limit (131072) (row {row})\n"
+        assert not out.exists()
 
     def test_single_unit_panel_exit_1(self, tmp_path, capsys):
         ds = make_dataset([[1e5, 2e5, 3e5]], [[0, 1, 0]], [3], unit_ids=["only"])

@@ -1,12 +1,17 @@
 """Projection, distances, clustering, attribution, and panel assembly."""
 
 import csv
+import dataclasses
 import logging
 import math
+import re
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from longicausal import geo
 from longicausal.exceptions import DomainError, SchemaError
 from longicausal.geo import (
     ASSIGN_CHUNK_EVENTS,
@@ -503,3 +508,150 @@ class TestLoaders:
         p = tmp_path / "c.csv"
         p.write_text(CATALOG_HEADER + "e1,-97.0,33.0,2014-05-12T03:27:00Z,3.0\n")
         assert load_catalog_csv(p).month.tolist() == [month_index(2014, 5)]
+
+    @pytest.mark.parametrize("loader, text", [
+        (load_wells_csv, WELLS_HEADER + "w1,-97.0,33.0,2014-01,5\n"),
+        (load_catalog_csv, CATALOG_HEADER + "e1,-97.0,33.0,2014-05-12T03:27:00,3.0\n"),
+    ], ids=["wells", "catalog"])
+    def test_blank_line_before_header(self, tmp_path, loader, text):
+        p = tmp_path / "x.csv"
+        p.write_text("\n" + text)
+        check_schema_error(loader, p, None, 1, None, "header")
+
+
+def outcome(loader, path, bbox):
+    """The loaded table, or (message, row, column) of the SchemaError it raises."""
+    try:
+        return loader(path, bbox)
+    except SchemaError as exc:
+        return str(exc), exc.row, exc.column
+
+
+def assert_same_outcome(got, want):
+    if isinstance(got, tuple) or isinstance(want, tuple):
+        assert got == want
+        return
+    assert type(got) is type(want)
+    for field in dataclasses.fields(want):
+        a, b = getattr(got, field.name), getattr(want, field.name)
+        assert a.dtype == b.dtype and np.array_equal(a, b), field.name
+
+
+def rarely(n):
+    """True one draw in `n`."""
+    return st.integers(0, n - 1).map(lambda k: k == n - 1)
+
+
+ONE_IN_5, ONE_IN_10, ONE_IN_20 = rarely(5), rarely(10), rarely(20)
+
+
+@st.composite
+def mostly(draw, valid, invalid):
+    """`valid` 19 draws in 20, else `invalid`, so that many files pass every column check."""
+    return draw(invalid if draw(ONE_IN_20) else valid)
+
+
+def spelled(value):
+    """Texts that `float` reads as `value`: padded, signed, in E notation or with an underscore."""
+    text = repr(value)
+    return st.sampled_from([
+        text, f" {text}", f"{text} ", f"{value:+}", f"{value:g}", f"{value:.3e}", re.sub(r"(\d)(\d)", r"\1_\2", text, 1),
+    ])
+
+
+BAD_LONGITUDES = st.sampled_from(["-97.25", "181", "-180.5", "nan", "-inf", "x", "1__0", ""])
+BAD_LATITUDES = st.sampled_from(["33.25", "-91", "inf", "NaN", "", "y"])
+# well id, longitude and latitude: "w2" lies outside DFW_BBOX, and "w3" has two sites
+WELL_SITES = [
+    ("w1", -97.0, 33.0), ("w2", -105.0, 40.0), ("w3", -97.5, 32.5), ("w3", -97.5, 32.75), (" w1", -96.9, 33.1),
+    ("\uff571", -97.0, 33.0),
+]
+MONTHS = mostly(
+    st.builds("{}{:04d}-{:02d}{}".format, st.sampled_from(["", " "]), st.integers(2013, 2016),
+              st.integers(1, 12), st.sampled_from(["", "-20", " "])),
+    st.sampled_from(["2014-13", "2014-1", "January", "\uff12\uff10\uff11\uff14-03", "2014-01-2"]),
+)
+AMOUNTS = mostly(st.sampled_from(["5", " 5.5", "1_000", "0", "-0.0", "2.75", "3e1", "1E3 "]),
+                 st.sampled_from(["-5", "nan", "1e400", "oops", "1,5"]))
+TIMESTAMPS = mostly(
+    st.sampled_from([
+        "2014-05-12T03:27:00", "2014-05-12T03:27:00Z", "2014-05-31T23:30:00-05:00", "2014-05-01T00:30:00+05:30",
+        "2014-05-12", "2014-W19-1", "2014-W01-1", "20140512", "2014-05-12 03:27", "2014-05-12T03:27:00.5",
+        "2015-12-31T23:59:59Z",
+    ]),
+    st.sampled_from([
+        " 2014-05-12T03:27:00", "2014-05-12T03:27:00Z ", "2014-10-10Z", "2014-05-12T03:27:00z",
+        "2014-13-01T00:00:00", "not-a-time",
+    ]),
+)
+WELL_RECORDS = st.one_of([
+    st.tuples(st.just(wid), mostly(spelled(lon), BAD_LONGITUDES), mostly(spelled(lat), BAD_LATITUDES), MONTHS, AMOUNTS)
+    for wid, lon, lat in WELL_SITES
+])
+CATALOG_RECORDS = st.tuples(
+    st.text("e1 ", min_size=1, max_size=4),
+    mostly(st.one_of(spelled(-97.0), spelled(-97.5), spelled(-105.0)), BAD_LONGITUDES),
+    mostly(st.one_of(spelled(33.0), spelled(32.5), spelled(40.0)), BAD_LATITUDES),
+    TIMESTAMPS,
+    AMOUNTS,
+)
+
+
+@st.composite
+def csv_text(draw, header, records, key):
+    """A CSV file's text: `header` and drawn records, with the layout variations csv.reader allows.
+
+    Records are distinct by `key` but for an occasional repeated record.
+    """
+    rows = [list(r) for r in draw(st.lists(records, max_size=6, unique_by=key))]
+    if rows and draw(ONE_IN_5):
+        rows.append(list(draw(st.sampled_from(rows))))
+    for row in rows:
+        if draw(ONE_IN_20):
+            row.pop() if draw(st.booleans()) else row.append("1")
+    if rows and draw(ONE_IN_5):  # a quoted field, maybe with a comma or a line break
+        row = draw(st.sampled_from(rows))
+        k = draw(st.integers(0, len(row) - 1))
+        row[k] = '"' + row[k] + draw(st.sampled_from(["", ",", "\n", "\n\n"])) + '"'
+    lines = [",".join(header)] + [",".join(row) for row in rows]
+    for _ in range(draw(st.integers(0, 2))):  # blank lines, after the header
+        lines.insert(draw(st.integers(1, len(lines))), "")
+    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from([end, ""]))
+    return ("\ufeff" if draw(ONE_IN_10) else "") + text
+
+
+WELL_FILES = csv_text(WELLS_CSV_HEADER, WELL_RECORDS, key=lambda r: (r[0], r[3].strip()[:7]))
+CATALOG_FILES = csv_text(CATALOG_CSV_HEADER, CATALOG_RECORDS, key=lambda r: r[0])
+EQUIVALENCE = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+
+
+class TestColumnPathMatchesRowPath:
+    """`load_*_csv` parse whole columns; `_load_*_rows` is the row-by-row reader they fall back to."""
+
+    @EQUIVALENCE
+    @given(text=WELL_FILES, bbox=st.sampled_from([None, DFW_BBOX]))
+    def test_wells(self, tmp_path, text, bbox):
+        p = tmp_path / "w.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(outcome(load_wells_csv, p, bbox), outcome(geo._load_wells_rows, p, bbox))
+
+    @EQUIVALENCE
+    @given(text=CATALOG_FILES, bbox=st.sampled_from([None, DFW_BBOX]))
+    def test_catalog(self, tmp_path, text, bbox):
+        p = tmp_path / "c.csv"
+        p.write_bytes(text.encode("utf-8"))
+        assert_same_outcome(outcome(load_catalog_csv, p, bbox), outcome(geo._load_catalog_rows, p, bbox))
+
+    @pytest.mark.parametrize("bbox", [None, DFW_BBOX], ids=["all", "bbox"])
+    def test_clean_files_take_the_column_path(self, corpus, monkeypatch, bbox):
+        # if the corpus fell back to the row reader, the column path's speed would be lost unseen
+        want = geo._load_wells_rows(corpus.wells_path, bbox), geo._load_catalog_rows(corpus.catalog_path, bbox)
+
+        def refuse(path, bbox):
+            raise AssertionError(f"{path} was read row by row")
+
+        monkeypatch.setattr(geo, "_load_wells_rows", refuse)
+        monkeypatch.setattr(geo, "_load_catalog_rows", refuse)
+        assert_same_outcome(load_wells_csv(corpus.wells_path, bbox), want[0])
+        assert_same_outcome(load_catalog_csv(corpus.catalog_path, bbox), want[1])
