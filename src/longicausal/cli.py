@@ -289,10 +289,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         return args.func(args)
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (SchemaError, OSError) as exc:  # an input that cannot be read, an --out-dir that cannot be made
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except LongicausalError as exc:

@@ -63,9 +63,9 @@ def _inside(bbox: BoundingBox, lon: np.ndarray, lat: np.ndarray) -> np.ndarray:
     return (bbox.lat_min <= lat) & (lat <= bbox.lat_max) & (bbox.lon_min <= lon) & (lon <= bbox.lon_max)
 
 
-def _check_coords(longitude: float, latitude: float, what: str = "point") -> None:
-    if not (-180.0 <= longitude <= 180.0) or not (-90.0 <= latitude <= 90.0):
-        raise DomainError(f"{what} has out-of-range coordinates ({longitude}, {latitude})")
+def _coords_in_range(lon, lat) -> bool:
+    """True iff every coordinate (numbers or arrays) is finite and in range (NaN fails `<=`)."""
+    return bool(np.all(np.abs(lon) <= 180.0) and np.all(np.abs(lat) <= 90.0))
 
 
 def parse_month(value: str) -> tuple[int, int]:
@@ -137,15 +137,14 @@ class ClusterAssignment(NamedTuple):
 def project_coords(longitude, latitude, origin: tuple[float, float]):
     """Local equirectangular projection about `origin`, in kilometers."""
     lon0, lat0 = origin
-    _check_coords(lon0, lat0, "origin")
+    if not _coords_in_range(lon0, lat0):
+        raise DomainError(f"origin has out-of-range coordinates ({lon0}, {lat0})")
     lon = np.asarray(longitude, dtype=float)
     lat = np.asarray(latitude, dtype=float)
-    if np.any(lon < -180.0) or np.any(lon > 180.0) or np.any(lat < -90.0) or np.any(lat > 90.0):
+    if not _coords_in_range(lon, lat):
         raise DomainError("coordinates out of range")
     x = EARTH_RADIUS_KM * math.cos(math.radians(lat0)) * np.radians(lon - lon0)
     y = EARTH_RADIUS_KM * np.radians(lat - lat0)
-    if x.ndim == 0:
-        return float(x), float(y)
     return x, y
 
 
@@ -156,8 +155,6 @@ def inverse_project(x, y, origin: tuple[float, float]):
     y = np.asarray(y, dtype=float)
     lon = lon0 + np.degrees(x / (EARTH_RADIUS_KM * math.cos(math.radians(lat0))))
     lat = lat0 + np.degrees(y / EARTH_RADIUS_KM)
-    if lon.ndim == 0:
-        return float(lon), float(lat)
     return lon, lat
 
 
@@ -173,7 +170,8 @@ def _haversine(lon1, lat1, lon2, lat2):
 def haversine_km(p1: tuple[float, float], p2):
     """Great-circle distance between (lon, lat) points; p2 may be arrays."""
     lon1, lat1 = float(p1[0]), float(p1[1])
-    _check_coords(lon1, lat1)
+    if not _coords_in_range(lon1, lat1):
+        raise DomainError(f"point has out-of-range coordinates ({lon1}, {lat1})")
     d = _haversine(lon1, lat1, np.asarray(p2[0], dtype=float), np.asarray(p2[1], dtype=float))
     return float(d) if d.ndim == 0 else d
 
@@ -343,11 +341,6 @@ def _parse_lon_lat(rec: list[str], row: int) -> tuple[float, float]:
 def _floats(column: list[str]) -> np.ndarray:
     """`float` of every text, as `_parse_float` converts one; ValueError if any is not a number."""
     return np.fromiter(map(float, column), dtype=float, count=len(column))
-
-
-def _coords_in_range(lon: np.ndarray, lat: np.ndarray) -> bool:
-    """True iff every coordinate is finite and in range (NaN fails `<=`)."""
-    return bool(np.all(np.abs(lon) <= 180.0) and np.all(np.abs(lat) <= 90.0))
 
 
 def _well_table(ids, lons, lats, well, month, volume, bbox: BoundingBox | None) -> WellTable:

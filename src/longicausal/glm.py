@@ -44,6 +44,7 @@ _MAX_EXP = 700.0  # exp() overflow guard for float64
 _RANK_RTOL = 1e-12
 _MU_EPS = 1e-10
 _TOL = 1e-8  # IRLS stops when the relative deviance change falls below this
+_MAX_ITER = 100  # IRLS gives up, unconverged, after this many iterations
 
 
 @dataclass
@@ -216,19 +217,12 @@ def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.n
     return -2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)), axis=-1)
 
 
-def fit_glm_stack(
-    design,
-    response,
-    family: str,
-    weights=None,
-    *,
-    max_iter: int = 100,
-) -> StackFit:
+def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
     """Fit R independent weighted GLMs by IRLS: designs (R, n, p), responses and weights (R, n).
 
     Problem r gets the result `fit_glm(design[r], response[r], family,
     weights[r])` would give, bit for bit, or the error it would raise in
-    `errors[r]`. Convergence and `max_iter` are as in `fit_glm`.
+    `errors[r]`. Convergence and `_MAX_ITER` are as in `fit_glm`.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -259,77 +253,65 @@ def fit_glm_stack(
         mu = _matvec(X, beta)
         with np.errstate(invalid="ignore"):  # NaN rows of singular problems
             sd = np.sqrt(np.sum(w * (y - mu) ** 2, axis=1) / np.sum(w, axis=1))
-        inv, singular = _per_problem(np.linalg.inv, _information(X, w))
-        flag_errors(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
-        coefficients[live] = beta
-        model_cov[live] = inv * (sd**2)[:, None, None]
-        converged[live] = True
-        iterations[live] = 1
+        done, its, dispersion = True, 1, (sd**2)[:, None, None]
         residual_sd = np.full(r, np.nan)
         residual_sd[live] = sd
-        return StackFit(coefficients, model_cov, converged, iterations, residual_sd, errors)
-
-    # starting values: shrink the response toward the family mean
-    if family == "poisson":
-        mu = y + 0.5
-        eta = np.log(mu)
     else:
-        mu = (y + 0.5) / 2.0
-        eta = np.log(mu / (1.0 - mu))
+        # starting values: shrink the response toward the family mean
+        if family == "poisson":
+            mu = y + 0.5
+            eta = np.log(mu)
+        else:
+            mu = (y + 0.5) / 2.0
+            eta = np.log(mu / (1.0 - mu))
 
-    beta = np.zeros((len(live), p))
-    dev = _deviance(family, y, _mu_eta(family, eta), w)
-    done = np.zeros(len(live), dtype=bool)
-    its = np.zeros(len(live), dtype=int)
-    active = np.arange(len(live))  # positions in `live` still iterating
-    for it in range(1, max_iter + 1):
-        if not active.size:
-            break
-        sel = slice(None) if active.size == len(live) else active  # views while all iterate
-        Xa, ya, wa, mua = X[sel], y[sel], w[sel], mu[sel]
-        var = _variance(family, mua)
-        wk = wa * var
-        z = eta[sel] + (ya - mua) / var
-        beta_a, singular = _solve_wls(Xa, wk, z)
-        flag_errors(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
-        eta_a = _matvec(Xa, beta_a)
-        mu_a = _mu_eta(family, eta_a)
+        beta = np.zeros((len(live), p))
+        dev = _deviance(family, y, _mu_eta(family, eta), w)
+        done = np.zeros(len(live), dtype=bool)
+        its = np.zeros(len(live), dtype=int)
+        active = np.arange(len(live))  # positions in `live` still iterating
+        for it in range(1, _MAX_ITER + 1):
+            if not active.size:
+                break
+            sel = slice(None) if active.size == len(live) else active  # views while all iterate
+            Xa, ya, wa, mua = X[sel], y[sel], w[sel], mu[sel]
+            var = _variance(family, mua)
+            wk = wa * var
+            z = eta[sel] + (ya - mua) / var
+            beta_a, singular = _solve_wls(Xa, wk, z)
+            flag_errors(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
+            eta_a = _matvec(Xa, beta_a)
+            mu_a = _mu_eta(family, eta_a)
+            if family == "logistic":
+                mu_a = np.clip(mu_a, _MU_EPS, 1.0 - _MU_EPS)
+            with np.errstate(invalid="ignore"):  # NaN rows of singular problems
+                new_dev = _deviance(family, ya, mu_a, wa)
+                now_done = np.abs(new_dev - dev[sel]) / (np.abs(dev[sel]) + 0.1) < _TOL
+            beta[sel], eta[sel], mu[sel], dev[sel] = beta_a, eta_a, mu_a, new_dev
+            its[sel] = it
+            done[active[now_done]] = True
+            active = active[~now_done & ~singular]
+
         if family == "logistic":
-            mu_a = np.clip(mu_a, _MU_EPS, 1.0 - _MU_EPS)
-        with np.errstate(invalid="ignore"):  # NaN rows of singular problems
-            new_dev = _deviance(family, ya, mu_a, wa)
-            now_done = np.abs(new_dev - dev[sel]) / (np.abs(dev[sel]) + 0.1) < _TOL
-        beta[sel], eta[sel], mu[sel], dev[sel] = beta_a, eta_a, mu_a, new_dev
-        its[sel] = it
-        done[active[now_done]] = True
-        active = active[~now_done & ~singular]
-
-    if family == "logistic":
-        done &= ~np.any((mu < 1e-8) | (mu > 1.0 - 1e-8), axis=1)  # separation: fitted probabilities pinned at 0/1
+            done &= ~np.any((mu < 1e-8) | (mu > 1.0 - 1e-8), axis=1)  # separation: fitted probabilities pinned at 0/1
+        dispersion = 1.0
 
     with np.errstate(invalid="ignore"):  # NaN rows of singular problems
         info = _information(X, w * _variance(family, mu))
     inv, singular = _per_problem(np.linalg.inv, info)
     flag_errors(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
     coefficients[live] = beta
-    model_cov[live] = inv
+    model_cov[live] = inv * dispersion
     converged[live] = done
     iterations[live] = its
     return StackFit(coefficients, model_cov, converged, iterations, residual_sd, errors)
 
 
-def fit_glm(
-    design,
-    response,
-    family: str,
-    weights=None,
-    *,
-    max_iter: int = 100,
-) -> FitResult:
+def fit_glm(design, response, family: str, weights=None) -> FitResult:
     """Fit a weighted GLM by IRLS.
 
     Convergence is declared when the relative deviance change drops below
-    1e-8 (`_TOL`); after `max_iter` iterations the result is returned with
+    1e-8 (`_TOL`); after `_MAX_ITER` iterations the result is returned with
     converged=False and the caller decides (logistic separation shows up this
     way rather than as an error).
     """
@@ -338,7 +320,7 @@ def fit_glm(
         raise DomainError(f"design must be 2-d, got shape {X.shape}")
     y = np.asarray(response, dtype=float)
     w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    return fit_glm_stack(X[None], y[None], family, w, max_iter=max_iter).result(0, family)
+    return fit_glm_stack(X[None], y[None], family, w).result(0, family)
 
 
 def sandwich_cov_stack(

@@ -78,8 +78,8 @@ class DgpParams:
     a_sd: float = 60.0
 
     def __post_init__(self):
-        if self.u_levels < 1:
-            raise DomainError("u_levels must be >= 1")
+        if not (1 <= self.u_levels <= np.iinfo(np.int64).max):  # U is drawn as int64
+            raise DomainError(f"u_levels must be in [1, 2**63 - 1], got {self.u_levels}")
         _require_finite(self)
         if not (self.a0_sd > 0) or not (self.a_sd > 0):
             raise DomainError("sd parameters must be > 0")

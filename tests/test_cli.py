@@ -185,6 +185,22 @@ class TestSimulateCommand:
                               "Poisson mean overflow")
         assert "Traceback" not in err
 
+    def test_u_levels_beyond_int64_exit_1_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["simulate", "--m", "2", "--u-levels", str(2**63), "--out-dir", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: u_levels must be in [1, 2**63 - 1], got {2**63}\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize("below", ["", "sub"], ids=["file", "below-file"])
+    def test_out_dir_that_cannot_be_made_exit_2_writes_nothing(self, tmp_path, capsys, below):
+        # FileExistsError for the file itself, NotADirectoryError below it
+        taken = tmp_path / "taken"
+        taken.write_text("x")
+        assert main(["simulate", "--n", "12", "--k", "4", "--m", "2", "--out-dir", str(taken / below)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert list(tmp_path.iterdir()) == [taken] and taken.read_text() == "x"
+
     def test_unknown_flag_exit_2(self):
         assert main(["simulate", "--frobnicate", "1"]) == 2
 
@@ -397,6 +413,16 @@ class TestAnalyzeCommand:
         code = main(["analyze", "--wells", str(tmp_path / "nope.csv"), "--catalog", str(tmp_path / "nope2.csv"),
                      "--out-dir", str(tmp_path)])
         assert code == 2
+
+    @pytest.mark.parametrize("modes", [("wells", "catalog"), ("panel", "outcomes")], ids=["raw", "panel"])
+    def test_directory_as_input_exit_2_writes_nothing(self, tmp_path, capsys, modes):
+        out = tmp_path / "run"
+        code = main(["analyze", *(arg for m in modes for arg in (f"--{m}", str(tmp_path))), "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+        assert str(tmp_path) in err
+        assert not out.exists()
 
     def test_bad_bbox_exit_2(self, corpus_csvs, capsys):
         wells_path, catalog_path = corpus_csvs

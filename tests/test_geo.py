@@ -87,6 +87,10 @@ class TestProjection:
             project_coords(181.0, 0.0, (0.0, 0.0))
         with pytest.raises(DomainError):
             project_coords(0.0, 91.0, (0.0, 0.0))
+        with pytest.raises(DomainError):
+            project_coords(np.array([np.nan, -97.0]), np.array([33.0, 33.0]), (-97.0, 33.0))
+        with pytest.raises(DomainError):
+            project_coords(np.array([-97.0, -97.0]), np.array([33.0, np.nan]), (-97.0, 33.0))
 
 
 class TestHaversine:

@@ -16,6 +16,7 @@ from scipy.integrate import quad
 from scipy.optimize import minimize
 from scipy.special import gammaln
 
+import longicausal.glm as glm
 from longicausal.exceptions import DomainError, LongicausalError, SingularDesignError
 from longicausal.glm import FAMILIES, _rank_deficient, fit_glm, fit_glm_stack, sandwich_cov_stack, wald_test
 
@@ -452,7 +453,8 @@ class TestStackKernel:
 
     @pytest.mark.parametrize("max_iter", [100, 4])
     @pytest.mark.parametrize("family", FAMILIES)
-    def test_each_problem_matches_fit_glm(self, family, max_iter):
+    def test_each_problem_matches_fit_glm(self, monkeypatch, family, max_iter):
+        monkeypatch.setattr(glm, "_MAX_ITER", max_iter)
         rng = np.random.default_rng(8)
         r, n = 12, 30
         X = np.stack([np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)]) for _ in range(r)])
@@ -466,11 +468,11 @@ class TestStackKernel:
         y[9] = (X[9, :, 1] > 0).astype(float) if family == "logistic" else y[9]  # separated
         w = rng.uniform(0.2, 2.0, (r, n))
         w[7, 3] = np.inf
-        stack = fit_glm_stack(X, y, family, w, max_iter=max_iter)
+        stack = fit_glm_stack(X, y, family, w)
         outcomes = set()
         for i in range(r):
             try:
-                single = fit_glm(X[i], y[i], family, w[i], max_iter=max_iter)
+                single = fit_glm(X[i], y[i], family, w[i])
             except LongicausalError as exc:
                 assert type(stack.errors[i]) is type(exc) and str(stack.errors[i]) == str(exc)
                 outcomes.add(type(exc).__name__)

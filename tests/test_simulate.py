@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import longicausal.estimators as est
+import longicausal.glm as glm
 import longicausal.simulate as sim
 from longicausal.estimators import adjusted_poisson, msm_iptw, naive_poisson
 from longicausal.exceptions import DomainError, LongicausalError, SimulationError
@@ -130,6 +131,11 @@ class TestGenerateDataset:
             SimulationConfig(master_seed=-1)
         with pytest.raises(DomainError):
             DgpParams(a_sd=0.0)
+        # U is drawn as int64: 2**63 - 1 draws (the replicate then overflows its Poisson mean), 2**63 cannot
+        with pytest.raises(SimulationError, match="^Poisson mean overflow"):
+            generate_dataset(SimulationConfig(n_units=2, n_periods=1, dgp=DgpParams(u_levels=2**63 - 1)), 0)
+        with pytest.raises(DomainError, match=r"^u_levels must be in \[1, 2\*\*63 - 1\], got 9223372036854775808$"):
+            DgpParams(u_levels=2**63)
         # non-finite parameters are named instead of failing every replicate downstream
         with pytest.raises(DomainError, match="^confounding must be finite, got nan$"):
             SimulationConfig(confounding=math.nan)
@@ -370,13 +376,16 @@ def vanishing_weights(r):
     follow(r, -55.0, 1e-6 * np.sin(np.arange(r.a.size)).reshape(r.a.shape))
 
 
-def one_iteration(*args, **kwargs):
-    return fit_glm_stack(*args, **kwargs, max_iter=1)
+def one_iteration(monkeypatch):
+    monkeypatch.setattr(glm, "_MAX_ITER", 1)
 
 
-def without_model_cov(*args, **kwargs):
-    fit = fit_glm_stack(*args, **kwargs)
-    return fit._replace(model_cov=np.full_like(fit.model_cov, np.nan))
+def without_model_cov(monkeypatch):
+    def fit(*args, **kwargs):
+        result = fit_glm_stack(*args, **kwargs)
+        return result._replace(model_cov=np.full_like(result.model_cov, np.nan))
+
+    monkeypatch.setattr(est, "fit_glm_stack", fit)
 
 
 RANK_DEFICIENT = "SingularDesignError: design matrix is rank deficient (singular value ratio below 1e-12)"
@@ -530,9 +539,9 @@ class TestBlockEngine:
         ids=["non-convergence", "wald-test"],
     )
     def test_estimator_failures_are_audited(self, monkeypatch, patched, message):
-        # the outcome fits are patched for the block engine and the reference alike
+        # the fits are patched for the block engine and the reference alike
         cfg = SimulationConfig(n_replicates=3, master_seed=8)
-        monkeypatch.setattr(est, "fit_glm_stack", patched)
+        patched(monkeypatch)
         results = block_results(cfg)
         assert [out for _, out in results] == [message] * cfg.n_replicates
         assert_matches_reference(cfg, results)
