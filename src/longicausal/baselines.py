@@ -40,9 +40,14 @@ def gr_rate_factor(p: GRParams) -> float:
 
 
 def gr_expected_count(p: GRParams, volume: float) -> float:
-    """Background plus volume-driven events: 10^(a_tec - b*M) + V * 10^(sigma - b*M)."""
+    """Background plus volume-driven events: 10^(a_tec - b*M) + V * 10^(sigma - b*M), for finite V >= 0."""
     if p.a_tec is None:
         raise DomainError("a_tec is required for the expected count")
     if not math.isfinite(volume):
         raise DomainError(f"volume must be finite, got {volume!r}")
-    return _pow10(p.a_tec - p.b * p.mag_complete) + volume * gr_rate_factor(p)
+    if volume < 0:
+        raise DomainError(f"volume must be >= 0, got {volume!r}")
+    count = _pow10(p.a_tec - p.b * p.mag_complete) + volume * gr_rate_factor(p)
+    if not math.isfinite(count):
+        raise DomainError(f"expected count at volume {volume!r} overflows")
+    return count

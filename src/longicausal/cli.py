@@ -41,6 +41,7 @@ from .geo import (
     cluster_wells,
     load_catalog_csv,
     load_wells_csv,
+    parse_month,
 )
 from .iptw import iter_weight_rows, stabilized_weights
 from .panel import read_panel_csv, write_csv, write_panel_csv
@@ -61,6 +62,15 @@ def _finite_float(text: str) -> float:
     if not math.isfinite(value):
         raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
     return value
+
+
+def _month(text: str) -> str:
+    """`text` itself, once `parse_month` accepts it, so the manifest keeps the flag as given."""
+    try:
+        parse_month(text)
+    except DomainError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+    return text
 
 
 def _parse_bbox(text: str) -> BoundingBox:
@@ -253,8 +263,8 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--linkage", choices=LINKAGES, default="ward")
     ana.add_argument("--truncate-weights", action="store_true", help="clip SW to [1st, 99th] percentiles")
     ana.add_argument("--robust", choices=("HC0", "HC1"), default="HC0")
-    ana.add_argument("--start", default=DEFAULT_STUDY_START, help="first study month (YYYY-MM)")
-    ana.add_argument("--end", default=DEFAULT_STUDY_END, help="last study month (YYYY-MM), inclusive")
+    ana.add_argument("--start", type=_month, default=DEFAULT_STUDY_START, help="first study month (YYYY-MM)")
+    ana.add_argument("--end", type=_month, default=DEFAULT_STUDY_END, help="last study month (YYYY-MM), inclusive")
     ana.add_argument("--out-dir", default=".", help="directory for output files")
     ana.set_defaults(func=cmd_analyze)
 

@@ -96,7 +96,7 @@ def relative_risk(beta1: float) -> float:
 def _report(name: str, data: PanelDataset, **options) -> EstimatorReport:
     """The one-replicate call of `_poisson_stack` on `data` as a report, or its error raised."""
     _check_units(data)
-    stack = _poisson_stack(data.cum_treatment_vector()[None], data.outcome_vector()[None], **options)
+    stack = _poisson_stack(data.A.sum(axis=1)[None], data.Y[None], **options)
     if stack.errors[0] is not None:
         raise stack.errors[0]
     beta1 = float(stack.beta1_hat[0])
@@ -137,7 +137,7 @@ def adjusted_poisson(data: PanelDataset) -> EstimatorReport:
     A confounder column that is constant across units is absorbed by the
     intercept and dropped, which reduces the fit to the naive design.
     """
-    return _report("adjusted", data, cum_l=data.cum_confounder_vector()[None])
+    return _report("adjusted", data, cum_l=data.L.sum(axis=1)[None])
 
 
 def msm_iptw(data: PanelDataset, *, weights: WeightSet | None = None, hc1: bool = False) -> EstimatorReport:

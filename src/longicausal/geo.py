@@ -170,9 +170,12 @@ def _haversine(lon1, lat1, lon2, lat2):
 def haversine_km(p1: tuple[float, float], p2):
     """Great-circle distance between (lon, lat) points; p2 may be arrays."""
     lon1, lat1 = float(p1[0]), float(p1[1])
+    lon2, lat2 = np.asarray(p2[0], dtype=float), np.asarray(p2[1], dtype=float)
     if not _coords_in_range(lon1, lat1):
         raise DomainError(f"point has out-of-range coordinates ({lon1}, {lat1})")
-    d = _haversine(lon1, lat1, np.asarray(p2[0], dtype=float), np.asarray(p2[1], dtype=float))
+    if not _coords_in_range(lon2, lat2):
+        raise DomainError("second point has out-of-range or non-finite coordinates")
+    d = _haversine(lon1, lat1, lon2, lat2)
     return float(d) if d.ndim == 0 else d
 
 

@@ -79,8 +79,7 @@ def _lagged_rows(a, l, a0=None, l0=None) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def _dataset_rows(data: PanelDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """`_lagged_rows` of one dataset, as a stack of one replicate."""
-    baselines = (data.baseline_treatment_vector(), data.baseline_confounder_vector()) if data.has_baseline else ()
-    return _lagged_rows(*(x[None] for x in (data.treatment_matrix(), data.confounder_matrix(), *baselines)))
+    return _lagged_rows(*(None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0)))
 
 
 def _build_design(terms: Sequence[str], lag_a: np.ndarray, lag_l: np.ndarray) -> np.ndarray:

@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from itertools import repeat
+from functools import partial
+from itertools import filterfalse, islice, repeat
 from pathlib import Path
 
 import numpy as np
@@ -69,59 +70,39 @@ class PanelDataset:
 
     Built from (N, K) treatments A, (N, K) 0/1 confounders L and (N,) counts
     Y; `unit_ids` defaults to 0..N-1. The baselines A0/L0 are given together,
-    one entry per unit, or not at all. The inputs are copied, not frozen.
+    one entry per unit, or not at all. The inputs are copied, not frozen: the
+    attributes `A`, `L`, `Y`, `A0`/`L0` (None without a baseline), `unit_ids`
+    and `n_periods` cannot be rebound, nor the arrays written into.
     """
 
+    __slots__ = ("A", "L", "Y", "A0", "L0", "unit_ids", "n_periods")
+
     def __init__(self, A, L, Y, *, unit_ids=None, A0=None, L0=None):
-        self._a, self._l, self._y, self._a0, self._l0 = _validate(A, L, Y, A0, L0)
-        n, self.n_periods = self._a.shape
+        arrays = _validate(A, L, Y, A0, L0)
+        n, k = arrays[0].shape
         ids = tuple(range(n)) if unit_ids is None else tuple(unit_ids)
         if len(ids) != n:
             raise PanelError(f"unit_ids has {len(ids)} entries for {n} units")
         if len(set(ids)) != n:
             dupes = sorted({u for u in ids if ids.count(u) > 1}, key=str)
             raise PanelError(f"unit_ids must be unique, duplicated: {dupes}")
-        self.unit_ids = ids
+        for name, value in zip(self.__slots__, (*arrays, ids, k)):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"PanelDataset attribute {name!r} is read-only")
+
+    def __reduce__(self):  # pickle and copy rebuild through __init__, since attributes cannot be set
+        return partial(PanelDataset, unit_ids=self.unit_ids, A0=self.A0, L0=self.L0), (self.A, self.L, self.Y)
 
     @property
     def n_units(self) -> int:
         return len(self.unit_ids)
 
-    @property
-    def has_baseline(self) -> bool:
-        return self._a0 is not None
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, PanelDataset) or self.unit_ids != other.unit_ids:
             return False
-        mine = (self._a, self._l, self._y, self._a0, self._l0)
-        theirs = (other._a, other._l, other._y, other._a0, other._l0)
-        return all(np.array_equal(x, y) for x, y in zip(mine, theirs))
-
-    def treatment_matrix(self) -> np.ndarray:
-        return self._a
-
-    def confounder_matrix(self) -> np.ndarray:
-        return self._l
-
-    def outcome_vector(self) -> np.ndarray:
-        return self._y
-
-    def baseline_treatment_vector(self) -> np.ndarray:
-        if not self.has_baseline:
-            raise PanelError("dataset has no baseline period")
-        return self._a0
-
-    def baseline_confounder_vector(self) -> np.ndarray:
-        if not self.has_baseline:
-            raise PanelError("dataset has no baseline period")
-        return self._l0
-
-    def cum_treatment_vector(self) -> np.ndarray:
-        return self.treatment_matrix().sum(axis=1)
-
-    def cum_confounder_vector(self) -> np.ndarray:
-        return self.confounder_matrix().sum(axis=1)
+        return all(np.array_equal(getattr(self, x), getattr(other, x)) for x in ("A", "L", "Y", "A0", "L0"))
 
 
 def write_csv(path: str | Path, header: list[str], rows) -> None:
@@ -139,18 +120,16 @@ def write_panel_csv(dataset: PanelDataset, panel_path: str | Path, outcome_path:
     carry observed periods only.
     """
     ids = dataset.unit_ids
-    treatments = dataset.treatment_matrix().tolist()
-    confounders = dataset.confounder_matrix().astype(int).tolist()
     write_csv(
         panel_path,
         PANEL_CSV_HEADER,
         (
             (uid, t, a, l)
-            for uid, a_row, l_row in zip(ids, treatments, confounders)
+            for uid, a_row, l_row in zip(ids, dataset.A.tolist(), dataset.L.astype(int).tolist())
             for t, (a, l) in enumerate(zip(a_row, l_row), start=1)
         ),
     )
-    write_csv(outcome_path, OUTCOME_CSV_HEADER, zip(ids, dataset.outcome_vector().astype(int).tolist()))
+    write_csv(outcome_path, OUTCOME_CSV_HEADER, zip(ids, dataset.Y.astype(int).tolist()))
 
 
 def _parse_float(raw: str, row: int, column: str) -> float:
@@ -275,10 +254,11 @@ def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDat
     for uid in order:
         periods = per_unit[uid]
         k = max(periods)
-        expected = set(range(1, k + 1))
-        if set(periods) != expected:
-            absent = sorted(expected - set(periods))
-            raise SchemaError(f"unit {uid!r} is missing periods {absent}", column="period")
+        n_absent = k - len(periods)  # the periods are distinct and >= 1
+        if n_absent:
+            absent = list(islice(filterfalse(periods.__contains__, range(1, k)), 10))  # at most 10 named
+            more = f" and {n_absent - len(absent)} more" if n_absent > len(absent) else ""
+            raise SchemaError(f"unit {uid!r} is missing periods {absent}{more}", column="period")
         rows.append([periods[t] for t in range(1, k + 1)])
     horizon = len(rows[0])
     for uid, row in zip(order, rows):

@@ -200,7 +200,7 @@ class TestCriterion7PipelineConservation:
 
         post_cut = 71 - corpus.n_below_cut
         conserved = attribution.total_assigned + attribution.unassigned == attribution.n_after_cut
-        total_panel = float(data.treatment_matrix().sum())
+        total_panel = float(data.A.sum())
         vol_ok = abs(total_panel - corpus.expected_in_window_volume) <= 1e-6 * corpus.expected_in_window_volume
 
         checks = [

@@ -68,6 +68,18 @@ class TestExpectedCount:
         with pytest.raises(DomainError, match="a_tec"):
             gr_expected_count(CENTRAL_OK, 1e6)
 
+    def test_negative_volume_rejected(self):
+        p = GRParams(sigma=0.0, b=0.0, mag_complete=0.0, a_tec=0.0)
+        with pytest.raises(DomainError, match=r"^volume must be >= 0, got -5\.0$"):
+            gr_expected_count(p, -5.0)
+        assert gr_expected_count(p, -0.0) == 1.0
+
+    def test_infinite_count_rejected(self):
+        p = GRParams(sigma=100.0, b=0.0, mag_complete=0.0, a_tec=0.0)
+        with pytest.raises(DomainError, match="overflows"):
+            gr_expected_count(p, 1e300)
+        assert gr_expected_count(p, 1e200) == 1e300 + 1.0
+
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             GRParams(sigma=0.0, b=float("nan"), mag_complete=0.0)

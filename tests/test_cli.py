@@ -75,6 +75,18 @@ class TestBaselineGr:
         code = main(["baseline", "gr", "--sigma", "-0.47", "--b", "1.41", "--m", "3", "--volume", "1e6"])
         assert code == 1
 
+    @pytest.mark.parametrize(
+        "sigma, volume, message",
+        [("0", "-5", "volume must be >= 0, got -5.0"), ("100", "1e300", "expected count at volume 1e+300 overflows")],
+        ids=["negative-volume", "infinite-count"],
+    )
+    def test_volume_out_of_domain_exit_1(self, capsys, sigma, volume, message):
+        argv = ["baseline", "gr", "--sigma", sigma, "--b", "0", "--m", "0", "--a-tec", "0", "--volume", volume]
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message}\n"
+        assert len(captured.out.splitlines()) == 1  # the rate factor only, no count
+
     @pytest.mark.parametrize("flag", ["--sigma", "--b", "--m", "--a-tec", "--volume"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_float_flag_exit_2(self, capsys, flag, value):
@@ -401,6 +413,18 @@ class TestAnalyzeCommand:
         assert err == f"error: {paths[bad]}: field larger than field limit (131072) (row {row})\n"
         assert not out.exists()
 
+    def test_huge_period_exit_2_writes_nothing(self, tmp_path, capsys):
+        (tmp_path / "p.csv").write_text("unit_id,period,volume_bbl,quake_indicator\na,1000000000000,5,0\n")
+        (tmp_path / "y.csv").write_text("unit_id,cumulative_quakes\na,0\n")
+        out = tmp_path / "run"
+        code = main(["analyze", "--panel", str(tmp_path / "p.csv"), "--outcomes", str(tmp_path / "y.csv"),
+                     "--out-dir", str(out)])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: unit 'a' is missing periods [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and ")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_single_unit_panel_exit_1(self, tmp_path, capsys):
         ds = make_dataset([[1e5, 2e5, 3e5]], [[0, 1, 0]], [3], unit_ids=["only"])
         write_panel_csv(ds, tmp_path / "p.csv", tmp_path / "y.csv")
@@ -442,6 +466,30 @@ class TestAnalyzeCommand:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("flag", ["--start", "--end"])
+    @pytest.mark.parametrize("mode", ["raw", "panel"])
+    @pytest.mark.parametrize("value", ["garbage", "2014-13", ""])
+    def test_malformed_month_flag_exit_2_writes_nothing(self, tmp_path, corpus_csvs, capsys, monkeypatch,
+                                                        flag, mode, value):
+        monkeypatch.setattr(longicausal.cli, "load_wells_csv", None)  # a usage error stops before any input is read
+        monkeypatch.setattr(longicausal.cli, "read_panel_csv", None)
+        inputs = {"raw": ["--wells", str(corpus_csvs[0]), "--catalog", str(corpus_csvs[1])],
+                  "panel": ["--panel", str(tmp_path / "p.csv"), "--outcomes", str(tmp_path / "y.csv")]}
+        out = tmp_path / "run"
+        assert main(["analyze", *inputs[mode], f"{flag}={value}", "--out-dir", str(out)]) == 2
+        captured = capsys.readouterr()
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and f"argument {flag}: " in errors[0] and repr(value) in errors[0]
+        assert captured.out == ""
+        assert not out.exists()
+
+    def test_month_flags_are_recorded_as_given(self, tmp_path, corpus_csvs):
+        wells_path, catalog_path = corpus_csvs
+        assert main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--start", " 2013-01", "--end", "2016-12-31", "--out-dir", str(tmp_path)]) == 0
+        parameters = json.loads((tmp_path / "manifest.json").read_text())["parameters"]
+        assert (parameters["start"], parameters["end"]) == (" 2013-01", "2016-12-31")
 
     def test_truncate_and_robust_flags(self, tmp_path, corpus_csvs):
         wells_path, catalog_path = corpus_csvs

@@ -30,12 +30,12 @@ def feedback_dgp_data(rep=0, seed=44):
 
 def rescaled(data: PanelDataset, c: float) -> PanelDataset:
     return PanelDataset(
-        c * data.treatment_matrix(),
-        data.confounder_matrix(),
-        data.outcome_vector(),
+        c * data.A,
+        data.L,
+        data.Y,
         unit_ids=data.unit_ids,
-        A0=c * data.baseline_treatment_vector(),
-        L0=data.baseline_confounder_vector(),
+        A0=c * data.A0,
+        L0=data.L0,
     )
 
 
@@ -55,7 +55,7 @@ class TestNaive:
 class TestAdjusted:
     def test_constant_confounder_equals_naive(self):
         data = make_dataset([[float(50 * i + 10)] for i in range(5)], [[1]] * 5, [i + 1 for i in range(5)])
-        assert np.ptp(data.cum_confounder_vector()) == 0.0
+        assert np.ptp(data.L.sum(axis=1)) == 0.0
         a = adjusted_poisson(data)
         n = naive_poisson(data)
         assert a.beta1_hat == pytest.approx(n.beta1_hat, abs=1e-8)
@@ -213,11 +213,10 @@ class TestPinnedOutput:
         if case == "corpus":  # the assembled test corpus: 30 units, no baseline period
             assignment = cluster_wells(corpus.wells, n_clusters=30)
             data = build_panel(corpus.wells, assignment, assign_quakes(assignment.centroids, corpus.quakes))
-            assert not data.has_baseline
+            assert data.A0 is None
         else:  # L = 0 throughout: the weight models and the adjusted fit drop their L columns
             gen = generate_dataset(SimulationConfig(master_seed=12), replicate_seed(12, 3))
-            data = PanelDataset(gen.treatment_matrix(), np.zeros((50, 8)), gen.outcome_vector(),
-                                A0=gen.baseline_treatment_vector(), L0=np.zeros(50))
+            data = PanelDataset(gen.A, np.zeros((50, 8)), gen.Y, A0=gen.A0, L0=np.zeros(50))
         weights = stabilized_weights(data, truncate_percentile=truncate)
         reports = [naive_poisson(data), adjusted_poisson(data), msm_iptw(data, weights=weights, hc1=hc1)]
         assert pin_digest(weights, reports) == digest

@@ -109,6 +109,27 @@ class TestHaversine:
         assert d.shape == (2,)
         assert d[1] == pytest.approx(2 * KM_PER_DEG, rel=1e-6)
 
+    @pytest.mark.parametrize(
+        "p2",
+        [
+            (np.nan, 0.0),
+            (0.0, np.nan),
+            (500.0, 0.0),
+            (0.0, -91.0),
+            (np.array([1.0, np.nan]), np.array([0.0, 0.0])),
+            (np.array([1.0, 2.0]), np.array([0.0, 90.5])),
+            (np.array([1.0, -180.5]), np.array([0.0, 0.0])),
+        ],
+        ids=["nan-lon", "nan-lat", "lon-500", "lat-below-90", "array-nan", "array-lat", "array-lon"],
+    )
+    def test_second_point_checked(self, p2):
+        with pytest.raises(DomainError, match="second point has out-of-range"):
+            haversine_km((0.0, 0.0), p2)
+
+    def test_first_point_checked(self):
+        with pytest.raises(DomainError, match="point has out-of-range"):
+            haversine_km((np.nan, 0.0), (0.0, 0.0))
+
 
 def brute_force_two_partition(points):
     """Minimize total within-cluster sum of squares over all 2-partitions."""
@@ -339,7 +360,7 @@ class TestBuildPanel:
         data = build_panel(wells, assignment, no_events(),
                            study_start="2013-12", study_end="2014-03", period_months=4)
         assert data.n_periods == 1
-        assert data.treatment_matrix()[0, 0] == pytest.approx(350.0)
+        assert data.A[0, 0] == pytest.approx(350.0)
 
     def test_sum_order_does_not_depend_on_row_order(self, tmp_path):
         # 1e16 + 1 rounds back to 1e16, so the order of the sums shows in the result:
@@ -351,7 +372,7 @@ class TestBuildPanel:
             wells = load_wells(tmp_path, [rows[i] for i in order])
             data = build_panel(wells, assignment, no_events(),
                                study_start="2013-12", study_end="2014-01", period_months=2)
-            assert data.treatment_matrix()[0, 0] == 1e16
+            assert data.A[0, 0] == 1e16
 
     def test_missing_month_warns_and_counts_zero(self, tmp_path, caplog):
         wells = load_wells(tmp_path, [
@@ -366,7 +387,7 @@ class TestBuildPanel:
         messages = [rec.getMessage() for rec in caplog.records]
         assert len(messages) == 1
         assert "no reported volume" in messages[0] and messages[0].startswith("2 of 3 wells")
-        assert data.treatment_matrix()[0].tolist() == [102.0, 9.0]
+        assert data.A[0].tolist() == [102.0, 9.0]
 
     def test_confounder_flags_and_outcomes(self, tmp_path):
         wells = load_wells(tmp_path, [("w1", -97.0, 33.0, m, 10.0) for m in month_range("2013-12", "2014-07")])
@@ -377,8 +398,8 @@ class TestBuildPanel:
         )
         data = build_panel(wells, assignment, attribution,
                            study_start="2013-12", study_end="2014-07", period_months=4)
-        assert data.confounder_matrix()[0].tolist() == [1, 1]
-        assert data.outcome_vector()[0] == 3  # the 2020 events are outside the window
+        assert data.L[0].tolist() == [1, 1]
+        assert data.Y[0] == 3  # the 2020 events are outside the window
 
     def test_month_range(self):
         months = month_range("2013-12", "2016-03")
@@ -398,11 +419,11 @@ class TestConservation:
         assert attribution.unassigned >= corpus.n_far
 
         data = build_panel(corpus.wells, assignment, attribution)
-        total_panel = float(data.treatment_matrix().sum())
+        total_panel = float(data.A.sum())
         assert total_panel == pytest.approx(corpus.expected_in_window_volume, rel=1e-6)
         offset = attribution.months - month_index(2013, 12)
         in_window = (attribution.labels >= 0) & (offset >= 0) & (offset < len(corpus.months))
-        assert int(data.outcome_vector().sum()) == int(np.count_nonzero(in_window))
+        assert int(data.Y.sum()) == int(np.count_nonzero(in_window))
 
 
 WELL_ERRORS = [

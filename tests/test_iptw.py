@@ -92,9 +92,9 @@ class TestTreatmentModels:
         models = fit_treatment_models(with_base)
         assert models.periods == (1, 2, 3)
         no_base = PanelDataset(
-            with_base.treatment_matrix(),
-            with_base.confounder_matrix(),
-            with_base.outcome_vector(),
+            with_base.A,
+            with_base.L,
+            with_base.Y,
             unit_ids=with_base.unit_ids,
         )
         models2 = fit_treatment_models(no_base)
@@ -159,12 +159,12 @@ class TestStabilizedWeights:
         data = self.feedback_dgp_data()
         ws = stabilized_weights(data)
         reversed_data = PanelDataset(
-            data.treatment_matrix()[::-1],
-            data.confounder_matrix()[::-1],
-            data.outcome_vector()[::-1],
+            data.A[::-1],
+            data.L[::-1],
+            data.Y[::-1],
             unit_ids=data.unit_ids[::-1],
-            A0=data.baseline_treatment_vector()[::-1],
-            L0=data.baseline_confounder_vector()[::-1],
+            A0=data.A0[::-1],
+            L0=data.L0[::-1],
         )
         ws_rev = stabilized_weights(reversed_data)
         np.testing.assert_allclose(ws_rev.per_unit_weights, ws.per_unit_weights[::-1], rtol=1e-9)

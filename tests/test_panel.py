@@ -1,5 +1,9 @@
 """Panel data model: summaries, invariants, CSV round trip."""
 
+import copy
+import pickle
+import time
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -58,7 +62,7 @@ PANEL_CSV_ERRORS = [
 
 
 def cum_treatment(treatments) -> float:
-    return float(make_dataset([treatments]).cum_treatment_vector()[0])
+    return float(make_dataset([treatments]).A.sum(axis=1)[0])
 
 
 class TestCumTreatment:
@@ -74,7 +78,7 @@ class TestCumTreatment:
 
     def test_cum_confounder(self):
         ds = make_dataset([[1, 1, 1]], [[1, 0, 1]])
-        assert ds.cum_confounder_vector()[0] == 2.0
+        assert ds.L.sum(axis=1)[0] == 2.0
 
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=10), st.randoms())
     def test_permutation_invariant(self, values, rnd):
@@ -117,7 +121,7 @@ class TestPanelValidation:
             PanelDataset([[1.0]], [[0]], [0], A0=[2.0], L0=[3])
         with pytest.raises(PanelError, match="baseline_treatment must be finite"):
             PanelDataset([[1.0]], [[0]], [0], A0=[np.inf], L0=[1])
-        assert PanelDataset([[1.0]], [[0]], [0], A0=[2.0], L0=[1]).has_baseline
+        assert PanelDataset([[1.0]], [[0]], [0], A0=[2.0], L0=[1]).A0 is not None
 
     def test_mixed_baselines_rejected(self):
         with pytest.raises(PanelError, match="together"):
@@ -132,16 +136,38 @@ class TestPanelValidation:
     def test_dataset_arrays_read_only(self):
         a = np.array([[1.0, 2.0], [4.0, 5.0]])
         ds = PanelDataset(a, [[0, 1], [1, 1]], [3, 7], A0=[0.5, 0.5], L0=[0, 1])
-        for accessor in (ds.treatment_matrix, ds.confounder_matrix, ds.outcome_vector,
-                         ds.baseline_treatment_vector, ds.baseline_confounder_vector):
+        for arr in (ds.A, ds.L, ds.Y, ds.A0, ds.L0):
             with pytest.raises(ValueError):
-                accessor()[0] = 9.0
+                arr[0] = 9.0
         a[0, 0] = 100.0  # the caller's array is copied, not shared or frozen
-        np.testing.assert_array_equal(ds.treatment_matrix(), [[1, 2], [4, 5]])
-        np.testing.assert_array_equal(ds.outcome_vector(), [3, 7])
+        np.testing.assert_array_equal(ds.A, [[1, 2], [4, 5]])
+        np.testing.assert_array_equal(ds.Y, [3, 7])
 
 
 class TestPanelDataset:
+    def test_attributes_cannot_be_rebound(self):
+        ds = PanelDataset([[1.0, 2.0], [4.0, 5.0]], [[0, 1], [1, 1]], [3, 7], unit_ids=["a", "b"],
+                          A0=[0.5, 0.5], L0=[0, 1])
+        for name, value in [("A", np.zeros((2, 2))), ("L", np.zeros((2, 2))), ("Y", np.zeros(2)),
+                            ("A0", None), ("L0", None), ("unit_ids", ("only",)), ("n_periods", 1)]:
+            with pytest.raises(AttributeError, match="read-only"):
+                setattr(ds, name, value)
+        with pytest.raises(AttributeError, match="read-only"):
+            ds.extra = 1
+        for arr in (ds.A, ds.L, ds.Y, ds.A0, ds.L0):
+            with pytest.raises(ValueError):
+                arr[...] = 0.0
+        assert ds.unit_ids == ("a", "b") and ds.n_units == 2 and ds.n_periods == 2
+        np.testing.assert_array_equal(ds.A, [[1, 2], [4, 5]])
+
+    @pytest.mark.parametrize("baseline", [True, False])
+    def test_pickle_and_copy_rebuild_the_dataset(self, baseline):
+        extra = {"A0": [0.5, 0.5], "L0": [0, 1]} if baseline else {}
+        ds = PanelDataset([[1.0, 2.0], [4.0, 5.0]], [[0, 1], [1, 1]], [3, 7], unit_ids=["a", "b"], **extra)
+        for back in (pickle.loads(pickle.dumps(ds)), copy.copy(ds), copy.deepcopy(ds)):
+            assert back == ds and back.unit_ids == ("a", "b")
+            assert not back.A.flags.writeable
+
     def test_duplicate_ids_fail(self):
         with pytest.raises(PanelError, match="unique"):
             PanelDataset([[1.0], [2.0]], [[0], [0]], [0, 0], unit_ids=["a", "a"])
@@ -163,14 +189,12 @@ class TestPanelDataset:
     def test_matrices(self):
         ds = PanelDataset([[1, 2], [4, 5]], [[0, 1], [1, 1]], [3, 7], unit_ids=["a", "b"])
         assert ds.n_units == 2 and ds.n_periods == 2
-        np.testing.assert_allclose(ds.treatment_matrix(), [[1, 2], [4, 5]])
-        np.testing.assert_allclose(ds.confounder_matrix(), [[0, 1], [1, 1]])
-        np.testing.assert_allclose(ds.outcome_vector(), [3, 7])
-        np.testing.assert_allclose(ds.cum_treatment_vector(), [3, 9])
-        np.testing.assert_allclose(ds.cum_confounder_vector(), [1, 2])
-        assert not ds.has_baseline
-        with pytest.raises(PanelError):
-            ds.baseline_treatment_vector()
+        np.testing.assert_allclose(ds.A, [[1, 2], [4, 5]])
+        np.testing.assert_allclose(ds.L, [[0, 1], [1, 1]])
+        np.testing.assert_allclose(ds.Y, [3, 7])
+        np.testing.assert_allclose(ds.A.sum(axis=1), [3, 9])
+        np.testing.assert_allclose(ds.L.sum(axis=1), [1, 2])
+        assert ds.A0 is None and ds.L0 is None
 
 
 class TestPanelCsv:
@@ -203,6 +227,25 @@ class TestPanelCsv:
         (tmp_path / "y.csv").write_text("unit_id,cumulative_quakes\na,1\n")
         with pytest.raises(SchemaError, match="missing periods"):
             read_panel_csv(tmp_path / "p.csv", tmp_path / "y.csv")
+
+    def test_missing_period_message_is_exact(self, tmp_path):
+        (tmp_path / "p.csv").write_text(PANEL_HEADER + "a,1,5,0\na,3,5,0\n")
+        (tmp_path / "y.csv").write_text(OUTCOME_HEADER + "a,1\n")
+        with pytest.raises(SchemaError) as info:
+            read_panel_csv(tmp_path / "p.csv", tmp_path / "y.csv")
+        assert str(info.value) == "unit 'a' is missing periods [2] (column 'period')"
+
+    def test_huge_period_is_a_bounded_error(self, tmp_path):
+        """The cost follows the rows, not the largest period: 10**12 fails at once, naming 10 gaps."""
+        (tmp_path / "p.csv").write_text(PANEL_HEADER + "a,1,5,0\na,1000000000000,5,0\n")
+        (tmp_path / "y.csv").write_text(OUTCOME_HEADER + "a,1\n")
+        t0 = time.perf_counter()
+        with pytest.raises(SchemaError, match="missing periods") as info:
+            read_panel_csv(tmp_path / "p.csv", tmp_path / "y.csv")
+        assert time.perf_counter() - t0 < 1.0
+        assert str(info.value).startswith(
+            f"unit 'a' is missing periods {list(range(2, 12))} and {10**12 - 12} more"
+        )
 
     def test_missing_outcome(self, tmp_path):
         (tmp_path / "p.csv").write_text("unit_id,period,volume_bbl,quake_indicator\na,1,5,0\n")

@@ -57,12 +57,12 @@ class TestGenerateDataset:
         data = generate_dataset(cfg, replicate_seed(3, 0))
         assert data.n_units == 23
         assert data.n_periods == 5
-        assert data.has_baseline
-        assert data.treatment_matrix().shape == (23, 5)
-        assert np.isin(data.confounder_matrix(), (0, 1)).all()
-        y = data.outcome_vector()
+        assert data.A0 is not None
+        assert data.A.shape == (23, 5)
+        assert np.isin(data.L, (0, 1)).all()
+        y = data.Y
         assert y.shape == (23,) and np.all(y >= 0) and np.array_equal(y, np.round(y))
-        assert np.isin(data.baseline_confounder_vector(), (0, 1)).all()
+        assert np.isin(data.L0, (0, 1)).all()
 
     def test_poisson_mean_overflow_rejected(self):
         cfg = SimulationConfig(causal_effect=1.0, master_seed=1)
@@ -102,8 +102,7 @@ class TestGenerateDataset:
         # generator was stacked; a changed stream or operation order moves it
         data = generate_dataset(cfg, seed)
         h = hashlib.sha256()
-        for arr in (data.treatment_matrix(), data.confounder_matrix(), data.outcome_vector(),
-                    data.baseline_treatment_vector(), data.baseline_confounder_vector()):
+        for arr in (data.A, data.L, data.Y, data.A0, data.L0):
             h.update(np.ascontiguousarray(arr, dtype=float).tobytes())
         assert h.hexdigest() == digest
 
@@ -117,8 +116,7 @@ class TestGenerateDataset:
         assert all(x.shape == (r, n_units) for x in (y, a0, l0, log_mean))
         for j, seed in enumerate(seeds):
             data = generate_dataset(cfg, seed)
-            want = (data.treatment_matrix(), data.confounder_matrix(), data.outcome_vector(),
-                    data.baseline_treatment_vector(), data.baseline_confounder_vector())
+            want = (data.A, data.L, data.Y, data.A0, data.L0)
             for got, expected in zip((a[j], l[j], y[j], a0[j], l0[j]), want, strict=True):
                 assert got.tobytes() == expected.tobytes()
 
