@@ -26,8 +26,8 @@ from .exceptions import (
     SingularDesignError,
     WeightError,
 )
-from .glm import FitResult, fit_glm, wald_test
-from .iptw import TreatmentModels, WeightSet, fit_treatment_models, stabilized_weights
+from .glm import wald_test
+from .iptw import WeightSet, stabilized_weights
 from .panel import PanelDataset, read_panel_csv, write_panel_csv
 from .simulate import (
     DgpParams,
@@ -47,7 +47,6 @@ __all__ = [
     "DomainError",
     "ESTIMATOR_NAMES",
     "EstimatorReport",
-    "FitResult",
     "GRParams",
     "LongicausalError",
     "MonteCarloSummary",
@@ -57,12 +56,9 @@ __all__ = [
     "SimulationConfig",
     "SimulationError",
     "SingularDesignError",
-    "TreatmentModels",
     "WeightError",
     "WeightSet",
     "adjusted_poisson",
-    "fit_glm",
-    "fit_treatment_models",
     "generate_dataset",
     "gr_expected_count",
     "gr_rate_factor",

@@ -24,7 +24,7 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import GRParams, gr_expected_count, gr_rate_factor
-from .estimators import REPORT_CSV_HEADER, adjusted_poisson, msm_iptw, naive_poisson
+from .estimators import REPORT_CSV_HEADER, _check_units, adjusted_poisson, msm_iptw, naive_poisson
 from .exceptions import DomainError, LongicausalError, SchemaError
 from .geo import (
     DEFAULT_MAGNITUDE_CUT,
@@ -183,8 +183,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             period_months=args.period_months,
         )
 
-    if data.n_units < 2:
-        raise DomainError("outcome regressions require at least 2 units")
+    _check_units(data)
 
     truncate = TRUNCATION_PERCENTILE if args.truncate_weights else None
     weights = stabilized_weights(data, truncate_percentile=truncate)
@@ -213,14 +212,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return 0
 
 
-
 def cmd_baseline_gr(args: argparse.Namespace) -> int:
     params = GRParams(sigma=args.sigma, b=args.b, mag_complete=args.m, a_tec=args.a_tec)
-    print(f"{gr_rate_factor(params):.4g}")
+    values = [gr_rate_factor(params)]
     if args.volume is not None:
         if args.a_tec is None:
             raise DomainError("--volume requires --a-tec")
-        print(f"{gr_expected_count(params, args.volume):.4g}")
+        values.append(gr_expected_count(params, args.volume))
+    print("\n".join(f"{value:.4g}" for value in values))  # all lines or, on an error, none
     return 0
 
 

@@ -18,7 +18,7 @@ import logging
 import math
 import re
 from dataclasses import dataclass
-from datetime import datetime
+from datetime import date, datetime
 from operator import attrgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -46,7 +46,7 @@ CATALOG_CSV_HEADER = ["event_id", "longitude", "latitude", "origin_time_iso8601"
 
 ASSIGN_CHUNK_EVENTS = 1024  # rows per events x centroids distance block in assign_quakes
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})(?:-\d{2})?$")
+_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
 
 
 class BoundingBox(NamedTuple):
@@ -69,12 +69,18 @@ def _coords_in_range(lon, lat) -> bool:
 
 
 def parse_month(value: str) -> tuple[int, int]:
+    """(year, month) of `YYYY-MM`, or of `YYYY-MM-DD` when that day exists."""
     m = _MONTH_RE.match(value.strip())
     if not m:
         raise DomainError(f"expected YYYY-MM, got {value!r}")
     year, month = int(m.group(1)), int(m.group(2))
     if not (1 <= month <= 12):
         raise DomainError(f"month out of range in {value!r}")
+    if m.group(3) is not None:
+        try:
+            date(year, month, int(m.group(3)))
+        except ValueError:
+            raise DomainError(f"day out of range in {value!r}") from None
     return year, month
 
 
@@ -165,18 +171,6 @@ def _haversine(lon1, lat1, lon2, lat2):
     dlam = np.radians(lon2 - lon1)
     a = np.sin(dphi / 2.0) ** 2 + np.cos(phi1) * np.cos(phi2) * np.sin(dlam / 2.0) ** 2
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
-
-
-def haversine_km(p1: tuple[float, float], p2):
-    """Great-circle distance between (lon, lat) points; p2 may be arrays."""
-    lon1, lat1 = float(p1[0]), float(p1[1])
-    lon2, lat2 = np.asarray(p2[0], dtype=float), np.asarray(p2[1], dtype=float)
-    if not _coords_in_range(lon1, lat1):
-        raise DomainError(f"point has out-of-range coordinates ({lon1}, {lat1})")
-    if not _coords_in_range(lon2, lat2):
-        raise DomainError("second point has out-of-range or non-finite coordinates")
-    d = _haversine(lon1, lat1, lon2, lat2)
-    return float(d) if d.ndim == 0 else d
 
 
 def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.ndarray:

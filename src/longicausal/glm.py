@@ -11,9 +11,9 @@ flag and iteration count and leaves the loop when it converges, so every
 problem gets exactly the numbers it would get alone. A problem that fails a
 check (fewer observations than parameters, a non-finite value, a
 rank-deficient design, singular normal equations or information) is
-flagged with the error it would raise and does not stop the others.
-`fit_glm` is the R = 1 call of that kernel and raises the flagged error.
-`sandwich_cov_stack` gives the robust covariances of such a stack.
+flagged with its error and does not stop the others. A one-model fit is
+the R = 1 call. `sandwich_cov_stack` gives the robust covariances of such
+a stack.
 
 Conventions used throughout:
   * weights multiply each observation's log-likelihood contribution, so the
@@ -31,7 +31,6 @@ Conventions used throughout:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -47,23 +46,11 @@ _TOL = 1e-8  # IRLS stops when the relative deviance change falls below this
 _MAX_ITER = 100  # IRLS gives up, unconverged, after this many iterations
 
 
-@dataclass
-class FitResult:
-    """Coefficients and covariance of one GLM fit."""
-
-    coefficients: np.ndarray
-    model_cov: np.ndarray
-    family: str
-    converged: bool
-    iterations: int
-    residual_sd: float | None = None
-
-
 class StackFit(NamedTuple):
     """R fits of one family; row r holds problem r's results.
 
-    `errors[r]` is the error `fit_glm` would raise for problem r, or None;
-    the other fields of a failed problem are NaN or zero and mean nothing.
+    `errors[r]` is the error problem r failed with, or None; the other
+    fields of a failed problem are NaN or zero and mean nothing.
     """
 
     coefficients: np.ndarray  # (R, p)
@@ -72,19 +59,6 @@ class StackFit(NamedTuple):
     iterations: np.ndarray  # (R,) int
     residual_sd: np.ndarray | None  # (R,), linear family only
     errors: list[LongicausalError | None]
-
-    def result(self, r: int, family: str) -> FitResult:
-        """Problem r as a FitResult; raises its error instead when it has one."""
-        if self.errors[r] is not None:
-            raise self.errors[r]
-        return FitResult(
-            coefficients=self.coefficients[r],
-            model_cov=self.model_cov[r],
-            family=family,
-            converged=bool(self.converged[r]),
-            iterations=int(self.iterations[r]),
-            residual_sd=None if self.residual_sd is None else float(self.residual_sd[r]),
-        )
 
 
 def stack_groups(flags: np.ndarray) -> list[tuple[slice | np.ndarray, tuple[bool, ...]]]:
@@ -220,9 +194,12 @@ def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.n
 def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
     """Fit R independent weighted GLMs by IRLS: designs (R, n, p), responses and weights (R, n).
 
-    Problem r gets the result `fit_glm(design[r], response[r], family,
-    weights[r])` would give, bit for bit, or the error it would raise in
-    `errors[r]`. Convergence and `_MAX_ITER` are as in `fit_glm`.
+    Rows are independent: problem r's result, or its error in `errors[r]`,
+    is bit for bit the same whatever the other problems of the stack are.
+    A problem converges when its relative deviance change drops below 1e-8
+    (`_TOL`); after `_MAX_ITER` iterations it is returned with converged
+    False and the caller decides (logistic separation shows up this way
+    rather than as an error).
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
@@ -305,22 +282,6 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
     converged[live] = done
     iterations[live] = its
     return StackFit(coefficients, model_cov, converged, iterations, residual_sd, errors)
-
-
-def fit_glm(design, response, family: str, weights=None) -> FitResult:
-    """Fit a weighted GLM by IRLS.
-
-    Convergence is declared when the relative deviance change drops below
-    1e-8 (`_TOL`); after `_MAX_ITER` iterations the result is returned with
-    converged=False and the caller decides (logistic separation shows up this
-    way rather than as an error).
-    """
-    X = np.asarray(design, dtype=float)
-    if X.ndim != 2:
-        raise DomainError(f"design must be 2-d, got shape {X.shape}")
-    y = np.asarray(response, dtype=float)
-    w = None if weights is None else np.asarray(weights, dtype=float)[None]
-    return fit_glm_stack(X[None], y[None], family, w).result(0, family)
 
 
 def sandwich_cov_stack(

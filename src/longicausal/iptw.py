@@ -10,8 +10,8 @@ factors for t = 1..K; datasets without one start at t = 2 and the first
 observed period acts as the baseline covariate.
 
 `stabilized_weights_stack` computes the weights of R replicates at once,
-fitting them in groups by which lag columns vary; `stabilized_weights` and
-`fit_treatment_models` are its one-replicate calls.
+fitting them in groups by which lag columns vary; `stabilized_weights` is
+its one-replicate call.
 """
 
 from __future__ import annotations
@@ -23,22 +23,11 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 
 from .exceptions import DegenerateVarianceError, DomainError, LongicausalError, WeightError
-from .glm import FitResult, fit_glm_stack, first_errors, flag_errors, stack_groups
+from .glm import fit_glm_stack, first_errors, flag_errors, stack_groups
 from .panel import PanelDataset
 
 NUMERATOR_TERMS = ("intercept", "lag_treatment")
 DENOMINATOR_TERMS = ("intercept", "lag_treatment", "lag_confounder")
-
-
-@dataclass
-class TreatmentModels:
-    """Pooled Gaussian models for A(t): numerator and denominator of the density ratio."""
-
-    numerator: FitResult
-    denominator: FitResult
-    numerator_terms: tuple[str, ...]
-    denominator_terms: tuple[str, ...]
-    periods: tuple[int, ...]
 
 
 @dataclass
@@ -99,6 +88,10 @@ def _build_design(terms: Sequence[str], lag_a: np.ndarray, lag_l: np.ndarray) ->
 def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
     """Both treatment models of R problems, fitted in groups by which lag columns vary.
 
+    Numerator: A(t) ~ 1 + A(t-1). Denominator: A(t) ~ 1 + A(t-1) + L(t-1).
+    Both are pooled across units and modeled periods and fitted as Gaussian
+    linear models whose MLE residual sd feeds the density ratio.
+
     Returns (rows, terms, designs, fits) per fitted group, all but `rows`
     (numerator, denominator) pairs. Records each problem's first error in
     `errors`: too few pooled rows, the numerator's, the denominator's fit.
@@ -120,22 +113,6 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
             first_errors(errors, rows, fit.errors)
         groups.append((rows, terms, designs, fits))
     return groups
-
-
-def fit_treatment_models(data: PanelDataset) -> TreatmentModels:
-    """Fit the pooled numerator and denominator regressions for A(t).
-
-    Numerator: A(t) ~ 1 + A(t-1). Denominator: A(t) ~ 1 + A(t-1) + L(t-1).
-    Both are pooled across units and modeled periods and fitted as Gaussian
-    linear models whose MLE residual sd feeds the density ratio.
-    """
-    resp, lag_a, lag_l, periods = _dataset_rows(data)
-    errors = [None]
-    groups = _fit_models(resp, lag_a, lag_l, errors)
-    if errors[0] is not None:
-        raise errors[0]
-    [(_, terms, _, fits)] = groups
-    return TreatmentModels(*(fit.result(0, "linear") for fit in fits), *terms, periods)
 
 
 def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, sd) -> np.ndarray:
@@ -183,8 +160,8 @@ class WeightStack(NamedTuple):
     errors: list[LongicausalError | None]
 
 
-def _weight_stack(resp, lag_a, lag_l, periods, unit_ids, models: TreatmentModels | None = None) -> WeightStack:
-    """Weights from the rows of `_lagged_rows`, with fitted treatment models or, for R = 1, `models`.
+def _weight_stack(resp, lag_a, lag_l, periods, unit_ids) -> WeightStack:
+    """Weights from the rows of `_lagged_rows`, with the treatment models `_fit_models` fits.
 
     A replicate's error is its first of: the `_fit_models` errors, the
     numerator's, then the denominator's sd floor, the first non-finite factor
@@ -193,23 +170,16 @@ def _weight_stack(resp, lag_a, lag_l, periods, unit_ids, models: TreatmentModels
     r, n_t = len(resp), len(periods)
     n_units = resp.shape[-1] // n_t
     errors = [None] * r
-    if models is None:
-        groups = [(rows, designs, [(f.coefficients, f.residual_sd) for f in fits])
-                  for rows, _, designs, fits in _fit_models(resp, lag_a, lag_l, errors)]
-    else:  # a missing residual sd fails the floor check, as a zero one does
-        fits = (models.numerator, models.denominator)
-        designs = [_build_design(t, lag_a, lag_l) for t in (models.numerator_terms, models.denominator_terms)]
-        groups = [(slice(None), designs, [(f.coefficients[None], np.array([f.residual_sd or 0.0])) for f in fits])]
     weights, log_factors = np.full((r, n_units), np.nan), np.full((r, n_units, n_t), np.nan)
     floor = _sd_floor(resp)
-    for rows, designs, params in groups:
+    for rows, _, designs, fits in _fit_models(resp, lag_a, lag_l, errors):
         idx = np.arange(r)[rows]
-        for label, (_, sd) in zip(("numerator", "denominator"), params):
+        for label, fit in zip(("numerator", "denominator"), fits):
             message = f"{label} treatment model has (numerically) zero residual variance; density ratio is undefined"
-            flag_errors(errors, idx[sd <= floor[rows]], DegenerateVarianceError, message)
+            flag_errors(errors, idx[fit.residual_sd <= floor[rows]], DegenerateVarianceError, message)
         live = np.flatnonzero([errors[i] is None for i in idx])
         sel = slice(None) if live.size == idx.size else live  # a view, not a copy, when all are live
-        live_models = [(design[sel], coef[sel], sd[sel]) for design, (coef, sd) in zip(designs, params)]
+        live_models = [(design[sel], fit.coefficients[sel], fit.residual_sd[sel]) for design, fit in zip(designs, fits)]
         factors = _log_factors(resp[rows][sel], *live_models).reshape(-1, n_units, n_t)
         with np.errstate(over="ignore"):  # finiteness checked below
             per_unit = np.exp(factors.sum(axis=-1))
@@ -236,21 +206,16 @@ def stabilized_weights_stack(a, l, a0, l0) -> WeightStack:
     return _weight_stack(*_lagged_rows(a, l, a0, l0), range(a.shape[1]))
 
 
-def stabilized_weights(
-    data: PanelDataset,
-    models: TreatmentModels | None = None,
-    *,
-    truncate_percentile: float | None = None,
-) -> WeightSet:
+def stabilized_weights(data: PanelDataset, *, truncate_percentile: float | None = None) -> WeightSet:
     """Compute SW_i as the product of per-period Gaussian density ratios.
 
-    The one-replicate call of `stabilized_weights_stack`, or of the same
-    weights from given `models`. Products are accumulated in log space in
-    fixed period order, so results do not depend on evaluation order.
+    The one-replicate call of `stabilized_weights_stack`. Products are
+    accumulated in log space in fixed period order, so results do not
+    depend on evaluation order.
     `truncate_percentile=p` clips the finished per-unit weights to their
     [p, 100-p] percentile range (off by default).
     """
-    stack = _weight_stack(*_dataset_rows(data), data.unit_ids, models)
+    stack = _weight_stack(*_dataset_rows(data), data.unit_ids)
     if stack.errors[0] is not None:
         raise stack.errors[0]
     per_unit = stack.per_unit_weights[0]

@@ -1,4 +1,4 @@
-"""Shared fixtures: small hand-built panels and the synthetic well/quake corpus."""
+"""Shared fixtures: small hand-built panels, one-problem model fits and the synthetic well/quake corpus."""
 
 from __future__ import annotations
 
@@ -10,7 +10,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from longicausal.geo import Catalog, WellTable, haversine_km, load_catalog_csv, load_wells_csv, month_range
+from longicausal import iptw
+from longicausal.geo import Catalog, WellTable, _haversine, load_catalog_csv, load_wells_csv, month_range
+from longicausal.glm import StackFit, fit_glm_stack
 from longicausal.panel import PanelDataset
 
 CORPUS_SEED = 20131201
@@ -30,6 +32,50 @@ def make_dataset(treatments, confounders=None, outcomes=None, **kwargs) -> Panel
         np.zeros(len(a), dtype=int) if outcomes is None else outcomes,
         **kwargs,
     )
+
+
+def first_row(fit: StackFit) -> StackFit:
+    """Problem 0 of a stack as a StackFit of unstacked fields; raises its error instead when it has one."""
+    if fit.errors[0] is not None:
+        raise fit.errors[0]
+    return fit._make(None if field is None else field[0] for field in fit)
+
+
+def fit_one(X, y, family, weights=None) -> StackFit:
+    """One GLM: the R = 1 call of `fit_glm_stack`, as `first_row` of it."""
+    return first_row(fit_glm_stack(X[None], y[None], family, None if weights is None else weights[None]))
+
+
+def treatment_models(data: PanelDataset):
+    """(numerator, denominator) terms and fits, as `first_row`s, and the modeled periods of `data`."""
+    resp, lag_a, lag_l, periods = iptw._dataset_rows(data)
+    errors = [None]
+    groups = iptw._fit_models(resp, lag_a, lag_l, errors)
+    if errors[0] is not None:
+        raise errors[0]
+    [(_, terms, _, fits)] = groups
+    return terms, [first_row(fit) for fit in fits], periods
+
+
+def use_treatment_models(monkeypatch, numerator=None, denominator=None) -> None:
+    """Make the weights of one dataset use the given treatment models instead of fitted ones.
+
+    Each model is (terms, coefficients, residual sd). Without models, the
+    fitted numerator model serves as both numerator and denominator.
+    """
+    fit_models = iptw._fit_models
+
+    def given(resp, lag_a, lag_l, errors):
+        if numerator is None:
+            [(rows, terms, designs, fits)] = fit_models(resp, lag_a, lag_l, errors)
+            return [(rows, terms[:1] * 2, designs[:1] * 2, fits[:1] * 2)]
+        models = (numerator, denominator)
+        designs = [iptw._build_design(terms, lag_a, lag_l) for terms, _, _ in models]
+        fits = [StackFit(np.array([coefficients], dtype=float), None, None, None, np.array([sd]), [None])
+                for _, coefficients, sd in models]
+        return [(slice(None), tuple(terms for terms, _, _ in models), designs, fits)]
+
+    monkeypatch.setattr(iptw, "_fit_models", given)
 
 
 @dataclass
@@ -93,7 +139,7 @@ def build_synthetic_corpus(directory, seed: int = CORPUS_SEED) -> SyntheticCorpu
         quakes.append(_quake(f"q{j:03d}", lon, lat, rng.choice(months), rng.uniform(2.5, 4.5), rng))
     far_spots = [(-98.375, 32.075), (-96.745, 32.075), (-98.375, 33.675), (-96.745, 33.675), (-98.375, 32.9)]
     for j, (lon, lat) in enumerate(far_spots):
-        dmin = min(haversine_km((lon, lat), (slon, slat)) for slon, slat in zip(site_lon, site_lat))
+        dmin = _haversine(lon, lat, site_lon, site_lat).min()
         assert dmin > 16.0, f"far spot {j} too close to a site ({dmin:.1f} km)"
         quakes.append(_quake(f"far{j}", lon, lat, rng.choice(months), rng.uniform(2.5, 3.5), rng))
     for j in range(n_below_cut):

@@ -22,7 +22,7 @@ import pytest
 from longicausal.baselines import GRParams, gr_rate_factor
 from longicausal.estimators import adjusted_poisson, msm_iptw, naive_poisson
 from longicausal.geo import assign_quakes, build_panel, cluster_wells, load_catalog_csv, load_wells_csv
-from longicausal.iptw import TreatmentModels, fit_treatment_models, stabilized_weights
+from longicausal.iptw import stabilized_weights
 from longicausal.simulate import (
     DgpParams,
     SimulationConfig,
@@ -31,6 +31,7 @@ from longicausal.simulate import (
     run_monte_carlo,
 )
 
+from conftest import use_treatment_models
 from test_glm import draw_small_instance, oracle_maximizer
 
 ACCEPTANCE_SEED = 1234
@@ -138,21 +139,15 @@ class TestCriterion4GlmOracleEquivalence:
 
 
 class TestCriterion5WeightInvariants:
-    def test_weight_invariants(self):
+    def test_weight_invariants(self, monkeypatch):
         checks = []
 
         data = generate_dataset(
             SimulationConfig(master_seed=ACCEPTANCE_SEED + 4), replicate_seed(ACCEPTANCE_SEED + 4, 0)
         )
-        models = fit_treatment_models(data)
-        same = TreatmentModels(
-            numerator=models.numerator,
-            denominator=models.numerator,
-            numerator_terms=models.numerator_terms,
-            denominator_terms=models.numerator_terms,
-            periods=models.periods,
-        )
-        ws_same = stabilized_weights(data, same)
+        with monkeypatch.context() as patch:
+            use_treatment_models(patch)
+            ws_same = stabilized_weights(data)
         exact_one = bool(np.all(ws_same.per_unit_weights == 1.0))
         checks.append(("identical models give SW == 1 exactly", exact_one,
                        f"max |SW-1| = {np.max(np.abs(ws_same.per_unit_weights - 1.0)):.1e}"))

@@ -16,11 +16,11 @@ from longicausal.estimators import (
 )
 from longicausal.exceptions import DomainError
 from longicausal.geo import assign_quakes, build_panel, cluster_wells
-from longicausal.iptw import TreatmentModels, fit_treatment_models, stabilized_weights
+from longicausal.iptw import stabilized_weights
 from longicausal.panel import PanelDataset
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
-from conftest import make_dataset
+from conftest import make_dataset, use_treatment_models
 
 
 def feedback_dgp_data(rep=0, seed=44):
@@ -69,17 +69,10 @@ class TestAdjusted:
 
 
 class TestMsm:
-    def test_unit_weights_equal_naive(self):
+    def test_unit_weights_equal_naive(self, monkeypatch):
         data = feedback_dgp_data()
-        models = fit_treatment_models(data)
-        same = TreatmentModels(
-            numerator=models.numerator,
-            denominator=models.numerator,
-            numerator_terms=models.numerator_terms,
-            denominator_terms=models.numerator_terms,
-            periods=models.periods,
-        )
-        ws = stabilized_weights(data, same)
+        use_treatment_models(monkeypatch)
+        ws = stabilized_weights(data)
         rep = msm_iptw(data, weights=ws)
         assert rep.beta1_hat == pytest.approx(naive_poisson(data).beta1_hat, abs=1e-10)
 

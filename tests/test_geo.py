@@ -25,12 +25,12 @@ from longicausal.geo import (
     assign_quakes,
     build_panel,
     cluster_wells,
-    haversine_km,
     inverse_project,
     load_catalog_csv,
     load_wells_csv,
     month_index,
     month_range,
+    parse_month,
     project_coords,
 )
 
@@ -95,40 +95,19 @@ class TestProjection:
 
 class TestHaversine:
     def test_identical_points(self):
-        assert haversine_km((-97.0, 33.0), (-97.0, 33.0)) == 0.0
+        assert geo._haversine(-97.0, 33.0, -97.0, 33.0) == 0.0
 
     def test_symmetry(self):
         a, b = (-97.0, 33.0), (-98.1, 32.2)
-        assert haversine_km(a, b) == pytest.approx(haversine_km(b, a), rel=1e-12)
+        assert geo._haversine(*a, *b) == pytest.approx(geo._haversine(*b, *a), rel=1e-12)
 
     def test_one_degree_arc(self):
-        assert haversine_km((0.0, 0.0), (1.0, 0.0)) == pytest.approx(111.195, abs=0.001)
+        assert geo._haversine(0.0, 0.0, 1.0, 0.0) == pytest.approx(111.195, abs=0.001)
 
     def test_vectorized_second_argument(self):
-        d = haversine_km((0.0, 0.0), (np.array([1.0, 2.0]), np.array([0.0, 0.0])))
+        d = geo._haversine(0.0, 0.0, np.array([1.0, 2.0]), np.array([0.0, 0.0]))
         assert d.shape == (2,)
         assert d[1] == pytest.approx(2 * KM_PER_DEG, rel=1e-6)
-
-    @pytest.mark.parametrize(
-        "p2",
-        [
-            (np.nan, 0.0),
-            (0.0, np.nan),
-            (500.0, 0.0),
-            (0.0, -91.0),
-            (np.array([1.0, np.nan]), np.array([0.0, 0.0])),
-            (np.array([1.0, 2.0]), np.array([0.0, 90.5])),
-            (np.array([1.0, -180.5]), np.array([0.0, 0.0])),
-        ],
-        ids=["nan-lon", "nan-lat", "lon-500", "lat-below-90", "array-nan", "array-lat", "array-lon"],
-    )
-    def test_second_point_checked(self, p2):
-        with pytest.raises(DomainError, match="second point has out-of-range"):
-            haversine_km((0.0, 0.0), p2)
-
-    def test_first_point_checked(self):
-        with pytest.raises(DomainError, match="point has out-of-range"):
-            haversine_km((np.nan, 0.0), (0.0, 0.0))
 
 
 def brute_force_two_partition(points):
@@ -224,13 +203,13 @@ class TestClustering:
 
 
 def reference_assign(centroids, catalog, radius_km=15.0, magnitude_cut=2.5):
-    """The per-event rule: nearest centroid by haversine_km, assigned if within the radius."""
+    """The per-event rule: nearest centroid by great-circle distance, assigned if within the radius."""
     cent = np.asarray(centroids, dtype=float)
     labels, months = [], []
     for lon, lat, mag, month in zip(catalog.longitude, catalog.latitude, catalog.magnitude, catalog.month):
         if mag < magnitude_cut:
             continue
-        d = haversine_km((lon, lat), (cent[:, 0], cent[:, 1]))
+        d = geo._haversine(lon, lat, cent[:, 0], cent[:, 1])
         nearest = int(np.argmin(d))
         labels.append(nearest if d[nearest] <= radius_km else -1)
         months.append(int(month))
@@ -307,7 +286,7 @@ class TestAssignMatchesReferenceLoop:
     def test_equidistant_event_goes_to_lowest_index(self, tmp_path):
         # +-0.5 degrees of longitude are exact, so both distances are bit-equal
         centroids = [(-96.5, 33.0), (-97.5, 33.0)]
-        d = haversine_km((-97.0, 33.0), (np.array([-96.5, -97.5]), np.array([33.0, 33.0])))
+        d = geo._haversine(-97.0, 33.0, np.array([-96.5, -97.5]), np.array([33.0, 33.0]))
         assert d[0] == d[1]
         out = self.check(centroids, load_events(tmp_path, [(-97.0, 33.0, 3.0, "2014-05")]), radius_km=50.0)
         assert out.labels.tolist() == [0]
@@ -315,7 +294,7 @@ class TestAssignMatchesReferenceLoop:
     def test_event_exactly_at_radius_is_assigned(self, tmp_path):
         centroids = [(-97.0, 33.0), (-97.6, 33.2)]
         cat = load_events(tmp_path, [(-97.05, 33.07, 3.0, "2014-05")])
-        radius = haversine_km((-97.05, 33.07), (-97.0, 33.0))
+        radius = geo._haversine(-97.05, 33.07, -97.0, 33.0)
         assert self.check(centroids, cat, radius_km=radius).labels.tolist() == [0]
         assert self.check(centroids, cat, radius_km=np.nextafter(radius, 0.0)).labels.tolist() == [-1]
 
@@ -408,6 +387,14 @@ class TestBuildPanel:
         assert months[1] == "2014-01" and months[12] == "2014-12"
         with pytest.raises(DomainError):
             month_range("2016-03", "2013-12")
+
+    def test_parse_month_accepts_a_leap_day(self):
+        assert parse_month("2016-02-29") == (2016, 2)
+
+    @pytest.mark.parametrize("text", ["2013-12-99", "2015-02-29", "2014-04-31", "2014-01-00"])
+    def test_parse_month_rejects_missing_days(self, text):
+        with pytest.raises(DomainError, match=re.escape(f"day out of range in {text!r}")):
+            parse_month(text)
 
 
 class TestConservation:
@@ -667,6 +654,14 @@ class TestColumnPathMatchesRowPath:
         p = tmp_path / "c.csv"
         p.write_bytes(text.encode("utf-8"))
         assert_same_outcome(outcome(load_catalog_csv, p, bbox), outcome(geo._load_catalog_rows, p, bbox))
+
+    @pytest.mark.parametrize("bbox", [None, DFW_BBOX], ids=["all", "bbox"])
+    def test_missing_day_same_error(self, tmp_path, bbox):
+        p = tmp_path / "w.csv"
+        p.write_text(WELLS_HEADER + "w1,-97.0,33.0,2014-01-99,5\n")
+        want = ("day out of range in '2014-01-99' (row 2, column 'year_month')", 2, "year_month")
+        assert outcome(geo._load_wells_rows, p, bbox) == want
+        assert outcome(load_wells_csv, p, bbox) == want
 
     @pytest.mark.parametrize("bbox", [None, DFW_BBOX], ids=["all", "bbox"])
     def test_clean_files_take_the_column_path(self, corpus, monkeypatch, bbox):

@@ -18,7 +18,9 @@ from scipy.special import gammaln
 
 import longicausal.glm as glm
 from longicausal.exceptions import DomainError, LongicausalError, SingularDesignError
-from longicausal.glm import FAMILIES, _rank_deficient, fit_glm, fit_glm_stack, sandwich_cov_stack, wald_test
+from longicausal.glm import FAMILIES, _rank_deficient, fit_glm_stack, sandwich_cov_stack, wald_test
+
+from conftest import fit_one
 
 
 def oracle_loglik(family, X, y, beta, w=None, sigma=None):
@@ -82,7 +84,7 @@ def draw_small_instance(family, rng):
             return None, X, y
     else:
         y = rng.normal(size=n)
-    fit = fit_glm(X, y, family)
+    fit = fit_one(X, y, family)
     if not fit.converged or np.max(np.abs(fit.coefficients)) > 15.0:
         return None, X, y
     return fit, X, y
@@ -91,19 +93,19 @@ def draw_small_instance(family, rng):
 class TestExactFits:
     def test_poisson_saturated_two_points(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
-        fit = fit_glm(X, np.array([1.0, 3.0]), "poisson")
+        fit = fit_one(X, np.array([1.0, 3.0]), "poisson")
         assert fit.converged
         assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-8)
         assert fit.coefficients[1] == pytest.approx(math.log(3.0), abs=1e-8)
 
     def test_linear_two_points(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
-        fit = fit_glm(X, np.array([1.0, 3.0]), "linear")
+        fit = fit_one(X, np.array([1.0, 3.0]), "linear")
         np.testing.assert_allclose(fit.coefficients, [1.0, 2.0], atol=1e-12)
         assert fit.residual_sd == pytest.approx(0.0, abs=1e-12)
 
     def test_logistic_intercept_only(self):
-        fit = fit_glm(np.ones((2, 1)), np.array([0.0, 1.0]), "logistic")
+        fit = fit_one(np.ones((2, 1)), np.array([0.0, 1.0]), "logistic")
         assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-8)
 
 
@@ -125,7 +127,7 @@ class TestOracleEquivalence:
         X = np.column_stack([np.ones(6), rng.normal(size=6)])
         y = rng.poisson(3.0, 6).astype(float)
         w = rng.uniform(0.5, 2.0, 6)
-        fit = fit_glm(X, y, "poisson", weights=w)
+        fit = fit_one(X, y, "poisson", weights=w)
         ref = oracle_maximizer("poisson", X, y, w)
         np.testing.assert_allclose(fit.coefficients, ref, atol=1e-5)
 
@@ -143,7 +145,7 @@ class TestGradientAtOptimum:
         else:
             y = 1.0 + 0.5 * X[:, 1] + rng.normal(size=n)
         w = rng.uniform(0.5, 1.5, n)
-        fit = fit_glm(X, y, family, weights=w)
+        fit = fit_one(X, y, family, weights=w)
         assert fit.converged
         beta = fit.coefficients
         sigma = fit.residual_sd if family == "linear" else None
@@ -171,8 +173,8 @@ class TestWeightInvariances:
             "logistic": rng.integers(0, 2, n).astype(float),
             "linear": rng.normal(size=n),
         }[family]
-        a = fit_glm(X, y, family)
-        b = fit_glm(X, y, family, weights=np.ones(n))
+        a = fit_one(X, y, family)
+        b = fit_one(X, y, family, weights=np.ones(n))
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -183,8 +185,8 @@ class TestWeightInvariances:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.poisson(2.0, n).astype(float)
         w = rng.uniform(0.5, 2.0, n)
-        a = fit_glm(X, y, "poisson", weights=w)
-        b = fit_glm(X, y, "poisson", weights=c * w)
+        a = fit_one(X, y, "poisson", weights=w)
+        b = fit_one(X, y, "poisson", weights=c * w)
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-10)
 
 
@@ -193,7 +195,7 @@ class TestSandwich:
         # bread = sum(mu) = 4, meat = sum((y-2)^2) = 2, sandwich = 2/16
         X = np.ones((2, 1))
         y = np.array([1.0, 3.0])
-        fit = fit_glm(X, y, "poisson")
+        fit = fit_one(X, y, "poisson")
         cov, errors = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None], np.ones((1, 2)))
         assert errors == [None]
         assert cov[0, 0, 0] == pytest.approx(0.125, abs=1e-9)
@@ -205,7 +207,7 @@ class TestSandwich:
     def test_saturated_fit_zero_matrix(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, 3.0])
-        fit = fit_glm(X, y, "poisson")
+        fit = fit_one(X, y, "poisson")
         cov, errors = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None])
         assert errors == [None]
         assert np.max(np.abs(cov)) < 1e-12
@@ -215,7 +217,7 @@ class TestSandwich:
         n = 10_000
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = 1.0 + 2.0 * X[:, 1] + rng.normal(size=n)
-        fit = fit_glm(X, y, "linear")
+        fit = fit_one(X, y, "linear")
         cov, errors = sandwich_cov_stack("linear", fit.coefficients[None], X[None], y[None])
         assert errors == [None]
         ratio = np.diag(cov[0]) / np.diag(fit.model_cov)
@@ -226,7 +228,7 @@ class TestSandwich:
         n, p = 40, 2
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.poisson(2.0, n).astype(float)
-        fit = fit_glm(X, y, "poisson")
+        fit = fit_one(X, y, "poisson")
         hc0, errors0 = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None])
         hc1, errors1 = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None], hc1=True)
         assert errors0 == errors1 == [None]
@@ -235,7 +237,7 @@ class TestSandwich:
     def test_errors_in_check_order(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, 3.0])
-        fit = fit_glm(X, y, "poisson")
+        fit = fit_one(X, y, "poisson")
         _, errors = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None], hc1=True)
         [error] = errors
         assert isinstance(error, DomainError) and str(error) == "HC1 scaling requires n > p"
@@ -251,7 +253,7 @@ class TestSandwich:
         n = 60
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.poisson(np.exp(0.4 + 0.3 * X[:, 1])).astype(float)
-        fit = fit_glm(X, y, "poisson")
+        fit = fit_one(X, y, "poisson")
         mine, errors = sandwich_cov_stack("poisson", fit.coefficients[None], X[None], y[None])
         assert errors == [None]
         theirs = sm.GLM(y, X, family=sm.families.Poisson()).fit(cov_type="HC0")
@@ -285,32 +287,32 @@ class TestErrorsAndEdges:
     def test_rank_deficient_design(self):
         X = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(SingularDesignError):
-            fit_glm(X, np.arange(10.0), "linear")
+            fit_one(X, np.arange(10.0), "linear")
 
     def test_poisson_negative_response(self):
         with pytest.raises(DomainError):
-            fit_glm(np.ones((3, 1)), np.array([1.0, -1.0, 2.0]), "poisson")
+            fit_one(np.ones((3, 1)), np.array([1.0, -1.0, 2.0]), "poisson")
 
     def test_logistic_non_binary_response(self):
         with pytest.raises(DomainError):
-            fit_glm(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), "logistic")
+            fit_one(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), "logistic")
 
     def test_more_params_than_rows(self):
         with pytest.raises(DomainError):
-            fit_glm(np.ones((1, 2)), np.array([1.0]), "linear")
+            fit_one(np.ones((1, 2)), np.array([1.0]), "linear")
 
     def test_unknown_family(self):
         with pytest.raises(DomainError):
-            fit_glm(np.ones((3, 1)), np.zeros(3), "gamma")
+            fit_one(np.ones((3, 1)), np.zeros(3), "gamma")
 
     def test_negative_weights(self):
         with pytest.raises(DomainError):
-            fit_glm(np.ones((3, 1)), np.zeros(3), "linear", weights=np.array([1.0, -1.0, 1.0]))
+            fit_one(np.ones((3, 1)), np.zeros(3), "linear", weights=np.array([1.0, -1.0, 1.0]))
 
     def test_separation_flags_nonconvergence(self):
         X = np.column_stack([np.ones(6), np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])])
         y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        fit = fit_glm(X, y, "logistic")
+        fit = fit_one(X, y, "logistic")
         assert not fit.converged
 
 
@@ -359,7 +361,7 @@ class TestRankCheck:
         assert qr_rule_flags(X)
         assert svd_rule_flags(X)
         with pytest.raises(SingularDesignError, match="rank deficient"):
-            fit_glm(X, np.arange(20.0), "poisson")
+            fit_one(X, np.arange(20.0), "poisson")
 
     def test_svd_rule_flags_every_design_the_qr_rule_flags(self):
         rng = np.random.default_rng(20)
@@ -430,7 +432,7 @@ def reference_irls(X, y, family, w, max_iter=100):
 
 
 class TestStackKernel:
-    """fit_glm_stack gives each problem exactly what fit_glm gives it alone."""
+    """fit_glm_stack gives each problem exactly what its R = 1 call gives it alone."""
 
     @pytest.mark.parametrize("family", FAMILIES)
     def test_fit_glm_matches_reference_loop_bit_for_bit(self, family):
@@ -445,7 +447,7 @@ class TestStackKernel:
                 "poisson": rng.poisson(np.exp(eta)).astype(float),
             }[family]
             w = rng.uniform(0.1, 3.0, n)
-            fit = fit_glm(X, y, family, w)
+            fit = fit_one(X, y, family, w)
             beta, cov, converged, iterations = reference_irls(X, y, family, w)
             assert fit.coefficients.tobytes() == beta.tobytes()
             assert fit.model_cov.tobytes() == cov.tobytes()
@@ -472,7 +474,7 @@ class TestStackKernel:
         outcomes = set()
         for i in range(r):
             try:
-                single = fit_glm(X[i], y[i], family, w[i])
+                single = fit_one(X[i], y[i], family, w[i])
             except LongicausalError as exc:
                 assert type(stack.errors[i]) is type(exc) and str(stack.errors[i]) == str(exc)
                 outcomes.add(type(exc).__name__)

@@ -6,17 +6,11 @@ import numpy as np
 import pytest
 
 from longicausal.exceptions import DegenerateVarianceError, DomainError, SingularDesignError, WeightError
-from longicausal.glm import FitResult
-from longicausal.iptw import (
-    TreatmentModels,
-    fit_treatment_models,
-    iter_weight_rows,
-    stabilized_weights,
-)
+from longicausal.iptw import iter_weight_rows, stabilized_weights
 from longicausal.panel import PanelDataset
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
-from conftest import make_dataset
+from conftest import make_dataset, treatment_models, use_treatment_models
 
 
 def lfree_dataset(rng, n_units=500, k=4):
@@ -34,14 +28,7 @@ def lfree_dataset(rng, n_units=500, k=4):
 
 
 def intercept_only_model(mean, sd):
-    return FitResult(
-        coefficients=np.array([mean]),
-        model_cov=np.zeros((1, 1)),
-        family="linear",
-        converged=True,
-        iterations=1,
-        residual_sd=sd,
-    )
+    return ("intercept",), [mean], sd
 
 
 class TestTreatmentModels:
@@ -51,10 +38,10 @@ class TestTreatmentModels:
         for rep in range(n_reps):
             rng = np.random.default_rng(1000 + rep)
             data = lfree_dataset(rng)
-            models = fit_treatment_models(data)
-            idx = models.denominator_terms.index("lag_confounder")
-            coef = models.denominator.coefficients[idx]
-            se = math.sqrt(models.denominator.model_cov[idx, idx])
+            (_, denominator_terms), (_, denominator), _ = treatment_models(data)
+            idx = denominator_terms.index("lag_confounder")
+            coef = denominator.coefficients[idx]
+            se = math.sqrt(denominator.model_cov[idx, idx])
             if abs(coef) < 3.0 * se:
                 hits += 1
         assert hits >= 0.95 * n_reps
@@ -65,10 +52,10 @@ class TestTreatmentModels:
             A0=[10.0 + i for i in range(6)],
             L0=[0] * 6,
         )
-        models = fit_treatment_models(data)
-        assert models.numerator.residual_sd == pytest.approx(0.0, abs=1e-9)
-        with pytest.raises(DegenerateVarianceError):
-            stabilized_weights(data, models)
+        _, (numerator, _), _ = treatment_models(data)
+        assert numerator.residual_sd == pytest.approx(0.0, abs=1e-9)
+        with pytest.raises(DegenerateVarianceError, match=r"^numerator treatment model"):
+            stabilized_weights(data)
 
     def test_constant_confounder_column_dropped(self):
         rng = np.random.default_rng(8)
@@ -78,27 +65,27 @@ class TestTreatmentModels:
             rows.append(rng.normal(a0, 4.0, 3))
             a0s.append(a0)
         data = make_dataset(rows, A0=a0s, L0=[0] * 40)
-        models = fit_treatment_models(data)
-        assert "lag_confounder" not in models.denominator_terms
-        idx = models.numerator_terms.index("lag_treatment")
-        jdx = models.denominator_terms.index("lag_treatment")
-        assert models.denominator.coefficients[jdx] == pytest.approx(
-            models.numerator.coefficients[idx], abs=1e-10
+        (numerator_terms, denominator_terms), (numerator, denominator), _ = treatment_models(data)
+        assert "lag_confounder" not in denominator_terms
+        idx = numerator_terms.index("lag_treatment")
+        jdx = denominator_terms.index("lag_treatment")
+        assert denominator.coefficients[jdx] == pytest.approx(
+            numerator.coefficients[idx], abs=1e-10
         )
 
     def test_baseline_changes_modeled_periods(self):
         rng = np.random.default_rng(9)
         with_base = lfree_dataset(rng, n_units=20, k=3)
-        models = fit_treatment_models(with_base)
-        assert models.periods == (1, 2, 3)
+        *_, periods = treatment_models(with_base)
+        assert periods == (1, 2, 3)
         no_base = PanelDataset(
             with_base.A,
             with_base.L,
             with_base.Y,
             unit_ids=with_base.unit_ids,
         )
-        models2 = fit_treatment_models(no_base)
-        assert models2.periods == (2, 3)
+        *_, periods2 = treatment_models(no_base)
+        assert periods2 == (2, 3)
 
 
 class TestStabilizedWeights:
@@ -106,33 +93,20 @@ class TestStabilizedWeights:
         cfg = SimulationConfig(n_replicates=1, master_seed=33)
         return generate_dataset(cfg, replicate_seed(33, rep))
 
-    def test_identical_models_give_exact_unit_weights(self):
+    def test_identical_models_give_exact_unit_weights(self, monkeypatch):
         data = self.feedback_dgp_data()
-        models = fit_treatment_models(data)
-        same = TreatmentModels(
-            numerator=models.numerator,
-            denominator=models.numerator,
-            numerator_terms=models.numerator_terms,
-            denominator_terms=models.numerator_terms,
-            periods=models.periods,
-        )
-        ws = stabilized_weights(data, same)
+        use_treatment_models(monkeypatch)
+        ws = stabilized_weights(data)
         assert np.all(ws.per_unit_weights == 1.0)
         assert np.all(ws.per_time_factors == 1.0)
 
-    def test_single_factor_density_ratio(self):
+    def test_single_factor_density_ratio(self, monkeypatch):
         # numerator density 0.2 and denominator density 0.4 at the observed point
         sd_num = 1.0 / (0.2 * math.sqrt(2 * math.pi))
         sd_den = 1.0 / (0.4 * math.sqrt(2 * math.pi))
         data = make_dataset([[7.5], [7.5]], A0=[7.5, 7.5], L0=[0, 0])
-        models = TreatmentModels(
-            numerator=intercept_only_model(7.5, sd_num),
-            denominator=intercept_only_model(7.5, sd_den),
-            numerator_terms=("intercept",),
-            denominator_terms=("intercept",),
-            periods=(1,),
-        )
-        ws = stabilized_weights(data, models)
+        use_treatment_models(monkeypatch, intercept_only_model(7.5, sd_num), intercept_only_model(7.5, sd_den))
+        ws = stabilized_weights(data)
         assert ws.per_time_factors[0, 0] == pytest.approx(0.5, rel=1e-12)
         assert ws.per_unit_weights[0] == pytest.approx(0.5, rel=1e-12)
 
@@ -185,31 +159,19 @@ class TestStabilizedWeights:
         with pytest.raises(DomainError):
             stabilized_weights(data, truncate_percentile=60.0)
 
-    def test_nonfinite_factor_names_unit_and_period(self):
+    def test_nonfinite_factor_names_unit_and_period(self, monkeypatch):
         # the squared z-score under the numerator model overflows -> -inf logpdf
         far = 1e200
         data = make_dataset([[far], [far]], unit_ids=["u7", "u8"], A0=[far, far], L0=[0, 0])
-        models = TreatmentModels(
-            numerator=intercept_only_model(0.0, 1.0),
-            denominator=intercept_only_model(far, 1.0),
-            numerator_terms=("intercept",),
-            denominator_terms=("intercept",),
-            periods=(1,),
-        )
+        use_treatment_models(monkeypatch, intercept_only_model(0.0, 1.0), intercept_only_model(far, 1.0))
         with pytest.raises(WeightError, match=r"'u7' at t=1"):
-            stabilized_weights(data, models)
+            stabilized_weights(data)
 
-    def test_degenerate_handcrafted_sd_rejected(self):
+    def test_degenerate_handcrafted_sd_rejected(self, monkeypatch):
         data = make_dataset([[5.0], [6.0]], unit_ids=["u1", "u2"], A0=[5.0, 6.0], L0=[0, 0])
-        models = TreatmentModels(
-            numerator=intercept_only_model(5.5, 1e-300),
-            denominator=intercept_only_model(5.5, 1.0),
-            numerator_terms=("intercept",),
-            denominator_terms=("intercept",),
-            periods=(1,),
-        )
+        use_treatment_models(monkeypatch, intercept_only_model(5.5, 1e-300), intercept_only_model(5.5, 1.0))
         with pytest.raises(DegenerateVarianceError):
-            stabilized_weights(data, models)
+            stabilized_weights(data)
 
     def test_overflowing_treatment_raises_without_warning(self):
         # the pooled treatments' std overflows; the suite turns numpy's warning into an error
