@@ -171,8 +171,8 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> Estim
     With `cum_l`, the adjusted model: cumL joins the design where it varies
     across units (elsewhere the intercept absorbs it). With `sw`, the MSM:
     weighted, with the sandwich SE (HC1 when `hc1`). Otherwise the naive
-    model. A row's error is its fit error, then (MSM) a singular bread
-    matrix or HC1 without spare units, then the Wald test's.
+    model. A row's error is its fit error, then (MSM) HC1 without spare
+    units, then the Wald test's.
     """
     r = len(y)
     out = EstimateStack(*np.full((3, r), np.nan), np.zeros(r, dtype=bool), [None] * r)
@@ -184,7 +184,7 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> Estim
         fit = fit_glm_stack(design, y[rows], "poisson", w)
         errors, var = fit.errors, fit.model_cov[:, 1, 1]
         if sw is not None:  # a failed fit's NaN coefficients give a NaN covariance, and its error stays first
-            cov, cov_errors = sandwich_cov_stack("poisson", fit.coefficients, design, y[rows], w, hc1=hc1)
+            cov, cov_errors = sandwich_cov_stack(fit, design, y[rows], w, hc1=hc1)
             first_errors(errors, slice(None), cov_errors)
             var = cov[:, 1, 1]
         with np.errstate(invalid="ignore"):  # a negative variance fails the Wald test

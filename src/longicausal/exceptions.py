@@ -14,7 +14,7 @@ class PanelError(LongicausalError):
 
 
 class SingularDesignError(LongicausalError):
-    """Design matrix is rank deficient, or the bread matrix is singular."""
+    """Design matrix is rank deficient, or a fit's normal equations or information matrix are singular."""
 
 
 class DomainError(LongicausalError):

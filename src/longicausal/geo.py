@@ -154,16 +154,6 @@ def project_coords(longitude, latitude, origin: tuple[float, float]):
     return x, y
 
 
-def inverse_project(x, y, origin: tuple[float, float]):
-    """Inverse of project_coords."""
-    lon0, lat0 = origin
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    lon = lon0 + np.degrees(x / (EARTH_RADIUS_KM * math.cos(math.radians(lat0))))
-    lat = lat0 + np.degrees(y / EARTH_RADIUS_KM)
-    return lon, lat
-
-
 def _haversine(lon1, lat1, lon2, lat2):
     """Great-circle km between (lon1, lat1) and (lon2, lat2); arguments broadcast."""
     phi1, phi2 = np.radians(lat1), np.radians(lat2)
@@ -207,15 +197,15 @@ def cluster_wells(
     n_clusters: int = DEFAULT_N_CLUSTERS,
     linkage: str = "ward",
 ) -> ClusterAssignment:
-    """Cluster well locations and return the labels with degree centroids."""
+    """Cluster wells in projected km; each centroid is its wells' mean longitude and latitude."""
     if len(wells) == 0:
         raise DomainError("no wells to cluster")
     origin = (float(wells.longitude.mean()), float(wells.latitude.mean()))
     x, y = project_coords(wells.longitude, wells.latitude, origin)
     labels = agglomerative_cluster(np.column_stack([x, y]), n_clusters, linkage)
-    cx = np.array([x[labels == c].mean() for c in range(n_clusters)])
-    cy = np.array([y[labels == c].mean() for c in range(n_clusters)])
-    return ClusterAssignment(labels=labels, centroids=np.column_stack(inverse_project(cx, cy, origin)))
+    members = [labels == c for c in range(n_clusters)]
+    centroids = np.array([[wells.longitude[m].mean(), wells.latitude[m].mean()] for m in members])
+    return ClusterAssignment(labels=labels, centroids=centroids)
 
 
 @dataclass(frozen=True, eq=False)

@@ -2,18 +2,20 @@
 
 Supports the linear (identity link), logistic (logit link), and poisson
 (log link) families with optional non-negative observation weights, plus the
-heteroskedasticity-robust sandwich covariance and the Wald test.
+heteroskedasticity-robust sandwich covariance of a poisson fit and the Wald
+test.
 
 One kernel does the fitting: `fit_glm_stack` takes a stack of R independent
 problems, designs of shape (R, n, p) with (R, n) responses and weights, and
 runs IRLS on all of them at once. Each problem keeps its own convergence
 flag and iteration count and leaves the loop when it converges, so every
 problem gets exactly the numbers it would get alone. A problem that fails a
-check (fewer observations than parameters, a non-finite value, a
-rank-deficient design, singular normal equations or information) is
-flagged with its error and does not stop the others. A one-model fit is
-the R = 1 call. `sandwich_cov_stack` gives the robust covariances of such
-a stack.
+check (fewer observations than parameters, a non-finite value, a poisson
+response with no weighted count, a rank-deficient design, singular normal
+equations or information) is flagged with its error and does not stop the
+others. A one-model fit is the R = 1 call. `sandwich_cov_stack` gives the
+robust covariances of a poisson stack from the fit itself: its model_cov
+is the inverse bread, so only the meat is computed.
 
 Conventions used throughout:
   * weights multiply each observation's log-likelihood contribution, so the
@@ -115,6 +117,9 @@ def _value_checks(X, y, w, family):
         checks.append((~np.isin(y, (0.0, 1.0)).all(axis=1), "logistic responses must be 0 or 1"))
     checks.append((~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1), "weights must be finite and non-negative"))
     checks.append((~(w > 0).any(axis=1), "at least one weight must be positive"))
+    if family == "poisson":  # with no weighted count the intercept runs to -inf
+        message = "poisson responses are all zero where weighted; the MLE does not exist"
+        checks.append((~((y > 0) & (w > 0)).any(axis=1), message))
     return checks
 
 
@@ -285,27 +290,24 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
 
 
 def sandwich_cov_stack(
-    family: str, coefficients, design, response, weights=None, *, hc1: bool = False
+    fit: StackFit, design, response, weights, *, hc1: bool = False
 ) -> tuple[np.ndarray, list[LongicausalError | None]]:
-    """Robust bread-meat-bread covariance of R fits at their (R, p) coefficients.
+    """Robust bread-meat-bread covariance of `fit`, the poisson `fit_glm_stack` of these arguments.
 
-    HC0; HC1 applies n/(n-p). Bread is the weighted Fisher information, meat
-    the outer product of the weighted score contributions w_i*(y_i - mu_i)*x_i.
-    Returns the (R, p, p) covariances and, per problem, its error (a singular
-    bread matrix, then HC1 with n <= p) or None; a failed problem's covariance
-    means nothing.
+    The inverse bread is the fit's model_cov (inverse Fisher information at
+    the estimate); the meat is the outer product of the weighted score
+    contributions w_i*(y_i - mu_i)*x_i. HC0; HC1 applies n/(n-p). Returns
+    the (R, p, p) covariances and, per problem, its error (HC1 with n <= p)
+    or None; the covariance of a failed fit or problem means nothing.
     """
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
-    w = np.ones(y.shape) if weights is None else np.asarray(weights, dtype=float)
+    w = np.asarray(weights, dtype=float)
     r, n, p = X.shape
-    mu = _mu_eta(family, _matvec(X, np.asarray(coefficients, dtype=float)))
-    bread_inv, singular = _per_problem(np.linalg.inv, _information(X, w * _variance(family, mu)))
-    score_resid = w * (y - mu)
-    meat = _information(X, score_resid**2)
-    cov = bread_inv @ meat @ bread_inv
+    mu = _mu_eta("poisson", _matvec(X, fit.coefficients))
+    meat = _information(X, (w * (y - mu)) ** 2)
+    cov = fit.model_cov @ meat @ fit.model_cov
     errors: list[LongicausalError | None] = [None] * r
-    flag_errors(errors, np.flatnonzero(singular), SingularDesignError, "bread matrix is singular")
     if hc1 and n <= p:
         flag_errors(errors, range(r), DomainError, "HC1 scaling requires n > p")
     elif hc1:

@@ -4,7 +4,7 @@ The generating process, per replicate (vectorized over units):
 
   U ~ uniform over integers 1..u_levels           (latent risk, discarded)
   A(0) ~ Normal(a0_mean, a0_sd)
-  logit P(L(t)=1 | A(t), U) = l_logit_u_coef*U + l_logit_a_coef*1[A(t) > a_threshold]
+  logit P(L(t)=1 | A(t), U) = _L_LOGIT_U_COEF*U + _L_LOGIT_A_COEF*1[A(t) > a_threshold]
   L(0) ~ Bernoulli(that probability at A(0))
   for t = 1..K:
       A(t) ~ Normal(A(t-1) + a_l_penalty*L(t-1) + a_drift, a_sd)
@@ -50,6 +50,9 @@ from .panel import PanelDataset
 _MAX_POISSON_MEAN = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
 _SEED_LIMIT = 2**64
 FAILURE_BUDGET = 0.01
+# logit P(L(t)=1) per level of U and for A(t) above a_threshold
+_L_LOGIT_U_COEF = 0.14
+_L_LOGIT_A_COEF = 1.1
 # pooled treatment-model rows (N*K per replicate) fitted together: a block is
 # BLOCK_ROWS // (N*K) consecutive replicates, at least one, so its memory is
 # bounded and its boundaries depend only on the configuration
@@ -68,8 +71,6 @@ class DgpParams:
     """Knobs of the generating process."""
 
     u_levels: int = 10
-    l_logit_u_coef: float = 0.14
-    l_logit_a_coef: float = 1.1
     a_threshold: float = 1000.0
     a0_mean: float = 1000.0
     a0_sd: float = 60.0
@@ -148,7 +149,7 @@ def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
         else:
             loc, scale = a[t - 1] + g.a_l_penalty * l[t - 1] + g.a_drift, g.a_sd
         a[t] = loc + scale * z[t]
-        l[t] = v[t] < _expit(g.l_logit_u_coef * u + g.l_logit_a_coef * (a[t] > g.a_threshold))
+        l[t] = v[t] < _expit(_L_LOGIT_U_COEF * u + _L_LOGIT_A_COEF * (a[t] > g.a_threshold))
     a0, l0 = a[0], l[0]
     a, l = (np.ascontiguousarray(x[1:].transpose(1, 2, 0)) for x in (a, l))
 
@@ -291,7 +292,7 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
     audit = [msg for block in audit_blocks for msg in block]
     failed = tuple((rep, msg) for rep, msg in enumerate(audit) if msg is not None)
 
-    if len(failed) >= FAILURE_BUDGET * m:
+    if len(failed) > FAILURE_BUDGET * m:
         preview = "; ".join(f"replicate {r}: {msg}" for r, msg in failed[:5])
         raise SimulationError(
             f"{len(failed)} of {m} replicates failed (budget {FAILURE_BUDGET:.0%}): {preview}"

@@ -306,6 +306,17 @@ class TestAnalyzeCommand:
         assert "2 units" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_no_counted_event_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):
+        # every corpus magnitude is below 4.5, so no unit has a counted event
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / "run"
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--mag-cut", "5", "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err == "error: poisson responses are all zero where weighted; the MLE does not exist\n"
+        assert not out.exists()
+
     def test_prebuilt_panel_inputs(self, tmp_path):
         import numpy as np
 

@@ -25,7 +25,6 @@ from longicausal.geo import (
     assign_quakes,
     build_panel,
     cluster_wells,
-    inverse_project,
     load_catalog_csv,
     load_wells_csv,
     month_index,
@@ -73,14 +72,6 @@ class TestProjection:
         x, y = project_coords(1.0, 0.0, (0.0, 0.0))
         assert x == pytest.approx(111.195, abs=1e-3)
         assert y == pytest.approx(0.0, abs=1e-12)
-
-    def test_round_trip(self):
-        origin = (-97.5, 32.9)
-        for lon, lat in [(-98.38, 32.07), (-96.74, 33.68), (-97.2, 33.0)]:
-            x, y = project_coords(lon, lat, origin)
-            lon2, lat2 = inverse_project(x, y, origin)
-            assert lon2 == pytest.approx(lon, abs=1e-9)
-            assert lat2 == pytest.approx(lat, abs=1e-9)
 
     def test_out_of_range_rejected(self):
         with pytest.raises(DomainError):
@@ -200,6 +191,13 @@ class TestClustering:
         assert set(assignment.labels.tolist()) == set(range(30))
         assert assignment.centroids.shape == (30, 2)
         assert np.all(in_box(*assignment.centroids.T))
+
+    def test_centroids_are_member_means_in_degrees(self, corpus):
+        wells = corpus.wells
+        assignment = cluster_wells(wells, n_clusters=30)
+        for c, (lon, lat) in enumerate(assignment.centroids):
+            members = assignment.labels == c
+            assert (lon, lat) == (wells.longitude[members].mean(), wells.latitude[members].mean())
 
 
 def reference_assign(centroids, catalog, radius_km=15.0, magnitude_cut=2.5):

@@ -204,6 +204,17 @@ class TestMonteCarlo:
             assert est.estimates.shape == (199,)
         assert all(rep != 3 for rep, *_ in s.iter_sample_rows())
 
+    def test_failures_at_exactly_the_budget_are_kept(self, monkeypatch):
+        edit_generated(monkeypatch, {3: non_finite_a})
+        s = sim.run_monte_carlo(SimulationConfig(n_replicates=100, master_seed=77))  # 1/100 = 1% is allowed
+        assert s.n_failed == 1
+        assert s.failed_replicates == ((3, "PanelError: treatments must be finite, got inf"),)
+
+    def test_failures_over_the_budget_abort(self, monkeypatch):
+        edit_generated(monkeypatch, {3: non_finite_a, 40: non_finite_a})
+        with pytest.raises(SimulationError, match=r"^2 of 100 replicates failed \(budget 1%\): replicate 3: "):
+            sim.run_monte_carlo(SimulationConfig(n_replicates=100, master_seed=77))
+
     def test_monotone_confounding_bias(self):
         # |avg naive bias| should weakly increase with the confounding strength
         biases = []
