@@ -97,9 +97,10 @@ def _write_manifest(
     outputs: list[str],
     started: datetime,
     t0: float,
+    sections: dict | None = None,
     **extra,
 ) -> None:
-    """Write manifest.json: every parsed flag but --out-dir, plus `extra`."""
+    """Write manifest.json: every parsed flag but --out-dir, plus `extra`; `sections` adds top-level keys."""
     parameters = {k: v for k, v in vars(args).items() if k not in _NOT_PARAMETERS}
     manifest = {
         "command": args.command,
@@ -109,6 +110,7 @@ def _write_manifest(
         "outputs": outputs,
         "started_utc": started.isoformat(),
         "duration_seconds": time.monotonic() - t0,
+        **(sections or {}),
     }
     with open(Path(args.out_dir) / "manifest.json", "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
@@ -208,7 +210,9 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     outputs += ["estimates.csv", "weights.csv"]
 
     print("\n\n".join(rep.to_text() for rep in reports))
-    _write_manifest(args, inputs, outputs, started, t0)
+    # weights.csv holds the untruncated factors, so the clip bounds are recorded here
+    sections = {} if weights.truncation is None else {"weights": {"truncation": list(weights.truncation)}}
+    _write_manifest(args, inputs, outputs, started, t0, sections)
     return 0
 
 

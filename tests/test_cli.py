@@ -9,12 +9,14 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import longicausal.cli
 from longicausal.cli import main
 from longicausal.exceptions import SimulationError
-from longicausal.panel import write_panel_csv
+from longicausal.iptw import stabilized_weights
+from longicausal.panel import read_panel_csv, write_panel_csv
 from longicausal.simulate import DgpParams, SimulationConfig
 
 from conftest import make_dataset
@@ -511,6 +513,22 @@ class TestAnalyzeCommand:
                      "--truncate-weights", "--robust", "HC1", "--out-dir", str(b)]) == 0
         est_a, est_b = read_csv(a / "estimates.csv"), read_csv(b / "estimates.csv")
         assert est_a[3][2] != est_b[3][2]  # msm SE changes under HC1 + truncation
+
+    def test_truncation_bounds_are_in_the_manifest(self, tmp_path, corpus_csvs):
+        wells_path, catalog_path = corpus_csvs
+        a, b = tmp_path / "a", tmp_path / "b"
+        argv = ["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path)]
+        assert main([*argv, "--out-dir", str(a)]) == 0
+        assert main([*argv, "--truncate-weights", "--out-dir", str(b)]) == 0
+        plain, truncated = (json.loads((out / "manifest.json").read_text()) for out in (a, b))
+        assert "weights" not in plain
+        sw = stabilized_weights(read_panel_csv(b / "panel.csv", b / "panel_outcomes.csv")).per_unit_weights
+        assert truncated["weights"] == {"truncation": np.percentile(sw, [1.0, 99.0]).tolist()}
+        assert truncated["weights"]["truncation"][0] < truncated["weights"]["truncation"][1]
+        assert plain["parameters"] == {**truncated["parameters"], "truncate_weights": False}
+        # weights.csv lists the untruncated factors either way
+        assert (a / "weights.csv").read_bytes() == (b / "weights.csv").read_bytes()
+        assert (a / "estimates.csv").read_bytes() != (b / "estimates.csv").read_bytes()
 
 
 class TestTopLevel:

@@ -6,6 +6,7 @@ IRLS path they check.
 """
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -17,8 +18,10 @@ from scipy.optimize import minimize
 from scipy.special import gammaln
 
 import longicausal.glm as glm
+from longicausal import simulate
 from longicausal.exceptions import DomainError, LongicausalError, SingularDesignError
 from longicausal.glm import FAMILIES, _rank_deficient, fit_glm_stack, sandwich_cov_stack, wald_test
+from longicausal.simulate import SimulationConfig
 
 from conftest import fit_one
 
@@ -505,3 +508,118 @@ class TestStackKernel:
             assert True in outcomes
         if family == "logistic":
             assert {True, False} <= outcomes  # problems leave the loop at different iterations
+
+
+class TestUnweightedIsUnitWeighted:
+    """No weights is unit weights, bit for bit, although the ones are never formed."""
+
+    @pytest.mark.parametrize("max_iter", [100, 4])
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_unit_weights_bit_for_bit(self, monkeypatch, family, max_iter):
+        monkeypatch.setattr(glm, "_MAX_ITER", max_iter)
+        rng = np.random.default_rng(18)
+        r, n = 16, 600  # long enough that numpy's A.T @ A shortcut would sum X'X differently
+        X = np.stack(
+            [np.column_stack([np.ones(n), rng.normal(size=n) * 10.0 ** rng.uniform(-3, 6), rng.normal(size=n)])
+             for _ in range(r)]
+        )
+        eta = 0.3 + 0.5 * X[:, :, 2]
+        y = {
+            "linear": eta + rng.normal(size=(r, n)),
+            "logistic": (rng.random((r, n)) < 1.0 / (1.0 + np.exp(-eta))).astype(float),
+            "poisson": rng.poisson(np.exp(eta)).astype(float),
+        }[family]
+        y[9] = (X[9, :, 2] > 0).astype(float) if family == "logistic" else y[9]  # separated
+        X[3, :, 2] = 2.0 * X[3, :, 1]  # rank deficient
+        X[5, 7, 1] = np.nan
+        y[11, 4] = np.inf
+        y[12] = 0.0  # no poisson MLE
+        plain, unit = fit_glm_stack(X, y, family), fit_glm_stack(X, y, family, np.ones((r, n)))
+        for field in ("coefficients", "model_cov", "converged", "iterations"):
+            assert getattr(plain, field).tobytes() == getattr(unit, field).tobytes(), field
+        assert (plain.residual_sd is None) == (unit.residual_sd is None) == (family != "linear")
+        if family == "linear":
+            assert plain.residual_sd.tobytes() == unit.residual_sd.tobytes()
+        assert [(type(e), str(e)) for e in plain.errors] == [(type(e), str(e)) for e in unit.errors]
+        kinds = {type(e).__name__ for e in plain.errors}
+        assert {"SingularDesignError", "DomainError"} <= kinds
+        kept = [e is None for e in plain.errors]
+        if family == "linear" or max_iter == 100:
+            assert plain.converged[kept].any()
+        if family == "logistic" or (family == "poisson" and max_iter == 4):
+            assert not plain.converged[kept].all()
+
+
+def count_svd_problems(monkeypatch) -> list[int]:
+    """Count, in the returned one-element list, the problems the rank check sends to the SVD."""
+    counted, svd = [0], glm._svd_rank_deficient
+
+    def counting(X, w):
+        counted[0] += len(X)
+        return svd(X, w)
+
+    monkeypatch.setattr(glm, "_svd_rank_deficient", counting)
+    return counted
+
+
+def designs_with_ratio(rng, ratios, n, p, w=None):
+    """Designs whose sqrt(w)*X has singular values from 1 down to each of `ratios`; rows of weight 0 are random."""
+    designs = []
+    for i, ratio in enumerate(ratios):
+        u = np.linalg.qr(rng.normal(size=(n, p)))[0]
+        v = np.linalg.qr(rng.normal(size=(p, p)))[0]
+        x = (u * ratio ** np.linspace(0.0, 1.0, p)) @ v.T
+        if w is not None:
+            kept = w[i] > 0
+            x[kept] /= np.sqrt(w[i, kept])[:, None]
+            x[~kept] = rng.normal(size=(int((~kept).sum()), p))
+        designs.append(x)
+    return np.stack(designs)
+
+
+class TestRankCertificate:
+    """The Gram eigenvalue bound only skips the SVD; it never changes a rank decision."""
+
+    @pytest.mark.parametrize("weighted", [False, True], ids=["unweighted", "weighted"])
+    def test_decisions_match_the_svd_rule(self, monkeypatch, weighted):
+        svd = glm._svd_rank_deficient
+        counted = count_svd_problems(monkeypatch)
+        rng = np.random.default_rng(1812)
+        checked = flagged = 0
+        for p in (1, 2, 3, 4):
+            for n in (8, 60, 400):
+                r = 40
+                ratios = np.concatenate([10.0 ** rng.uniform(-16.0, -2.0, r - 10), 10.0 ** rng.uniform(-13, -11, 10)])
+                w = None
+                if weighted:
+                    w = rng.uniform(0.1, 3.0, (r, n))
+                    w[:, : n // 4] *= rng.random((r, n // 4)) < 0.5  # zero-weight rows
+                X = designs_with_ratio(rng, ratios, n, p, w)
+                X[::2] *= 10.0 ** rng.uniform(-3.0, 6.0, (r // 2, 1, p))  # badly scaled columns
+                X[1::8] *= 1e-160  # a Gram below the normal range
+                expected = svd(X, w)
+                assert np.array_equal(glm._rank_deficient(X, w), expected), (p, n)
+                if not weighted:  # the Gram fit_glm_stack shares with the linear solve
+                    assert np.array_equal(glm._rank_deficient(X, None, glm._information(X)), expected), (p, n)
+                checked, flagged = checked + r, flagged + int(expected.sum())
+        assert 0 < flagged < checked
+        assert 0 < counted[0] < checked * (1 if weighted else 2)  # the bound decides some problems, not all
+
+    def test_overflowing_gram_goes_to_the_svd_without_warning(self, monkeypatch):
+        counted = count_svd_problems(monkeypatch)
+        rng = np.random.default_rng(7)
+        X = np.column_stack([np.ones(20), rng.normal(size=20), 1e155 * rng.uniform(1.0, 2.0, 20)])[None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert glm._rank_deficient(X, None)[0]
+            assert glm._rank_deficient(X, np.full((1, 20), 2.0))[0]
+            fit = fit_glm_stack(X, rng.normal(size=(1, 20)), "linear")
+        assert counted[0] == 3
+        assert isinstance(fit.errors[0], SingularDesignError)
+
+    def test_default_n600_block_runs_no_svd(self, monkeypatch):
+        counted = count_svd_problems(monkeypatch)
+        config = SimulationConfig(n_units=600, n_periods=8)
+        _, _, audit = simulate._run_block(config, range(simulate.BLOCK_ROWS // (600 * 8)))
+        assert audit == [None] * 5
+        assert counted[0] == 0
