@@ -176,6 +176,8 @@ def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
         raise DomainError(f"points must be (n, 2), got shape {pts.shape}")
+    if not np.isfinite(pts).all():
+        raise DomainError("points must be finite")
     n = len(pts)
     if not (1 <= n_clusters <= n):
         raise DomainError(f"n_clusters must be in [1, {n}], got {n_clusters}")

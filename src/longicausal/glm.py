@@ -1,9 +1,9 @@
 """Generalized linear models fit by iteratively reweighted least squares.
 
 Supports the linear (identity link), logistic (logit link), and poisson
-(log link) families with optional non-negative observation weights, plus the
-heteroskedasticity-robust sandwich covariance of a poisson fit and the Wald
-test.
+(log link) families with optional non-negative observation weights (none
+means unit weights, formed on entry), plus the heteroskedasticity-robust
+sandwich covariance of a poisson fit and the Wald test.
 
 One kernel does the fitting: `fit_glm_stack` takes a stack of R independent
 problems, designs of shape (R, n, p) with (R, n) responses and weights, and
@@ -13,9 +13,10 @@ problem gets exactly the numbers it would get alone. A problem that fails a
 check (fewer observations than parameters, a non-finite value, a poisson
 response with no weighted count, a rank-deficient design, singular normal
 equations or information) is flagged with its error and does not stop the
-others. A one-model fit is the R = 1 call. `sandwich_cov_stack` gives the
-robust covariances of a poisson stack from the fit itself: its model_cov
-is the inverse bread, so only the meat is computed.
+others. A one-model fit is the R = 1 call; an unweighted linear stack forms
+X'X once, for its rank check, normal equations and information.
+`sandwich_cov_stack` gives the robust covariances of a poisson stack from the
+fit itself: its model_cov is the inverse bread, so only the meat is computed.
 
 Conventions used throughout:
   * weights multiply each observation's log-likelihood contribution, so the
@@ -92,7 +93,7 @@ def flag_errors(errors: list, problems, error_type: type, message: str) -> None:
             errors[i] = error_type(message)
 
 
-def _check_shapes(X: np.ndarray, y: np.ndarray, w: np.ndarray | None, family: str) -> None:
+def _check_shapes(X: np.ndarray, y: np.ndarray, w: np.ndarray, family: str) -> None:
     if X.ndim != 3:
         raise DomainError(f"a design stack must be 3-d (R, n, p), got shape {X.shape}")
     r, n, _ = X.shape
@@ -100,7 +101,7 @@ def _check_shapes(X: np.ndarray, y: np.ndarray, w: np.ndarray | None, family: st
         raise DomainError(f"response shape {y.shape[1:]} does not match design ({n} rows)")
     if family not in FAMILIES:
         raise DomainError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if w is not None and w.shape != (r, n):
+    if w.shape != (r, n):
         raise DomainError(f"weights shape {w.shape[1:]} does not match design ({n} rows)")
 
 
@@ -116,27 +117,26 @@ def _value_checks(X, y, w, family):
         checks.append(((y < 0).any(axis=1), "poisson responses must be non-negative"))
     if family == "logistic":
         checks.append((~np.isin(y, (0.0, 1.0)).all(axis=1), "logistic responses must be 0 or 1"))
-    if w is not None:  # unit weights cannot fail these
-        checks.append((~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1), "weights must be finite and non-negative"))
-        checks.append((~(w > 0).any(axis=1), "at least one weight must be positive"))
+    checks.append((~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1), "weights must be finite and non-negative"))
+    checks.append((~(w > 0).any(axis=1), "at least one weight must be positive"))
     if family == "poisson":  # with no weighted count the intercept runs to -inf
         message = "poisson responses are all zero where weighted; the MLE does not exist"
-        checks.append((~((y > 0) if w is None else (y > 0) & (w > 0)).any(axis=1), message))
+        checks.append((~((y > 0) & (w > 0)).any(axis=1), message))
     return checks
 
 
-def _svd_rank_deficient(X: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _svd_rank_deficient(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(R,) mask: singular-value ratio of the effectively fitted sqrt(w)*X below 1e-12.
 
     Never looser than the pivoted-QR rule |r_pp| < 1e-12 |r_11|: pivoting
     makes |r_11| the largest diagonal entry, sigma_max >= |r_11| and
     sigma_min <= min |r_ii|, so sigma_min/sigma_max <= |r_pp|/|r_11|.
     """
-    s = np.linalg.svd(X if w is None else X * np.sqrt(w)[..., None], compute_uv=False)
+    s = np.linalg.svd(X * np.sqrt(w)[..., None], compute_uv=False)
     return (s[:, 0] == 0.0) | (s[:, -1] < _RANK_RTOL * s[:, 0])
 
 
-def _rank_deficient(X: np.ndarray, w: np.ndarray | None, gram: np.ndarray | None = None) -> np.ndarray:
+def _rank_deficient(X: np.ndarray, w: np.ndarray, gram: np.ndarray | None = None) -> np.ndarray:
     """The `_svd_rank_deficient` mask; the SVD runs only where the Gram cannot prove full rank.
 
     With l_min, l_max the eigvalsh extremes of the computed G^ = B'B (`gram`
@@ -152,7 +152,7 @@ def _rank_deficient(X: np.ndarray, w: np.ndarray | None, gram: np.ndarray | None
         return np.ones(r, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a Gram that overflows goes to the SVD
         if gram is None:
-            b = X if w is None else X * np.sqrt(w)[..., None]
+            b = X * np.sqrt(w)[..., None]
             gram = np.swapaxes(b, 1, 2) @ b
         finite = np.isfinite(gram).all(axis=(1, 2))
         lam = np.linalg.eigvalsh(gram[finite])
@@ -160,13 +160,8 @@ def _rank_deficient(X: np.ndarray, w: np.ndarray | None, gram: np.ndarray | None
         deficient = ~finite  # True until proven full rank
         deficient[finite] = ~(lam[:, 0] - slack - n * p * 2.0**-1074 > 1e-10 * lam[:, -1])
     if deficient.any():  # the SVD decides what the bound leaves open
-        deficient[deficient] = _svd_rank_deficient(X[deficient], _take(w, deficient))
+        deficient[deficient] = _svd_rank_deficient(X[deficient], w[deficient])
     return deficient
-
-
-def _take(a: np.ndarray | None, rows) -> np.ndarray | None:
-    """`a[rows]`, or None without `a` (no weights, or no Gram)."""
-    return None if a is None else a[rows]
 
 
 def _per_problem(fn, *args) -> tuple[np.ndarray, np.ndarray]:
@@ -190,24 +185,19 @@ def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return (X @ beta[..., None])[..., 0]
 
 
-def _information(X: np.ndarray, v: np.ndarray | None = None) -> np.ndarray:
-    """X' diag(v) X for each problem, in the order X.T @ (X * v); without `v`, X'X, bit for bit as v = 1 gives it.
+def _information(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X' diag(v) X for each problem, in the order X.T @ (X * v).
 
-    X is copied then, as X * 1.0 would be: `swapaxes(X) @ X` on one buffer
-    takes numpy's A.T @ A (syrk) path, whose sums differ in the last bit.
+    X * v is a new buffer even for v = 1, which keeps numpy off its A.T @ A
+    (syrk) path: unit v gives X'X with the bits of `_solve_wls`'s (X.T * 1) @ X.
     """
-    return np.swapaxes(X, 1, 2) @ (X.copy() if v is None else X * v[..., None])
-
-
-def _weighted(w: np.ndarray | None, v: np.ndarray) -> np.ndarray:
-    """w * v, or v itself without weights (x * 1.0 == x)."""
-    return v if w is None else w * v
+    return np.swapaxes(X, 1, 2) @ (X * v[..., None])
 
 
 def _solve_wls(X, wk, z, gram=None) -> tuple[np.ndarray, np.ndarray]:
-    """beta of X'diag(wk)X beta = X'diag(wk)z per problem; `wk` None means unit weights and `gram` = X'X."""
-    xtw = np.swapaxes(X, 1, 2) if wk is None else np.swapaxes(X, 1, 2) * wk[:, None, :]
-    beta, singular = _per_problem(np.linalg.solve, gram if wk is None else xtw @ X, xtw @ z[..., None])
+    """beta of X'diag(wk)X beta = X'diag(wk)z per problem; `gram` is X'X, given only when wk = 1 (right side X'z)."""
+    xtw = np.swapaxes(X, 1, 2) if gram is not None else np.swapaxes(X, 1, 2) * wk[:, None, :]
+    beta, singular = _per_problem(np.linalg.solve, xtw @ X if gram is None else gram, xtw @ z[..., None])
     return beta[..., 0], singular
 
 
@@ -227,48 +217,49 @@ def _variance(family: str, mu: np.ndarray) -> np.ndarray:
     return np.maximum(mu * (1.0 - mu), _MU_EPS)
 
 
-def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray | None) -> np.ndarray:
+def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     """(R,) deviances of the poisson and logistic families; each row is summed on its own."""
     if family == "poisson":
         mu = np.maximum(mu, _MU_EPS)
         with np.errstate(divide="ignore", invalid="ignore"):
             term = np.where(y > 0, y * np.log(y / mu), 0.0)
-        return 2.0 * np.sum(_weighted(w, term - (y - mu)), axis=-1)
+        return 2.0 * np.sum(w * (term - (y - mu)), axis=-1)
     mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-    return -2.0 * np.sum(_weighted(w, y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)), axis=-1)
+    return -2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)), axis=-1)
 
 
 def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
     """Fit R independent weighted GLMs by IRLS: designs (R, n, p), responses and weights (R, n).
 
     Rows are independent: problem r's result, or its error in `errors[r]`,
-    is bit for bit the same whatever the other problems of the stack are,
-    and no weights means unit weights, bit for bit (results and errors).
-    A problem converges when its relative deviance change drops below 1e-8
-    (`_TOL`); after `_MAX_ITER` iterations it is returned with converged
-    False and the caller decides (logistic separation shows up this way
-    rather than as an error).
+    is bit for bit the same whatever the other problems of the stack are.
+    No weights means unit weights, formed on entry; an unweighted linear stack
+    then shares one X'X, with the bits unit weights give, between its rank
+    check, normal equations and information. A problem converges when its
+    relative deviance change drops below 1e-8 (`_TOL`); after `_MAX_ITER`
+    iterations it is returned with converged False and the caller decides
+    (logistic separation shows up this way rather than as an error).
     """
+    w = np.ones(np.shape(response)) if weights is None else np.asarray(weights, dtype=float)
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
-    w = None if weights is None else np.asarray(weights, dtype=float)
     _check_shapes(X, y, w, family)
-    r, n, p = X.shape
+    r, _, p = X.shape
     errors: list[LongicausalError | None] = [None] * r
     for failed, message in _value_checks(X, y, w, family):
         flag_errors(errors, np.flatnonzero(failed), DomainError, message)
     with np.errstate(over="ignore", invalid="ignore"):  # one X'X: rank, solve, information; non-finite goes to the SVD
-        gram = _information(X) if family == "linear" and w is None else None
+        gram = _information(X, w) if family == "linear" and weights is None else None
     live = np.flatnonzero([e is None for e in errors])
     sel = slice(None) if len(live) == r else live
-    rank_bad = live[_rank_deficient(X[sel], _take(w, sel), _take(gram, sel))]
+    rank_bad = live[_rank_deficient(X[sel], w[sel], None if gram is None else gram[sel])]
     message = "design matrix is rank deficient (singular value ratio below 1e-12)"
     flag_errors(errors, rank_bad, SingularDesignError, message)
 
     # from here on only the problems that passed the checks are computed
     live = np.flatnonzero([e is None for e in errors])
     if len(live) < r:
-        X, y, w, gram = X[live], y[live], _take(w, live), _take(gram, live)
+        X, y, w, gram = X[live], y[live], w[live], None if gram is None else gram[live]
     coefficients = np.full((r, p), np.nan)
     model_cov = np.full((r, p, p), np.nan)
     converged = np.zeros(r, dtype=bool)
@@ -279,8 +270,8 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
         beta, singular = _solve_wls(X, w, y, gram)
         flag_errors(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
         mu = _matvec(X, beta)
-        with np.errstate(invalid="ignore"):  # NaN rows of singular problems
-            sd = np.sqrt(np.sum(_weighted(w, (y - mu) ** 2), axis=1) / (n if w is None else np.sum(w, axis=1)))
+        with np.errstate(over="ignore", invalid="ignore"):  # residuals squaring to inf; NaN rows of singular problems
+            sd = np.sqrt(np.sum(w * (y - mu) ** 2, axis=1) / np.sum(w, axis=1))
         done, its, dispersion = True, 1, (sd**2)[:, None, None]
         residual_sd = np.full(r, np.nan)
         residual_sd[live] = sd
@@ -302,10 +293,10 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
             if not active.size:
                 break
             sel = slice(None) if active.size == len(live) else active  # views while all iterate
-            Xa, ya, wa, mua = X[sel], y[sel], _take(w, sel), mu[sel]
+            Xa, ya, wa, mua = X[sel], y[sel], w[sel], mu[sel]
             var = _variance(family, mua)
             z = eta[sel] + (ya - mua) / var
-            beta_a, singular = _solve_wls(Xa, _weighted(wa, var), z)
+            beta_a, singular = _solve_wls(Xa, wa * var, z)
             flag_errors(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
             eta_a = _matvec(Xa, beta_a)
             mu_a = _mu_eta(family, eta_a)
@@ -324,7 +315,7 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
         dispersion = 1.0
 
     with np.errstate(invalid="ignore"):  # NaN rows of singular problems
-        info = gram if gram is not None else _information(X, _weighted(w, _variance(family, mu)))
+        info = _information(X, w * _variance(family, mu)) if gram is None else gram
     inv, singular = _per_problem(np.linalg.inv, info)
     flag_errors(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
     coefficients[live] = beta

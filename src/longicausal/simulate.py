@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 from typing import Iterator
 
@@ -48,7 +47,6 @@ from .panel import PanelDataset
 
 # the largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX)
 _MAX_POISSON_MEAN = np.iinfo(np.int64).max - np.sqrt(np.iinfo(np.int64).max) * 10
-_SEED_LIMIT = 2**64
 FAILURE_BUDGET = 0.01
 # logit P(L(t)=1) per level of U and for A(t) above a_threshold
 _L_LOGIT_U_COEF = 0.14
@@ -59,11 +57,18 @@ _L_LOGIT_A_COEF = 1.1
 BLOCK_ROWS = 25_000
 
 
-def _require_finite(params) -> None:
+def _require_types(params) -> None:
     for f in fields(params):
         value = getattr(params, f.name)
+        if f.type == "int" and not isinstance(value, int):
+            raise DomainError(f"{f.name} must be an integer, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise DomainError(f"{f.name} must be finite, got {value!r}")
+
+
+def _require_seed(name: str, value, bits: int) -> None:
+    if not (isinstance(value, int) and 0 <= value < 2**bits):
+        raise DomainError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -79,9 +84,9 @@ class DgpParams:
     a_sd: float = 60.0
 
     def __post_init__(self):
+        _require_types(self)
         if not (1 <= self.u_levels <= np.iinfo(np.int64).max):  # U is drawn as int64
             raise DomainError(f"u_levels must be in [1, 2**63 - 1], got {self.u_levels}")
-        _require_finite(self)
         if not (self.a0_sd > 0) or not (self.a_sd > 0):
             raise DomainError("sd parameters must be > 0")
 
@@ -97,21 +102,20 @@ class SimulationConfig:
     dgp: DgpParams = field(default_factory=DgpParams)
 
     def __post_init__(self):
-        _require_finite(self)
+        _require_types(self)
         if self.n_units < 2:
             raise DomainError("n_units must be >= 2")
         if self.n_periods < 1:
             raise DomainError("n_periods must be >= 1")
         if self.n_replicates < 1:
             raise DomainError("n_replicates must be >= 1")
-        if not (0 <= self.master_seed < _SEED_LIMIT):
-            raise DomainError("master_seed must fit in 64 bits")
+        _require_seed("master_seed", self.master_seed, 64)
 
 
 def replicate_seed(master_seed: int, replicate: int) -> int:
     """128-bit Philox key for one replicate: (master_seed, replicate) packed."""
-    if not (0 <= replicate < _SEED_LIMIT):
-        raise DomainError("replicate index must fit in 64 bits")
+    _require_seed("master_seed", master_seed, 64)
+    _require_seed("replicate", replicate, 64)
     return (master_seed << 64) | replicate
 
 
@@ -174,6 +178,7 @@ def _checked_panel(a, l, y, a0, l0, log_mean) -> PanelDataset:
 
 def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelDataset:
     """One replicate's panel. Same (config, seed) gives bit-identical output."""
+    _require_seed("replicate_seed", replicate_seed, 128)  # the Philox key
     return _checked_panel(*(x[0] for x in _generate_stack(config, [replicate_seed])))
 
 
@@ -287,6 +292,7 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
     if threads == 1:
         beta1_blocks, se_blocks, audit_blocks = zip(*map(_run_block, [config] * len(blocks), blocks))
     else:
+        from concurrent.futures import ProcessPoolExecutor  # imported here: a one-process run needs no multiprocessing
         with ProcessPoolExecutor(max_workers=threads) as pool:
             beta1_blocks, se_blocks, audit_blocks = zip(*pool.map(_run_block, [config] * len(blocks), blocks))
     audit = [msg for block in audit_blocks for msg in block]

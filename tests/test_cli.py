@@ -536,9 +536,13 @@ class TestTopLevel:
         assert main([]) == 2
 
     def test_import_does_not_load_clustering(self):
-        # only clustering needs scipy, and it imports it when called, so
-        # importing the CLI (what every simulate run pays for) loads none of it
-        code = "import sys, longicausal.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+        # only clustering needs scipy and only worker processes need
+        # multiprocessing; each is imported when used, so importing the CLI
+        # (what every simulate run pays for) loads none of them
+        code = (
+            "import sys, longicausal.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] in ('scipy', 'multiprocessing')))"
+        )
         src = str(Path(longicausal.cli.__file__).parents[1])
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)

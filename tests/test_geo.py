@@ -185,6 +185,20 @@ class TestClustering:
         with pytest.raises(DomainError):
             agglomerative_cluster(np.zeros((3, 2)), 2, linkage="centroid")
 
+    @pytest.mark.parametrize(
+        "pts, message",
+        [
+            (np.zeros((3, 3)), r"^points must be \(n, 2\), got shape \(3, 3\)$"),
+            (np.array([[0.0, 0.0], [np.nan, 1.0], [2.0, 2.0]]), "^points must be finite$"),
+            (np.array([[0.0, 0.0], [1.0, np.inf], [2.0, 2.0]]), "^points must be finite$"),
+            (np.array([[np.nan, 0.0]]), "^points must be finite$"),
+        ],
+        ids=["shape", "nan", "inf", "single-nan"],
+    )
+    def test_bad_points_rejected(self, pts, message):
+        with pytest.raises(DomainError, match=message):
+            agglomerative_cluster(pts, 1)
+
     def test_cluster_wells_assignment(self, corpus):
         assignment = cluster_wells(corpus.wells, n_clusters=30)
         assert assignment.labels.shape == (65,)

@@ -342,7 +342,7 @@ def qr_rule_flags(X, w=None):
 
 
 def svd_rule_flags(X, w=None):
-    return bool(_rank_deficient(X[None], None if w is None else w[None])[0])
+    return bool(_rank_deficient(X[None], np.ones((1, len(X))) if w is None else w[None])[0])
 
 
 def sweep_design(kind, rng):
@@ -511,7 +511,7 @@ class TestStackKernel:
 
 
 class TestUnweightedIsUnitWeighted:
-    """No weights is unit weights, bit for bit, although the ones are never formed."""
+    """No weights is unit weights, bit for bit, although an unweighted linear stack shares one X'X."""
 
     @pytest.mark.parametrize("max_iter", [100, 4])
     @pytest.mark.parametrize("family", FAMILIES)
@@ -590,17 +590,17 @@ class TestRankCertificate:
             for n in (8, 60, 400):
                 r = 40
                 ratios = np.concatenate([10.0 ** rng.uniform(-16.0, -2.0, r - 10), 10.0 ** rng.uniform(-13, -11, 10)])
-                w = None
+                w = np.ones((r, n))
                 if weighted:
                     w = rng.uniform(0.1, 3.0, (r, n))
                     w[:, : n // 4] *= rng.random((r, n // 4)) < 0.5  # zero-weight rows
-                X = designs_with_ratio(rng, ratios, n, p, w)
+                X = designs_with_ratio(rng, ratios, n, p, w if weighted else None)
                 X[::2] *= 10.0 ** rng.uniform(-3.0, 6.0, (r // 2, 1, p))  # badly scaled columns
                 X[1::8] *= 1e-160  # a Gram below the normal range
                 expected = svd(X, w)
                 assert np.array_equal(glm._rank_deficient(X, w), expected), (p, n)
                 if not weighted:  # the Gram fit_glm_stack shares with the linear solve
-                    assert np.array_equal(glm._rank_deficient(X, None, glm._information(X)), expected), (p, n)
+                    assert np.array_equal(glm._rank_deficient(X, w, glm._information(X, w)), expected), (p, n)
                 checked, flagged = checked + r, flagged + int(expected.sum())
         assert 0 < flagged < checked
         assert 0 < counted[0] < checked * (1 if weighted else 2)  # the bound decides some problems, not all
@@ -611,11 +611,15 @@ class TestRankCertificate:
         X = np.column_stack([np.ones(20), rng.normal(size=20), 1e155 * rng.uniform(1.0, 2.0, 20)])[None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert glm._rank_deficient(X, None)[0]
+            assert glm._rank_deficient(X, np.ones((1, 20)))[0]
             assert glm._rank_deficient(X, np.full((1, 20), 2.0))[0]
             fit = fit_glm_stack(X, rng.normal(size=(1, 20)), "linear")
+            # a finite Gram, but residuals whose squares overflow
+            line = np.column_stack([np.ones(5), np.arange(5.0)])[None]
+            huge = fit_glm_stack(line, 1e300 * np.array([[0.0, 3.0, 1.0, 4.0, 2.0]]), "linear")
         assert counted[0] == 3
         assert isinstance(fit.errors[0], SingularDesignError)
+        assert huge.errors == [None] and huge.residual_sd[0] == np.inf
 
     def test_default_n600_block_runs_no_svd(self, monkeypatch):
         counted = count_svd_problems(monkeypatch)

@@ -1,8 +1,10 @@
 """Data generation determinism, Monte Carlo harness, seeding scheme."""
 
+import concurrent.futures
 import hashlib
 import math
 import os
+import re
 from dataclasses import replace
 from typing import NamedTuple
 
@@ -141,6 +143,23 @@ class TestGenerateDataset:
             SimulationConfig(causal_effect=math.inf)
         with pytest.raises(DomainError, match="^a_drift must be finite, got -inf$"):
             DgpParams(a_drift=-math.inf)
+        # integer fields and seeds that are not integers, or seeds out of range, are named too
+        bad_integers = [
+            (lambda: SimulationConfig(n_units=50.5), "n_units must be an integer, got 50.5"),
+            (lambda: SimulationConfig(n_periods=2.5), "n_periods must be an integer, got 2.5"),
+            (lambda: SimulationConfig(n_replicates=2.5), "n_replicates must be an integer, got 2.5"),
+            (lambda: SimulationConfig(master_seed=1.5), "master_seed must be an integer, got 1.5"),
+            # a numpy seed wraps in `master_seed << 64`: every master seed would draw replicate r's stream from key r
+            (lambda: SimulationConfig(master_seed=np.int64(3)), "master_seed must be an integer, got np.int64(3)"),
+            (lambda: DgpParams(u_levels=2.5), "u_levels must be an integer, got 2.5"),
+            (lambda: replicate_seed(0, 1.5), "replicate must be an integer in [0, 2**64), got 1.5"),
+            (lambda: replicate_seed(-1, 0), "master_seed must be an integer in [0, 2**64), got -1"),
+            *((lambda key=key: generate_dataset(SimulationConfig(), key),
+               f"replicate_seed must be an integer in [0, 2**128), got {key}") for key in (-5, 2**200, 1.5)),
+        ]
+        for make, message in bad_integers:
+            with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+                make()
 
     def test_replicate_seed_packs_pair(self):
         assert replicate_seed(3, 5) == (3 << 64) | 5
@@ -577,7 +596,7 @@ class TestThreads:
         cfg = SimulationConfig(n_units=50, n_periods=8, n_replicates=6, master_seed=3)
         monkeypatch.setattr(sim, "BLOCK_ROWS", 1)  # six blocks
         serial = summary_arrays(sim.run_monte_carlo(cfg, threads=1))
-        monkeypatch.setattr(sim, "ProcessPoolExecutor", Pool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)  # imported by the parallel branch
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
         monkeypatch.setenv("LONGICAUSAL_THREADS", "64")
         for got, want in zip(summary_arrays(sim.run_monte_carlo(cfg)), serial, strict=True):
