@@ -199,17 +199,22 @@ class TestPinnedOutput:
             ("corpus", 1.0, False, "7d940b32f493ce3407c14a15f097bc71f31df0f5befa9f61807496d8dc502950"),
             ("corpus", None, True, "d447c69802b4546044652c16374ed7c4eb484e603a8d954674e4640b89ea7189"),
             ("no-confounder", None, False, "d4a080f9509ed6033f8b828c2785c5ac8b88bf225046b476036b88760ac41a65"),
+            ("constant-lag-a", None, False, "8e128c4c746beb935f9b61e7817be873083ade6df4ae87694c65d7202443226c"),
         ],
-        ids=["corpus", "truncated", "hc1", "no-confounder"],
+        ids=["corpus", "truncated", "hc1", "no-confounder", "constant-lag-a"],
     )
     def test_weights_and_reports(self, corpus, case, truncate, hc1, digest):
         if case == "corpus":  # the assembled test corpus: 30 units, no baseline period
             assignment = cluster_wells(corpus.wells, n_clusters=30)
             data = build_panel(corpus.wells, assignment, assign_quakes(assignment.centroids, corpus.quakes))
             assert data.A0 is None
-        else:  # L = 0 throughout: the weight models and the adjusted fit drop their L columns
+        elif case == "no-confounder":  # L = 0 throughout: the weight models and the adjusted fit drop their L columns
             gen = generate_dataset(SimulationConfig(master_seed=12), replicate_seed(12, 3))
             data = PanelDataset(gen.A, np.zeros((50, 8)), gen.Y, A0=gen.A0, L0=np.zeros(50))
+        else:  # A(t-1) = 1000 on every pooled row: an intercept-only numerator and a [1, L(t-1)] denominator
+            gen = generate_dataset(SimulationConfig(master_seed=12), replicate_seed(12, 3))
+            a = np.concatenate([np.full((50, 7), 1000.0), gen.A[:, 7:]], axis=1)
+            data = PanelDataset(a, gen.L, gen.Y, A0=np.full(50, 1000.0), L0=gen.L0)
         weights = stabilized_weights(data, truncate_percentile=truncate)
         reports = [naive_poisson(data), adjusted_poisson(data), msm_iptw(data, weights=weights, hc1=hc1)]
         assert pin_digest(weights, reports) == digest
