@@ -116,11 +116,6 @@ def _report(name: str, data: PanelDataset, **options) -> EstimatorReport:
     )
 
 
-def _outcome_design(cum_a: np.ndarray, *covariates: np.ndarray) -> np.ndarray:
-    """Rows [1, cumA, covariates...]; a leading block axis of replicates passes through."""
-    return np.stack([np.ones_like(cum_a), cum_a, *covariates], axis=-1)
-
-
 def _check_units(data: PanelDataset) -> None:
     if data.n_units < 2:
         raise DomainError("outcome regressions require at least 2 units")
@@ -179,7 +174,7 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> Estim
     varies = np.zeros((r, 1), dtype=bool) if cum_l is None else (np.ptp(cum_l, axis=-1) > 0.0)[:, None]
     for rows, (with_l,) in stack_groups(varies):
         idx = np.arange(r)[rows]
-        design = _outcome_design(cum_a[rows], *([cum_l[rows]] if with_l else []))
+        design = np.stack([np.ones_like(cum_a[rows]), cum_a[rows], *([cum_l[rows]] if with_l else [])], axis=-1)
         w = None if sw is None else sw[rows]
         fit = fit_glm_stack(design, y[rows], "poisson", w)
         errors, var = fit.errors, fit.model_cov[:, 1, 1]

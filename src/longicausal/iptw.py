@@ -18,16 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple, Sequence
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .exceptions import DegenerateVarianceError, DomainError, LongicausalError, WeightError
 from .glm import fit_glm_stack, first_errors, flag_errors, stack_groups
 from .panel import PanelDataset
-
-NUMERATOR_TERMS = ("intercept", "lag_treatment")
-DENOMINATOR_TERMS = ("intercept", "lag_treatment", "lag_confounder")
 
 
 @dataclass
@@ -71,47 +68,35 @@ def _dataset_rows(data: PanelDataset) -> tuple[np.ndarray, np.ndarray, np.ndarra
     return _lagged_rows(*(None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0)))
 
 
-def _build_design(terms: Sequence[str], lag_a: np.ndarray, lag_l: np.ndarray) -> np.ndarray:
-    cols = []
-    for term in terms:
-        if term == "intercept":
-            cols.append(np.ones_like(lag_a))
-        elif term == "lag_treatment":
-            cols.append(lag_a)
-        elif term == "lag_confounder":
-            cols.append(lag_l)
-        else:
-            raise DomainError(f"unknown design term {term!r}")
-    return np.stack(cols, axis=-1)
-
-
 def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
     """Both treatment models of R problems, fitted in groups by which lag columns vary.
 
     Numerator: A(t) ~ 1 + A(t-1). Denominator: A(t) ~ 1 + A(t-1) + L(t-1).
     Both are pooled across units and modeled periods and fitted as Gaussian
-    linear models whose MLE residual sd feeds the density ratio.
+    linear models whose MLE residual sd feeds the density ratio. A lag
+    column that is constant over a problem's pooled rows carries no
+    information and would make the design singular next to the intercept,
+    so it is left out of both models.
 
-    Returns (rows, terms, designs, fits) per fitted group, all but `rows`
+    Returns (rows, designs, fits) per fitted group, the last two
     (numerator, denominator) pairs. Records each problem's first error in
     `errors`: too few pooled rows, the numerator's, the denominator's fit.
     """
     groups, n_rows = [], resp.shape[-1]
     varies = np.stack([np.ptp(lag_a, axis=-1) > 0.0, np.ptp(lag_l, axis=-1) > 0.0], axis=-1)
-    for rows, vary in stack_groups(varies):
-        # constant lag columns carry no information and would make the design
-        # singular next to the intercept; they are dropped instead of failing
-        den_terms = tuple(term for term, keep in zip(DENOMINATOR_TERMS, (True, *vary)) if keep)
-        terms = (tuple(term for term in den_terms if term in NUMERATOR_TERMS), den_terms)
-        if n_rows < len(terms[1]) + 2:
+    for rows, (vary_a, vary_l) in stack_groups(varies):
+        numerator_columns = [lag_a[rows]] if vary_a else []
+        denominator_columns = numerator_columns + ([lag_l[rows]] if vary_l else [])
+        if n_rows < len(denominator_columns) + 3:
             message = f"not enough pooled observations ({n_rows}) for the treatment models"
             flag_errors(errors, np.arange(len(errors))[rows], DomainError, message)
             continue
-        designs = [_build_design(t, lag_a[rows], lag_l[rows]) for t in terms]
+        ones = np.ones_like(resp[rows])
+        designs = [np.stack([ones, *columns], axis=-1) for columns in (numerator_columns, denominator_columns)]
         fits = [fit_glm_stack(design, resp[rows], "linear") for design in designs]
         for fit in fits:
             first_errors(errors, rows, fit.errors)
-        groups.append((rows, terms, designs, fits))
+        groups.append((rows, designs, fits))
     return groups
 
 
@@ -172,7 +157,7 @@ def _weight_stack(resp, lag_a, lag_l, periods, unit_ids) -> WeightStack:
     errors = [None] * r
     weights, log_factors = np.full((r, n_units), np.nan), np.full((r, n_units, n_t), np.nan)
     floor = _sd_floor(resp)
-    for rows, _, designs, fits in _fit_models(resp, lag_a, lag_l, errors):
+    for rows, designs, fits in _fit_models(resp, lag_a, lag_l, errors):
         idx = np.arange(r)[rows]
         for label, fit in zip(("numerator", "denominator"), fits):
             message = f"{label} treatment model has (numerically) zero residual variance; density ratio is undefined"

@@ -47,33 +47,35 @@ def fit_one(X, y, family, weights=None) -> StackFit:
 
 
 def treatment_models(data: PanelDataset):
-    """(numerator, denominator) terms and fits, as `first_row`s, and the modeled periods of `data`."""
+    """(numerator, denominator) fits, as `first_row`s, and the modeled periods of `data`."""
     resp, lag_a, lag_l, periods = iptw._dataset_rows(data)
     errors = [None]
     groups = iptw._fit_models(resp, lag_a, lag_l, errors)
     if errors[0] is not None:
         raise errors[0]
-    [(_, terms, _, fits)] = groups
-    return terms, [first_row(fit) for fit in fits], periods
+    [(_, _, fits)] = groups
+    return [first_row(fit) for fit in fits], periods
 
 
 def use_treatment_models(monkeypatch, numerator=None, denominator=None) -> None:
     """Make the weights of one dataset use the given treatment models instead of fitted ones.
 
-    Each model is (terms, coefficients, residual sd). Without models, the
-    fitted numerator model serves as both numerator and denominator.
+    Each model is (coefficients, residual sd), on the first len(coefficients)
+    columns of [1, A(t-1), L(t-1)]. Without models, the fitted numerator
+    model serves as both numerator and denominator.
     """
     fit_models = iptw._fit_models
 
     def given(resp, lag_a, lag_l, errors):
         if numerator is None:
-            [(rows, terms, designs, fits)] = fit_models(resp, lag_a, lag_l, errors)
-            return [(rows, terms[:1] * 2, designs[:1] * 2, fits[:1] * 2)]
+            [(rows, designs, fits)] = fit_models(resp, lag_a, lag_l, errors)
+            return [(rows, designs[:1] * 2, fits[:1] * 2)]
         models = (numerator, denominator)
-        designs = [iptw._build_design(terms, lag_a, lag_l) for terms, _, _ in models]
+        columns = np.stack([np.ones_like(lag_a), lag_a, lag_l], axis=-1)
+        designs = [columns[..., :len(coefficients)] for coefficients, _ in models]
         fits = [StackFit(np.array([coefficients], dtype=float), None, None, None, np.array([sd]), [None])
-                for _, coefficients, sd in models]
-        return [(slice(None), tuple(terms for terms, _, _ in models), designs, fits)]
+                for coefficients, sd in models]
+        return [(slice(None), designs, fits)]
 
     monkeypatch.setattr(iptw, "_fit_models", given)
 

@@ -28,7 +28,7 @@ def lfree_dataset(rng, n_units=500, k=4):
 
 
 def intercept_only_model(mean, sd):
-    return ("intercept",), [mean], sd
+    return [mean], sd
 
 
 class TestTreatmentModels:
@@ -38,10 +38,10 @@ class TestTreatmentModels:
         for rep in range(n_reps):
             rng = np.random.default_rng(1000 + rep)
             data = lfree_dataset(rng)
-            (_, denominator_terms), (_, denominator), _ = treatment_models(data)
-            idx = denominator_terms.index("lag_confounder")
-            coef = denominator.coefficients[idx]
-            se = math.sqrt(denominator.model_cov[idx, idx])
+            (_, denominator), _ = treatment_models(data)
+            assert len(denominator.coefficients) == 3
+            coef = denominator.coefficients[2]  # L(t-1)
+            se = math.sqrt(denominator.model_cov[2, 2])
             if abs(coef) < 3.0 * se:
                 hits += 1
         assert hits >= 0.95 * n_reps
@@ -52,7 +52,7 @@ class TestTreatmentModels:
             A0=[10.0 + i for i in range(6)],
             L0=[0] * 6,
         )
-        _, (numerator, _), _ = treatment_models(data)
+        (numerator, _), _ = treatment_models(data)
         assert numerator.residual_sd == pytest.approx(0.0, abs=1e-9)
         with pytest.raises(DegenerateVarianceError, match=r"^numerator treatment model"):
             stabilized_weights(data)
@@ -65,13 +65,21 @@ class TestTreatmentModels:
             rows.append(rng.normal(a0, 4.0, 3))
             a0s.append(a0)
         data = make_dataset(rows, A0=a0s, L0=[0] * 40)
-        (numerator_terms, denominator_terms), (numerator, denominator), _ = treatment_models(data)
-        assert "lag_confounder" not in denominator_terms
-        idx = numerator_terms.index("lag_treatment")
-        jdx = denominator_terms.index("lag_treatment")
-        assert denominator.coefficients[jdx] == pytest.approx(
-            numerator.coefficients[idx], abs=1e-10
+        (numerator, denominator), _ = treatment_models(data)
+        assert len(numerator.coefficients) == len(denominator.coefficients) == 2
+        assert denominator.coefficients[1] == pytest.approx(  # A(t-1)
+            numerator.coefficients[1], abs=1e-10
         )
+
+    def test_constant_lag_treatment_column_dropped(self):
+        # A(t-1) is 1000 on every pooled row: the numerator is intercept-only, the denominator [1, L(t-1)]
+        gen = generate_dataset(SimulationConfig(master_seed=12), replicate_seed(12, 3))
+        a = np.concatenate([np.full((50, 7), 1000.0), gen.A[:, 7:]], axis=1)
+        data = PanelDataset(a, gen.L, gen.Y, A0=np.full(50, 1000.0), L0=gen.L0)
+        (numerator, denominator), _ = treatment_models(data)
+        assert len(numerator.coefficients) == 1
+        assert numerator.coefficients[0] == pytest.approx(a.mean(), rel=1e-12)
+        assert len(denominator.coefficients) == 2
 
     def test_baseline_changes_modeled_periods(self):
         rng = np.random.default_rng(9)
