@@ -7,6 +7,7 @@ Oklahoma values); no conversion happens here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 from .exceptions import DomainError
@@ -22,9 +23,11 @@ class GRParams:
     a_tec: float | None = None  # tectonic background term
 
     def __post_init__(self):
-        for name in ("sigma", "b", "mag_complete", "a_tec"):
+        for name in ("sigma", "b", "mag_complete") + (() if self.a_tec is None else ("a_tec",)):
             value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
+            if not isinstance(value, numbers.Real):
+                raise DomainError(f"{name} must be a real number, got {value!r}")
+            if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")
 
 

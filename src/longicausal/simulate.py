@@ -33,6 +33,7 @@ columns and R audit messages, which `run_monte_carlo` concatenates.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass, field, fields
 from typing import Iterator
@@ -62,6 +63,8 @@ def _require_types(params) -> None:
         value = getattr(params, f.name)
         if f.type == "int" and not isinstance(value, int):
             raise DomainError(f"{f.name} must be an integer, got {value!r}")
+        if f.type == "float" and not isinstance(value, numbers.Real):
+            raise DomainError(f"{f.name} must be a real number, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise DomainError(f"{f.name} must be finite, got {value!r}")
 
@@ -103,6 +106,8 @@ class SimulationConfig:
 
     def __post_init__(self):
         _require_types(self)
+        if not isinstance(self.dgp, DgpParams):
+            raise DomainError(f"dgp must be a DgpParams, got {self.dgp!r}")
         if self.n_units < 2:
             raise DomainError("n_units must be >= 2")
         if self.n_periods < 1:

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -83,6 +84,12 @@ class TestExpectedCount:
     def test_invalid_params(self):
         with pytest.raises(DomainError):
             GRParams(sigma=0.0, b=float("nan"), mag_complete=0.0)
+        # only a_tec may be None; a field that is not a real number is named
+        with pytest.raises(DomainError, match="^sigma must be a real number, got None$"):
+            GRParams(sigma=None, b=1.0, mag_complete=3.0)
+        with pytest.raises(DomainError, match="^sigma must be a real number, got '1'$"):
+            GRParams(sigma="1", b=1.0, mag_complete=3.0)
+        assert GRParams(sigma=1, b=np.float64(1.0), mag_complete=3.0).a_tec is None
 
     @pytest.mark.parametrize(
         "name, call",

@@ -143,6 +143,14 @@ class TestGenerateDataset:
             SimulationConfig(causal_effect=math.inf)
         with pytest.raises(DomainError, match="^a_drift must be finite, got -inf$"):
             DgpParams(a_drift=-math.inf)
+        # a field of the wrong type is named too; ints and numpy floats are real numbers
+        with pytest.raises(DomainError, match="^causal_effect must be a real number, got '0.1'$"):
+            SimulationConfig(causal_effect="0.1")
+        with pytest.raises(DomainError, match="^a_sd must be a real number, got '1'$"):
+            DgpParams(a_sd="1")
+        with pytest.raises(DomainError, match=r"^dgp must be a DgpParams, got \{'u_levels': 3\}$"):
+            SimulationConfig(dgp={"u_levels": 3})
+        assert SimulationConfig(causal_effect=1, dgp=DgpParams(a_sd=np.float64(2.0))).dgp.a_sd == 2.0
         # integer fields and seeds that are not integers, or seeds out of range, are named too
         bad_integers = [
             (lambda: SimulationConfig(n_units=50.5), "n_units must be an integer, got 50.5"),
