@@ -254,6 +254,8 @@ def assign_quakes(
     cent = np.asarray(centroids, dtype=float)
     if cent.ndim != 2 or cent.shape[1] != 2:
         raise DomainError(f"centroids must be (k, 2) lon/lat pairs, got shape {cent.shape}")
+    if not _coords_in_range(cent[:, 0], cent[:, 1]):
+        raise DomainError("centroids have out-of-range coordinates")
 
     keep = catalog.magnitude >= magnitude_cut
     lons, lats = catalog.longitude[keep, None], catalog.latitude[keep, None]

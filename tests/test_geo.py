@@ -271,6 +271,10 @@ class TestAssignQuakes:
             assign_quakes([(-97.0, 33.0)], corpus.quakes, radius_km=0.0)
         with pytest.raises(DomainError, match="magnitude_cut"):
             assign_quakes([(-97.0, 33.0)], corpus.quakes, magnitude_cut=float("nan"))
+        # a centroid that is not a finite in-range lon/lat pair would leave every event unassigned, or warn
+        for bad in [(math.nan, 33.0), (500.0, 33.0), (-97.0, math.inf)]:
+            with pytest.raises(DomainError, match="^centroids have out-of-range coordinates$"):
+                assign_quakes([(-97.0, 33.0), bad], corpus.quakes)
 
 
 class TestAssignMatchesReferenceLoop:
