@@ -245,7 +245,7 @@ def assign_quakes(
     Events below the magnitude cut are dropped. Distances are worked in
     blocks of ASSIGN_CHUNK_EVENTS events against every centroid; an event at
     exactly `radius_km` is assigned, and of equidistant centroids the lowest
-    index wins.
+    index wins. Centroids must be finite, in-range lon/lat pairs.
     """
     if not (radius_km > 0):
         raise DomainError(f"radius_km must be positive, got {radius_km!r}")

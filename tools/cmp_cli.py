@@ -1,0 +1,99 @@
+"""Check that two checkouts of longicausal give byte-identical CLI output.
+
+    python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
+
+Runs a fixed set of 36 CLI invocations once per checkout:
+
+- `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
+  `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
+- `analyze` on the inputs of `PARENT_ROOT/bench/gen_inputs.py` seeds 0-3,
+  with default flags, with `--bbox 32.6,33.3,-98.1,-97.1 --truncate-weights
+  --robust HC1`, and with `--linkage average --clusters 25`.
+
+Each invocation runs `python -m longicausal.cli` with PYTHONPATH=<root>/src
+and PYTHONDONTWRITEBYTECODE=1 in an empty working directory, which is the
+default --out-dir. Both checkouts read the same input paths. Every output
+file, stdout, stderr and the exit code are compared; manifest.json is
+compared without `started_utc` and `duration_seconds`. All files go to a
+temporary directory outside both checkouts; nothing is written under bench/.
+
+Prints each differing path and a count line. Exits 0 when every run is
+identical, else 1.
+"""
+
+from __future__ import annotations
+
+import itertools
+import json
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+SEEDS = range(4)
+SIMULATE_SIZES = (("--n", "50", "--m", "300"), ("--n", "600", "--m", "40"), ("--n", "20", "--k", "2", "--m", "200"))
+ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
+                 ("--linkage", "average", "--clusters", "25"))
+VOLATILE_MANIFEST_KEYS = ("started_utc", "duration_seconds")
+
+
+def _env(root: Path, threads: str | None) -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONPATH", "LONGICAUSAL_THREADS")}
+    env.update(PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
+    if threads is not None:
+        env["LONGICAUSAL_THREADS"] = threads
+    return env
+
+
+def _runs(inputs: Path):
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 36 runs."""
+    for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
+        args = ("simulate", "--seed", str(seed), *size)
+        yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
+    for seed, flags in itertools.product(SEEDS, ANALYZE_FLAGS):
+        data = inputs / f"seed{seed}"
+        args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"), *flags)
+        yield f"analyze seed {seed} {' '.join(flags) or '(default flags)'}", args, None
+
+
+def _run(root: Path, args, threads, cwd: Path) -> dict[str, bytes]:
+    """Every output of one invocation, by name: its files, stdout, stderr and exit code."""
+    cwd.mkdir(parents=True)
+    proc = subprocess.run([sys.executable, "-m", "longicausal.cli", *args], cwd=cwd, env=_env(root, threads),
+                          capture_output=True)
+    outputs = {path.relative_to(cwd).as_posix(): path.read_bytes() for path in sorted(cwd.rglob("*")) if path.is_file()}
+    if "manifest.json" in outputs:
+        manifest = json.loads(outputs["manifest.json"])
+        for key in VOLATILE_MANIFEST_KEYS:
+            manifest.pop(key, None)
+        outputs["manifest.json"] = json.dumps(manifest, sort_keys=True).encode()
+    outputs.update({"<stdout>": proc.stdout, "<stderr>": proc.stderr, "<exit code>": str(proc.returncode).encode()})
+    return outputs
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print("usage: python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT", file=sys.stderr)
+        return 2
+    parent, change = (Path(root).resolve() for root in argv)
+    with tempfile.TemporaryDirectory(prefix="cmp_cli_") as tmp:
+        tmp = Path(tmp)
+        for seed in SEEDS:
+            subprocess.run([sys.executable, str(parent / "bench" / "gen_inputs.py"), "--seed", str(seed),
+                            "--out-dir", str(tmp / "inputs" / f"seed{seed}")],
+                           env=_env(parent, None), check=True, stdout=subprocess.DEVNULL)
+        n_runs = n_differ = 0
+        for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
+            before = _run(parent, args, threads, tmp / "parent" / str(n_runs))
+            after = _run(change, args, threads, tmp / "change" / str(n_runs))
+            differing = [name for name in sorted(before.keys() | after.keys()) if before.get(name) != after.get(name)]
+            for name in differing:
+                print(f"differs: {label}: {name}")
+            n_differ += bool(differing)
+        print(f"{n_runs - n_differ} of {n_runs} runs identical, {n_differ} differ")
+    return 1 if n_differ else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
