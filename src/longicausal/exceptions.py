@@ -30,7 +30,7 @@ class WeightError(LongicausalError):
 
 
 class SchemaError(LongicausalError):
-    """A CSV input violated its schema. Carries row/column context."""
+    """A CSV input violated its schema. Carries its message and row/column context."""
 
     def __init__(self, message: str, *, row: int | None = None, column: str | None = None):
         where = []
@@ -40,6 +40,7 @@ class SchemaError(LongicausalError):
             where.append(f"column '{column}'")
         full = message if not where else f"{message} ({', '.join(where)})"
         super().__init__(full)
+        self.message = message
         self.row = row
         self.column = column
 

@@ -25,8 +25,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError, SchemaError
-from .panel import PanelDataset, _csv_columns, _csv_records, _parse_float
+from .exceptions import DomainError
+from .panel import PanelDataset, _check_records, _csv_columns, _float_error, _floats
 
 logger = logging.getLogger(__name__)
 
@@ -319,21 +319,6 @@ def build_panel(
     return PanelDataset(volumes, counts > 0, counts.sum(axis=1), unit_ids=unit_ids)
 
 
-def _parse_lon_lat(rec: list[str], row: int) -> tuple[float, float]:
-    lon = _parse_float(rec[1], row, "longitude")
-    lat = _parse_float(rec[2], row, "latitude")
-    if not (-180.0 <= lon <= 180.0):
-        raise SchemaError(f"longitude out of range: {lon}", row=row, column="longitude")
-    if not (-90.0 <= lat <= 90.0):
-        raise SchemaError(f"latitude out of range: {lat}", row=row, column="latitude")
-    return lon, lat
-
-
-def _floats(column: list[str]) -> np.ndarray:
-    """`float` of every text, as `_parse_float` converts one; ValueError if any is not a number."""
-    return np.fromiter(map(float, column), dtype=float, count=len(column))
-
-
 def _well_table(ids, lons, lats, well, month, volume, bbox: BoundingBox | None) -> WellTable:
     if bbox is not None:
         keep = _inside(bbox, lons, lats)
@@ -343,82 +328,64 @@ def _well_table(ids, lons, lats, well, month, volume, bbox: BoundingBox | None) 
     return WellTable(ids, lons, lats, well, month, volume)
 
 
+def _coordinate_checks(lon_texts, lat_texts, lon, lat) -> list:
+    """The `_check_records` checks of the longitude and latitude columns, in order."""
+    return [
+        (~np.isfinite(lon), "longitude", lambda k: _float_error(lon_texts[k])),
+        (~np.isfinite(lat), "latitude", lambda k: _float_error(lat_texts[k])),
+        (np.abs(lon) > 180.0, "longitude", lambda k: f"longitude out of range: {lon[k]}"),
+        (np.abs(lat) > 90.0, "latitude", lambda k: f"latitude out of range: {lat[k]}"),
+    ]
+
+
 def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> WellTable:
     """Read long-format well reports into a WellTable, optionally bbox-filtered.
 
-    Columns are parsed and checked whole, rows outside the box too. A file
-    that fails any check is read again row by row, so a SchemaError names the
-    file row and column whatever the box.
+    Every report is checked, rows outside the box too, and the first bad one
+    in file order raises a SchemaError naming its file row and the column of
+    its first failed check. In order: longitude and latitude are finite
+    numbers, then within ±180 and ±90; `year_month` is a month
+    (`parse_month`); `volume_bbl` is a finite number >= 0; the well keeps the
+    coordinates of its first report; and it has not reported the month
+    before.
     """
-    columns = _csv_columns(path, WELLS_CSV_HEADER)
-    table = None if columns is None else _wells_from_columns(*columns, bbox)
-    return _load_wells_rows(path, bbox) if table is None else table
-
-
-def _wells_from_columns(wids, lon, lat, year_month, volume, bbox: BoundingBox | None) -> WellTable | None:
-    """The WellTable `_load_wells_rows` reads from these columns, or None if it would raise."""
-    try:
-        lon, lat, volume = _floats(lon), _floats(lat), _floats(volume)
-        months = {text: month_index(*parse_month(text)) for text in set(year_month)}
-    except ValueError:  # DomainError is one too
-        return None
-    if not (_coords_in_range(lon, lat) and np.all((volume >= 0.0) & (volume < math.inf))):
-        return None
+    (wids, lon_texts, lat_texts, year_month, volume_texts), fault = _csv_columns(path, WELLS_CSV_HEADER)
+    lon, lat, volume = _floats(lon_texts), _floats(lat_texts), _floats(volume_texts)
+    months: dict[str, int] = {}
+    month_errors: dict[str, str] = {}
+    for text in set(year_month):
+        try:
+            months[text] = month_index(*parse_month(text))
+        except DomainError as exc:
+            months[text], month_errors[text] = -1, str(exc)
     index = {wid: w for w, wid in enumerate(dict.fromkeys(wids))}  # order of first appearance
     well = np.fromiter(map(index.__getitem__, wids), dtype=np.intp, count=len(wids))
     month = np.fromiter(map(months.__getitem__, year_month), dtype=np.intp, count=len(wids))
     first = np.unique(well, return_index=True)[1]
     lons, lats = lon[first], lat[first]
-    if not (np.all(lon == lons[well]) and np.all(lat == lats[well])):
-        return None
-    # a 4-digit year keeps every month index below 12 * 10_000
-    if len(np.unique(well * (12 * 10_000) + month)) != len(well):
-        return None
+    # month + 1 is in [0, 12 * 10_000]: a 4-digit year, or -1 for a bad month
+    repeated = np.ones(len(well), dtype=bool)
+    repeated[np.unique(well * (12 * 10_000 + 1) + month + 1, return_index=True)[1]] = False
+    _check_records(path, WELLS_CSV_HEADER, [
+        *_coordinate_checks(lon_texts, lat_texts, lon, lat),
+        (month < 0, "year_month", lambda k: month_errors[year_month[k]]),
+        (~np.isfinite(volume), "volume_bbl", lambda k: _float_error(volume_texts[k])),
+        (volume < 0.0, "volume_bbl", lambda k: f"volume_bbl must be >= 0, got {volume[k]}"),
+        ((lon != lons[well]) | (lat != lats[well]), "longitude",
+         lambda k: f"well {wids[k]!r} reported with inconsistent coordinates"),
+        (repeated, "year_month",
+         lambda k: f"duplicate month {month_key(month[k] // 12, month[k] % 12 + 1)} for well {wids[k]!r}"),
+    ], fault)
     return _well_table(np.array(list(index), dtype=str), lons, lats, well, month, volume, bbox)
 
 
-def _load_wells_rows(path: str | Path, bbox: BoundingBox | None) -> WellTable:
-    """`load_wells_csv` one row at a time: raises the SchemaError of the first bad row."""
-    index: dict[str, int] = {}
-    coords: list[tuple[float, float]] = []
-    volumes: dict[tuple[int, int], float] = {}  # (well, month) -> bbl
-    for i, rec in _csv_records(path, WELLS_CSV_HEADER):
-        wid = rec[0]
-        lon, lat = _parse_lon_lat(rec, i)
-        try:
-            year, mon = parse_month(rec[3])
-        except DomainError as exc:
-            raise SchemaError(str(exc), row=i, column="year_month") from None
-        vol = _parse_float(rec[4], i, "volume_bbl")
-        if vol < 0:
-            raise SchemaError(f"volume_bbl must be >= 0, got {vol}", row=i, column="volume_bbl")
-        w = index.setdefault(wid, len(index))
-        if w == len(coords):
-            coords.append((lon, lat))
-        elif coords[w] != (lon, lat):
-            raise SchemaError(f"well {wid!r} reported with inconsistent coordinates", row=i, column="longitude")
-        key = (w, month_index(year, mon))
-        if key in volumes:
-            raise SchemaError(f"duplicate month {month_key(year, mon)} for well {wid!r}", row=i, column="year_month")
-        volumes[key] = vol
-
-    ids = np.array(list(index), dtype=str)
-    lons, lats = np.array(coords, dtype=float).reshape(-1, 2).T
-    well, month = np.array(list(volumes), dtype=np.intp).reshape(-1, 2).T
-    volume = np.array(list(volumes.values()), dtype=float)
-    return _well_table(ids, lons, lats, well, month, volume, bbox)
-
-
-def _parse_timestamp(raw: str, row: int) -> datetime:
-    text = raw.strip()
-    if text.endswith("Z"):
-        text = text[:-1] + "+00:00"
+def _timestamp_month(text: str) -> int:
+    """`month_index` of an ISO-8601 timestamp as written, reading a trailing Z as +00:00; -1 if it is none."""
     try:
-        return datetime.fromisoformat(text)
+        when = datetime.fromisoformat(text[:-1] + "+00:00" if text.endswith("Z") else text)
     except ValueError:
-        raise SchemaError(
-            f"expected an ISO-8601 timestamp, got {raw!r}", row=row, column="origin_time_iso8601"
-        ) from None
+        return -1
+    return month_index(when.year, when.month)
 
 
 def _catalog(ids, lons, lats, months, mags, bbox: BoundingBox | None) -> Catalog:
@@ -429,47 +396,30 @@ def _catalog(ids, lons, lats, months, mags, bbox: BoundingBox | None) -> Catalog
 def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> Catalog:
     """Read the event catalog into a Catalog, optionally bbox-filtered.
 
-    Columns are parsed and checked whole, rows outside the box too; a file
-    that fails any check is read again row by row for its SchemaError. An
-    event's month is the calendar month of its timestamp as written.
+    Every event is checked, rows outside the box too, and the first bad one
+    in file order raises a SchemaError naming its file row and the column of
+    its first failed check. In order: the event id is new; longitude and
+    latitude are finite numbers, then within ±180 and ±90; the timestamp,
+    stripped, is ISO 8601, a trailing Z read as +00:00; and the magnitude is
+    a finite number. An event's month is the calendar month of its
+    timestamp as written.
     """
-    columns = _csv_columns(path, CATALOG_CSV_HEADER)
-    catalog = None if columns is None else _catalog_from_columns(*columns, bbox)
-    return _load_catalog_rows(path, bbox) if catalog is None else catalog
-
-
-def _catalog_from_columns(eids, lon, lat, when, magnitude, bbox: BoundingBox | None) -> Catalog | None:
-    """The Catalog `_load_catalog_rows` reads from these columns, or None if it would raise.
-
-    Timestamps go to `fromisoformat` as written: it accepts no surrounding
-    whitespace and reads a `Z` suffix as `+00:00`, so any text it accepts
-    here `_parse_timestamp` accepts with the same month.
-    """
-    if len(set(eids)) != len(eids):
-        return None
-    try:
-        lon, lat, mags = _floats(lon), _floats(lat), _floats(magnitude)
-        times = list(map(datetime.fromisoformat, when))
-    except ValueError:
-        return None
-    if not (_coords_in_range(lon, lat) and np.all(np.isfinite(mags))):
-        return None
-    year = np.fromiter(map(attrgetter("year"), times), dtype=np.intp, count=len(times))
-    month = np.fromiter(map(attrgetter("month"), times), dtype=np.intp, count=len(times))
-    return _catalog(np.array(eids, dtype=str), lon, lat, 12 * year + month - 1, mags, bbox)
-
-
-def _load_catalog_rows(path: str | Path, bbox: BoundingBox | None) -> Catalog:
-    """`load_catalog_csv` one row at a time: raises the SchemaError of the first bad row."""
-    events: dict[str, tuple[float, float, int, float]] = {}  # id -> lon, lat, month, magnitude
-    for i, rec in _csv_records(path, CATALOG_CSV_HEADER):
-        eid = rec[0]
-        if eid in events:
-            raise SchemaError(f"duplicate event id {eid!r}", row=i, column="event_id")
-        lon, lat = _parse_lon_lat(rec, i)
-        when = _parse_timestamp(rec[3], i)
-        events[eid] = (lon, lat, month_index(when.year, when.month), _parse_float(rec[4], i, "magnitude"))
-
-    lons, lats, months, mags = np.array(list(events.values()), dtype=float).reshape(-1, 4).T
-    ids = np.array(list(events), dtype=str)
-    return _catalog(ids, lons, lats, months.astype(np.intp), mags, bbox)
+    (eids, lon_texts, lat_texts, when, magnitude_texts), fault = _csv_columns(path, CATALOG_CSV_HEADER)
+    lon, lat, mags = _floats(lon_texts), _floats(lat_texts), _floats(magnitude_texts)
+    ids = np.array(eids, dtype=str)
+    repeated = np.ones(len(ids), dtype=bool)
+    repeated[np.unique(ids, return_index=True)[1]] = False
+    stamps = list(map(str.strip, when))
+    try:  # fromisoformat reads a trailing Z as +00:00 wherever it reads one at all
+        times = list(map(datetime.fromisoformat, stamps))
+        year = np.fromiter(map(attrgetter("year"), times), dtype=np.intp, count=len(times))
+        month = 12 * year + np.fromiter(map(attrgetter("month"), times), dtype=np.intp, count=len(times)) - 1
+    except ValueError:  # a bad timestamp, or one such as 2014-10-10Z that only the Z rule reads
+        month = np.fromiter(map(_timestamp_month, stamps), dtype=np.intp, count=len(stamps))
+    _check_records(path, CATALOG_CSV_HEADER, [
+        (repeated, "event_id", lambda k: f"duplicate event id {eids[k]!r}"),
+        *_coordinate_checks(lon_texts, lat_texts, lon, lat),
+        (month < 0, "origin_time_iso8601", lambda k: f"expected an ISO-8601 timestamp, got {when[k]!r}"),
+        (~np.isfinite(mags), "magnitude", lambda k: _float_error(magnitude_texts[k])),
+    ], fault)
+    return _catalog(ids, lon, lat, month, mags, bbox)

@@ -10,9 +10,10 @@ simulator, the geospatial assembly and the CSV reader use it.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from functools import partial
-from itertools import filterfalse, islice, repeat
+from itertools import filterfalse, islice
 from pathlib import Path
 
 import numpy as np
@@ -21,6 +22,8 @@ from .exceptions import PanelError, SchemaError
 
 PANEL_CSV_HEADER = ["unit_id", "period", "volume_bbl", "quake_indicator"]
 OUTCOME_CSV_HEADER = ["unit_id", "cumulative_quakes"]
+
+CSV_BLOCK_RECORDS = 256  # records per csv.reader pull: under gen-0 GC's 700 allocations, they die before GC rescans them
 
 
 def _reject(bad: np.ndarray, message: str, values: np.ndarray) -> None:
@@ -132,34 +135,48 @@ def write_panel_csv(dataset: PanelDataset, panel_path: str | Path, outcome_path:
     write_csv(outcome_path, OUTCOME_CSV_HEADER, zip(ids, dataset.Y.astype(int).tolist()))
 
 
-def _parse_float(raw: str, row: int, column: str) -> float:
+def _float_error(raw: str) -> str:
+    """The SchemaError text for a field that `float` does not read as a finite number."""
     try:
-        v = float(raw)
+        float(raw)
     except ValueError:
-        raise SchemaError(f"expected a number, got {raw!r}", row=row, column=column) from None
-    if not math.isfinite(v):
-        raise SchemaError(f"expected a finite number, got {raw!r}", row=row, column=column)
-    return v
+        return f"expected a number, got {raw!r}"
+    return f"expected a finite number, got {raw!r}"
 
 
-def _parse_int(raw: str, row: int, column: str) -> int:
+def _float_or_nan(raw: str) -> float:
+    try:
+        return float(raw)
+    except ValueError:
+        return math.nan
+
+
+def _floats(texts: list[str]) -> np.ndarray:
+    """`float` of every text, NaN where it reads none: a field is good where the result is finite."""
+    try:
+        return np.fromiter(map(float, texts), dtype=float, count=len(texts))
+    except ValueError:
+        return np.fromiter(map(_float_or_nan, texts), dtype=float, count=len(texts))
+
+
+def _parse_int(raw: str, column: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SchemaError(f"expected an integer, got {raw!r}", row=row, column=column) from None
+        raise SchemaError(f"expected an integer, got {raw!r}", column=column) from None
 
 
-def _csv_records(path: str | Path, header: list[str]):
-    """Yield (first file line, fields) for each non-blank data record of a CSV with `header`.
+def _csv_columns(path: str | Path, header: list[str]) -> tuple[list[list[str]], SchemaError | None]:
+    """The fields of a CSV with `header`, one list per column, and the fault that ends them, or None.
 
-    A wrong or missing header, a row without one field per column, or a
-    record csv.reader rejects (a field over `csv.field_size_limit()`) is a
-    SchemaError naming the file row; bytes that are not UTF-8 are one naming
-    the file.
+    Blank records are skipped, and a wrong or missing header raises its
+    SchemaError. The columns stop before the first record, or the bytes,
+    that `_numbered_records` rejects, and its SchemaError is the fault.
     """
     n_fields = len(header)
-    row = 1
-    with open(path, newline="", encoding="utf-8") as fh:
+    columns: list[list[str]] = [[] for _ in header]
+    data = Path(path).read_bytes()
+    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
         try:
             actual = next(r, None)
@@ -169,9 +186,46 @@ def _csv_records(path: str | Path, header: list[str]):
                     f"{','.join(actual) if actual else '<empty file>'}",
                     row=1,
                 )
+            if b"\0" in data:
+                raise csv.Error("line contains NUL")  # as csv.reader itself does before Python 3.11
+            while block := list(islice(r, CSV_BLOCK_RECORDS)):
+                try:
+                    fields = list(zip(*filter(None, block), strict=True))
+                except ValueError:  # records of unequal length
+                    break
+                if len(fields) not in (0, n_fields):  # 0 when every record of the block is blank
+                    break
+                for column, values in zip(columns, fields):
+                    column.extend(values)
+            else:
+                return columns, None
+        except (csv.Error, UnicodeDecodeError):
+            pass
+    try:  # read on from the last whole block, one record at a time, up to the fault
+        for _, rec in islice(_numbered_records(path, n_fields), len(columns[0]), None):
+            for column, field in zip(columns, rec):
+                column.append(field)
+    except SchemaError as fault:
+        return columns, fault
+    raise SchemaError(f"{path}: changed while it was read")
+
+
+def _numbered_records(path: str | Path, n_fields: int):
+    """(first file row, fields) of each non-blank data record, read again one at a time: the error path.
+
+    A record with a NUL or without `n_fields` fields, one that csv.reader
+    rejects, and bytes that are not UTF-8 each raise their SchemaError.
+    """
+    row = 1
+    with open(path, newline="", encoding="utf-8") as fh:
+        r = csv.reader(fh)
+        try:
+            next(r, None)  # the header, checked by `_csv_columns`
             row = r.line_num + 1  # a quoted field can span lines, so count lines, not records
             for rec in r:
                 if rec:
+                    if "\0" in "".join(rec):  # what csv.reader itself raises before Python 3.11
+                        raise SchemaError(f"{path}: line contains NUL", row=row)
                     if len(rec) != n_fields:
                         raise SchemaError(f"expected {n_fields} fields, got {len(rec)}", row=row)
                     yield row, rec
@@ -182,68 +236,68 @@ def _csv_records(path: str | Path, header: list[str]):
             raise SchemaError(f"{path}: {exc}", row=row) from None
 
 
-def _csv_columns(path: str | Path, header: list[str]) -> list[list[str]] | None:
-    """The columns of a plain CSV with `header`, or None if `_csv_records` must read it.
+def _record_row(path: str | Path, header: list[str], k: int) -> int | None:
+    """The first file row of the k-th (from 0) non-blank data record of `path`."""
+    return next(islice(_numbered_records(path, len(header)), k, None), (None,))[0]
 
-    A plain file is UTF-8 text with no quote, NUL or carriage return (but in
-    CRLF line ends) whose first line is exactly the header, with at least one
-    data line, one field per column on every non-blank line and no line
-    longer than `csv.field_size_limit()`. csv.reader splits such a file into
-    its non-blank lines cut at every comma, so one `str.split` of the whole
-    text gives the same fields.
+
+def _check_records(path: str | Path, header: list[str], checks, fault: SchemaError | None) -> None:
+    """Raise the SchemaError of the first record a check flags, else the `fault` after the records.
+
+    `checks` are (bad, column, message) in the order a record is checked:
+    `bad` flags records, and `message(k)` is the error text of record k.
     """
-    try:
-        text = Path(path).read_bytes().decode("utf-8").replace("\r\n", "\n")
-    except UnicodeDecodeError:
-        return None
-    if '"' in text or "\r" in text or "\0" in text:
-        return None
-    first, _, body = text.partition("\n")
-    lines = list(filter(None, body.split("\n")))
-    n_fields = len(header)
-    if (
-        first != ",".join(header)
-        or not lines
-        or max(map(len, lines)) > csv.field_size_limit()
-        or set(map(str.count, lines, repeat(","))) != {n_fields - 1}
-    ):
-        return None
-    fields = ",".join(lines).split(",")
-    return [fields[j::n_fields] for j in range(n_fields)]
+    bad = np.array([flags for flags, _, _ in checks])
+    hit = bad.any(axis=0)
+    if hit.any():
+        k = int(hit.argmax())
+        _, column, message = checks[int(bad[:, k].argmax())]
+        raise SchemaError(message(k), row=_record_row(path, header, k), column=column)
+    if fault is not None:
+        raise fault
 
 
 def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDataset:
     """Read a dataset from the panel/outcome CSV pair, validating the schema."""
-    per_unit: dict[str, dict[int, tuple[float, int]]] = {}
-    order: list[str] = []
-    for i, (uid, period, vol, quake) in _csv_records(panel_path, PANEL_CSV_HEADER):
-        period = _parse_int(period, i, "period")
-        vol = _parse_float(vol, i, "volume_bbl")
-        quake = _parse_int(quake, i, "quake_indicator")
-        if period < 1:
-            raise SchemaError(f"period must be >= 1, got {period}", row=i, column="period")
-        if quake not in (0, 1):
-            raise SchemaError(f"quake_indicator must be 0 or 1, got {quake}", row=i, column="quake_indicator")
-        if uid not in per_unit:
-            per_unit[uid] = {}
-            order.append(uid)
-        if period in per_unit[uid]:
-            raise SchemaError(f"duplicate period {period} for unit {uid!r}", row=i, column="period")
-        per_unit[uid][period] = (vol, quake)
-
+    per_unit: dict[str, dict[int, tuple[float, int]]] = {}  # in order of first appearance
+    (uids, periods, volume_texts, quakes), fault = _csv_columns(panel_path, PANEL_CSV_HEADER)
+    try:
+        for k, (uid, period, vol, quake) in enumerate(zip(uids, periods, _floats(volume_texts), quakes)):
+            period = _parse_int(period, "period")
+            if not math.isfinite(vol):
+                raise SchemaError(_float_error(volume_texts[k]), column="volume_bbl")
+            quake = _parse_int(quake, "quake_indicator")
+            if period < 1:
+                raise SchemaError(f"period must be >= 1, got {period}", column="period")
+            if quake not in (0, 1):
+                raise SchemaError(f"quake_indicator must be 0 or 1, got {quake}", column="quake_indicator")
+            unit = per_unit.setdefault(uid, {})
+            if period in unit:
+                raise SchemaError(f"duplicate period {period} for unit {uid!r}", column="period")
+            unit[period] = (vol, quake)
+    except SchemaError as exc:
+        raise SchemaError(exc.message, row=_record_row(panel_path, PANEL_CSV_HEADER, k), column=exc.column) from None
+    if fault is not None:
+        raise fault
     if not per_unit:
         raise SchemaError(f"{panel_path}: no data rows", row=2)
 
     outcomes: dict[str, int] = {}
-    for i, (uid, y) in _csv_records(outcome_path, OUTCOME_CSV_HEADER):
-        if uid in outcomes:
-            raise SchemaError(f"duplicate outcome for unit {uid!r}", row=i, column="unit_id")
-        y = _parse_int(y, i, "cumulative_quakes")
-        if y < 0:
-            raise SchemaError(f"cumulative_quakes must be >= 0, got {y}", row=i, column="cumulative_quakes")
-        outcomes[uid] = y
+    columns, fault = _csv_columns(outcome_path, OUTCOME_CSV_HEADER)
+    try:
+        for k, (uid, y) in enumerate(zip(*columns)):
+            if uid in outcomes:
+                raise SchemaError(f"duplicate outcome for unit {uid!r}", column="unit_id")
+            y = _parse_int(y, "cumulative_quakes")
+            if y < 0:
+                raise SchemaError(f"cumulative_quakes must be >= 0, got {y}", column="cumulative_quakes")
+            outcomes[uid] = y
+    except SchemaError as exc:
+        raise SchemaError(exc.message, row=_record_row(outcome_path, OUTCOME_CSV_HEADER, k), column=exc.column) from None
+    if fault is not None:
+        raise fault
 
-    missing = [u for u in order if u not in outcomes]
+    missing = [u for u in per_unit if u not in outcomes]
     if missing:
         raise SchemaError(f"{outcome_path}: missing outcome for units {missing}", column="unit_id")
     extra = [u for u in outcomes if u not in per_unit]
@@ -251,8 +305,7 @@ def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDat
         raise SchemaError(f"{outcome_path}: outcomes for unknown units {extra}", column="unit_id")
 
     rows = []
-    for uid in order:
-        periods = per_unit[uid]
+    for uid, periods in per_unit.items():
         k = max(periods)
         n_absent = k - len(periods)  # the periods are distinct and >= 1
         if n_absent:
@@ -261,13 +314,13 @@ def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDat
             raise SchemaError(f"unit {uid!r} is missing periods {absent}{more}", column="period")
         rows.append([periods[t] for t in range(1, k + 1)])
     horizon = len(rows[0])
-    for uid, row in zip(order, rows):
+    for uid, row in zip(per_unit, rows):
         if len(row) != horizon:
             raise SchemaError(
                 f"all panels must share the same horizon: unit {uid!r} has K={len(row)}, expected K={horizon}"
             )
     cells = np.array(rows, dtype=float)
     try:
-        return PanelDataset(cells[:, :, 0], cells[:, :, 1], [outcomes[u] for u in order], unit_ids=order)
+        return PanelDataset(cells[:, :, 0], cells[:, :, 1], [outcomes[u] for u in per_unit], unit_ids=list(per_unit))
     except PanelError as exc:
         raise SchemaError(str(exc)) from exc

@@ -426,6 +426,27 @@ class TestAnalyzeCommand:
         assert err == f"error: {paths[bad]}: field larger than field limit (131072) (row {row})\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad, rest", [
+        ("wells", ",-97.0,33.0,2014-01,5"),
+        ("catalog", ",-97.0,33.0,2014-05-12T03:27:00,3.0"),
+        ("panel", ",1,5,0"),
+    ])
+    def test_nul_exit_2_writes_nothing(self, tmp_path, corpus_csvs, capsys, bad, rest):
+        # csv.reader accepts NUL from Python 3.11 on, and numpy would drop a trailing one from an id
+        ds = make_dataset([[1e5, 2e5], [3e5, 4e5]], [[0, 1], [1, 0]], [1, 2], unit_ids=["u0", "u1"])
+        write_panel_csv(ds, tmp_path / "p.csv", tmp_path / "y.csv")
+        paths = dict(zip(["wells", "catalog"], corpus_csvs), panel=tmp_path / "p.csv", outcomes=tmp_path / "y.csv")
+        data = paths[bad].read_bytes()
+        paths[bad] = tmp_path / f"nul-{bad}.csv"
+        paths[bad].write_bytes(data + ("x\0" + rest + "\r\n").encode())
+        modes = ["panel", "outcomes"] if bad == "panel" else ["wells", "catalog"]
+        out = tmp_path / "run"
+        code = main(["analyze", *(arg for m in modes for arg in (f"--{m}", str(paths[m]))), "--out-dir", str(out)])
+        assert code == 2
+        row = data.count(b"\n") + 1
+        assert capsys.readouterr().err == f"error: {paths[bad]}: line contains NUL (row {row})\n"
+        assert not out.exists()
+
     def test_huge_period_exit_2_writes_nothing(self, tmp_path, capsys):
         (tmp_path / "p.csv").write_text("unit_id,period,volume_bbl,quake_indicator\na,1000000000000,5,0\n")
         (tmp_path / "y.csv").write_text("unit_id,cumulative_quakes\na,0\n")

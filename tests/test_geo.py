@@ -11,7 +11,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from longicausal import geo
+from longicausal import geo, panel
 from longicausal.exceptions import DomainError, SchemaError
 from longicausal.geo import (
     ASSIGN_CHUNK_EVENTS,
@@ -32,6 +32,8 @@ from longicausal.geo import (
     parse_month,
     project_coords,
 )
+
+import csv_oracle
 
 KM_PER_DEG = EARTH_RADIUS_KM * math.pi / 180.0  # 111.1949266...
 WELLS_HEADER = ",".join(WELLS_CSV_HEADER) + "\n"
@@ -449,6 +451,8 @@ WELL_ERRORS = [
                  "expected a number", id="after-multiline-field"),
     pytest.param("w1,-97.0,33.0,2014-01,5\nw9,-105.0,40.0,2014-01,-1\n", 3, "volume_bbl",
                  "must be >= 0", id="outside-bbox"),
+    pytest.param("w1,-97.0,33.0,2014-01,5\nw1\0,-97.0,33.0,2014-01,5\n", 3, None, "line contains NUL",
+                 id="nul-in-id"),
 ]
 
 CATALOG_ERRORS = [
@@ -469,6 +473,8 @@ CATALOG_ERRORS = [
                  "longitude", "expected a number", id="after-multiline-field"),
     pytest.param("e1,-97.0,33.0,2014-05-12T03:27:00,3.0\ne9,-105.0,40.0,2014-13-01T00:00:00,3.0\n", 3,
                  "origin_time_iso8601", "ISO-8601", id="outside-bbox"),
+    pytest.param("e1\0,-97.0,33.0,2014-05-12T03:27:00,3.0\ne1,-97.0,33.0,2014-05-13T03:27:00,3.0\n", 2,
+                 None, "line contains NUL", id="nul-in-id"),
 ]
 
 
@@ -651,43 +657,68 @@ def csv_text(draw, header, records, key):
 
 WELL_FILES = csv_text(WELLS_CSV_HEADER, WELL_RECORDS, key=lambda r: (r[0], r[3].strip()[:7]))
 CATALOG_FILES = csv_text(CATALOG_CSV_HEADER, CATALOG_RECORDS, key=lambda r: r[0])
+OK_WELLS = "w1,-97.0,33.0,2014-01,5\nw1,-97.0,33.0,2014-02,5\n"
+OK_EVENTS = "e1,-97.0,33.0,2014-05-12T03:27:00,3.0\ne2,-97.0,33.0,2014-05-12T03:27:00,3.0\n"
 EQUIVALENCE = settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 
 
 class TestColumnPathMatchesRowPath:
-    """`load_*_csv` parse whole columns; `_load_*_rows` is the row-by-row reader they fall back to."""
+    """`load_*_csv` check whole columns; `csv_oracle._load_*_rows`, the row-by-row readers they replaced, are the oracle."""
 
     @EQUIVALENCE
     @given(text=WELL_FILES, bbox=st.sampled_from([None, DFW_BBOX]))
     def test_wells(self, tmp_path, text, bbox):
         p = tmp_path / "w.csv"
         p.write_bytes(text.encode("utf-8"))
-        assert_same_outcome(outcome(load_wells_csv, p, bbox), outcome(geo._load_wells_rows, p, bbox))
+        assert_same_outcome(outcome(load_wells_csv, p, bbox), outcome(csv_oracle._load_wells_rows, p, bbox))
 
     @EQUIVALENCE
     @given(text=CATALOG_FILES, bbox=st.sampled_from([None, DFW_BBOX]))
     def test_catalog(self, tmp_path, text, bbox):
         p = tmp_path / "c.csv"
         p.write_bytes(text.encode("utf-8"))
-        assert_same_outcome(outcome(load_catalog_csv, p, bbox), outcome(geo._load_catalog_rows, p, bbox))
+        assert_same_outcome(outcome(load_catalog_csv, p, bbox), outcome(csv_oracle._load_catalog_rows, p, bbox))
+
+    @pytest.mark.parametrize("loader, oracle, text, limit", [
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER + OK_WELLS + "w1,-97.0,33.0,2014-03,x\n"
+                     "w1,-97.0,33.0,2014-04\n", None, id="bad-value-then-field-count"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER + OK_WELLS + "w1,-97.0,33.0,2014-03\n"
+                     "w1,-97.0,33.0,2014-04,x\n", None, id="field-count-then-bad-value"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER + '"w\n1",-97.0,33.0,2014-01,5\n\n'
+                     "w2,-97.0,33.0,2014-01,5\nw3,-97.0,33.0,2014-01,5\nw4,-97.0,33.0,2014-01,5,1\n", None,
+                     id="field-count-after-quoted-and-blank"),
+        pytest.param(load_catalog_csv, csv_oracle._load_catalog_rows, CATALOG_HEADER + OK_EVENTS
+                     + "e3,-97.0,33.0,2014-05-12T03:27:00,big\ne4" + "x" * 40 + ",-97.0,33.0,2014-05-12T03:27:00,3.0\n",
+                     32, id="bad-value-then-oversize-field"),
+        pytest.param(load_catalog_csv, csv_oracle._load_catalog_rows, CATALOG_HEADER + OK_EVENTS + "e3" + "x" * 40
+                     + ",-97.0,33.0,2014-05-12T03:27:00,3.0\ne4,-97.0,33.0,2014-05-12T03:27:00,big\n",
+                     32, id="oversize-field-then-bad-value"),
+    ])
+    def test_faults_in_a_later_block(self, tmp_path, monkeypatch, loader, oracle, text, limit):
+        # blocks of two records put the faults past the first block, where the reader reads on record by record
+        monkeypatch.setattr(panel, "CSV_BLOCK_RECORDS", 2)
+        p = tmp_path / "x.csv"
+        p.write_text(text)
+        old_limit = csv.field_size_limit(limit or csv.field_size_limit())
+        try:
+            assert_same_outcome(outcome(loader, p, None), outcome(oracle, p, None))
+        finally:
+            csv.field_size_limit(old_limit)
+
+    @pytest.mark.parametrize("body, column, match", [
+        (OK_WELLS + "w1,-97.0,33.0,2014-03,x\nw\0,-97.0,33.0,2014-01,5\n", "volume_bbl", "expected a number, got 'x'"),
+        (OK_WELLS + "w\0,-97.0,33.0,2014-01,5\nw1,-97.0,33.0,2014-03,x\n", None, "line contains NUL"),
+    ], ids=["bad-value-then-nul", "nul-then-bad-value"])
+    def test_nul_in_a_later_block(self, tmp_path, monkeypatch, body, column, match):
+        monkeypatch.setattr(panel, "CSV_BLOCK_RECORDS", 2)
+        p = tmp_path / "w.csv"
+        p.write_text(WELLS_HEADER + body)
+        check_schema_error(load_wells_csv, p, None, 4, column, match)
 
     @pytest.mark.parametrize("bbox", [None, DFW_BBOX], ids=["all", "bbox"])
     def test_missing_day_same_error(self, tmp_path, bbox):
         p = tmp_path / "w.csv"
         p.write_text(WELLS_HEADER + "w1,-97.0,33.0,2014-01-99,5\n")
         want = ("day out of range in '2014-01-99' (row 2, column 'year_month')", 2, "year_month")
-        assert outcome(geo._load_wells_rows, p, bbox) == want
+        assert outcome(csv_oracle._load_wells_rows, p, bbox) == want
         assert outcome(load_wells_csv, p, bbox) == want
-
-    @pytest.mark.parametrize("bbox", [None, DFW_BBOX], ids=["all", "bbox"])
-    def test_clean_files_take_the_column_path(self, corpus, monkeypatch, bbox):
-        # if the corpus fell back to the row reader, the column path's speed would be lost unseen
-        want = geo._load_wells_rows(corpus.wells_path, bbox), geo._load_catalog_rows(corpus.catalog_path, bbox)
-
-        def refuse(path, bbox):
-            raise AssertionError(f"{path} was read row by row")
-
-        monkeypatch.setattr(geo, "_load_wells_rows", refuse)
-        monkeypatch.setattr(geo, "_load_catalog_rows", refuse)
-        assert_same_outcome(load_wells_csv(corpus.wells_path, bbox), want[0])
-        assert_same_outcome(load_catalog_csv(corpus.catalog_path, bbox), want[1])

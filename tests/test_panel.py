@@ -41,6 +41,7 @@ PANEL_CSV_ERRORS = [
     pytest.param(PANEL_HEADER + "a,0,5,0\n", None, 2, "period", "period must be >= 1", id="period-below-1"),
     pytest.param(PANEL_HEADER + "a,1,5,2\n", None, 2, "quake_indicator", "must be 0 or 1",
                  id="quake-not-binary"),
+    pytest.param(PANEL_HEADER + "a,1,5,0\n\nb\0,1,6,1\n", None, 4, None, "line contains NUL", id="panel-nul"),
     pytest.param(PANEL_HEADER, None, 2, None, "no data rows", id="no-data-rows"),
     pytest.param(PANEL_HEADER + "\n\n", None, 2, None, "no data rows", id="blank-rows-only"),
     pytest.param(None, OUTCOME_HEADER + "a,1,2\n", 2, None, "expected 2 fields, got 3", id="outcome-field-count"),

@@ -2,13 +2,15 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 36 CLI invocations once per checkout:
+Runs a fixed set of 40 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
 - `analyze` on the inputs of `PARENT_ROOT/bench/gen_inputs.py` seeds 0-3,
   with default flags, with `--bbox 32.6,33.3,-98.1,-97.1 --truncate-weights
-  --robust HC1`, and with `--linkage average --clusters 25`.
+  --robust HC1`, and with `--linkage average --clusters 25`;
+- `analyze`, seeds 0-3, with default flags on the same inputs rewritten with
+  every field quoted and CRLF line ends.
 
 Each invocation runs `python -m longicausal.cli` with PYTHONPATH=<root>/src
 and PYTHONDONTWRITEBYTECODE=1 in an empty working directory, which is the
@@ -23,6 +25,7 @@ identical, else 1.
 
 from __future__ import annotations
 
+import csv
 import itertools
 import json
 import os
@@ -46,8 +49,16 @@ def _env(root: Path, threads: str | None) -> dict:
     return env
 
 
+def _write_quoted(data: Path) -> None:
+    """Copy `data`'s wells.csv and catalog.csv to `data/quoted/`, every field quoted, lines ended by CRLF."""
+    (data / "quoted").mkdir()
+    for name in ("wells.csv", "catalog.csv"):
+        with open(data / name, newline="") as src, open(data / "quoted" / name, "w", newline="") as dst:
+            csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
+
+
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 36 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 40 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -55,6 +66,10 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}"
         args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"), *flags)
         yield f"analyze seed {seed} {' '.join(flags) or '(default flags)'}", args, None
+    for seed in SEEDS:
+        data = inputs / f"seed{seed}" / "quoted"
+        args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"))
+        yield f"analyze seed {seed} (quoted CRLF inputs)", args, None
 
 
 def _run(root: Path, args, threads, cwd: Path) -> dict[str, bytes]:
@@ -83,6 +98,7 @@ def main(argv: list[str]) -> int:
             subprocess.run([sys.executable, str(parent / "bench" / "gen_inputs.py"), "--seed", str(seed),
                             "--out-dir", str(tmp / "inputs" / f"seed{seed}")],
                            env=_env(parent, None), check=True, stdout=subprocess.DEVNULL)
+            _write_quoted(tmp / "inputs" / f"seed{seed}")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
             before = _run(parent, args, threads, tmp / "parent" / str(n_runs))
