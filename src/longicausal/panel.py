@@ -159,19 +159,19 @@ def _floats(texts: list[str]) -> np.ndarray:
         return np.fromiter(map(_float_or_nan, texts), dtype=float, count=len(texts))
 
 
-def _parse_int(raw: str, column: str) -> int:
+def _parse_int(raw: str, row: int, column: str) -> int:
     try:
         return int(raw)
     except ValueError:
-        raise SchemaError(f"expected an integer, got {raw!r}", column=column) from None
+        raise SchemaError(f"expected an integer, got {raw!r}", row=row, column=column) from None
 
 
 def _csv_columns(path: str | Path, header: list[str]) -> tuple[list[list[str]], SchemaError | None]:
     """The fields of a CSV with `header`, one list per column, and the fault that ends them, or None.
 
-    Blank records are skipped, and a wrong or missing header raises its
-    SchemaError. The columns stop before the first record, or the bytes,
-    that `_numbered_records` rejects, and its SchemaError is the fault.
+    Blank records are skipped. Faults are only detected here: the columns
+    stop before the first record, or the bytes, that `_numbered_records`
+    rejects (before any at a wrong header), and its SchemaError is the fault.
     """
     n_fields = len(header)
     columns: list[list[str]] = [[] for _ in header]
@@ -179,15 +179,8 @@ def _csv_columns(path: str | Path, header: list[str]) -> tuple[list[list[str]], 
     with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
         r = csv.reader(fh)
         try:
-            actual = next(r, None)
-            if actual is None or [c.strip() for c in actual] != header:
-                raise SchemaError(
-                    f"{path}: expected header {','.join(header)}, got "
-                    f"{','.join(actual) if actual else '<empty file>'}",
-                    row=1,
-                )
-            if b"\0" in data:
-                raise csv.Error("line contains NUL")  # as csv.reader itself does before Python 3.11
+            if b"\0" in data or [c.strip() for c in next(r, ())] != header:
+                raise csv.Error  # `_numbered_records` reports the fault
             while block := list(islice(r, CSV_BLOCK_RECORDS)):
                 try:
                     fields = list(zip(*filter(None, block), strict=True))
@@ -202,7 +195,7 @@ def _csv_columns(path: str | Path, header: list[str]) -> tuple[list[list[str]], 
         except (csv.Error, UnicodeDecodeError):
             pass
     try:  # read on from the last whole block, one record at a time, up to the fault
-        for _, rec in islice(_numbered_records(path, n_fields), len(columns[0]), None):
+        for _, rec in islice(_numbered_records(path, header), len(columns[0]), None):
             for column, field in zip(columns, rec):
                 column.append(field)
     except SchemaError as fault:
@@ -210,17 +203,26 @@ def _csv_columns(path: str | Path, header: list[str]) -> tuple[list[list[str]], 
     raise SchemaError(f"{path}: changed while it was read")
 
 
-def _numbered_records(path: str | Path, n_fields: int):
-    """(first file row, fields) of each non-blank data record, read again one at a time: the error path.
+def _numbered_records(path: str | Path, header: list[str]):
+    """(first file row, fields) of each non-blank data record of a CSV with `header`, read one at a time.
 
-    A record with a NUL or without `n_fields` fields, one that csv.reader
-    rejects, and bytes that are not UTF-8 each raise their SchemaError.
+    The one reporter of CSV faults, each raised as a SchemaError when the
+    walk reaches it: a wrong or missing header, a record with a NUL or
+    without one field per header column, one that csv.reader rejects, and
+    bytes that are not UTF-8.
     """
+    n_fields = len(header)
     row = 1
     with open(path, newline="", encoding="utf-8") as fh:
         r = csv.reader(fh)
         try:
-            next(r, None)  # the header, checked by `_csv_columns`
+            actual = next(r, None)
+            if actual is None or [c.strip() for c in actual] != header:
+                raise SchemaError(
+                    f"{path}: expected header {','.join(header)}, got "
+                    f"{','.join(actual) if actual else '<empty file>'}",
+                    row=1,
+                )
             row = r.line_num + 1  # a quoted field can span lines, so count lines, not records
             for rec in r:
                 if rec:
@@ -236,11 +238,6 @@ def _numbered_records(path: str | Path, n_fields: int):
             raise SchemaError(f"{path}: {exc}", row=row) from None
 
 
-def _record_row(path: str | Path, header: list[str], k: int) -> int | None:
-    """The first file row of the k-th (from 0) non-blank data record of `path`."""
-    return next(islice(_numbered_records(path, len(header)), k, None), (None,))[0]
-
-
 def _check_records(path: str | Path, header: list[str], checks, fault: SchemaError | None) -> None:
     """Raise the SchemaError of the first record a check flags, else the `fault` after the records.
 
@@ -252,50 +249,47 @@ def _check_records(path: str | Path, header: list[str], checks, fault: SchemaErr
     if hit.any():
         k = int(hit.argmax())
         _, column, message = checks[int(bad[:, k].argmax())]
-        raise SchemaError(message(k), row=_record_row(path, header, k), column=column)
+        row = next(islice(_numbered_records(path, header), k, None), (None,))[0]
+        raise SchemaError(message(k), row=row, column=column)
     if fault is not None:
         raise fault
 
 
 def read_panel_csv(panel_path: str | Path, outcome_path: str | Path) -> PanelDataset:
-    """Read a dataset from the panel/outcome CSV pair, validating the schema."""
+    """Read a dataset from the panel/outcome CSV pair, validating the schema.
+
+    Both files are read record by record through `_numbered_records`, so the
+    first bad record in file order raises a SchemaError naming its row. A
+    count above 2**53 is rejected: float64 `Y` cannot hold it exactly.
+    """
     per_unit: dict[str, dict[int, tuple[float, int]]] = {}  # in order of first appearance
-    (uids, periods, volume_texts, quakes), fault = _csv_columns(panel_path, PANEL_CSV_HEADER)
-    try:
-        for k, (uid, period, vol, quake) in enumerate(zip(uids, periods, _floats(volume_texts), quakes)):
-            period = _parse_int(period, "period")
-            if not math.isfinite(vol):
-                raise SchemaError(_float_error(volume_texts[k]), column="volume_bbl")
-            quake = _parse_int(quake, "quake_indicator")
-            if period < 1:
-                raise SchemaError(f"period must be >= 1, got {period}", column="period")
-            if quake not in (0, 1):
-                raise SchemaError(f"quake_indicator must be 0 or 1, got {quake}", column="quake_indicator")
-            unit = per_unit.setdefault(uid, {})
-            if period in unit:
-                raise SchemaError(f"duplicate period {period} for unit {uid!r}", column="period")
-            unit[period] = (vol, quake)
-    except SchemaError as exc:
-        raise SchemaError(exc.message, row=_record_row(panel_path, PANEL_CSV_HEADER, k), column=exc.column) from None
-    if fault is not None:
-        raise fault
+    for row, (uid, period, volume_text, quake) in _numbered_records(panel_path, PANEL_CSV_HEADER):
+        period = _parse_int(period, row, "period")
+        vol = _float_or_nan(volume_text)
+        if not math.isfinite(vol):
+            raise SchemaError(_float_error(volume_text), row=row, column="volume_bbl")
+        quake = _parse_int(quake, row, "quake_indicator")
+        if period < 1:
+            raise SchemaError(f"period must be >= 1, got {period}", row=row, column="period")
+        if quake not in (0, 1):
+            raise SchemaError(f"quake_indicator must be 0 or 1, got {quake}", row=row, column="quake_indicator")
+        unit = per_unit.setdefault(uid, {})
+        if period in unit:
+            raise SchemaError(f"duplicate period {period} for unit {uid!r}", row=row, column="period")
+        unit[period] = (vol, quake)
     if not per_unit:
         raise SchemaError(f"{panel_path}: no data rows", row=2)
 
     outcomes: dict[str, int] = {}
-    columns, fault = _csv_columns(outcome_path, OUTCOME_CSV_HEADER)
-    try:
-        for k, (uid, y) in enumerate(zip(*columns)):
-            if uid in outcomes:
-                raise SchemaError(f"duplicate outcome for unit {uid!r}", column="unit_id")
-            y = _parse_int(y, "cumulative_quakes")
-            if y < 0:
-                raise SchemaError(f"cumulative_quakes must be >= 0, got {y}", column="cumulative_quakes")
-            outcomes[uid] = y
-    except SchemaError as exc:
-        raise SchemaError(exc.message, row=_record_row(outcome_path, OUTCOME_CSV_HEADER, k), column=exc.column) from None
-    if fault is not None:
-        raise fault
+    for row, (uid, y) in _numbered_records(outcome_path, OUTCOME_CSV_HEADER):
+        if uid in outcomes:
+            raise SchemaError(f"duplicate outcome for unit {uid!r}", row=row, column="unit_id")
+        y = _parse_int(y, row, "cumulative_quakes")
+        if y < 0:
+            raise SchemaError(f"cumulative_quakes must be >= 0, got {y}", row=row, column="cumulative_quakes")
+        if y > 2**53:
+            raise SchemaError(f"cumulative_quakes must be <= {2**53}, got {y}", row=row, column="cumulative_quakes")
+        outcomes[uid] = y
 
     missing = [u for u in per_unit if u not in outcomes]
     if missing:

@@ -42,6 +42,14 @@ PANEL_CSV_ERRORS = [
     pytest.param(PANEL_HEADER + "a,1,5,2\n", None, 2, "quake_indicator", "must be 0 or 1",
                  id="quake-not-binary"),
     pytest.param(PANEL_HEADER + "a,1,5,0\n\nb\0,1,6,1\n", None, 4, None, "line contains NUL", id="panel-nul"),
+    pytest.param(PANEL_HEADER + "a,0,5,0\nb,1\n", None, 2, "period", "period must be >= 1",
+                 id="check-before-field-count"),
+    pytest.param(PANEL_HEADER + "a,1\nb,0,5,0\n", None, 2, None, "expected 4 fields, got 2",
+                 id="field-count-before-check"),
+    pytest.param(PANEL_HEADER + "a,1,x,0\nb\0,1,6,1\n", None, 2, "volume_bbl", "expected a number",
+                 id="volume-before-nul"),
+    pytest.param("unit_id,per\0iod,volume_bbl,quake_indicator\na,1,5,0\n", None, 1, None, "expected header",
+                 id="nul-in-header"),
     pytest.param(PANEL_HEADER, None, 2, None, "no data rows", id="no-data-rows"),
     pytest.param(PANEL_HEADER + "\n\n", None, 2, None, "no data rows", id="blank-rows-only"),
     pytest.param(None, OUTCOME_HEADER + "a,1,2\n", 2, None, "expected 2 fields, got 3", id="outcome-field-count"),
@@ -55,6 +63,12 @@ PANEL_CSV_ERRORS = [
                  id="duplicate-outcome"),
     pytest.param(None, OUTCOME_HEADER + "a,-1\nb,0\n", 2, "cumulative_quakes", "must be >= 0",
                  id="negative-outcome"),
+    pytest.param(None, OUTCOME_HEADER + "a,x\nb\n", 2, "cumulative_quakes", "expected an integer",
+                 id="outcome-before-field-count"),
+    pytest.param(None, OUTCOME_HEADER + "a,9007199254740993\nb,0\n", 2, "cumulative_quakes",
+                 "must be <= 9007199254740992", id="outcome-above-2-53"),
+    pytest.param(None, OUTCOME_HEADER + "a,18446744073709551616\nb,0\n", 2, "cumulative_quakes",
+                 "must be <= 9007199254740992", id="outcome-above-uint64"),
     pytest.param(None, OUTCOME_HEADER + "a,1\n", None, "unit_id", r"missing outcome for units \['b'\]",
                  id="missing-unit"),
     pytest.param(None, GOOD_OUTCOMES + "c,3\n", None, "unit_id", r"outcomes for unknown units \['c'\]",

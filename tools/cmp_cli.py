@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 40 CLI invocations once per checkout:
+Runs a fixed set of 44 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -10,7 +10,10 @@ Runs a fixed set of 40 CLI invocations once per checkout:
   with default flags, with `--bbox 32.6,33.3,-98.1,-97.1 --truncate-weights
   --robust HC1`, and with `--linkage average --clusters 25`;
 - `analyze`, seeds 0-3, with default flags on the same inputs rewritten with
-  every field quoted and CRLF line ends.
+  every field quoted and CRLF line ends;
+- `analyze --panel --outcomes`, seeds 0-3, with default flags on the
+  panel.csv and panel_outcomes.csv that PARENT_ROOT's `analyze` writes once
+  per seed from those inputs at default flags.
 
 Each invocation runs `python -m longicausal.cli` with PYTHONPATH=<root>/src
 and PYTHONDONTWRITEBYTECODE=1 in an empty working directory, which is the
@@ -57,8 +60,15 @@ def _write_quoted(data: Path) -> None:
             csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
 
 
+def _write_panel(parent: Path, data: Path) -> None:
+    """Write `data/panel/panel.csv` and `panel_outcomes.csv` with the parent's `analyze` at default flags."""
+    subprocess.run([sys.executable, "-m", "longicausal.cli", "analyze", "--wells", str(data / "wells.csv"),
+                    "--catalog", str(data / "catalog.csv"), "--out-dir", str(data / "panel")],
+                   env=_env(parent, None), check=True, capture_output=True)
+
+
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 40 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 44 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -70,6 +80,10 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}" / "quoted"
         args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"))
         yield f"analyze seed {seed} (quoted CRLF inputs)", args, None
+    for seed in SEEDS:
+        data = inputs / f"seed{seed}" / "panel"
+        args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
+        yield f"analyze seed {seed} --panel (default flags)", args, None
 
 
 def _run(root: Path, args, threads, cwd: Path) -> dict[str, bytes]:
@@ -99,6 +113,7 @@ def main(argv: list[str]) -> int:
                             "--out-dir", str(tmp / "inputs" / f"seed{seed}")],
                            env=_env(parent, None), check=True, stdout=subprocess.DEVNULL)
             _write_quoted(tmp / "inputs" / f"seed{seed}")
+            _write_panel(parent, tmp / "inputs" / f"seed{seed}")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
             before = _run(parent, args, threads, tmp / "parent" / str(n_runs))
