@@ -11,9 +11,7 @@ from .estimators import (
     CI_MULTIPLIER,
     ESTIMATOR_NAMES,
     EstimatorReport,
-    adjusted_poisson,
-    msm_iptw,
-    naive_poisson,
+    estimate,
     relative_risk,
 )
 from .exceptions import (
@@ -58,12 +56,10 @@ __all__ = [
     "SingularDesignError",
     "WeightError",
     "WeightSet",
-    "adjusted_poisson",
+    "estimate",
     "generate_dataset",
     "gr_expected_count",
     "gr_rate_factor",
-    "msm_iptw",
-    "naive_poisson",
     "read_panel_csv",
     "relative_risk",
     "replicate_seed",

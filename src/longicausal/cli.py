@@ -14,6 +14,7 @@ input digests, and the tool version.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import math
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from . import __version__
 from .baselines import GRParams, gr_expected_count, gr_rate_factor
-from .estimators import REPORT_CSV_HEADER, _check_units, adjusted_poisson, msm_iptw, naive_poisson
+from .estimators import REPORT_CSV_HEADER, _check_units, estimate
 from .exceptions import DomainError, LongicausalError, SchemaError
 from .geo import (
     DEFAULT_MAGNITUDE_CUT,
@@ -49,7 +50,7 @@ from .simulate import DgpParams, SimulationConfig, run_monte_carlo, threads_from
 
 TRUNCATION_PERCENTILE = 1.0  # --truncate-weights clips to [1st, 99th]
 # DgpParams fields exposed as `simulate --u-levels`, `--a-threshold`, ...
-DGP_FLAGS = ("u_levels", "a_threshold", "a0_mean", "a0_sd", "a_drift", "a_l_penalty", "a_sd")
+DGP_FLAGS = tuple(field.name for field in dataclasses.fields(DgpParams))
 # namespace entries that are not run parameters (--out-dir is where, not what)
 _NOT_PARAMETERS = ("command", "func", "out_dir")
 
@@ -189,11 +190,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     truncate = TRUNCATION_PERCENTILE if args.truncate_weights else None
     weights = stabilized_weights(data, truncate_percentile=truncate)
-    reports = [
-        naive_poisson(data),
-        adjusted_poisson(data),
-        msm_iptw(data, weights=weights, hc1=(args.robust == "HC1")),
-    ]
+    reports = estimate(data, weights, hc1=(args.robust == "HC1"))
     failed = [rep.estimator for rep in reports if not rep.converged]
     if failed:
         raise LongicausalError(f"fit did not converge for: {', '.join(failed)}")

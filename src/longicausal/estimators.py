@@ -7,10 +7,15 @@ All three regress the end-of-study count on the cumulative injected volume
   adjusted  Y ~ 1 + cumA + cumL               (unweighted, model-based SE)
   msm       Y ~ 1 + cumA, weights SW_i        (sandwich SE, always)
 
+The adjusted model drops a cumL column that is constant across units, since
+the intercept absorbs it, and so reduces to the naive design.
+
 Reports carry the per-bbl coefficient together with the relative risk per
 1 MMbbl, exp(beta1 * 1e6). `estimate_stack` fits R replicates at once and
-gives each the numbers or the error of the per-dataset estimators, which are
-its one-replicate calls.
+gives each its numbers or its error per estimator. `estimate(data, weights,
+*, hc1=False)` is its one-replicate call: it fits all three on one dataset
+and raises the first error in ESTIMATOR_NAMES order, or returns the three
+reports.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ import numpy as np
 
 from .exceptions import DomainError, LongicausalError
 from .glm import first_errors, fit_glm_stack, sandwich_cov_stack, stack_groups, wald_test
-from .iptw import WeightSet, stabilized_weights
+from .iptw import WeightSet
 from .panel import PanelDataset
 
 CI_MULTIPLIER = 1.959964  # two-sided 95% normal quantile, fixed (no t correction)
@@ -93,58 +98,42 @@ def relative_risk(beta1: float) -> float:
         return math.inf
 
 
-def _report(name: str, data: PanelDataset, **options) -> EstimatorReport:
-    """The one-replicate call of `_poisson_stack` on `data` as a report, or its error raised."""
-    _check_units(data)
-    stack = _poisson_stack(data.A.sum(axis=1)[None], data.Y[None], **options)
-    if stack.errors[0] is not None:
-        raise stack.errors[0]
-    beta1 = float(stack.beta1_hat[0])
-    se = stack.se[0]
-    z, p = wald_test(beta1, se)
-    half = CI_MULTIPLIER * se
-    return EstimatorReport(
-        estimator=name,
-        beta1_hat=beta1,
-        se=float(se),
-        ci95=(beta1 - half, beta1 + half),
-        relative_risk_per_MMbbl=relative_risk(beta1),
-        z=z,
-        p=p,
-        intercept=float(stack.intercept[0]),
-        converged=bool(stack.converged[0]),
-    )
-
-
 def _check_units(data: PanelDataset) -> None:
     if data.n_units < 2:
         raise DomainError("outcome regressions require at least 2 units")
 
 
-def naive_poisson(data: PanelDataset) -> EstimatorReport:
-    """Unadjusted Poisson regression of Y on cumulative volume."""
-    return _report("naive", data)
+def estimate(data: PanelDataset, weights: WeightSet, *, hc1: bool = False) -> list[EstimatorReport]:
+    """The three estimators of `data` as reports, in ESTIMATOR_NAMES order.
 
-
-def adjusted_poisson(data: PanelDataset) -> EstimatorReport:
-    """Poisson regression of Y on cumulative volume plus cumulative confounder.
-
-    A confounder column that is constant across units is absorbed by the
-    intercept and dropped, which reduces the fit to the naive design.
-    """
-    return _report("adjusted", data, cum_l=data.L.sum(axis=1)[None])
-
-
-def msm_iptw(data: PanelDataset, *, weights: WeightSet | None = None, hc1: bool = False) -> EstimatorReport:
-    """Marginal structural model: SW-weighted Poisson of Y on cumulative volume.
-
-    The standard error is always the robust sandwich SE; the weighted-likelihood
-    model SE is never reported.
+    The one-replicate call of `estimate_stack`, with `weights` as the MSM's
+    stabilized weights. Raises the first error in ESTIMATOR_NAMES order.
     """
     _check_units(data)
-    if weights is None:
-        weights = stabilized_weights(data)
-    return _report("msm", data, sw=weights.per_unit_weights[None], hc1=hc1)
+    stacks = estimate_stack(
+        data.A.sum(axis=1)[None], data.L.sum(axis=1)[None], data.Y[None], weights.per_unit_weights[None], hc1=hc1
+    )
+    for stack in stacks.values():
+        if stack.errors[0] is not None:
+            raise stack.errors[0]
+    reports = []
+    for name, stack in stacks.items():
+        beta1 = float(stack.beta1_hat[0])
+        se = stack.se[0]
+        z, p = wald_test(beta1, se)
+        half = CI_MULTIPLIER * se
+        reports.append(EstimatorReport(
+            estimator=name,
+            beta1_hat=beta1,
+            se=float(se),
+            ci95=(beta1 - half, beta1 + half),
+            relative_risk_per_MMbbl=relative_risk(beta1),
+            z=z,
+            p=p,
+            intercept=float(stack.intercept[0]),
+            converged=bool(stack.converged[0]),
+        ))
+    return reports
 
 
 class EstimateStack(NamedTuple):
@@ -195,16 +184,16 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> Estim
     return out
 
 
-def estimate_stack(cum_a, cum_l, y, sw) -> dict[str, EstimateStack]:
+def estimate_stack(cum_a, cum_l, y, sw, *, hc1: bool = False) -> dict[str, EstimateStack]:
     """The three estimators of R replicates at once, in ESTIMATOR_NAMES order.
 
     Takes (R, N) cumulative treatment, cumulative confounder, outcome and
-    stabilized weights. Row r of each EstimateStack is bit-identical to the
-    per-dataset estimator of replicate r's dataset, or holds the error it
-    raises.
+    stabilized weights; `hc1` scales the MSM sandwich by n / (n - p). Row r
+    of each EstimateStack holds, bit for bit, the numbers that `estimate`
+    reports for that estimator on replicate r's dataset, or its error.
     """
     return {
         "naive": _poisson_stack(cum_a, y),
         "adjusted": _poisson_stack(cum_a, y, cum_l),
-        "msm": _poisson_stack(cum_a, y, sw=sw),
+        "msm": _poisson_stack(cum_a, y, sw=sw, hc1=hc1),
     }

@@ -88,18 +88,9 @@ def month_key(year: int, month: int) -> str:
     return f"{year:04d}-{month:02d}"
 
 
-def month_index(year: int, month: int) -> int:
-    """Months since January of year 0; consecutive months differ by 1."""
+def month_index(year, month):
+    """Months since January of year 0 (ints, or integer arrays elementwise); consecutive months differ by 1."""
     return 12 * year + month - 1
-
-
-def month_range(start: str, end: str) -> list[str]:
-    """Calendar months from `start` to `end`, both inclusive."""
-    first = month_index(*parse_month(start))
-    n = month_index(*parse_month(end)) - first + 1
-    if n < 1:
-        raise DomainError(f"study window {start!r}..{end!r} is empty")
-    return [month_key(i // 12, i % 12 + 1) for i in range(first, first + n)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -287,7 +278,10 @@ def build_panel(
     """
     if period_months < 1:
         raise DomainError("period_months must be >= 1")
-    n_months = len(month_range(study_start, study_end))
+    first = month_index(*parse_month(study_start))
+    n_months = month_index(*parse_month(study_end)) - first + 1
+    if n_months < 1:
+        raise DomainError(f"study window {study_start!r}..{study_end!r} is empty")
     if n_months % period_months != 0:
         raise DomainError(
             f"study window of {n_months} months is not divisible by "
@@ -295,7 +289,6 @@ def build_panel(
         )
     if len(assignment.labels) != len(wells):
         raise DomainError(f"{len(assignment.labels)} cluster labels for {len(wells)} wells")
-    first = month_index(*parse_month(study_start))
     shape = (len(assignment.centroids), n_months // period_months)
 
     # Well-major, month-minor: each cell sums its reports in the same order
@@ -413,7 +406,7 @@ def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> Catal
     try:  # fromisoformat reads a trailing Z as +00:00 wherever it reads one at all
         times = list(map(datetime.fromisoformat, stamps))
         year = np.fromiter(map(attrgetter("year"), times), dtype=np.intp, count=len(times))
-        month = 12 * year + np.fromiter(map(attrgetter("month"), times), dtype=np.intp, count=len(times)) - 1
+        month = month_index(year, np.fromiter(map(attrgetter("month"), times), dtype=np.intp, count=len(times)))
     except ValueError:  # a bad timestamp, or one such as 2014-10-10Z that only the Z rule reads
         month = np.fromiter(map(_timestamp_month, stamps), dtype=np.intp, count=len(stamps))
     _check_records(path, CATALOG_CSV_HEADER, [

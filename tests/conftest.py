@@ -11,13 +11,11 @@ import numpy as np
 import pytest
 
 from longicausal import iptw
-from longicausal.geo import Catalog, WellTable, _haversine, load_catalog_csv, load_wells_csv, month_range
+from longicausal.geo import Catalog, WellTable, _haversine, load_catalog_csv, load_wells_csv
 from longicausal.glm import StackFit, fit_glm_stack
 from longicausal.panel import PanelDataset
 
 CORPUS_SEED = 20131201
-CORPUS_START = "2013-12"
-CORPUS_END = "2016-03"
 
 
 def make_dataset(treatments, confounders=None, outcomes=None, **kwargs) -> PanelDataset:
@@ -102,7 +100,9 @@ def build_synthetic_corpus(directory, seed: int = CORPUS_SEED) -> SyntheticCorpu
     handful of out-of-window well-months exercise the window filter.
     """
     rng = np.random.default_rng(seed)
-    months = month_range(CORPUS_START, CORPUS_END)
+    # the 28 study months, 2013-12 to 2016-03
+    months = ["2013-12", *(f"{year}-{month:02d}" for year in (2014, 2015) for month in range(1, 13)),
+              "2016-01", "2016-02", "2016-03"]
 
     n_sites, n_wells = 30, 65
     site_lon = rng.uniform(-98.15, -97.0, n_sites)

@@ -20,7 +20,7 @@ import numpy as np
 import pytest
 
 from longicausal.baselines import GRParams, gr_rate_factor
-from longicausal.estimators import adjusted_poisson, msm_iptw, naive_poisson
+from longicausal.estimators import estimate
 from longicausal.geo import assign_quakes, build_panel, cluster_wells, load_catalog_csv, load_wells_csv
 from longicausal.iptw import stabilized_weights
 from longicausal.simulate import (
@@ -217,7 +217,7 @@ class TestCriterion8AnalyzeInterface:
         attribution = assign_quakes(assignment.centroids, corpus.quakes)
         data = build_panel(corpus.wells, assignment, attribution)
         weights = stabilized_weights(data)
-        reports = [naive_poisson(data), adjusted_poisson(data), msm_iptw(data, weights=weights)]
+        reports = estimate(data, weights)
         checks = [
             ("three estimator rows", [r.estimator for r in reports] == ["naive", "adjusted", "msm"],
              str([r.estimator for r in reports])),
@@ -241,7 +241,7 @@ class TestCriterion8AnalyzeInterface:
         assignment = cluster_wells(wells, n_clusters=30)
         attribution = assign_quakes(assignment.centroids, catalog)
         data = build_panel(wells, assignment, attribution)
-        rep = msm_iptw(data)
+        _, _, rep = estimate(data, stabilized_weights(data))
         checks = [
             ("MSM RR per MMbbl within 0.01 of 1.0278",
              abs(rep.relative_risk_per_MMbbl - 1.0278) <= 0.01,

@@ -286,10 +286,13 @@ class TestAnalyzeCommand:
         assert len(read_csv(out / "panel_outcomes.csv")) == 1 + 30
 
     def test_nonconverged_fit_exit_1(self, tmp_path, corpus_csvs, capsys, monkeypatch):
-        naive = longicausal.cli.naive_poisson
+        estimate = longicausal.cli.estimate
         monkeypatch.setattr(
-            longicausal.cli, "naive_poisson",
-            lambda data: dataclasses.replace(naive(data), converged=False),
+            longicausal.cli, "estimate",
+            lambda data, weights, **options: [
+                dataclasses.replace(rep, converged=False) if rep.estimator == "naive" else rep
+                for rep in estimate(data, weights, **options)
+            ],
         )
         wells_path, catalog_path = corpus_csvs
         out = tmp_path / "run"
@@ -297,6 +300,17 @@ class TestAnalyzeCommand:
                      "--out-dir", str(out)])
         assert code == 1
         assert "naive" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_msm_only_failure_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):
+        # at 30 km both units total 6 event periods, so the adjusted model drops cumL and fits
+        # like the naive one; only the MSM fails, as HC1 needs more than 2 units for 2 coefficients
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / "run"
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--clusters", "2", "--radius-km", "30", "--robust", "HC1", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err.splitlines()[-1] == "error: HC1 scaling requires n > p"
         assert not out.exists()
 
     def test_single_cluster_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):

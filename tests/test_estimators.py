@@ -8,15 +8,16 @@ import pytest
 
 from longicausal.estimators import (
     CI_MULTIPLIER,
+    ESTIMATOR_NAMES,
     REPORT_CSV_HEADER,
-    adjusted_poisson,
-    msm_iptw,
-    naive_poisson,
+    EstimatorReport,
+    estimate,
+    estimate_stack,
     relative_risk,
 )
 from longicausal.exceptions import DomainError
 from longicausal.geo import assign_quakes, build_panel, cluster_wells
-from longicausal.iptw import stabilized_weights
+from longicausal.iptw import WeightSet, stabilized_weights
 from longicausal.panel import PanelDataset
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
@@ -26,6 +27,18 @@ from conftest import make_dataset, use_treatment_models
 def feedback_dgp_data(rep=0, seed=44):
     cfg = SimulationConfig(n_replicates=1, master_seed=seed)
     return generate_dataset(cfg, replicate_seed(seed, rep))
+
+
+def reports(data: PanelDataset, weights=None, *, hc1=False) -> dict[str, EstimatorReport]:
+    """`estimate` of `data` by estimator name; the weights default to `stabilized_weights(data)`."""
+    weights = stabilized_weights(data) if weights is None else weights
+    return {rep.estimator: rep for rep in estimate(data, weights, hc1=hc1)}
+
+
+def unweighted_stacks(data: PanelDataset):
+    """`estimate_stack` of one dataset with unit weights, for data too short to weight (K = 1, no baseline)."""
+    cum = (data.A.sum(axis=1)[None], data.L.sum(axis=1)[None], data.Y[None])
+    return estimate_stack(*cum, np.ones((1, data.n_units)))
 
 
 def rescaled(data: PanelDataset, c: float) -> PanelDataset:
@@ -42,86 +55,85 @@ def rescaled(data: PanelDataset, c: float) -> PanelDataset:
 class TestNaive:
     def test_saturated_two_units(self):
         data = make_dataset([[0.0], [1000.0]], outcomes=[1, 3])
-        rep = naive_poisson(data)
-        assert rep.beta1_hat == pytest.approx(math.log(3.0) / 1000.0, rel=1e-8)
-        assert rep.intercept == pytest.approx(0.0, abs=1e-8)
+        naive = unweighted_stacks(data)["naive"]
+        assert naive.errors == [None]
+        assert naive.beta1_hat[0] == pytest.approx(math.log(3.0) / 1000.0, rel=1e-8)
+        assert naive.intercept[0] == pytest.approx(0.0, abs=1e-8)
 
     def test_constant_outcome_zero_slope(self):
         data = make_dataset([[float(100 * i)] for i in range(6)], outcomes=[4] * 6)
-        rep = naive_poisson(data)
-        assert rep.beta1_hat == pytest.approx(0.0, abs=1e-8)
+        naive = unweighted_stacks(data)["naive"]
+        assert naive.errors == [None]
+        assert naive.beta1_hat[0] == pytest.approx(0.0, abs=1e-8)
 
 
 class TestAdjusted:
     def test_constant_confounder_equals_naive(self):
         data = make_dataset([[float(50 * i + 10)] for i in range(5)], [[1]] * 5, [i + 1 for i in range(5)])
         assert np.ptp(data.L.sum(axis=1)) == 0.0
-        a = adjusted_poisson(data)
-        n = naive_poisson(data)
-        assert a.beta1_hat == pytest.approx(n.beta1_hat, abs=1e-8)
-        assert a.se == pytest.approx(n.se, rel=1e-10)
+        stacks = unweighted_stacks(data)
+        a, n = stacks["adjusted"], stacks["naive"]
+        assert a.errors == n.errors == [None]
+        assert a.beta1_hat[0] == pytest.approx(n.beta1_hat[0], abs=1e-8)
+        assert a.se[0] == pytest.approx(n.se[0], rel=1e-10)
 
     def test_differs_from_naive_when_confounder_varies(self):
-        data = feedback_dgp_data()
-        assert adjusted_poisson(data).beta1_hat != pytest.approx(
-            naive_poisson(data).beta1_hat, rel=1e-6
-        )
+        by_name = reports(feedback_dgp_data())
+        assert by_name["adjusted"].beta1_hat != pytest.approx(by_name["naive"].beta1_hat, rel=1e-6)
 
 
 class TestMsm:
     def test_unit_weights_equal_naive(self, monkeypatch):
         data = feedback_dgp_data()
         use_treatment_models(monkeypatch)
-        ws = stabilized_weights(data)
-        rep = msm_iptw(data, weights=ws)
-        assert rep.beta1_hat == pytest.approx(naive_poisson(data).beta1_hat, abs=1e-10)
+        by_name = reports(data, stabilized_weights(data))
+        assert by_name["msm"].beta1_hat == pytest.approx(by_name["naive"].beta1_hat, abs=1e-10)
 
     def test_se_is_sandwich_not_model(self):
-        data = feedback_dgp_data()
-        rep = msm_iptw(data)
-        plain = naive_poisson(data)
-        assert rep.se != pytest.approx(plain.se, rel=1e-3)
+        by_name = reports(feedback_dgp_data())
+        assert by_name["msm"].se != pytest.approx(by_name["naive"].se, rel=1e-3)
 
     def test_hc1_inflates_se(self):
         data = feedback_dgp_data()
-        hc0 = msm_iptw(data)
-        hc1 = msm_iptw(data, hc1=True)
+        hc0 = reports(data)["msm"]
+        hc1 = reports(data, hc1=True)["msm"]
         n, p = data.n_units, 2
         assert hc1.se == pytest.approx(hc0.se * math.sqrt(n / (n - p)), rel=1e-12)
 
     def test_truncation_passthrough(self):
         data = feedback_dgp_data()
-        plain = msm_iptw(data)
-        trunc = msm_iptw(data, weights=stabilized_weights(data, truncate_percentile=5.0))
+        plain = reports(data)["msm"]
+        trunc = reports(data, stabilized_weights(data, truncate_percentile=5.0))["msm"]
         assert trunc.beta1_hat != pytest.approx(plain.beta1_hat, rel=1e-12)
 
 
 class TestSharedContracts:
-    @pytest.mark.parametrize("estimator", [naive_poisson, adjusted_poisson, msm_iptw])
+    @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
     def test_ci_is_exactly_plus_minus_1959964_se(self, estimator):
-        data = feedback_dgp_data()
-        rep = estimator(data)
+        rep = reports(feedback_dgp_data())[estimator]
         assert rep.ci95[0] == rep.beta1_hat - CI_MULTIPLIER * rep.se
         assert rep.ci95[1] == rep.beta1_hat + CI_MULTIPLIER * rep.se
         assert rep.ci95[0] <= rep.beta1_hat <= rep.ci95[1]
 
-    @pytest.mark.parametrize("estimator", [naive_poisson, adjusted_poisson, msm_iptw])
+    @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
     def test_scale_equivariance(self, estimator):
         data = feedback_dgp_data(seed=55)
         c = 1000.0
-        base = estimator(data)
-        scaled = estimator(rescaled(data, c))
+        base = reports(data)[estimator]
+        scaled = reports(rescaled(data, c))[estimator]
         assert scaled.beta1_hat == pytest.approx(base.beta1_hat / c, rel=1e-8)
 
-    @pytest.mark.parametrize("estimator", [naive_poisson, adjusted_poisson, msm_iptw])
+    @pytest.mark.parametrize("estimator", ESTIMATOR_NAMES)
     def test_single_unit_rejected(self, estimator):
         data = make_dataset([[1.0, 2.0]], A0=[1.0], L0=[0])
         with pytest.raises(DomainError, match="2 units"):
-            estimator(data)
+            estimate(data, WeightSet(np.ones(1), np.ones((1, 2)), (1, 2)))
+        stack = unweighted_stacks(data)[estimator]
+        assert isinstance(stack.errors[0], DomainError)
+        assert np.isnan(stack.beta1_hat[0])
 
     def test_rr_consistency_and_wald(self):
-        data = feedback_dgp_data()
-        rep = naive_poisson(data)
+        rep = reports(feedback_dgp_data())["naive"]
         assert rep.z == pytest.approx(rep.beta1_hat / rep.se, rel=1e-12)
         assert 0.0 <= rep.p <= 1.0
 
@@ -166,13 +178,13 @@ class TestRelativeRisk:
 
 class TestReportSerialization:
     def test_csv_row_matches_header(self):
-        rep = naive_poisson(feedback_dgp_data())
+        rep = reports(feedback_dgp_data())["naive"]
         row = rep.to_csv_row()
         assert len(row) == len(REPORT_CSV_HEADER)
         assert row == ["naive", rep.beta1_hat, rep.se, *rep.ci95, rep.relative_risk_per_MMbbl, rep.z, rep.p]
 
     def test_text_format_keys(self):
-        rep = msm_iptw(feedback_dgp_data())
+        rep = reports(feedback_dgp_data())["msm"]
         text = rep.to_text()
         for key in ("estimator:", "beta1_hat:", "se:", "ci95:", "relative_risk_per_MMbbl:", "z:", "p:"):
             assert key in text
@@ -216,5 +228,4 @@ class TestPinnedOutput:
             a = np.concatenate([np.full((50, 7), 1000.0), gen.A[:, 7:]], axis=1)
             data = PanelDataset(a, gen.L, gen.Y, A0=np.full(50, 1000.0), L0=gen.L0)
         weights = stabilized_weights(data, truncate_percentile=truncate)
-        reports = [naive_poisson(data), adjusted_poisson(data), msm_iptw(data, weights=weights, hc1=hc1)]
-        assert pin_digest(weights, reports) == digest
+        assert pin_digest(weights, estimate(data, weights, hc1=hc1)) == digest

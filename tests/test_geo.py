@@ -28,7 +28,6 @@ from longicausal.geo import (
     load_catalog_csv,
     load_wells_csv,
     month_index,
-    month_range,
     parse_month,
     project_coords,
 )
@@ -387,7 +386,8 @@ class TestBuildPanel:
         assert data.A[0].tolist() == [102.0, 9.0]
 
     def test_confounder_flags_and_outcomes(self, tmp_path):
-        wells = load_wells(tmp_path, [("w1", -97.0, 33.0, m, 10.0) for m in month_range("2013-12", "2014-07")])
+        window = ["2013-12", *(f"2014-{k:02d}" for k in range(1, 8))]
+        wells = load_wells(tmp_path, [("w1", -97.0, 33.0, m, 10.0) for m in window])
         assignment = ClusterAssignment(np.array([0]), np.array([[-97.0, 33.0]]))
         months = [month_index(2013, 12)] * 2 + [month_index(2014, 5)] + [month_index(2020, 1)] * 9
         attribution = QuakeAttribution(
@@ -398,13 +398,12 @@ class TestBuildPanel:
         assert data.L[0].tolist() == [1, 1]
         assert data.Y[0] == 3  # the 2020 events are outside the window
 
-    def test_month_range(self):
-        months = month_range("2013-12", "2016-03")
-        assert len(months) == 28
-        assert months[0] == "2013-12" and months[-1] == "2016-03"
-        assert months[1] == "2014-01" and months[12] == "2014-12"
-        with pytest.raises(DomainError):
-            month_range("2016-03", "2013-12")
+    def test_empty_study_window_rejected(self, tmp_path):
+        wells = load_wells(tmp_path, [("w1", -97.0, 33.0, "2014-01", 10.0)])
+        assignment = ClusterAssignment(np.array([0]), np.array([[-97.0, 33.0]]))
+        with pytest.raises(DomainError) as excinfo:
+            build_panel(wells, assignment, no_events(), study_start="2016-03", study_end="2013-12")
+        assert str(excinfo.value) == "study window '2016-03'..'2013-12' is empty"
 
     def test_parse_month_accepts_a_leap_day(self):
         assert parse_month("2016-02-29") == (2016, 2)

@@ -14,7 +14,7 @@ import pytest
 import longicausal.estimators as est
 import longicausal.glm as glm
 import longicausal.simulate as sim
-from longicausal.estimators import adjusted_poisson, msm_iptw, naive_poisson
+from longicausal.estimators import estimate
 from longicausal.exceptions import DomainError, LongicausalError, SimulationError
 from longicausal.glm import fit_glm_stack
 from longicausal.iptw import stabilized_weights
@@ -289,7 +289,7 @@ def run_replicate(config, replicate):
     try:
         data = generate_dataset(config, replicate_seed(config.master_seed, replicate))
         weights = stabilized_weights(data)
-        reports = (naive_poisson(data), adjusted_poisson(data), msm_iptw(data, weights=weights))
+        reports = estimate(data, weights)
     except LongicausalError as exc:
         return replicate, f"{type(exc).__name__}: {exc}"
     if not all(r.converged for r in reports):
