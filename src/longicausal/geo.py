@@ -44,8 +44,6 @@ LINKAGES = ("ward", "single", "complete", "average")
 WELLS_CSV_HEADER = ["well_id", "longitude", "latitude", "year_month", "volume_bbl"]
 CATALOG_CSV_HEADER = ["event_id", "longitude", "latitude", "origin_time_iso8601", "magnitude"]
 
-ASSIGN_CHUNK_EVENTS = 1024  # rows per events x centroids distance block in assign_quakes
-
 _MONTH_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
 
 
@@ -163,6 +161,13 @@ def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.
     broken by scipy's algorithms, so the result is deterministic for a given
     input. Labels follow each cluster's smallest member index: point 0 is
     always in cluster 0, and a new label first appears in increasing order.
+
+    The tree is cut by `fcluster(maxclust)`, which keeps every merge at or
+    below the lowest height that leaves at most `n_clusters` clusters. The
+    linkage rows are sorted by height, so when that is exactly `n_clusters`
+    clusters those merges are the first n - k rows, the partition
+    `cut_tree` gives. When merge heights tie across the cut, fcluster
+    returns fewer clusters, and `cut_tree` decides which tied merges count.
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != 2:
@@ -182,7 +187,13 @@ def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.
     from scipy.spatial.distance import pdist
 
     tree = hierarchy.linkage(pdist(pts), linkage)
-    return hierarchy.cut_tree(tree, n_clusters=n_clusters).ravel()
+    flat = hierarchy.fcluster(tree, n_clusters, criterion="maxclust")
+    _, first, members = np.unique(flat, return_index=True, return_inverse=True)
+    if len(first) != n_clusters:
+        return hierarchy.cut_tree(tree, n_clusters=n_clusters).ravel()
+    rank = np.empty(n_clusters, dtype=np.int64)
+    rank[np.argsort(first)] = np.arange(n_clusters)
+    return rank[members]
 
 
 def cluster_wells(
@@ -233,10 +244,14 @@ def assign_quakes(
 ) -> QuakeAttribution:
     """Attribute each qualifying event to its nearest centroid within the radius.
 
-    Events below the magnitude cut are dropped. Distances are worked in
-    blocks of ASSIGN_CHUNK_EVENTS events against every centroid; an event at
-    exactly `radius_km` is assigned, and of equidistant centroids the lowest
-    index wins. Centroids must be finite, in-range lon/lat pairs.
+    Events below the magnitude cut are dropped. An event at exactly
+    `radius_km` is assigned, and of equidistant centroids the lowest index
+    wins. Centroids must be finite, in-range lon/lat pairs.
+
+    Each centroid is measured only against the events in its latitude band,
+    a contiguous slice of the events sorted by latitude, so memory is
+    O(events + centroids). The labels are those of an `argmin` over the
+    full events x centroids distance matrix.
     """
     if not (radius_km > 0):
         raise DomainError(f"radius_km must be positive, got {radius_km!r}")
@@ -249,14 +264,32 @@ def assign_quakes(
         raise DomainError("centroids have out-of-range coordinates")
 
     keep = catalog.magnitude >= magnitude_cut
-    lons, lats = catalog.longitude[keep, None], catalog.latitude[keep, None]
-    labels = np.empty(len(lons), dtype=np.intp)
-    for start in range(0, len(lons), ASSIGN_CHUNK_EVENTS):
-        block = slice(start, start + ASSIGN_CHUNK_EVENTS)
-        d = _haversine(lons[block], lats[block], cent[:, 0], cent[:, 1])
-        nearest = d.argmin(axis=1)
-        within = d[np.arange(len(d)), nearest] <= radius_km
-        labels[block] = np.where(within, nearest, -1)
+    lons, lats = catalog.longitude[keep], catalog.latitude[keep]
+    order = np.argsort(lats)
+    lons, lats = lons[order], lats[order]
+    # No pair outside the band computes to a distance within the radius. A
+    # great-circle distance is never less than the latitude arc R |dphi|, and
+    # the computed one neither: `_haversine`'s computed `a` is never below its
+    # computed sin^2(dphi / 2), because the cos * cos * sin^2 term it adds is
+    # >= 0 for |lat| <= 90. The margin, 1e-4 degrees (about 11 m), is far above
+    # the rounding of a computed distance, at worst about 4e-6 degrees where
+    # arcsin is steepest; a margin relative to the radius alone falls below it
+    # at radii under about a metre. Every pair within the radius, and every tie
+    # at the minimum, is measured by the same elementwise operations as in the
+    # full distance matrix.
+    band = math.degrees(radius_km / EARTH_RADIUS_KM) + 1e-4
+    starts = np.searchsorted(lats, cent[:, 1] - band, side="left")
+    stops = np.searchsorted(lats, cent[:, 1] + band, side="right")
+    best = np.full(len(lats), np.inf)
+    nearest = np.full(len(lats), -1, dtype=np.intp)
+    for c, (lon, lat) in enumerate(cent):  # a strict minimum, so the lowest index keeps a tie
+        near = slice(starts[c], stops[c])
+        d = _haversine(lons[near], lats[near], lon, lat)
+        closer = d < best[near]
+        best[near][closer] = d[closer]
+        nearest[near][closer] = c
+    labels = np.empty(len(lats), dtype=np.intp)
+    labels[order] = np.where(best <= radius_km, nearest, -1)
     return QuakeAttribution(labels=labels, months=catalog.month[keep])
 
 

@@ -10,11 +10,12 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.cluster import hierarchy
+from scipy.spatial.distance import pdist
 
 from longicausal import geo, panel
 from longicausal.exceptions import DomainError, SchemaError
 from longicausal.geo import (
-    ASSIGN_CHUNK_EVENTS,
     CATALOG_CSV_HEADER,
     DFW_BBOX,
     EARTH_RADIUS_KM,
@@ -176,6 +177,26 @@ class TestClustering:
             assert labels[0] == 0
             assert np.all(np.diff(first) > 0)
 
+    @pytest.mark.parametrize("linkage", ["ward", "single", "complete", "average"])
+    @pytest.mark.parametrize("kind", ["continuous", "tied_grid"])
+    def test_matches_cut_tree(self, linkage, kind):
+        rng = np.random.default_rng(29)
+        n_fewer = 0  # cuts where fcluster gives fewer than k clusters and cut_tree decides
+        for _ in range(6):
+            n = int(rng.integers(2, 30))
+            if kind == "continuous":
+                pts = rng.normal(size=(n, 2))
+            else:  # many tied distances and duplicate points
+                pts = rng.integers(0, 4, size=(n, 2)).astype(float)
+            tree = hierarchy.linkage(pdist(pts), linkage)
+            for k in range(1, n + 1):
+                labels = agglomerative_cluster(pts, k, linkage=linkage)
+                assert labels.dtype == np.int64
+                np.testing.assert_array_equal(labels, hierarchy.cut_tree(tree, n_clusters=k).ravel())
+                n_fewer += len(np.unique(hierarchy.fcluster(tree, k, criterion="maxclust"))) < k
+        if kind == "tied_grid":
+            assert n_fewer > 0
+
     def test_deterministic(self):
         pts = np.random.default_rng(3).normal(size=(20, 2))
         a = agglomerative_cluster(pts, 4)
@@ -291,9 +312,9 @@ class TestAssignMatchesReferenceLoop:
         out = self.check(centroids, corpus.quakes)
         assert out.n_after_cut == 71 - corpus.n_below_cut and out.unassigned >= corpus.n_far
 
-    def test_across_chunk_boundaries(self, tmp_path):
+    def test_random_catalog(self, tmp_path):
         rng = np.random.default_rng(11)
-        n = 2 * ASSIGN_CHUNK_EVENTS + 37
+        n = 2085
         centroids = np.column_stack([rng.uniform(-98.0, -97.0, 12), rng.uniform(32.5, 33.3, 12)])
         events = zip(rng.uniform(-98.2, -96.8, n), rng.uniform(32.3, 33.5, n), rng.uniform(1.5, 4.0, n),
                      rng.choice(["2014-01", "2015-07"], n))
@@ -314,6 +335,23 @@ class TestAssignMatchesReferenceLoop:
         radius = geo._haversine(-97.05, 33.07, -97.0, 33.0)
         assert self.check(centroids, cat, radius_km=radius).labels.tolist() == [0]
         assert self.check(centroids, cat, radius_km=np.nextafter(radius, 0.0)).labels.tolist() == [-1]
+
+    def test_latitude_band_edges(self, tmp_path):
+        # the same rule as assign_quakes: no event outside this band of a centroid is within the radius
+        radius = 15.0
+        band = math.degrees(radius / EARTH_RADIUS_KM) + 1e-4
+        lat0 = 33.0
+        edges = [lat0 - band, lat0 + band]
+        lats = edges + [np.nextafter(e, e + (e - lat0)) for e in edges] + [np.nextafter(e, lat0) for e in edges]
+        centroids = [(-97.0, lat0), (-97.5, 32.9), (-97.0, lat0)]  # the third duplicates the first
+        events = [(-97.0, lat, 3.0, "2014-05") for lat in lats] + [(-97.0, lat0, 3.0, "2014-06")]
+        cat = load_events(tmp_path, events)
+        assert self.check(centroids, cat, radius_km=radius).labels.tolist() == [-1] * 6 + [0]
+        # half the Earth's circumference and more: every pair is a candidate, and the duplicate never wins
+        for r in (math.pi * EARTH_RADIUS_KM, 30_000.0):
+            assert set(self.check(centroids, cat, radius_km=r).labels.tolist()) <= {0, 1}
+        # a magnitude cut above every event leaves no label
+        assert self.check(centroids, cat, radius_km=radius, magnitude_cut=9.0).n_after_cut == 0
 
 
 def no_events():

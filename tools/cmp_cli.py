@@ -2,13 +2,15 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 52 CLI invocations once per checkout:
+Runs a fixed set of 60 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
 - `analyze` on the inputs of `PARENT_ROOT/bench/gen_inputs.py` seeds 0-3,
   with default flags, with `--bbox 32.6,33.3,-98.1,-97.1 --truncate-weights
-  --robust HC1`, with `--linkage average --clusters 25`, and with two flag
+  --robust HC1`, with `--linkage average --clusters 25`, with `--linkage
+  single --clusters 40 --radius-km 60` (wide, overlapping latitude bands),
+  with `--linkage complete --radius-km 4`, and with two flag
   sets that exit 1 before writing anything: `--clusters 2 --robust HC1`
   (only the MSM fails) and `--mag-cut 9` (all three estimators fail);
 - `analyze`, seeds 0-3, with default flags on the same inputs rewritten with
@@ -42,7 +44,9 @@ from pathlib import Path
 SEEDS = range(4)
 SIMULATE_SIZES = (("--n", "50", "--m", "300"), ("--n", "600", "--m", "40"), ("--n", "20", "--k", "2", "--m", "200"))
 ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
-                 ("--linkage", "average", "--clusters", "25"), ("--clusters", "2", "--robust", "HC1"),
+                 ("--linkage", "average", "--clusters", "25"),
+                 ("--linkage", "single", "--clusters", "40", "--radius-km", "60"),
+                 ("--linkage", "complete", "--radius-km", "4"), ("--clusters", "2", "--robust", "HC1"),
                  ("--mag-cut", "9"))
 VOLATILE_MANIFEST_KEYS = ("started_utc", "duration_seconds")
 
@@ -71,7 +75,7 @@ def _write_panel(parent: Path, data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 52 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 60 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
