@@ -26,7 +26,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError
-from .panel import PanelDataset, _check_records, _csv_columns, _float_error, _floats
+from .panel import PanelDataset, _check_records, _csv_columns, _float_error
 
 logger = logging.getLogger(__name__)
 
@@ -44,7 +44,7 @@ LINKAGES = ("ward", "single", "complete", "average")
 WELLS_CSV_HEADER = ["well_id", "longitude", "latitude", "year_month", "volume_bbl"]
 CATALOG_CSV_HEADER = ["event_id", "longitude", "latitude", "origin_time_iso8601", "magnitude"]
 
-_MONTH_RE = re.compile(r"^(\d{4})-(\d{2})(?:-(\d{2}))?$")
+_MONTH_RE = re.compile(r"^([0-9]{4})-([0-9]{2})(?:-([0-9]{2}))?$")
 
 
 class BoundingBox(NamedTuple):
@@ -354,13 +354,13 @@ def _well_table(ids, lons, lats, well, month, volume, bbox: BoundingBox | None) 
     return WellTable(ids, lons, lats, well, month, volume)
 
 
-def _coordinate_checks(lon_texts, lat_texts, lon, lat) -> list:
-    """The `_check_records` checks of the longitude and latitude columns, in order."""
+def _coordinate_checks(lon, lat) -> list:
+    """The `_check_records` checks of the longitude and latitude columns, fields 1 and 2, in order."""
     return [
-        (~np.isfinite(lon), "longitude", lambda k: _float_error(lon_texts[k])),
-        (~np.isfinite(lat), "latitude", lambda k: _float_error(lat_texts[k])),
-        (np.abs(lon) > 180.0, "longitude", lambda k: f"longitude out of range: {lon[k]}"),
-        (np.abs(lat) > 90.0, "latitude", lambda k: f"latitude out of range: {lat[k]}"),
+        (~np.isfinite(lon), "longitude", lambda k, rec: _float_error(rec[1])),
+        (~np.isfinite(lat), "latitude", lambda k, rec: _float_error(rec[2])),
+        (np.abs(lon) > 180.0, "longitude", lambda k, rec: f"longitude out of range: {lon[k]}"),
+        (np.abs(lat) > 90.0, "latitude", lambda k, rec: f"latitude out of range: {lat[k]}"),
     ]
 
 
@@ -375,8 +375,8 @@ def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> WellTab
     coordinates of its first report; and it has not reported the month
     before.
     """
-    (wids, lon_texts, lat_texts, year_month, volume_texts), fault = _csv_columns(path, WELLS_CSV_HEADER)
-    lon, lat, volume = _floats(lon_texts), _floats(lat_texts), _floats(volume_texts)
+    numeric = ("longitude", "latitude", "volume_bbl")
+    (wids, lon, lat, year_month, volume), fault = _csv_columns(path, WELLS_CSV_HEADER, numeric)
     months: dict[str, int] = {}
     month_errors: dict[str, str] = {}
     for text in set(year_month):
@@ -393,14 +393,14 @@ def load_wells_csv(path: str | Path, bbox: BoundingBox | None = None) -> WellTab
     repeated = np.ones(len(well), dtype=bool)
     repeated[np.unique(well * (12 * 10_000 + 1) + month + 1, return_index=True)[1]] = False
     _check_records(path, WELLS_CSV_HEADER, [
-        *_coordinate_checks(lon_texts, lat_texts, lon, lat),
-        (month < 0, "year_month", lambda k: month_errors[year_month[k]]),
-        (~np.isfinite(volume), "volume_bbl", lambda k: _float_error(volume_texts[k])),
-        (volume < 0.0, "volume_bbl", lambda k: f"volume_bbl must be >= 0, got {volume[k]}"),
+        *_coordinate_checks(lon, lat),
+        (month < 0, "year_month", lambda k, rec: month_errors[rec[3]]),
+        (~np.isfinite(volume), "volume_bbl", lambda k, rec: _float_error(rec[4])),
+        (volume < 0.0, "volume_bbl", lambda k, rec: f"volume_bbl must be >= 0, got {volume[k]}"),
         ((lon != lons[well]) | (lat != lats[well]), "longitude",
-         lambda k: f"well {wids[k]!r} reported with inconsistent coordinates"),
+         lambda k, rec: f"well {rec[0]!r} reported with inconsistent coordinates"),
         (repeated, "year_month",
-         lambda k: f"duplicate month {month_key(month[k] // 12, month[k] % 12 + 1)} for well {wids[k]!r}"),
+         lambda k, rec: f"duplicate month {month_key(month[k] // 12, month[k] % 12 + 1)} for well {rec[0]!r}"),
     ], fault)
     return _well_table(np.array(list(index), dtype=str), lons, lats, well, month, volume, bbox)
 
@@ -430,8 +430,8 @@ def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> Catal
     a finite number. An event's month is the calendar month of its
     timestamp as written.
     """
-    (eids, lon_texts, lat_texts, when, magnitude_texts), fault = _csv_columns(path, CATALOG_CSV_HEADER)
-    lon, lat, mags = _floats(lon_texts), _floats(lat_texts), _floats(magnitude_texts)
+    numeric = ("longitude", "latitude", "magnitude")
+    (eids, lon, lat, when, mags), fault = _csv_columns(path, CATALOG_CSV_HEADER, numeric)
     ids = np.array(eids, dtype=str)
     repeated = np.ones(len(ids), dtype=bool)
     repeated[np.unique(ids, return_index=True)[1]] = False
@@ -443,9 +443,9 @@ def load_catalog_csv(path: str | Path, bbox: BoundingBox | None = None) -> Catal
     except ValueError:  # a bad timestamp, or one such as 2014-10-10Z that only the Z rule reads
         month = np.fromiter(map(_timestamp_month, stamps), dtype=np.intp, count=len(stamps))
     _check_records(path, CATALOG_CSV_HEADER, [
-        (repeated, "event_id", lambda k: f"duplicate event id {eids[k]!r}"),
-        *_coordinate_checks(lon_texts, lat_texts, lon, lat),
-        (month < 0, "origin_time_iso8601", lambda k: f"expected an ISO-8601 timestamp, got {when[k]!r}"),
-        (~np.isfinite(mags), "magnitude", lambda k: _float_error(magnitude_texts[k])),
+        (repeated, "event_id", lambda k, rec: f"duplicate event id {rec[0]!r}"),
+        *_coordinate_checks(lon, lat),
+        (month < 0, "origin_time_iso8601", lambda k, rec: f"expected an ISO-8601 timestamp, got {rec[3]!r}"),
+        (~np.isfinite(mags), "magnitude", lambda k, rec: _float_error(rec[4])),
     ], fault)
     return _catalog(ids, lon, lat, month, mags, bbox)

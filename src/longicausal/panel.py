@@ -23,8 +23,6 @@ from .exceptions import PanelError, SchemaError
 PANEL_CSV_HEADER = ["unit_id", "period", "volume_bbl", "quake_indicator"]
 OUTCOME_CSV_HEADER = ["unit_id", "cumulative_quakes"]
 
-CSV_BLOCK_RECORDS = 256  # records per csv.reader pull: under gen-0 GC's 700 allocations, they die before GC rescans them
-
 
 def _reject(bad: np.ndarray, message: str, values: np.ndarray) -> None:
     if bad.any():
@@ -151,7 +149,7 @@ def _float_or_nan(raw: str) -> float:
         return math.nan
 
 
-def _floats(texts: list[str]) -> np.ndarray:
+def _floats(texts: tuple[str, ...]) -> np.ndarray:
     """`float` of every text, NaN where it reads none: a field is good where the result is finite."""
     try:
         return np.fromiter(map(float, texts), dtype=float, count=len(texts))
@@ -166,41 +164,40 @@ def _parse_int(raw: str, row: int, column: str) -> int:
         raise SchemaError(f"expected an integer, got {raw!r}", row=row, column=column) from None
 
 
-def _csv_columns(path: str | Path, header: list[str]) -> tuple[list[list[str]], SchemaError | None]:
-    """The fields of a CSV with `header`, one list per column, and the fault that ends them, or None.
+def _csv_columns(path: str | Path, header: list[str], numeric: tuple[str, ...]) -> tuple[list, SchemaError | None]:
+    """The columns of a CSV with `header`, and the fault that ends them, or None.
 
-    Blank records are skipped. Faults are only detected here: the columns
-    stop before the first record, or the bytes, that `_numbered_records`
-    rejects (before any at a wrong header), and its SchemaError is the fault.
+    The `numeric` columns are float64, NaN where `float` reads no number,
+    the others object arrays of the fields as written; blank records are
+    skipped. One `np.loadtxt` call reads a file whose first line is the
+    header as written and whose data is not all blank (loadtxt warns), with
+    no NUL, no byte in \\x1c-\\x1f (loadtxt strips them around a number,
+    `float` does not) and no field over `csv.field_size_limit()`: the file
+    is within it in bytes, or has no quote and no longer line. Any other
+    file, and any that loadtxt refuses, is walked by `_numbered_records` up
+    to the SchemaError it raises, the fault.
     """
-    n_fields = len(header)
-    columns: list[list[str]] = [[] for _ in header]
     data = Path(path).read_bytes()
-    with io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="") as fh:
-        r = csv.reader(fh)
+    head = ",".join(header).encode()
+    body, limit = data[len(head):], csv.field_size_limit()
+    if (data.startswith(head) and body[:1] in (b"\n", b"\r") and body.strip(b"\r\n")
+            and not any(map(data.__contains__, b"\0\x1c\x1d\x1e\x1f"))
+            and (len(data) <= limit or b'"' not in data and max(map(len, data.splitlines())) <= limit)):
+        dtype = [(name, float if name in numeric else object) for name in header]
         try:
-            if b"\0" in data or [c.strip() for c in next(r, ())] != header:
-                raise csv.Error  # `_numbered_records` reports the fault
-            while block := list(islice(r, CSV_BLOCK_RECORDS)):
-                try:
-                    fields = list(zip(*filter(None, block), strict=True))
-                except ValueError:  # records of unequal length
-                    break
-                if len(fields) not in (0, n_fields):  # 0 when every record of the block is blank
-                    break
-                for column, values in zip(columns, fields):
-                    column.extend(values)
-            else:
-                return columns, None
-        except (csv.Error, UnicodeDecodeError):
+            text = io.StringIO(data.decode("utf-8"), newline="")  # no newline translation inside quoted fields
+            return np.loadtxt(text, dtype, comments=None, delimiter=",", skiprows=1, quotechar='"', ndmin=1,
+                              unpack=True), None
+        except ValueError:  # on every form tested, it refuses what it reads otherwise than csv.reader and `float`
             pass
-    try:  # read on from the last whole block, one record at a time, up to the fault
-        for _, rec in islice(_numbered_records(path, header), len(columns[0]), None):
-            for column, field in zip(columns, rec):
-                column.append(field)
-    except SchemaError as fault:
-        return columns, fault
-    raise SchemaError(f"{path}: changed while it was read")
+    records, fault = [], None
+    try:
+        for _, rec in _numbered_records(path, header):
+            records.append(rec)
+    except SchemaError as exc:
+        fault = exc
+    columns = list(zip(*records)) or [()] * len(header)
+    return [_floats(c) if name in numeric else np.array(c, dtype=object) for name, c in zip(header, columns)], fault
 
 
 def _numbered_records(path: str | Path, header: list[str]):
@@ -242,15 +239,17 @@ def _check_records(path: str | Path, header: list[str], checks, fault: SchemaErr
     """Raise the SchemaError of the first record a check flags, else the `fault` after the records.
 
     `checks` are (bad, column, message) in the order a record is checked:
-    `bad` flags records, and `message(k)` is the error text of record k.
+    `bad` flags records, and `message(k, fields)` is the error text of
+    record k, whose fields the walk to its row reads.
     """
     bad = np.array([flags for flags, _, _ in checks])
     hit = bad.any(axis=0)
     if hit.any():
         k = int(hit.argmax())
         _, column, message = checks[int(bad[:, k].argmax())]
-        row = next(islice(_numbered_records(path, header), k, None), (None,))[0]
-        raise SchemaError(message(k), row=row, column=column)
+        for row, fields in islice(_numbered_records(path, header), k, None):
+            raise SchemaError(message(k, fields), row=row, column=column)
+        fault = SchemaError(f"{path}: changed while it was read")
     if fault is not None:
         raise fault
 

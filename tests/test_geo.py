@@ -446,9 +446,14 @@ class TestBuildPanel:
     def test_parse_month_accepts_a_leap_day(self):
         assert parse_month("2016-02-29") == (2016, 2)
 
-    @pytest.mark.parametrize("text", ["2013-12-99", "2015-02-29", "2014-04-31", "2014-01-00"])
+    @pytest.mark.parametrize("text", [
+        "2013-12-99", "2015-02-29", "2014-04-31", "2014-01-00", "\uff12\uff10\uff11\uff14-03",
+        "\u0662\u0660\u0661\u0664-03", "2014-03-\u0660\u0661",
+    ])
     def test_parse_month_rejects_missing_days(self, text):
-        with pytest.raises(DomainError, match=re.escape(f"day out of range in {text!r}")):
+        # digits outside ASCII are no digits of a month, as they are none of a catalog timestamp
+        error = "day out of range in" if text.isascii() else "expected YYYY-MM, got"
+        with pytest.raises(DomainError, match=re.escape(f"{error} {text!r}")):
             parse_month(text)
 
 
@@ -608,6 +613,11 @@ def assert_same_outcome(got, want):
         assert a.dtype == b.dtype and np.array_equal(a, b), field.name
 
 
+def refuse(*args, **kwargs):
+    """A stand-in for `np.loadtxt` that refuses every file, so the loaders walk it record by record."""
+    raise ValueError("refused")
+
+
 def rarely(n):
     """True one draw in `n`."""
     return st.integers(0, n - 1).map(lambda k: k == n - 1)
@@ -680,14 +690,19 @@ def csv_text(draw, header, records, key):
     for row in rows:
         if draw(ONE_IN_20):
             row.pop() if draw(st.booleans()) else row.append("1")
-    if rows and draw(ONE_IN_5):  # a quoted field, maybe with a comma or a line break
+    if rows and draw(ONE_IN_5):  # a character that str.splitlines, but not csv.reader, takes for a line end
         row = draw(st.sampled_from(rows))
         k = draw(st.integers(0, len(row) - 1))
-        row[k] = '"' + row[k] + draw(st.sampled_from(["", ",", "\n", "\n\n"])) + '"'
+        row[k] += draw(st.sampled_from(["\x85", "\u2028", "\x1c"]))
+    if rows and draw(ONE_IN_5):  # a quoted field, maybe with a comma or a line break, or quoted in part as "ab"c
+        row = draw(st.sampled_from(rows))
+        k = draw(st.integers(0, len(row) - 1))
+        cut = draw(st.sampled_from([len(row[k]), 0, 1]))
+        row[k] = '"' + row[k][:cut] + draw(st.sampled_from(["", ",", "\n", "\n\n"])) + '"' + row[k][cut:]
     lines = [",".join(header)] + [",".join(row) for row in rows]
-    for _ in range(draw(st.integers(0, 2))):  # blank lines, after the header
-        lines.insert(draw(st.integers(1, len(lines))), "")
-    end = draw(st.sampled_from(["\n", "\n", "\r\n"]))
+    for _ in range(draw(st.integers(0, 2))):  # blank lines, after the header, or a whitespace-only line
+        lines.insert(draw(st.integers(1, len(lines))), draw(st.sampled_from(["", "", "", " \t"])))
+    end = draw(st.sampled_from(["\n", "\n", "\r\n", "\r"]))
     text = end.join(lines) + draw(st.sampled_from([end, ""]))
     return ("\ufeff" if draw(ONE_IN_10) else "") + text
 
@@ -730,15 +745,35 @@ class TestColumnPathMatchesRowPath:
         pytest.param(load_catalog_csv, csv_oracle._load_catalog_rows, CATALOG_HEADER + OK_EVENTS + "e3" + "x" * 40
                      + ",-97.0,33.0,2014-05-12T03:27:00,3.0\ne4,-97.0,33.0,2014-05-12T03:27:00,big\n",
                      32, id="oversize-field-then-bad-value"),
+        pytest.param(load_catalog_csv, csv_oracle._load_catalog_rows, CATALOG_HEADER.replace("\n", "\r\n\r\n\r\n"),
+                     None, id="crlf-blank-lines-only"),
+        pytest.param(load_catalog_csv, csv_oracle._load_catalog_rows, CATALOG_HEADER + OK_EVENTS + '"e' + "x\n" * 40
+                     + '",-97.0,33.0,2014-05-12T03:27:00,3.0\n', 64, id="quoted-multiline-id-over-limit"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER + OK_WELLS + "w1,-97.0,33.0,2014-03,"
+                     + " " * 70 + "5\n", 64, id="padded-number-over-limit"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, (WELLS_HEADER + OK_WELLS).replace("\n", "\r"), None,
+                     id="bare-cr"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER + OK_WELLS + " \t\n"
+                     + "w1,-97.0,33.0,2014-03,x\n", None, id="whitespace-only-line"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER + "w1,-97.0,33.0,2014-01,1_000\n", None,
+                     id="underscore-number"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER + "w1,-97.0,33.0,2014-01,5\x1c\n", None,
+                     id="separator-after-number"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER.upper() + OK_WELLS, None,
+                     id="header-in-capitals"),
+        pytest.param(load_wells_csv, csv_oracle._load_wells_rows, WELLS_HEADER + '"w\r\n1",-97.0,33.0,2014-01,5\r\n',
+                     None, id="quoted-crlf-id"),
     ])
     def test_faults_in_a_later_block(self, tmp_path, monkeypatch, loader, oracle, text, limit):
-        # blocks of two records put the faults past the first block, where the reader reads on record by record
-        monkeypatch.setattr(panel, "CSV_BLOCK_RECORDS", 2)
+        # read as it comes, then walked record by record up to the faults, with loadtxt refusing every file
         p = tmp_path / "x.csv"
-        p.write_text(text)
+        p.write_bytes(text.encode("utf-8"))
         old_limit = csv.field_size_limit(limit or csv.field_size_limit())
         try:
-            assert_same_outcome(outcome(loader, p, None), outcome(oracle, p, None))
+            want = outcome(oracle, p, None)
+            assert_same_outcome(outcome(loader, p, None), want)
+            monkeypatch.setattr(panel.np, "loadtxt", refuse)
+            assert_same_outcome(outcome(loader, p, None), want)
         finally:
             csv.field_size_limit(old_limit)
 
@@ -747,7 +782,7 @@ class TestColumnPathMatchesRowPath:
         (OK_WELLS + "w\0,-97.0,33.0,2014-01,5\nw1,-97.0,33.0,2014-03,x\n", None, "line contains NUL"),
     ], ids=["bad-value-then-nul", "nul-then-bad-value"])
     def test_nul_in_a_later_block(self, tmp_path, monkeypatch, body, column, match):
-        monkeypatch.setattr(panel, "CSV_BLOCK_RECORDS", 2)
+        monkeypatch.setattr(panel.np, "loadtxt", refuse)
         p = tmp_path / "w.csv"
         p.write_text(WELLS_HEADER + body)
         check_schema_error(load_wells_csv, p, None, 4, column, match)

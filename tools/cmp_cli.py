@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 60 CLI invocations once per checkout:
+Runs a fixed set of 64 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -15,6 +15,8 @@ Runs a fixed set of 60 CLI invocations once per checkout:
   (only the MSM fails) and `--mag-cut 9` (all three estimators fail);
 - `analyze`, seeds 0-3, with default flags on the same inputs rewritten with
   every field quoted and CRLF line ends;
+- `analyze`, seeds 0-3, with default flags on a copy of the catalog whose
+  last record's magnitude is `x`, which exits 2 naming that record's row;
 - `analyze --panel --outcomes`, seeds 0-3, with default flags on the
   panel.csv and panel_outcomes.csv that PARENT_ROOT's `analyze` writes once
   per seed from those inputs at default flags.
@@ -67,6 +69,13 @@ def _write_quoted(data: Path) -> None:
             csv.writer(dst, quoting=csv.QUOTE_ALL, lineterminator="\r\n").writerows(csv.reader(src))
 
 
+def _write_bad_magnitude(data: Path) -> None:
+    """Copy `data`'s catalog.csv to `data/bad/`, with the magnitude of its last record replaced by `x`."""
+    (data / "bad").mkdir()
+    head, _, last = (data / "catalog.csv").read_bytes().rstrip(b"\n").rpartition(b"\n")
+    (data / "bad" / "catalog.csv").write_bytes(head + b"\n" + last.rpartition(b",")[0] + b",x\n")
+
+
 def _write_panel(parent: Path, data: Path) -> None:
     """Write `data/panel/panel.csv` and `panel_outcomes.csv` with the parent's `analyze` at default flags."""
     subprocess.run([sys.executable, "-m", "longicausal.cli", "analyze", "--wells", str(data / "wells.csv"),
@@ -75,7 +84,7 @@ def _write_panel(parent: Path, data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 60 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 64 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -87,6 +96,10 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}" / "quoted"
         args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"))
         yield f"analyze seed {seed} (quoted CRLF inputs)", args, None
+    for seed in SEEDS:
+        data = inputs / f"seed{seed}"
+        args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "bad" / "catalog.csv"))
+        yield f"analyze seed {seed} (bad last magnitude)", args, None
     for seed in SEEDS:
         data = inputs / f"seed{seed}" / "panel"
         args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
@@ -120,6 +133,7 @@ def main(argv: list[str]) -> int:
                             "--out-dir", str(tmp / "inputs" / f"seed{seed}")],
                            env=_env(parent, None), check=True, stdout=subprocess.DEVNULL)
             _write_quoted(tmp / "inputs" / f"seed{seed}")
+            _write_bad_magnitude(tmp / "inputs" / f"seed{seed}")
             _write_panel(parent, tmp / "inputs" / f"seed{seed}")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
