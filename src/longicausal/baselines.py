@@ -25,7 +25,7 @@ class GRParams:
     def __post_init__(self):
         for name in ("sigma", "b", "mag_complete") + (() if self.a_tec is None else ("a_tec",)):
             value = getattr(self, name)
-            if not isinstance(value, numbers.Real):
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
                 raise DomainError(f"{name} must be a real number, got {value!r}")
             if not math.isfinite(value):
                 raise DomainError(f"{name} must be finite, got {value!r}")

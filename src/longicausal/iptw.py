@@ -9,9 +9,10 @@ immediately preceding period. Datasets with a baseline period contribute
 factors for t = 1..K; datasets without one start at t = 2 and the first
 observed period acts as the baseline covariate.
 
-`stabilized_weights_stack` computes the weights of R replicates at once,
-fitting them in groups by which lag columns vary; `stabilized_weights` is
-its one-replicate call.
+`stabilized_weights_stack` is the one weights function: it computes the
+weights of R replicates at once, fitting them in groups by which lag columns
+vary. `stabilized_weights` is its one-replicate call on a dataset's arrays;
+it adds only the raise of the replicate's error and the truncation.
 """
 
 from __future__ import annotations
@@ -37,35 +38,26 @@ class WeightSet:
     truncation: tuple[float, float] | None = None
 
 
-def _lagged_rows(a, l, a0=None, l0=None) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
+def _lagged_rows(a, l, a0, l0) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
     """Pooled (response, lag treatment, lag confounder) rows, unit-major.
 
-    Takes (..., N, K) histories and, when there is a baseline period, the
-    (..., N) baselines A0/L0; a leading block axis of replicates passes
-    through. Returns arrays of shape (..., N*T), where T is the number of
-    modeled periods, plus the modeled period indices (1-based).
+    Takes (..., N, K) histories and the (..., N) baselines A0/L0, or None
+    for both; a leading block axis of replicates passes through. Without a
+    baseline, the first observed period serves as A0/L0 and the modeled
+    periods start at 2. Returns arrays of shape (..., N*T), where T is the
+    number of modeled periods, plus the modeled period indices (1-based).
     """
-    k = a.shape[-1]
-    if a0 is not None:
-        lag_a = np.concatenate([a0[..., None], a[..., :-1]], axis=-1)
-        lag_l = np.concatenate([l0[..., None], l[..., :-1]], axis=-1)
-        resp = a
-        periods = tuple(range(1, k + 1))
-    else:
-        if k < 2:
+    first = 1
+    if a0 is None:
+        if a.shape[-1] < 2:
             raise DomainError("weight models need a baseline period or K >= 2")
-        lag_a = a[..., :-1]
-        lag_l = l[..., :-1]
-        resp = a[..., 1:]
-        periods = tuple(range(2, k + 1))
+        a0, l0, a, l, first = a[..., 0], l[..., 0], a[..., 1:], l[..., 1:], 2
+    lag_a = np.concatenate([a0[..., None], a[..., :-1]], axis=-1)
+    lag_l = np.concatenate([l0[..., None], l[..., :-1]], axis=-1)
+    periods = tuple(range(first, first + a.shape[-1]))
     # an explicit length rather than -1, so that a stack of no replicates reshapes too
-    resp, lag_a, lag_l = (x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)) for x in (resp, lag_a, lag_l))
+    resp, lag_a, lag_l = (x.reshape(x.shape[:-2] + (x.shape[-2] * x.shape[-1],)) for x in (a, lag_a, lag_l))
     return resp, lag_a, lag_l, periods
-
-
-def _dataset_rows(data: PanelDataset) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
-    """`_lagged_rows` of one dataset, as a stack of one replicate."""
-    return _lagged_rows(*(None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0)))
 
 
 def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
@@ -100,15 +92,16 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
     return groups
 
 
-def _gaussian_logpdf(x: np.ndarray, mean: np.ndarray, sd) -> np.ndarray:
-    """log N(x; mean, sd^2) with `sd` a float, or one sd per replicate of a leading block axis.
+def _gaussian_logpdf(x: np.ndarray, design: np.ndarray, coefficients: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """log N(x; design @ coefficients, sd^2) for a model of each replicate of a leading block axis.
 
-    log(sd) is the scalar libm log of each sd, so a replicate's densities do
-    not depend on the block it is evaluated in.
+    Coefficients are (R, p) and sd is (R,). log(sd) is the scalar libm log
+    of each sd, so a replicate's densities do not depend on the block it is
+    evaluated in.
     """
     sd = np.asarray(sd, dtype=float)[..., None]
     log_norm = np.reshape([-0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(s)) for s in sd.ravel()], sd.shape)
-    return log_norm - (x - mean) ** 2 / (2.0 * sd * sd)
+    return log_norm - (x - (design @ coefficients[..., None])[..., 0]) ** 2 / (2.0 * sd * sd)
 
 
 def _sd_floor(resp: np.ndarray):
@@ -117,20 +110,6 @@ def _sd_floor(resp: np.ndarray):
     # gives an infinite floor, which fails the sd check instead of warning.
     with np.errstate(over="ignore"):
         return 1e-10 * np.maximum(1.0, np.std(resp, axis=-1))
-
-
-def _log_factors(resp, numerator, denominator) -> np.ndarray:
-    """log phi_num/phi_den for each row of `_lagged_rows`.
-
-    Each model is (design, coefficients, residual_sd); with a leading block
-    axis, coefficients are (R, p) and residual_sd is (R,).
-    """
-
-    def logpdf(design, coefficients, sd):
-        return _gaussian_logpdf(resp, (design @ coefficients[..., None])[..., 0], sd)
-
-    with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked by the callers
-        return logpdf(*numerator) - logpdf(*denominator)
 
 
 class WeightStack(NamedTuple):
@@ -145,15 +124,18 @@ class WeightStack(NamedTuple):
     errors: list[LongicausalError | None]
 
 
-def _weight_stack(resp, lag_a, lag_l, periods, unit_ids) -> WeightStack:
-    """Weights from the rows of `_lagged_rows`, with the treatment models `_fit_models` fits.
+def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
+    """Stabilized weights of R replicates at once, without truncation.
 
-    A replicate's error is its first of: the `_fit_models` errors, the
-    numerator's, then the denominator's sd floor, the first non-finite factor
-    by (unit, period), then the first non-finite per-unit weight.
+    Takes (R, N, K) histories, (R, N) baselines or None for both, and the N
+    unit ids that error messages name. The treatment models are those
+    `_fit_models` fits. A replicate's error is its first of: the
+    `_fit_models` errors, the numerator's, then the denominator's sd floor,
+    the first non-finite factor by (unit, period), then the first non-finite
+    per-unit weight. Row r is bit-identical to the stack of replicate r alone.
     """
-    r, n_t = len(resp), len(periods)
-    n_units = resp.shape[-1] // n_t
+    resp, lag_a, lag_l, periods = _lagged_rows(a, l, a0, l0)
+    r, n_units, n_t = len(resp), a.shape[1], len(periods)
     errors = [None] * r
     weights, log_factors = np.full((r, n_units), np.nan), np.full((r, n_units, n_t), np.nan)
     floor = _sd_floor(resp)
@@ -164,9 +146,13 @@ def _weight_stack(resp, lag_a, lag_l, periods, unit_ids) -> WeightStack:
             flag_errors(errors, idx[fit.residual_sd <= floor[rows]], DegenerateVarianceError, message)
         live = np.flatnonzero([errors[i] is None for i in idx])
         sel = slice(None) if live.size == idx.size else live  # a view, not a copy, when all are live
-        live_models = [(design[sel], fit.coefficients[sel], fit.residual_sd[sel]) for design, fit in zip(designs, fits)]
-        factors = _log_factors(resp[rows][sel], *live_models).reshape(-1, n_units, n_t)
-        with np.errstate(over="ignore"):  # finiteness checked below
+        live_resp = resp[rows][sel]
+        numerator, denominator = ((design[sel], fit.coefficients[sel], fit.residual_sd[sel])
+                                  for design, fit in zip(designs, fits))
+        with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
+            factors = _gaussian_logpdf(live_resp, *numerator) - _gaussian_logpdf(live_resp, *denominator)
+        factors = factors.reshape(-1, n_units, n_t)
+        with np.errstate(over="ignore"):
             per_unit = np.exp(factors.sum(axis=-1))
         for j in np.flatnonzero(~np.isfinite(factors).all(axis=(1, 2)) | ~np.isfinite(per_unit).all(axis=1)):
             i, bad = idx[live[j]], np.argwhere(~np.isfinite(factors[j]))
@@ -180,17 +166,6 @@ def _weight_stack(resp, lag_a, lag_l, periods, unit_ids) -> WeightStack:
     return WeightStack(weights, log_factors, periods, errors)
 
 
-def stabilized_weights_stack(a, l, a0, l0) -> WeightStack:
-    """Stabilized weights of R replicates at once, without truncation.
-
-    Takes (R, N, K) histories and (R, N) baselines. Replicates are fitted in
-    groups by which lag columns vary, so row r is bit-identical to
-    `stabilized_weights` of replicate r's dataset or holds the error it
-    raises, with the units named 0..N-1.
-    """
-    return _weight_stack(*_lagged_rows(a, l, a0, l0), range(a.shape[1]))
-
-
 def stabilized_weights(data: PanelDataset, *, truncate_percentile: float | None = None) -> WeightSet:
     """Compute SW_i as the product of per-period Gaussian density ratios.
 
@@ -198,18 +173,19 @@ def stabilized_weights(data: PanelDataset, *, truncate_percentile: float | None 
     accumulated in log space in fixed period order, so results do not
     depend on evaluation order.
     `truncate_percentile=p` clips the finished per-unit weights to their
-    [p, 100-p] percentile range (off by default).
+    [p, 100-p] percentile range (off by default); p is checked before any fit.
     """
-    stack = _weight_stack(*_dataset_rows(data), data.unit_ids)
+    p = None if truncate_percentile is None else float(truncate_percentile)
+    if p is not None and not (0.0 < p < 50.0):
+        raise DomainError(f"truncate_percentile must be in (0, 50), got {p!r}")
+    arrays = (None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0))
+    stack = stabilized_weights_stack(*arrays, data.unit_ids)
     if stack.errors[0] is not None:
         raise stack.errors[0]
     per_unit = stack.per_unit_weights[0]
 
     truncation = None
-    if truncate_percentile is not None:
-        p = float(truncate_percentile)
-        if not (0.0 < p < 50.0):
-            raise DomainError(f"truncate_percentile must be in (0, 50), got {p!r}")
+    if p is not None:
         lo, hi = np.percentile(per_unit, [p, 100.0 - p])
         per_unit = np.clip(per_unit, lo, hi)
         truncation = (float(lo), float(hi))

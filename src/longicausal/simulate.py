@@ -22,12 +22,13 @@ pooled treatment-model rows each. A block is generated as one stack
 and the recursion runs over the whole block, so every replicate is
 bit-identical to `generate_dataset` of it alone, which is the one-replicate
 call of the same generator. The block's weights and outcome fits then run
-as stacks (`stabilized_weights_stack`, `estimate_stack`), whose
-one-replicate calls are the per-dataset functions. Each stack gives every
-replicate the numbers or the error of that call, so a replicate is audited
-with the error the per-dataset path raises first, and results do not
-depend on the block size either. A block returns (E, R) beta1 and SE
-columns and R audit messages, which `run_monte_carlo` concatenates.
+as stacks (`stabilized_weights_stack`, which names units 0..N-1 as
+`generate_dataset` does, and `estimate_stack`), whose one-replicate calls
+are the per-dataset functions. Each stack gives every replicate the numbers
+or the error of that call, so a replicate is audited with the error the
+per-dataset path raises first, and results do not depend on the block size
+either. A block returns (E, R) beta1 and SE columns and R audit messages,
+which `run_monte_carlo` concatenates.
 """
 
 from __future__ import annotations
@@ -61,16 +62,16 @@ BLOCK_ROWS = 25_000
 def _require_types(params) -> None:
     for f in fields(params):
         value = getattr(params, f.name)
-        if f.type == "int" and not isinstance(value, int):
+        if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
             raise DomainError(f"{f.name} must be an integer, got {value!r}")
-        if f.type == "float" and not isinstance(value, numbers.Real):
+        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
             raise DomainError(f"{f.name} must be a real number, got {value!r}")
         if f.type == "float" and not math.isfinite(value):
             raise DomainError(f"{f.name} must be finite, got {value!r}")
 
 
 def _require_seed(name: str, value, bits: int) -> None:
-    if not (isinstance(value, int) and 0 <= value < 2**bits):
+    if isinstance(value, bool) or not (isinstance(value, int) and 0 <= value < 2**bits):
         raise DomainError(f"{name} must be an integer in [0, 2**{bits}), got {value!r}")
 
 
@@ -247,7 +248,7 @@ def _run_block(config: SimulationConfig, replicates: range) -> tuple[np.ndarray,
     live = np.flatnonzero([e is None for e in errors])
     rows = slice(None) if live.size == len(replicates) else live  # a view, not a copy, when all are live
     a, l, y, a0, l0 = a[rows], l[rows], y[rows], a0[rows], l0[rows]
-    weights = stabilized_weights_stack(a, l, a0, l0)
+    weights = stabilized_weights_stack(a, l, a0, l0, range(a.shape[1]))
     estimates = estimate_stack(a.sum(axis=2), l.sum(axis=2), y, weights.per_unit_weights)
     for stage in (weights.errors, *(e.errors for e in estimates.values())):
         first_errors(errors, live, stage)
@@ -285,7 +286,7 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
     """
     if threads is None:
         threads = threads_from_env()
-    elif not (isinstance(threads, int) and threads >= 1):
+    elif isinstance(threads, bool) or not (isinstance(threads, int) and threads >= 1):
         raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
     m = config.n_replicates
     size = max(1, BLOCK_ROWS // (config.n_units * config.n_periods))

@@ -46,7 +46,8 @@ def fit_one(X, y, family, weights=None) -> StackFit:
 
 def treatment_models(data: PanelDataset):
     """(numerator, denominator) fits, as `first_row`s, and the modeled periods of `data`."""
-    resp, lag_a, lag_l, periods = iptw._dataset_rows(data)
+    arrays = (None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0))
+    resp, lag_a, lag_l, periods = iptw._lagged_rows(*arrays)
     errors = [None]
     groups = iptw._fit_models(resp, lag_a, lag_l, errors)
     if errors[0] is not None:

@@ -89,6 +89,9 @@ class TestExpectedCount:
             GRParams(sigma=None, b=1.0, mag_complete=3.0)
         with pytest.raises(DomainError, match="^sigma must be a real number, got '1'$"):
             GRParams(sigma="1", b=1.0, mag_complete=3.0)
+        for name, value in (("sigma", True), ("b", False), ("mag_complete", True), ("a_tec", False)):
+            with pytest.raises(DomainError, match=f"^{name} must be a real number, got {value}$"):
+                GRParams(**{"sigma": 1.0, "b": 1.0, "mag_complete": 3.0, "a_tec": 0.0, name: value})
         assert GRParams(sigma=1, b=np.float64(1.0), mag_complete=3.0).a_tec is None
 
     @pytest.mark.parametrize(

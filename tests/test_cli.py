@@ -586,3 +586,27 @@ class TestTopLevel:
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0
         assert "longicausal" in capsys.readouterr().out
+
+    def test_blas_thread_count_does_not_change_outputs(self, tmp_path, corpus_csvs):
+        # seeded runs promise the same outputs at any thread count, the BLAS library's included
+        wells_path, catalog_path = corpus_csvs
+        src = str(Path(longicausal.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        commands = {
+            "simulate": ["simulate", "--n", "600", "--m", "10", "--seed", "3"],
+            "analyze": ["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path)],
+        }
+        outputs = {}
+        for threads in ("1", "2"):
+            env.update(dict.fromkeys(("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"), threads))
+            for name, argv in commands.items():
+                out = tmp_path / threads / name
+                subprocess.run([sys.executable, "-m", "longicausal.cli", *argv, "--out-dir", str(out)],
+                               capture_output=True, check=True, env=env)
+                files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+                manifest = json.loads(files.pop("manifest.json"))
+                for key in ("started_utc", "duration_seconds"):
+                    manifest.pop(key)
+                outputs[threads, name] = files, manifest
+        for name in commands:
+            assert outputs["1", name] == outputs["2", name]

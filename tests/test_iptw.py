@@ -5,8 +5,10 @@ import math
 import numpy as np
 import pytest
 
-from longicausal.exceptions import DegenerateVarianceError, DomainError, SingularDesignError, WeightError
-from longicausal.iptw import iter_weight_rows, stabilized_weights
+from longicausal.exceptions import (
+    DegenerateVarianceError, DomainError, LongicausalError, SingularDesignError, WeightError,
+)
+from longicausal.iptw import iter_weight_rows, stabilized_weights, stabilized_weights_stack
 from longicausal.panel import PanelDataset
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
@@ -163,9 +165,14 @@ class TestStabilizedWeights:
         assert plain.truncation is None
 
     def test_bad_truncation_percentile(self):
-        data = self.feedback_dgp_data()
-        with pytest.raises(DomainError):
-            stabilized_weights(data, truncate_percentile=60.0)
+        # the argument is checked before the models are fitted: volumes that grow by exactly
+        # 1,000 bbl per period would make the numerator model degenerate
+        linear = make_dataset([[1e5 * (i + 1) + 1000.0 * t for t in range(5)] for i in range(6)])
+        with pytest.raises(DegenerateVarianceError):
+            stabilized_weights(linear)
+        for data in (self.feedback_dgp_data(), linear):
+            with pytest.raises(DomainError, match=r"^truncate_percentile must be in \(0, 50\), got 60.0$"):
+                stabilized_weights(data, truncate_percentile=60.0)
 
     def test_nonfinite_factor_names_unit_and_period(self, monkeypatch):
         # the squared z-score under the numerator model overflows -> -inf logpdf
@@ -200,3 +207,27 @@ class TestStabilizedWeights:
         assert factor == pytest.approx(ws.per_time_factors[0, 0])
         last_unit_rows = [r for r in rows if r[0] == data.unit_ids[0]]
         assert last_unit_rows[-1][3] == pytest.approx(ws.per_unit_weights[0], rel=1e-10)
+
+
+class TestWeightStack:
+    @pytest.mark.parametrize("baseline", [True, False])
+    def test_rows_match_one_replicate_calls(self, baseline):
+        n, k = 12, 4
+        cfg = SimulationConfig(n_units=n, n_periods=k)
+        data = [generate_dataset(cfg, replicate_seed(5, rep)) for rep in range(6)]
+        a, l, a0, l0 = (np.stack([getattr(d, name) for d in data]) for name in ("A", "L", "A0", "L0"))
+        l[2], l0[2] = 0.0, 0.0  # no L(t-1) column: replicate 2 is fitted in a group of its own
+        a[4] = a0[4][:, None] + 1000.0 * np.arange(1, k + 1)  # the numerator model fits exactly
+        baselines = (a0, l0) if baseline else (None, None)
+        stack = stabilized_weights_stack(a, l, *baselines, range(n))
+        assert stack.errors[2] is None and type(stack.errors[4]) is DegenerateVarianceError
+        for j, d in enumerate(data):
+            one = PanelDataset(a[j], l[j], d.Y, **({"A0": a0[j], "L0": l0[j]} if baseline else {}))
+            try:
+                ws = stabilized_weights(one)
+            except LongicausalError as exc:
+                assert (type(exc), str(exc)) == (type(stack.errors[j]), str(stack.errors[j]))
+                continue
+            assert stack.errors[j] is None and stack.periods == ws.periods
+            assert stack.per_unit_weights[j].tobytes() == ws.per_unit_weights.tobytes()
+            assert np.exp(stack.log_factors[j]).tobytes() == ws.per_time_factors.tobytes()

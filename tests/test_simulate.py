@@ -163,7 +163,14 @@ class TestGenerateDataset:
             (lambda: replicate_seed(0, 1.5), "replicate must be an integer in [0, 2**64), got 1.5"),
             (lambda: replicate_seed(-1, 0), "master_seed must be an integer in [0, 2**64), got -1"),
             *((lambda key=key: generate_dataset(SimulationConfig(), key),
-               f"replicate_seed must be an integer in [0, 2**128), got {key}") for key in (-5, 2**200, 1.5)),
+               f"replicate_seed must be an integer in [0, 2**128), got {key}") for key in (-5, 2**200, 1.5, True)),
+            # bools are ints and real numbers to Python, but never a count, a seed or a parameter
+            (lambda: SimulationConfig(n_replicates=True), "n_replicates must be an integer, got True"),
+            (lambda: SimulationConfig(master_seed=False), "master_seed must be an integer, got False"),
+            (lambda: DgpParams(u_levels=True), "u_levels must be an integer, got True"),
+            (lambda: DgpParams(a_sd=True), "a_sd must be a real number, got True"),
+            (lambda: replicate_seed(True, 0), "master_seed must be an integer in [0, 2**64), got True"),
+            (lambda: replicate_seed(0, False), "replicate must be an integer in [0, 2**64), got False"),
         ]
         for make, message in bad_integers:
             with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
@@ -623,7 +630,7 @@ class TestThreads:
         with pytest.raises(DomainError, match=rf"^LONGICAUSAL_THREADS must be an integer >= 1, got {value!r}$"):
             run_monte_carlo(SimulationConfig(n_replicates=2))
 
-    @pytest.mark.parametrize("value", [0, -3, 1.5, "2"])
+    @pytest.mark.parametrize("value", [0, -3, 1.5, "2", True])
     def test_bad_argument_rejected(self, monkeypatch, value):
         monkeypatch.setenv("LONGICAUSAL_THREADS", "1")
         with pytest.raises(DomainError, match=rf"^threads must be an integer >= 1, got {value!r}$"):

@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 64 CLI invocations once per checkout:
+Runs a fixed set of 68 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -19,7 +19,11 @@ Runs a fixed set of 64 CLI invocations once per checkout:
   last record's magnitude is `x`, which exits 2 naming that record's row;
 - `analyze --panel --outcomes`, seeds 0-3, with default flags on the
   panel.csv and panel_outcomes.csv that PARENT_ROOT's `analyze` writes once
-  per seed from those inputs at default flags.
+  per seed from those inputs at default flags;
+- `analyze --panel --outcomes`, seeds 0-3, on a copy of that panel.csv in
+  which each unit's volume in period t is its period-1 volume + 1000*(t-1),
+  so the numerator treatment model fits exactly and the run exits 1 in the
+  weights stage, writing nothing.
 
 Each invocation runs `python -m longicausal.cli` with PYTHONPATH=<root>/src
 and PYTHONDONTWRITEBYTECODE=1 in an empty working directory, which is the
@@ -83,8 +87,20 @@ def _write_panel(parent: Path, data: Path) -> None:
                    env=_env(parent, None), check=True, capture_output=True)
 
 
+def _write_linear_panel(data: Path) -> None:
+    """Copy `data/panel/panel.csv` to `data/linear/`, with each volume its unit's period-1 volume + 1000*(t-1)."""
+    source, target = data / "panel" / "panel.csv", data / "linear" / "panel.csv"
+    target.parent.mkdir()
+    with open(source, newline="") as src, open(target, "w", newline="") as dst:
+        records, writer, first = csv.reader(src), csv.writer(dst, lineterminator="\n"), {}
+        writer.writerow(next(records))
+        for unit, period, volume, quake in records:
+            first.setdefault(unit, float(volume))  # each unit's records start at period 1
+            writer.writerow([unit, period, first[unit] + 1000.0 * (int(period) - 1), quake])
+
+
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 64 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 68 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -104,6 +120,11 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}" / "panel"
         args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
         yield f"analyze seed {seed} --panel (default flags)", args, None
+    for seed in SEEDS:
+        data = inputs / f"seed{seed}"
+        args = ("analyze", "--panel", str(data / "linear" / "panel.csv"),
+                "--outcomes", str(data / "panel" / "panel_outcomes.csv"))
+        yield f"analyze seed {seed} --panel (volumes linear in t)", args, None
 
 
 def _run(root: Path, args, threads, cwd: Path) -> dict[str, bytes]:
@@ -135,6 +156,7 @@ def main(argv: list[str]) -> int:
             _write_quoted(tmp / "inputs" / f"seed{seed}")
             _write_bad_magnitude(tmp / "inputs" / f"seed{seed}")
             _write_panel(parent, tmp / "inputs" / f"seed{seed}")
+            _write_linear_panel(tmp / "inputs" / f"seed{seed}")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
             before = _run(parent, args, threads, tmp / "parent" / str(n_runs))
