@@ -24,11 +24,14 @@ class GRParams:
 
     def __post_init__(self):
         for name in ("sigma", "b", "mag_complete") + (() if self.a_tec is None else ("a_tec",)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise DomainError(f"{name} must be a real number, got {value!r}")
-            if not math.isfinite(value):
-                raise DomainError(f"{name} must be finite, got {value!r}")
+            _require_finite(name, getattr(self, name))
+
+
+def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _pow10(exponent: float) -> float:
@@ -43,11 +46,10 @@ def gr_rate_factor(p: GRParams) -> float:
 
 
 def gr_expected_count(p: GRParams, volume: float) -> float:
-    """Background plus volume-driven events: 10^(a_tec - b*M) + V * 10^(sigma - b*M), for finite V >= 0."""
+    """Background plus volume-driven events: 10^(a_tec - b*M) + V * 10^(sigma - b*M), for a finite real V >= 0."""
     if p.a_tec is None:
         raise DomainError("a_tec is required for the expected count")
-    if not math.isfinite(volume):
-        raise DomainError(f"volume must be finite, got {volume!r}")
+    _require_finite("volume", volume)
     if volume < 0:
         raise DomainError(f"volume must be >= 0, got {volume!r}")
     count = _pow10(p.a_tec - p.b * p.mag_complete) + volume * gr_rate_factor(p)

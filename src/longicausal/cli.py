@@ -23,9 +23,11 @@ import time
 from datetime import datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
 from . import __version__
 from .baselines import GRParams, gr_expected_count, gr_rate_factor
-from .estimators import REPORT_CSV_HEADER, _check_units, estimate
+from .estimators import _check_units, estimate
 from .exceptions import DomainError, LongicausalError, SchemaError
 from .geo import (
     DEFAULT_MAGNITUDE_CUT,
@@ -44,7 +46,7 @@ from .geo import (
     load_wells_csv,
     parse_month,
 )
-from .iptw import iter_weight_rows, stabilized_weights
+from .iptw import stabilized_weights
 from .panel import read_panel_csv, write_csv, write_panel_csv
 from .simulate import DgpParams, SimulationConfig, run_monte_carlo, threads_from_env
 
@@ -147,10 +149,16 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             for name, est in summary.estimators.items()
         ),
     )
+    columns = [zip(e.estimates.tolist(), e.ses.tolist(), e.ci_lo.tolist(), e.ci_hi.tolist())
+               for e in summary.estimators.values()]
     write_csv(
         out_dir / "estimate_samples.csv",
         ["replicate", "estimator", "beta1_hat", "se", "ci_lo", "ci_hi"],
-        summary.iter_sample_rows(),
+        (
+            (rep, name, *values)
+            for rep, *per_estimator in zip(summary.replicate_indices.tolist(), *columns)
+            for name, values in zip(summary.estimators, per_estimator)
+        ),
     )
     _write_manifest(args, [], ["mc_summary.csv", "estimate_samples.csv"], started, t0, n_failed=summary.n_failed)
     return 0
@@ -200,13 +208,34 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     if not args.panel:
         write_panel_csv(data, out_dir / "panel.csv", out_dir / "panel_outcomes.csv")
         outputs += ["panel.csv", "panel_outcomes.csv"]
-    write_csv(out_dir / "estimates.csv", REPORT_CSV_HEADER, (rep.to_csv_row() for rep in reports))
     write_csv(
-        out_dir / "weights.csv", ["unit_id", "t", "factor", "cumulative_weight"], iter_weight_rows(data, weights)
+        out_dir / "estimates.csv",
+        ["estimator", "beta1_hat", "se", "ci_lo", "ci_hi", "relative_risk_per_MMbbl", "z", "p"],
+        ((rep.estimator, rep.beta1_hat, rep.se, *rep.ci95, rep.relative_risk_per_MMbbl, rep.z, rep.p)
+         for rep in reports),
+    )
+    factors = weights.per_time_factors
+    write_csv(
+        out_dir / "weights.csv",
+        ["unit_id", "t", "factor", "cumulative_weight"],
+        (
+            (uid, t, factor, cumulative)
+            for uid, f_row, c_row in zip(data.unit_ids, factors.tolist(), np.cumprod(factors, axis=1).tolist())
+            for t, factor, cumulative in zip(weights.periods, f_row, c_row)
+        ),
     )
     outputs += ["estimates.csv", "weights.csv"]
 
-    print("\n\n".join(rep.to_text() for rep in reports))
+    print("\n\n".join(
+        f"estimator: {rep.estimator}\n"
+        f"beta1_hat: {rep.beta1_hat:.17g}\n"
+        f"se: {rep.se:.17g}\n"
+        f"ci95: [{rep.ci95[0]:.17g}, {rep.ci95[1]:.17g}]\n"
+        f"relative_risk_per_MMbbl: {rep.relative_risk_per_MMbbl:.17g}\n"
+        f"z: {rep.z:.17g}\n"
+        f"p: {rep.p:.17g}"
+        for rep in reports
+    ))
     # weights.csv holds the untruncated factors, so the clip bounds are recorded here
     sections = {} if weights.truncation is None else {"weights": {"truncation": list(weights.truncation)}}
     _write_manifest(args, inputs, outputs, started, t0, sections)

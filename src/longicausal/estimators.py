@@ -1,4 +1,4 @@
-"""The three competing outcome regressions and their reporting transforms.
+"""The three competing outcome regressions.
 
 All three regress the end-of-study count on the cumulative injected volume
 (per bbl) with a log link:
@@ -36,17 +36,6 @@ MMBBL = 1_000_000.0
 
 ESTIMATOR_NAMES = ("naive", "adjusted", "msm")
 
-REPORT_CSV_HEADER = [
-    "estimator",
-    "beta1_hat",
-    "se",
-    "ci_lo",
-    "ci_hi",
-    "relative_risk_per_MMbbl",
-    "z",
-    "p",
-]
-
 
 @dataclass(frozen=True)
 class EstimatorReport:
@@ -59,31 +48,6 @@ class EstimatorReport:
     p: float
     intercept: float
     converged: bool
-
-    def to_csv_row(self) -> list:
-        """The REPORT_CSV_HEADER fields; `panel.write_csv` formats the floats."""
-        return [
-            self.estimator,
-            self.beta1_hat,
-            self.se,
-            self.ci95[0],
-            self.ci95[1],
-            self.relative_risk_per_MMbbl,
-            self.z,
-            self.p,
-        ]
-
-    def to_text(self) -> str:
-        lines = [
-            f"estimator: {self.estimator}",
-            f"beta1_hat: {self.beta1_hat:.17g}",
-            f"se: {self.se:.17g}",
-            f"ci95: [{self.ci95[0]:.17g}, {self.ci95[1]:.17g}]",
-            f"relative_risk_per_MMbbl: {self.relative_risk_per_MMbbl:.17g}",
-            f"z: {self.z:.17g}",
-            f"p: {self.p:.17g}",
-        ]
-        return "\n".join(lines)
 
 
 def relative_risk(beta1: float) -> float:

@@ -18,8 +18,9 @@ it adds only the raise of the replicate's error and the truncation.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -175,9 +176,11 @@ def stabilized_weights(data: PanelDataset, *, truncate_percentile: float | None 
     `truncate_percentile=p` clips the finished per-unit weights to their
     [p, 100-p] percentile range (off by default); p is checked before any fit.
     """
-    p = None if truncate_percentile is None else float(truncate_percentile)
-    if p is not None and not (0.0 < p < 50.0):
-        raise DomainError(f"truncate_percentile must be in (0, 50), got {p!r}")
+    p = truncate_percentile
+    if p is not None:
+        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not (0.0 < p < 50.0):
+            raise DomainError(f"truncate_percentile must be in (0, 50), got {p!r}")
+        p = float(p)
     arrays = (None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0))
     stack = stabilized_weights_stack(*arrays, data.unit_ids)
     if stack.errors[0] is not None:
@@ -196,12 +199,3 @@ def stabilized_weights(data: PanelDataset, *, truncate_percentile: float | None 
         periods=stack.periods,
         truncation=truncation,
     )
-
-
-def iter_weight_rows(data: PanelDataset, weights: WeightSet) -> Iterator[tuple[str | int, int, float, float]]:
-    """Diagnostic rows (unit_id, t, factor, cumulative_weight) for CSV export."""
-    cumulative = np.cumprod(weights.per_time_factors, axis=1)
-    for i, unit_id in enumerate(data.unit_ids):
-        for j, t in enumerate(weights.periods):
-            yield unit_id, t, float(weights.per_time_factors[i, j]), float(cumulative[i, j])
-

@@ -37,7 +37,6 @@ import math
 import numbers
 import os
 from dataclasses import dataclass, field, fields
-from typing import Iterator
 
 import numpy as np
 
@@ -210,20 +209,6 @@ class MonteCarloSummary:
     failed_replicates: tuple[tuple[int, str], ...]
     replicate_indices: np.ndarray
     estimators: dict[str, EstimatorMonteCarlo]
-
-    def iter_sample_rows(self) -> Iterator[tuple[int, str, float, float, float, float]]:
-        """(replicate, estimator, beta1_hat, se, ci_lo, ci_hi) rows for export."""
-        for pos, rep in enumerate(self.replicate_indices):
-            for name in ESTIMATOR_NAMES:
-                e = self.estimators[name]
-                yield (
-                    int(rep),
-                    name,
-                    float(e.estimates[pos]),
-                    float(e.ses[pos]),
-                    float(e.ci_lo[pos]),
-                    float(e.ci_hi[pos]),
-                )
 
 
 def _run_block(config: SimulationConfig, replicates: range) -> tuple[np.ndarray, np.ndarray, list[str | None]]:

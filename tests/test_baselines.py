@@ -93,6 +93,11 @@ class TestExpectedCount:
             with pytest.raises(DomainError, match=f"^{name} must be a real number, got {value}$"):
                 GRParams(**{"sigma": 1.0, "b": 1.0, "mag_complete": 3.0, "a_tec": 0.0, name: value})
         assert GRParams(sigma=1, b=np.float64(1.0), mag_complete=3.0).a_tec is None
+        p = GRParams(sigma=-0.47, b=1.41, mag_complete=3.0, a_tec=0.0)
+        for volume, shown in ((True, "True"), (False, "False"), ("x", "'x'"), (None, "None")):
+            with pytest.raises(DomainError, match=f"^volume must be a real number, got {shown}$"):
+                gr_expected_count(p, volume)
+        assert gr_expected_count(p, 1) == gr_expected_count(p, np.float64(1.0))
 
     @pytest.mark.parametrize(
         "name, call",

@@ -1,5 +1,6 @@
-"""Naive / adjusted / MSM outcome regressions and the reporting transforms."""
+"""Naive / adjusted / MSM outcome regressions and their reports."""
 
+import csv
 import hashlib
 import math
 
@@ -9,16 +10,16 @@ import pytest
 from longicausal.estimators import (
     CI_MULTIPLIER,
     ESTIMATOR_NAMES,
-    REPORT_CSV_HEADER,
     EstimatorReport,
     estimate,
     estimate_stack,
     relative_risk,
 )
+from longicausal.cli import main
 from longicausal.exceptions import DomainError
 from longicausal.geo import assign_quakes, build_panel, cluster_wells
 from longicausal.iptw import WeightSet, stabilized_weights
-from longicausal.panel import PanelDataset
+from longicausal.panel import PanelDataset, read_panel_csv, write_panel_csv
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
 from conftest import make_dataset, use_treatment_models
@@ -177,17 +178,36 @@ class TestRelativeRisk:
 
 
 class TestReportSerialization:
-    def test_csv_row_matches_header(self):
-        rep = reports(feedback_dgp_data())["naive"]
-        row = rep.to_csv_row()
-        assert len(row) == len(REPORT_CSV_HEADER)
-        assert row == ["naive", rep.beta1_hat, rep.se, *rep.ci95, rep.relative_risk_per_MMbbl, rep.z, rep.p]
+    """The reports as `analyze` writes them to estimates.csv and stdout."""
 
-    def test_text_format_keys(self):
-        rep = reports(feedback_dgp_data())["msm"]
-        text = rep.to_text()
-        for key in ("estimator:", "beta1_hat:", "se:", "ci95:", "relative_risk_per_MMbbl:", "z:", "p:"):
-            assert key in text
+    @staticmethod
+    def analyze(tmp_path) -> dict[str, EstimatorReport]:
+        """Run `analyze --panel` on a written dataset; return `estimate` of the panel it reads."""
+        panel, outcomes = tmp_path / "panel.csv", tmp_path / "outcomes.csv"
+        write_panel_csv(feedback_dgp_data(), panel, outcomes)
+        assert main(["analyze", "--panel", str(panel), "--outcomes", str(outcomes),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        return reports(read_panel_csv(panel, outcomes))  # baselines are not part of the exchange schema
+
+    def test_csv_row_matches_header(self, tmp_path):
+        reps = self.analyze(tmp_path)
+        with open(tmp_path / "out" / "estimates.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["estimator", "beta1_hat", "se", "ci_lo", "ci_hi", "relative_risk_per_MMbbl", "z", "p"]
+        assert [row[0] for row in rows] == list(ESTIMATOR_NAMES)
+        for name, *fields in rows:
+            rep = reps[name]
+            assert len(fields) + 1 == len(header)
+            expected = [rep.beta1_hat, rep.se, *rep.ci95, rep.relative_risk_per_MMbbl, rep.z, rep.p]
+            assert [float(f).hex() for f in fields] == [float(v).hex() for v in expected]
+
+    def test_text_format_keys(self, tmp_path, capsys):
+        self.analyze(tmp_path)
+        blocks = capsys.readouterr().out.rstrip("\n").split("\n\n")
+        assert [block.splitlines()[0] for block in blocks] == [f"estimator: {name}" for name in ESTIMATOR_NAMES]
+        for block in blocks:
+            for key in ("estimator:", "beta1_hat:", "se:", "ci95:", "relative_risk_per_MMbbl:", "z:", "p:"):
+                assert key in block
 
 
 def pin_digest(weights, reports):

@@ -1,15 +1,17 @@
 """Stabilized weights."""
 
+import csv
 import math
 
 import numpy as np
 import pytest
 
+from longicausal.cli import main
 from longicausal.exceptions import (
     DegenerateVarianceError, DomainError, LongicausalError, SingularDesignError, WeightError,
 )
-from longicausal.iptw import iter_weight_rows, stabilized_weights, stabilized_weights_stack
-from longicausal.panel import PanelDataset
+from longicausal.iptw import stabilized_weights, stabilized_weights_stack
+from longicausal.panel import PanelDataset, read_panel_csv, write_panel_csv
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
 from conftest import make_dataset, treatment_models, use_treatment_models
@@ -173,6 +175,10 @@ class TestStabilizedWeights:
         for data in (self.feedback_dgp_data(), linear):
             with pytest.raises(DomainError, match=r"^truncate_percentile must be in \(0, 50\), got 60.0$"):
                 stabilized_weights(data, truncate_percentile=60.0)
+        # only a real number that is not a bool is a percentile; `float` would read these three
+        for value, shown in ((True, "True"), ("5", "'5'"), ("abc", "'abc'")):
+            with pytest.raises(DomainError, match=rf"^truncate_percentile must be in \(0, 50\), got {shown}$"):
+                stabilized_weights(linear, truncate_percentile=value)
 
     def test_nonfinite_factor_names_unit_and_period(self, monkeypatch):
         # the squared z-score under the numerator model overflows -> -inf logpdf
@@ -197,16 +203,24 @@ class TestStabilizedWeights:
         with pytest.raises(SingularDesignError, match=r"^design matrix is rank deficient"):
             stabilized_weights(data)
 
-    def test_weight_rows_export(self):
-        data = self.feedback_dgp_data()
+    def test_weight_rows_export(self, tmp_path):
+        # the weights.csv that `analyze --panel` writes, against the weights of the panel it reads
+        panel, outcomes = tmp_path / "panel.csv", tmp_path / "outcomes.csv"
+        write_panel_csv(self.feedback_dgp_data(), panel, outcomes)
+        assert main(["analyze", "--panel", str(panel), "--outcomes", str(outcomes),
+                     "--out-dir", str(tmp_path / "out")]) == 0
+        data = read_panel_csv(panel, outcomes)
         ws = stabilized_weights(data)
-        rows = list(iter_weight_rows(data, ws))
+        with open(tmp_path / "out" / "weights.csv", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert header == ["unit_id", "t", "factor", "cumulative_weight"]
         assert len(rows) == data.n_units * len(ws.periods)
         unit_id, t, factor, cum = rows[0]
-        assert unit_id == data.unit_ids[0] and t == ws.periods[0]
-        assert factor == pytest.approx(ws.per_time_factors[0, 0])
-        last_unit_rows = [r for r in rows if r[0] == data.unit_ids[0]]
-        assert last_unit_rows[-1][3] == pytest.approx(ws.per_unit_weights[0], rel=1e-10)
+        assert unit_id == data.unit_ids[0] and int(t) == ws.periods[0]
+        assert float(factor) == pytest.approx(ws.per_time_factors[0, 0])
+        for i, uid in enumerate(data.unit_ids):
+            last = [r for r in rows if r[0] == uid][-1]
+            assert float(last[3]) == pytest.approx(ws.per_unit_weights[i], rel=1e-10)
 
 
 class TestWeightStack:

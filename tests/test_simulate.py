@@ -1,6 +1,7 @@
 """Data generation determinism, Monte Carlo harness, seeding scheme."""
 
 import concurrent.futures
+import csv
 import hashlib
 import math
 import os
@@ -14,6 +15,7 @@ import pytest
 import longicausal.estimators as est
 import longicausal.glm as glm
 import longicausal.simulate as sim
+from longicausal.cli import main
 from longicausal.estimators import estimate
 from longicausal.exceptions import DomainError, LongicausalError, SimulationError
 from longicausal.glm import fit_glm_stack
@@ -183,8 +185,17 @@ class TestGenerateDataset:
             replicate_seed(0, -1)
 
 
+def sample_rows(tmp_path, *args) -> list[list[str]]:
+    """The estimate_samples.csv records of `simulate *args`, without the header."""
+    assert main(["simulate", *args, "--out-dir", str(tmp_path)]) == 0
+    with open(tmp_path / "estimate_samples.csv", newline="") as fh:
+        header, *rows = csv.reader(fh)
+    assert header == ["replicate", "estimator", "beta1_hat", "se", "ci_lo", "ci_hi"]
+    return rows
+
+
 class TestMonteCarlo:
-    def test_summary_structure(self):
+    def test_summary_structure(self, tmp_path):
         cfg = SimulationConfig(n_replicates=10, master_seed=21)
         s = run_monte_carlo(cfg)
         assert list(s.estimators) == ["naive", "adjusted", "msm"]
@@ -193,9 +204,9 @@ class TestMonteCarlo:
             assert est.estimates.shape == (10,)
             assert 0.0 <= est.coverage95 <= 1.0
             np.testing.assert_allclose(est.ci_hi - est.ci_lo, 2 * 1.959964 * est.ses)
-        rows = list(s.iter_sample_rows())
+        rows = sample_rows(tmp_path, "--m", "10", "--seed", "21")
         assert len(rows) == 30
-        assert rows[0][0] == 0 and rows[0][1] == "naive"
+        assert rows[0][0] == "0" and rows[0][1] == "naive"
 
     def test_single_replicate_coverage_is_binary(self):
         cfg = SimulationConfig(n_replicates=1, master_seed=5)
@@ -227,7 +238,7 @@ class TestMonteCarlo:
         with pytest.raises(SimulationError, match="failed"):
             run_monte_carlo(cfg)
 
-    def test_rare_failures_excluded_with_audit_trail(self, monkeypatch):
+    def test_rare_failures_excluded_with_audit_trail(self, monkeypatch, tmp_path):
         edit_generated(monkeypatch, {3: non_finite_a})
         cfg = SimulationConfig(n_replicates=200, master_seed=77)
         s = sim.run_monte_carlo(cfg)  # 1/200 = 0.5% stays under the 1% budget
@@ -236,7 +247,7 @@ class TestMonteCarlo:
         assert 3 not in s.replicate_indices
         for est in s.estimators.values():
             assert est.estimates.shape == (199,)
-        assert all(rep != 3 for rep, *_ in s.iter_sample_rows())
+        assert all(rep != "3" for rep, *_ in sample_rows(tmp_path, "--m", "200", "--seed", "77"))
 
     def test_failures_at_exactly_the_budget_are_kept(self, monkeypatch):
         edit_generated(monkeypatch, {3: non_finite_a})

@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 68 CLI invocations once per checkout:
+Runs a fixed set of 72 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -23,7 +23,11 @@ Runs a fixed set of 68 CLI invocations once per checkout:
 - `analyze --panel --outcomes`, seeds 0-3, on a copy of that panel.csv in
   which each unit's volume in period t is its period-1 volume + 1000*(t-1),
   so the numerator treatment model fits exactly and the run exits 1 in the
-  weights stage, writing nothing.
+  weights stage, writing nothing;
+- `analyze --panel --outcomes`, seeds 0-3, with default flags on a copy of
+  that panel.csv and panel_outcomes.csv in which units c00-c03 are renamed
+  `c,00`, `q"1`, ` lead` and `x<newline>y`: a comma, a double quote, a
+  leading space and a line break in the unit_id column of weights.csv.
 
 Each invocation runs `python -m longicausal.cli` with PYTHONPATH=<root>/src
 and PYTHONDONTWRITEBYTECODE=1 in an empty working directory, which is the
@@ -99,8 +103,19 @@ def _write_linear_panel(data: Path) -> None:
             writer.writerow([unit, period, first[unit] + 1000.0 * (int(period) - 1), quake])
 
 
+def _write_renamed_panel(data: Path) -> None:
+    """Copy `data/panel/`'s two files to `data/renamed/`, with units c00-c03 renamed to CSV-special ids."""
+    renamed = {"c00": "c,00", "c01": 'q"1', "c02": " lead", "c03": "x\ny"}
+    (data / "renamed").mkdir()
+    for name in ("panel.csv", "panel_outcomes.csv"):
+        with open(data / "panel" / name, newline="") as src, open(data / "renamed" / name, "w", newline="") as dst:
+            records, writer = csv.reader(src), csv.writer(dst, lineterminator="\n")
+            writer.writerow(next(records))
+            writer.writerows([renamed.get(unit, unit), *rest] for unit, *rest in records)
+
+
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 68 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 72 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -125,6 +140,10 @@ def _runs(inputs: Path):
         args = ("analyze", "--panel", str(data / "linear" / "panel.csv"),
                 "--outcomes", str(data / "panel" / "panel_outcomes.csv"))
         yield f"analyze seed {seed} --panel (volumes linear in t)", args, None
+    for seed in SEEDS:
+        data = inputs / f"seed{seed}" / "renamed"
+        args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
+        yield f"analyze seed {seed} --panel (unit ids that need quoting)", args, None
 
 
 def _run(root: Path, args, threads, cwd: Path) -> dict[str, bytes]:
@@ -157,6 +176,7 @@ def main(argv: list[str]) -> int:
             _write_bad_magnitude(tmp / "inputs" / f"seed{seed}")
             _write_panel(parent, tmp / "inputs" / f"seed{seed}")
             _write_linear_panel(tmp / "inputs" / f"seed{seed}")
+            _write_renamed_panel(tmp / "inputs" / f"seed{seed}")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
             before = _run(parent, args, threads, tmp / "parent" / str(n_runs))
