@@ -1,9 +1,9 @@
 """Generalized linear models fit by iteratively reweighted least squares.
 
-Supports the linear (identity link), logistic (logit link), and poisson
-(log link) families with optional non-negative observation weights (none
-means unit weights, formed on entry), plus the heteroskedasticity-robust
-sandwich covariance of a poisson fit and the Wald test.
+Supports the linear (identity link) and poisson (log link) families with
+optional non-negative observation weights (none means unit weights, formed
+on entry), plus the heteroskedasticity-robust sandwich covariance of a
+poisson fit and the Wald test.
 
 One kernel does the fitting: `fit_glm_stack` takes a stack of R independent
 problems, designs of shape (R, n, p) with (R, n) responses and weights, and
@@ -26,7 +26,7 @@ Conventions used throughout:
     (weighted mean squared residual, no degrees-of-freedom correction) --
     downstream Gaussian density evaluation relies on this;
   * model_cov is dispersion * inverse Fisher information at the estimate,
-    with dispersion 1 for poisson/logistic and the MLE variance for linear;
+    with dispersion 1 for poisson and the MLE variance for linear;
   * a design is rank deficient when the ratio of its smallest to largest
     singular value (of sqrt(w) * X) is below 1e-12. A bound on the Gram's
     eigenvalues skips that SVD where it provably agrees (`_rank_deficient`).
@@ -41,7 +41,7 @@ import numpy as np
 
 from .exceptions import DomainError, LongicausalError, SingularDesignError
 
-FAMILIES = ("linear", "logistic", "poisson")
+FAMILIES = ("linear", "poisson")
 
 _MAX_EXP = 700.0  # exp() overflow guard for float64
 _RANK_RTOL = 1e-12
@@ -115,8 +115,6 @@ def _value_checks(X, y, w, family):
     ]
     if family == "poisson":
         checks.append(((y < 0).any(axis=1), "poisson responses must be non-negative"))
-    if family == "logistic":
-        checks.append((~np.isin(y, (0.0, 1.0)).all(axis=1), "logistic responses must be 0 or 1"))
     checks.append((~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1), "weights must be finite and non-negative"))
     checks.append((~(w > 0).any(axis=1), "at least one weight must be positive"))
     if family == "poisson":  # with no weighted count the intercept runs to -inf
@@ -201,31 +199,22 @@ def _solve_wls(X, wk, z, gram=None) -> tuple[np.ndarray, np.ndarray]:
     return beta[..., 0], singular
 
 
-def _mu_eta(family: str, eta: np.ndarray) -> np.ndarray:
-    if family == "linear":
-        return eta
-    if family == "poisson":
-        return np.exp(np.clip(eta, -_MAX_EXP, _MAX_EXP))
-    return 1.0 / (1.0 + np.exp(-np.clip(eta, -_MAX_EXP, _MAX_EXP)))
+def _mu_eta(eta: np.ndarray) -> np.ndarray:
+    """The poisson mean exp(eta), eta clipped against overflow."""
+    return np.exp(np.clip(eta, -_MAX_EXP, _MAX_EXP))
 
 
-def _variance(family: str, mu: np.ndarray) -> np.ndarray:
-    if family == "linear":
-        return np.ones_like(mu)
-    if family == "poisson":
-        return np.maximum(mu, _MU_EPS)
-    return np.maximum(mu * (1.0 - mu), _MU_EPS)
+def _variance(mu: np.ndarray) -> np.ndarray:
+    """The poisson variance function, floored at 1e-10."""
+    return np.maximum(mu, _MU_EPS)
 
 
-def _deviance(family: str, y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(R,) deviances of the poisson and logistic families; each row is summed on its own."""
-    if family == "poisson":
-        mu = np.maximum(mu, _MU_EPS)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            term = np.where(y > 0, y * np.log(y / mu), 0.0)
-        return 2.0 * np.sum(w * (term - (y - mu)), axis=-1)
-    mu = np.clip(mu, _MU_EPS, 1.0 - _MU_EPS)
-    return -2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu)), axis=-1)
+def _deviance(y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(R,) poisson deviances; each row is summed on its own."""
+    mu = np.maximum(mu, _MU_EPS)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        term = np.where(y > 0, y * np.log(y / mu), 0.0)
+    return 2.0 * np.sum(w * (term - (y - mu)), axis=-1)
 
 
 def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
@@ -237,8 +226,7 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
     then shares one X'X, with the bits unit weights give, between its rank
     check, normal equations and information. A problem converges when its
     relative deviance change drops below 1e-8 (`_TOL`); after `_MAX_ITER`
-    iterations it is returned with converged False and the caller decides
-    (logistic separation shows up this way rather than as an error).
+    iterations it is returned with converged False and the caller decides.
     """
     w = np.ones(np.shape(response)) if weights is None else np.asarray(weights, dtype=float)
     X = np.asarray(design, dtype=float)
@@ -276,16 +264,10 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
         residual_sd = np.full(r, np.nan)
         residual_sd[live] = sd
     else:
-        # starting values: shrink the response toward the family mean
-        if family == "poisson":
-            mu = y + 0.5
-            eta = np.log(mu)
-        else:
-            mu = (y + 0.5) / 2.0
-            eta = np.log(mu / (1.0 - mu))
-
+        mu = y + 0.5  # starting values: the response shrunk toward the family mean
+        eta = np.log(mu)
         beta = np.zeros((len(live), p))
-        dev = _deviance(family, y, _mu_eta(family, eta), w)
+        dev = _deviance(y, _mu_eta(eta), w)
         done = np.zeros(len(live), dtype=bool)
         its = np.zeros(len(live), dtype=int)
         active = np.arange(len(live))  # positions in `live` still iterating
@@ -294,28 +276,24 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
                 break
             sel = slice(None) if active.size == len(live) else active  # views while all iterate
             Xa, ya, wa, mua = X[sel], y[sel], w[sel], mu[sel]
-            var = _variance(family, mua)
+            var = _variance(mua)
             z = eta[sel] + (ya - mua) / var
             beta_a, singular = _solve_wls(Xa, wa * var, z)
             flag_errors(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
             eta_a = _matvec(Xa, beta_a)
-            mu_a = _mu_eta(family, eta_a)
-            if family == "logistic":
-                mu_a = np.clip(mu_a, _MU_EPS, 1.0 - _MU_EPS)
+            mu_a = _mu_eta(eta_a)
             with np.errstate(invalid="ignore"):  # NaN rows of singular problems
-                new_dev = _deviance(family, ya, mu_a, wa)
+                new_dev = _deviance(ya, mu_a, wa)
                 now_done = np.abs(new_dev - dev[sel]) / (np.abs(dev[sel]) + 0.1) < _TOL
             beta[sel], eta[sel], mu[sel], dev[sel] = beta_a, eta_a, mu_a, new_dev
             its[sel] = it
             done[active[now_done]] = True
             active = active[~now_done & ~singular]
-
-        if family == "logistic":
-            done &= ~np.any((mu < 1e-8) | (mu > 1.0 - 1e-8), axis=1)  # separation: fitted probabilities pinned at 0/1
         dispersion = 1.0
 
     with np.errstate(invalid="ignore"):  # NaN rows of singular problems
-        info = _information(X, w * _variance(family, mu)) if gram is None else gram
+        v = w if family == "linear" else w * _variance(mu)  # weight times variance; the linear variance is 1
+        info = _information(X, v) if gram is None else gram
     inv, singular = _per_problem(np.linalg.inv, info)
     flag_errors(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
     coefficients[live] = beta
@@ -340,7 +318,7 @@ def sandwich_cov_stack(
     y = np.asarray(response, dtype=float)
     w = np.asarray(weights, dtype=float)
     r, n, p = X.shape
-    mu = _mu_eta("poisson", _matvec(X, fit.coefficients))
+    mu = _mu_eta(_matvec(X, fit.coefficients))
     meat = _information(X, (w * (y - mu)) ** 2)
     cov = fit.model_cov @ meat @ fit.model_cov
     errors: list[LongicausalError | None] = [None] * r
@@ -355,6 +333,8 @@ def wald_test(beta: float, se: float) -> tuple[float, float]:
     """z = beta/se and the two-sided standard-normal p-value."""
     if not (se > 0) or not math.isfinite(se):
         raise DomainError(f"standard error must be positive and finite, got {se!r}")
+    if not math.isfinite(beta):
+        raise DomainError(f"beta must be finite, got {beta!r}")
     z = beta / se
     p = math.erfc(abs(z) / math.sqrt(2.0))
     return z, p

@@ -121,7 +121,7 @@ class TestCriterion3UnconfoundedOracle:
 class TestCriterion4GlmOracleEquivalence:
     def test_irls_matches_brute_force(self):
         checks = []
-        for family in ("linear", "logistic", "poisson"):
+        for family in ("linear", "poisson"):
             rng = np.random.default_rng(ACCEPTANCE_SEED + 3)
             worst = 0.0
             checked = 0

@@ -322,6 +322,15 @@ class TestAnalyzeCommand:
         assert "2 units" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_more_clusters_than_wells_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / "run"
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--clusters", "66", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: 65 wells inside the bounding box cannot form 66 clusters\n"
+        assert not out.exists()
+
     def test_no_counted_event_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):
         # every corpus magnitude is below 4.5, so no unit has a counted event
         wells_path, catalog_path = corpus_csvs
@@ -498,21 +507,28 @@ class TestAnalyzeCommand:
 
     def test_bad_bbox_exit_2(self, corpus_csvs, capsys):
         wells_path, catalog_path = corpus_csvs
-        for bbox in ("33,32,-98,-96", "nan,33.68,-98.38,-96.74", "32.07,inf,-98.38,-96.74",
-                     "32.07,33.68,-inf,-96.74", "32.07,33.68,-98.38,NaN"):
+        for bbox, message in (
+            ("33,32,-98,-96", "bbox must have lat_min < lat_max and lon_min < lon_max"),
+            ("nan,33.68,-98.38,-96.74", "expected a finite number, got 'nan'"),
+            ("32.07,inf,-98.38,-96.74", "expected a finite number, got 'inf'"),
+            ("32.07,33.68,-inf,-96.74", "expected a finite number, got '-inf'"),
+            ("32.07,33.68,-98.38,NaN", "expected a finite number, got 'NaN'"),
+            ("1,2,3", "bbox must be lat_min,lat_max,lon_min,lon_max"),
+        ):
             assert main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
                          "--bbox", bbox]) == 2
-            assert "--bbox" in capsys.readouterr().err
+            assert capsys.readouterr().err.endswith(f"argument --bbox: {message}\n")
 
     @pytest.mark.parametrize("flag", ["--mag-cut", "--radius-km"])
-    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "abc"])
     def test_non_finite_float_flag_exit_2_writes_nothing(self, tmp_path, corpus_csvs, capsys, flag, value):
         wells_path, catalog_path = corpus_csvs
         out = tmp_path / "run"
         code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
                      f"{flag}={value}", "--out-dir", str(out)])
         assert code == 2
-        assert flag in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert flag in err and f"number, got {value!r}" in err
         assert not out.exists()
 
     @pytest.mark.parametrize("flag", ["--start", "--end"])
@@ -582,6 +598,20 @@ class TestTopLevel:
         env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
         result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True, env=env)
         assert result.stdout.strip() == "[]"
+
+    def test_negative_values_in_exponent_form_parse_after_equals(self, tmp_path, corpus_csvs, capsys):
+        # argparse takes "-1e-3" after a space for an option string; "--flag=-1e-3" always parses
+        args = longicausal.cli.build_parser().parse_args(["simulate", "--confounding=-1e-3", "--a-l-penalty=-5.5e1"])
+        assert (args.confounding, args.a_l_penalty) == (-1e-3, -55.0)
+        assert main(["baseline", "gr", "--sigma=-1.5e0", "--b", "1", "--m", "0"]) == 0
+        assert capsys.readouterr().out == "0.03162\n"
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / "run"
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--bbox=-34,-33,150,151", "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: 0 wells inside the bounding box cannot form 30 clusters\n"
+        assert not out.exists()
 
     def test_version_flag(self, capsys):
         assert main(["--version"]) == 0

@@ -84,6 +84,8 @@ class TestProjection:
             project_coords(np.array([np.nan, -97.0]), np.array([33.0, 33.0]), (-97.0, 33.0))
         with pytest.raises(DomainError):
             project_coords(np.array([-97.0, -97.0]), np.array([33.0, np.nan]), (-97.0, 33.0))
+        with pytest.raises(DomainError, match=r"^origin has out-of-range coordinates \(0.0, 91.0\)$"):
+            project_coords(0.0, 0.0, (0.0, 91.0))
 
 
 class TestHaversine:
@@ -221,6 +223,10 @@ class TestClustering:
         with pytest.raises(DomainError, match=message):
             agglomerative_cluster(pts, 1)
 
+    def test_cluster_wells_needs_a_well(self, tmp_path):
+        with pytest.raises(DomainError, match="^no wells to cluster$"):
+            cluster_wells(load_wells(tmp_path, []))
+
     def test_cluster_wells_assignment(self, corpus):
         assignment = cluster_wells(corpus.wells, n_clusters=30)
         assert assignment.labels.shape == (65,)
@@ -297,6 +303,8 @@ class TestAssignQuakes:
         for bad in [(math.nan, 33.0), (500.0, 33.0), (-97.0, math.inf)]:
             with pytest.raises(DomainError, match="^centroids have out-of-range coordinates$"):
                 assign_quakes([(-97.0, 33.0), bad], corpus.quakes)
+        with pytest.raises(DomainError, match=r"^centroids must be \(k, 2\) lon/lat pairs, got shape \(1, 3\)$"):
+            assign_quakes([(-97.0, 33.0, 0.0)], corpus.quakes)
 
 
 class TestAssignMatchesReferenceLoop:
@@ -370,6 +378,8 @@ class TestBuildPanel:
         assignment = cluster_wells(corpus.wells, n_clusters=30)
         with pytest.raises(DomainError, match="divisible"):
             build_panel(corpus.wells, assignment, no_events(), period_months=5)
+        with pytest.raises(DomainError, match="^period_months must be >= 1$"):
+            build_panel(corpus.wells, assignment, no_events(), period_months=0)
 
     def test_labels_must_cover_every_well(self, corpus):
         assignment = ClusterAssignment(np.zeros(64, dtype=int), np.array([[-97.5, 33.0]]))

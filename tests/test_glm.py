@@ -31,8 +31,6 @@ def oracle_loglik(family, X, y, beta, w=None, sigma=None):
     eta = X @ beta
     if family == "poisson":
         return float(np.sum(w * (y * eta - np.exp(eta) - gammaln(y + 1))))
-    if family == "logistic":
-        return float(np.sum(w * (y * eta - np.logaddexp(0.0, eta))))
     return float(
         np.sum(w * (-0.5 * np.log(2 * np.pi * sigma**2) - (y - eta) ** 2 / (2 * sigma**2)))
     )
@@ -72,19 +70,15 @@ def oracle_two_sided_p(z):
 def draw_small_instance(family, rng):
     """One random n<=6, p<=2 instance whose maximizer exists and is interior.
 
-    Strictly positive counts keep the poisson MLE off the boundary; logistic
-    instances with (near-)separation are discarded via the convergence flag
-    and a coefficient-magnitude cap.
+    Strictly positive counts keep the poisson MLE off the boundary; an
+    instance that does not converge or has a coefficient above 15 in
+    magnitude is discarded.
     """
     n = int(rng.integers(3, 7))
     p = int(rng.integers(1, 3))
     X = np.ones((n, 1)) if p == 1 else np.column_stack([np.ones(n), rng.normal(size=n)])
     if family == "poisson":
         y = (1 + rng.poisson(1.5, n)).astype(float)
-    elif family == "logistic":
-        y = rng.integers(0, 2, n).astype(float)
-        if y.sum() in (0, n):
-            return None, X, y
     else:
         y = rng.normal(size=n)
     fit = fit_one(X, y, family)
@@ -107,13 +101,9 @@ class TestExactFits:
         np.testing.assert_allclose(fit.coefficients, [1.0, 2.0], atol=1e-12)
         assert fit.residual_sd == pytest.approx(0.0, abs=1e-12)
 
-    def test_logistic_intercept_only(self):
-        fit = fit_one(np.ones((2, 1)), np.array([0.0, 1.0]), "logistic")
-        assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-8)
-
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("family", ["linear", "logistic", "poisson"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_small_instances_match_nelder_mead(self, family):
         rng = np.random.default_rng(42)
         checked = 0
@@ -136,15 +126,13 @@ class TestOracleEquivalence:
 
 
 class TestGradientAtOptimum:
-    @pytest.mark.parametrize("family", ["linear", "logistic", "poisson"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_fd_gradient_below_tolerance(self, family):
         rng = np.random.default_rng(11)
         n = 30
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         if family == "poisson":
             y = rng.poisson(np.exp(0.5 + 0.3 * X[:, 1])).astype(float)
-        elif family == "logistic":
-            y = (rng.random(n) < 1 / (1 + np.exp(-(0.2 + 0.5 * X[:, 1])))).astype(float)
         else:
             y = 1.0 + 0.5 * X[:, 1] + rng.normal(size=n)
         w = rng.uniform(0.5, 1.5, n)
@@ -166,14 +154,13 @@ class TestGradientAtOptimum:
 
 
 class TestWeightInvariances:
-    @pytest.mark.parametrize("family", ["linear", "logistic", "poisson"])
+    @pytest.mark.parametrize("family", FAMILIES)
     def test_unit_weights_equal_no_weights(self, family):
         rng = np.random.default_rng(3)
         n = 25
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = {
             "poisson": rng.poisson(2.0, n).astype(float),
-            "logistic": rng.integers(0, 2, n).astype(float),
             "linear": rng.normal(size=n),
         }[family]
         a = fit_one(X, y, family)
@@ -288,6 +275,11 @@ class TestWald:
         with pytest.raises(DomainError):
             wald_test(1.0, -0.2)
 
+    @pytest.mark.parametrize("beta", [math.nan, math.inf])
+    def test_non_finite_beta(self, beta):
+        with pytest.raises(DomainError, match=f"^beta must be finite, got {beta!r}$"):
+            wald_test(beta, 1.0)
+
 
 class TestErrorsAndEdges:
     def test_rank_deficient_design(self):
@@ -310,10 +302,6 @@ class TestErrorsAndEdges:
         with pytest.raises(DomainError, match=f"^{message}$"):
             fit_one(X, np.array(y), "poisson", None if w is None else np.array(w))
 
-    def test_logistic_non_binary_response(self):
-        with pytest.raises(DomainError):
-            fit_one(np.ones((3, 1)), np.array([0.0, 0.5, 1.0]), "logistic")
-
     def test_more_params_than_rows(self):
         with pytest.raises(DomainError):
             fit_one(np.ones((1, 2)), np.array([1.0]), "linear")
@@ -322,15 +310,35 @@ class TestErrorsAndEdges:
         with pytest.raises(DomainError):
             fit_one(np.ones((3, 1)), np.zeros(3), "gamma")
 
+    def test_logistic_family_is_refused(self):
+        assert FAMILIES == ("linear", "poisson")
+        message = r"^unknown family 'logistic', expected one of \('linear', 'poisson'\)$"
+        with pytest.raises(DomainError, match=message):
+            fit_glm_stack(np.ones((1, 3, 1)), np.array([[0.0, 1.0, 1.0]]), "logistic")
+
+    @pytest.mark.parametrize(
+        "X, y, w, message",
+        [
+            (np.ones((3, 1)), np.zeros((1, 3)), None, r"^a design stack must be 3-d \(R, n, p\), got shape \(3, 1\)$"),
+            (np.ones((1, 3, 1)), np.zeros((1, 4)), None, r"^response shape \(4,\) does not match design \(3 rows\)$"),
+            (np.ones((1, 3, 1)), np.zeros((1, 3)), np.ones((1, 2)),
+             r"^weights shape \(2,\) does not match design \(3 rows\)$"),
+        ],
+        ids=["2-d-design", "response", "weights"],
+    )
+    def test_stack_shapes_checked(self, X, y, w, message):
+        with pytest.raises(DomainError, match=message):
+            fit_glm_stack(X, y, "linear", w)
+
     def test_negative_weights(self):
         with pytest.raises(DomainError):
             fit_one(np.ones((3, 1)), np.zeros(3), "linear", weights=np.array([1.0, -1.0, 1.0]))
 
-    def test_separation_flags_nonconvergence(self):
-        X = np.column_stack([np.ones(6), np.array([0.0, 1.0, 2.0, 3.0, 4.0, 5.0])])
-        y = np.array([0.0, 0.0, 0.0, 1.0, 1.0, 1.0])
-        fit = fit_one(X, y, "logistic")
-        assert not fit.converged
+    def test_max_iter_flags_nonconvergence(self, monkeypatch):
+        monkeypatch.setattr(glm, "_MAX_ITER", 1)
+        fit = fit_one(np.column_stack([np.ones(4), np.arange(4.0)]), np.array([1.0, 0.0, 5.0, 2.0]), "poisson")
+        assert (fit.converged, fit.iterations) == (False, 1)
+        assert np.isfinite(fit.coefficients).all()
 
 
 def qr_rule_flags(X, w=None):
@@ -394,6 +402,21 @@ class TestRankCheck:
     def test_zero_design_is_rank_deficient(self):
         assert svd_rule_flags(np.zeros((4, 2)))
         assert svd_rule_flags(np.ones((4, 2)), np.zeros(4))
+        assert svd_rule_flags(np.zeros((4, 0)))  # no columns at all
+
+
+class TestPerProblem:
+    """A stack with a singular problem falls back to one call per problem."""
+
+    @pytest.mark.parametrize("fn", [np.linalg.solve, np.linalg.inv], ids=["solve", "inv"])
+    def test_singular_middle_problem(self, fn):
+        a = np.array([[[2.0, 1.0], [1.0, 3.0]], [[0.0, 0.0], [0.0, 0.0]], [[4.0, -1.0], [0.5, 1.5]]])
+        args = (a, np.array([[[1.0], [2.0]], [[1.0], [1.0]], [[-3.0], [0.25]]])) if fn is np.linalg.solve else (a,)
+        out, singular = glm._per_problem(fn, *args)
+        assert singular.tolist() == [False, True, False]
+        assert np.isnan(out[1]).all()
+        for i in (0, 2):
+            assert out[i].tobytes() == fn(*(arg[i] for arg in args)).tobytes()
 
 
 def reference_irls(X, y, family, w, max_iter=100):
@@ -411,40 +434,27 @@ def reference_irls(X, y, family, w, max_iter=100):
         beta = solve(w, y)
         sd = math.sqrt(float(np.sum(w * (y - X @ beta) ** 2) / np.sum(w)))
         return beta, np.linalg.inv(info(w)) * (sd * sd), True, 1
-    if family == "poisson":
-        mean = lambda eta: np.exp(np.clip(eta, -700.0, 700.0))
-        var = lambda mu: np.maximum(mu, 1e-10)
+    mean = lambda eta: np.exp(np.clip(eta, -700.0, 700.0))
+    var = lambda mu: np.maximum(mu, 1e-10)
 
-        def dev(mu):
-            mu = np.maximum(mu, 1e-10)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                term = np.where(y > 0, y * np.log(y / mu), 0.0)
-            return float(2.0 * np.sum(w * (term - (y - mu))))
+    def dev(mu):
+        mu = np.maximum(mu, 1e-10)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            term = np.where(y > 0, y * np.log(y / mu), 0.0)
+        return float(2.0 * np.sum(w * (term - (y - mu))))
 
-        mu = y + 0.5
-        eta = np.log(mu)
-    else:
-        mean = lambda eta: 1.0 / (1.0 + np.exp(-np.clip(eta, -700.0, 700.0)))
-        var = lambda mu: np.maximum(mu * (1.0 - mu), 1e-10)
-
-        def dev(mu):
-            mu = np.clip(mu, 1e-10, 1.0 - 1e-10)
-            return float(-2.0 * np.sum(w * (y * np.log(mu) + (1.0 - y) * np.log(1.0 - mu))))
-
-        mu = (y + 0.5) / 2.0
-        eta = np.log(mu / (1.0 - mu))
+    mu = y + 0.5
+    eta = np.log(mu)
     beta, d, converged, it = np.zeros(X.shape[1]), dev(mean(eta)), False, 0
     for it in range(1, max_iter + 1):
         beta = solve(w * var(mu), eta + (y - mu) / var(mu))
         eta = X @ beta
-        mu = mean(eta) if family == "poisson" else np.clip(mean(eta), 1e-10, 1.0 - 1e-10)
+        mu = mean(eta)
         new_d = dev(mu)
         converged = abs(new_d - d) / (abs(d) + 0.1) < 1e-8
         d = new_d
         if converged:
             break
-    if family == "logistic" and np.any((mu < 1e-8) | (mu > 1.0 - 1e-8)):
-        converged = False
     return beta, np.linalg.inv(info(w * var(mu))), converged, it
 
 
@@ -460,7 +470,6 @@ class TestStackKernel:
             eta = 0.5 + 0.3 * X[:, 2]
             y = {
                 "linear": eta + rng.normal(size=n),
-                "logistic": (rng.random(n) < 1.0 / (1.0 + np.exp(-eta))).astype(float),
                 "poisson": rng.poisson(np.exp(eta)).astype(float),
             }[family]
             w = rng.uniform(0.1, 3.0, n)
@@ -481,10 +490,8 @@ class TestStackKernel:
         eta = 0.3 + 0.5 * X[:, :, 1]
         y = {
             "linear": eta + rng.normal(size=(r, n)),
-            "logistic": (rng.random((r, n)) < 1.0 / (1.0 + np.exp(-eta))).astype(float),
             "poisson": rng.poisson(np.exp(eta)).astype(float),
         }[family]
-        y[9] = (X[9, :, 1] > 0).astype(float) if family == "logistic" else y[9]  # separated
         w = rng.uniform(0.2, 2.0, (r, n))
         w[7, 3] = np.inf
         stack = fit_glm_stack(X, y, family, w)
@@ -506,8 +513,8 @@ class TestStackKernel:
         assert {"SingularDesignError", "DomainError"} <= outcomes
         if family == "linear" or max_iter == 100:
             assert True in outcomes
-        if family == "logistic":
-            assert {True, False} <= outcomes  # problems leave the loop at different iterations
+        if family == "poisson" and max_iter == 4:
+            assert False in outcomes  # problems still iterating when the loop gives up
 
 
 class TestUnweightedIsUnitWeighted:
@@ -526,10 +533,8 @@ class TestUnweightedIsUnitWeighted:
         eta = 0.3 + 0.5 * X[:, :, 2]
         y = {
             "linear": eta + rng.normal(size=(r, n)),
-            "logistic": (rng.random((r, n)) < 1.0 / (1.0 + np.exp(-eta))).astype(float),
             "poisson": rng.poisson(np.exp(eta)).astype(float),
         }[family]
-        y[9] = (X[9, :, 2] > 0).astype(float) if family == "logistic" else y[9]  # separated
         X[3, :, 2] = 2.0 * X[3, :, 1]  # rank deficient
         X[5, 7, 1] = np.nan
         y[11, 4] = np.inf
@@ -546,7 +551,7 @@ class TestUnweightedIsUnitWeighted:
         kept = [e is None for e in plain.errors]
         if family == "linear" or max_iter == 100:
             assert plain.converged[kept].any()
-        if family == "logistic" or (family == "poisson" and max_iter == 4):
+        if family == "poisson" and max_iter == 4:
             assert not plain.converged[kept].all()
 
 

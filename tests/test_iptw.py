@@ -99,6 +99,11 @@ class TestTreatmentModels:
         *_, periods2 = treatment_models(no_base)
         assert periods2 == (2, 3)
 
+    def test_one_period_without_baseline_rejected(self):
+        # the first period would serve as the baseline and leave none to model
+        with pytest.raises(DomainError, match=r"^weight models need a baseline period or K >= 2$"):
+            stabilized_weights(make_dataset([[1.0], [2.0], [4.0]]))
+
 
 class TestStabilizedWeights:
     def feedback_dgp_data(self, rep=0):

@@ -129,6 +129,8 @@ class TestGenerateDataset:
             SimulationConfig(n_units=1)
         with pytest.raises(DomainError):
             SimulationConfig(n_replicates=0)
+        with pytest.raises(DomainError, match="^n_periods must be >= 1$"):
+            SimulationConfig(n_periods=0)
         with pytest.raises(DomainError):
             SimulationConfig(master_seed=-1)
         with pytest.raises(DomainError):

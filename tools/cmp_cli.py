@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 72 CLI invocations once per checkout:
+Runs a fixed set of 76 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -27,7 +27,10 @@ Runs a fixed set of 72 CLI invocations once per checkout:
 - `analyze --panel --outcomes`, seeds 0-3, with default flags on a copy of
   that panel.csv and panel_outcomes.csv in which units c00-c03 are renamed
   `c,00`, `q"1`, ` lead` and `x<newline>y`: a comma, a double quote, a
-  leading space and a line break in the unit_id column of weights.csv.
+  leading space and a line break in the unit_id column of weights.csv;
+- `baseline gr` for the rate factor alone, with `--a-tec` and `--volume`,
+  with `--volume` but no `--a-tec` (exit 1), and with an exponent whose
+  power of ten overflows (exit 1).
 
 Each invocation runs `python -m longicausal.cli` with PYTHONPATH=<root>/src
 and PYTHONDONTWRITEBYTECODE=1 in an empty working directory, which is the
@@ -58,6 +61,10 @@ ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "
                  ("--linkage", "single", "--clusters", "40", "--radius-km", "60"),
                  ("--linkage", "complete", "--radius-km", "4"), ("--clusters", "2", "--robust", "HC1"),
                  ("--mag-cut", "9"))
+GR_FLAGS = (("--sigma", "-0.47", "--b", "1.41", "--m", "3"),
+            ("--sigma", "-0.47", "--b", "1.41", "--m", "3", "--a-tec", "0", "--volume", "1e6"),
+            ("--sigma", "-0.47", "--b", "1.41", "--m", "3", "--volume", "1e6"),
+            ("--sigma", "400", "--b", "0", "--m", "0"))
 VOLATILE_MANIFEST_KEYS = ("started_utc", "duration_seconds")
 
 
@@ -115,7 +122,7 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 72 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 76 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -144,6 +151,9 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}" / "renamed"
         args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
         yield f"analyze seed {seed} --panel (unit ids that need quoting)", args, None
+    for flags in GR_FLAGS:
+        args = ("baseline", "gr", *flags)
+        yield " ".join(args), args, None
 
 
 def _run(root: Path, args, threads, cwd: Path) -> dict[str, bytes]:
