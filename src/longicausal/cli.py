@@ -46,6 +46,7 @@ from .geo import (
     load_wells_csv,
     parse_month,
 )
+from .glm import ROBUST_KINDS
 from .iptw import stabilized_weights
 from .panel import read_panel_csv, write_csv, write_panel_csv
 from .simulate import DgpParams, SimulationConfig, run_monte_carlo, threads_from_env
@@ -198,7 +199,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     truncate = TRUNCATION_PERCENTILE if args.truncate_weights else None
     weights = stabilized_weights(data, truncate_percentile=truncate)
-    reports = estimate(data, weights, hc1=(args.robust == "HC1"))
+    reports = estimate(data, weights, robust=args.robust)
     failed = [rep.estimator for rep in reports if not rep.converged]
     if failed:
         raise LongicausalError(f"fit did not converge for: {', '.join(failed)}")
@@ -291,7 +292,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ana.add_argument("--linkage", choices=LINKAGES, default="ward")
     ana.add_argument("--truncate-weights", action="store_true", help="clip SW to [1st, 99th] percentiles")
-    ana.add_argument("--robust", choices=("HC0", "HC1"), default="HC0")
+    ana.add_argument("--robust", choices=ROBUST_KINDS, default="HC0",
+                     help="MSM sandwich SE: HC0, or HC1 (scaled by n/(n-p))")
     ana.add_argument("--start", type=_month, default=DEFAULT_STUDY_START, help="first study month (YYYY-MM)")
     ana.add_argument("--end", type=_month, default=DEFAULT_STUDY_END, help="last study month (YYYY-MM), inclusive")
     ana.add_argument("--out-dir", default=".", help="directory for output files")

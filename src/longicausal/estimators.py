@@ -13,9 +13,9 @@ the intercept absorbs it, and so reduces to the naive design.
 Reports carry the per-bbl coefficient together with the relative risk per
 1 MMbbl, exp(beta1 * 1e6). `estimate_stack` fits R replicates at once and
 gives each its numbers or its error per estimator. `estimate(data, weights,
-*, hc1=False)` is its one-replicate call: it fits all three on one dataset
-and raises the first error in ESTIMATOR_NAMES order, or returns the three
-reports.
+*, robust="HC0")` is its one-replicate call: it fits all three on one
+dataset and raises the first error in ESTIMATOR_NAMES order, or returns the
+three reports. `robust` is the MSM sandwich's kind, one of glm.ROBUST_KINDS.
 """
 
 from __future__ import annotations
@@ -67,7 +67,7 @@ def _check_units(data: PanelDataset) -> None:
         raise DomainError("outcome regressions require at least 2 units")
 
 
-def estimate(data: PanelDataset, weights: WeightSet, *, hc1: bool = False) -> list[EstimatorReport]:
+def estimate(data: PanelDataset, weights: WeightSet, *, robust: str = "HC0") -> list[EstimatorReport]:
     """The three estimators of `data` as reports, in ESTIMATOR_NAMES order.
 
     The one-replicate call of `estimate_stack`, with `weights` as the MSM's
@@ -75,7 +75,7 @@ def estimate(data: PanelDataset, weights: WeightSet, *, hc1: bool = False) -> li
     """
     _check_units(data)
     stacks = estimate_stack(
-        data.A.sum(axis=1)[None], data.L.sum(axis=1)[None], data.Y[None], weights.per_unit_weights[None], hc1=hc1
+        data.A.sum(axis=1)[None], data.L.sum(axis=1)[None], data.Y[None], weights.per_unit_weights[None], robust=robust
     )
     for stack in stacks.values():
         if stack.errors[0] is not None:
@@ -113,14 +113,13 @@ class EstimateStack(NamedTuple):
     errors: list[LongicausalError | None]
 
 
-def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> EstimateStack:
+def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, robust: str = "HC0") -> EstimateStack:
     """Poisson regressions of (R, N) outcomes on [1, cumA], one per replicate.
 
     With `cum_l`, the adjusted model: cumL joins the design where it varies
     across units (elsewhere the intercept absorbs it). With `sw`, the MSM:
-    weighted, with the sandwich SE (HC1 when `hc1`). Otherwise the naive
-    model. A row's error is its fit error, then (MSM) HC1 without spare
-    units, then the Wald test's.
+    weighted, with the `robust` sandwich SE; otherwise the naive model. A
+    row's error is its fit error, then (MSM) the sandwich's, then Wald's.
     """
     r = len(y)
     out = EstimateStack(*np.full((3, r), np.nan), np.zeros(r, dtype=bool), [None] * r)
@@ -132,7 +131,7 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> Estim
         fit = fit_glm_stack(design, y[rows], "poisson", w)
         errors, var = fit.errors, fit.model_cov[:, 1, 1]
         if sw is not None:  # a failed fit's NaN coefficients give a NaN covariance, and its error stays first
-            cov, cov_errors = sandwich_cov_stack(fit, design, y[rows], w, hc1=hc1)
+            cov, cov_errors = sandwich_cov_stack(fit, design, y[rows], w, kind=robust)
             first_errors(errors, slice(None), cov_errors)
             var = cov[:, 1, 1]
         with np.errstate(invalid="ignore"):  # a negative variance fails the Wald test
@@ -148,16 +147,16 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, hc1: bool = False) -> Estim
     return out
 
 
-def estimate_stack(cum_a, cum_l, y, sw, *, hc1: bool = False) -> dict[str, EstimateStack]:
+def estimate_stack(cum_a, cum_l, y, sw, *, robust: str = "HC0") -> dict[str, EstimateStack]:
     """The three estimators of R replicates at once, in ESTIMATOR_NAMES order.
 
     Takes (R, N) cumulative treatment, cumulative confounder, outcome and
-    stabilized weights; `hc1` scales the MSM sandwich by n / (n - p). Row r
-    of each EstimateStack holds, bit for bit, the numbers that `estimate`
-    reports for that estimator on replicate r's dataset, or its error.
+    stabilized weights; `robust` is the MSM sandwich's kind. Row r of each
+    EstimateStack holds, bit for bit, the numbers that `estimate` reports
+    for that estimator on replicate r's dataset, or its error.
     """
     return {
         "naive": _poisson_stack(cum_a, y),
         "adjusted": _poisson_stack(cum_a, y, cum_l),
-        "msm": _poisson_stack(cum_a, y, sw=sw, hc1=hc1),
+        "msm": _poisson_stack(cum_a, y, sw=sw, robust=robust),
     }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import logging
 import math
+import numbers
 import re
 from dataclasses import dataclass
 from datetime import date, datetime
@@ -152,6 +153,11 @@ def _haversine(lon1, lat1, lon2, lat2):
     return 2.0 * EARTH_RADIUS_KM * np.arcsin(np.sqrt(np.clip(a, 0.0, 1.0)))
 
 
+def _require_int(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise DomainError(f"{name} must be an integer, got {value!r}")
+
+
 def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.ndarray:
     """Bottom-up clustering of projected (x, y) km points; returns dense labels.
 
@@ -175,6 +181,7 @@ def agglomerative_cluster(points, n_clusters: int, linkage: str = "ward") -> np.
     if not np.isfinite(pts).all():
         raise DomainError("points must be finite")
     n = len(pts)
+    _require_int("n_clusters", n_clusters)
     if not (1 <= n_clusters <= n):
         raise DomainError(f"n_clusters must be in [1, {n}], got {n_clusters}")
     if linkage not in LINKAGES:
@@ -253,6 +260,8 @@ def assign_quakes(
     O(events + centroids). The labels are those of an `argmin` over the
     full events x centroids distance matrix.
     """
+    if isinstance(radius_km, bool) or not isinstance(radius_km, numbers.Real):
+        raise DomainError(f"radius_km must be a real number, got {radius_km!r}")
     if not (radius_km > 0):
         raise DomainError(f"radius_km must be positive, got {radius_km!r}")
     if math.isnan(magnitude_cut):
@@ -309,6 +318,7 @@ def build_panel(
     outside the window are ignored. A missing well-month report contributes
     0 bbl; one warning gives the number of wells with a missing month.
     """
+    _require_int("period_months", period_months)
     if period_months < 1:
         raise DomainError("period_months must be >= 1")
     first = month_index(*parse_month(study_start))

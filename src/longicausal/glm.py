@@ -42,6 +42,7 @@ import numpy as np
 from .exceptions import DomainError, LongicausalError, SingularDesignError
 
 FAMILIES = ("linear", "poisson")
+ROBUST_KINDS = ("HC0", "HC1")  # sandwich_cov_stack's kinds; HC1 scales HC0 by n/(n-p)
 
 _MAX_EXP = 700.0  # exp() overflow guard for float64
 _RANK_RTOL = 1e-12
@@ -304,16 +305,18 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
 
 
 def sandwich_cov_stack(
-    fit: StackFit, design, response, weights, *, hc1: bool = False
+    fit: StackFit, design, response, weights, *, kind: str = "HC0"
 ) -> tuple[np.ndarray, list[LongicausalError | None]]:
     """Robust bread-meat-bread covariance of `fit`, the poisson `fit_glm_stack` of these arguments.
 
     The inverse bread is the fit's model_cov (inverse Fisher information at
     the estimate); the meat is the outer product of the weighted score
-    contributions w_i*(y_i - mu_i)*x_i. HC0; HC1 applies n/(n-p). Returns
+    contributions w_i*(y_i - mu_i)*x_i: HC0, or times n/(n-p) for HC1. Returns
     the (R, p, p) covariances and, per problem, its error (HC1 with n <= p)
     or None; the covariance of a failed fit or problem means nothing.
     """
+    if kind not in ROBUST_KINDS:
+        raise DomainError(f"unknown robust kind {kind!r}, expected one of {ROBUST_KINDS}")
     X = np.asarray(design, dtype=float)
     y = np.asarray(response, dtype=float)
     w = np.asarray(weights, dtype=float)
@@ -322,9 +325,9 @@ def sandwich_cov_stack(
     meat = _information(X, (w * (y - mu)) ** 2)
     cov = fit.model_cov @ meat @ fit.model_cov
     errors: list[LongicausalError | None] = [None] * r
-    if hc1 and n <= p:
+    if kind == "HC1" and n <= p:
         flag_errors(errors, range(r), DomainError, "HC1 scaling requires n > p")
-    elif hc1:
+    elif kind == "HC1":
         cov = cov * (n / (n - p))
     return cov, errors
 

@@ -30,10 +30,10 @@ def feedback_dgp_data(rep=0, seed=44):
     return generate_dataset(cfg, replicate_seed(seed, rep))
 
 
-def reports(data: PanelDataset, weights=None, *, hc1=False) -> dict[str, EstimatorReport]:
+def reports(data: PanelDataset, weights=None, *, robust="HC0") -> dict[str, EstimatorReport]:
     """`estimate` of `data` by estimator name; the weights default to `stabilized_weights(data)`."""
     weights = stabilized_weights(data) if weights is None else weights
-    return {rep.estimator: rep for rep in estimate(data, weights, hc1=hc1)}
+    return {rep.estimator: rep for rep in estimate(data, weights, robust=robust)}
 
 
 def unweighted_stacks(data: PanelDataset):
@@ -97,9 +97,14 @@ class TestMsm:
     def test_hc1_inflates_se(self):
         data = feedback_dgp_data()
         hc0 = reports(data)["msm"]
-        hc1 = reports(data, hc1=True)["msm"]
+        hc1 = reports(data, robust="HC1")["msm"]
         n, p = data.n_units, 2
         assert hc1.se == pytest.approx(hc0.se * math.sqrt(n / (n - p)), rel=1e-12)
+
+    @pytest.mark.parametrize("robust", [True, None, "hc1", "HC2"])
+    def test_unknown_robust_kind_refused(self, robust):
+        with pytest.raises(DomainError, match="^unknown robust kind"):
+            reports(feedback_dgp_data(), robust=robust)
 
     def test_truncation_passthrough(self):
         data = feedback_dgp_data()
@@ -225,17 +230,17 @@ class TestPinnedOutput:
     """Weights and reports recorded before the per-dataset functions became the stacks' one-replicate calls."""
 
     @pytest.mark.parametrize(
-        "case, truncate, hc1, digest",
+        "case, truncate, robust, digest",
         [
-            ("corpus", None, False, "1e02c79cb62c2c45a44645cdf5c6a08297f4bac50fa12afafa7313116f162363"),
-            ("corpus", 1.0, False, "7d940b32f493ce3407c14a15f097bc71f31df0f5befa9f61807496d8dc502950"),
-            ("corpus", None, True, "d447c69802b4546044652c16374ed7c4eb484e603a8d954674e4640b89ea7189"),
-            ("no-confounder", None, False, "d4a080f9509ed6033f8b828c2785c5ac8b88bf225046b476036b88760ac41a65"),
-            ("constant-lag-a", None, False, "8e128c4c746beb935f9b61e7817be873083ade6df4ae87694c65d7202443226c"),
+            ("corpus", None, "HC0", "1e02c79cb62c2c45a44645cdf5c6a08297f4bac50fa12afafa7313116f162363"),
+            ("corpus", 1.0, "HC0", "7d940b32f493ce3407c14a15f097bc71f31df0f5befa9f61807496d8dc502950"),
+            ("corpus", None, "HC1", "d447c69802b4546044652c16374ed7c4eb484e603a8d954674e4640b89ea7189"),
+            ("no-confounder", None, "HC0", "d4a080f9509ed6033f8b828c2785c5ac8b88bf225046b476036b88760ac41a65"),
+            ("constant-lag-a", None, "HC0", "8e128c4c746beb935f9b61e7817be873083ade6df4ae87694c65d7202443226c"),
         ],
         ids=["corpus", "truncated", "hc1", "no-confounder", "constant-lag-a"],
     )
-    def test_weights_and_reports(self, corpus, case, truncate, hc1, digest):
+    def test_weights_and_reports(self, corpus, case, truncate, robust, digest):
         if case == "corpus":  # the assembled test corpus: 30 units, no baseline period
             assignment = cluster_wells(corpus.wells, n_clusters=30)
             data = build_panel(corpus.wells, assignment, assign_quakes(assignment.centroids, corpus.quakes))
@@ -248,4 +253,4 @@ class TestPinnedOutput:
             a = np.concatenate([np.full((50, 7), 1000.0), gen.A[:, 7:]], axis=1)
             data = PanelDataset(a, gen.L, gen.Y, A0=np.full(50, 1000.0), L0=gen.L0)
         weights = stabilized_weights(data, truncate_percentile=truncate)
-        assert pin_digest(weights, estimate(data, weights, hc1=hc1)) == digest
+        assert pin_digest(weights, estimate(data, weights, robust=robust)) == digest

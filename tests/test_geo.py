@@ -140,6 +140,10 @@ class TestClustering:
             agglomerative_cluster(pts, 0)
         with pytest.raises(DomainError):
             agglomerative_cluster(pts, 4)
+        for k in (2.5, 3.0, True, "3"):
+            with pytest.raises(DomainError, match="^n_clusters must be an integer, got "):
+                agglomerative_cluster(pts, k)
+        assert sorted(agglomerative_cluster(pts, np.int64(3))) == [0, 1, 2]
 
     def test_two_blobs_match_brute_force(self):
         rng = np.random.default_rng(17)
@@ -297,6 +301,9 @@ class TestAssignQuakes:
     def test_bad_radius(self, corpus):
         with pytest.raises(DomainError):
             assign_quakes([(-97.0, 33.0)], corpus.quakes, radius_km=0.0)
+        for radius in (True, "15"):
+            with pytest.raises(DomainError, match="^radius_km must be a real number, got "):
+                assign_quakes([(-97.0, 33.0)], corpus.quakes, radius_km=radius)
         with pytest.raises(DomainError, match="magnitude_cut"):
             assign_quakes([(-97.0, 33.0)], corpus.quakes, magnitude_cut=float("nan"))
         # a centroid that is not a finite in-range lon/lat pair would leave every event unassigned, or warn
@@ -380,6 +387,10 @@ class TestBuildPanel:
             build_panel(corpus.wells, assignment, no_events(), period_months=5)
         with pytest.raises(DomainError, match="^period_months must be >= 1$"):
             build_panel(corpus.wells, assignment, no_events(), period_months=0)
+        for period in (2.0, True, np.True_):
+            with pytest.raises(DomainError, match="^period_months must be an integer, got "):
+                build_panel(corpus.wells, assignment, no_events(), period_months=period)
+        assert build_panel(corpus.wells, assignment, no_events(), period_months=np.int64(4)).n_periods == 7
 
     def test_labels_must_cover_every_well(self, corpus):
         assignment = ClusterAssignment(np.zeros(64, dtype=int), np.array([[-97.5, 33.0]]))

@@ -212,7 +212,7 @@ class TestSandwich:
         meat = X.T @ np.diag((w * (y - mu)) ** 2) @ X
         direct = bread_inv @ meat @ bread_inv
         hc0, errors0 = sandwich_cov_stack(*poisson_stack(X, y, w))
-        hc1, errors1 = sandwich_cov_stack(*poisson_stack(X, y, w), hc1=True)
+        hc1, errors1 = sandwich_cov_stack(*poisson_stack(X, y, w), kind="HC1")
         assert errors0 == errors1 == [None]
         np.testing.assert_allclose(hc0[0], direct, rtol=1e-12)
         np.testing.assert_allclose(hc1[0], direct * n / (n - p), rtol=1e-12)
@@ -230,16 +230,23 @@ class TestSandwich:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.poisson(2.0, n).astype(float)
         hc0, errors0 = sandwich_cov_stack(*poisson_stack(X, y))
-        hc1, errors1 = sandwich_cov_stack(*poisson_stack(X, y), hc1=True)
+        hc1, errors1 = sandwich_cov_stack(*poisson_stack(X, y), kind="HC1")
         assert errors0 == errors1 == [None]
         np.testing.assert_allclose(hc1, hc0 * n / (n - p), rtol=1e-12)
 
     def test_errors_in_check_order(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, 3.0])
-        _, errors = sandwich_cov_stack(*poisson_stack(X, y), hc1=True)
+        _, errors = sandwich_cov_stack(*poisson_stack(X, y), kind="HC1")
         [error] = errors
         assert isinstance(error, DomainError) and str(error) == "HC1 scaling requires n > p"
+
+    @pytest.mark.parametrize("kind", [True, None, "hc1", "HC2"])
+    def test_unknown_kind_refused(self, kind):
+        X = np.column_stack([np.ones(4), np.arange(4.0)])
+        y = np.array([1.0, 0.0, 2.0, 3.0])
+        with pytest.raises(DomainError, match=r"^unknown robust kind .*, expected one of \('HC0', 'HC1'\)$"):
+            sandwich_cov_stack(*poisson_stack(X, y), kind=kind)
 
     def test_matches_statsmodels_convention(self):
         sm = pytest.importorskip("statsmodels.api")

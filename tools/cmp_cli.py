@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 76 CLI invocations once per checkout:
+Runs a fixed set of 80 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -17,9 +17,9 @@ Runs a fixed set of 76 CLI invocations once per checkout:
   every field quoted and CRLF line ends;
 - `analyze`, seeds 0-3, with default flags on a copy of the catalog whose
   last record's magnitude is `x`, which exits 2 naming that record's row;
-- `analyze --panel --outcomes`, seeds 0-3, with default flags on the
-  panel.csv and panel_outcomes.csv that PARENT_ROOT's `analyze` writes once
-  per seed from those inputs at default flags;
+- `analyze --panel --outcomes`, seeds 0-3, with default flags and with
+  `--robust HC1` on the panel.csv and panel_outcomes.csv that PARENT_ROOT's
+  `analyze` writes once per seed from those inputs at default flags;
 - `analyze --panel --outcomes`, seeds 0-3, on a copy of that panel.csv in
   which each unit's volume in period t is its period-1 volume + 1000*(t-1),
   so the numerator treatment model fits exactly and the run exits 1 in the
@@ -122,7 +122,7 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 76 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 80 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -138,10 +138,10 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}"
         args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "bad" / "catalog.csv"))
         yield f"analyze seed {seed} (bad last magnitude)", args, None
-    for seed in SEEDS:
+    for seed, flags in itertools.product(SEEDS, ((), ("--robust", "HC1"))):
         data = inputs / f"seed{seed}" / "panel"
-        args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
-        yield f"analyze seed {seed} --panel (default flags)", args, None
+        args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"), *flags)
+        yield f"analyze seed {seed} --panel {' '.join(flags) or '(default flags)'}", args, None
     for seed in SEEDS:
         data = inputs / f"seed{seed}"
         args = ("analyze", "--panel", str(data / "linear" / "panel.csv"),
