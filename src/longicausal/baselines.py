@@ -7,10 +7,9 @@ Oklahoma values); no conversion happens here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _require_finite
 
 _MAX_EXP10 = 300.0
 
@@ -25,13 +24,6 @@ class GRParams:
     def __post_init__(self):
         for name in ("sigma", "b", "mag_complete") + (() if self.a_tec is None else ("a_tec",)):
             _require_finite(name, getattr(self, name))
-
-
-def _require_finite(name: str, value) -> None:
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise DomainError(f"{name} must be a real number, got {value!r}")
-    if not math.isfinite(value):
-        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 def _pow10(exponent: float) -> float:

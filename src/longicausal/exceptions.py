@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and its one finite-number check.
 
 All of them derive from ValueError through LongicausalError so callers can
-catch either the package family or plain ValueError.
+catch either the package family or plain ValueError. `_require_finite` is the
+rule for a real-number argument at the API edge: a real number, not a bool,
+and finite, or a DomainError.
 """
+
+import math
+import numbers
 
 
 class LongicausalError(ValueError):
@@ -19,6 +24,13 @@ class SingularDesignError(LongicausalError):
 
 class DomainError(LongicausalError):
     """An argument is outside the operation's domain (response range, se <= 0, ...)."""
+
+
+def _require_finite(name: str, value) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if not math.isfinite(value):
+        raise DomainError(f"{name} must be finite, got {value!r}")
 
 
 class DegenerateVarianceError(LongicausalError):

@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .exceptions import DomainError
+from .exceptions import DomainError, _require_finite
 from .panel import PanelDataset, _check_records, _csv_columns, _float_error
 
 logger = logging.getLogger(__name__)
@@ -69,7 +69,7 @@ def _coords_in_range(lon, lat) -> bool:
 
 def parse_month(value: str) -> tuple[int, int]:
     """(year, month) of `YYYY-MM`, or of `YYYY-MM-DD` when that day exists."""
-    m = _MONTH_RE.match(value.strip())
+    m = isinstance(value, str) and _MONTH_RE.match(value.strip())
     if not m:
         raise DomainError(f"expected YYYY-MM, got {value!r}")
     year, month = int(m.group(1)), int(m.group(2))
@@ -260,12 +260,10 @@ def assign_quakes(
     O(events + centroids). The labels are those of an `argmin` over the
     full events x centroids distance matrix.
     """
-    if isinstance(radius_km, bool) or not isinstance(radius_km, numbers.Real):
-        raise DomainError(f"radius_km must be a real number, got {radius_km!r}")
+    _require_finite("radius_km", radius_km)
     if not (radius_km > 0):
         raise DomainError(f"radius_km must be positive, got {radius_km!r}")
-    if math.isnan(magnitude_cut):
-        raise DomainError("magnitude_cut must be a number, got nan")
+    _require_finite("magnitude_cut", magnitude_cut)
     cent = np.asarray(centroids, dtype=float)
     if cent.ndim != 2 or cent.shape[1] != 2:
         raise DomainError(f"centroids must be (k, 2) lon/lat pairs, got shape {cent.shape}")

@@ -74,9 +74,8 @@ def stack_groups(flags: np.ndarray) -> list[tuple[slice | np.ndarray, tuple[bool
     """
     if len(flags) and (flags == flags[0]).all():
         return [(slice(None), tuple(flags[0]))]
-    keys = flags @ (1 << np.arange(flags.shape[1]))
-    groups = [np.flatnonzero(keys == key) for key in np.unique(keys)]
-    return [(rows, tuple(flags[rows[0]])) for rows in groups]
+    groups, inverse = np.unique(flags, axis=0, return_inverse=True)
+    return [(np.flatnonzero(inverse == g), tuple(group)) for g, group in enumerate(groups)]
 
 
 def first_errors(errors: list, problems, new: list) -> None:

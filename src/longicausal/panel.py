@@ -151,10 +151,7 @@ def _float_or_nan(raw: str) -> float:
 
 def _floats(texts: tuple[str, ...]) -> np.ndarray:
     """`float` of every text, NaN where it reads none: a field is good where the result is finite."""
-    try:
-        return np.fromiter(map(float, texts), dtype=float, count=len(texts))
-    except ValueError:
-        return np.fromiter(map(_float_or_nan, texts), dtype=float, count=len(texts))
+    return np.fromiter(map(_float_or_nan, texts), dtype=float, count=len(texts))
 
 
 def _parse_int(raw: str, row: int, column: str) -> int:

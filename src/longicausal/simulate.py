@@ -33,15 +33,13 @@ which `run_monte_carlo` concatenates.
 
 from __future__ import annotations
 
-import math
-import numbers
 import os
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .estimators import CI_MULTIPLIER, ESTIMATOR_NAMES, estimate_stack
-from .exceptions import DomainError, LongicausalError, SimulationError
+from .exceptions import DomainError, LongicausalError, SimulationError, _require_finite
 from .glm import first_errors
 from .iptw import stabilized_weights_stack
 from .panel import PanelDataset
@@ -63,10 +61,8 @@ def _require_types(params) -> None:
         value = getattr(params, f.name)
         if f.type == "int" and (isinstance(value, bool) or not isinstance(value, int)):
             raise DomainError(f"{f.name} must be an integer, got {value!r}")
-        if f.type == "float" and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-            raise DomainError(f"{f.name} must be a real number, got {value!r}")
-        if f.type == "float" and not math.isfinite(value):
-            raise DomainError(f"{f.name} must be finite, got {value!r}")
+        if f.type == "float":
+            _require_finite(f.name, value)
 
 
 def _require_seed(name: str, value, bits: int) -> None:

@@ -306,6 +306,13 @@ class TestAssignQuakes:
                 assign_quakes([(-97.0, 33.0)], corpus.quakes, radius_km=radius)
         with pytest.raises(DomainError, match="magnitude_cut"):
             assign_quakes([(-97.0, 33.0)], corpus.quakes, magnitude_cut=float("nan"))
+        for cut in (True, "3"):
+            with pytest.raises(DomainError, match="^magnitude_cut must be a real number, got "):
+                assign_quakes([(-97.0, 33.0)], corpus.quakes, magnitude_cut=cut)
+        for name, value in [("radius_km", math.inf), ("radius_km", math.nan), ("magnitude_cut", math.inf),
+                            ("magnitude_cut", -math.inf), ("magnitude_cut", math.nan)]:
+            with pytest.raises(DomainError, match=re.escape(f"{name} must be finite, got {value!r}")):
+                assign_quakes([(-97.0, 33.0)], corpus.quakes, **{name: value})
         # a centroid that is not a finite in-range lon/lat pair would leave every event unassigned, or warn
         for bad in [(math.nan, 33.0), (500.0, 33.0), (-97.0, math.inf)]:
             with pytest.raises(DomainError, match="^centroids have out-of-range coordinates$"):
@@ -464,6 +471,12 @@ class TestBuildPanel:
             build_panel(wells, assignment, no_events(), study_start="2016-03", study_end="2013-12")
         assert str(excinfo.value) == "study window '2016-03'..'2013-12' is empty"
 
+    def test_study_start_must_be_a_month(self, tmp_path):
+        wells = load_wells(tmp_path, [("w1", -97.0, 33.0, "2014-01", 10.0)])
+        assignment = ClusterAssignment(np.array([0]), np.array([[-97.0, 33.0]]))
+        with pytest.raises(DomainError, match="^expected YYYY-MM, got None$"):
+            build_panel(wells, assignment, no_events(), study_start=None)
+
     def test_parse_month_accepts_a_leap_day(self):
         assert parse_month("2016-02-29") == (2016, 2)
 
@@ -476,6 +489,11 @@ class TestBuildPanel:
         error = "day out of range in" if text.isascii() else "expected YYYY-MM, got"
         with pytest.raises(DomainError, match=re.escape(f"{error} {text!r}")):
             parse_month(text)
+
+    @pytest.mark.parametrize("value", [201312, None, b"2013-12"])
+    def test_parse_month_rejects_a_non_string(self, value):
+        with pytest.raises(DomainError, match=re.escape(f"expected YYYY-MM, got {value!r}")):
+            parse_month(value)
 
 
 class TestConservation:
