@@ -136,7 +136,7 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, robust: str = "HC0") -> Est
             var = cov[:, 1, 1]
         with np.errstate(invalid="ignore"):  # a negative variance fails the Wald test
             se = np.sqrt(var)
-        for j in np.flatnonzero(~(se > 0.0) | ~np.isfinite(se)):
+        for j in np.flatnonzero(~(se > 0.0) | ~np.isfinite(se) | ~np.isfinite(fit.coefficients[:, 1])):
             try:
                 wald_test(float(fit.coefficients[j, 1]), se[j])
             except DomainError as exc:

@@ -13,8 +13,9 @@ problem gets exactly the numbers it would get alone. A problem that fails a
 check (fewer observations than parameters, a non-finite value, a poisson
 response with no weighted count, a rank-deficient design, singular normal
 equations or information) is flagged with its error and does not stop the
-others. A one-model fit is the R = 1 call; an unweighted linear stack forms
-X'X once, for its rank check, normal equations and information.
+others. A one-model fit is the R = 1 call. A linear fit is one weighted
+least-squares solve and gives coefficients only; an unweighted linear stack
+forms X'X once, for its rank check and normal equations.
 `sandwich_cov_stack` gives the robust covariances of a poisson stack from the
 fit itself: its model_cov is the inverse bread, so only the meat is computed.
 
@@ -22,11 +23,8 @@ Conventions used throughout:
   * weights multiply each observation's log-likelihood contribution, so the
     score of observation i is w_i * (y_i - mu_i) * x_i for every family
     (canonical links);
-  * the linear family's residual scale is the maximum-likelihood estimate
-    (weighted mean squared residual, no degrees-of-freedom correction) --
-    downstream Gaussian density evaluation relies on this;
-  * model_cov is dispersion * inverse Fisher information at the estimate,
-    with dispersion 1 for poisson and the MLE variance for linear;
+  * model_cov is the inverse Fisher information of a poisson fit at the
+    estimate; a linear fit leaves it NaN;
   * a design is rank deficient when the ratio of its smallest to largest
     singular value (of sqrt(w) * X) is below 1e-12. A bound on the Gram's
     eigenvalues skips that SVD where it provably agrees (`_rank_deficient`).
@@ -59,10 +57,9 @@ class StackFit(NamedTuple):
     """
 
     coefficients: np.ndarray  # (R, p)
-    model_cov: np.ndarray  # (R, p, p)
+    model_cov: np.ndarray  # (R, p, p), poisson only: NaN for a linear fit
     converged: np.ndarray  # (R,) bool
     iterations: np.ndarray  # (R,) int
-    residual_sd: np.ndarray | None  # (R,), linear family only
     errors: list[LongicausalError | None]
 
 
@@ -224,9 +221,11 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
     is bit for bit the same whatever the other problems of the stack are.
     No weights means unit weights, formed on entry; an unweighted linear stack
     then shares one X'X, with the bits unit weights give, between its rank
-    check, normal equations and information. A problem converges when its
-    relative deviance change drops below 1e-8 (`_TOL`); after `_MAX_ITER`
-    iterations it is returned with converged False and the caller decides.
+    check and normal equations. A linear problem is one weighted
+    least-squares solve: coefficients, converged True, iterations 1 and a
+    NaN model_cov. A poisson problem converges when its relative deviance
+    change drops below 1e-8 (`_TOL`); after `_MAX_ITER` iterations it is
+    returned with converged False and the caller decides.
     """
     w = np.ones(np.shape(response)) if weights is None else np.asarray(weights, dtype=float)
     X = np.asarray(design, dtype=float)
@@ -236,7 +235,7 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
     errors: list[LongicausalError | None] = [None] * r
     for failed, message in _value_checks(X, y, w, family):
         flag_errors(errors, np.flatnonzero(failed), DomainError, message)
-    with np.errstate(over="ignore", invalid="ignore"):  # one X'X: rank, solve, information; non-finite goes to the SVD
+    with np.errstate(over="ignore", invalid="ignore"):  # one X'X: rank and solve; non-finite goes to the SVD
         gram = _information(X, w) if family == "linear" and weights is None else None
     live = np.flatnonzero([e is None for e in errors])
     sel = slice(None) if len(live) == r else live
@@ -252,55 +251,47 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
     model_cov = np.full((r, p, p), np.nan)
     converged = np.zeros(r, dtype=bool)
     iterations = np.zeros(r, dtype=int)
-    residual_sd = None
 
     if family == "linear":
         beta, singular = _solve_wls(X, w, y, gram)
         flag_errors(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
-        mu = _matvec(X, beta)
-        with np.errstate(over="ignore", invalid="ignore"):  # residuals squaring to inf; NaN rows of singular problems
-            sd = np.sqrt(np.sum(w * (y - mu) ** 2, axis=1) / np.sum(w, axis=1))
-        done, its, dispersion = True, 1, (sd**2)[:, None, None]
-        residual_sd = np.full(r, np.nan)
-        residual_sd[live] = sd
-    else:
-        mu = y + 0.5  # starting values: the response shrunk toward the family mean
-        eta = np.log(mu)
-        beta = np.zeros((len(live), p))
-        dev = _deviance(y, _mu_eta(eta), w)
-        done = np.zeros(len(live), dtype=bool)
-        its = np.zeros(len(live), dtype=int)
-        active = np.arange(len(live))  # positions in `live` still iterating
-        for it in range(1, _MAX_ITER + 1):
-            if not active.size:
-                break
-            sel = slice(None) if active.size == len(live) else active  # views while all iterate
-            Xa, ya, wa, mua = X[sel], y[sel], w[sel], mu[sel]
-            var = _variance(mua)
-            z = eta[sel] + (ya - mua) / var
-            beta_a, singular = _solve_wls(Xa, wa * var, z)
-            flag_errors(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
-            eta_a = _matvec(Xa, beta_a)
-            mu_a = _mu_eta(eta_a)
-            with np.errstate(invalid="ignore"):  # NaN rows of singular problems
-                new_dev = _deviance(ya, mu_a, wa)
-                now_done = np.abs(new_dev - dev[sel]) / (np.abs(dev[sel]) + 0.1) < _TOL
-            beta[sel], eta[sel], mu[sel], dev[sel] = beta_a, eta_a, mu_a, new_dev
-            its[sel] = it
-            done[active[now_done]] = True
-            active = active[~now_done & ~singular]
-        dispersion = 1.0
+        coefficients[live], converged[live], iterations[live] = beta, True, 1
+        return StackFit(coefficients, model_cov, converged, iterations, errors)
+
+    mu = y + 0.5  # starting values: the response shrunk toward the family mean
+    eta = np.log(mu)
+    beta = np.zeros((len(live), p))
+    dev = _deviance(y, _mu_eta(eta), w)
+    done = np.zeros(len(live), dtype=bool)
+    its = np.zeros(len(live), dtype=int)
+    active = np.arange(len(live))  # positions in `live` still iterating
+    for it in range(1, _MAX_ITER + 1):
+        if not active.size:
+            break
+        sel = slice(None) if active.size == len(live) else active  # views while all iterate
+        Xa, ya, wa, mua = X[sel], y[sel], w[sel], mu[sel]
+        var = _variance(mua)
+        z = eta[sel] + (ya - mua) / var
+        beta_a, singular = _solve_wls(Xa, wa * var, z)
+        flag_errors(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
+        eta_a = _matvec(Xa, beta_a)
+        mu_a = _mu_eta(eta_a)
+        with np.errstate(invalid="ignore"):  # NaN rows of singular problems
+            new_dev = _deviance(ya, mu_a, wa)
+            now_done = np.abs(new_dev - dev[sel]) / (np.abs(dev[sel]) + 0.1) < _TOL
+        beta[sel], eta[sel], mu[sel], dev[sel] = beta_a, eta_a, mu_a, new_dev
+        its[sel] = it
+        done[active[now_done]] = True
+        active = active[~now_done & ~singular]
 
     with np.errstate(invalid="ignore"):  # NaN rows of singular problems
-        v = w if family == "linear" else w * _variance(mu)  # weight times variance; the linear variance is 1
-        info = _information(X, v) if gram is None else gram
-    inv, singular = _per_problem(np.linalg.inv, info)
+        inv, singular = _per_problem(np.linalg.inv, _information(X, w * _variance(mu)))
     flag_errors(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
     coefficients[live] = beta
-    model_cov[live] = inv * dispersion
+    model_cov[live] = inv
     converged[live] = done
     iterations[live] = its
-    return StackFit(coefficients, model_cov, converged, iterations, residual_sd, errors)
+    return StackFit(coefficients, model_cov, converged, iterations, errors)
 
 
 def sandwich_cov_stack(

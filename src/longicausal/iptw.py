@@ -66,14 +66,16 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
 
     Numerator: A(t) ~ 1 + A(t-1). Denominator: A(t) ~ 1 + A(t-1) + L(t-1).
     Both are pooled across units and modeled periods and fitted as Gaussian
-    linear models whose MLE residual sd feeds the density ratio. A lag
+    linear models: least-squares coefficients and the MLE residual sd,
+    sqrt(mean squared residual), which the density ratio uses. A lag
     column that is constant over a problem's pooled rows carries no
     information and would make the design singular next to the intercept,
     so it is left out of both models.
 
-    Returns (rows, designs, fits) per fitted group, the last two
-    (numerator, denominator) pairs. Records each problem's first error in
-    `errors`: too few pooled rows, the numerator's, the denominator's fit.
+    Returns (rows, designs, models) per fitted group, the last two
+    (numerator, denominator) pairs, a model its (R, p) coefficients and
+    (R,) sd. Records each problem's first error in `errors`: too few pooled
+    rows, the numerator's, the denominator's fit.
     """
     groups, n_rows = [], resp.shape[-1]
     varies = np.stack([np.ptp(lag_a, axis=-1) > 0.0, np.ptp(lag_l, axis=-1) > 0.0], axis=-1)
@@ -86,10 +88,14 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
             continue
         ones = np.ones_like(resp[rows])
         designs = [np.stack([ones, *columns], axis=-1) for columns in (numerator_columns, denominator_columns)]
-        fits = [fit_glm_stack(design, resp[rows], "linear") for design in designs]
-        for fit in fits:
+        models = []
+        for design in designs:
+            fit = fit_glm_stack(design, resp[rows], "linear")
             first_errors(errors, rows, fit.errors)
-        groups.append((rows, designs, fits))
+            with np.errstate(over="ignore", invalid="ignore"):  # residuals squaring to inf; NaN rows of failed fits
+                resid = resp[rows] - (design @ fit.coefficients[..., None])[..., 0]
+                models.append((fit.coefficients, np.sqrt(np.sum(resid**2, axis=-1) / n_rows)))
+        groups.append((rows, designs, models))
     return groups
 
 
@@ -140,16 +146,16 @@ def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
     errors = [None] * r
     weights, log_factors = np.full((r, n_units), np.nan), np.full((r, n_units, n_t), np.nan)
     floor = _sd_floor(resp)
-    for rows, designs, fits in _fit_models(resp, lag_a, lag_l, errors):
+    for rows, designs, models in _fit_models(resp, lag_a, lag_l, errors):
         idx = np.arange(r)[rows]
-        for label, fit in zip(("numerator", "denominator"), fits):
+        for label, (_, sd) in zip(("numerator", "denominator"), models):
             message = f"{label} treatment model has (numerically) zero residual variance; density ratio is undefined"
-            flag_errors(errors, idx[fit.residual_sd <= floor[rows]], DegenerateVarianceError, message)
+            flag_errors(errors, idx[sd <= floor[rows]], DegenerateVarianceError, message)
         live = np.flatnonzero([errors[i] is None for i in idx])
         sel = slice(None) if live.size == idx.size else live  # a view, not a copy, when all are live
         live_resp = resp[rows][sel]
-        numerator, denominator = ((design[sel], fit.coefficients[sel], fit.residual_sd[sel])
-                                  for design, fit in zip(designs, fits))
+        numerator, denominator = ((design[sel], coefficients[sel], sd[sel])
+                                  for design, (coefficients, sd) in zip(designs, models))
         with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
             factors = _gaussian_logpdf(live_resp, *numerator) - _gaussian_logpdf(live_resp, *denominator)
         factors = factors.reshape(-1, n_units, n_t)

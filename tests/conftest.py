@@ -32,28 +32,24 @@ def make_dataset(treatments, confounders=None, outcomes=None, **kwargs) -> Panel
     )
 
 
-def first_row(fit: StackFit) -> StackFit:
-    """Problem 0 of a stack as a StackFit of unstacked fields; raises its error instead when it has one."""
+def fit_one(X, y, family, weights=None) -> StackFit:
+    """One GLM: the R = 1 call of `fit_glm_stack` as a StackFit of unstacked fields; raises its error instead."""
+    fit = fit_glm_stack(X[None], y[None], family, None if weights is None else weights[None])
     if fit.errors[0] is not None:
         raise fit.errors[0]
-    return fit._make(None if field is None else field[0] for field in fit)
-
-
-def fit_one(X, y, family, weights=None) -> StackFit:
-    """One GLM: the R = 1 call of `fit_glm_stack`, as `first_row` of it."""
-    return first_row(fit_glm_stack(X[None], y[None], family, None if weights is None else weights[None]))
+    return fit._make(field[0] for field in fit)
 
 
 def treatment_models(data: PanelDataset):
-    """(numerator, denominator) fits, as `first_row`s, and the modeled periods of `data`."""
+    """(numerator, denominator) models of `data`, each (coefficients, residual sd, design), and its modeled periods."""
     arrays = (None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0))
     resp, lag_a, lag_l, periods = iptw._lagged_rows(*arrays)
     errors = [None]
     groups = iptw._fit_models(resp, lag_a, lag_l, errors)
     if errors[0] is not None:
         raise errors[0]
-    [(_, _, fits)] = groups
-    return [first_row(fit) for fit in fits], periods
+    [(_, designs, models)] = groups
+    return [(coefficients[0], sd[0], design[0]) for design, (coefficients, sd) in zip(designs, models)], periods
 
 
 def use_treatment_models(monkeypatch, numerator=None, denominator=None) -> None:
@@ -67,14 +63,13 @@ def use_treatment_models(monkeypatch, numerator=None, denominator=None) -> None:
 
     def given(resp, lag_a, lag_l, errors):
         if numerator is None:
-            [(rows, designs, fits)] = fit_models(resp, lag_a, lag_l, errors)
-            return [(rows, designs[:1] * 2, fits[:1] * 2)]
-        models = (numerator, denominator)
+            [(rows, designs, models)] = fit_models(resp, lag_a, lag_l, errors)
+            return [(rows, designs[:1] * 2, models[:1] * 2)]
+        models = [(np.array([coefficients], dtype=float), np.array([sd]))
+                  for coefficients, sd in (numerator, denominator)]
         columns = np.stack([np.ones_like(lag_a), lag_a, lag_l], axis=-1)
-        designs = [columns[..., :len(coefficients)] for coefficients, _ in models]
-        fits = [StackFit(np.array([coefficients], dtype=float), None, None, None, np.array([sd]), [None])
-                for coefficients, sd in models]
-        return [(slice(None), designs, fits)]
+        designs = [columns[..., :coefficients.shape[-1]] for coefficients, _ in models]
+        return [(slice(None), designs, models)]
 
     monkeypatch.setattr(iptw, "_fit_models", given)
 

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import longicausal.estimators as estimators
 from longicausal.estimators import (
     CI_MULTIPLIER,
     ESTIMATOR_NAMES,
@@ -142,6 +143,34 @@ class TestSharedContracts:
         rep = reports(feedback_dgp_data())["naive"]
         assert rep.z == pytest.approx(rep.beta1_hat / rep.se, rel=1e-12)
         assert 0.0 <= rep.p <= 1.0
+
+    def test_non_finite_slope_gets_the_wald_error(self, monkeypatch):
+        # unweighted fits whose slope is inf but whose SE is finite: each stack row gets the error `estimate` raises
+        fit_glm_stack = estimators.fit_glm_stack
+
+        def infinite_slope(design, response, family, weights=None):
+            fit = fit_glm_stack(design, response, family, weights)
+            if weights is None:
+                fit.coefficients[:, 1] = np.inf
+            return fit
+
+        monkeypatch.setattr(estimators, "fit_glm_stack", infinite_slope)
+        datasets = [feedback_dgp_data(rep) for rep in range(2)]
+        weights = [stabilized_weights(data) for data in datasets]
+        stacks = estimate_stack(
+            np.stack([data.A.sum(axis=1) for data in datasets]),
+            np.stack([data.L.sum(axis=1) for data in datasets]),
+            np.stack([data.Y for data in datasets]),
+            np.stack([sw.per_unit_weights for sw in weights]),
+        )
+        for i, (data, sw) in enumerate(zip(datasets, weights)):
+            with pytest.raises(DomainError, match=r"^beta must be finite, got inf$") as raised:
+                estimate(data, sw)
+            for name in ("naive", "adjusted"):
+                error = stacks[name].errors[i]
+                assert (type(error), str(error)) == (DomainError, str(raised.value))
+                assert stacks[name].se[i] > 0.0 and np.isfinite(stacks[name].se[i])
+        assert stacks["msm"].errors == [None, None]
 
 
 class TestUnconfoundedAgreement:

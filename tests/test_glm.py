@@ -99,7 +99,7 @@ class TestExactFits:
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         fit = fit_one(X, np.array([1.0, 3.0]), "linear")
         np.testing.assert_allclose(fit.coefficients, [1.0, 2.0], atol=1e-12)
-        assert fit.residual_sd == pytest.approx(0.0, abs=1e-12)
+        assert (fit.converged, fit.iterations) == (True, 1)
 
 
 class TestOracleEquivalence:
@@ -139,7 +139,7 @@ class TestGradientAtOptimum:
         fit = fit_one(X, y, family, weights=w)
         assert fit.converged
         beta = fit.coefficients
-        sigma = fit.residual_sd if family == "linear" else None
+        sigma = math.sqrt(np.sum(w * (y - X @ beta) ** 2) / np.sum(w)) if family == "linear" else None
         grad = np.zeros_like(beta)
         for j in range(len(beta)):
             h = 1e-5 * max(1.0, abs(beta[j]))
@@ -429,18 +429,14 @@ class TestPerProblem:
 def reference_irls(X, y, family, w, max_iter=100):
     """One problem's IRLS written out on 2-d arrays, in the order of operations the kernel keeps.
 
-    Returns (coefficients, model_cov, converged, iterations).
+    Returns (coefficients, model_cov, converged, iterations); a linear fit has no model_cov.
     """
-    info = lambda v: X.T @ (X * v[:, None])
-
     def solve(wk, z):
         xtw = X.T * wk
         return np.linalg.solve(xtw @ X, xtw @ z)
 
     if family == "linear":
-        beta = solve(w, y)
-        sd = math.sqrt(float(np.sum(w * (y - X @ beta) ** 2) / np.sum(w)))
-        return beta, np.linalg.inv(info(w)) * (sd * sd), True, 1
+        return solve(w, y), None, True, 1
     mean = lambda eta: np.exp(np.clip(eta, -700.0, 700.0))
     var = lambda mu: np.maximum(mu, 1e-10)
 
@@ -462,7 +458,7 @@ def reference_irls(X, y, family, w, max_iter=100):
         d = new_d
         if converged:
             break
-    return beta, np.linalg.inv(info(w * var(mu))), converged, it
+    return beta, np.linalg.inv(X.T @ (X * (w * var(mu))[:, None])), converged, it
 
 
 class TestStackKernel:
@@ -483,7 +479,10 @@ class TestStackKernel:
             fit = fit_one(X, y, family, w)
             beta, cov, converged, iterations = reference_irls(X, y, family, w)
             assert fit.coefficients.tobytes() == beta.tobytes()
-            assert fit.model_cov.tobytes() == cov.tobytes()
+            if family == "linear":
+                assert np.isnan(fit.model_cov).all()
+            else:
+                assert fit.model_cov.tobytes() == cov.tobytes()
             assert (fit.converged, fit.iterations) == (converged, iterations)
 
     @pytest.mark.parametrize("max_iter", [100, 4])
@@ -514,8 +513,6 @@ class TestStackKernel:
             assert stack.coefficients[i].tobytes() == single.coefficients.tobytes()
             assert stack.model_cov[i].tobytes() == single.model_cov.tobytes()
             assert (stack.converged[i], stack.iterations[i]) == (single.converged, single.iterations)
-            if family == "linear":
-                assert stack.residual_sd[i] == single.residual_sd
             outcomes.add(single.converged)
         assert {"SingularDesignError", "DomainError"} <= outcomes
         if family == "linear" or max_iter == 100:
@@ -549,9 +546,6 @@ class TestUnweightedIsUnitWeighted:
         plain, unit = fit_glm_stack(X, y, family), fit_glm_stack(X, y, family, np.ones((r, n)))
         for field in ("coefficients", "model_cov", "converged", "iterations"):
             assert getattr(plain, field).tobytes() == getattr(unit, field).tobytes(), field
-        assert (plain.residual_sd is None) == (unit.residual_sd is None) == (family != "linear")
-        if family == "linear":
-            assert plain.residual_sd.tobytes() == unit.residual_sd.tobytes()
         assert [(type(e), str(e)) for e in plain.errors] == [(type(e), str(e)) for e in unit.errors]
         kinds = {type(e).__name__ for e in plain.errors}
         assert {"SingularDesignError", "DomainError"} <= kinds
@@ -626,12 +620,8 @@ class TestRankCertificate:
             assert glm._rank_deficient(X, np.ones((1, 20)))[0]
             assert glm._rank_deficient(X, np.full((1, 20), 2.0))[0]
             fit = fit_glm_stack(X, rng.normal(size=(1, 20)), "linear")
-            # a finite Gram, but residuals whose squares overflow
-            line = np.column_stack([np.ones(5), np.arange(5.0)])[None]
-            huge = fit_glm_stack(line, 1e300 * np.array([[0.0, 3.0, 1.0, 4.0, 2.0]]), "linear")
         assert counted[0] == 3
         assert isinstance(fit.errors[0], SingularDesignError)
-        assert huge.errors == [None] and huge.residual_sd[0] == np.inf
 
     def test_default_n600_block_runs_no_svd(self, monkeypatch):
         counted = count_svd_problems(monkeypatch)

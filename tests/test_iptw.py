@@ -2,10 +2,12 @@
 
 import csv
 import math
+import warnings
 
 import numpy as np
 import pytest
 
+from longicausal import iptw
 from longicausal.cli import main
 from longicausal.exceptions import (
     DegenerateVarianceError, DomainError, LongicausalError, SingularDesignError, WeightError,
@@ -42,10 +44,10 @@ class TestTreatmentModels:
         for rep in range(n_reps):
             rng = np.random.default_rng(1000 + rep)
             data = lfree_dataset(rng)
-            (_, denominator), _ = treatment_models(data)
-            assert len(denominator.coefficients) == 3
-            coef = denominator.coefficients[2]  # L(t-1)
-            se = math.sqrt(denominator.model_cov[2, 2])
+            (_, (coefficients, sd, design)), _ = treatment_models(data)
+            assert len(coefficients) == 3
+            coef = coefficients[2]  # L(t-1)
+            se = sd * math.sqrt(np.linalg.inv(design.T @ design)[2, 2])  # the Gaussian MLE's model-based SE
             if abs(coef) < 3.0 * se:
                 hits += 1
         assert hits >= 0.95 * n_reps
@@ -56,8 +58,8 @@ class TestTreatmentModels:
             A0=[10.0 + i for i in range(6)],
             L0=[0] * 6,
         )
-        (numerator, _), _ = treatment_models(data)
-        assert numerator.residual_sd == pytest.approx(0.0, abs=1e-9)
+        ((_, numerator_sd, _), _), _ = treatment_models(data)
+        assert numerator_sd == pytest.approx(0.0, abs=1e-9)
         with pytest.raises(DegenerateVarianceError, match=r"^numerator treatment model"):
             stabilized_weights(data)
 
@@ -69,21 +71,19 @@ class TestTreatmentModels:
             rows.append(rng.normal(a0, 4.0, 3))
             a0s.append(a0)
         data = make_dataset(rows, A0=a0s, L0=[0] * 40)
-        (numerator, denominator), _ = treatment_models(data)
-        assert len(numerator.coefficients) == len(denominator.coefficients) == 2
-        assert denominator.coefficients[1] == pytest.approx(  # A(t-1)
-            numerator.coefficients[1], abs=1e-10
-        )
+        ((numerator, _, _), (denominator, _, _)), _ = treatment_models(data)
+        assert len(numerator) == len(denominator) == 2
+        assert denominator[1] == pytest.approx(numerator[1], abs=1e-10)  # A(t-1)
 
     def test_constant_lag_treatment_column_dropped(self):
         # A(t-1) is 1000 on every pooled row: the numerator is intercept-only, the denominator [1, L(t-1)]
         gen = generate_dataset(SimulationConfig(master_seed=12), replicate_seed(12, 3))
         a = np.concatenate([np.full((50, 7), 1000.0), gen.A[:, 7:]], axis=1)
         data = PanelDataset(a, gen.L, gen.Y, A0=np.full(50, 1000.0), L0=gen.L0)
-        (numerator, denominator), _ = treatment_models(data)
-        assert len(numerator.coefficients) == 1
-        assert numerator.coefficients[0] == pytest.approx(a.mean(), rel=1e-12)
-        assert len(denominator.coefficients) == 2
+        ((numerator, _, _), (denominator, _, _)), _ = treatment_models(data)
+        assert len(numerator) == 1
+        assert numerator[0] == pytest.approx(a.mean(), rel=1e-12)
+        assert len(denominator) == 2
 
     def test_baseline_changes_modeled_periods(self):
         rng = np.random.default_rng(9)
@@ -98,6 +98,40 @@ class TestTreatmentModels:
         )
         *_, periods2 = treatment_models(no_base)
         assert periods2 == (2, 3)
+
+    def test_sd_matches_lstsq_residuals(self):
+        # a stack of four groups: both lags vary, A(t-1) constant, L(t-1) constant, both constant
+        rng = np.random.default_rng(33)
+        r, n = 12, 45
+        lag_a = rng.normal(100.0, 10.0, (r, n))
+        lag_l = (rng.random((r, n)) < 0.3).astype(float)
+        lag_a[[2, 5]] = 100.0
+        lag_l[[3, 5, 8]] = 1.0
+        resp = 5.0 + 0.9 * lag_a + 2.0 * lag_l + rng.normal(0.0, 10.0, (r, n))
+        errors = [None] * r
+        groups = iptw._fit_models(resp, lag_a, lag_l, errors)
+        assert errors == [None] * r and len(groups) == 4
+        sds = np.full((2, r), np.nan)
+        for rows, _, models in groups:
+            for k, (_, sd) in enumerate(models):
+                sds[k, rows] = sd
+        for i in range(r):
+            numerator = [np.ones(n), *([lag_a[i]] if np.ptp(lag_a[i]) > 0 else [])]
+            denominator = numerator + ([lag_l[i]] if np.ptp(lag_l[i]) > 0 else [])
+            for k, columns in enumerate((numerator, denominator)):
+                design = np.column_stack(columns)
+                resid = resp[i] - design @ np.linalg.lstsq(design, resp[i], rcond=None)[0]
+                np.testing.assert_allclose(sds[k, i], np.sqrt(np.mean(resid**2)), rtol=1e-12)
+
+    def test_overflowing_residuals_give_infinite_sd_without_warning(self):
+        # a finite Gram, but residuals whose squares overflow
+        resp = 1e300 * np.array([[0.0, 3.0, 1.0, 4.0, 2.0]])
+        errors = [None]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            [(_, _, models)] = iptw._fit_models(resp, np.arange(5.0)[None], np.zeros((1, 5)), errors)
+        assert errors == [None]
+        assert [sd[0] for _, sd in models] == [np.inf, np.inf]
 
     def test_one_period_without_baseline_rejected(self):
         # the first period would serve as the baseline and leave none to model

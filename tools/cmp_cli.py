@@ -2,10 +2,14 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 80 CLI invocations once per checkout:
+Runs a fixed set of 84 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
+- `simulate --n 20 --k 3 --m 1000 --a-sd 1e-12`, with and without
+  `--a-l-penalty 0`, each with LONGICAUSAL_THREADS 1 and 2: every replicate
+  fails the treatment models' sd floor, the numerator's with the penalty 0
+  and the denominator's without, and the run exits 1 with that audit;
 - `analyze` on the inputs of `PARENT_ROOT/bench/gen_inputs.py` seeds 0-3,
   with default flags, with `--bbox 32.6,33.3,-98.1,-97.1 --truncate-weights
   --robust HC1`, with `--linkage average --clusters 25`, with `--linkage
@@ -56,6 +60,8 @@ from pathlib import Path
 
 SEEDS = range(4)
 SIMULATE_SIZES = (("--n", "50", "--m", "300"), ("--n", "600", "--m", "40"), ("--n", "20", "--k", "2", "--m", "200"))
+DEGENERATE_SIMULATE = (("--n", "20", "--k", "3", "--m", "1000", "--a-l-penalty", "0", "--a-sd", "1e-12"),
+                       ("--n", "20", "--k", "3", "--m", "1000", "--a-sd", "1e-12"))
 ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
                  ("--linkage", "average", "--clusters", "25"),
                  ("--linkage", "single", "--clusters", "40", "--radius-km", "60"),
@@ -122,9 +128,12 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 80 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 84 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
+        yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
+    for flags, threads in itertools.product(DEGENERATE_SIMULATE, ("1", "2")):
+        args = ("simulate", *flags)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
     for seed, flags in itertools.product(SEEDS, ANALYZE_FLAGS):
         data = inputs / f"seed{seed}"
