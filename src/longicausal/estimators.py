@@ -1,7 +1,7 @@
 """The three competing outcome regressions.
 
-All three regress the end-of-study count on the cumulative injected volume
-(per bbl) with a log link:
+All three are `glm.fit_poisson_stack` regressions (log link) of the
+end-of-study count on the cumulative injected volume (per bbl):
 
   naive     Y ~ 1 + cumA                      (unweighted, model-based SE)
   adjusted  Y ~ 1 + cumA + cumL               (unweighted, model-based SE)
@@ -27,7 +27,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, LongicausalError
-from .glm import first_errors, fit_glm_stack, sandwich_cov_stack, stack_groups, wald_test
+from .glm import first_errors, fit_poisson_stack, sandwich_cov_stack, stack_groups, wald_test
 from .iptw import WeightSet
 from .panel import PanelDataset
 
@@ -128,7 +128,7 @@ def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, robust: str = "HC0") -> Est
         idx = np.arange(r)[rows]
         design = np.stack([np.ones_like(cum_a[rows]), cum_a[rows], *([cum_l[rows]] if with_l else [])], axis=-1)
         w = None if sw is None else sw[rows]
-        fit = fit_glm_stack(design, y[rows], "poisson", w)
+        fit = fit_poisson_stack(design, y[rows], w)
         errors, var = fit.errors, fit.model_cov[:, 1, 1]
         if sw is not None:  # a failed fit's NaN coefficients give a NaN covariance, and its error stays first
             cov, cov_errors = sandwich_cov_stack(fit, design, y[rows], w, kind=robust)

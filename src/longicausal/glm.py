@@ -1,30 +1,22 @@
-"""Generalized linear models fit by iteratively reweighted least squares.
+"""Poisson regressions by iteratively reweighted least squares, and least squares.
 
-Supports the linear (identity link) and poisson (log link) families with
-optional non-negative observation weights (none means unit weights, formed
-on entry), plus the heteroskedasticity-robust sandwich covariance of a
-poisson fit and the Wald test.
-
-One kernel does the fitting: `fit_glm_stack` takes a stack of R independent
-problems, designs of shape (R, n, p) with (R, n) responses and weights, and
-runs IRLS on all of them at once. Each problem keeps its own convergence
+`fit_poisson_stack` fits R independent log-link Poisson regressions at once:
+designs (R, n, p), (R, n) responses and optional non-negative weights (none
+means unit weights, formed on entry). Each problem keeps its own convergence
 flag and iteration count and leaves the loop when it converges, so every
-problem gets exactly the numbers it would get alone. A problem that fails a
-check (fewer observations than parameters, a non-finite value, a poisson
-response with no weighted count, a rank-deficient design, singular normal
-equations or information) is flagged with its error and does not stop the
-others. A one-model fit is the R = 1 call. A linear fit is one weighted
-least-squares solve and gives coefficients only; an unweighted linear stack
-forms X'X once, for its rank check and normal equations.
-`sandwich_cov_stack` gives the robust covariances of a poisson stack from the
-fit itself: its model_cov is the inverse bread, so only the meat is computed.
+problem gets exactly the numbers it would get alone. `sandwich_cov_stack`
+gives such a fit's robust covariances: its model_cov is the inverse bread, so
+only the meat is computed. `least_squares_stack` fits R unweighted problems,
+with one X'X each for the rank check and the normal equations. A problem that
+fails a check (too few observations, a non-finite value, a rank-deficient
+design, singular normal equations or information; for Poisson a negative
+response, bad weights or no weighted count) is flagged with its error and
+does not stop the others. A one-model fit is the R = 1 call.
 
 Conventions used throughout:
   * weights multiply each observation's log-likelihood contribution, so the
-    score of observation i is w_i * (y_i - mu_i) * x_i for every family
-    (canonical links);
-  * model_cov is the inverse Fisher information of a poisson fit at the
-    estimate; a linear fit leaves it NaN;
+    score of observation i is w_i * (y_i - mu_i) * x_i;
+  * model_cov is the inverse Fisher information at the estimate;
   * a design is rank deficient when the ratio of its smallest to largest
     singular value (of sqrt(w) * X) is below 1e-12. A bound on the Gram's
     eigenvalues skips that SVD where it provably agrees (`_rank_deficient`).
@@ -39,7 +31,6 @@ import numpy as np
 
 from .exceptions import DomainError, LongicausalError, SingularDesignError
 
-FAMILIES = ("linear", "poisson")
 ROBUST_KINDS = ("HC0", "HC1")  # sandwich_cov_stack's kinds; HC1 scales HC0 by n/(n-p)
 
 _MAX_EXP = 700.0  # exp() overflow guard for float64
@@ -50,14 +41,14 @@ _MAX_ITER = 100  # IRLS gives up, unconverged, after this many iterations
 
 
 class StackFit(NamedTuple):
-    """R fits of one family; row r holds problem r's results.
+    """R Poisson fits; row r holds problem r's results.
 
     `errors[r]` is the error problem r failed with, or None; the other
     fields of a failed problem are NaN or zero and mean nothing.
     """
 
     coefficients: np.ndarray  # (R, p)
-    model_cov: np.ndarray  # (R, p, p), poisson only: NaN for a linear fit
+    model_cov: np.ndarray  # (R, p, p)
     converged: np.ndarray  # (R,) bool
     iterations: np.ndarray  # (R,) int
     errors: list[LongicausalError | None]
@@ -90,34 +81,38 @@ def flag_errors(errors: list, problems, error_type: type, message: str) -> None:
             errors[i] = error_type(message)
 
 
-def _check_shapes(X: np.ndarray, y: np.ndarray, w: np.ndarray, family: str) -> None:
+def _arrays(design, *rows) -> list[np.ndarray]:
+    """`design` and the (R, n) `rows` (response, then weights) as float arrays, their shapes checked."""
+    X, *rows = (np.asarray(a, dtype=float) for a in (design, *rows))
     if X.ndim != 3:
         raise DomainError(f"a design stack must be 3-d (R, n, p), got shape {X.shape}")
     r, n, _ = X.shape
-    if y.shape != (r, n):
-        raise DomainError(f"response shape {y.shape[1:]} does not match design ({n} rows)")
-    if family not in FAMILIES:
-        raise DomainError(f"unknown family {family!r}, expected one of {FAMILIES}")
-    if w.shape != (r, n):
-        raise DomainError(f"weights shape {w.shape[1:]} does not match design ({n} rows)")
+    for name, a in zip(("response", "weights"), rows):
+        if a.shape != (r, n):
+            raise DomainError(f"{name} shape {a.shape[1:]} does not match design ({n} rows)")
+    return [X, *rows]
 
 
-def _value_checks(X, y, w, family):
-    """(failed, message) for each check of a problem, `failed` an (R,) mask, in check order."""
+def _screen(X, y, w, checks=(), gram=None) -> list[LongicausalError | None]:
+    """Each problem's first error or None: n < p, non-finite X or y, `checks` ((R,) mask, message), then rank.
+
+    The rank check, of sqrt(w)*X with `gram` its Gram if given, runs on the problems that passed the others.
+    """
     r, n, p = X.shape
-    checks = [
+    errors: list[LongicausalError | None] = [None] * r
+    for failed, message in [
         (np.full(r, n < p), f"need at least as many observations as parameters (n={n}, p={p})"),
         (~np.isfinite(X).all(axis=(1, 2)), "design contains non-finite values"),
         (~np.isfinite(y).all(axis=1), "response contains non-finite values"),
-    ]
-    if family == "poisson":
-        checks.append(((y < 0).any(axis=1), "poisson responses must be non-negative"))
-    checks.append((~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1), "weights must be finite and non-negative"))
-    checks.append((~(w > 0).any(axis=1), "at least one weight must be positive"))
-    if family == "poisson":  # with no weighted count the intercept runs to -inf
-        message = "poisson responses are all zero where weighted; the MLE does not exist"
-        checks.append((~((y > 0) & (w > 0)).any(axis=1), message))
-    return checks
+        *checks,
+    ]:
+        flag_errors(errors, np.flatnonzero(failed), DomainError, message)
+    live = np.flatnonzero([e is None for e in errors])
+    sel = slice(None) if len(live) == r else live
+    rank_bad = live[_rank_deficient(X[sel], w[sel], None if gram is None else gram[sel])]
+    message = "design matrix is rank deficient (singular value ratio below 1e-12)"
+    flag_errors(errors, rank_bad, SingularDesignError, message)
+    return errors
 
 
 def _svd_rank_deficient(X: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -184,15 +179,15 @@ def _information(X: np.ndarray, v: np.ndarray) -> np.ndarray:
     """X' diag(v) X for each problem, in the order X.T @ (X * v).
 
     X * v is a new buffer even for v = 1, which keeps numpy off its A.T @ A
-    (syrk) path: unit v gives X'X with the bits of `_solve_wls`'s (X.T * 1) @ X.
+    (syrk) path, whose sums differ: unit v gives X'X with the bits of (X.T * 1) @ X.
     """
     return np.swapaxes(X, 1, 2) @ (X * v[..., None])
 
 
-def _solve_wls(X, wk, z, gram=None) -> tuple[np.ndarray, np.ndarray]:
-    """beta of X'diag(wk)X beta = X'diag(wk)z per problem; `gram` is X'X, given only when wk = 1 (right side X'z)."""
-    xtw = np.swapaxes(X, 1, 2) if gram is not None else np.swapaxes(X, 1, 2) * wk[:, None, :]
-    beta, singular = _per_problem(np.linalg.solve, xtw @ X if gram is None else gram, xtw @ z[..., None])
+def _solve_wls(X, wk, z) -> tuple[np.ndarray, np.ndarray]:
+    """beta of X'diag(wk)X beta = X'diag(wk)z per problem."""
+    xtw = np.swapaxes(X, 1, 2) * wk[:, None, :]
+    beta, singular = _per_problem(np.linalg.solve, xtw @ X, xtw @ z[..., None])
     return beta[..., 0], singular
 
 
@@ -214,51 +209,55 @@ def _deviance(y: np.ndarray, mu: np.ndarray, w: np.ndarray) -> np.ndarray:
     return 2.0 * np.sum(w * (term - (y - mu)), axis=-1)
 
 
-def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
-    """Fit R independent weighted GLMs by IRLS: designs (R, n, p), responses and weights (R, n).
+def least_squares_stack(design, response) -> tuple[np.ndarray, list[LongicausalError | None]]:
+    """Least-squares fits of R independent problems, designs (R, n, p) and responses (R, n), row by row.
+
+    Returns the (R, p) coefficients, NaN for a failed problem, and each
+    problem's error or None. One X'X serves the rank check and X'X beta = X'y.
+    """
+    X, y = _arrays(design, response)
+    ones = np.ones(y.shape)
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'X goes to the SVD
+        gram = _information(X, ones)
+    errors = _screen(X, y, ones, gram=gram)
+    live = np.flatnonzero([e is None for e in errors])
+    sel = slice(None) if len(live) == len(errors) else live  # views while every problem is live
+    beta, singular = _per_problem(np.linalg.solve, gram[sel], np.swapaxes(X[sel], 1, 2) @ y[sel][..., None])
+    flag_errors(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
+    coefficients = np.full((len(errors), X.shape[2]), np.nan)
+    coefficients[live] = beta[..., 0]
+    return coefficients, errors
+
+
+def fit_poisson_stack(design, response, weights=None) -> StackFit:
+    """Fit R independent log-link Poisson regressions by IRLS: designs (R, n, p), responses and weights (R, n).
 
     Rows are independent: problem r's result, or its error in `errors[r]`,
     is bit for bit the same whatever the other problems of the stack are.
-    No weights means unit weights, formed on entry; an unweighted linear stack
-    then shares one X'X, with the bits unit weights give, between its rank
-    check and normal equations. A linear problem is one weighted
-    least-squares solve: coefficients, converged True, iterations 1 and a
-    NaN model_cov. A poisson problem converges when its relative deviance
-    change drops below 1e-8 (`_TOL`); after `_MAX_ITER` iterations it is
-    returned with converged False and the caller decides.
+    No weights means unit weights. A problem converges when its relative
+    deviance change drops below 1e-8 (`_TOL`); after `_MAX_ITER` iterations
+    it is returned with converged False and the caller decides.
     """
-    w = np.ones(np.shape(response)) if weights is None else np.asarray(weights, dtype=float)
-    X = np.asarray(design, dtype=float)
-    y = np.asarray(response, dtype=float)
-    _check_shapes(X, y, w, family)
+    X, y, w = _arrays(design, response, np.ones(np.shape(response)) if weights is None else weights)
     r, _, p = X.shape
-    errors: list[LongicausalError | None] = [None] * r
-    for failed, message in _value_checks(X, y, w, family):
-        flag_errors(errors, np.flatnonzero(failed), DomainError, message)
-    with np.errstate(over="ignore", invalid="ignore"):  # one X'X: rank and solve; non-finite goes to the SVD
-        gram = _information(X, w) if family == "linear" and weights is None else None
-    live = np.flatnonzero([e is None for e in errors])
-    sel = slice(None) if len(live) == r else live
-    rank_bad = live[_rank_deficient(X[sel], w[sel], None if gram is None else gram[sel])]
-    message = "design matrix is rank deficient (singular value ratio below 1e-12)"
-    flag_errors(errors, rank_bad, SingularDesignError, message)
+    errors = _screen(X, y, w, [
+        ((y < 0).any(axis=1), "poisson responses must be non-negative"),
+        (~np.isfinite(w).all(axis=1) | (w < 0).any(axis=1), "weights must be finite and non-negative"),
+        (~(w > 0).any(axis=1), "at least one weight must be positive"),
+        # with no weighted count the intercept runs to -inf
+        (~((y > 0) & (w > 0)).any(axis=1), "poisson responses are all zero where weighted; the MLE does not exist"),
+    ])
 
     # from here on only the problems that passed the checks are computed
     live = np.flatnonzero([e is None for e in errors])
     if len(live) < r:
-        X, y, w, gram = X[live], y[live], w[live], None if gram is None else gram[live]
+        X, y, w = X[live], y[live], w[live]
     coefficients = np.full((r, p), np.nan)
     model_cov = np.full((r, p, p), np.nan)
     converged = np.zeros(r, dtype=bool)
     iterations = np.zeros(r, dtype=int)
 
-    if family == "linear":
-        beta, singular = _solve_wls(X, w, y, gram)
-        flag_errors(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
-        coefficients[live], converged[live], iterations[live] = beta, True, 1
-        return StackFit(coefficients, model_cov, converged, iterations, errors)
-
-    mu = y + 0.5  # starting values: the response shrunk toward the family mean
+    mu = y + 0.5  # starting values: the response, shifted off zero for the log
     eta = np.log(mu)
     beta = np.zeros((len(live), p))
     dev = _deviance(y, _mu_eta(eta), w)
@@ -297,7 +296,7 @@ def fit_glm_stack(design, response, family: str, weights=None) -> StackFit:
 def sandwich_cov_stack(
     fit: StackFit, design, response, weights, *, kind: str = "HC0"
 ) -> tuple[np.ndarray, list[LongicausalError | None]]:
-    """Robust bread-meat-bread covariance of `fit`, the poisson `fit_glm_stack` of these arguments.
+    """Robust bread-meat-bread covariance of `fit`, the `fit_poisson_stack` of these arguments.
 
     The inverse bread is the fit's model_cov (inverse Fisher information at
     the estimate); the meat is the outer product of the weighted score

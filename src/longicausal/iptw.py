@@ -4,10 +4,10 @@ The time-varying stabilized weights
 
     SW_i = prod_t  phi(A_i(t) | A_i(t-1)) / phi(A_i(t) | A_i(t-1), L_i(t-1))
 
-are built from pooled Gaussian treatment-density models that condition on the
-immediately preceding period. Datasets with a baseline period contribute
-factors for t = 1..K; datasets without one start at t = 2 and the first
-observed period acts as the baseline covariate.
+are built from pooled Gaussian treatment-density models (least-squares means)
+that condition on the immediately preceding period. Datasets with a baseline
+period contribute factors for t = 1..K; datasets without one start at t = 2
+and the first observed period acts as the baseline covariate.
 
 `stabilized_weights_stack` is the one weights function: it computes the
 weights of R replicates at once, fitting them in groups by which lag columns
@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DegenerateVarianceError, DomainError, LongicausalError, WeightError
-from .glm import fit_glm_stack, first_errors, flag_errors, stack_groups
+from .glm import first_errors, flag_errors, least_squares_stack, stack_groups
 from .panel import PanelDataset
 
 
@@ -66,8 +66,8 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
 
     Numerator: A(t) ~ 1 + A(t-1). Denominator: A(t) ~ 1 + A(t-1) + L(t-1).
     Both are pooled across units and modeled periods and fitted as Gaussian
-    linear models: least-squares coefficients and the MLE residual sd,
-    sqrt(mean squared residual), which the density ratio uses. A lag
+    linear models: `least_squares_stack` coefficients and the MLE residual
+    sd, sqrt(mean squared residual), which the density ratio uses. A lag
     column that is constant over a problem's pooled rows carries no
     information and would make the design singular next to the intercept,
     so it is left out of both models.
@@ -90,11 +90,11 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
         designs = [np.stack([ones, *columns], axis=-1) for columns in (numerator_columns, denominator_columns)]
         models = []
         for design in designs:
-            fit = fit_glm_stack(design, resp[rows], "linear")
-            first_errors(errors, rows, fit.errors)
+            coefficients, fit_errors = least_squares_stack(design, resp[rows])
+            first_errors(errors, rows, fit_errors)
             with np.errstate(over="ignore", invalid="ignore"):  # residuals squaring to inf; NaN rows of failed fits
-                resid = resp[rows] - (design @ fit.coefficients[..., None])[..., 0]
-                models.append((fit.coefficients, np.sqrt(np.sum(resid**2, axis=-1) / n_rows)))
+                resid = resp[rows] - (design @ coefficients[..., None])[..., 0]
+                models.append((coefficients, np.sqrt(np.sum(resid**2, axis=-1) / n_rows)))
         groups.append((rows, designs, models))
     return groups
 

@@ -81,10 +81,17 @@ class PanelDataset:
     def __init__(self, A, L, Y, *, unit_ids=None, A0=None, L0=None):
         arrays = _validate(A, L, Y, A0, L0)
         n, k = arrays[0].shape
-        ids = tuple(range(n)) if unit_ids is None else tuple(unit_ids)
+        try:
+            ids = tuple(range(n)) if unit_ids is None else tuple(unit_ids)
+        except TypeError:
+            raise PanelError(f"unit_ids must be a sequence of ids, got {unit_ids!r}") from None
         if len(ids) != n:
             raise PanelError(f"unit_ids has {len(ids)} entries for {n} units")
-        if len(set(ids)) != n:
+        try:
+            unique = len(set(ids)) == n
+        except TypeError as exc:
+            raise PanelError(f"unit_ids must be hashable: {exc}") from None
+        if not unique:
             dupes = sorted({u for u in ids if ids.count(u) > 1}, key=str)
             raise PanelError(f"unit_ids must be unique, duplicated: {dupes}")
         for name, value in zip(self.__slots__, (*arrays, ids, k)):

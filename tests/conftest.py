@@ -12,7 +12,7 @@ import pytest
 
 from longicausal import iptw
 from longicausal.geo import Catalog, WellTable, _haversine, load_catalog_csv, load_wells_csv
-from longicausal.glm import StackFit, fit_glm_stack
+from longicausal.glm import StackFit, fit_poisson_stack, least_squares_stack
 from longicausal.panel import PanelDataset
 
 CORPUS_SEED = 20131201
@@ -32,12 +32,20 @@ def make_dataset(treatments, confounders=None, outcomes=None, **kwargs) -> Panel
     )
 
 
-def fit_one(X, y, family, weights=None) -> StackFit:
-    """One GLM: the R = 1 call of `fit_glm_stack` as a StackFit of unstacked fields; raises its error instead."""
-    fit = fit_glm_stack(X[None], y[None], family, None if weights is None else weights[None])
+def fit_one(X, y, weights=None) -> StackFit:
+    """One Poisson fit: the R = 1 `fit_poisson_stack` as a StackFit of unstacked fields; raises its error instead."""
+    fit = fit_poisson_stack(X[None], y[None], None if weights is None else weights[None])
     if fit.errors[0] is not None:
         raise fit.errors[0]
     return fit._make(field[0] for field in fit)
+
+
+def least_squares_one(X, y) -> np.ndarray:
+    """One least-squares fit: the coefficients of the R = 1 `least_squares_stack`; raises its error instead."""
+    coefficients, [error] = least_squares_stack(X[None], y[None])
+    if error is not None:
+        raise error
+    return coefficients[0]
 
 
 def treatment_models(data: PanelDataset):

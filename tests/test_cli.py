@@ -490,6 +490,20 @@ class TestAnalyzeCommand:
         assert code == 1
         assert "2 units" in capsys.readouterr().err
 
+    def test_rank_deficient_treatment_model_exit_1_writes_nothing(self, tmp_path, capsys):
+        # volumes 1000 + 500*L make A(t-1) affine in L(t-1): the denominator design
+        # [1, A(t-1), L(t-1)] is rank deficient, while the numerator's [1, A(t-1)] fits
+        rng = np.random.default_rng(5)
+        quakes = (rng.random((12, 6)) < 0.5).astype(int)
+        ds = make_dataset(1000.0 + 500.0 * quakes, quakes, rng.poisson(3.0, 12), unit_ids=[f"u{i}" for i in range(12)])
+        write_panel_csv(ds, tmp_path / "p.csv", tmp_path / "y.csv")
+        out = tmp_path / "run"
+        code = main(["analyze", "--panel", str(tmp_path / "p.csv"), "--outcomes", str(tmp_path / "y.csv"),
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == "error: design matrix is rank deficient (singular value ratio below 1e-12)\n"
+        assert not out.exists()
+
     def test_missing_input_file_exit_2(self, tmp_path):
         code = main(["analyze", "--wells", str(tmp_path / "nope.csv"), "--catalog", str(tmp_path / "nope2.csv"),
                      "--out-dir", str(tmp_path)])

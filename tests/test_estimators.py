@@ -146,15 +146,15 @@ class TestSharedContracts:
 
     def test_non_finite_slope_gets_the_wald_error(self, monkeypatch):
         # unweighted fits whose slope is inf but whose SE is finite: each stack row gets the error `estimate` raises
-        fit_glm_stack = estimators.fit_glm_stack
+        fit_poisson_stack = estimators.fit_poisson_stack
 
-        def infinite_slope(design, response, family, weights=None):
-            fit = fit_glm_stack(design, response, family, weights)
+        def infinite_slope(design, response, weights=None):
+            fit = fit_poisson_stack(design, response, weights)
             if weights is None:
                 fit.coefficients[:, 1] = np.inf
             return fit
 
-        monkeypatch.setattr(estimators, "fit_glm_stack", infinite_slope)
+        monkeypatch.setattr(estimators, "fit_poisson_stack", infinite_slope)
         datasets = [feedback_dgp_data(rep) for rep in range(2)]
         weights = [stabilized_weights(data) for data in datasets]
         stacks = estimate_stack(

@@ -7,6 +7,7 @@ IRLS path they check.
 
 import math
 import warnings
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,10 +21,12 @@ from scipy.special import gammaln
 import longicausal.glm as glm
 from longicausal import simulate
 from longicausal.exceptions import DomainError, LongicausalError, SingularDesignError
-from longicausal.glm import FAMILIES, _rank_deficient, fit_glm_stack, sandwich_cov_stack, wald_test
+from longicausal.glm import _rank_deficient, fit_poisson_stack, least_squares_stack, sandwich_cov_stack, wald_test
 from longicausal.simulate import SimulationConfig
 
-from conftest import fit_one
+from conftest import fit_one, least_squares_one
+
+MODELS = ("linear", "poisson")  # least squares and the Poisson regression
 
 
 def oracle_loglik(family, X, y, beta, w=None, sigma=None):
@@ -68,21 +71,25 @@ def oracle_two_sided_p(z):
 
 
 def draw_small_instance(family, rng):
-    """One random n<=6, p<=2 instance whose maximizer exists and is interior.
+    """One random n<=6, p<=2 instance whose maximizer exists and is interior, and its fit.
 
-    Strictly positive counts keep the poisson MLE off the boundary; an
-    instance that does not converge or has a coefficient above 15 in
-    magnitude is discarded.
+    The fit has the `coefficients` of the family's model: the Poisson fit or
+    least squares. Strictly positive counts keep the poisson MLE off the
+    boundary; an instance that does not converge or has a coefficient above
+    15 in magnitude is discarded.
     """
     n = int(rng.integers(3, 7))
     p = int(rng.integers(1, 3))
     X = np.ones((n, 1)) if p == 1 else np.column_stack([np.ones(n), rng.normal(size=n)])
     if family == "poisson":
         y = (1 + rng.poisson(1.5, n)).astype(float)
+        fit = fit_one(X, y)
+        if not fit.converged:
+            return None, X, y
     else:
         y = rng.normal(size=n)
-    fit = fit_one(X, y, family)
-    if not fit.converged or np.max(np.abs(fit.coefficients)) > 15.0:
+        fit = SimpleNamespace(coefficients=least_squares_one(X, y))
+    if np.max(np.abs(fit.coefficients)) > 15.0:
         return None, X, y
     return fit, X, y
 
@@ -90,20 +97,18 @@ def draw_small_instance(family, rng):
 class TestExactFits:
     def test_poisson_saturated_two_points(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
-        fit = fit_one(X, np.array([1.0, 3.0]), "poisson")
+        fit = fit_one(X, np.array([1.0, 3.0]))
         assert fit.converged
         assert fit.coefficients[0] == pytest.approx(0.0, abs=1e-8)
         assert fit.coefficients[1] == pytest.approx(math.log(3.0), abs=1e-8)
 
     def test_linear_two_points(self):
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
-        fit = fit_one(X, np.array([1.0, 3.0]), "linear")
-        np.testing.assert_allclose(fit.coefficients, [1.0, 2.0], atol=1e-12)
-        assert (fit.converged, fit.iterations) == (True, 1)
+        np.testing.assert_allclose(least_squares_one(X, np.array([1.0, 3.0])), [1.0, 2.0], atol=1e-12)
 
 
 class TestOracleEquivalence:
-    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("family", MODELS)
     def test_small_instances_match_nelder_mead(self, family):
         rng = np.random.default_rng(42)
         checked = 0
@@ -120,26 +125,28 @@ class TestOracleEquivalence:
         X = np.column_stack([np.ones(6), rng.normal(size=6)])
         y = rng.poisson(3.0, 6).astype(float)
         w = rng.uniform(0.5, 2.0, 6)
-        fit = fit_one(X, y, "poisson", weights=w)
+        fit = fit_one(X, y, weights=w)
         ref = oracle_maximizer("poisson", X, y, w)
         np.testing.assert_allclose(fit.coefficients, ref, atol=1e-5)
 
 
 class TestGradientAtOptimum:
-    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("family", MODELS)
     def test_fd_gradient_below_tolerance(self, family):
         rng = np.random.default_rng(11)
         n = 30
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         if family == "poisson":
             y = rng.poisson(np.exp(0.5 + 0.3 * X[:, 1])).astype(float)
-        else:
+            w = rng.uniform(0.5, 1.5, n)
+            fit = fit_one(X, y, weights=w)
+            assert fit.converged
+            beta, sigma = fit.coefficients, None
+        else:  # least squares: the unweighted Gaussian likelihood at its MLE sigma
             y = 1.0 + 0.5 * X[:, 1] + rng.normal(size=n)
-        w = rng.uniform(0.5, 1.5, n)
-        fit = fit_one(X, y, family, weights=w)
-        assert fit.converged
-        beta = fit.coefficients
-        sigma = math.sqrt(np.sum(w * (y - X @ beta) ** 2) / np.sum(w)) if family == "linear" else None
+            w = np.ones(n)
+            beta = least_squares_one(X, y)
+            sigma = math.sqrt(np.mean((y - X @ beta) ** 2))
         grad = np.zeros_like(beta)
         for j in range(len(beta)):
             h = 1e-5 * max(1.0, abs(beta[j]))
@@ -154,17 +161,13 @@ class TestGradientAtOptimum:
 
 
 class TestWeightInvariances:
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_unit_weights_equal_no_weights(self, family):
+    @pytest.mark.parametrize("n", [25], ids=["poisson"])
+    def test_unit_weights_equal_no_weights(self, n):
         rng = np.random.default_rng(3)
-        n = 25
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
-        y = {
-            "poisson": rng.poisson(2.0, n).astype(float),
-            "linear": rng.normal(size=n),
-        }[family]
-        a = fit_one(X, y, family)
-        b = fit_one(X, y, family, weights=np.ones(n))
+        y = rng.poisson(2.0, n).astype(float)
+        a = fit_one(X, y)
+        b = fit_one(X, y, weights=np.ones(n))
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-12)
 
     @settings(max_examples=20, deadline=None)
@@ -175,15 +178,15 @@ class TestWeightInvariances:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.poisson(2.0, n).astype(float)
         w = rng.uniform(0.5, 2.0, n)
-        a = fit_one(X, y, "poisson", weights=w)
-        b = fit_one(X, y, "poisson", weights=c * w)
+        a = fit_one(X, y, weights=w)
+        b = fit_one(X, y, weights=c * w)
         np.testing.assert_allclose(a.coefficients, b.coefficients, atol=1e-10)
 
 
 def poisson_stack(X, y, w=None):
-    """The R = 1 poisson `fit_glm_stack` of (X, y, w) and its stacked arguments, w defaulting to ones."""
+    """The R = 1 `fit_poisson_stack` of (X, y, w) and its stacked arguments, w defaulting to ones."""
     w = np.ones(len(y)) if w is None else w
-    return fit_glm_stack(X[None], y[None], "poisson", w[None]), X[None], y[None], w[None]
+    return fit_poisson_stack(X[None], y[None], w[None]), X[None], y[None], w[None]
 
 
 class TestSandwich:
@@ -191,7 +194,7 @@ class TestSandwich:
         # bread = sum(mu) = 4, meat = sum((y-2)^2) = 2, sandwich = 2/16
         X = np.ones((2, 1))
         y = np.array([1.0, 3.0])
-        fit = fit_one(X, y, "poisson")
+        fit = fit_one(X, y)
         cov, errors = sandwich_cov_stack(*poisson_stack(X, y))
         assert errors == [None]
         assert cov[0, 0, 0] == pytest.approx(0.125, abs=1e-9)
@@ -206,7 +209,7 @@ class TestSandwich:
         X = np.column_stack([np.ones(n), rng.normal(size=n)])
         y = rng.poisson(np.exp(0.5 + 0.4 * X[:, 1])).astype(float)
         w = rng.uniform(0.2, 3.0, n)
-        fit = fit_one(X, y, "poisson", weights=w)
+        fit = fit_one(X, y, weights=w)
         mu = np.exp(X @ fit.coefficients)
         bread_inv = np.linalg.inv(X.T @ np.diag(w * mu) @ X)
         meat = X.T @ np.diag((w * (y - mu)) ** 2) @ X
@@ -292,11 +295,11 @@ class TestErrorsAndEdges:
     def test_rank_deficient_design(self):
         X = np.column_stack([np.ones(10), np.ones(10)])
         with pytest.raises(SingularDesignError):
-            fit_one(X, np.arange(10.0), "linear")
+            least_squares_one(X, np.arange(10.0))
 
     def test_poisson_negative_response(self):
         with pytest.raises(DomainError):
-            fit_one(np.ones((3, 1)), np.array([1.0, -1.0, 2.0]), "poisson")
+            fit_one(np.ones((3, 1)), np.array([1.0, -1.0, 2.0]))
 
     @pytest.mark.parametrize(
         "y, w",
@@ -307,21 +310,11 @@ class TestErrorsAndEdges:
         X = np.column_stack([np.ones(3), np.arange(3.0)])
         message = "poisson responses are all zero where weighted; the MLE does not exist"
         with pytest.raises(DomainError, match=f"^{message}$"):
-            fit_one(X, np.array(y), "poisson", None if w is None else np.array(w))
+            fit_one(X, np.array(y), None if w is None else np.array(w))
 
     def test_more_params_than_rows(self):
         with pytest.raises(DomainError):
-            fit_one(np.ones((1, 2)), np.array([1.0]), "linear")
-
-    def test_unknown_family(self):
-        with pytest.raises(DomainError):
-            fit_one(np.ones((3, 1)), np.zeros(3), "gamma")
-
-    def test_logistic_family_is_refused(self):
-        assert FAMILIES == ("linear", "poisson")
-        message = r"^unknown family 'logistic', expected one of \('linear', 'poisson'\)$"
-        with pytest.raises(DomainError, match=message):
-            fit_glm_stack(np.ones((1, 3, 1)), np.array([[0.0, 1.0, 1.0]]), "logistic")
+            least_squares_one(np.ones((1, 2)), np.array([1.0]))
 
     @pytest.mark.parametrize(
         "X, y, w, message",
@@ -335,15 +328,18 @@ class TestErrorsAndEdges:
     )
     def test_stack_shapes_checked(self, X, y, w, message):
         with pytest.raises(DomainError, match=message):
-            fit_glm_stack(X, y, "linear", w)
+            fit_poisson_stack(X, y, w)
+        if w is None:
+            with pytest.raises(DomainError, match=message):
+                least_squares_stack(X, y)
 
     def test_negative_weights(self):
-        with pytest.raises(DomainError):
-            fit_one(np.ones((3, 1)), np.zeros(3), "linear", weights=np.array([1.0, -1.0, 1.0]))
+        with pytest.raises(DomainError, match="^weights must be finite and non-negative$"):
+            fit_one(np.ones((3, 1)), np.ones(3), weights=np.array([1.0, -1.0, 1.0]))
 
     def test_max_iter_flags_nonconvergence(self, monkeypatch):
         monkeypatch.setattr(glm, "_MAX_ITER", 1)
-        fit = fit_one(np.column_stack([np.ones(4), np.arange(4.0)]), np.array([1.0, 0.0, 5.0, 2.0]), "poisson")
+        fit = fit_one(np.column_stack([np.ones(4), np.arange(4.0)]), np.array([1.0, 0.0, 5.0, 2.0]))
         assert (fit.converged, fit.iterations) == (False, 1)
         assert np.isfinite(fit.coefficients).all()
 
@@ -393,7 +389,7 @@ class TestRankCheck:
         assert qr_rule_flags(X)
         assert svd_rule_flags(X)
         with pytest.raises(SingularDesignError, match="rank deficient"):
-            fit_one(X, np.arange(20.0), "poisson")
+            fit_one(X, np.arange(20.0))
 
     def test_svd_rule_flags_every_design_the_qr_rule_flags(self):
         rng = np.random.default_rng(20)
@@ -426,17 +422,15 @@ class TestPerProblem:
             assert out[i].tobytes() == fn(*(arg[i] for arg in args)).tobytes()
 
 
-def reference_irls(X, y, family, w, max_iter=100):
+def reference_irls(X, y, w, max_iter=100):
     """One problem's IRLS written out on 2-d arrays, in the order of operations the kernel keeps.
 
-    Returns (coefficients, model_cov, converged, iterations); a linear fit has no model_cov.
+    Returns (coefficients, model_cov, converged, iterations).
     """
     def solve(wk, z):
         xtw = X.T * wk
         return np.linalg.solve(xtw @ X, xtw @ z)
 
-    if family == "linear":
-        return solve(w, y), None, True, 1
     mean = lambda eta: np.exp(np.clip(eta, -700.0, 700.0))
     var = lambda mu: np.maximum(mu, 1e-10)
 
@@ -461,32 +455,53 @@ def reference_irls(X, y, family, w, max_iter=100):
     return beta, np.linalg.inv(X.T @ (X * (w * var(mu))[:, None])), converged, it
 
 
-class TestStackKernel:
-    """fit_glm_stack gives each problem exactly what its R = 1 call gives it alone."""
+def assert_rows_match_single_calls(fit_stack, fit_single, *args) -> set:
+    """Each row of `fit_stack(*args)` is `fit_single` of that row's arguments, or fails with its error.
 
-    @pytest.mark.parametrize("family", FAMILIES)
+    `fit_stack` returns the fields of a stack, errors last; `fit_single`
+    returns one problem's fields or raises. Returns the outcomes seen: error
+    type names and, for kept problems, their first field past the coefficients.
+    """
+    *fields, errors = fit_stack(*args)
+    outcomes = set()
+    for i in range(len(errors)):
+        try:
+            single = fit_single(*(arg[i] for arg in args))
+        except LongicausalError as exc:
+            assert type(errors[i]) is type(exc) and str(errors[i]) == str(exc)
+            outcomes.add(type(exc).__name__)
+            continue
+        assert errors[i] is None
+        for field, one in zip(fields, single):
+            assert field[i].tobytes() == np.asarray(one).tobytes()
+        outcomes.update(single[2:3])
+    return outcomes
+
+
+class TestStackKernel:
+    """A stacked fit gives each problem exactly what its R = 1 call gives it alone."""
+
+    @pytest.mark.parametrize("family", MODELS)
     def test_fit_glm_matches_reference_loop_bit_for_bit(self, family):
         rng = np.random.default_rng(13)
         for _ in range(40):
-            n = int(rng.integers(8, 200))
+            n = int(rng.integers(8, 800))  # past n = 500, where numpy's X.T @ X would sum differently
             X = np.column_stack([np.ones(n), rng.normal(size=n) * 10.0 ** rng.uniform(-2, 2), rng.normal(size=n)])
             eta = 0.5 + 0.3 * X[:, 2]
-            y = {
-                "linear": eta + rng.normal(size=n),
-                "poisson": rng.poisson(np.exp(eta)).astype(float),
-            }[family]
-            w = rng.uniform(0.1, 3.0, n)
-            fit = fit_one(X, y, family, w)
-            beta, cov, converged, iterations = reference_irls(X, y, family, w)
-            assert fit.coefficients.tobytes() == beta.tobytes()
             if family == "linear":
-                assert np.isnan(fit.model_cov).all()
-            else:
-                assert fit.model_cov.tobytes() == cov.tobytes()
+                y = eta + rng.normal(size=n)
+                assert least_squares_one(X, y).tobytes() == np.linalg.solve(X.T @ (X * 1.0), X.T @ y).tobytes()
+                continue
+            y = rng.poisson(np.exp(eta)).astype(float)
+            w = rng.uniform(0.1, 3.0, n)
+            fit = fit_one(X, y, w)
+            beta, cov, converged, iterations = reference_irls(X, y, w)
+            assert fit.coefficients.tobytes() == beta.tobytes()
+            assert fit.model_cov.tobytes() == cov.tobytes()
             assert (fit.converged, fit.iterations) == (converged, iterations)
 
     @pytest.mark.parametrize("max_iter", [100, 4])
-    @pytest.mark.parametrize("family", FAMILIES)
+    @pytest.mark.parametrize("family", MODELS)
     def test_each_problem_matches_fit_glm(self, monkeypatch, family, max_iter):
         monkeypatch.setattr(glm, "_MAX_ITER", max_iter)
         rng = np.random.default_rng(8)
@@ -494,65 +509,54 @@ class TestStackKernel:
         X = np.stack([np.column_stack([np.ones(n), rng.normal(size=n), rng.normal(size=n)]) for _ in range(r)])
         X[4, :, 2] = 2.0 * X[4, :, 1]  # rank deficient
         eta = 0.3 + 0.5 * X[:, :, 1]
-        y = {
-            "linear": eta + rng.normal(size=(r, n)),
-            "poisson": rng.poisson(np.exp(eta)).astype(float),
-        }[family]
+        if family == "linear":
+            y = eta + rng.normal(size=(r, n))
+            y[7, 3] = np.inf
+            one = lambda X, y: (least_squares_one(X, y),)
+            outcomes = assert_rows_match_single_calls(least_squares_stack, one, X, y)
+            assert outcomes == {"SingularDesignError", "DomainError"}
+            # n = 2 < p = 3 for every problem
+            assert assert_rows_match_single_calls(least_squares_stack, one, X[:, :2], y[:, :2]) == {"DomainError"}
+            return
+        y = rng.poisson(np.exp(eta)).astype(float)
         w = rng.uniform(0.2, 2.0, (r, n))
         w[7, 3] = np.inf
-        stack = fit_glm_stack(X, y, family, w)
-        outcomes = set()
-        for i in range(r):
-            try:
-                single = fit_one(X[i], y[i], family, w[i])
-            except LongicausalError as exc:
-                assert type(stack.errors[i]) is type(exc) and str(stack.errors[i]) == str(exc)
-                outcomes.add(type(exc).__name__)
-                continue
-            assert stack.errors[i] is None
-            assert stack.coefficients[i].tobytes() == single.coefficients.tobytes()
-            assert stack.model_cov[i].tobytes() == single.model_cov.tobytes()
-            assert (stack.converged[i], stack.iterations[i]) == (single.converged, single.iterations)
-            outcomes.add(single.converged)
+        outcomes = assert_rows_match_single_calls(fit_poisson_stack, fit_one, X, y, w)
         assert {"SingularDesignError", "DomainError"} <= outcomes
-        if family == "linear" or max_iter == 100:
+        if max_iter == 100:
             assert True in outcomes
-        if family == "poisson" and max_iter == 4:
+        if max_iter == 4:
             assert False in outcomes  # problems still iterating when the loop gives up
 
 
 class TestUnweightedIsUnitWeighted:
-    """No weights is unit weights, bit for bit, although an unweighted linear stack shares one X'X."""
+    """No weights is unit weights, bit for bit."""
 
-    @pytest.mark.parametrize("max_iter", [100, 4])
-    @pytest.mark.parametrize("family", FAMILIES)
-    def test_matches_unit_weights_bit_for_bit(self, monkeypatch, family, max_iter):
+    @pytest.mark.parametrize("max_iter", [100, 4], ids=["poisson-100", "poisson-4"])
+    def test_matches_unit_weights_bit_for_bit(self, monkeypatch, max_iter):
         monkeypatch.setattr(glm, "_MAX_ITER", max_iter)
         rng = np.random.default_rng(18)
-        r, n = 16, 600  # long enough that numpy's A.T @ A shortcut would sum X'X differently
+        r, n = 16, 600
         X = np.stack(
             [np.column_stack([np.ones(n), rng.normal(size=n) * 10.0 ** rng.uniform(-3, 6), rng.normal(size=n)])
              for _ in range(r)]
         )
         eta = 0.3 + 0.5 * X[:, :, 2]
-        y = {
-            "linear": eta + rng.normal(size=(r, n)),
-            "poisson": rng.poisson(np.exp(eta)).astype(float),
-        }[family]
+        y = rng.poisson(np.exp(eta)).astype(float)
         X[3, :, 2] = 2.0 * X[3, :, 1]  # rank deficient
         X[5, 7, 1] = np.nan
         y[11, 4] = np.inf
         y[12] = 0.0  # no poisson MLE
-        plain, unit = fit_glm_stack(X, y, family), fit_glm_stack(X, y, family, np.ones((r, n)))
+        plain, unit = fit_poisson_stack(X, y), fit_poisson_stack(X, y, np.ones((r, n)))
         for field in ("coefficients", "model_cov", "converged", "iterations"):
             assert getattr(plain, field).tobytes() == getattr(unit, field).tobytes(), field
         assert [(type(e), str(e)) for e in plain.errors] == [(type(e), str(e)) for e in unit.errors]
         kinds = {type(e).__name__ for e in plain.errors}
         assert {"SingularDesignError", "DomainError"} <= kinds
         kept = [e is None for e in plain.errors]
-        if family == "linear" or max_iter == 100:
+        if max_iter == 100:
             assert plain.converged[kept].any()
-        if family == "poisson" and max_iter == 4:
+        if max_iter == 4:
             assert not plain.converged[kept].all()
 
 
@@ -605,7 +609,7 @@ class TestRankCertificate:
                 X[1::8] *= 1e-160  # a Gram below the normal range
                 expected = svd(X, w)
                 assert np.array_equal(glm._rank_deficient(X, w), expected), (p, n)
-                if not weighted:  # the Gram fit_glm_stack shares with the linear solve
+                if not weighted:  # the Gram least_squares_stack shares with its solve
                     assert np.array_equal(glm._rank_deficient(X, w, glm._information(X, w)), expected), (p, n)
                 checked, flagged = checked + r, flagged + int(expected.sum())
         assert 0 < flagged < checked
@@ -619,9 +623,9 @@ class TestRankCertificate:
             warnings.simplefilter("error")
             assert glm._rank_deficient(X, np.ones((1, 20)))[0]
             assert glm._rank_deficient(X, np.full((1, 20), 2.0))[0]
-            fit = fit_glm_stack(X, rng.normal(size=(1, 20)), "linear")
+            _, [error] = least_squares_stack(X, rng.normal(size=(1, 20)))
         assert counted[0] == 3
-        assert isinstance(fit.errors[0], SingularDesignError)
+        assert isinstance(error, SingularDesignError)
 
     def test_default_n600_block_runs_no_svd(self, monkeypatch):
         counted = count_svd_problems(monkeypatch)

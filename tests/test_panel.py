@@ -187,6 +187,16 @@ class TestPanelDataset:
         with pytest.raises(PanelError, match="unique"):
             PanelDataset([[1.0], [2.0]], [[0], [0]], [0, 0], unit_ids=["a", "a"])
 
+    @pytest.mark.parametrize(
+        "unit_ids, message",
+        [(5, r"^unit_ids must be a sequence of ids, got 5$"),
+         ([[1], [2], [3]], r"^unit_ids must be hashable: unhashable type: 'list'$")],
+        ids=["not-iterable", "unhashable"],
+    )
+    def test_bad_unit_ids_fail(self, unit_ids, message):
+        with pytest.raises(PanelError, match=message):
+            PanelDataset([[1.0], [2.0], [3.0]], [[0], [0], [0]], [0, 0, 0], unit_ids=unit_ids)
+
     def test_empty_fails(self):
         with pytest.raises(PanelError):
             PanelDataset(np.empty((0, 2)), np.empty((0, 2)), [])

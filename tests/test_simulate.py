@@ -18,7 +18,7 @@ import longicausal.simulate as sim
 from longicausal.cli import main
 from longicausal.estimators import estimate
 from longicausal.exceptions import DomainError, LongicausalError, SimulationError
-from longicausal.glm import fit_glm_stack
+from longicausal.glm import fit_poisson_stack
 from longicausal.iptw import stabilized_weights
 from longicausal.simulate import (
     DgpParams,
@@ -438,10 +438,10 @@ def one_iteration(monkeypatch):
 
 def without_model_cov(monkeypatch):
     def fit(*args, **kwargs):
-        result = fit_glm_stack(*args, **kwargs)
+        result = fit_poisson_stack(*args, **kwargs)
         return result._replace(model_cov=np.full_like(result.model_cov, np.nan))
 
-    monkeypatch.setattr(est, "fit_glm_stack", fit)
+    monkeypatch.setattr(est, "fit_poisson_stack", fit)
 
 
 RANK_DEFICIENT = "SingularDesignError: design matrix is rank deficient (singular value ratio below 1e-12)"

@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 84 CLI invocations once per checkout:
+Runs a fixed set of 88 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -28,6 +28,11 @@ Runs a fixed set of 84 CLI invocations once per checkout:
   which each unit's volume in period t is its period-1 volume + 1000*(t-1),
   so the numerator treatment model fits exactly and the run exits 1 in the
   weights stage, writing nothing;
+- `analyze --panel --outcomes`, seeds 0-3, on a copy of that panel.csv in
+  which every volume is 1000 + 500*quake_indicator, so the denominator
+  treatment model's design [1, A(t-1), L(t-1)] is rank deficient while the
+  numerator's fits, and the run exits 1 in the weights stage, writing
+  nothing;
 - `analyze --panel --outcomes`, seeds 0-3, with default flags on a copy of
   that panel.csv and panel_outcomes.csv in which units c00-c03 are renamed
   `c,00`, `q"1`, ` lead` and `x<newline>y`: a comma, a double quote, a
@@ -116,6 +121,20 @@ def _write_linear_panel(data: Path) -> None:
             writer.writerow([unit, period, first[unit] + 1000.0 * (int(period) - 1), quake])
 
 
+def _write_indicator_panel(data: Path) -> None:
+    """Copy `data/panel/panel.csv` to `data/indicator/`, with each volume 1000 + 500*quake_indicator."""
+    source, target = data / "panel" / "panel.csv", data / "indicator" / "panel.csv"
+    target.parent.mkdir()
+    with open(source, newline="") as src, open(target, "w", newline="") as dst:
+        records, writer, seen = csv.reader(src), csv.writer(dst, lineterminator="\n"), set()
+        writer.writerow(next(records))
+        for unit, period, _, quake in records:
+            seen.add(quake)
+            writer.writerow([unit, period, 1000.0 + 500.0 * int(quake), quake])
+    # with one indicator value the L(t-1) column is dropped and the design is full rank
+    assert seen == {"0", "1"}, f"{source} has quake indicators {sorted(seen)}, not both 0 and 1"
+
+
 def _write_renamed_panel(data: Path) -> None:
     """Copy `data/panel/`'s two files to `data/renamed/`, with units c00-c03 renamed to CSV-special ids."""
     renamed = {"c00": "c,00", "c01": 'q"1', "c02": " lead", "c03": "x\ny"}
@@ -128,7 +147,7 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 84 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 88 runs."""
     for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -156,6 +175,11 @@ def _runs(inputs: Path):
         args = ("analyze", "--panel", str(data / "linear" / "panel.csv"),
                 "--outcomes", str(data / "panel" / "panel_outcomes.csv"))
         yield f"analyze seed {seed} --panel (volumes linear in t)", args, None
+    for seed in SEEDS:
+        data = inputs / f"seed{seed}"
+        args = ("analyze", "--panel", str(data / "indicator" / "panel.csv"),
+                "--outcomes", str(data / "panel" / "panel_outcomes.csv"))
+        yield f"analyze seed {seed} --panel (volumes 1000 + 500*quake_indicator)", args, None
     for seed in SEEDS:
         data = inputs / f"seed{seed}" / "renamed"
         args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
@@ -195,6 +219,7 @@ def main(argv: list[str]) -> int:
             _write_bad_magnitude(tmp / "inputs" / f"seed{seed}")
             _write_panel(parent, tmp / "inputs" / f"seed{seed}")
             _write_linear_panel(tmp / "inputs" / f"seed{seed}")
+            _write_indicator_panel(tmp / "inputs" / f"seed{seed}")
             _write_renamed_panel(tmp / "inputs" / f"seed{seed}")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
