@@ -148,18 +148,19 @@ def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
 
     a = np.empty_like(z)
     l = np.empty_like(z)
-    for t in range(k + 1):
-        if t == 0:
-            loc, scale = g.a0_mean, g.a0_sd
-        else:
-            loc, scale = a[t - 1] + g.a_l_penalty * l[t - 1] + g.a_drift, g.a_sd
-        a[t] = loc + scale * z[t]
-        l[t] = v[t] < _expit(_L_LOGIT_U_COEF * u + _L_LOGIT_A_COEF * (a[t] > g.a_threshold))
-    a0, l0 = a[0], l[0]
-    a, l = (np.ascontiguousarray(x[1:].transpose(1, 2, 0)) for x in (a, l))
+    # a non-finite A or mean fails the checks of `_run_block` and `_checked_panel`
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(k + 1):
+            if t == 0:
+                loc, scale = g.a0_mean, g.a0_sd
+            else:
+                loc, scale = a[t - 1] + g.a_l_penalty * l[t - 1] + g.a_drift, g.a_sd
+            a[t] = loc + scale * z[t]
+            l[t] = v[t] < _expit(_L_LOGIT_U_COEF * u + _L_LOGIT_A_COEF * (a[t] > g.a_threshold))
+        a0, l0 = a[0], l[0]
+        a, l = (np.ascontiguousarray(x[1:].transpose(1, 2, 0)) for x in (a, l))
 
-    log_mean = config.causal_effect * a.sum(axis=2) + config.confounding * u
-    with np.errstate(over="ignore"):  # an overflowing mean fails the check below
+        log_mean = config.causal_effect * a.sum(axis=2) + config.confounding * u
         mean = np.exp(log_mean)
     y = np.full_like(mean, np.nan)
     for j in np.flatnonzero((mean <= _MAX_POISSON_MEAN).all(axis=1)):  # NaN fails too

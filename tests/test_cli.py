@@ -1,6 +1,7 @@
 """CLI contracts: exit codes, file outputs, manifests, reproducibility."""
 
 import csv
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -17,7 +18,7 @@ from longicausal.cli import main
 from longicausal.exceptions import SimulationError
 from longicausal.iptw import stabilized_weights
 from longicausal.panel import read_panel_csv, write_panel_csv
-from longicausal.simulate import DgpParams, SimulationConfig
+from longicausal.simulate import DgpParams, SimulationConfig, run_monte_carlo
 
 from conftest import make_dataset
 
@@ -47,6 +48,15 @@ DEFAULT_ANALYZE_PARAMETERS = {
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_outputs(out_dir):
+    """A run's files by name, and its manifest without the two keys that vary from run to run."""
+    files = {path.name: path.read_bytes() for path in sorted(out_dir.iterdir())}
+    manifest = json.loads(files.pop("manifest.json"))
+    for key in ("started_utc", "duration_seconds"):
+        manifest.pop(key)
+    return files, manifest
 
 
 class TestBaselineGr:
@@ -189,6 +199,16 @@ class TestSimulateCommand:
     def test_overflowing_parameters_exit_1(self, tmp_path):
         code = main(["simulate", "--m", "2", "--causal-effect", "1.0", "--out-dir", str(tmp_path)])
         assert code == 1
+
+    @pytest.mark.parametrize("flag", ["--a-sd", "--a0-sd", "--a-drift", "--a0-mean", "--causal-effect",
+                                      "--confounding"])
+    def test_overflowing_dgp_flag_prints_one_error_line(self, tmp_path, capsys, flag):
+        # A or the Poisson mean overflows to inf or NaN: the typed error reports it, and numpy warns nothing
+        out = tmp_path / "run"
+        assert main(["simulate", "--n", "50", "--k", "8", "--m", "3", flag, "1e308", "--out-dir", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: 3 of 3 replicates failed (budget 1%)") and err.count("\n") == 1
+        assert not out.exists()
 
     def test_mean_above_numpy_poisson_limit_exit_1(self, tmp_path, capsys):
         # exp arguments of about 450: finite means that Generator.poisson rejects
@@ -596,6 +616,56 @@ class TestAnalyzeCommand:
         assert (a / "estimates.csv").read_bytes() != (b / "estimates.csv").read_bytes()
 
 
+class FakeLibc:
+    """Stands in for `ctypes.CDLL(None)`: records each mallopt call."""
+
+    def __init__(self):
+        self.calls = []
+
+    def mallopt(self, param, value):
+        self.calls.append((param, value))
+        return 1
+
+
+class TestKeepFreedMemory:
+    SIMULATE = ["simulate", "--n", "12", "--k", "4", "--m", "3", "--seed", "7"]
+
+    @pytest.fixture
+    def libc(self, monkeypatch):
+        libc, real = FakeLibc(), ctypes.CDLL
+        monkeypatch.setattr(ctypes, "CDLL", lambda name, *a, **kw: libc if name is None else real(name, *a, **kw))
+        return libc
+
+    def test_simulate_sets_trim_and_mmap_thresholds(self, tmp_path, libc):
+        assert main([*self.SIMULATE, "--out-dir", str(tmp_path)]) == 0
+        assert libc.calls == [(-1, 256 << 20), (-3, 32 << 20)]
+
+    def test_other_commands_and_the_library_leave_malloc_alone(self, tmp_path, corpus_csvs, capsys, libc):
+        wells_path, catalog_path = corpus_csvs
+        raw = tmp_path / "raw"
+        assert main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--out-dir", str(raw)]) == 0
+        assert main(["analyze", "--panel", str(raw / "panel.csv"), "--outcomes", str(raw / "panel_outcomes.csv"),
+                     "--out-dir", str(tmp_path / "panel")]) == 0
+        assert main(GR_ARGV) == 0
+        run_monte_carlo(SimulationConfig(n_units=12, n_periods=4, n_replicates=3), threads=1)
+        assert libc.calls == []
+
+    @pytest.mark.parametrize("cdll", [OSError("no libc"), TypeError("no name"), object()],
+                             ids=["oserror", "typeerror", "no-mallopt"])
+    def test_without_mallopt_simulate_is_unchanged(self, tmp_path, monkeypatch, cdll):
+        assert main([*self.SIMULATE, "--out-dir", str(tmp_path / "plain")]) == 0
+
+        def fake_cdll(name, *a, **kw):
+            if isinstance(cdll, Exception):
+                raise cdll
+            return cdll
+
+        monkeypatch.setattr(ctypes, "CDLL", fake_cdll)
+        assert main([*self.SIMULATE, "--out-dir", str(tmp_path / "patched")]) == 0
+        assert run_outputs(tmp_path / "patched") == run_outputs(tmp_path / "plain")
+
+
 class TestTopLevel:
     def test_no_command_exit_2(self):
         assert main([]) == 2
@@ -647,10 +717,6 @@ class TestTopLevel:
                 out = tmp_path / threads / name
                 subprocess.run([sys.executable, "-m", "longicausal.cli", *argv, "--out-dir", str(out)],
                                capture_output=True, check=True, env=env)
-                files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
-                manifest = json.loads(files.pop("manifest.json"))
-                for key in ("started_utc", "duration_seconds"):
-                    manifest.pop(key)
-                outputs[threads, name] = files, manifest
+                outputs[threads, name] = run_outputs(out)
         for name in commands:
             assert outputs["1", name] == outputs["2", name]

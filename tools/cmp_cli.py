@@ -2,10 +2,12 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 88 CLI invocations once per checkout:
+Runs a fixed set of 92 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
+- `simulate --n 600 --m 200`, seeds 0-1, with LONGICAUSAL_THREADS 1 and 2:
+  40 blocks of 5 replicates each, so one process runs many blocks in turn;
 - `simulate --n 20 --k 3 --m 1000 --a-sd 1e-12`, with and without
   `--a-l-penalty 0`, each with LONGICAUSAL_THREADS 1 and 2: every replicate
   fails the treatment models' sd floor, the numerator's with the penalty 0
@@ -65,6 +67,8 @@ from pathlib import Path
 
 SEEDS = range(4)
 SIMULATE_SIZES = (("--n", "50", "--m", "300"), ("--n", "600", "--m", "40"), ("--n", "20", "--k", "2", "--m", "200"))
+# seeds of the 40-block run (5 replicates of N=600, K=8 per block), which checks outputs over many blocks
+LONG_SIMULATE_SEEDS, LONG_SIMULATE_SIZE = range(2), ("--n", "600", "--m", "200")
 DEGENERATE_SIMULATE = (("--n", "20", "--k", "3", "--m", "1000", "--a-l-penalty", "0", "--a-sd", "1e-12"),
                        ("--n", "20", "--k", "3", "--m", "1000", "--a-sd", "1e-12"))
 ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
@@ -147,8 +151,10 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 88 runs."""
-    for seed, size, threads in itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")):
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 92 runs."""
+    simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
+                                    itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")))
+    for seed, size, threads in simulate_runs:
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
     for flags, threads in itertools.product(DEGENERATE_SIMULATE, ("1", "2")):
