@@ -141,7 +141,7 @@ def _keep_freed_memory() -> None:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
-    _keep_freed_memory()  # worker processes fork after it and inherit it
+    _keep_freed_memory()  # block workers inherit it only where the pool starts them by fork
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
     try:

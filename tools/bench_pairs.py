@@ -1,9 +1,9 @@
 """Run the benchmark on two checkouts in alternating pairs and write every run to one JSON file.
 
     python3 tools/bench_pairs.py PARENT_ROOT CHANGE_ROOT --workload W [--workload W ...] --pairs N \
-        [--seconds S] [--trace 0|1] [--seed N] --out BENCH_<n>.json
+        [--seconds S] [--trace 0|1] --out BENCH_<n>.json
 
-For each workload, pair i runs `python3 ROOT/bench/run.py --workload W --trace T [--seconds S] [--seed N]` in
+For each workload, pair i runs `python3 ROOT/bench/run.py --workload W --trace T [--seconds S]` in
 PARENT_ROOT and in CHANGE_ROOT, one after the other: the parent first when i is even, the change first when
 it is odd. So each side is timed by its own checkout's bench, as a reviewer would run it, and neither side
 always runs on a warmer machine.
@@ -60,8 +60,8 @@ def _machine() -> dict:
 def _bench(root: Path, workload: str, args: argparse.Namespace) -> dict:
     """One bench/run.py run in `root`: its verdict and {metric: value}."""
     cmd = [sys.executable, str(root / "bench" / "run.py"), "--workload", workload, "--trace", str(args.trace)]
-    cmd += [arg for name in ("seconds", "seed") if getattr(args, name) is not None
-            for arg in (f"--{name}", str(getattr(args, name)))]
+    if args.seconds is not None:
+        cmd += ["--seconds", str(args.seconds)]
     proc = subprocess.run(cmd, cwd=root, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit(f"error: {' '.join(cmd)} exited with {proc.returncode}:\n{proc.stderr}")
@@ -88,7 +88,6 @@ def main(argv: list[str]) -> int:
     p.add_argument("--pairs", type=int, required=True)
     p.add_argument("--seconds", type=float, help="bench/run.py --seconds (default: its own)")
     p.add_argument("--trace", type=int, choices=(0, 1), default=0)
-    p.add_argument("--seed", type=int, help="bench/run.py --seed (default: its own)")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
@@ -111,7 +110,7 @@ def main(argv: list[str]) -> int:
         }
 
     record = {
-        "settings": {"pairs": args.pairs, "seconds": args.seconds, "trace": args.trace, "seed": args.seed},
+        "settings": {"pairs": args.pairs, "seconds": args.seconds, "trace": args.trace},
         "machine": _machine(),
         **{side: _commit(root) for side, root in roots.items()},
         "workloads": workloads,
