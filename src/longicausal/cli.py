@@ -18,6 +18,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import sys
 import time
 from datetime import datetime, timezone
@@ -49,7 +50,7 @@ from .geo import (
 from .glm import ROBUST_KINDS
 from .iptw import stabilized_weights
 from .panel import read_panel_csv, write_csv, write_panel_csv
-from .simulate import DgpParams, SimulationConfig, run_monte_carlo, threads_from_env
+from .simulate import DgpParams, SimulationConfig, run_monte_carlo
 
 TRUNCATION_PERCENTILE = 1.0  # --truncate-weights clips to [1st, 99th]
 # DgpParams fields exposed as `simulate --u-levels`, `--a-threshold`, ...
@@ -140,12 +141,24 @@ def _keep_freed_memory() -> None:
         pass
 
 
+def _threads_from_env() -> int:
+    """`simulate`'s worker processes from LONGICAUSAL_THREADS (default 1); DomainError unless an integer >= 1."""
+    text = os.environ.get("LONGICAUSAL_THREADS", "1")
+    try:
+        threads = int(text) if text.isdecimal() else 0
+    except ValueError:  # more digits than int() converts
+        threads = 0
+    if threads < 1:
+        raise DomainError(f"LONGICAUSAL_THREADS must be an integer >= 1, got {text!r}")
+    return threads
+
+
 def cmd_simulate(args: argparse.Namespace) -> int:
     _keep_freed_memory()  # block workers inherit it only where the pool starts them by fork
     started = datetime.now(timezone.utc)
     t0 = time.monotonic()
     try:
-        threads = threads_from_env()
+        threads = _threads_from_env()
     except DomainError as exc:  # a usage error, like a bad flag
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -222,7 +222,9 @@ def least_squares_stack(design, response) -> tuple[np.ndarray, list[LongicausalE
     errors = _screen(X, y, ones, gram=gram)
     live = np.flatnonzero([e is None for e in errors])
     sel = slice(None) if len(live) == len(errors) else live  # views while every problem is live
-    beta, singular = _per_problem(np.linalg.solve, gram[sel], np.swapaxes(X[sel], 1, 2) @ y[sel][..., None])
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'y gives non-finite coefficients
+        xty = np.swapaxes(X[sel], 1, 2) @ y[sel][..., None]
+    beta, singular = _per_problem(np.linalg.solve, gram[sel], xty)
     flag_errors(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
     coefficients = np.full((len(errors), X.shape[2]), np.nan)
     coefficients[live] = beta[..., 0]

@@ -171,6 +171,11 @@ def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
 def _checked_panel(a, l, y, a0, l0, log_mean) -> PanelDataset:
     """One generated replicate's rows of `_generate_stack` as a panel, after the Poisson mean check."""
     if np.isnan(y).any():
+        if not (np.isfinite(a).all() and np.isfinite(a0).all()):
+            raise SimulationError(
+                "treatment recursion overflow: A is not finite; "
+                "review a0_mean/a0_sd/a_drift/a_l_penalty/a_sd parameters"
+            )
         raise SimulationError(
             f"Poisson mean overflow: exp argument {np.max(log_mean):.1f} > {np.log(_MAX_POISSON_MEAN):.2f}; "
             "review causal_effect/confounding/volume parameters"
@@ -188,7 +193,6 @@ def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelData
 class EstimatorMonteCarlo:
     """Replicate-level estimates for one estimator, plus their aggregates."""
 
-    estimator: str
     estimates: np.ndarray
     ses: np.ndarray
     ci_lo: np.ndarray
@@ -200,7 +204,6 @@ class EstimatorMonteCarlo:
 
 @dataclass
 class MonteCarloSummary:
-    causal_effect: float
     n_replicates: int
     n_failed: int
     failed_replicates: tuple[tuple[int, str], ...]
@@ -231,7 +234,9 @@ def _run_block(config: SimulationConfig, replicates: range) -> tuple[np.ndarray,
     rows = slice(None) if live.size == len(replicates) else live  # a view, not a copy, when all are live
     a, l, y, a0, l0 = a[rows], l[rows], y[rows], a0[rows], l0[rows]
     weights = stabilized_weights_stack(a, l, a0, l0, range(a.shape[1]))
-    estimates = estimate_stack(a.sum(axis=2), l.sum(axis=2), y, weights.per_unit_weights)
+    with np.errstate(over="ignore"):  # finite A can sum to +-inf; that replicate's fits fail and are audited
+        cum_a = a.sum(axis=2)
+    estimates = estimate_stack(cum_a, l.sum(axis=2), y, weights.per_unit_weights)
     for stage in (weights.errors, *(e.errors for e in estimates.values())):
         first_errors(errors, live, stage)
 
@@ -248,27 +253,16 @@ def _run_block(config: SimulationConfig, replicates: range) -> tuple[np.ndarray,
     return beta1, se, audit
 
 
-def threads_from_env() -> int:
-    """Worker processes from LONGICAUSAL_THREADS (default 1); DomainError unless an integer >= 1."""
-    text = os.environ.get("LONGICAUSAL_THREADS", "1")
-    if not text.isdecimal() or int(text) < 1:
-        raise DomainError(f"LONGICAUSAL_THREADS must be an integer >= 1, got {text!r}")
-    return int(text)
-
-
-def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> MonteCarloSummary:
+def run_monte_carlo(config: SimulationConfig, *, threads: int = 1) -> MonteCarloSummary:
     """Run M replicates and aggregate per-estimator averages and coverage.
 
     Replicates that raise a package error (or fail to converge) are excluded
     with an audit trail; more than 1% of them aborts the run. Blocks run on
-    `threads` worker processes (default: `threads_from_env`; DomainError
-    unless an integer >= 1), at most one per block and per CPU this process
-    may use. Aggregation is performed in replicate-index order regardless of
-    `threads`.
+    `threads` worker processes (DomainError unless an integer >= 1), at most
+    one per block and per CPU this process may use. Aggregation is performed
+    in replicate-index order regardless of `threads`.
     """
-    if threads is None:
-        threads = threads_from_env()
-    elif isinstance(threads, bool) or not (isinstance(threads, int) and threads >= 1):
+    if isinstance(threads, bool) or not (isinstance(threads, int) and threads >= 1):
         raise DomainError(f"threads must be an integer >= 1, got {threads!r}")
     m = config.n_replicates
     size = max(1, BLOCK_ROWS // (config.n_units * config.n_periods))
@@ -300,7 +294,6 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
         hi = est + CI_MULTIPLIER * se
         covered = (lo <= config.causal_effect) & (config.causal_effect <= hi)
         summaries[name] = EstimatorMonteCarlo(
-            estimator=name,
             estimates=est,
             ses=se,
             ci_lo=lo,
@@ -311,7 +304,6 @@ def run_monte_carlo(config: SimulationConfig, *, threads: int | None = None) -> 
         )
 
     return MonteCarloSummary(
-        causal_effect=config.causal_effect,
         n_replicates=m,
         n_failed=len(failed),
         failed_replicates=failed,

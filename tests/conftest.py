@@ -1,7 +1,8 @@
-"""Shared fixtures: small hand-built panels, one-problem model fits and the synthetic well/quake corpus."""
+"""Shared fixtures: hand-built panels, one-problem model fits, the synthetic well/quake corpus, a recording pool."""
 
 from __future__ import annotations
 
+import concurrent.futures
 import csv
 from dataclasses import dataclass
 from datetime import datetime
@@ -197,3 +198,25 @@ def corpus(tmp_path_factory) -> SyntheticCorpus:
 @pytest.fixture(scope="session")
 def corpus_csvs(corpus):
     return corpus.wells_path, corpus.catalog_path
+
+
+@pytest.fixture
+def recording_pool(monkeypatch) -> list[int]:
+    """An in-process stand-in for the Monte Carlo process pool; returns the worker count of each pool made."""
+    workers: list[int] = []
+
+    class Pool:
+        def __init__(self, max_workers):
+            workers.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)  # imported by the parallel branch
+    return workers

@@ -26,6 +26,10 @@ SIMULATE_FLOAT_FLAGS = [
     "--causal-effect", "--confounding", "--a-threshold", "--a0-mean", "--a0-sd", "--a-drift", "--a-l-penalty",
     "--a-sd",
 ]
+TREATMENT_OVERFLOW = ("SimulationError: treatment recursion overflow: A is not finite; "
+                      "review a0_mean/a0_sd/a_drift/a_l_penalty/a_sd parameters")
+POISSON_OVERFLOW = ("SimulationError: Poisson mean overflow: exp argument inf > 43.67; "
+                    "review causal_effect/confounding/volume parameters")
 GR_ARGV = ["baseline", "gr", "--sigma", "-0.47", "--b", "1.41", "--m", "3", "--a-tec", "0", "--volume", "1e6"]
 DEFAULT_ANALYZE_PARAMETERS = {
     "panel": None,
@@ -200,14 +204,26 @@ class TestSimulateCommand:
         code = main(["simulate", "--m", "2", "--causal-effect", "1.0", "--out-dir", str(tmp_path)])
         assert code == 1
 
-    @pytest.mark.parametrize("flag", ["--a-sd", "--a0-sd", "--a-drift", "--a0-mean", "--causal-effect",
-                                      "--confounding"])
-    def test_overflowing_dgp_flag_prints_one_error_line(self, tmp_path, capsys, flag):
-        # A or the Poisson mean overflows to inf or NaN: the typed error reports it, and numpy warns nothing
+    @pytest.mark.parametrize(
+        "argument, cause",
+        [
+            *(pytest.param(f"{flag}=1e308", TREATMENT_OVERFLOW, id=flag)
+              for flag in ("--a-sd", "--a0-sd", "--a-drift", "--a-l-penalty")),
+            *(pytest.param(f"{flag}=1e308", POISSON_OVERFLOW, id=flag)
+              for flag in ("--a0-mean", "--causal-effect", "--confounding")),
+            pytest.param("--a0-mean=-1e308", "DegenerateVarianceError: numerator treatment model",
+                         id="--a0-mean=-1e308"),
+            pytest.param("--a-drift=-1e308", "PanelError: treatments must be finite, got -inf",
+                         id="--a-drift=-1e308"),
+        ],
+    )
+    def test_overflowing_dgp_flag_prints_one_error_line(self, tmp_path, capsys, argument, cause):
+        # A, its sum or the Poisson mean overflows: the typed error names the cause, and numpy warns nothing
         out = tmp_path / "run"
-        assert main(["simulate", "--n", "50", "--k", "8", "--m", "3", flag, "1e308", "--out-dir", str(out)]) == 1
+        assert main(["simulate", "--n", "50", "--k", "8", "--m", "3", argument, "--out-dir", str(out)]) == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: 3 of 3 replicates failed (budget 1%)") and err.count("\n") == 1
+        assert err.startswith(f"error: 3 of 3 replicates failed (budget 1%): replicate 0: {cause}")
+        assert err.count("\n") == 1
         assert not out.exists()
 
     def test_mean_above_numpy_poisson_limit_exit_1(self, tmp_path, capsys):
@@ -238,13 +254,25 @@ class TestSimulateCommand:
     def test_unknown_flag_exit_2(self):
         assert main(["simulate", "--frobnicate", "1"]) == 2
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", "", pytest.param("1" * 5000, id="5000-digits")])
     def test_bad_threads_variable_exit_2_writes_nothing(self, tmp_path, capsys, monkeypatch, value):
         monkeypatch.setenv("LONGICAUSAL_THREADS", value)
         out = tmp_path / "run"
         assert main(["simulate", "--m", "2", "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err == f"error: LONGICAUSAL_THREADS must be an integer >= 1, got {value!r}\n"
         assert not out.exists()
+
+    def test_threads_variable_reaches_the_pool(self, tmp_path, monkeypatch, recording_pool):
+        monkeypatch.setattr("longicausal.simulate.BLOCK_ROWS", 12 * 4 * 2)  # two replicates a block, three blocks
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
+        runs = {}
+        for threads in ("1", "2"):
+            monkeypatch.setenv("LONGICAUSAL_THREADS", threads)
+            out = tmp_path / threads
+            assert main(["simulate", "--n", "12", "--k", "4", "--m", "6", "--seed", "5", "--out-dir", str(out)]) == 0
+            runs[threads] = run_outputs(out)
+        assert recording_pool == [2]
+        assert runs["2"] == runs["1"]
 
 
 class TestAnalyzeCommand:

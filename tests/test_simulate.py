@@ -1,6 +1,5 @@
 """Data generation determinism, Monte Carlo harness, seeding scheme."""
 
-import concurrent.futures
 import csv
 import hashlib
 import math
@@ -604,30 +603,12 @@ class TestBlockEngine:
 
 
 class TestThreads:
-    def test_workers_capped_at_blocks_and_usable_cpus(self, monkeypatch):
-        # a recording stand-in for the process pool: no process is started
-        workers = []
-
-        class Pool:
-            def __init__(self, max_workers):
-                workers.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, *iterables):
-                return map(fn, *iterables)
-
+    def test_workers_capped_at_blocks_and_usable_cpus(self, monkeypatch, recording_pool):
         cfg = SimulationConfig(n_units=50, n_periods=8, n_replicates=6, master_seed=3)
         monkeypatch.setattr(sim, "BLOCK_ROWS", 1)  # six blocks
         serial = summary_arrays(sim.run_monte_carlo(cfg, threads=1))
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Pool)  # imported by the parallel branch
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2}, raising=False)
-        monkeypatch.setenv("LONGICAUSAL_THREADS", "64")
-        for got, want in zip(summary_arrays(sim.run_monte_carlo(cfg)), serial, strict=True):
+        for got, want in zip(summary_arrays(sim.run_monte_carlo(cfg, threads=64)), serial, strict=True):
             assert got.tobytes() == want.tobytes()
         sim.run_monte_carlo(cfg, threads=5)
         monkeypatch.delattr(os, "sched_getaffinity", raising=False)
@@ -635,16 +616,17 @@ class TestThreads:
         sim.run_monte_carlo(cfg, threads=64)
         monkeypatch.setattr(sim, "BLOCK_ROWS", 3 * cfg.n_units * cfg.n_periods)  # two blocks
         sim.run_monte_carlo(cfg, threads=64)
-        assert workers == [3, 3, 4, 2]
+        assert recording_pool == [3, 3, 4, 2]
 
-    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
-    def test_bad_environment_value_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("LONGICAUSAL_THREADS", value)
-        with pytest.raises(DomainError, match=rf"^LONGICAUSAL_THREADS must be an integer >= 1, got {value!r}$"):
-            run_monte_carlo(SimulationConfig(n_replicates=2))
+    def test_environment_is_not_read(self, monkeypatch):
+        # LONGICAUSAL_THREADS belongs to the `simulate` command; the library runs one process by default
+        cfg = SimulationConfig(n_replicates=3, master_seed=4)
+        serial = summary_arrays(run_monte_carlo(cfg, threads=1))
+        monkeypatch.setenv("LONGICAUSAL_THREADS", "two")
+        for got, want in zip(summary_arrays(run_monte_carlo(cfg)), serial, strict=True):
+            assert got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("value", [0, -3, 1.5, "2", True])
-    def test_bad_argument_rejected(self, monkeypatch, value):
-        monkeypatch.setenv("LONGICAUSAL_THREADS", "1")
+    def test_bad_argument_rejected(self, value):
         with pytest.raises(DomainError, match=rf"^threads must be an integer >= 1, got {value!r}$"):
             run_monte_carlo(SimulationConfig(n_replicates=2), threads=value)

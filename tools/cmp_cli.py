@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 92 CLI invocations once per checkout:
+Runs a fixed set of 93 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -12,6 +12,8 @@ Runs a fixed set of 92 CLI invocations once per checkout:
   `--a-l-penalty 0`, each with LONGICAUSAL_THREADS 1 and 2: every replicate
   fails the treatment models' sd floor, the numerator's with the penalty 0
   and the denominator's without, and the run exits 1 with that audit;
+- `simulate --m 2` with LONGICAUSAL_THREADS `two`, which exits 2 with one
+  `error:` line and writes nothing;
 - `analyze` on the inputs of `PARENT_ROOT/bench/gen_inputs.py` seeds 0-3,
   with default flags, with `--bbox 32.6,33.3,-98.1,-97.1 --truncate-weights
   --robust HC1`, with `--linkage average --clusters 25`, with `--linkage
@@ -151,7 +153,7 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 92 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 93 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
                                     itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")))
     for seed, size, threads in simulate_runs:
@@ -160,6 +162,7 @@ def _runs(inputs: Path):
     for flags, threads in itertools.product(DEGENERATE_SIMULATE, ("1", "2")):
         args = ("simulate", *flags)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
+    yield "simulate --m 2 [LONGICAUSAL_THREADS=two]", ("simulate", "--m", "2"), "two"
     for seed, flags in itertools.product(SEEDS, ANALYZE_FLAGS):
         data = inputs / f"seed{seed}"
         args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"), *flags)
