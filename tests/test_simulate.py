@@ -14,7 +14,7 @@ import pytest
 import longicausal.estimators as est
 import longicausal.glm as glm
 import longicausal.simulate as sim
-from longicausal.cli import main
+from longicausal.cli import _threads_from_env, main
 from longicausal.estimators import estimate
 from longicausal.exceptions import DomainError, LongicausalError, SimulationError
 from longicausal.glm import fit_poisson_stack
@@ -625,6 +625,13 @@ class TestThreads:
         monkeypatch.setenv("LONGICAUSAL_THREADS", "two")
         for got, want in zip(summary_arrays(run_monte_carlo(cfg)), serial, strict=True):
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("value", ["two", "0", "-3", "1.5", ""])
+    def test_bad_environment_value_rejected(self, monkeypatch, value):
+        # the `simulate` command's reader of LONGICAUSAL_THREADS, which hands run_monte_carlo its threads
+        monkeypatch.setenv("LONGICAUSAL_THREADS", value)
+        with pytest.raises(DomainError, match=rf"^LONGICAUSAL_THREADS must be an integer >= 1, got {value!r}$"):
+            _threads_from_env()
 
     @pytest.mark.parametrize("value", [0, -3, 1.5, "2", True])
     def test_bad_argument_rejected(self, value):
