@@ -12,7 +12,9 @@ the intercept absorbs it, and so reduces to the naive design.
 
 Reports carry the per-bbl coefficient together with the relative risk per
 1 MMbbl, exp(beta1 * 1e6). `estimate_stack` fits R replicates at once and
-gives each its numbers or its error per estimator. `estimate(data, weights,
+gives each its numbers or its error per estimator: naive and MSM share one
+stack of 2R fits (unit weights, then SW_i; only the MSM half gets the
+sandwich), and adjusted has its own. `estimate(data, weights,
 *, robust="HC0")` is its one-replicate call: it fits all three on one
 dataset and raises the first error in ESTIMATOR_NAMES order, or returns the
 three reports. `robust` is the MSM sandwich's kind, one of glm.ROBUST_KINDS.
@@ -27,7 +29,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, LongicausalError
-from .glm import first_errors, fit_poisson_stack, sandwich_cov_stack, stack_groups, wald_test
+from .glm import StackFit, first_errors, fit_poisson_stack, sandwich_cov_stack, stack_groups, wald_test
 from .iptw import WeightSet
 from .panel import PanelDataset
 
@@ -113,37 +115,55 @@ class EstimateStack(NamedTuple):
     errors: list[LongicausalError | None]
 
 
-def _poisson_stack(cum_a, y, cum_l=None, sw=None, *, robust: str = "HC0") -> EstimateStack:
-    """Poisson regressions of (R, N) outcomes on [1, cumA], one per replicate.
+def _stack_rows(fit: StackFit, var: np.ndarray) -> EstimateStack:
+    """`fit`'s rows as an EstimateStack, `var` their beta1 variances.
 
-    With `cum_l`, the adjusted model: cumL joins the design where it varies
-    across units (elsewhere the intercept absorbs it). With `sw`, the MSM:
-    weighted, with the `robust` sandwich SE; otherwise the naive model. A
-    row's error is its fit error, then (MSM) the sandwich's, then Wald's.
+    A row's error is its error in `fit.errors`, then the Wald test's.
+    """
+    with np.errstate(invalid="ignore"):  # a negative variance fails the Wald test
+        se = np.sqrt(var)
+    for j in np.flatnonzero(~(se > 0.0) | ~np.isfinite(se) | ~np.isfinite(fit.coefficients[:, 1])):
+        try:
+            wald_test(float(fit.coefficients[j, 1]), se[j])
+        except DomainError as exc:
+            fit.errors[j] = fit.errors[j] or exc
+    return EstimateStack(fit.coefficients[:, 1], se, fit.coefficients[:, 0], fit.converged, fit.errors)
+
+
+def _naive_and_msm(cum_a, y, sw, *, robust: str) -> tuple[EstimateStack, EstimateStack]:
+    """Naive and MSM regressions of (R, N) outcomes on [1, cumA], as one stack of 2R fits.
+
+    Rows 0..R-1 have unit weights (naive, model-based SE) and rows R..2R-1
+    the stabilized weights `sw` (MSM, `robust` sandwich SE). A MSM row's
+    error is its fit error, then the sandwich's, then Wald's.
+    """
+    r = len(y)
+    design = np.stack([np.ones_like(cum_a), cum_a], axis=-1)
+    fit = fit_poisson_stack(np.concatenate([design, design]), np.concatenate([y, y]),
+                            np.concatenate([np.ones(y.shape), sw]))
+    naive, msm = (StackFit(*(x[rows] for x in fit[:4]), fit.errors[rows]) for rows in (slice(r), slice(r, None)))
+    # a failed fit's NaN coefficients give a NaN covariance, and its error stays first
+    cov, cov_errors = sandwich_cov_stack(msm, design, y, sw, kind=robust)
+    first_errors(msm.errors, slice(None), cov_errors)
+    return _stack_rows(naive, naive.model_cov[:, 1, 1]), _stack_rows(msm, cov[:, 1, 1])
+
+
+def _adjusted(cum_a, cum_l, y) -> EstimateStack:
+    """Poisson regressions of (R, N) outcomes on [1, cumA, cumL], one per replicate, model-based SE.
+
+    cumL joins the design where it varies across units; elsewhere the
+    intercept absorbs it. A row's error is its fit error, then Wald's.
     """
     r = len(y)
     out = EstimateStack(*np.full((3, r), np.nan), np.zeros(r, dtype=bool), [None] * r)
-    varies = np.zeros((r, 1), dtype=bool) if cum_l is None else (np.ptp(cum_l, axis=-1) > 0.0)[:, None]
-    for rows, (with_l,) in stack_groups(varies):
+    for rows, (with_l,) in stack_groups((np.ptp(cum_l, axis=-1) > 0.0)[:, None]):
         idx = np.arange(r)[rows]
         design = np.stack([np.ones_like(cum_a[rows]), cum_a[rows], *([cum_l[rows]] if with_l else [])], axis=-1)
-        w = None if sw is None else sw[rows]
-        fit = fit_poisson_stack(design, y[rows], w)
-        errors, var = fit.errors, fit.model_cov[:, 1, 1]
-        if sw is not None:  # a failed fit's NaN coefficients give a NaN covariance, and its error stays first
-            cov, cov_errors = sandwich_cov_stack(fit, design, y[rows], w, kind=robust)
-            first_errors(errors, slice(None), cov_errors)
-            var = cov[:, 1, 1]
-        with np.errstate(invalid="ignore"):  # a negative variance fails the Wald test
-            se = np.sqrt(var)
-        for j in np.flatnonzero(~(se > 0.0) | ~np.isfinite(se) | ~np.isfinite(fit.coefficients[:, 1])):
-            try:
-                wald_test(float(fit.coefficients[j, 1]), se[j])
-            except DomainError as exc:
-                errors[j] = errors[j] or exc
-        out.beta1_hat[idx], out.se[idx], out.intercept[idx] = fit.coefficients[:, 1], se, fit.coefficients[:, 0]
-        out.converged[idx] = fit.converged
-        first_errors(out.errors, idx, errors)
+        fit = fit_poisson_stack(design, y[rows])
+        stack = _stack_rows(fit, fit.model_cov[:, 1, 1])
+        out.beta1_hat[idx], out.se[idx], out.intercept[idx] = stack.beta1_hat, stack.se, stack.intercept
+        out.converged[idx] = stack.converged
+        first_errors(out.errors, idx, stack.errors)
     return out
 
 
@@ -153,10 +173,8 @@ def estimate_stack(cum_a, cum_l, y, sw, *, robust: str = "HC0") -> dict[str, Est
     Takes (R, N) cumulative treatment, cumulative confounder, outcome and
     stabilized weights; `robust` is the MSM sandwich's kind. Row r of each
     EstimateStack holds, bit for bit, the numbers that `estimate` reports
-    for that estimator on replicate r's dataset, or its error.
+    for that estimator on replicate r's dataset, or its error. Naive and MSM
+    are one IRLS stack: every fit's rows are independent of the others.
     """
-    return {
-        "naive": _poisson_stack(cum_a, y),
-        "adjusted": _poisson_stack(cum_a, y, cum_l),
-        "msm": _poisson_stack(cum_a, y, sw=sw, robust=robust),
-    }
+    naive, msm = _naive_and_msm(cum_a, y, sw, robust=robust)
+    return {"naive": naive, "adjusted": _adjusted(cum_a, cum_l, y), "msm": msm}

@@ -17,13 +17,15 @@ Carlo harness derives one counter-based Philox stream per replicate from
 order and of the degree of parallelism.
 
 Replicates run in fixed blocks of consecutive indices, about BLOCK_ROWS
-pooled treatment-model rows each. A block is generated as one stack
-(`_generate_stack`): each replicate keeps its own stream and draw order,
-and the recursion runs over the whole block, so every replicate is
+(50,000) pooled treatment-model rows each. A block is generated as one
+stack (`_generate_stack`): one Philox bit generator is re-keyed through its
+state to each replicate's key, so each replicate keeps its own stream and
+draw order, and the recursion runs over the whole block, so every replicate is
 bit-identical to `generate_dataset` of it alone, which is the one-replicate
 call of the same generator. The block's weights and outcome fits then run
 as stacks (`stabilized_weights_stack`, which names units 0..N-1 as
-`generate_dataset` does, and `estimate_stack`), whose one-replicate calls
+`generate_dataset` does, and `estimate_stack`, which fits naive and MSM
+as one IRLS stack), whose one-replicate calls
 are the per-dataset functions. Each stack gives every replicate the numbers
 or the error of that call, so a replicate is audited with the error the
 per-dataset path raises first, and results do not depend on the block size
@@ -41,7 +43,7 @@ import numpy as np
 from .estimators import CI_MULTIPLIER, ESTIMATOR_NAMES, estimate_stack
 from .exceptions import DomainError, LongicausalError, SimulationError, _require_finite
 from .glm import first_errors
-from .iptw import stabilized_weights_stack
+from .iptw import _sd_floor, stabilized_weights_stack
 from .panel import PanelDataset
 
 # the largest mean Generator.poisson accepts (numpy's POISSON_LAM_MAX)
@@ -50,10 +52,11 @@ FAILURE_BUDGET = 0.01
 # logit P(L(t)=1) per level of U and for A(t) above a_threshold
 _L_LOGIT_U_COEF = 0.14
 _L_LOGIT_A_COEF = 1.1
+_REVIEW_TREATMENT = "review a0_mean/a0_sd/a_drift/a_l_penalty/a_sd parameters"
 # pooled treatment-model rows (N*K per replicate) fitted together: a block is
 # BLOCK_ROWS // (N*K) consecutive replicates, at least one, so its memory is
 # bounded and its boundaries depend only on the configuration
-BLOCK_ROWS = 25_000
+BLOCK_ROWS = 50_000
 
 
 def _require_types(params) -> None:
@@ -137,14 +140,22 @@ def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
     """
     g = config.dgp
     n, k = config.n_units, config.n_periods
-    rngs = [np.random.Generator(np.random.Philox(key=seed)) for seed in seeds]
-    u = np.array([rng.integers(1, g.u_levels + 1, size=n) for rng in rngs], dtype=float)
-    z = np.empty((k + 1, len(rngs), n))
+    # one bit generator, re-keyed per seed: each state is that of Philox(key=seed)
+    bit_generator = np.random.Philox(key=0)
+    rng = np.random.Generator(bit_generator)
+    fresh = bit_generator.state
+    u = np.empty((len(seeds), n))
+    z = np.empty((k + 1, len(seeds), n))
     v = np.empty_like(z)
-    for j, rng in enumerate(rngs):
+    states = []  # each seed's state after its U, normals and uniforms, for its Poisson draw
+    for j, seed in enumerate(seeds):
+        fresh["state"]["key"] = np.array([seed & (2**64 - 1), seed >> 64], dtype=np.uint64)
+        bit_generator.state = fresh
+        u[j] = rng.integers(1, g.u_levels + 1, size=n)
         for t in range(k + 1):
             rng.standard_normal(out=z[t, j])
             rng.random(out=v[t, j])
+        states.append(bit_generator.state)
 
     a = np.empty_like(z)
     l = np.empty_like(z)
@@ -157,30 +168,36 @@ def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
                 loc, scale = a[t - 1] + g.a_l_penalty * l[t - 1] + g.a_drift, g.a_sd
             a[t] = loc + scale * z[t]
             l[t] = v[t] < _expit(_L_LOGIT_U_COEF * u + _L_LOGIT_A_COEF * (a[t] > g.a_threshold))
-        a0, l0 = a[0], l[0]
+        a0, l0 = a[0].copy(), l[0].copy()  # copies, so the (K+1, R, N) arrays are freed below
         a, l = (np.ascontiguousarray(x[1:].transpose(1, 2, 0)) for x in (a, l))
 
         log_mean = config.causal_effect * a.sum(axis=2) + config.confounding * u
         mean = np.exp(log_mean)
     y = np.full_like(mean, np.nan)
     for j in np.flatnonzero((mean <= _MAX_POISSON_MEAN).all(axis=1)):  # NaN fails too
-        y[j] = rngs[j].poisson(mean[j])
+        bit_generator.state = states[j]
+        y[j] = rng.poisson(mean[j])
     return a, l, y, a0, l0, log_mean
 
 
 def _checked_panel(a, l, y, a0, l0, log_mean) -> PanelDataset:
-    """One generated replicate's rows of `_generate_stack` as a panel, after the Poisson mean check."""
+    """One generated replicate's rows of `_generate_stack` as a panel, after the overflow checks.
+
+    A NaN Y is a Poisson mean that cannot be drawn, from a non-finite A or
+    an overflowing mean. A finite A whose spread overflows would make the
+    weights' sd floor inf, and every sd "zero" next to it.
+    """
     if np.isnan(y).any():
         if not (np.isfinite(a).all() and np.isfinite(a0).all()):
-            raise SimulationError(
-                "treatment recursion overflow: A is not finite; "
-                "review a0_mean/a0_sd/a_drift/a_l_penalty/a_sd parameters"
-            )
+            raise SimulationError(f"treatment recursion overflow: A is not finite; {_REVIEW_TREATMENT}")
         raise SimulationError(
             f"Poisson mean overflow: exp argument {np.max(log_mean):.1f} > {np.log(_MAX_POISSON_MEAN):.2f}; "
             "review causal_effect/confounding/volume parameters"
         )
-    return PanelDataset(a, l, y, A0=a0, L0=l0)
+    data = PanelDataset(a, l, y, A0=a0, L0=l0)
+    if _sd_floor(a.reshape(-1)) == np.inf:
+        raise SimulationError(f"treatment recursion overflow: the spread of A is not finite; {_REVIEW_TREATMENT}")
+    return data
 
 
 def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelDataset:
@@ -222,18 +239,26 @@ def _run_block(config: SimulationConfig, replicates: range) -> tuple[np.ndarray,
     generated = _generate_stack(config, [replicate_seed(config.master_seed, rep) for rep in replicates])
     a, l, y, a0, l0, _ = generated
     errors: list[LongicausalError | None] = [None] * len(replicates)
-    # only an undrawable mean (NaN Y) or a non-finite A can fail the checks of
-    # `generate_dataset`: L and Y are 0/1 and counts by construction
-    suspect = np.isnan(y).any(axis=1) | ~np.isfinite(a).all(axis=(1, 2)) | ~np.isfinite(a0).all(axis=1)
-    for j in np.flatnonzero(suspect):
-        try:
-            _checked_panel(*(x[j] for x in generated))
-        except LongicausalError as exc:
-            errors[j] = exc
+
+    def check_generated(suspect):
+        for j in suspect:
+            try:
+                _checked_panel(*(x[j] for x in generated))
+            except LongicausalError as exc:
+                errors[j] = exc
+
+    # only an undrawable mean (NaN Y), a non-finite A or an overflowing spread
+    # of A can fail the checks of `generate_dataset`: L and Y are 0/1 and
+    # counts by construction
+    check_generated(np.flatnonzero(np.isnan(y).any(axis=1) | ~np.isfinite(a).all(axis=(1, 2))
+                                   | ~np.isfinite(a0).all(axis=1)))
     live = np.flatnonzero([e is None for e in errors])
     rows = slice(None) if live.size == len(replicates) else live  # a view, not a copy, when all are live
     a, l, y, a0, l0 = a[rows], l[rows], y[rows], a0[rows], l0[rows]
     weights = stabilized_weights_stack(a, l, a0, l0, range(a.shape[1]))
+    # an overflowing spread of A makes the weights' sd floor inf, which fails
+    # the weights, so only a replicate they fail can fail that check
+    check_generated(live[np.flatnonzero([e is not None for e in weights.errors])])
     with np.errstate(over="ignore"):  # finite A can sum to +-inf; that replicate's fits fail and are audited
         cum_a = a.sum(axis=2)
     estimates = estimate_stack(cum_a, l.sum(axis=2), y, weights.per_unit_weights)

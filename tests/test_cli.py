@@ -28,6 +28,8 @@ SIMULATE_FLOAT_FLAGS = [
 ]
 TREATMENT_OVERFLOW = ("SimulationError: treatment recursion overflow: A is not finite; "
                       "review a0_mean/a0_sd/a_drift/a_l_penalty/a_sd parameters")
+SPREAD_OVERFLOW = ("SimulationError: treatment recursion overflow: the spread of A is not finite; "
+                   "review a0_mean/a0_sd/a_drift/a_l_penalty/a_sd parameters")
 POISSON_OVERFLOW = ("SimulationError: Poisson mean overflow: exp argument inf > 43.67; "
                     "review causal_effect/confounding/volume parameters")
 GR_ARGV = ["baseline", "gr", "--sigma", "-0.47", "--b", "1.41", "--m", "3", "--a-tec", "0", "--volume", "1e6"]
@@ -211,8 +213,8 @@ class TestSimulateCommand:
               for flag in ("--a-sd", "--a0-sd", "--a-drift", "--a-l-penalty")),
             *(pytest.param(f"{flag}=1e308", POISSON_OVERFLOW, id=flag)
               for flag in ("--a0-mean", "--causal-effect", "--confounding")),
-            pytest.param("--a0-mean=-1e308", "DegenerateVarianceError: numerator treatment model",
-                         id="--a0-mean=-1e308"),
+            *(pytest.param(argument, SPREAD_OVERFLOW, id=argument)
+              for argument in ("--a0-mean=-1e308", "--a0-mean=-1e306", "--a-drift=-1e306", "--a-l-penalty=-1e306")),
             pytest.param("--a-drift=-1e308", "PanelError: treatments must be finite, got -inf",
                          id="--a-drift=-1e308"),
         ],

@@ -150,8 +150,8 @@ class TestSharedContracts:
 
         def infinite_slope(design, response, weights=None):
             fit = fit_poisson_stack(design, response, weights)
-            if weights is None:
-                fit.coefficients[:, 1] = np.inf
+            unit_weights = np.ones(len(fit.errors), dtype=bool) if weights is None else (weights == 1.0).all(axis=1)
+            fit.coefficients[unit_weights, 1] = np.inf
             return fit
 
         monkeypatch.setattr(estimators, "fit_poisson_stack", infinite_slope)

@@ -630,6 +630,7 @@ class TestRankCertificate:
     def test_default_n600_block_runs_no_svd(self, monkeypatch):
         counted = count_svd_problems(monkeypatch)
         config = SimulationConfig(n_units=600, n_periods=8)
-        _, _, audit = simulate._run_block(config, range(simulate.BLOCK_ROWS // (600 * 8)))
-        assert audit == [None] * 5
+        block = simulate.BLOCK_ROWS // (600 * 8)
+        _, _, audit = simulate._run_block(config, range(block))
+        assert audit == [None] * block
         assert counted[0] == 0

@@ -2,12 +2,15 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 93 CLI invocations once per checkout:
+Runs a fixed set of 95 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
 - `simulate --n 600 --m 200`, seeds 0-1, with LONGICAUSAL_THREADS 1 and 2:
-  40 blocks of 5 replicates each, so one process runs many blocks in turn;
+  20 blocks of 10 replicates each, so one process runs many blocks in turn;
+- `simulate --seed 18446744073709551615 --m 50`, with LONGICAUSAL_THREADS 1
+  and 2: the largest master seed, which fills the high word of every
+  replicate's 128-bit Philox key;
 - `simulate --n 20 --k 3 --m 1000 --a-sd 1e-12`, with and without
   `--a-l-penalty 0`, each with LONGICAUSAL_THREADS 1 and 2: every replicate
   fails the treatment models' sd floor, the numerator's with the penalty 0
@@ -69,8 +72,9 @@ from pathlib import Path
 
 SEEDS = range(4)
 SIMULATE_SIZES = (("--n", "50", "--m", "300"), ("--n", "600", "--m", "40"), ("--n", "20", "--k", "2", "--m", "200"))
-# seeds of the 40-block run (5 replicates of N=600, K=8 per block), which checks outputs over many blocks
+# seeds of the 20-block run (10 replicates of N=600, K=8 per block), which checks outputs over many blocks
 LONG_SIMULATE_SEEDS, LONG_SIMULATE_SIZE = range(2), ("--n", "600", "--m", "200")
+HIGH_SEED_SIMULATE = ("--seed", str(2**64 - 1), "--m", "50")
 DEGENERATE_SIMULATE = (("--n", "20", "--k", "3", "--m", "1000", "--a-l-penalty", "0", "--a-sd", "1e-12"),
                        ("--n", "20", "--k", "3", "--m", "1000", "--a-sd", "1e-12"))
 ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
@@ -153,13 +157,13 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 93 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 95 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
                                     itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")))
     for seed, size, threads in simulate_runs:
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
-    for flags, threads in itertools.product(DEGENERATE_SIMULATE, ("1", "2")):
+    for flags, threads in itertools.product((HIGH_SEED_SIMULATE, *DEGENERATE_SIMULATE), ("1", "2")):
         args = ("simulate", *flags)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
     yield "simulate --m 2 [LONGICAUSAL_THREADS=two]", ("simulate", "--m", "2"), "two"
