@@ -114,8 +114,9 @@ def _gaussian_logpdf(x: np.ndarray, design: np.ndarray, coefficients: np.ndarray
 def _sd_floor(resp: np.ndarray):
     # a residual sd at rounding-error scale means the model fit the treatment
     # path exactly; the density ratio is undefined there. A std that overflows
-    # gives an infinite floor, which fails the sd check instead of warning.
-    with np.errstate(over="ignore"):
+    # gives an infinite floor, and a non-finite treatment a NaN one, without
+    # a warning.
+    with np.errstate(over="ignore", invalid="ignore"):
         return 1e-10 * np.maximum(1.0, np.std(resp, axis=-1))
 
 
@@ -136,16 +137,19 @@ def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
 
     Takes (R, N, K) histories, (R, N) baselines or None for both, and the N
     unit ids that error messages name. The treatment models are those
-    `_fit_models` fits. A replicate's error is its first of: the
-    `_fit_models` errors, the numerator's, then the denominator's sd floor,
-    the first non-finite factor by (unit, period), then the first non-finite
-    per-unit weight. Row r is bit-identical to the stack of replicate r alone.
+    `_fit_models` fits. A replicate's error is its first of: a spread of A
+    that overflows (an infinite sd floor), the `_fit_models` errors, the
+    numerator's, then the denominator's sd floor, the first non-finite
+    factor by (unit, period), then the first non-finite per-unit weight.
+    Row r is bit-identical to the stack of replicate r alone.
     """
     resp, lag_a, lag_l, periods = _lagged_rows(a, l, a0, l0)
     r, n_units, n_t = len(resp), a.shape[1], len(periods)
     errors = [None] * r
     weights, log_factors = np.full((r, n_units), np.nan), np.full((r, n_units, n_t), np.nan)
     floor = _sd_floor(resp)
+    flag_errors(errors, np.flatnonzero(floor == np.inf), DomainError,
+                "treatment values overflow: the spread of A is not finite; rescale the treatment (volume) values")
     for rows, designs, models in _fit_models(resp, lag_a, lag_l, errors):
         idx = np.arange(r)[rows]
         for label, (_, sd) in zip(("numerator", "denominator"), models):

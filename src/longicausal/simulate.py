@@ -23,14 +23,16 @@ state to each replicate's key, so each replicate keeps its own stream and
 draw order, and the recursion runs over the whole block, so every replicate is
 bit-identical to `generate_dataset` of it alone, which is the one-replicate
 call of the same generator. The block's weights and outcome fits then run
-as stacks (`stabilized_weights_stack`, which names units 0..N-1 as
-`generate_dataset` does, and `estimate_stack`, which fits naive and MSM
-as one IRLS stack), whose one-replicate calls
-are the per-dataset functions. Each stack gives every replicate the numbers
-or the error of that call, so a replicate is audited with the error the
-per-dataset path raises first, and results do not depend on the block size
-either. A block returns (E, R) beta1 and SE columns and R audit messages,
-which `run_monte_carlo` concatenates.
+over every replicate of the block, in one pass, as stacks
+(`stabilized_weights_stack`, which names units 0..N-1 as `generate_dataset`
+does, and `estimate_stack`, which fits naive and MSM as one IRLS stack),
+whose one-replicate calls are the per-dataset functions. Each stack gives
+every replicate the numbers or the error of that call. A replicate that
+fails generation's checks (`_checked_panel`) fails a later stage too, so
+those checks run only on the replicates a stage failed. So a replicate is
+audited with the error the per-dataset path raises first, and results do
+not depend on the block size either. A block returns (E, R) beta1 and SE
+columns and R audit messages, which `run_monte_carlo` concatenates.
 """
 
 from __future__ import annotations
@@ -159,7 +161,7 @@ def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
 
     a = np.empty_like(z)
     l = np.empty_like(z)
-    # a non-finite A or mean fails the checks of `_run_block` and `_checked_panel`
+    # a non-finite A or mean fails a stage of `_run_block`, and then `_checked_panel`
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(k + 1):
             if t == 0:
@@ -184,8 +186,8 @@ def _checked_panel(a, l, y, a0, l0, log_mean) -> PanelDataset:
     """One generated replicate's rows of `_generate_stack` as a panel, after the overflow checks.
 
     A NaN Y is a Poisson mean that cannot be drawn, from a non-finite A or
-    an overflowing mean. A finite A whose spread overflows would make the
-    weights' sd floor inf, and every sd "zero" next to it.
+    an overflowing mean. A finite A whose spread overflows makes the
+    weights' sd floor inf; this check names the generating parameters.
     """
     if np.isnan(y).any():
         if not (np.isfinite(a).all() and np.isfinite(a0).all()):
@@ -231,48 +233,39 @@ class MonteCarloSummary:
 def _run_block(config: SimulationConfig, replicates: range) -> tuple[np.ndarray, np.ndarray, list[str | None]]:
     """(beta1, se, audit) for `replicates`: (E, R) columns in ESTIMATOR_NAMES order and R messages.
 
-    The block is generated, weighted and fitted as stacks. A replicate is
-    audited with its first error, from generation, the weights, then the
-    naive, adjusted and MSM fits, or else with its non-converged fits; its
-    columns are NaN. A kept replicate's message is None.
+    The block is generated, weighted and fitted as stacks, every replicate
+    through every stage; generation is checked only on the replicates that a
+    stage failed. A replicate is audited with its first error, from
+    generation, the weights, then the naive, adjusted and MSM fits, or else
+    with its non-converged fits; its columns are NaN. A kept replicate's
+    message is None.
     """
     generated = _generate_stack(config, [replicate_seed(config.master_seed, rep) for rep in replicates])
     a, l, y, a0, l0, _ = generated
-    errors: list[LongicausalError | None] = [None] * len(replicates)
-
-    def check_generated(suspect):
-        for j in suspect:
-            try:
-                _checked_panel(*(x[j] for x in generated))
-            except LongicausalError as exc:
-                errors[j] = exc
-
-    # only an undrawable mean (NaN Y), a non-finite A or an overflowing spread
-    # of A can fail the checks of `generate_dataset`: L and Y are 0/1 and
-    # counts by construction
-    check_generated(np.flatnonzero(np.isnan(y).any(axis=1) | ~np.isfinite(a).all(axis=(1, 2))
-                                   | ~np.isfinite(a0).all(axis=1)))
-    live = np.flatnonzero([e is None for e in errors])
-    rows = slice(None) if live.size == len(replicates) else live  # a view, not a copy, when all are live
-    a, l, y, a0, l0 = a[rows], l[rows], y[rows], a0[rows], l0[rows]
     weights = stabilized_weights_stack(a, l, a0, l0, range(a.shape[1]))
-    # an overflowing spread of A makes the weights' sd floor inf, which fails
-    # the weights, so only a replicate they fail can fail that check
-    check_generated(live[np.flatnonzero([e is not None for e in weights.errors])])
-    with np.errstate(over="ignore"):  # finite A can sum to +-inf; that replicate's fits fail and are audited
+    with np.errstate(over="ignore", invalid="ignore"):  # A can sum to +-inf or NaN; that replicate's fits fail
         cum_a = a.sum(axis=2)
     estimates = estimate_stack(cum_a, l.sum(axis=2), y, weights.per_unit_weights)
-    for stage in (weights.errors, *(e.errors for e in estimates.values())):
-        first_errors(errors, live, stage)
+    errors: list[LongicausalError | None] = [None] * len(replicates)
+    stages = (weights.errors, *(e.errors for e in estimates.values()))
+    # generation is checked only where a stage failed, and its error comes
+    # first. That misses none: a NaN Y fails the fits; a non-finite A, or A0
+    # (A(1) is A0 plus finite terms), fails the weights, whose response is
+    # A(1..K); and an overflowing spread of A makes the weights' sd floor inf
+    for j in np.flatnonzero([any(stage_errors) for stage_errors in zip(*stages)]):
+        try:
+            _checked_panel(*(x[j] for x in generated))
+        except LongicausalError as exc:
+            errors[j] = exc
+    for stage in stages:
+        first_errors(errors, slice(None), stage)
 
     audit = [None if e is None else f"{type(e).__name__}: {e}" for e in errors]
     converged = np.array([e.converged for e in estimates.values()])
     for k in np.flatnonzero(~converged.all(axis=0)):
         failing = ", ".join(name for name, ok in zip(estimates, converged[:, k]) if not ok)
-        audit[live[k]] = audit[live[k]] or f"non-convergence: {failing}"
-    beta1, se = np.full((2, len(estimates), len(replicates)), np.nan)
-    beta1[:, live] = [e.beta1_hat for e in estimates.values()]
-    se[:, live] = [e.se for e in estimates.values()]
+        audit[k] = audit[k] or f"non-convergence: {failing}"
+    beta1, se = np.array([[e.beta1_hat for e in estimates.values()], [e.se for e in estimates.values()]])
     failed = np.array([msg is not None for msg in audit])
     beta1[:, failed] = se[:, failed] = np.nan
     return beta1, se, audit

@@ -554,6 +554,20 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err == "error: design matrix is rank deficient (singular value ratio below 1e-12)\n"
         assert not out.exists()
 
+    def test_overflowing_volumes_exit_1_writes_nothing(self, tmp_path, capsys):
+        # volumes near 1e306: every one is finite, but their spread (the weights' sd floor) overflows
+        rng = np.random.default_rng(0)
+        ds = make_dataset(rng.uniform(1e306, 9e306, (30, 8)), rng.integers(0, 2, (30, 8)), rng.poisson(3.0, 30),
+                          unit_ids=[f"u{i}" for i in range(30)])
+        write_panel_csv(ds, tmp_path / "p.csv", tmp_path / "y.csv")
+        out = tmp_path / "run"
+        code = main(["analyze", "--panel", str(tmp_path / "p.csv"), "--outcomes", str(tmp_path / "y.csv"),
+                     "--out-dir", str(out)])
+        assert code == 1
+        assert capsys.readouterr().err == ("error: treatment values overflow: the spread of A is not finite; "
+                                           "rescale the treatment (volume) values\n")
+        assert not out.exists()
+
     def test_missing_input_file_exit_2(self, tmp_path):
         code = main(["analyze", "--wells", str(tmp_path / "nope.csv"), "--catalog", str(tmp_path / "nope2.csv"),
                      "--out-dir", str(tmp_path)])

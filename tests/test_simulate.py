@@ -18,7 +18,7 @@ from longicausal.cli import _threads_from_env, main
 from longicausal.estimators import estimate
 from longicausal.exceptions import DomainError, LongicausalError, SimulationError
 from longicausal.glm import fit_poisson_stack
-from longicausal.iptw import stabilized_weights
+from longicausal.iptw import stabilized_weights, stabilized_weights_stack
 from longicausal.simulate import (
     DgpParams,
     SimulationConfig,
@@ -628,6 +628,27 @@ class TestBlockEngine:
         for columns in (beta1, se):
             assert columns.shape == (3, cfg.n_replicates)
             assert np.array_equal(np.isnan(columns), np.broadcast_to(audited, columns.shape))
+
+    @pytest.mark.parametrize(
+        "changes",
+        [{"dgp": DgpParams(a_sd=1e308)}, {"causal_effect": 1.0}, {"dgp": DgpParams(a_drift=-1e308)},
+         {"dgp": DgpParams(a0_mean=-1e306)}, {"dgp": DgpParams(a_drift=-1e306)}],
+        ids=["recursion-overflow", "mean-overflow", "non-finite-a", "a0-spread-overflow", "drift-spread-overflow"],
+    )
+    def test_every_generation_failure_fails_a_later_stage(self, changes):
+        # `_run_block` checks generation only on the replicates that a stage failed
+        cfg = SimulationConfig(n_replicates=3, **changes)
+        generated = sim._generate_stack(cfg, [replicate_seed(cfg.master_seed, rep) for rep in range(3)])
+        a, l, y, a0, l0, _ = generated
+        weights = stabilized_weights_stack(a, l, a0, l0, range(cfg.n_units))
+        with np.errstate(over="ignore", invalid="ignore"):
+            cum_a = a.sum(axis=2)
+        stages = (weights.errors, *(e.errors for e in est.estimate_stack(cum_a, l.sum(axis=2), y,
+                                                                          weights.per_unit_weights).values()))
+        for j in range(cfg.n_replicates):
+            with pytest.raises(LongicausalError):
+                sim._checked_panel(*(x[j] for x in generated))
+            assert any(stage[j] is not None for stage in stages)
 
     @pytest.mark.parametrize(
         "patched, message",

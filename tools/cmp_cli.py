@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 95 CLI invocations once per checkout:
+Runs a fixed set of 105 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -15,6 +15,11 @@ Runs a fixed set of 95 CLI invocations once per checkout:
   `--a-l-penalty 0`, each with LONGICAUSAL_THREADS 1 and 2: every replicate
   fails the treatment models' sd floor, the numerator's with the penalty 0
   and the denominator's without, and the run exits 1 with that audit;
+- `simulate --m 3` with `--a-sd 1e308` (the treatment recursion overflows),
+  `--causal-effect 1` (the Poisson mean overflows), `--a-drift=-1e308` (A is
+  -inf and Y is finite), `--a0-mean=-1e306` and `--a-drift=-1e306` (the
+  spread of a finite A overflows), each with LONGICAUSAL_THREADS 1 and 2:
+  every replicate fails generation, and the run exits 1 with that audit;
 - `simulate --m 2` with LONGICAUSAL_THREADS `two`, which exits 2 with one
   `error:` line and writes nothing;
 - `analyze` on the inputs of `PARENT_ROOT/bench/gen_inputs.py` seeds 0-3,
@@ -77,6 +82,9 @@ LONG_SIMULATE_SEEDS, LONG_SIMULATE_SIZE = range(2), ("--n", "600", "--m", "200")
 HIGH_SEED_SIMULATE = ("--seed", str(2**64 - 1), "--m", "50")
 DEGENERATE_SIMULATE = (("--n", "20", "--k", "3", "--m", "1000", "--a-l-penalty", "0", "--a-sd", "1e-12"),
                        ("--n", "20", "--k", "3", "--m", "1000", "--a-sd", "1e-12"))
+OVERFLOW_SIMULATE = (("--m", "3", "--a-sd", "1e308"), ("--m", "3", "--causal-effect", "1"),
+                     ("--m", "3", "--a-drift=-1e308"), ("--m", "3", "--a0-mean=-1e306"),
+                     ("--m", "3", "--a-drift=-1e306"))
 ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
                  ("--linkage", "average", "--clusters", "25"),
                  ("--linkage", "single", "--clusters", "40", "--radius-km", "60"),
@@ -157,13 +165,14 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 95 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 105 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
                                     itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")))
     for seed, size, threads in simulate_runs:
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
-    for flags, threads in itertools.product((HIGH_SEED_SIMULATE, *DEGENERATE_SIMULATE), ("1", "2")):
+    for flags, threads in itertools.product((HIGH_SEED_SIMULATE, *DEGENERATE_SIMULATE, *OVERFLOW_SIMULATE),
+                                            ("1", "2")):
         args = ("simulate", *flags)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
     yield "simulate --m 2 [LONGICAUSAL_THREADS=two]", ("simulate", "--m", "2"), "two"
