@@ -7,14 +7,15 @@ end-of-study count on the cumulative injected volume (per bbl):
   adjusted  Y ~ 1 + cumA + cumL               (unweighted, model-based SE)
   msm       Y ~ 1 + cumA, weights SW_i        (sandwich SE, always)
 
-The adjusted model drops a cumL column that is constant across units, since
-the intercept absorbs it, and so reduces to the naive design.
+Where cumL is constant across units the intercept absorbs it, and the
+adjusted fit is the naive fit: adjusted reports naive's numbers and error
+there, and only the replicates whose cumL varies are refitted.
 
 Reports carry the per-bbl coefficient together with the relative risk per
 1 MMbbl, exp(beta1 * 1e6). `estimate_stack` fits R replicates at once and
 gives each its numbers or its error per estimator: naive and MSM share one
 stack of 2R fits (unit weights, then SW_i; only the MSM half gets the
-sandwich), and adjusted has its own. `estimate(data, weights,
+sandwich), and adjusted refits its varying rows. `estimate(data, weights,
 *, robust="HC0")` is its one-replicate call: it fits all three on one
 dataset and raises the first error in ESTIMATOR_NAMES order, or returns the
 three reports. `robust` is the MSM sandwich's kind, one of glm.ROBUST_KINDS.
@@ -29,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DomainError, LongicausalError
-from .glm import StackFit, first_errors, fit_poisson_stack, sandwich_cov_stack, stack_groups, wald_test
+from .glm import StackFit, first_errors, fit_poisson_stack, sandwich_cov_stack, wald_test
 from .iptw import WeightSet
 from .panel import PanelDataset
 
@@ -130,12 +131,17 @@ def _stack_rows(fit: StackFit, var: np.ndarray) -> EstimateStack:
     return EstimateStack(fit.coefficients[:, 1], se, fit.coefficients[:, 0], fit.converged, fit.errors)
 
 
-def _naive_and_msm(cum_a, y, sw, *, robust: str) -> tuple[EstimateStack, EstimateStack]:
-    """Naive and MSM regressions of (R, N) outcomes on [1, cumA], as one stack of 2R fits.
+def estimate_stack(cum_a, cum_l, y, sw, *, robust: str = "HC0") -> dict[str, EstimateStack]:
+    """The three estimators of R replicates at once, in ESTIMATOR_NAMES order.
 
-    Rows 0..R-1 have unit weights (naive, model-based SE) and rows R..2R-1
-    the stabilized weights `sw` (MSM, `robust` sandwich SE). A MSM row's
-    error is its fit error, then the sandwich's, then Wald's.
+    Takes (R, N) cumulative treatment, cumulative confounder, outcome and
+    stabilized weights; `robust` is the MSM sandwich's kind. Row r of each
+    EstimateStack holds, bit for bit, the numbers that `estimate` reports
+    for that estimator on replicate r's dataset, or its error. Naive and MSM
+    are one IRLS stack of 2R fits: rows 0..R-1 with unit weights, rows
+    R..2R-1 with `sw`. A MSM row's error is its fit error, then the
+    sandwich's, then Wald's. Adjusted starts as naive's numbers and refits
+    the rows whose cumL varies across units.
     """
     r = len(y)
     design = np.stack([np.ones_like(cum_a), cum_a], axis=-1)
@@ -145,36 +151,15 @@ def _naive_and_msm(cum_a, y, sw, *, robust: str) -> tuple[EstimateStack, Estimat
     # a failed fit's NaN coefficients give a NaN covariance, and its error stays first
     cov, cov_errors = sandwich_cov_stack(msm, design, y, sw, kind=robust)
     first_errors(msm.errors, slice(None), cov_errors)
-    return _stack_rows(naive, naive.model_cov[:, 1, 1]), _stack_rows(msm, cov[:, 1, 1])
+    naive, msm = _stack_rows(naive, naive.model_cov[:, 1, 1]), _stack_rows(msm, cov[:, 1, 1])
 
-
-def _adjusted(cum_a, cum_l, y) -> EstimateStack:
-    """Poisson regressions of (R, N) outcomes on [1, cumA, cumL], one per replicate, model-based SE.
-
-    cumL joins the design where it varies across units; elsewhere the
-    intercept absorbs it. A row's error is its fit error, then Wald's.
-    """
-    r = len(y)
-    out = EstimateStack(*np.full((3, r), np.nan), np.zeros(r, dtype=bool), [None] * r)
-    for rows, (with_l,) in stack_groups((np.ptp(cum_l, axis=-1) > 0.0)[:, None]):
-        idx = np.arange(r)[rows]
-        design = np.stack([np.ones_like(cum_a[rows]), cum_a[rows], *([cum_l[rows]] if with_l else [])], axis=-1)
-        fit = fit_poisson_stack(design, y[rows])
-        stack = _stack_rows(fit, fit.model_cov[:, 1, 1])
-        out.beta1_hat[idx], out.se[idx], out.intercept[idx] = stack.beta1_hat, stack.se, stack.intercept
-        out.converged[idx] = stack.converged
-        first_errors(out.errors, idx, stack.errors)
-    return out
-
-
-def estimate_stack(cum_a, cum_l, y, sw, *, robust: str = "HC0") -> dict[str, EstimateStack]:
-    """The three estimators of R replicates at once, in ESTIMATOR_NAMES order.
-
-    Takes (R, N) cumulative treatment, cumulative confounder, outcome and
-    stabilized weights; `robust` is the MSM sandwich's kind. Row r of each
-    EstimateStack holds, bit for bit, the numbers that `estimate` reports
-    for that estimator on replicate r's dataset, or its error. Naive and MSM
-    are one IRLS stack: every fit's rows are independent of the others.
-    """
-    naive, msm = _naive_and_msm(cum_a, y, sw, robust=robust)
-    return {"naive": naive, "adjusted": _adjusted(cum_a, cum_l, y), "msm": msm}
+    varies = np.ptp(cum_l, axis=-1) > 0.0
+    rows = slice(None) if varies.all() else np.flatnonzero(varies)  # a view, not a copy, when every row varies
+    fit = fit_poisson_stack(np.stack([np.ones_like(cum_a[rows]), cum_a[rows], cum_l[rows]], axis=-1), y[rows])
+    refit = _stack_rows(fit, fit.model_cov[:, 1, 1])
+    refit_errors = iter(refit.errors)
+    errors = [next(refit_errors) if v else error for v, error in zip(varies.tolist(), naive.errors)]
+    adjusted = EstimateStack(*(x.copy() for x in naive[:4]), errors)
+    for column, refitted in zip(adjusted, refit[:4]):
+        column[rows] = refitted
+    return {"naive": naive, "adjusted": adjusted, "msm": msm}

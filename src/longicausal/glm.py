@@ -54,18 +54,6 @@ class StackFit(NamedTuple):
     errors: list[LongicausalError | None]
 
 
-def stack_groups(flags: np.ndarray) -> list[tuple[slice | np.ndarray, tuple[bool, ...]]]:
-    """The problems of a stack grouped by their row of the (R, F) bool `flags`.
-
-    Returns (rows, flags of those rows) per group; `rows` is a slice, a view
-    rather than a copy, when one group holds every problem.
-    """
-    if len(flags) and (flags == flags[0]).all():
-        return [(slice(None), tuple(flags[0]))]
-    groups, inverse = np.unique(flags, axis=0, return_inverse=True)
-    return [(np.flatnonzero(inverse == g), tuple(group)) for g, group in enumerate(groups)]
-
-
 def first_errors(errors: list, problems, new: list) -> None:
     """Give each of `problems` (an index of `errors`) its error from `new`, unless it has one already."""
     if any(new):  # a healthy stack has none to record

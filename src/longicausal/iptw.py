@@ -25,7 +25,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DegenerateVarianceError, DomainError, LongicausalError, WeightError
-from .glm import first_errors, flag_errors, least_squares_stack, stack_groups
+from .glm import first_errors, flag_errors, least_squares_stack
 from .panel import PanelDataset
 
 
@@ -61,6 +61,18 @@ def _lagged_rows(a, l, a0, l0) -> tuple[np.ndarray, np.ndarray, np.ndarray, tupl
     return resp, lag_a, lag_l, periods
 
 
+def _stack_groups(flags: np.ndarray) -> list[tuple[slice | np.ndarray, tuple[bool, ...]]]:
+    """The problems of a stack grouped by their row of the (R, F) bool `flags`.
+
+    Returns (rows, flags of those rows) per group; `rows` is a slice, a view
+    rather than a copy, when one group holds every problem.
+    """
+    if len(flags) and (flags == flags[0]).all():
+        return [(slice(None), tuple(flags[0]))]
+    groups, inverse = np.unique(flags, axis=0, return_inverse=True)
+    return [(np.flatnonzero(inverse == g), tuple(group)) for g, group in enumerate(groups)]
+
+
 def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
     """Both treatment models of R problems, fitted in groups by which lag columns vary.
 
@@ -79,7 +91,7 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
     """
     groups, n_rows = [], resp.shape[-1]
     varies = np.stack([np.ptp(lag_a, axis=-1) > 0.0, np.ptp(lag_l, axis=-1) > 0.0], axis=-1)
-    for rows, (vary_a, vary_l) in stack_groups(varies):
+    for rows, (vary_a, vary_l) in _stack_groups(varies):
         numerator_columns = [lag_a[rows]] if vary_a else []
         denominator_columns = numerator_columns + ([lag_l[rows]] if vary_l else [])
         if n_rows < len(denominator_columns) + 3:

@@ -43,6 +43,12 @@ def unweighted_stacks(data: PanelDataset):
     return estimate_stack(*cum, np.ones((1, data.n_units)))
 
 
+def stack_bits(stack, rows) -> tuple:
+    """The bytes of `stack`'s numbers in `rows` and the type and text of each row's error."""
+    numbers = tuple(getattr(stack, name)[rows].tobytes() for name in ("beta1_hat", "se", "intercept", "converged"))
+    return numbers, [None if e is None else (type(e), str(e)) for e in np.asarray(stack.errors, dtype=object)[rows]]
+
+
 def rescaled(data: PanelDataset, c: float) -> PanelDataset:
     return PanelDataset(
         c * data.A,
@@ -74,10 +80,26 @@ class TestAdjusted:
         data = make_dataset([[float(50 * i + 10)] for i in range(5)], [[1]] * 5, [i + 1 for i in range(5)])
         assert np.ptp(data.L.sum(axis=1)) == 0.0
         stacks = unweighted_stacks(data)
-        a, n = stacks["adjusted"], stacks["naive"]
-        assert a.errors == n.errors == [None]
-        assert a.beta1_hat[0] == pytest.approx(n.beta1_hat[0], abs=1e-8)
-        assert a.se[0] == pytest.approx(n.se[0], rel=1e-10)
+        assert stacks["naive"].errors == [None]
+        assert stack_bits(stacks["adjusted"], [0]) == stack_bits(stacks["naive"], [0])
+
+    def test_stack_copies_constant_rows_and_refits_varying_ones(self):
+        # rows 0 and 2 have a constant cumL, row 2 an all-zero outcome; rows 1 and 3 vary
+        datasets = [feedback_dgp_data(rep) for rep in range(4)]
+        cum_a = np.stack([data.A.sum(axis=1) for data in datasets])
+        cum_l = np.stack([data.L.sum(axis=1) for data in datasets])
+        y = np.stack([data.Y for data in datasets]).astype(float)
+        cum_l[[0, 2]], y[2] = 3.0, 0.0
+        assert (np.ptp(cum_l, axis=1) > 0.0).tolist() == [False, True, False, True]
+        stacks = estimate_stack(cum_a, cum_l, y, np.ones(y.shape))
+        naive, adjusted = stacks["naive"], stacks["adjusted"]
+        assert stack_bits(adjusted, [0, 2]) == stack_bits(naive, [0, 2])
+        assert adjusted.errors[0] is None
+        assert str(adjusted.errors[2]) == "poisson responses are all zero where weighted; the MLE does not exist"
+        for i in (1, 3):
+            alone = estimate_stack(cum_a[i:i + 1], cum_l[i:i + 1], y[i:i + 1], np.ones((1, y.shape[1])))
+            assert stack_bits(adjusted, [i]) == stack_bits(alone["adjusted"], [0])
+            assert adjusted.errors[i] is None and adjusted.beta1_hat[i] != naive.beta1_hat[i]
 
     def test_differs_from_naive_when_confounder_varies(self):
         by_name = reports(feedback_dgp_data())

@@ -270,9 +270,9 @@ class TestMonteCarlo:
             np.testing.assert_array_equal(serial.estimators[name].ses, parallel.estimators[name].ses)
 
     def test_too_few_units_for_the_adjusted_fit_are_audited(self):
-        # with N = 2 the three-column adjusted design cannot be fitted, so every
-        # replicate takes the single path, which drops a constant cumL column
-        # or reports the error
+        # with N = 2 the three-column adjusted design cannot be fitted: a
+        # replicate whose cumL is constant reports the naive fit, and every
+        # other reports the error
         cfg = SimulationConfig(n_units=2, n_replicates=20)
         with pytest.raises(SimulationError, match=r"^16 of 20 replicates failed \(budget 1%\): replicate 0: "
                            r"DomainError: need at least as many observations as parameters \(n=2, p=3\);"):
@@ -573,8 +573,8 @@ class TestBlockEngine:
         assert s.failed_replicates == (run_replicate(cfg, 4),)
 
     def test_replicate_with_dropped_columns_matches_the_reference(self, monkeypatch):
-        # replicate 2 never has L = 1: its weight models and the adjusted fit
-        # drop their constant L columns, in a sub-stack of their own
+        # replicate 2 never has L = 1: its weight models drop their constant L
+        # columns in a sub-stack of their own, and its adjusted fit is its naive fit
         cfg = SimulationConfig(n_units=20, n_replicates=30, master_seed=8)
         edit_generated(monkeypatch, {2: no_confounder})
         _, single = run_replicate(cfg, 2)

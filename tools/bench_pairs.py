@@ -12,7 +12,8 @@ The file holds, per workload, every run's `correct`, `attempted`, `failed` and m
 metrics with --trace 0, each stage's self time and count with --trace 1), and for every metric that
 PARENT_ROOT's BENCHMARK.json gives a direction: each side's median and quartiles, and how many pairs the
 change won (ties count for neither side). It also records the machine, the Python, numpy, scipy and
-OpenBLAS versions, and each root's commit. It judges nothing; a claim's gate is stated where it is made.
+OpenBLAS versions, the PYTHONDONTWRITEBYTECODE value that every bench/run.py inherits (when it is set,
+each import probe compiles src/ afresh, and `setup_s` includes that compile time), and each root's commit. It judges nothing; a claim's gate is stated where it is made.
 Nothing is written in either checkout except what bench/run.py itself writes there.
 """
 
@@ -54,6 +55,7 @@ def _machine() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "blas": f"{blas.get('name')} {blas.get('version')}",
+        "PYTHONDONTWRITEBYTECODE": os.environ.get("PYTHONDONTWRITEBYTECODE"),
     }
 
 

@@ -2,12 +2,15 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 105 CLI invocations once per checkout:
+Runs a fixed set of 113 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
 - `simulate --n 600 --m 200`, seeds 0-1, with LONGICAUSAL_THREADS 1 and 2:
   20 blocks of 10 replicates each, so one process runs many blocks in turn;
+- `simulate --n 3 --k 2 --m 20000`, seeds 0-1, with LONGICAUSAL_THREADS 1
+  and 2: 3 blocks, in which about a quarter of the replicates have a cumL
+  that is constant across units, so their adjusted fit is their naive fit;
 - `simulate --seed 18446744073709551615 --m 50`, with LONGICAUSAL_THREADS 1
   and 2: the largest master seed, which fills the high word of every
   replicate's 128-bit Philox key;
@@ -45,6 +48,9 @@ Runs a fixed set of 105 CLI invocations once per checkout:
   treatment model's design [1, A(t-1), L(t-1)] is rank deficient while the
   numerator's fits, and the run exits 1 in the weights stage, writing
   nothing;
+- `analyze --panel --outcomes`, seeds 0-3, on a copy of that panel.csv in
+  which every quake_indicator is 0: cumL is constant, so the adjusted fit is
+  the naive fit and the weight models drop L(t-1), and the run exits 0;
 - `analyze --panel --outcomes`, seeds 0-3, with default flags on a copy of
   that panel.csv and panel_outcomes.csv in which units c00-c03 are renamed
   `c,00`, `q"1`, ` lead` and `x<newline>y`: a comma, a double quote, a
@@ -79,6 +85,8 @@ SEEDS = range(4)
 SIMULATE_SIZES = (("--n", "50", "--m", "300"), ("--n", "600", "--m", "40"), ("--n", "20", "--k", "2", "--m", "200"))
 # seeds of the 20-block run (10 replicates of N=600, K=8 per block), which checks outputs over many blocks
 LONG_SIMULATE_SEEDS, LONG_SIMULATE_SIZE = range(2), ("--n", "600", "--m", "200")
+# seeds of a 3-block run of 3-unit panels, in which about a quarter of the replicates have a constant cumL
+CONSTANT_L_SIMULATE_SEEDS, CONSTANT_L_SIMULATE_SIZE = range(2), ("--n", "3", "--k", "2", "--m", "20000")
 HIGH_SEED_SIMULATE = ("--seed", str(2**64 - 1), "--m", "50")
 DEGENERATE_SIMULATE = (("--n", "20", "--k", "3", "--m", "1000", "--a-l-penalty", "0", "--a-sd", "1e-12"),
                        ("--n", "20", "--k", "3", "--m", "1000", "--a-sd", "1e-12"))
@@ -153,6 +161,16 @@ def _write_indicator_panel(data: Path) -> None:
     assert seen == {"0", "1"}, f"{source} has quake indicators {sorted(seen)}, not both 0 and 1"
 
 
+def _write_quiet_panel(data: Path) -> None:
+    """Copy `data/panel/panel.csv` to `data/quiet/`, with every quake_indicator 0."""
+    source, target = data / "panel" / "panel.csv", data / "quiet" / "panel.csv"
+    target.parent.mkdir()
+    with open(source, newline="") as src, open(target, "w", newline="") as dst:
+        records, writer = csv.reader(src), csv.writer(dst, lineterminator="\n")
+        writer.writerow(next(records))
+        writer.writerows([unit, period, volume, 0] for unit, period, volume, _ in records)
+
+
 def _write_renamed_panel(data: Path) -> None:
     """Copy `data/panel/`'s two files to `data/renamed/`, with units c00-c03 renamed to CSV-special ids."""
     renamed = {"c00": "c,00", "c01": 'q"1', "c02": " lead", "c03": "x\ny"}
@@ -165,9 +183,11 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 105 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 113 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
-                                    itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")))
+                                    itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")),
+                                    itertools.product(CONSTANT_L_SIMULATE_SEEDS, (CONSTANT_L_SIMULATE_SIZE,),
+                                                      ("1", "2")))
     for seed, size, threads in simulate_runs:
         args = ("simulate", "--seed", str(seed), *size)
         yield f"{' '.join(args)} [LONGICAUSAL_THREADS={threads}]", args, threads
@@ -202,6 +222,11 @@ def _runs(inputs: Path):
         args = ("analyze", "--panel", str(data / "indicator" / "panel.csv"),
                 "--outcomes", str(data / "panel" / "panel_outcomes.csv"))
         yield f"analyze seed {seed} --panel (volumes 1000 + 500*quake_indicator)", args, None
+    for seed in SEEDS:
+        data = inputs / f"seed{seed}"
+        args = ("analyze", "--panel", str(data / "quiet" / "panel.csv"),
+                "--outcomes", str(data / "panel" / "panel_outcomes.csv"))
+        yield f"analyze seed {seed} --panel (every quake_indicator 0)", args, None
     for seed in SEEDS:
         data = inputs / f"seed{seed}" / "renamed"
         args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
@@ -242,6 +267,7 @@ def main(argv: list[str]) -> int:
             _write_panel(parent, tmp / "inputs" / f"seed{seed}")
             _write_linear_panel(tmp / "inputs" / f"seed{seed}")
             _write_indicator_panel(tmp / "inputs" / f"seed{seed}")
+            _write_quiet_panel(tmp / "inputs" / f"seed{seed}")
             _write_renamed_panel(tmp / "inputs" / f"seed{seed}")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
