@@ -256,9 +256,17 @@ def assign_quakes(
     wins. Centroids must be finite, in-range lon/lat pairs.
 
     Each centroid is measured only against the events in its latitude band,
-    a contiguous slice of the events sorted by latitude, so memory is
-    O(events + centroids). The labels are those of an `argmin` over the
-    full events x centroids distance matrix.
+    a contiguous slice of the events sorted by latitude, and of those only
+    against the ones in its longitude band, so memory is O(events +
+    centroids). The latitude band reaches `degrees(radius_km / R)` either
+    side of the centroid. The longitude band holds the events whose wrapped
+    longitude difference is at most `degrees(2 asin(sin(radius_km / 2R) /
+    cos Phi))`, where Phi is the centroid's |latitude| plus its latitude
+    band. Both bands widen by a margin of 1e-4 degrees. There is no
+    longitude band when Phi reaches 90 degrees, when the radius reaches
+    half the Earth's circumference, or when the ratio in the asin reaches 1.
+    No event outside the bands is within the radius, so the labels are
+    those of an `argmin` over the full events x centroids distance matrix.
     """
     _require_finite("radius_km", radius_km)
     if not (radius_km > 0):
@@ -281,20 +289,44 @@ def assign_quakes(
     # >= 0 for |lat| <= 90. The margin, 1e-4 degrees (about 11 m), is far above
     # the rounding of a computed distance, at worst about 4e-6 degrees where
     # arcsin is steepest; a margin relative to the radius alone falls below it
-    # at radii under about a metre. Every pair within the radius, and every tie
-    # at the minimum, is measured by the same elementwise operations as in the
-    # full distance matrix.
+    # at radii under about a metre.
+    #
+    # Within the band, no pair outside the longitude band computes to a
+    # distance within the radius either. Both latitudes are at most
+    # Phi = |lat_c| + band in size, so while Phi < 90 degrees,
+    # cos(phi1) cos(phi2) >= cos^2 Phi. The computed `a` is never below its
+    # computed cos(phi1) cos(phi2) sin^2(dlam / 2), because the
+    # sin^2(dphi / 2) term it adds is >= 0. sin^2(dlam / 2) depends only on
+    # the wrapped difference w = min(|dlam|, 360 - |dlam|), and grows with w
+    # on [0, 180]. So a pair within the radius r has
+    # cos Phi sin(w / 2) <= sin(r / 2R), that is
+    # w <= 2 asin(sin(r / 2R) / cos Phi), the bounding-coordinates bound. It
+    # needs r < pi R, where sin(r / 2R) still grows with r (towards
+    # r = 2 pi R it falls back to 0), Phi < 90 and a ratio below 1; without
+    # all three, every event of the latitude band is measured. The same
+    # 1e-4 degree margin keeps a skipped pair's computed `a` above the
+    # radius's by a relative sin^2(margin / 2), about 8e-13, even where the
+    # bound nears 180 degrees and sin(w / 2) is flattest; that is far above
+    # the rounding of `a` and of the bound. Every pair within the radius, and
+    # every tie at the minimum, is measured by the same elementwise
+    # operations as in the full distance matrix.
     band = math.degrees(radius_km / EARTH_RADIUS_KM) + 1e-4
     starts = np.searchsorted(lats, cent[:, 1] - band, side="left")
     stops = np.searchsorted(lats, cent[:, 1] + band, side="right")
+    phi = np.abs(cent[:, 1]) + band
+    ratio = math.sin(radius_km / (2.0 * EARTH_RADIUS_KM)) / np.cos(np.radians(phi))
+    bounded = (phi < 90.0) & (ratio < 1.0) & (radius_km < math.pi * EARTH_RADIUS_KM)
+    lon_band = np.full(len(cent), np.inf)
+    lon_band[bounded] = np.degrees(2.0 * np.arcsin(ratio[bounded])) + 1e-4
     best = np.full(len(lats), np.inf)
     nearest = np.full(len(lats), -1, dtype=np.intp)
     for c, (lon, lat) in enumerate(cent):  # a strict minimum, so the lowest index keeps a tie
-        near = slice(starts[c], stops[c])
+        dlon = np.abs(lons[starts[c]:stops[c]] - lon)
+        near = np.flatnonzero(np.minimum(dlon, 360.0 - dlon) <= lon_band[c]) + starts[c]
         d = _haversine(lons[near], lats[near], lon, lat)
         closer = d < best[near]
-        best[near][closer] = d[closer]
-        nearest[near][closer] = c
+        best[near[closer]] = d[closer]
+        nearest[near[closer]] = c
     labels = np.empty(len(lats), dtype=np.intp)
     labels[order] = np.where(best <= radius_km, nearest, -1)
     return QuakeAttribution(labels=labels, months=catalog.month[keep])

@@ -12,6 +12,7 @@ from __future__ import annotations
 import csv
 import io
 import math
+import re
 from functools import partial
 from itertools import filterfalse, islice
 from pathlib import Path
@@ -168,6 +169,30 @@ def _parse_int(raw: str, row: int, column: str) -> int:
         raise SchemaError(f"expected an integer, got {raw!r}", row=row, column=column) from None
 
 
+_NOT_A_LINE_BREAK = re.compile(rb"[^\r\n]")
+
+
+def _lines_within(data: bytes, limit: int) -> bool:
+    """`max(map(len, data.splitlines()), default=0) <= limit`, without splitting.
+
+    From a line start, a line of at most `limit` bytes ends within the next
+    limit + 1 bytes, so a window without \\n or \\r holds a longer line.
+    Else every line that ends in the window is within the limit, and the
+    walk moves past the window's last break. The line that break starts has
+    no break before the window's end, so the next step moves past the
+    window or finds that line too long: at most 2 len(data) / (limit + 1) + 1
+    steps, each two `rfind` calls.
+    """
+    pos = 0
+    while len(data) - pos > limit:
+        end = pos + limit + 1
+        last = max(data.rfind(b"\n", pos, end), data.rfind(b"\r", pos, end))
+        if last < 0:
+            return False
+        pos = last + 1
+    return True
+
+
 def _csv_columns(path: str | Path, header: list[str], numeric: tuple[str, ...]) -> tuple[list, SchemaError | None]:
     """The columns of a CSV with `header`, and the fault that ends them, or None.
 
@@ -177,16 +202,18 @@ def _csv_columns(path: str | Path, header: list[str], numeric: tuple[str, ...]) 
     header as written and whose data is not all blank (loadtxt warns), with
     no NUL, no byte in \\x1c-\\x1f (loadtxt strips them around a number,
     `float` does not) and no field over `csv.field_size_limit()`: the file
-    is within it in bytes, or has no quote and no longer line. Any other
-    file, and any that loadtxt refuses, is walked by `_numbered_records` up
-    to the SchemaError it raises, the fault.
+    is within it in bytes, or has no quote and no longer line, which
+    `_lines_within` finds in about len / limit steps. None of these checks
+    copies the file. Any other file, and any that loadtxt refuses, is
+    walked by `_numbered_records` up to the SchemaError it raises, the
+    fault.
     """
     data = Path(path).read_bytes()
     head = ",".join(header).encode()
-    body, limit = data[len(head):], csv.field_size_limit()
-    if (data.startswith(head) and body[:1] in (b"\n", b"\r") and body.strip(b"\r\n")
+    n, limit = len(head), csv.field_size_limit()
+    if (data.startswith(head) and data[n:n + 1] in (b"\n", b"\r") and _NOT_A_LINE_BREAK.search(data, n)
             and not any(map(data.__contains__, b"\0\x1c\x1d\x1e\x1f"))
-            and (len(data) <= limit or b'"' not in data and max(map(len, data.splitlines())) <= limit)):
+            and (len(data) <= limit or b'"' not in data and _lines_within(data, limit))):
         dtype = [(name, float if name in numeric else object) for name in header]
         try:
             text = io.StringIO(data.decode("utf-8"), newline="")  # no newline translation inside quoted fields

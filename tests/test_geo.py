@@ -375,6 +375,40 @@ class TestAssignMatchesReferenceLoop:
         # a magnitude cut above every event leaves no label
         assert self.check(centroids, cat, radius_km=radius, magnitude_cut=9.0).n_after_cut == 0
 
+    def test_longitude_band_edges(self, tmp_path):
+        # the same rule as assign_quakes: within the latitude band, no event outside this longitude band is within
+        # the radius; when the latitude band reaches a pole there is no longitude band
+        def lon_band(lat0, radius):
+            phi = abs(lat0) + math.degrees(radius / EARTH_RADIUS_KM) + 1e-4
+            ratio = math.sin(radius / (2.0 * EARTH_RADIUS_KM)) / np.cos(np.radians(phi))
+            return math.degrees(2.0 * math.asin(ratio)) + 1e-4
+
+        for lon0, lat0, radius in [(-97.0, 33.0, 15.0), (10.0, -71.5, 400.0), (-179.9, 60.0, 30.0)]:
+            band = lon_band(lat0, radius)
+            edges = [lon0 - band, lon0 + band]
+            lons = edges + [np.nextafter(e, e + (e - lon0)) for e in edges] + [np.nextafter(e, lon0) for e in edges]
+            lons = [(lon + 180.0) % 360.0 - 180.0 for lon in lons]  # the last site's west edges wrap to the east
+            events = [(lon, lat0, 3.0, "2014-05") for lon in lons] + [(lon0, lat0, 3.0, "2014-06")]
+            assert self.check([(lon0, lat0)], load_events(tmp_path, events), radius_km=radius).labels.tolist() == (
+                [-1] * 6 + [0])
+        # across the antimeridian: 0.1 degrees apart, about 9.3 km
+        cat = load_events(tmp_path, [(-179.95, 33.0, 3.0, "2014-05"), (-179.8, 33.0, 3.0, "2014-05"),
+                                     (179.8, 33.0, 3.0, "2014-05")])
+        assert self.check([(179.95, 33.0), (0.0, 33.0)], cat).labels.tolist() == [0, -1, 0]
+        # a band that reaches the pole: events at any longitude near it are within the radius
+        polar = [(lon, 89.95, 3.0, "2014-05") for lon in (-180.0, -120.0, -60.0, 0.0, 60.0, 120.0, 179.0)]
+        cat = load_events(tmp_path, polar + [(0.0, 89.7, 3.0, "2014-05")])
+        assert self.check([(0.0, 89.95)], cat).labels.tolist() == [0] * 7 + [-1]
+        # events at all longitudes; at 2,000 km the fourth band's sine ratio is over 1, and at half the Earth's
+        # circumference and more every event is a candidate wherever it is
+        rng = np.random.default_rng(5)
+        cat = load_events(tmp_path, zip(rng.uniform(-180.0, 180.0, 300), rng.uniform(-90.0, 90.0, 300),
+                                        np.full(300, 3.0), np.full(300, "2014-05")))
+        centroids = [(-97.0, 33.0), (179.95, -60.0), (0.0, 89.99), (-30.0, 70.0)]
+        assert -1 in self.check(centroids, cat, radius_km=2000.0).labels.tolist()
+        for r in (math.pi * EARTH_RADIUS_KM, 30_000.0):
+            assert set(self.check(centroids, cat, radius_km=r).labels.tolist()) <= {0, 1, 2, 3}
+
 
 def no_events():
     return QuakeAttribution(labels=np.zeros(0, dtype=int), months=np.zeros(0, dtype=int))

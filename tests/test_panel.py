@@ -14,6 +14,7 @@ from longicausal.panel import (
     OUTCOME_CSV_HEADER,
     PANEL_CSV_HEADER,
     PanelDataset,
+    _lines_within,
     read_panel_csv,
     write_panel_csv,
 )
@@ -293,3 +294,39 @@ class TestPanelCsv:
         (tmp_path / "y.csv").write_text("unit_id,cumulative_quakes\na,0\nb,1\n")
         with pytest.raises(SchemaError, match="same horizon: unit 'b' has K=3, expected K=2"):
             read_panel_csv(tmp_path / "p.csv", tmp_path / "y.csv")
+
+
+def lines_within(data: bytes, limit: int) -> bool:
+    """The long-line rule `_lines_within` walks in bounded windows, by splitting every line."""
+    return max(map(len, data.splitlines()), default=0) <= limit
+
+
+def line_cases(limit: int):
+    """(data, limit) pairs with a line of exactly `limit` and of limit + 1 bytes at the start, middle and end."""
+    for n in (limit, limit + 1):
+        line = b"a" * n
+        yield line + b"\nbb\ncc\n", limit
+        yield b"bb\r\n" + line + b"\r\ncc", limit
+        yield b"bb\ncc\n" + line, limit
+        yield b"bb\ncc\n" + line + b"\n", limit
+
+
+class TestLinesWithin:
+    @given(data=st.lists(st.sampled_from([b"a", b",", b'"', b"\n", b"\r"]), max_size=200).map(b"".join),
+           limit=st.integers(0, 40))
+    def test_matches_splitlines(self, data, limit):
+        assert _lines_within(data, limit) == lines_within(data, limit)
+
+    @pytest.mark.parametrize("data, limit", [
+        (b"", 0), (b"", 5), (b"\n\r\r\n", 0), (b"a", 0),
+        (b"aaaaa", 5), (b"aaaaaa", 5),  # no line break
+        *line_cases(8), *line_cases(1),
+        # \r\n across a window edge: the first window of 9 bytes ends on the \r
+        (b"a" * 8 + b"\r\n" + b"a" * 8 + b"\r\n" + b"a" * 8, 8),
+        (b"a" * 8 + b"\r\n" + b"a" * 8 + b"\r\n" + b"a" * 8, 7),
+        (b"a" * 7 + b"\r\n" + b"a" * 8 + b"\r\n", 8),
+        # bare CR line ends
+        (b"aaaa\raaaaaaaa\raa", 8), (b"aaaa\raaaaaaaaa\raa", 8), (b"\r" * 20 + b"a" * 8 + b"\r" * 20, 8),
+    ])
+    def test_cases(self, data, limit):
+        assert _lines_within(data, limit) == lines_within(data, limit)

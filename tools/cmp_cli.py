@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 113 CLI invocations once per checkout:
+Runs a fixed set of 117 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -29,8 +29,10 @@ Runs a fixed set of 113 CLI invocations once per checkout:
   with default flags, with `--bbox 32.6,33.3,-98.1,-97.1 --truncate-weights
   --robust HC1`, with `--linkage average --clusters 25`, with `--linkage
   single --clusters 40 --radius-km 60` (wide, overlapping latitude bands),
-  with `--linkage complete --radius-km 4`, and with two flag
-  sets that exit 1 before writing anything: `--clusters 2 --robust HC1`
+  with `--linkage complete --radius-km 4`, with `--radius-km 30000` (every
+  event within the radius, past half the Earth's circumference, so no
+  centroid has a longitude band), and with two flag sets that exit 1 before
+  writing anything: `--clusters 2 --robust HC1`
   (only the MSM fails) and `--mag-cut 9` (all three estimators fail);
 - `analyze`, seeds 0-3, with default flags on the same inputs rewritten with
   every field quoted and CRLF line ends;
@@ -96,8 +98,8 @@ OVERFLOW_SIMULATE = (("--m", "3", "--a-sd", "1e308"), ("--m", "3", "--causal-eff
 ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
                  ("--linkage", "average", "--clusters", "25"),
                  ("--linkage", "single", "--clusters", "40", "--radius-km", "60"),
-                 ("--linkage", "complete", "--radius-km", "4"), ("--clusters", "2", "--robust", "HC1"),
-                 ("--mag-cut", "9"))
+                 ("--linkage", "complete", "--radius-km", "4"), ("--radius-km", "30000"),
+                 ("--clusters", "2", "--robust", "HC1"), ("--mag-cut", "9"))
 GR_FLAGS = (("--sigma", "-0.47", "--b", "1.41", "--m", "3"),
             ("--sigma", "-0.47", "--b", "1.41", "--m", "3", "--a-tec", "0", "--volume", "1e6"),
             ("--sigma", "-0.47", "--b", "1.41", "--m", "3", "--volume", "1e6"),
@@ -183,7 +185,7 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 113 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 117 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
                                     itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")),
                                     itertools.product(CONSTANT_L_SIMULATE_SEEDS, (CONSTANT_L_SIMULATE_SIZE,),
