@@ -110,7 +110,7 @@ def _svd_rank_deficient(X: np.ndarray, w: np.ndarray) -> np.ndarray:
     makes |r_11| the largest diagonal entry, sigma_max >= |r_11| and
     sigma_min <= min |r_ii|, so sigma_min/sigma_max <= |r_pp|/|r_11|.
     """
-    s = np.linalg.svd(X * np.sqrt(w)[..., None], compute_uv=False)
+    s = np.linalg.svd(_scaled_rows(X, np.sqrt(w)), compute_uv=False)
     return (s[:, 0] == 0.0) | (s[:, -1] < _RANK_RTOL * s[:, 0])
 
 
@@ -130,7 +130,7 @@ def _rank_deficient(X: np.ndarray, w: np.ndarray, gram: np.ndarray | None = None
         return np.ones(r, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):  # a Gram that overflows goes to the SVD
         if gram is None:
-            b = X * np.sqrt(w)[..., None]
+            b = _scaled_rows(X, np.sqrt(w))
             gram = np.swapaxes(b, 1, 2) @ b
         finite = np.isfinite(gram).all(axis=(1, 2))
         lam = np.linalg.eigvalsh(gram[finite])
@@ -163,18 +163,33 @@ def _matvec(X: np.ndarray, beta: np.ndarray) -> np.ndarray:
     return (X @ beta[..., None])[..., 0]
 
 
-def _information(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """X' diag(v) X for each problem, in the order X.T @ (X * v).
+def _scaled_rows(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """diag(v) X for each problem: the values and C-order layout of X * v[..., None], a new buffer.
 
-    X * v is a new buffer even for v = 1, which keeps numpy off its A.T @ A
-    (syrk) path, whose sums differ: unit v gives X'X with the bits of (X.T * 1) @ X.
+    Formed one column at a time, so each multiply runs over R*n elements;
+    the broadcast product runs numpy's inner loop over only p at a time.
     """
-    return np.swapaxes(X, 1, 2) @ (X * v[..., None])
+    out = np.empty(X.shape)
+    for j in range(X.shape[-1]):
+        np.multiply(X[..., j], v, out=out[..., j])
+    return out
+
+
+def _information(X: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """X' diag(v) X for each problem, as X.T @ `_scaled_rows(X, v)`.
+
+    That product is a new buffer, so numpy never takes its A.T @ A (syrk) path here.
+    """
+    return np.swapaxes(X, 1, 2) @ _scaled_rows(X, v)
 
 
 def _solve_wls(X, wk, z) -> tuple[np.ndarray, np.ndarray]:
-    """beta of X'diag(wk)X beta = X'diag(wk)z per problem."""
-    xtw = np.swapaxes(X, 1, 2) * wk[:, None, :]
+    """beta of X'diag(wk)X beta = X'diag(wk)z per problem.
+
+    X'diag(wk) is the transpose of `_scaled_rows(X, wk)`: the values and
+    strides of swapaxes(X) * wk[:, None, :], so both products keep their bits.
+    """
+    xtw = np.swapaxes(_scaled_rows(X, wk), 1, 2)
     beta, singular = _per_problem(np.linalg.solve, xtw @ X, xtw @ z[..., None])
     return beta[..., 0], singular
 
@@ -202,11 +217,13 @@ def least_squares_stack(design, response) -> tuple[np.ndarray, list[LongicausalE
 
     Returns the (R, p) coefficients, NaN for a failed problem, and each
     problem's error or None. One X'X serves the rank check and X'X beta = X'y.
+    It is X.T @ X.copy(): the copy keeps numpy off its A.T @ A (syrk) path,
+    whose sums differ, and gives the bits of X.T @ (X * 1).
     """
     X, y = _arrays(design, response)
     ones = np.ones(y.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'X goes to the SVD
-        gram = _information(X, ones)
+        gram = np.swapaxes(X, 1, 2) @ X.copy()
     errors = _screen(X, y, ones, gram=gram)
     live = np.flatnonzero([e is None for e in errors])
     sel = slice(None) if len(live) == len(errors) else live  # views while every problem is live
@@ -291,8 +308,9 @@ def sandwich_cov_stack(
     The inverse bread is the fit's model_cov (inverse Fisher information at
     the estimate); the meat is the outer product of the weighted score
     contributions w_i*(y_i - mu_i)*x_i: HC0, or times n/(n-p) for HC1. Returns
-    the (R, p, p) covariances and, per problem, its error (HC1 with n <= p)
-    or None; the covariance of a failed fit or problem means nothing.
+    the (R, p, p) covariances and, per problem, its error or None; the
+    covariance of a failed fit or problem means nothing. Every problem with
+    n <= p fails: such a fit interpolates its data, so its meat is rounding.
     """
     if kind not in ROBUST_KINDS:
         raise DomainError(f"unknown robust kind {kind!r}, expected one of {ROBUST_KINDS}")
@@ -304,8 +322,9 @@ def sandwich_cov_stack(
     meat = _information(X, (w * (y - mu)) ** 2)
     cov = fit.model_cov @ meat @ fit.model_cov
     errors: list[LongicausalError | None] = [None] * r
-    if kind == "HC1" and n <= p:
-        flag_errors(errors, range(r), DomainError, "HC1 scaling requires n > p")
+    if n <= p:
+        message = "HC1 scaling requires n > p" if kind == "HC1" else "robust covariance requires n > p"
+        flag_errors(errors, range(r), DomainError, message)
     elif kind == "HC1":
         cov = cov * (n / (n - p))
     return cov, errors

@@ -84,10 +84,11 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
     information and would make the design singular next to the intercept,
     so it is left out of both models.
 
-    Returns (rows, designs, models) per fitted group, the last two
-    (numerator, denominator) pairs, a model its (R, p) coefficients and
-    (R,) sd. Records each problem's first error in `errors`: too few pooled
-    rows, the numerator's, the denominator's fit.
+    Returns (rows, models) per fitted group, models the (numerator,
+    denominator) pair, a model its (R, p) coefficients, (R,) sd and (R, n)
+    residuals resp - design @ coefficients, which the densities reuse. Each
+    design lives only for its own fit. Records each problem's first error in
+    `errors`: too few pooled rows, the numerator's, the denominator's fit.
     """
     groups, n_rows = [], resp.shape[-1]
     varies = np.stack([np.ptp(lag_a, axis=-1) > 0.0, np.ptp(lag_l, axis=-1) > 0.0], axis=-1)
@@ -98,29 +99,30 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
             message = f"not enough pooled observations ({n_rows}) for the treatment models"
             flag_errors(errors, np.arange(len(errors))[rows], DomainError, message)
             continue
-        ones = np.ones_like(resp[rows])
-        designs = [np.stack([ones, *columns], axis=-1) for columns in (numerator_columns, denominator_columns)]
+        y = resp[rows]
+        ones = np.ones_like(y)
         models = []
-        for design in designs:
-            coefficients, fit_errors = least_squares_stack(design, resp[rows])
+        for columns in (numerator_columns, denominator_columns):
+            design = np.stack([ones, *columns], axis=-1)
+            coefficients, fit_errors = least_squares_stack(design, y)
             first_errors(errors, rows, fit_errors)
             with np.errstate(over="ignore", invalid="ignore"):  # residuals squaring to inf; NaN rows of failed fits
-                resid = resp[rows] - (design @ coefficients[..., None])[..., 0]
-                models.append((coefficients, np.sqrt(np.sum(resid**2, axis=-1) / n_rows)))
-        groups.append((rows, designs, models))
+                resid = y - (design @ coefficients[..., None])[..., 0]
+                models.append((coefficients, np.sqrt(np.sum(resid**2, axis=-1) / n_rows), resid))
+        groups.append((rows, models))
     return groups
 
 
-def _gaussian_logpdf(x: np.ndarray, design: np.ndarray, coefficients: np.ndarray, sd: np.ndarray) -> np.ndarray:
-    """log N(x; design @ coefficients, sd^2) for a model of each replicate of a leading block axis.
+def _gaussian_logpdf(resid: np.ndarray, sd: np.ndarray) -> np.ndarray:
+    """log N(x; mean, sd^2) from a model's residuals x - mean, for a model of each replicate of a leading block axis.
 
-    Coefficients are (R, p) and sd is (R,). log(sd) is the scalar libm log
-    of each sd, so a replicate's densities do not depend on the block it is
-    evaluated in.
+    Residuals are (R, n), as `_fit_models` gives them, and sd is (R,).
+    log(sd) is the scalar libm log of each sd, so a replicate's densities do
+    not depend on the block it is evaluated in.
     """
     sd = np.asarray(sd, dtype=float)[..., None]
     log_norm = np.reshape([-0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(s)) for s in sd.ravel()], sd.shape)
-    return log_norm - (x - (design @ coefficients[..., None])[..., 0]) ** 2 / (2.0 * sd * sd)
+    return log_norm - resid**2 / (2.0 * sd * sd)
 
 
 def _sd_floor(resp: np.ndarray):
@@ -162,18 +164,16 @@ def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
     floor = _sd_floor(resp)
     flag_errors(errors, np.flatnonzero(floor == np.inf), DomainError,
                 "treatment values overflow: the spread of A is not finite; rescale the treatment (volume) values")
-    for rows, designs, models in _fit_models(resp, lag_a, lag_l, errors):
+    for rows, models in _fit_models(resp, lag_a, lag_l, errors):
         idx = np.arange(r)[rows]
-        for label, (_, sd) in zip(("numerator", "denominator"), models):
+        for label, (_, sd, _) in zip(("numerator", "denominator"), models):
             message = f"{label} treatment model has (numerically) zero residual variance; density ratio is undefined"
             flag_errors(errors, idx[sd <= floor[rows]], DegenerateVarianceError, message)
         live = np.flatnonzero([errors[i] is None for i in idx])
         sel = slice(None) if live.size == idx.size else live  # a view, not a copy, when all are live
-        live_resp = resp[rows][sel]
-        numerator, denominator = ((design[sel], coefficients[sel], sd[sel])
-                                  for design, (coefficients, sd) in zip(designs, models))
+        numerator, denominator = ((resid[sel], sd[sel]) for _, sd, resid in models)
         with np.errstate(over="ignore", invalid="ignore"):  # finiteness checked below
-            factors = _gaussian_logpdf(live_resp, *numerator) - _gaussian_logpdf(live_resp, *denominator)
+            factors = _gaussian_logpdf(*numerator) - _gaussian_logpdf(*denominator)
         factors = factors.reshape(-1, n_units, n_t)
         with np.errstate(over="ignore"):
             per_unit = np.exp(factors.sum(axis=-1))

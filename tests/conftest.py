@@ -50,35 +50,46 @@ def least_squares_one(X, y) -> np.ndarray:
 
 
 def treatment_models(data: PanelDataset):
-    """(numerator, denominator) models of `data`, each (coefficients, residual sd, design), and its modeled periods."""
+    """(numerator, denominator) models of `data`, each (coefficients, residual sd, design), and its modeled periods.
+
+    A design is [1, A(t-1), L(t-1)] without the lag columns that are constant, the rule `iptw._fit_models` fits by.
+    """
     arrays = (None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0))
     resp, lag_a, lag_l, periods = iptw._lagged_rows(*arrays)
     errors = [None]
     groups = iptw._fit_models(resp, lag_a, lag_l, errors)
     if errors[0] is not None:
         raise errors[0]
-    [(_, designs, models)] = groups
-    return [(coefficients[0], sd[0], design[0]) for design, (coefficients, sd) in zip(designs, models)], periods
+    [(_, models)] = groups
+    numerator_columns = [lag_a[0]] if np.ptp(lag_a[0]) > 0.0 else []
+    denominator_columns = numerator_columns + ([lag_l[0]] if np.ptp(lag_l[0]) > 0.0 else [])
+    designs = [np.column_stack([np.ones_like(resp[0]), *columns]) for columns in (numerator_columns, denominator_columns)]
+    return [(coefficients[0], sd[0], design) for design, (coefficients, sd, _) in zip(designs, models)], periods
 
 
 def use_treatment_models(monkeypatch, numerator=None, denominator=None) -> None:
     """Make the weights of one dataset use the given treatment models instead of fitted ones.
 
     Each model is (coefficients, residual sd), on the first len(coefficients)
-    columns of [1, A(t-1), L(t-1)]. Without models, the fitted numerator
-    model serves as both numerator and denominator.
+    columns of [1, A(t-1), L(t-1)]; its residuals are formed as `iptw._fit_models`
+    forms them. Without models, the fitted numerator model serves as both
+    numerator and denominator.
     """
     fit_models = iptw._fit_models
 
     def given(resp, lag_a, lag_l, errors):
         if numerator is None:
-            [(rows, designs, models)] = fit_models(resp, lag_a, lag_l, errors)
-            return [(rows, designs[:1] * 2, models[:1] * 2)]
-        models = [(np.array([coefficients], dtype=float), np.array([sd]))
-                  for coefficients, sd in (numerator, denominator)]
+            [(rows, models)] = fit_models(resp, lag_a, lag_l, errors)
+            return [(rows, models[:1] * 2)]
         columns = np.stack([np.ones_like(lag_a), lag_a, lag_l], axis=-1)
-        designs = [columns[..., :coefficients.shape[-1]] for coefficients, _ in models]
-        return [(slice(None), designs, models)]
+        models = []
+        for coefficients, sd in (numerator, denominator):
+            coefficients = np.array([coefficients], dtype=float)
+            design = columns[..., :coefficients.shape[-1]]
+            with np.errstate(over="ignore", invalid="ignore"):
+                resid = resp - (design @ coefficients[..., None])[..., 0]
+            models.append((coefficients, np.array([sd]), resid))
+        return [(slice(None), models)]
 
     monkeypatch.setattr(iptw, "_fit_models", given)
 

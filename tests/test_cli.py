@@ -363,6 +363,18 @@ class TestAnalyzeCommand:
         assert capsys.readouterr().err.splitlines()[-1] == "error: HC1 scaling requires n > p"
         assert not out.exists()
 
+    def test_msm_without_residual_df_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):
+        # the same two units with the default HC0: the weighted fit interpolates both, so its sandwich is rounding
+        wells_path, catalog_path = corpus_csvs
+        out = tmp_path / "run"
+        code = main(["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path),
+                     "--clusters", "2", "--radius-km", "30", "--out-dir", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith("error:")] == ["error: robust covariance requires n > p"]
+        assert err[-1] == "error: robust covariance requires n > p"
+        assert not out.exists()
+
     def test_single_cluster_exit_1_writes_nothing(self, tmp_path, corpus_csvs, capsys):
         wells_path, catalog_path = corpus_csvs
         out = tmp_path / "run"

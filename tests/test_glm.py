@@ -221,10 +221,12 @@ class TestSandwich:
         np.testing.assert_allclose(hc1[0], direct * n / (n - p), rtol=1e-12)
 
     def test_saturated_fit_zero_matrix(self):
+        # n = p: the fit interpolates, so the sandwich is rounding and HC0 flags it as HC1 does
         X = np.array([[1.0, 0.0], [1.0, 1.0]])
         y = np.array([1.0, 3.0])
         cov, errors = sandwich_cov_stack(*poisson_stack(X, y))
-        assert errors == [None]
+        [error] = errors
+        assert isinstance(error, DomainError) and str(error) == "robust covariance requires n > p"
         assert np.max(np.abs(cov)) < 1e-12
 
     def test_hc1_scaling(self):
@@ -243,6 +245,20 @@ class TestSandwich:
         _, errors = sandwich_cov_stack(*poisson_stack(X, y), kind="HC1")
         [error] = errors
         assert isinstance(error, DomainError) and str(error) == "HC1 scaling requires n > p"
+
+    @pytest.mark.parametrize("kind, message", [("HC0", "robust covariance requires n > p"),
+                                               ("HC1", "HC1 scaling requires n > p")])
+    def test_every_problem_with_n_at_most_p_flagged(self, kind, message):
+        # weighted two-point fits with two coefficients interpolate their data, so each sandwich is rounding
+        rng = np.random.default_rng(5)
+        X = np.stack([np.column_stack([np.ones(2), rng.normal(size=2)]) for _ in range(3)])
+        y = rng.poisson(3.0, (3, 2)) + 1.0
+        w = rng.uniform(0.5, 2.0, (3, 2))
+        fit = fit_poisson_stack(X, y, w)
+        assert fit.errors == [None] * 3
+        cov, errors = sandwich_cov_stack(fit, X, y, w, kind=kind)
+        assert [(type(e), str(e)) for e in errors] == [(DomainError, message)] * 3
+        assert np.max(np.abs(cov)) < 1e-12
 
     @pytest.mark.parametrize("kind", [True, None, "hc1", "HC2"])
     def test_unknown_kind_refused(self, kind):
@@ -634,3 +650,67 @@ class TestRankCertificate:
         _, _, audit = simulate._run_block(config, range(block))
         assert audit == [None] * block
         assert counted[0] == 0
+
+
+def layout_stacks():
+    """(X, v, z) stacks for the weighted-product layout checks: R 1-8, n 2-5,000, p 1-3, C-order designs.
+
+    The weights span six decades, or are ones; the last stack has an infinite design entry and a NaN weight.
+    """
+    rng = np.random.default_rng(41)
+    stacks = []
+    for i in range(36):
+        r, n, p = int(rng.integers(1, 9)), int(np.exp(rng.uniform(np.log(2), np.log(5000)))), 1 + i % 3
+        X = rng.normal(size=(r, n, p)) * 10.0 ** rng.uniform(-2, 2, p)
+        v = np.ones((r, n)) if i % 4 == 0 else 10.0 ** rng.uniform(-3.0, 3.0, (r, n))
+        stacks.append((X, v, rng.normal(size=(r, n))))
+    X, v, _ = stacks[-1]
+    X[-1, n // 2, 0], v[-1, n // 3] = np.inf, np.nan
+    return stacks
+
+
+class TestWeightedProductLayout:
+    """`_scaled_rows` forms X * v[..., None] column by column; every product built from it keeps its bits."""
+
+    def test_matches_the_broadcast_product(self):
+        for X, v, _ in layout_stacks():
+            with np.errstate(invalid="ignore"):  # the non-finite stack's products
+                for scale in (v, np.sqrt(v)):  # the information's and the rank check's weights
+                    scaled, broadcast = glm._scaled_rows(X, scale), X * scale[..., None]
+                    assert scaled.strides == broadcast.strides, X.shape
+                    assert np.array_equal(scaled, broadcast, equal_nan=True), X.shape
+                    gram = np.swapaxes(broadcast, 1, 2) @ broadcast  # `_rank_deficient`'s Gram, on its syrk path
+                    assert np.array_equal(np.swapaxes(scaled, 1, 2) @ scaled, gram, equal_nan=True), X.shape
+                expected = np.swapaxes(X, 1, 2) @ (X * v[..., None])
+                assert np.array_equal(glm._information(X, v), expected, equal_nan=True), X.shape
+
+    def test_unit_weight_gram_is_x_times_one(self, monkeypatch):
+        grams, screen = [], glm._screen
+
+        def recording(X, y, w, checks=(), gram=None):
+            grams.append(gram)
+            return screen(X, y, w, checks, gram)
+
+        monkeypatch.setattr(glm, "_screen", recording)
+        for X, _, z in layout_stacks():
+            with np.errstate(invalid="ignore"):  # the non-finite stack's products
+                least_squares_stack(X, z)
+                expected = np.swapaxes(X, 1, 2) @ (X * np.ones(z.shape)[..., None])
+            assert np.array_equal(grams.pop(), expected, equal_nan=True), X.shape
+
+    def test_solve_wls_products_match_the_broadcast_ones(self, monkeypatch):
+        products, per_problem = [], glm._per_problem
+
+        def recording(fn, *args):
+            products.append(args)
+            return per_problem(fn, *args)
+
+        monkeypatch.setattr(glm, "_per_problem", recording)
+        for X, v, z in layout_stacks():
+            xtw = np.swapaxes(X, 1, 2) * v[:, None, :]
+            with np.errstate(invalid="ignore"):  # the non-finite stack's products
+                glm._solve_wls(X, v, z)
+                expected = xtw @ X, xtw @ z[..., None]
+            gram, rhs = products.pop()
+            assert np.array_equal(gram, expected[0], equal_nan=True), X.shape
+            assert np.array_equal(rhs, expected[1], equal_nan=True), X.shape

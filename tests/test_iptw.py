@@ -9,9 +9,11 @@ import pytest
 
 from longicausal import iptw
 from longicausal.cli import main
+from longicausal import simulate as sim
 from longicausal.exceptions import (
     DegenerateVarianceError, DomainError, LongicausalError, WeightError,
 )
+from longicausal.glm import least_squares_stack
 from longicausal.iptw import stabilized_weights, stabilized_weights_stack
 from longicausal.panel import PanelDataset, read_panel_csv, write_panel_csv
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
@@ -112,8 +114,8 @@ class TestTreatmentModels:
         groups = iptw._fit_models(resp, lag_a, lag_l, errors)
         assert errors == [None] * r and len(groups) == 4
         sds = np.full((2, r), np.nan)
-        for rows, _, models in groups:
-            for k, (_, sd) in enumerate(models):
+        for rows, models in groups:
+            for k, (_, sd, _) in enumerate(models):
                 sds[k, rows] = sd
         for i in range(r):
             numerator = [np.ones(n), *([lag_a[i]] if np.ptp(lag_a[i]) > 0 else [])]
@@ -129,9 +131,9 @@ class TestTreatmentModels:
         errors = [None]
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            [(_, _, models)] = iptw._fit_models(resp, np.arange(5.0)[None], np.zeros((1, 5)), errors)
+            [(_, models)] = iptw._fit_models(resp, np.arange(5.0)[None], np.zeros((1, 5)), errors)
         assert errors == [None]
-        assert [sd[0] for _, sd in models] == [np.inf, np.inf]
+        assert [sd[0] for _, sd, _ in models] == [np.inf, np.inf]
 
     def test_one_period_without_baseline_rejected(self):
         # the first period would serve as the baseline and leave none to model
@@ -284,3 +286,46 @@ class TestWeightStack:
             assert stack.errors[j] is None and stack.periods == ws.periods
             assert stack.per_unit_weights[j].tobytes() == ws.per_unit_weights.tobytes()
             assert np.exp(stack.log_factors[j]).tobytes() == ws.per_time_factors.tobytes()
+
+
+def matvec_log_factors(a, l, a0, l0) -> np.ndarray:
+    """(R, N, T) log factors, each replicate's own least-squares fits evaluated as
+    log_norm - (resp - design @ coefficients)**2 / (2 sd^2), sd the MLE residual sd."""
+    resp, lag_a, lag_l, _ = iptw._lagged_rows(a, l, a0, l0)
+    out = []
+    for y, la, ll in zip(resp, lag_a, lag_l):
+        numerator = [np.ones_like(y), *([la] if np.ptp(la) > 0.0 else [])]
+        densities = []
+        for columns in (numerator, numerator + ([ll] if np.ptp(ll) > 0.0 else [])):
+            design = np.stack(columns, axis=-1)[None]
+            coefficients, _ = least_squares_stack(design, y[None])
+            resid = y - (design @ coefficients[..., None])[0, :, 0]
+            sd = float(np.sqrt(np.sum(resid[None] ** 2, axis=-1) / len(y))[0])
+            log_norm = -0.5 * (math.log(2.0 * math.pi) + 2.0 * math.log(sd))
+            densities.append(log_norm - (y - (design @ coefficients[..., None])[0, :, 0]) ** 2 / (2.0 * sd * sd))
+        out.append((densities[0] - densities[1]).reshape(a.shape[1], -1))
+    return np.stack(out)
+
+
+class TestResidualReuse:
+    """The weights reuse the treatment models' residuals, and give the factors of a fresh matvec, bit for bit."""
+
+    def test_n600_block(self):
+        cfg = SimulationConfig(n_units=600, n_periods=8)
+        block = sim.BLOCK_ROWS // (cfg.n_units * cfg.n_periods)
+        a, l, _, a0, l0, _ = sim._generate_stack(cfg, [replicate_seed(cfg.master_seed, rep) for rep in range(block)])
+        stack = stabilized_weights_stack(a, l, a0, l0, range(cfg.n_units))
+        assert stack.errors == [None] * block
+        assert stack.log_factors.tobytes() == matvec_log_factors(a, l, a0, l0).tobytes()
+
+    def test_two_groups_and_a_failed_replicate(self):
+        cfg = SimulationConfig(n_units=50, n_periods=8)
+        a, l, _, a0, l0, _ = sim._generate_stack(cfg, [replicate_seed(7, rep) for rep in range(6)])
+        l[2], l0[2] = 0.0, 0.0  # no L(t-1) column: replicate 2 is fitted in a group of its own
+        a[4] = a0[4][:, None] + 1000.0 * np.arange(1, cfg.n_periods + 1)  # the numerator model fits exactly
+        _, lag_a, lag_l, _ = iptw._lagged_rows(a, l, a0, l0)
+        assert len(iptw._stack_groups(np.stack([np.ptp(lag_a, axis=-1) > 0, np.ptp(lag_l, axis=-1) > 0], -1))) == 2
+        stack = stabilized_weights_stack(a, l, a0, l0, range(cfg.n_units))
+        assert [type(e) for e in stack.errors] == [type(None)] * 4 + [DegenerateVarianceError, type(None)]
+        live = [0, 1, 2, 3, 5]  # the main group's residuals are taken for a subset of its rows
+        assert stack.log_factors[live].tobytes() == matvec_log_factors(*(x[live] for x in (a, l, a0, l0))).tobytes()

@@ -271,10 +271,10 @@ class TestMonteCarlo:
 
     def test_too_few_units_for_the_adjusted_fit_are_audited(self):
         # with N = 2 the three-column adjusted design cannot be fitted: a
-        # replicate whose cumL is constant reports the naive fit, and every
-        # other reports the error
+        # replicate whose cumL is constant reports the naive fit as adjusted,
+        # and fails on its MSM sandwich (n = p = 2) instead
         cfg = SimulationConfig(n_units=2, n_replicates=20)
-        with pytest.raises(SimulationError, match=r"^16 of 20 replicates failed \(budget 1%\): replicate 0: "
+        with pytest.raises(SimulationError, match=r"^20 of 20 replicates failed \(budget 1%\): replicate 0: "
                            r"DomainError: need at least as many observations as parameters \(n=2, p=3\);"):
             run_monte_carlo(cfg)
 
@@ -508,6 +508,7 @@ MIXED_BLOCK = {
 }
 FEW_ROWS = "DomainError: not enough pooled observations (4) for the treatment models"
 TOO_FEW_UNITS = "DomainError: need at least as many observations as parameters (n=2, p=3)"
+SATURATED_MSM = "DomainError: robust covariance requires n > p"  # N = 2 with a constant cumL
 
 
 class TestBlockEngine:
@@ -610,8 +611,9 @@ class TestBlockEngine:
         "cfg, edits, messages",
         [
             (SimulationConfig(n_units=2, n_periods=2, n_replicates=8), {},
-             [FEW_ROWS] * 3 + [TOO_FEW_UNITS] + [FEW_ROWS] * 2 + [None, FEW_ROWS]),
-            (SimulationConfig(n_units=2, n_replicates=4), {}, [TOO_FEW_UNITS, None, TOO_FEW_UNITS, TOO_FEW_UNITS]),
+             [FEW_ROWS] * 3 + [TOO_FEW_UNITS] + [FEW_ROWS] * 2 + [SATURATED_MSM, FEW_ROWS]),
+            (SimulationConfig(n_units=2, n_replicates=4), {},
+             [TOO_FEW_UNITS, SATURATED_MSM, TOO_FEW_UNITS, TOO_FEW_UNITS]),
             (SimulationConfig(causal_effect=1e-4, n_units=50, n_periods=50, n_replicates=3, master_seed=8),
              {1: vanishing_weights}, [None, "DomainError: at least one weight must be positive", None]),
         ],

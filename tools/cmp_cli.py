@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 117 CLI invocations once per checkout:
+Runs a fixed set of 118 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -34,6 +34,10 @@ Runs a fixed set of 117 CLI invocations once per checkout:
   centroid has a longitude band), and with two flag sets that exit 1 before
   writing anything: `--clusters 2 --robust HC1`
   (only the MSM fails) and `--mag-cut 9` (all three estimators fail);
+- `analyze --clusters 2`, seed 0, with the default `--robust HC0`: the MSM
+  fits two units with two coefficients, so its sandwich has no residual
+  degrees of freedom and the run exits 1 with one `error:` line, writing
+  nothing (before HC0 checked n > p it exited 0 with an MSM se of 7.76e-22);
 - `analyze`, seeds 0-3, with default flags on the same inputs rewritten with
   every field quoted and CRLF line ends;
 - `analyze`, seeds 0-3, with default flags on a copy of the catalog whose
@@ -100,6 +104,7 @@ ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "
                  ("--linkage", "single", "--clusters", "40", "--radius-km", "60"),
                  ("--linkage", "complete", "--radius-km", "4"), ("--radius-km", "30000"),
                  ("--clusters", "2", "--robust", "HC1"), ("--mag-cut", "9"))
+NO_DF_ANALYZE = ("--clusters", "2")  # seed 0 only: the default HC0 sandwich of two units and two coefficients
 GR_FLAGS = (("--sigma", "-0.47", "--b", "1.41", "--m", "3"),
             ("--sigma", "-0.47", "--b", "1.41", "--m", "3", "--a-tec", "0", "--volume", "1e6"),
             ("--sigma", "-0.47", "--b", "1.41", "--m", "3", "--volume", "1e6"),
@@ -185,7 +190,7 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 117 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 118 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
                                     itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")),
                                     itertools.product(CONSTANT_L_SIMULATE_SEEDS, (CONSTANT_L_SIMULATE_SIZE,),
@@ -202,6 +207,9 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}"
         args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"), *flags)
         yield f"analyze seed {seed} {' '.join(flags) or '(default flags)'}", args, None
+    data = inputs / "seed0"
+    args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"), *NO_DF_ANALYZE)
+    yield f"analyze seed 0 {' '.join(NO_DF_ANALYZE)}", args, None
     for seed in SEEDS:
         data = inputs / f"seed{seed}" / "quoted"
         args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "catalog.csv"))
