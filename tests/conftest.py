@@ -85,9 +85,7 @@ def use_treatment_models(monkeypatch, numerator=None, denominator=None) -> None:
         models = []
         for coefficients, sd in (numerator, denominator):
             coefficients = np.array([coefficients], dtype=float)
-            design = columns[..., :coefficients.shape[-1]]
-            with np.errstate(over="ignore", invalid="ignore"):
-                resid = resp - (design @ coefficients[..., None])[..., 0]
+            resid = resp - (columns[..., :coefficients.shape[-1]] @ coefficients[..., None])[..., 0]
             models.append((coefficients, np.array([sd]), resid))
         return [(slice(None), models)]
 

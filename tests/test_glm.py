@@ -665,7 +665,7 @@ def layout_stacks():
         v = np.ones((r, n)) if i % 4 == 0 else 10.0 ** rng.uniform(-3.0, 3.0, (r, n))
         stacks.append((X, v, rng.normal(size=(r, n))))
     X, v, _ = stacks[-1]
-    X[-1, n // 2, 0], v[-1, n // 3] = np.inf, np.nan
+    X[-1, X.shape[1] // 2, 0], v[-1, X.shape[1] // 3] = np.inf, np.nan
     return stacks
 
 
