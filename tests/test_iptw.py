@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from longicausal import iptw
-from longicausal.cli import main
 from longicausal import simulate as sim
+from longicausal.cli import main
 from longicausal.exceptions import (
     DegenerateVarianceError, DomainError, LongicausalError, WeightError,
 )
