@@ -230,9 +230,14 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
     _check_units(data)
 
-    truncate = TRUNCATION_PERCENTILE if args.truncate_weights else None
-    weights = stabilized_weights(data, truncate_percentile=truncate)
-    reports = estimate(data, weights, robust=args.robust)
+    weights = stabilized_weights(data)
+    sw, sections = weights.per_unit_weights, {}
+    if args.truncate_weights:
+        bounds = np.percentile(sw, [TRUNCATION_PERCENTILE, 100.0 - TRUNCATION_PERCENTILE])
+        sw = np.clip(sw, *bounds)
+        # weights.csv holds the untruncated factors, so the clip bounds are recorded here
+        sections["weights"] = {"truncation": bounds.tolist()}
+    reports = estimate(data, sw, robust=args.robust)
     failed = [rep.estimator for rep in reports if not rep.converged]
     if failed:
         raise LongicausalError(f"fit did not converge for: {', '.join(failed)}")
@@ -270,8 +275,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         f"p: {rep.p:.17g}"
         for rep in reports
     ))
-    # weights.csv holds the untruncated factors, so the clip bounds are recorded here
-    sections = {} if weights.truncation is None else {"weights": {"truncation": list(weights.truncation)}}
     _write_manifest(args, inputs, outputs, started, t0, sections)
     return 0
 

@@ -15,10 +15,11 @@ Reports carry the per-bbl coefficient together with the relative risk per
 1 MMbbl, exp(beta1 * 1e6). `estimate_stack` fits R replicates at once and
 gives each its numbers or its error per estimator: naive and MSM share one
 stack of 2R fits (unit weights, then SW_i; only the MSM half gets the
-sandwich), and adjusted refits its varying rows. `estimate(data, weights,
-*, robust="HC0")` is its one-replicate call: it fits all three on one
-dataset and raises the first error in ESTIMATOR_NAMES order, or returns the
-three reports. `robust` is the MSM sandwich's kind, one of glm.ROBUST_KINDS.
+sandwich), and adjusted refits its varying rows. `estimate(data, sw, *,
+robust="HC0")` is its one-replicate call: it fits all three on one dataset,
+with the (N,) array `sw` as the MSM's weights, and raises the first error in
+ESTIMATOR_NAMES order, or returns the three reports. `robust` is the MSM
+sandwich's kind, one of glm.ROBUST_KINDS.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from .exceptions import DomainError, LongicausalError
 from .glm import StackFit, first_errors, fit_poisson_stack, sandwich_cov_stack, wald_test
-from .iptw import WeightSet
 from .panel import PanelDataset
 
 CI_MULTIPLIER = 1.959964  # two-sided 95% normal quantile, fixed (no t correction)
@@ -70,16 +70,15 @@ def _check_units(data: PanelDataset) -> None:
         raise DomainError("outcome regressions require at least 2 units")
 
 
-def estimate(data: PanelDataset, weights: WeightSet, *, robust: str = "HC0") -> list[EstimatorReport]:
+def estimate(data: PanelDataset, sw: np.ndarray, *, robust: str = "HC0") -> list[EstimatorReport]:
     """The three estimators of `data` as reports, in ESTIMATOR_NAMES order.
 
-    The one-replicate call of `estimate_stack`, with `weights` as the MSM's
-    stabilized weights. Raises the first error in ESTIMATOR_NAMES order.
+    The one-replicate call of `estimate_stack`, with the (N,) array `sw` as
+    the MSM's weights, for example `stabilized_weights(data).per_unit_weights`.
+    Raises the first error in ESTIMATOR_NAMES order.
     """
     _check_units(data)
-    stacks = estimate_stack(
-        data.A.sum(axis=1)[None], data.L.sum(axis=1)[None], data.Y[None], weights.per_unit_weights[None], robust=robust
-    )
+    stacks = estimate_stack(data.A.sum(axis=1)[None], data.L.sum(axis=1)[None], data.Y[None], sw[None], robust=robust)
     for stack in stacks.values():
         if stack.errors[0] is not None:
             raise stack.errors[0]

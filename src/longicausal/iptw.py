@@ -12,13 +12,13 @@ and the first observed period acts as the baseline covariate.
 `stabilized_weights_stack` is the one weights function: it computes the
 weights of R replicates at once, fitting them in groups by which lag columns
 vary. `stabilized_weights` is its one-replicate call on a dataset's arrays;
-it adds only the raise of the replicate's error and the truncation.
+it adds only the raise of the replicate's error. Clipping the finished
+weights is the caller's choice (`analyze --truncate-weights`).
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -31,12 +31,11 @@ from .panel import PanelDataset
 
 @dataclass
 class WeightSet:
-    """Per-unit stabilized weights and their per-period factors."""
+    """Per-unit stabilized weights, each the product of its per-period factors."""
 
     per_unit_weights: np.ndarray
     per_time_factors: np.ndarray
     periods: tuple[int, ...]
-    truncation: tuple[float, float] | None = None
 
 
 def _lagged_rows(a, l, a0, l0) -> tuple[np.ndarray, np.ndarray, np.ndarray, tuple[int, ...]]:
@@ -147,7 +146,7 @@ class WeightStack(NamedTuple):
 
 
 def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
-    """Stabilized weights of R replicates at once, without truncation.
+    """Stabilized weights of R replicates at once.
 
     Takes (R, N, K) histories, (R, N) baselines or None for both, and the N
     unit ids that error messages name. The treatment models are those
@@ -189,35 +188,19 @@ def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
     return WeightStack(weights, log_factors, periods, errors)
 
 
-def stabilized_weights(data: PanelDataset, *, truncate_percentile: float | None = None) -> WeightSet:
+def stabilized_weights(data: PanelDataset) -> WeightSet:
     """Compute SW_i as the product of per-period Gaussian density ratios.
 
     The one-replicate call of `stabilized_weights_stack`. Products are
     accumulated in log space in fixed period order, so results do not
     depend on evaluation order.
-    `truncate_percentile=p` clips the finished per-unit weights to their
-    [p, 100-p] percentile range (off by default); p is checked before any fit.
     """
-    p = truncate_percentile
-    if p is not None:
-        if isinstance(p, bool) or not isinstance(p, numbers.Real) or not (0.0 < p < 50.0):
-            raise DomainError(f"truncate_percentile must be in (0, 50), got {p!r}")
-        p = float(p)
     arrays = (None if x is None else x[None] for x in (data.A, data.L, data.A0, data.L0))
     stack = stabilized_weights_stack(*arrays, data.unit_ids)
     if stack.errors[0] is not None:
         raise stack.errors[0]
-    per_unit = stack.per_unit_weights[0]
-
-    truncation = None
-    if p is not None:
-        lo, hi = np.percentile(per_unit, [p, 100.0 - p])
-        per_unit = np.clip(per_unit, lo, hi)
-        truncation = (float(lo), float(hi))
-
     return WeightSet(
-        per_unit_weights=per_unit,
+        per_unit_weights=stack.per_unit_weights[0],
         per_time_factors=np.exp(stack.log_factors[0]),
         periods=stack.periods,
-        truncation=truncation,
     )

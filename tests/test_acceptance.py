@@ -216,8 +216,7 @@ class TestCriterion8AnalyzeInterface:
         assignment = cluster_wells(corpus.wells, n_clusters=30)
         attribution = assign_quakes(assignment.centroids, corpus.quakes)
         data = build_panel(corpus.wells, assignment, attribution)
-        weights = stabilized_weights(data)
-        reports = estimate(data, weights)
+        reports = estimate(data, stabilized_weights(data).per_unit_weights)
         checks = [
             ("three estimator rows", [r.estimator for r in reports] == ["naive", "adjusted", "msm"],
              str([r.estimator for r in reports])),
@@ -241,7 +240,7 @@ class TestCriterion8AnalyzeInterface:
         assignment = cluster_wells(wells, n_clusters=30)
         attribution = assign_quakes(assignment.centroids, catalog)
         data = build_panel(wells, assignment, attribution)
-        _, _, rep = estimate(data, stabilized_weights(data))
+        _, _, rep = estimate(data, stabilized_weights(data).per_unit_weights)
         checks = [
             ("MSM RR per MMbbl within 0.01 of 1.0278",
              abs(rep.relative_risk_per_MMbbl - 1.0278) <= 0.01,

@@ -339,9 +339,9 @@ class TestAnalyzeCommand:
         estimate = longicausal.cli.estimate
         monkeypatch.setattr(
             longicausal.cli, "estimate",
-            lambda data, weights, **options: [
+            lambda data, sw, **options: [
                 dataclasses.replace(rep, converged=False) if rep.estimator == "naive" else rep
-                for rep in estimate(data, weights, **options)
+                for rep in estimate(data, sw, **options)
             ],
         )
         wells_path, catalog_path = corpus_csvs

@@ -19,7 +19,7 @@ from longicausal.estimators import (
 from longicausal.cli import main
 from longicausal.exceptions import DomainError
 from longicausal.geo import assign_quakes, build_panel, cluster_wells
-from longicausal.iptw import WeightSet, stabilized_weights
+from longicausal.iptw import stabilized_weights
 from longicausal.panel import PanelDataset, read_panel_csv, write_panel_csv
 from longicausal.simulate import SimulationConfig, generate_dataset, replicate_seed
 
@@ -31,10 +31,10 @@ def feedback_dgp_data(rep=0, seed=44):
     return generate_dataset(cfg, replicate_seed(seed, rep))
 
 
-def reports(data: PanelDataset, weights=None, *, robust="HC0") -> dict[str, EstimatorReport]:
-    """`estimate` of `data` by estimator name; the weights default to `stabilized_weights(data)`."""
-    weights = stabilized_weights(data) if weights is None else weights
-    return {rep.estimator: rep for rep in estimate(data, weights, robust=robust)}
+def reports(data: PanelDataset, sw=None, *, robust="HC0") -> dict[str, EstimatorReport]:
+    """`estimate` of `data` by estimator name; the weights default to `stabilized_weights(data)`'s."""
+    sw = stabilized_weights(data).per_unit_weights if sw is None else sw
+    return {rep.estimator: rep for rep in estimate(data, sw, robust=robust)}
 
 
 def unweighted_stacks(data: PanelDataset):
@@ -110,7 +110,7 @@ class TestMsm:
     def test_unit_weights_equal_naive(self, monkeypatch):
         data = feedback_dgp_data()
         use_treatment_models(monkeypatch)
-        by_name = reports(data, stabilized_weights(data))
+        by_name = reports(data)
         assert by_name["msm"].beta1_hat == pytest.approx(by_name["naive"].beta1_hat, abs=1e-10)
 
     def test_se_is_sandwich_not_model(self):
@@ -132,7 +132,8 @@ class TestMsm:
     def test_truncation_passthrough(self):
         data = feedback_dgp_data()
         plain = reports(data)["msm"]
-        trunc = reports(data, stabilized_weights(data, truncate_percentile=5.0))["msm"]
+        sw = stabilized_weights(data).per_unit_weights
+        trunc = reports(data, np.clip(sw, *np.percentile(sw, [5.0, 95.0])))["msm"]
         assert trunc.beta1_hat != pytest.approx(plain.beta1_hat, rel=1e-12)
 
 
@@ -156,7 +157,7 @@ class TestSharedContracts:
     def test_single_unit_rejected(self, estimator):
         data = make_dataset([[1.0, 2.0]], A0=[1.0], L0=[0])
         with pytest.raises(DomainError, match="2 units"):
-            estimate(data, WeightSet(np.ones(1), np.ones((1, 2)), (1, 2)))
+            estimate(data, np.ones(1))
         stack = unweighted_stacks(data)[estimator]
         assert isinstance(stack.errors[0], DomainError)
         assert np.isnan(stack.beta1_hat[0])
@@ -187,7 +188,7 @@ class TestSharedContracts:
         )
         for i, (data, sw) in enumerate(zip(datasets, weights)):
             with pytest.raises(DomainError, match=r"^beta must be finite, got inf$") as raised:
-                estimate(data, sw)
+                estimate(data, sw.per_unit_weights)
             for name in ("naive", "adjusted"):
                 error = stacks[name].errors[i]
                 assert (type(error), str(error)) == (DomainError, str(raised.value))
@@ -266,11 +267,11 @@ class TestReportSerialization:
                 assert key in block
 
 
-def pin_digest(weights, reports):
+def pin_digest(sw, factors, reports):
     """SHA-256 of the per-unit and per-period weights and of every report field, floats as exact hex."""
     h = hashlib.sha256()
-    h.update(np.ascontiguousarray(weights.per_unit_weights).tobytes())
-    h.update(np.ascontiguousarray(weights.per_time_factors).tobytes())
+    h.update(np.ascontiguousarray(sw).tobytes())
+    h.update(np.ascontiguousarray(factors).tobytes())
     fields = [f for r in reports for f in (r.estimator, r.beta1_hat, r.se, *r.ci95, r.relative_risk_per_MMbbl,
                                            r.z, r.p, r.intercept, r.converged)]
     h.update(repr([f if isinstance(f, (str, bool)) else float(f).hex() for f in fields]).encode())
@@ -303,5 +304,8 @@ class TestPinnedOutput:
             gen = generate_dataset(SimulationConfig(master_seed=12), replicate_seed(12, 3))
             a = np.concatenate([np.full((50, 7), 1000.0), gen.A[:, 7:]], axis=1)
             data = PanelDataset(a, gen.L, gen.Y, A0=np.full(50, 1000.0), L0=gen.L0)
-        weights = stabilized_weights(data, truncate_percentile=truncate)
-        assert pin_digest(weights, estimate(data, weights, robust=robust)) == digest
+        weights = stabilized_weights(data)
+        sw = weights.per_unit_weights
+        if truncate is not None:  # clipped as `analyze --truncate-weights` clips them
+            sw = np.clip(sw, *np.percentile(sw, [truncate, 100.0 - truncate]))
+        assert pin_digest(sw, weights.per_time_factors, estimate(data, sw, robust=robust)) == digest

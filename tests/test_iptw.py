@@ -196,31 +196,6 @@ class TestStabilizedWeights:
         ws_rev = stabilized_weights(reversed_data)
         np.testing.assert_allclose(ws_rev.per_unit_weights, ws.per_unit_weights[::-1], rtol=1e-9)
 
-    def test_truncation_clips_to_percentiles(self):
-        data = self.feedback_dgp_data()
-        plain = stabilized_weights(data)
-        trunc = stabilized_weights(data, truncate_percentile=10.0)
-        lo, hi = np.percentile(plain.per_unit_weights, [10.0, 90.0])
-        assert trunc.truncation == pytest.approx((lo, hi))
-        np.testing.assert_allclose(
-            trunc.per_unit_weights, np.clip(plain.per_unit_weights, lo, hi), rtol=1e-12
-        )
-        assert plain.truncation is None
-
-    def test_bad_truncation_percentile(self):
-        # the argument is checked before the models are fitted: volumes that grow by exactly
-        # 1,000 bbl per period would make the numerator model degenerate
-        linear = make_dataset([[1e5 * (i + 1) + 1000.0 * t for t in range(5)] for i in range(6)])
-        with pytest.raises(DegenerateVarianceError):
-            stabilized_weights(linear)
-        for data in (self.feedback_dgp_data(), linear):
-            with pytest.raises(DomainError, match=r"^truncate_percentile must be in \(0, 50\), got 60.0$"):
-                stabilized_weights(data, truncate_percentile=60.0)
-        # only a real number that is not a bool is a percentile; `float` would read these three
-        for value, shown in ((True, "True"), ("5", "'5'"), ("abc", "'abc'")):
-            with pytest.raises(DomainError, match=rf"^truncate_percentile must be in \(0, 50\), got {shown}$"):
-                stabilized_weights(linear, truncate_percentile=value)
-
     def test_nonfinite_factor_names_unit_and_period(self, monkeypatch):
         # the squared z-score under the numerator model overflows -> -inf logpdf
         far = 1e200
@@ -285,6 +260,7 @@ class TestWeightStack:
                 continue
             assert stack.errors[j] is None and stack.periods == ws.periods
             assert stack.per_unit_weights[j].tobytes() == ws.per_unit_weights.tobytes()
+            assert np.exp(stack.log_factors[j].sum(axis=-1)).tobytes() == ws.per_unit_weights.tobytes()
             assert np.exp(stack.log_factors[j]).tobytes() == ws.per_time_factors.tobytes()
 
 

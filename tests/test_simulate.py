@@ -351,8 +351,7 @@ def run_replicate(config, replicate):
     """
     try:
         data = generate_dataset(config, replicate_seed(config.master_seed, replicate))
-        weights = stabilized_weights(data)
-        reports = estimate(data, weights)
+        reports = estimate(data, stabilized_weights(data).per_unit_weights)
     except LongicausalError as exc:
         return replicate, f"{type(exc).__name__}: {exc}"
     if not all(r.converged for r in reports):
