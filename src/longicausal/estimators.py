@@ -75,9 +75,16 @@ def estimate(data: PanelDataset, sw: np.ndarray, *, robust: str = "HC0") -> list
 
     The one-replicate call of `estimate_stack`, with the (N,) array `sw` as
     the MSM's weights, for example `stabilized_weights(data).per_unit_weights`.
-    Raises the first error in ESTIMATOR_NAMES order.
+    An `sw` of another shape raises a DomainError; otherwise raises the first
+    error in ESTIMATOR_NAMES order.
     """
     _check_units(data)
+    try:
+        sw = np.asarray(sw, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"sw must be an array of shape ({data.n_units},), one weight per unit: {exc}") from None
+    if sw.shape != (data.n_units,):
+        raise DomainError(f"sw must be an array of shape ({data.n_units},), one weight per unit, got shape {sw.shape}")
     stacks = estimate_stack(data.A.sum(axis=1)[None], data.L.sum(axis=1)[None], data.Y[None], sw[None], robust=robust)
     for stack in stacks.values():
         if stack.errors[0] is not None:

@@ -30,14 +30,22 @@ def _reject(bad: np.ndarray, message: str, values: np.ndarray) -> None:
         raise PanelError(f"{message}, got {values[bad].tolist()[0]!r}")
 
 
+def _array(x, name: str, dtype=None) -> np.ndarray:
+    """A C-ordered copy of `x`; a PanelError naming `name` where numpy cannot read it (ragged, text, complex)."""
+    try:
+        return np.array(x, dtype=dtype, order="C")
+    except (TypeError, ValueError) as exc:
+        raise PanelError(f"{name} cannot be read as an array of numbers: {exc}") from None
+
+
 def _validate(a, l, y, a0=None, l0=None) -> tuple[np.ndarray | None, ...]:
     """Check (N, K) A and L, (N,) Y and the optional (N,) A0/L0 pair.
 
     Returns read-only float64 copies, so a dataset cannot be changed in place.
     """
-    a = np.array(a, dtype=float, order="C")
-    l = np.array(l, dtype=float, order="C")
-    y = np.array(y)
+    a = _array(a, "treatments", float)
+    l = _array(l, "confounders", float)
+    y = _array(y, "outcomes")
     if a.ndim != 2 or a.shape[0] < 1:
         raise PanelError(f"a PanelDataset requires an (N>=1, K) treatment array, got shape {a.shape}")
     n, k = a.shape
@@ -48,7 +56,7 @@ def _validate(a, l, y, a0=None, l0=None) -> tuple[np.ndarray | None, ...]:
     if (a0 is None) != (l0 is None):
         raise PanelError("baseline_treatment and baseline_confounder must be given together")
     if a0 is not None:
-        a0, l0 = np.array(a0, dtype=float), np.array(l0, dtype=float)
+        a0, l0 = _array(a0, "baseline_treatment", float), _array(l0, "baseline_confounder", float)
     if any(v is not None and v.shape != (n,) for v in (y, a0, l0)):
         raise PanelError(f"outcomes and baselines need one entry for each of the {n} units")
     _reject(~np.isfinite(a), "treatments must be finite", a)

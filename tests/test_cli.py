@@ -15,6 +15,7 @@ import pytest
 
 import longicausal.cli
 from longicausal.cli import main
+from longicausal.estimators import estimate
 from longicausal.exceptions import SimulationError
 from longicausal.iptw import stabilized_weights
 from longicausal.panel import read_panel_csv, write_panel_csv
@@ -662,9 +663,17 @@ class TestAnalyzeCommand:
         assert main([*argv, "--truncate-weights", "--out-dir", str(b)]) == 0
         plain, truncated = (json.loads((out / "manifest.json").read_text()) for out in (a, b))
         assert "weights" not in plain
-        sw = stabilized_weights(read_panel_csv(b / "panel.csv", b / "panel_outcomes.csv")).per_unit_weights
+        data = read_panel_csv(b / "panel.csv", b / "panel_outcomes.csv")
+        sw = stabilized_weights(data).per_unit_weights
         assert truncated["weights"] == {"truncation": np.percentile(sw, [1.0, 99.0]).tolist()}
-        assert truncated["weights"]["truncation"][0] < truncated["weights"]["truncation"][1]
+        lo, hi = truncated["weights"]["truncation"]
+        assert lo < hi
+        # the MSM fits the weights clipped to those bounds
+        assert read_csv(b / "estimates.csv")[1:] == [
+            [rep.estimator, *(f"{v:.17g}" for v in (rep.beta1_hat, rep.se, *rep.ci95, rep.relative_risk_per_MMbbl,
+                                                    rep.z, rep.p))]
+            for rep in estimate(data, np.clip(sw, lo, hi))
+        ]
         assert plain["parameters"] == {**truncated["parameters"], "truncate_weights": False}
         # weights.csv lists the untruncated factors either way
         assert (a / "weights.csv").read_bytes() == (b / "weights.csv").read_bytes()

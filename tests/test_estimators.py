@@ -3,6 +3,7 @@
 import csv
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -135,6 +136,31 @@ class TestMsm:
         sw = stabilized_weights(data).per_unit_weights
         trunc = reports(data, np.clip(sw, *np.percentile(sw, [5.0, 95.0])))["msm"]
         assert trunc.beta1_hat != pytest.approx(plain.beta1_hat, rel=1e-12)
+
+    @pytest.mark.parametrize("sw", [np.ones(49), np.ones((50, 1)), np.ones((1, 50)), 1.0],
+                             ids=["49-entries", "column", "row", "scalar"])
+    def test_weights_of_another_shape_refused(self, sw):
+        message = f"sw must be an array of shape (50,), one weight per unit, got shape {np.shape(sw)}"
+        with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
+            estimate(feedback_dgp_data(), sw)
+
+    @pytest.mark.parametrize("sw", [[[1.0] * 50, [1.0]], ["a"] * 50, [1j] * 50], ids=["ragged", "text", "complex"])
+    def test_weights_numpy_cannot_read_refused(self, sw):
+        with pytest.raises(DomainError, match=r"^sw must be an array of shape \(50,\), one weight per unit: "):
+            estimate(feedback_dgp_data(), sw)
+
+    @pytest.mark.parametrize("value, units, message", [
+        (np.nan, 3, "weights must be finite and non-negative"),
+        (np.inf, 3, "weights must be finite and non-negative"),
+        (-1.0, 3, "weights must be finite and non-negative"),
+        (0.0, slice(None), "at least one weight must be positive"),
+    ], ids=["nan", "inf", "negative", "all-zero"])
+    def test_bad_weight_values_keep_the_fit_errors(self, value, units, message):
+        data = feedback_dgp_data()
+        sw = np.ones(data.n_units)
+        sw[units] = value
+        with pytest.raises(DomainError, match=f"^{message}$"):
+            estimate(data, sw)
 
 
 class TestSharedContracts:

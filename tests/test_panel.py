@@ -14,6 +14,7 @@ from longicausal.panel import (
     OUTCOME_CSV_HEADER,
     PANEL_CSV_HEADER,
     PanelDataset,
+    _check_records,
     _lines_within,
     read_panel_csv,
     write_panel_csv,
@@ -149,6 +150,26 @@ class TestPanelValidation:
         with pytest.raises(PanelError, match="baseline_treatment must be finite"):
             PanelDataset([[1.0], [1.0]], [[0], [0]], [0, 0], A0=[2.0, None], L0=[1, 0])
 
+    @pytest.mark.parametrize(
+        "arrays, name, cause",
+        [
+            ({"A": [[1.0, 2.0], [3.0]]}, "treatments", "inhomogeneous shape"),
+            ({"A": [["a", "b"]]}, "treatments", "could not convert string to float"),
+            ({"A": [[1.0, 2j]]}, "treatments", "not 'complex'"),
+            ({"L": [["a", "b"]]}, "confounders", "could not convert string to float"),
+            ({"L": [[0, 1], [1]]}, "confounders", "inhomogeneous shape"),
+            ({"Y": [[1], [2, 3]]}, "outcomes", "inhomogeneous shape"),
+            ({"A0": [[1.0], []], "L0": [0, 1]}, "baseline_treatment", "inhomogeneous shape"),
+            ({"A0": [1.0, 2.0], "L0": ["x", 1]}, "baseline_confounder", "could not convert string to float"),
+        ],
+        ids=["ragged-A", "text-A", "complex-A", "text-L", "ragged-L", "ragged-Y", "ragged-A0", "text-L0"],
+    )
+    def test_arrays_numpy_cannot_read_are_named(self, arrays, name, cause):
+        good = {"A": [[1.0, 2.0], [3.0, 4.0]], "L": [[0, 1], [1, 0]], "Y": [0, 1]}
+        fields = {**good, **arrays}
+        with pytest.raises(PanelError, match=rf"^{name} cannot be read as an array of numbers: .*{cause}"):
+            PanelDataset(fields.pop("A"), fields.pop("L"), fields.pop("Y"), **fields)
+
     def test_dataset_arrays_read_only(self):
         a = np.array([[1.0, 2.0], [4.0, 5.0]])
         ds = PanelDataset(a, [[0, 1], [1, 1]], [3, 7], A0=[0.5, 0.5], L0=[0, 1])
@@ -272,6 +293,17 @@ class TestPanelCsv:
         assert str(info.value).startswith(
             f"unit 'a' is missing periods {list(range(2, 12))} and {10**12 - 12} more"
         )
+
+    def test_flagged_record_gone_from_the_file(self, tmp_path):
+        # the flags come from an earlier read of the file, which now ends before record 3
+        path = tmp_path / "p.csv"
+        path.write_text(GOOD_PANEL)
+        for flagged, message in ((1, "record 1 is bad (row 3, column 'volume_bbl')"),
+                                 (3, f"{path}: changed while it was read")):
+            checks = [(np.arange(4) == flagged, "volume_bbl", lambda k, fields: f"record {k} is bad")]
+            with pytest.raises(SchemaError) as info:
+                _check_records(path, PANEL_CSV_HEADER, checks, SchemaError("a later fault"))
+            assert str(info.value) == message
 
     def test_missing_outcome(self, tmp_path):
         (tmp_path / "p.csv").write_text("unit_id,period,volume_bbl,quake_indicator\na,1,5,0\n")

@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 118 CLI invocations once per checkout:
+Runs a fixed set of 126 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -26,8 +26,8 @@ Runs a fixed set of 118 CLI invocations once per checkout:
 - `simulate --m 2` with LONGICAUSAL_THREADS `two`, which exits 2 with one
   `error:` line and writes nothing;
 - `analyze` on the inputs of `PARENT_ROOT/bench/gen_inputs.py` seeds 0-3,
-  with default flags, with `--bbox 32.6,33.3,-98.1,-97.1 --truncate-weights
-  --robust HC1`, with `--linkage average --clusters 25`, with `--linkage
+  with default flags, with `--truncate-weights` alone, with `--bbox
+  32.6,33.3,-98.1,-97.1 --truncate-weights --robust HC1`, with `--linkage average --clusters 25`, with `--linkage
   single --clusters 40 --radius-km 60` (wide, overlapping latitude bands),
   with `--linkage complete --radius-km 4`, with `--radius-km 30000` (every
   event within the radius, past half the Earth's circumference, so no
@@ -42,8 +42,8 @@ Runs a fixed set of 118 CLI invocations once per checkout:
   every field quoted and CRLF line ends;
 - `analyze`, seeds 0-3, with default flags on a copy of the catalog whose
   last record's magnitude is `x`, which exits 2 naming that record's row;
-- `analyze --panel --outcomes`, seeds 0-3, with default flags and with
-  `--robust HC1` on the panel.csv and panel_outcomes.csv that PARENT_ROOT's
+- `analyze --panel --outcomes`, seeds 0-3, with default flags, with
+  `--robust HC1` and with `--truncate-weights` on the panel.csv and panel_outcomes.csv that PARENT_ROOT's
   `analyze` writes once per seed from those inputs at default flags;
 - `analyze --panel --outcomes`, seeds 0-3, on a copy of that panel.csv in
   which each unit's volume in period t is its period-1 volume + 1000*(t-1),
@@ -99,7 +99,8 @@ DEGENERATE_SIMULATE = (("--n", "20", "--k", "3", "--m", "1000", "--a-l-penalty",
 OVERFLOW_SIMULATE = (("--m", "3", "--a-sd", "1e308"), ("--m", "3", "--causal-effect", "1"),
                      ("--m", "3", "--a-drift=-1e308"), ("--m", "3", "--a0-mean=-1e306"),
                      ("--m", "3", "--a-drift=-1e306"))
-ANALYZE_FLAGS = ((), ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
+ANALYZE_FLAGS = ((), ("--truncate-weights",),
+                 ("--bbox", "32.6,33.3,-98.1,-97.1", "--truncate-weights", "--robust", "HC1"),
                  ("--linkage", "average", "--clusters", "25"),
                  ("--linkage", "single", "--clusters", "40", "--radius-km", "60"),
                  ("--linkage", "complete", "--radius-km", "4"), ("--radius-km", "30000"),
@@ -190,7 +191,7 @@ def _write_renamed_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 118 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 126 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
                                     itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")),
                                     itertools.product(CONSTANT_L_SIMULATE_SEEDS, (CONSTANT_L_SIMULATE_SIZE,),
@@ -218,7 +219,7 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}"
         args = ("analyze", "--wells", str(data / "wells.csv"), "--catalog", str(data / "bad" / "catalog.csv"))
         yield f"analyze seed {seed} (bad last magnitude)", args, None
-    for seed, flags in itertools.product(SEEDS, ((), ("--robust", "HC1"))):
+    for seed, flags in itertools.product(SEEDS, ((), ("--robust", "HC1"), ("--truncate-weights",))):
         data = inputs / f"seed{seed}" / "panel"
         args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"), *flags)
         yield f"analyze seed {seed} --panel {' '.join(flags) or '(default flags)'}", args, None
