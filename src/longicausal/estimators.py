@@ -25,14 +25,13 @@ sandwich's kind, one of glm.ROBUST_KINDS.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .exceptions import DomainError, LongicausalError
 from .glm import StackFit, first_errors, fit_poisson_stack, sandwich_cov_stack, wald_test
-from .panel import PanelDataset
+from .panel import PanelDataset, _refuse_complex
 
 CI_MULTIPLIER = 1.959964  # two-sided 95% normal quantile, fixed (no t correction)
 MMBBL = 1_000_000.0
@@ -40,8 +39,7 @@ MMBBL = 1_000_000.0
 ESTIMATOR_NAMES = ("naive", "adjusted", "msm")
 
 
-@dataclass(frozen=True)
-class EstimatorReport:
+class EstimatorReport(NamedTuple):
     estimator: str
     beta1_hat: float
     se: float
@@ -80,6 +78,7 @@ def estimate(data: PanelDataset, sw: np.ndarray, *, robust: str = "HC0") -> list
     """
     _check_units(data)
     try:
+        _refuse_complex(sw)
         sw = np.asarray(sw, dtype=float)
     except (TypeError, ValueError) as exc:
         raise DomainError(f"sw must be an array of shape ({data.n_units},), one weight per unit: {exc}") from None
@@ -92,13 +91,13 @@ def estimate(data: PanelDataset, sw: np.ndarray, *, robust: str = "HC0") -> list
     reports = []
     for name, stack in stacks.items():
         beta1 = float(stack.beta1_hat[0])
-        se = stack.se[0]
+        se = float(stack.se[0])
         z, p = wald_test(beta1, se)
         half = CI_MULTIPLIER * se
         reports.append(EstimatorReport(
             estimator=name,
             beta1_hat=beta1,
-            se=float(se),
+            se=se,
             ci95=(beta1 - half, beta1 + half),
             relative_risk_per_MMbbl=relative_risk(beta1),
             z=z,

@@ -14,7 +14,6 @@ does not depend on the projection.
 
 from __future__ import annotations
 
-import logging
 import math
 import numbers
 import re
@@ -28,8 +27,6 @@ import numpy as np
 
 from .exceptions import DomainError, _require_finite
 from .panel import PanelDataset, _check_records, _csv_columns, _float_error
-
-logger = logging.getLogger(__name__)
 
 EARTH_RADIUS_KM = 6371.0088
 
@@ -219,8 +216,7 @@ def cluster_wells(
     return ClusterAssignment(labels=labels, centroids=centroids)
 
 
-@dataclass(frozen=True, eq=False)
-class QuakeAttribution:
+class QuakeAttribution(NamedTuple):
     """The events at or above the magnitude cut, in catalog order.
 
     `labels` is each event's nearest in-radius cluster (-1 if none) and
@@ -373,8 +369,9 @@ def build_panel(
     np.add.at(volumes, (assignment.labels[well], offset // period_months), wells.volume[rows])
     n_short = int(np.count_nonzero(np.bincount(well, minlength=len(wells)) < n_months))
     if n_short:
+        import logging  # imported here: a run whose wells report every month needs no logging
         msg = "%d of %d wells have no reported volume for some study months; treating those as 0 bbl"
-        logger.warning(msg, n_short, len(wells))
+        logging.getLogger(__name__).warning(msg, n_short, len(wells))
 
     offset = quake_counts.months - first
     hit = (quake_counts.labels >= 0) & (offset >= 0) & (offset < n_months)

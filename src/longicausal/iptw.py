@@ -19,7 +19,6 @@ weights is the caller's choice (`analyze --truncate-weights`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -29,8 +28,7 @@ from .glm import first_errors, flag_errors, least_squares_stack
 from .panel import PanelDataset
 
 
-@dataclass
-class WeightSet:
+class WeightSet(NamedTuple):
     """Per-unit stabilized weights, each the product of its per-period factors."""
 
     per_unit_weights: np.ndarray

@@ -30,9 +30,16 @@ def _reject(bad: np.ndarray, message: str, values: np.ndarray) -> None:
         raise PanelError(f"{message}, got {values[bad].tolist()[0]!r}")
 
 
+def _refuse_complex(x) -> None:
+    """A TypeError where `x` holds complex numbers, whose imaginary part numpy's float cast drops with only a warning."""
+    if np.iscomplexobj(x):
+        raise TypeError("values must be real numbers, not 'complex'")
+
+
 def _array(x, name: str, dtype=None) -> np.ndarray:
     """A C-ordered copy of `x`; a PanelError naming `name` where numpy cannot read it (ragged, text, complex)."""
     try:
+        _refuse_complex(x)
         return np.array(x, dtype=dtype, order="C")
     except (TypeError, ValueError) as exc:
         raise PanelError(f"{name} cannot be read as an array of numbers: {exc}") from None

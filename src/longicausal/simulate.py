@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -208,8 +209,7 @@ def generate_dataset(config: SimulationConfig, replicate_seed: int) -> PanelData
     return _checked_panel(*(x[0] for x in _generate_stack(config, [replicate_seed])))
 
 
-@dataclass
-class EstimatorMonteCarlo:
+class EstimatorMonteCarlo(NamedTuple):
     """Replicate-level estimates for one estimator, plus their aggregates."""
 
     estimates: np.ndarray
@@ -221,8 +221,7 @@ class EstimatorMonteCarlo:
     coverage95: float
 
 
-@dataclass
-class MonteCarloSummary:
+class MonteCarloSummary(NamedTuple):
     n_replicates: int
     n_failed: int
     failed_replicates: tuple[tuple[int, str], ...]

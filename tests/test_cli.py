@@ -2,7 +2,6 @@
 
 import csv
 import ctypes
-import dataclasses
 import hashlib
 import json
 import os
@@ -336,12 +335,23 @@ class TestAnalyzeCommand:
         assert code == 0
         assert len(read_csv(out / "panel_outcomes.csv")) == 1 + 30
 
+    def test_missing_months_warned_on_stderr(self, tmp_path, corpus_csvs):
+        # pytest's log capture hides the line logging's last-resort handler prints, so the CLI runs in its own process
+        wells_path, catalog_path = corpus_csvs
+        src = str(Path(longicausal.cli.__file__).parents[1])
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        argv = ["analyze", "--wells", str(wells_path), "--catalog", str(catalog_path), "--out-dir", str(tmp_path)]
+        result = subprocess.run([sys.executable, "-m", "longicausal.cli", *argv], capture_output=True, text=True,
+                                env=env)
+        assert result.returncode == 0
+        assert result.stderr == "45 of 65 wells have no reported volume for some study months; treating those as 0 bbl\n"
+
     def test_nonconverged_fit_exit_1(self, tmp_path, corpus_csvs, capsys, monkeypatch):
         estimate = longicausal.cli.estimate
         monkeypatch.setattr(
             longicausal.cli, "estimate",
             lambda data, sw, **options: [
-                dataclasses.replace(rep, converged=False) if rep.estimator == "naive" else rep
+                rep._replace(converged=False) if rep.estimator == "naive" else rep
                 for rep in estimate(data, sw, **options)
             ],
         )

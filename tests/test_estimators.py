@@ -144,7 +144,8 @@ class TestMsm:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             estimate(feedback_dgp_data(), sw)
 
-    @pytest.mark.parametrize("sw", [[[1.0] * 50, [1.0]], ["a"] * 50, [1j] * 50], ids=["ragged", "text", "complex"])
+    @pytest.mark.parametrize("sw", [[[1.0] * 50, [1.0]], ["a"] * 50, [1j] * 50, np.full(50, 1.0 + 1.0j)],
+                             ids=["ragged", "text", "complex", "complex-ndarray"])
     def test_weights_numpy_cannot_read_refused(self, sw):
         with pytest.raises(DomainError, match=r"^sw must be an array of shape \(50,\), one weight per unit: "):
             estimate(feedback_dgp_data(), sw)
@@ -187,6 +188,14 @@ class TestSharedContracts:
         stack = unweighted_stacks(data)[estimator]
         assert isinstance(stack.errors[0], DomainError)
         assert np.isnan(stack.beta1_hat[0])
+
+    @pytest.mark.parametrize("robust", ["HC0", "HC1"])
+    def test_report_numbers_are_python_floats(self, robust):
+        # a stack row's np.float64 would show in a report's repr as np.float64(...)
+        for rep in reports(feedback_dgp_data(), robust=robust).values():
+            numbers = [rep.beta1_hat, rep.se, *rep.ci95, rep.relative_risk_per_MMbbl, rep.z, rep.p, rep.intercept]
+            assert [type(v) for v in numbers] == [float] * 8
+            assert type(rep.converged) is bool
 
     def test_rr_consistency_and_wald(self):
         rep = reports(feedback_dgp_data())["naive"]

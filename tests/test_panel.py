@@ -161,8 +161,14 @@ class TestPanelValidation:
             ({"Y": [[1], [2, 3]]}, "outcomes", "inhomogeneous shape"),
             ({"A0": [[1.0], []], "L0": [0, 1]}, "baseline_treatment", "inhomogeneous shape"),
             ({"A0": [1.0, 2.0], "L0": ["x", 1]}, "baseline_confounder", "could not convert string to float"),
+            ({"A": np.array([[1.0, 2.0 + 1.0j], [3.0, 4.0]])}, "treatments", "not 'complex'"),
+            ({"L": np.array([[0, 1], [1, 0]], dtype=complex)}, "confounders", "not 'complex'"),
+            ({"Y": np.array([0.0 + 1.0j, 1.0])}, "outcomes", "not 'complex'"),
+            ({"A0": np.array([1.0, 2.0 + 1.0j]), "L0": [0, 1]}, "baseline_treatment", "not 'complex'"),
+            ({"A0": [1.0, 2.0], "L0": np.array([0.0, 1.0 + 0.0j])}, "baseline_confounder", "not 'complex'"),
         ],
-        ids=["ragged-A", "text-A", "complex-A", "text-L", "ragged-L", "ragged-Y", "ragged-A0", "text-L0"],
+        ids=["ragged-A", "text-A", "complex-A", "text-L", "ragged-L", "ragged-Y", "ragged-A0", "text-L0",
+             "complex-ndarray-A", "complex-ndarray-L", "complex-ndarray-Y", "complex-ndarray-A0", "complex-ndarray-L0"],
     )
     def test_arrays_numpy_cannot_read_are_named(self, arrays, name, cause):
         good = {"A": [[1.0, 2.0], [3.0, 4.0]], "L": [[0, 1], [1, 0]], "Y": [0, 1]}

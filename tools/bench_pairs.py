@@ -95,6 +95,7 @@ def main(argv: list[str]) -> int:
     roots = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     metrics = json.loads((roots["parent"] / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in metrics["end_to_end"] + metrics["per_layer"]}
+    end_to_end = [m["name"] for m in metrics["end_to_end"]]
 
     workloads = {}
     for workload in args.workload:
@@ -102,8 +103,9 @@ def main(argv: list[str]) -> int:
         for i in range(args.pairs):
             order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
             runs.append({"first": order[0], **{side: _bench(roots[side], workload, args) for side in order}})
-            values = {side: runs[-1][side]["metrics"].get("wall_s") for side in order}
-            print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): wall_s {values}", file=sys.stderr)
+            shown = {name: {side: runs[-1][side]["metrics"].get(name) for side in order} for name in end_to_end}
+            values = "; ".join(f"{name} {sides}" for name, sides in shown.items())
+            print(f"{workload} pair {i + 1}/{args.pairs} ({order[0]} first): {values}", file=sys.stderr)
         names = [name for name in runs[0]["parent"]["metrics"] if name in better]
         workloads[workload] = {
             "runs": runs,
