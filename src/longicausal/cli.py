@@ -175,24 +175,27 @@ def cmd_simulate(args: argparse.Namespace) -> int:
 
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
+    names = np.array(list(summary.estimators), dtype=object)
+    estimators = summary.estimators.values()
     write_csv(
         out_dir / "mc_summary.csv",
         ["estimator", "avg_point_estimate", "avg_se", "coverage95", "n_replicates", "n_failed"],
-        (
-            [name, est.avg_point_estimate, est.avg_se, est.coverage95, summary.n_replicates, summary.n_failed]
-            for name, est in summary.estimators.items()
-        ),
+        [
+            names,
+            *np.array([(e.avg_point_estimate, e.avg_se, e.coverage95) for e in estimators]).T,
+            np.full(len(names), summary.n_replicates),
+            np.full(len(names), summary.n_failed),
+        ],
     )
-    columns = [zip(e.estimates.tolist(), e.ses.tolist(), e.ci_lo.tolist(), e.ci_hi.tolist())
-               for e in summary.estimators.values()]
     write_csv(
         out_dir / "estimate_samples.csv",
         ["replicate", "estimator", "beta1_hat", "se", "ci_lo", "ci_hi"],
-        (
-            (rep, name, *values)
-            for rep, *per_estimator in zip(summary.replicate_indices.tolist(), *columns)
-            for name, values in zip(summary.estimators, per_estimator)
-        ),
+        [
+            np.repeat(summary.replicate_indices, len(names)),
+            np.tile(names, len(summary.replicate_indices)),
+            *(np.stack([getattr(e, field) for e in estimators], axis=1).ravel()
+              for field in ("estimates", "ses", "ci_lo", "ci_hi")),
+        ],
     )
     _write_manifest(args, [], ["mc_summary.csv", "estimate_samples.csv"], started, t0, n_failed=summary.n_failed)
     return 0
@@ -250,18 +253,24 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     write_csv(
         out_dir / "estimates.csv",
         ["estimator", "beta1_hat", "se", "ci_lo", "ci_hi", "relative_risk_per_MMbbl", "z", "p"],
-        ((rep.estimator, rep.beta1_hat, rep.se, *rep.ci95, rep.relative_risk_per_MMbbl, rep.z, rep.p)
-         for rep in reports),
+        [
+            np.array([rep.estimator for rep in reports], dtype=object),
+            *np.array([(rep.beta1_hat, rep.se, *rep.ci95, rep.relative_risk_per_MMbbl, rep.z, rep.p)
+                       for rep in reports], dtype=float).T,
+        ],
     )
     factors = weights.per_time_factors
+    n, k = factors.shape
+    ids = np.fromiter(data.unit_ids, dtype=object, count=n)  # an inferred dtype would write (True, 2) as 1,2
     write_csv(
         out_dir / "weights.csv",
         ["unit_id", "t", "factor", "cumulative_weight"],
-        (
-            (uid, t, factor, cumulative)
-            for uid, f_row, c_row in zip(data.unit_ids, factors.tolist(), np.cumprod(factors, axis=1).tolist())
-            for t, factor, cumulative in zip(weights.periods, f_row, c_row)
-        ),
+        [
+            np.repeat(ids, k),
+            np.tile(weights.periods, n),
+            factors.ravel(),
+            np.cumprod(factors, axis=1).ravel(),
+        ],
     )
     outputs += ["estimates.csv", "weights.csv"]
 

@@ -31,8 +31,12 @@ def _reject(bad: np.ndarray, message: str, values: np.ndarray) -> None:
 
 
 def _refuse_complex(x) -> None:
-    """A TypeError where `x` holds complex numbers, whose imaginary part numpy's float cast drops with only a warning."""
-    if np.iscomplexobj(x):
+    """A TypeError where `x` holds complex numbers, whose imaginary part numpy's float cast drops with only a warning.
+
+    An object array's values are each looked at, since its dtype says nothing of them.
+    """
+    x = np.asarray(x)
+    if x.dtype.kind == "c" or x.dtype == object and any(isinstance(v, (complex, np.complexfloating)) for v in x.flat):
         raise TypeError("values must be real numbers, not 'complex'")
 
 
@@ -129,12 +133,36 @@ class PanelDataset:
         return all(np.array_equal(getattr(self, x), getattr(other, x)) for x in ("A", "L", "Y", "A0", "L0"))
 
 
-def write_csv(path: str | Path, header: list[str], rows) -> None:
-    """Write `header` then `rows`; every float (np.float64 too) as 17 significant digits."""
+_NEEDS_QUOTES = re.compile(r'[,"\r\n]')
+
+
+def _fields(values: list) -> list[str]:
+    """csv.writer's fields of `values`: a float (np.float64 too) with .17g, None as nothing, anything else str()."""
+    texts = [v if type(v) is str else f"{v:.17g}" if isinstance(v, float) else "" if v is None else str(v)
+             for v in values]
+    if _NEEDS_QUOTES.search("".join(texts)):  # one scan finds whether any field of the column needs quotes
+        texts = ['"' + t.replace('"', '""') + '"' if _NEEDS_QUOTES.search(t) else t for t in texts]
+    return texts
+
+
+def write_csv(path: str | Path, header: list[str], columns: list[np.ndarray]) -> None:
+    """Write `header`, then one line per row of two or more equal-length 1-D arrays `columns`, as csv.writer does.
+
+    A column of dtype kind f is written with %.17g and one of kind i or u
+    with %d. Any other column (object, str, bool) is written value by value:
+    a float (np.float64 too) as 17 significant digits, None as an empty field
+    and anything else as str(); a field holding `,`, `"`, \\r or \\n is
+    wrapped in `"`, its quotes doubled. Every line ends in \\r\\n.
+    """
+    formats, cells = [], []
+    for column in columns:
+        kind = column.dtype.kind
+        formats.append("%.17g" if kind == "f" else "%d" if kind in "iu" else "%s")
+        cells.append(column.tolist() if kind in "fiu" else _fields(column.tolist()))
+    line = ",".join(formats) + "\r\n"
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(header)
-        w.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row] for row in rows)
+        fh.write(",".join(_fields(header)) + "\r\n")
+        fh.writelines(map(line.__mod__, zip(*cells, strict=True)))
 
 
 def write_panel_csv(dataset: PanelDataset, panel_path: str | Path, outcome_path: str | Path) -> None:
@@ -143,17 +171,14 @@ def write_panel_csv(dataset: PanelDataset, panel_path: str | Path, outcome_path:
     Baselines are not part of the exchange schema; panels read back from CSV
     carry observed periods only.
     """
-    ids = dataset.unit_ids
+    n, k = dataset.A.shape
+    ids = np.fromiter(dataset.unit_ids, dtype=object, count=n)  # an inferred dtype would write (True, 2) as 1,2
     write_csv(
         panel_path,
         PANEL_CSV_HEADER,
-        (
-            (uid, t, a, l)
-            for uid, a_row, l_row in zip(ids, dataset.A.tolist(), dataset.L.astype(int).tolist())
-            for t, (a, l) in enumerate(zip(a_row, l_row), start=1)
-        ),
+        [np.repeat(ids, k), np.tile(np.arange(1, k + 1), n), dataset.A.ravel(), dataset.L.astype(int).ravel()],
     )
-    write_csv(outcome_path, OUTCOME_CSV_HEADER, zip(ids, dataset.Y.astype(int).tolist()))
+    write_csv(outcome_path, OUTCOME_CSV_HEADER, [ids, dataset.Y.astype(int)])
 
 
 def _float_error(raw: str) -> str:
@@ -231,7 +256,8 @@ def _csv_columns(path: str | Path, header: list[str], numeric: tuple[str, ...]) 
             and (len(data) <= limit or b'"' not in data and _lines_within(data, limit))):
         dtype = [(name, float if name in numeric else object) for name in header]
         try:
-            text = io.StringIO(data.decode("utf-8"), newline="")  # no newline translation inside quoted fields
+            # decoded chunk by chunk as loadtxt reads, with no newline translation inside quoted fields
+            text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8", newline="")
             return np.loadtxt(text, dtype, comments=None, delimiter=",", skiprows=1, quotechar='"', ndmin=1,
                               unpack=True), None
         except ValueError:  # on every form tested, it refuses what it reads otherwise than csv.reader and `float`

@@ -144,8 +144,9 @@ class TestMsm:
         with pytest.raises(DomainError, match=f"^{re.escape(message)}$"):
             estimate(feedback_dgp_data(), sw)
 
-    @pytest.mark.parametrize("sw", [[[1.0] * 50, [1.0]], ["a"] * 50, [1j] * 50, np.full(50, 1.0 + 1.0j)],
-                             ids=["ragged", "text", "complex", "complex-ndarray"])
+    @pytest.mark.parametrize("sw", [[[1.0] * 50, [1.0]], ["a"] * 50, [1j] * 50, np.full(50, 1.0 + 1.0j),
+                                    np.array([np.complex128(1 + 3j)] + [1.0] * 49, dtype=object)],
+                             ids=["ragged", "text", "complex", "complex-ndarray", "complex-object"])
     def test_weights_numpy_cannot_read_refused(self, sw):
         with pytest.raises(DomainError, match=r"^sw must be an array of shape \(50,\), one weight per unit: "):
             estimate(feedback_dgp_data(), sw)

@@ -5,6 +5,7 @@ import dataclasses
 import logging
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -666,6 +667,34 @@ class TestLoaders:
         p = tmp_path / "x.csv"
         p.write_text("\n" + text)
         check_schema_error(loader, p, None, 1, None, "header")
+
+    def test_column_read_peaks_below_six_times_the_file(self, tmp_path):
+        # the file is decoded as loadtxt reads it, not held whole as text beside its bytes
+        rng = np.random.default_rng(0)
+        lon, lat, mag = (rng.uniform(lo, hi, 12_000).tolist() for lo, hi in ((-98, -97), (32, 33), (2, 4)))
+        p = tmp_path / "c.csv"
+        p.write_text(CATALOG_HEADER + "".join(f"e{i:05d},{x!r},{y!r},2014-05-12T03:27:00,{m!r}\n"
+                                              for i, (x, y, m) in enumerate(zip(lon, lat, mag))))
+        size = p.stat().st_size
+        assert 900_000 < size < 1_100_000
+        tracemalloc.start()
+        try:
+            columns, fault = panel._csv_columns(p, CATALOG_CSV_HEADER, ("longitude", "latitude", "magnitude"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert fault is None and columns[4].tolist() == mag
+        assert peak < 6 * size
+
+    def test_bad_utf8_past_the_first_64_kib_is_the_walker_error(self, tmp_path):
+        records = "".join(f"e{i:05d},-97.0,33.0,2014-05-12T03:27:00,3.0\n" for i in range(2000))
+        p = tmp_path / "c.csv"
+        p.write_bytes((CATALOG_HEADER + records).encode() + b"e\xff,-97.0,33.0,2014-05-12T03:27:00,3.0\n"
+                      + records.encode())
+        assert p.read_bytes().index(b"\xff") > 65_536
+        want = (f"{p}: not UTF-8 text (invalid start byte: b'\\xff')", None, None)
+        assert outcome(csv_oracle._load_catalog_rows, p, None) == want
+        assert outcome(load_catalog_csv, p, None) == want
 
 
 def outcome(loader, path, bbox):

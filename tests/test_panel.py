@@ -1,12 +1,17 @@
 """Panel data model: summaries, invariants, CSV round trip."""
 
 import copy
+import csv
+import io
+import math
 import pickle
+import tempfile
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from longicausal.exceptions import PanelError, SchemaError
@@ -17,6 +22,7 @@ from longicausal.panel import (
     _check_records,
     _lines_within,
     read_panel_csv,
+    write_csv,
     write_panel_csv,
 )
 
@@ -166,9 +172,16 @@ class TestPanelValidation:
             ({"Y": np.array([0.0 + 1.0j, 1.0])}, "outcomes", "not 'complex'"),
             ({"A0": np.array([1.0, 2.0 + 1.0j]), "L0": [0, 1]}, "baseline_treatment", "not 'complex'"),
             ({"A0": [1.0, 2.0], "L0": np.array([0.0, 1.0 + 0.0j])}, "baseline_confounder", "not 'complex'"),
+            ({"A": np.array([[np.complex128(1 + 2j)], [2.0]], dtype=object), "L": [[0], [0]]}, "treatments",
+             "not 'complex'"),
+            ({"A0": np.array([np.complex128(1j), 2.0], dtype=object), "L0": [1, 0]}, "baseline_treatment",
+             "not 'complex'"),
+            ({"A0": [np.complex128(1j), None], "L0": [1, 0]}, "baseline_treatment", "not 'complex'"),
+            ({"L": np.array([[0, np.complex64(1)], [1, 0]], dtype=object)}, "confounders", "not 'complex'"),
         ],
         ids=["ragged-A", "text-A", "complex-A", "text-L", "ragged-L", "ragged-Y", "ragged-A0", "text-L0",
-             "complex-ndarray-A", "complex-ndarray-L", "complex-ndarray-Y", "complex-ndarray-A0", "complex-ndarray-L0"],
+             "complex-ndarray-A", "complex-ndarray-L", "complex-ndarray-Y", "complex-ndarray-A0", "complex-ndarray-L0",
+             "complex-object-A", "complex-object-A0", "complex-object-list-A0", "complex-object-complex64-L"],
     )
     def test_arrays_numpy_cannot_read_are_named(self, arrays, name, cause):
         good = {"A": [[1.0, 2.0], [3.0, 4.0]], "L": [[0, 1], [1, 0]], "Y": [0, 1]}
@@ -368,3 +381,46 @@ class TestLinesWithin:
     ])
     def test_cases(self, data, limit):
         assert _lines_within(data, limit) == lines_within(data, limit)
+
+
+TEXT = st.text(st.one_of(st.sampled_from([",", '"', "\r", "\n", " ", "a", "é"]), st.characters(codec="utf-8")))
+FLOATS = st.one_of(st.floats(), st.sampled_from([math.nan, math.inf, -math.inf, -0.0, 5e-324, 1.7976931348623157e308]))
+# (numpy dtype, values): a float64 column, an int64 one, and object columns of mixed Python values
+COLUMN_KINDS = st.sampled_from([
+    (np.float64, FLOATS),
+    (np.int64, st.integers(-2**63, 2**63 - 1)),
+    (object, st.one_of(TEXT, st.integers(2**63, 2**70), FLOATS, st.booleans(), st.none())),
+    (object, TEXT),
+])
+
+
+@st.composite
+def tables(draw):
+    """(header, columns) of zero to four rows and two to four columns of the kinds write_csv formats apart."""
+    n_rows, kinds = draw(st.integers(0, 4)), draw(st.lists(COLUMN_KINDS, min_size=2, max_size=4))
+    columns = []
+    for dtype, values in kinds:
+        column = np.empty(n_rows, dtype=dtype)
+        column[:] = draw(st.lists(values, min_size=n_rows, max_size=n_rows))
+        columns.append(column)
+    return draw(st.lists(TEXT, min_size=len(columns), max_size=len(columns))), columns
+
+
+class TestWriteCsv:
+    @settings(deadline=None)
+    @given(table=tables())
+    def test_writes_the_bytes_of_csv_writer(self, table):
+        header, columns = table
+        oracle = io.StringIO(newline="")
+        writer = csv.writer(oracle)
+        writer.writerow(header)
+        writer.writerows([f"{v:.17g}" if isinstance(v, float) else v for v in row]
+                         for row in zip(*(c.tolist() for c in columns)))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "t.csv"
+            write_csv(path, header, columns)
+            assert path.read_bytes() == oracle.getvalue().encode("utf-8")
+
+    def test_columns_of_unequal_length_refused(self, tmp_path):
+        with pytest.raises(ValueError):
+            write_csv(tmp_path / "t.csv", ["a", "b"], [np.arange(2), np.arange(3)])

@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 126 CLI invocations once per checkout:
+Runs a fixed set of 128 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -61,6 +61,11 @@ Runs a fixed set of 126 CLI invocations once per checkout:
   that panel.csv and panel_outcomes.csv in which units c00-c03 are renamed
   `c,00`, `q"1`, ` lead` and `x<newline>y`: a comma, a double quote, a
   leading space and a line break in the unit_id column of weights.csv;
+- `analyze --panel --outcomes`, seed 0, with default flags and with
+  `--truncate-weights`, on a copy of that panel.csv and panel_outcomes.csv
+  in which units c00-c06 are renamed to ids holding a comma, a double quote,
+  CRLF, a bare CR, a leading space, `é`, and all of these at once, so that
+  weights.csv quotes fields with every character csv's quoting rule names;
 - `baseline gr` for the rate factor alone, with `--a-tec` and `--volume`,
   with `--volume` but no `--a-tec` (exit 1), and with an exponent whose
   power of ten overflows (exit 1).
@@ -190,8 +195,21 @@ def _write_renamed_panel(data: Path) -> None:
             writer.writerows([renamed.get(unit, unit), *rest] for unit, *rest in records)
 
 
+def _write_special_ids_panel(data: Path) -> None:
+    """Copy `data/panel/`'s two files to `data/special/`, with units c00-c06 renamed to ids that need quoting."""
+    renamed = {"c00": "c,00", "c01": 'q"1', "c02": "crlf\r\nid", "c03": "cr\rid", "c04": " lead", "c05": "\u00e905",
+               "c06": ' \u00e9,"06"\r\n\r'}
+    (data / "special").mkdir()
+    for name in ("panel.csv", "panel_outcomes.csv"):
+        with open(data / "panel" / name, newline="") as src, open(data / "special" / name, "w", newline="",
+                                                                   encoding="utf-8") as dst:
+            records, writer = csv.reader(src), csv.writer(dst)
+            writer.writerow(next(records))
+            writer.writerows([renamed.get(unit, unit), *rest] for unit, *rest in records)
+
+
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 126 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 128 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
                                     itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")),
                                     itertools.product(CONSTANT_L_SIMULATE_SEEDS, (CONSTANT_L_SIMULATE_SIZE,),
@@ -242,6 +260,10 @@ def _runs(inputs: Path):
         data = inputs / f"seed{seed}" / "renamed"
         args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"))
         yield f"analyze seed {seed} --panel (unit ids that need quoting)", args, None
+    for flags in ((), ("--truncate-weights",)):
+        data = inputs / "seed0" / "special"
+        args = ("analyze", "--panel", str(data / "panel.csv"), "--outcomes", str(data / "panel_outcomes.csv"), *flags)
+        yield f"analyze seed 0 --panel {' '.join(flags) or '(default flags)'} (ids with CRLF, CR, e-acute)", args, None
     for flags in GR_FLAGS:
         args = ("baseline", "gr", *flags)
         yield " ".join(args), args, None
@@ -280,6 +302,7 @@ def main(argv: list[str]) -> int:
             _write_indicator_panel(tmp / "inputs" / f"seed{seed}")
             _write_quiet_panel(tmp / "inputs" / f"seed{seed}")
             _write_renamed_panel(tmp / "inputs" / f"seed{seed}")
+        _write_special_ids_panel(tmp / "inputs" / "seed0")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
             before = _run(parent, args, threads, tmp / "parent" / str(n_runs))
