@@ -218,13 +218,14 @@ def least_squares_stack(design, response) -> tuple[np.ndarray, list[LongicausalE
     Returns the (R, p) coefficients, NaN for a failed problem, and each
     problem's error or None. One X'X serves the rank check and X'X beta = X'y.
     It is X.T @ X.copy(): the copy keeps numpy off its A.T @ A (syrk) path,
-    whose sums differ, and gives the bits of X.T @ (X * 1).
+    whose sums differ, and gives the bits of X.T @ (X * 1). The rank check's
+    unit weights are a read-only broadcast of 1.0, not a filled array: only
+    the problems the Gram cannot prove full rank read them, in the SVD.
     """
     X, y = _arrays(design, response)
-    ones = np.ones(y.shape)
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'X goes to the SVD
         gram = np.swapaxes(X, 1, 2) @ X.copy()
-    errors = _screen(X, y, ones, gram=gram)
+    errors = _screen(X, y, np.broadcast_to(1.0, y.shape), gram=gram)
     live = np.flatnonzero([e is None for e in errors])
     sel = slice(None) if len(live) == len(errors) else live  # views while every problem is live
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'y gives non-finite coefficients

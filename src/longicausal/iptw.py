@@ -97,7 +97,7 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
             flag_errors(errors, np.arange(len(errors))[rows], DomainError, message)
             continue
         y = resp[rows]
-        ones = np.ones_like(y)
+        ones = np.broadcast_to(1.0, y.shape)  # read only by np.stack, which copies it into each design
         models = []
         for columns in (numerator_columns, denominator_columns):
             design = np.stack([ones, *columns], axis=-1)
@@ -157,11 +157,15 @@ def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
     resp, lag_a, lag_l, periods = _lagged_rows(a, l, a0, l0)
     r, n_units, n_t = len(resp), a.shape[1], len(periods)
     errors = [None] * r
-    weights, log_factors = np.full((r, n_units), np.nan), np.full((r, n_units, n_t), np.nan)
     floor = _sd_floor(resp)
     flag_errors(errors, np.flatnonzero(floor == np.inf), DomainError,
                 "treatment values overflow: the spread of A is not finite; rescale the treatment (volume) values")
-    for rows, models in _fit_models(resp, lag_a, lag_l, errors):
+    # the outputs are allocated after the fits and the lags are released, so
+    # they never share the peak of the treatment models' designs
+    fits = _fit_models(resp, lag_a, lag_l, errors)
+    del lag_a, lag_l
+    weights, log_factors = np.full((r, n_units), np.nan), np.full((r, n_units, n_t), np.nan)
+    for rows, models in fits:
         idx = np.arange(r)[rows]
         for label, (_, sd, _) in zip(("numerator", "denominator"), models):
             message = f"{label} treatment model has (numerically) zero residual variance; density ratio is undefined"

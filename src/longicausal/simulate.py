@@ -160,8 +160,9 @@ def _generate_stack(config: SimulationConfig, seeds) -> tuple[np.ndarray, ...]:
             rng.random(out=v[t, j])
         states.append(bit_generator.state)
 
-    a = np.empty_like(z)
-    l = np.empty_like(z)
+    # A(t) and L(t) overwrite period t's normal and uniform draws in place:
+    # each draw is read only in the statement that overwrites it
+    a, l = z, v
     # a non-finite A or mean fails a stage of `_run_block`, and then `_checked_panel`
     with np.errstate(over="ignore", invalid="ignore"):
         for t in range(k + 1):

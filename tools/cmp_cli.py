@@ -2,7 +2,7 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs a fixed set of 128 CLI invocations once per checkout:
+Runs a fixed set of 132 CLI invocations once per checkout:
 
 - `simulate`, seeds 0-3, at `--n 50 --m 300`, `--n 600 --m 40` and
   `--n 20 --k 2 --m 200`, each with LONGICAUSAL_THREADS 1 and 2;
@@ -11,6 +11,9 @@ Runs a fixed set of 128 CLI invocations once per checkout:
 - `simulate --n 3 --k 2 --m 20000`, seeds 0-1, with LONGICAUSAL_THREADS 1
   and 2: 3 blocks, in which about a quarter of the replicates have a cumL
   that is constant across units, so their adjusted fit is their naive fit;
+- `simulate --n 2500 --k 20 --m 3`, seeds 0-1, with LONGICAUSAL_THREADS 1
+  and 2: N*K is 50,000 pooled rows, so every block holds one replicate and
+  every stack has R = 1, in one process and in the worker pool;
 - `simulate --seed 18446744073709551615 --m 50`, with LONGICAUSAL_THREADS 1
   and 2: the largest master seed, which fills the high word of every
   replicate's 128-bit Philox key;
@@ -98,6 +101,8 @@ SIMULATE_SIZES = (("--n", "50", "--m", "300"), ("--n", "600", "--m", "40"), ("--
 LONG_SIMULATE_SEEDS, LONG_SIMULATE_SIZE = range(2), ("--n", "600", "--m", "200")
 # seeds of a 3-block run of 3-unit panels, in which about a quarter of the replicates have a constant cumL
 CONSTANT_L_SIMULATE_SEEDS, CONSTANT_L_SIMULATE_SIZE = range(2), ("--n", "3", "--k", "2", "--m", "20000")
+# seeds of a run whose N*K fills a block, so every block and every stack holds one replicate
+ONE_REPLICATE_SIMULATE_SEEDS, ONE_REPLICATE_SIMULATE_SIZE = range(2), ("--n", "2500", "--k", "20", "--m", "3")
 HIGH_SEED_SIMULATE = ("--seed", str(2**64 - 1), "--m", "50")
 DEGENERATE_SIMULATE = (("--n", "20", "--k", "3", "--m", "1000", "--a-l-penalty", "0", "--a-sd", "1e-12"),
                        ("--n", "20", "--k", "3", "--m", "1000", "--a-sd", "1e-12"))
@@ -209,10 +214,12 @@ def _write_special_ids_panel(data: Path) -> None:
 
 
 def _runs(inputs: Path):
-    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 128 runs."""
+    """(label, CLI arguments, LONGICAUSAL_THREADS or None) of each of the 132 runs."""
     simulate_runs = itertools.chain(itertools.product(SEEDS, SIMULATE_SIZES, ("1", "2")),
                                     itertools.product(LONG_SIMULATE_SEEDS, (LONG_SIMULATE_SIZE,), ("1", "2")),
                                     itertools.product(CONSTANT_L_SIMULATE_SEEDS, (CONSTANT_L_SIMULATE_SIZE,),
+                                                      ("1", "2")),
+                                    itertools.product(ONE_REPLICATE_SIMULATE_SEEDS, (ONE_REPLICATE_SIMULATE_SIZE,),
                                                       ("1", "2")))
     for seed, size, threads in simulate_runs:
         args = ("simulate", "--seed", str(seed), *size)
