@@ -337,8 +337,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ana.add_argument("--linkage", choices=LINKAGES, default="ward")
     ana.add_argument("--truncate-weights", action="store_true", help="clip SW to [1st, 99th] percentiles")
-    ana.add_argument("--robust", choices=ROBUST_KINDS, default="HC0",
-                     help="MSM sandwich SE: HC0, or HC1 (scaled by n/(n-p))")
+    ana.add_argument("--robust", choices=ROBUST_KINDS, default="HC0", help="MSM sandwich SE kind")
     ana.add_argument("--start", type=_month, default=DEFAULT_STUDY_START, help="first study month (YYYY-MM)")
     ana.add_argument("--end", type=_month, default=DEFAULT_STUDY_END, help="last study month (YYYY-MM), inclusive")
     ana.add_argument("--out-dir", default=".", help="directory for output files")
