@@ -132,7 +132,7 @@ def _stack_rows(fit: StackFit, var: np.ndarray) -> EstimateStack:
         try:
             wald_test(float(fit.coefficients[j, 1]), se[j])
         except DomainError as exc:
-            fit.errors[j] = fit.errors[j] or exc
+            first_errors(fit.errors, [j], exc)
     return EstimateStack(fit.coefficients[:, 1], se, fit.coefficients[:, 0], fit.converged, fit.errors)
 
 

@@ -54,19 +54,18 @@ class StackFit(NamedTuple):
     errors: list[LongicausalError | None]
 
 
-def first_errors(errors: list, problems, new: list) -> None:
-    """Give each of `problems` (an index of `errors`) its error from `new`, unless it has one already."""
+def first_errors(errors: list, problems, new) -> None:
+    """Give each of `problems` its error from `new`, unless it has one already: the first error wins.
+
+    `problems` indexes np.arange(len(errors)): an index array, a boolean
+    mask or a slice. `new` is one error for every selected problem, or a
+    list of one error or None per selected problem.
+    """
+    new = new if isinstance(new, list) else [new] * len(errors)
     if any(new):  # a healthy stack has none to record
         for i, error in zip(np.arange(len(errors))[problems].tolist(), new):
             if errors[i] is None:
                 errors[i] = error
-
-
-def flag_errors(errors: list, problems, error_type: type, message: str) -> None:
-    """Give each of `problems` (integer indices of `errors`) the error `error_type(message)`, unless it has one."""
-    for i in problems:
-        if errors[i] is None:
-            errors[i] = error_type(message)
 
 
 def _arrays(design, *rows) -> list[np.ndarray]:
@@ -94,12 +93,12 @@ def _screen(X, y, w, checks=(), gram=None) -> list[LongicausalError | None]:
         (~np.isfinite(y).all(axis=1), "response contains non-finite values"),
         *checks,
     ]:
-        flag_errors(errors, np.flatnonzero(failed), DomainError, message)
+        first_errors(errors, failed, DomainError(message))
     live = np.flatnonzero([e is None for e in errors])
     sel = slice(None) if len(live) == r else live
     rank_bad = live[_rank_deficient(X[sel], w[sel], None if gram is None else gram[sel])]
     message = "design matrix is rank deficient (singular value ratio below 1e-12)"
-    flag_errors(errors, rank_bad, SingularDesignError, message)
+    first_errors(errors, rank_bad, SingularDesignError(message))
     return errors
 
 
@@ -231,7 +230,7 @@ def least_squares_stack(design, response) -> tuple[np.ndarray, list[LongicausalE
     with np.errstate(over="ignore", invalid="ignore"):  # a non-finite X'y gives non-finite coefficients
         xty = np.swapaxes(X[sel], 1, 2) @ y[sel][..., None]
     beta, singular = _per_problem(np.linalg.solve, gram[sel], xty)
-    flag_errors(errors, live[singular], SingularDesignError, "weighted normal equations are singular")
+    first_errors(errors, live[singular], SingularDesignError("weighted normal equations are singular"))
     coefficients = np.full((len(errors), X.shape[2]), np.nan)
     coefficients[live] = beta[..., 0]
     return coefficients, errors
@@ -280,7 +279,7 @@ def fit_poisson_stack(design, response, weights=None) -> StackFit:
         var = _variance(mua)
         z = eta[sel] + (ya - mua) / var
         beta_a, singular = _solve_wls(Xa, wa * var, z)
-        flag_errors(errors, live[active[singular]], SingularDesignError, "weighted normal equations are singular")
+        first_errors(errors, live[active[singular]], SingularDesignError("weighted normal equations are singular"))
         eta_a = _matvec(Xa, beta_a)
         mu_a = _mu_eta(eta_a)
         with np.errstate(invalid="ignore"):  # NaN rows of singular problems
@@ -293,7 +292,7 @@ def fit_poisson_stack(design, response, weights=None) -> StackFit:
 
     with np.errstate(invalid="ignore"):  # NaN rows of singular problems
         inv, singular = _per_problem(np.linalg.inv, _information(X, w * _variance(mu)))
-    flag_errors(errors, live[singular], SingularDesignError, "information matrix is singular at the estimate")
+    first_errors(errors, live[singular], SingularDesignError("information matrix is singular at the estimate"))
     coefficients[live] = beta
     model_cov[live] = inv
     converged[live] = done
@@ -325,7 +324,7 @@ def sandwich_cov_stack(
     errors: list[LongicausalError | None] = [None] * r
     if n <= p:
         message = "HC1 scaling requires n > p" if kind == "HC1" else "robust covariance requires n > p"
-        flag_errors(errors, range(r), DomainError, message)
+        first_errors(errors, slice(None), DomainError(message))
     elif kind == "HC1":
         cov = cov * (n / (n - p))
     return cov, errors

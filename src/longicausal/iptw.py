@@ -24,7 +24,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .exceptions import DegenerateVarianceError, DomainError, LongicausalError, WeightError
-from .glm import first_errors, flag_errors, least_squares_stack
+from .glm import first_errors, least_squares_stack
 from .panel import PanelDataset
 
 
@@ -94,7 +94,7 @@ def _fit_models(resp, lag_a, lag_l, errors: list) -> list:
         denominator_columns = numerator_columns + ([lag_l[rows]] if vary_l else [])
         if n_rows < len(denominator_columns) + 3:
             message = f"not enough pooled observations ({n_rows}) for the treatment models"
-            flag_errors(errors, np.arange(len(errors))[rows], DomainError, message)
+            first_errors(errors, rows, DomainError(message))
             continue
         y = resp[rows]
         ones = np.broadcast_to(1.0, y.shape)  # read only by np.stack, which copies it into each design
@@ -158,8 +158,8 @@ def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
     r, n_units, n_t = len(resp), a.shape[1], len(periods)
     errors = [None] * r
     floor = _sd_floor(resp)
-    flag_errors(errors, np.flatnonzero(floor == np.inf), DomainError,
-                "treatment values overflow: the spread of A is not finite; rescale the treatment (volume) values")
+    first_errors(errors, floor == np.inf, DomainError(
+        "treatment values overflow: the spread of A is not finite; rescale the treatment (volume) values"))
     # the outputs are allocated after the fits and the lags are released, so
     # they never share the peak of the treatment models' designs
     fits = _fit_models(resp, lag_a, lag_l, errors)
@@ -169,7 +169,7 @@ def stabilized_weights_stack(a, l, a0, l0, unit_ids) -> WeightStack:
         idx = np.arange(r)[rows]
         for label, (_, sd, _) in zip(("numerator", "denominator"), models):
             message = f"{label} treatment model has (numerically) zero residual variance; density ratio is undefined"
-            flag_errors(errors, idx[sd <= floor[rows]], DegenerateVarianceError, message)
+            first_errors(errors, idx[sd <= floor[rows]], DegenerateVarianceError(message))
         live = np.flatnonzero([errors[i] is None for i in idx])
         sel = slice(None) if live.size == idx.size else live  # a view, not a copy, when all are live
         numerator, denominator = ((resid[sel], sd[sel]) for _, sd, resid in models)

@@ -6,6 +6,8 @@ from pathlib import Path
 
 import pytest
 
+from longicausal.cli import build_parser
+
 _SPEC = importlib.util.spec_from_file_location("cmp_cli", Path(__file__).parents[1] / "tools" / "cmp_cli.py")
 cmp_cli = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(cmp_cli)
@@ -20,6 +22,26 @@ def test_labels_are_unique():
 def test_invocations_are_unique():
     pairs = Counter((args, threads) for _, args, threads in RUNS)
     assert [pair for pair, count in pairs.items() if count > 1] == []
+
+
+def test_every_run_parses():
+    # a run whose argv argparse refuses exits 2 on both checkouts alike and so checks nothing
+    parser, refused = build_parser(), []
+    for label, args, _ in RUNS:
+        try:
+            parser.parse_args(args)
+        except SystemExit:
+            refused.append(label)
+    assert refused == []
+
+
+def test_every_analyze_run_gives_one_input_mode():
+    modes = {(True, True, False, False), (False, False, True, True)}  # --wells and --catalog, or --panel and --outcomes
+    parser = build_parser()
+    parsed = [(label, parser.parse_args(args)) for label, args, _ in RUNS if args[0] == "analyze"]
+    assert len(parsed) > 0
+    assert [label for label, ns in parsed
+            if tuple(path is not None for path in (ns.wells, ns.catalog, ns.panel, ns.outcomes)) not in modes] == []
 
 
 def test_every_variant_is_read_and_every_read_variant_exists():

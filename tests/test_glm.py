@@ -438,6 +438,44 @@ class TestPerProblem:
             assert out[i].tobytes() == fn(*(arg[i] for arg in args)).tobytes()
 
 
+class TestFirstErrors:
+    """`first_errors` records each selected problem's first error and never replaces one."""
+
+    @pytest.mark.parametrize("problems", [np.array([0, 1, 0, 1, 0], dtype=bool), np.array([1, 3]), slice(1, None, 2)],
+                             ids=["mask", "index", "slice"])
+    def test_mask_index_and_slice_select_the_same_problems(self, problems):
+        one, a, b = DomainError("one"), DomainError("a"), SingularDesignError("b")
+        errors = [None] * 5
+        glm.first_errors(errors, problems, one)
+        assert errors == [None, one, None, one, None]
+        errors = [None] * 5
+        glm.first_errors(errors, problems, [a, b])
+        assert errors == [None, a, None, b, None]
+
+    def test_one_error_reaches_every_selected_problem_and_an_earlier_error_is_kept(self):
+        earlier, new = SingularDesignError("earlier"), DomainError("new")
+        errors = [None, earlier, None, None]
+        glm.first_errors(errors, np.array([0, 1, 2]), new)
+        assert errors == [new, earlier, new, None]
+
+    def test_a_list_gives_each_selected_problem_its_own_entry_and_its_nones_record_nothing(self):
+        earlier, a, b, c = DomainError("earlier"), DomainError("a"), DomainError("b"), SingularDesignError("c")
+        errors = [None, earlier, None, None, None]
+        glm.first_errors(errors, np.array([0, 1, 2, 4]), [a, b, None, c])
+        assert errors == [a, earlier, None, None, c]
+        glm.first_errors(errors, slice(None), [None] * 5)
+        assert errors == [a, earlier, None, None, c]
+
+    @pytest.mark.parametrize("problems", [np.zeros(3, dtype=bool), np.array([], dtype=int), slice(0, 0)],
+                             ids=["mask", "index", "slice"])
+    @pytest.mark.parametrize("new", [DomainError("new"), []], ids=["one", "list"])
+    def test_an_empty_selection_leaves_the_list_untouched(self, problems, new):
+        earlier = DomainError("earlier")
+        errors = [None, earlier, None]
+        glm.first_errors(errors, problems, new)
+        assert errors == [None, earlier, None]
+
+
 def reference_irls(X, y, w, max_iter=100):
     """One problem's IRLS written out on 2-d arrays, in the order of operations the kernel keeps.
 

@@ -2,8 +2,11 @@
 
     python3 tools/cmp_cli.py PARENT_ROOT CHANGE_ROOT
 
-Runs every CLI invocation that RUNS lists once per checkout. The `analyze`
-runs read input files that PARENT_ROOT builds once per seed: the CSVs of its
+Runs every CLI invocation that RUNS lists once per checkout. A run's two
+invocations run side by side, one process per checkout, so a `simulate` run
+with LONGICAUSAL_THREADS=2 has four worker processes at once; its outputs
+must not depend on how many CPUs they share. The `analyze` runs read input
+files that PARENT_ROOT builds once per seed: the CSVs of its
 `bench/gen_inputs.py`, the panel its `analyze` writes from them at default
 flags, and the rewrites of those files that VARIANTS lists.
 
@@ -213,17 +216,22 @@ def _changed_keys(before: dict, after: dict, prefix: str = "") -> list[str]:
     return paths
 
 
-def _run(root: Path, args, threads, cwd: Path) -> dict[str, bytes]:
-    """Every output of one invocation, by name: its files, stdout, stderr and exit code."""
+def _start(root: Path, args, threads, cwd: Path) -> subprocess.Popen:
+    """One invocation, started in the new directory `cwd` with its stdout and stderr piped."""
     cwd.mkdir(parents=True)
-    proc = subprocess.run([sys.executable, "-m", "longicausal.cli", *args], cwd=cwd, env=_env(root, threads),
-                          capture_output=True)
+    return subprocess.Popen([sys.executable, "-m", "longicausal.cli", *args], cwd=cwd, env=_env(root, threads),
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+
+
+def _outputs(proc: subprocess.Popen, cwd: Path) -> dict[str, bytes]:
+    """Every output of a started invocation once it exits, by name: its files, stdout, stderr and exit code."""
+    stdout, stderr = proc.communicate()
     outputs = {path.relative_to(cwd).as_posix(): path.read_bytes() for path in sorted(cwd.rglob("*")) if path.is_file()}
     if "manifest.json" in outputs:
         manifest = json.loads(outputs["manifest.json"])
         outputs["manifest.json"] = json.dumps({key: value for key, value in manifest.items()
                                                if key not in VOLATILE_MANIFEST_KEYS}, sort_keys=True).encode()
-    outputs.update({"<stdout>": proc.stdout, "<stderr>": proc.stderr, "<exit code>": str(proc.returncode).encode()})
+    outputs.update({"<stdout>": stdout, "<stderr>": stderr, "<exit code>": str(proc.returncode).encode()})
     return outputs
 
 
@@ -237,8 +245,10 @@ def main(argv: list[str]) -> int:
         _write_inputs(parent, tmp / "inputs")
         n_runs = n_differ = 0
         for n_runs, (label, args, threads) in enumerate(_runs(tmp / "inputs"), start=1):
-            before = _run(parent, args, threads, tmp / "parent" / str(n_runs))
-            after = _run(change, args, threads, tmp / "change" / str(n_runs))
+            cwds = [tmp / side / str(n_runs) for side in ("parent", "change")]
+            # both invocations start before either is waited for, so the two checkouts run side by side
+            procs = [_start(root, args, threads, cwd) for root, cwd in zip((parent, change), cwds)]
+            before, after = map(_outputs, procs, cwds)
             differing = [name for name in sorted(before.keys() | after.keys()) if before.get(name) != after.get(name)]
             for name in differing:
                 keys = []
